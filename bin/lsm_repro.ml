@@ -353,6 +353,15 @@ let serve_cmd =
       Printf.eprintf "--retries must be >= 0\n";
       exit 2
     end;
+    let policy =
+      { Lsm_serve.Chaos.deadline_us; retries; hedge_us; shed_backlog_us }
+    in
+    if faults = [] && policy <> Lsm_serve.Chaos.default_policy then begin
+      Printf.eprintf
+        "--deadline-us, --hedge-us, --shed-backlog and --retries shape chaos \
+         runs; add --chaos or drop them\n";
+      exit 2
+    end;
     let objectives =
       let specs = if slos = [] then [ "point:p99<1500us" ] else slos in
       List.map
@@ -379,13 +388,7 @@ let serve_cmd =
         strategy;
         chaos = faults;
         mix = (if faults = [] then cfg.Driver.mix else Driver.chaos_mix);
-        policy =
-          {
-            Lsm_serve.Chaos.deadline_us;
-            retries;
-            hedge_us;
-            shed_backlog_us;
-          };
+        policy;
       }
     in
     Printf.printf
@@ -406,84 +409,61 @@ let serve_cmd =
         | p -> Lsm_serve.Serve_report.publish (List.nth p (List.length p - 1)) reg);
         Lsm_serve.Serve_report.sweep_to_json cfg sw
       end
-      else if faults <> [] then begin
-        let ts =
-          match timeline with
-          | None -> None
-          | Some _ ->
-              Some
-                (Lsm_obs.Timeseries.create ~window_us:(window_ms *. 1000.0) ())
-        in
-        let checker = Lsm_serve.Chaos_checker.create ~partitions () in
-        let verdict = ref None in
-        let c =
-          Driver.run_chaos ?timeline:ts
-            ~on_preload:(Lsm_serve.Chaos_checker.preload checker)
-            ~observe:(Lsm_serve.Chaos_checker.observe checker)
-            ~probe:(fun lookup ->
-              verdict :=
-                Some (Lsm_serve.Chaos_checker.verify checker ~probe:lookup))
-            cfg
-        in
-        Lsm_harness.Report.print
-          (Lsm_serve.Serve_report.chaos_report ?checker:!verdict c);
-        (match ts with
-        | Some ts ->
-            Lsm_harness.Report.print
-              (Lsm_serve.Serve_report.timeline_report c.Driver.c_base ts
-                 objectives);
-            (match timeline with
-            | Some path ->
-                Lsm_obs.Json.write ~path
-                  (Lsm_serve.Serve_report.timeline_to_json c.Driver.c_base ts
-                     objectives);
-                Printf.printf "wrote timeline document to %s\n" path
-            | None -> ());
-            (match timeline_csv with
-            | Some path ->
-                let oc = open_out path in
-                output_string oc (Lsm_obs.Timeseries.to_csv ts);
-                close_out oc;
-                Printf.printf "wrote timeline CSV to %s\n" path
-            | None -> ())
-        | None -> ());
-        Lsm_serve.Serve_report.publish c.Driver.c_base reg;
-        (match !verdict with
-        | Some v when not (Lsm_serve.Chaos_checker.ok v) ->
-            checker_failed := true
-        | _ -> ());
-        Lsm_serve.Serve_report.chaos_to_json ?checker:!verdict c
-      end
       else begin
         let ts =
-          match timeline with
-          | None -> None
-          | Some _ ->
-              Some
-                (Lsm_obs.Timeseries.create ~window_us:(window_ms *. 1000.0) ())
+          Option.map
+            (fun _ ->
+              Lsm_obs.Timeseries.create ~window_us:(window_ms *. 1000.0) ())
+            timeline
         in
-        let r = Driver.run ?timeline:ts cfg in
-        Lsm_harness.Report.print (Lsm_serve.Serve_report.report r);
-        (match ts with
-        | Some ts ->
+        let r, doc =
+          if faults <> [] then begin
+            let checker = Lsm_serve.Chaos_checker.create ~partitions () in
+            let verdict = ref None in
+            let c =
+              Driver.run_chaos ?timeline:ts
+                ~on_preload:(Lsm_serve.Chaos_checker.preload checker)
+                ~observe:(Lsm_serve.Chaos_checker.observe checker)
+                ~probe:(fun lookup ->
+                  verdict :=
+                    Some (Lsm_serve.Chaos_checker.verify checker ~probe:lookup))
+                cfg
+            in
+            Lsm_harness.Report.print
+              (Lsm_serve.Serve_report.chaos_report ?checker:!verdict c);
+            (match !verdict with
+            | Some v when not (Lsm_serve.Chaos_checker.ok v) ->
+                checker_failed := true
+            | _ -> ());
+            ( c.Driver.c_base,
+              Lsm_serve.Serve_report.chaos_to_json ?checker:!verdict c )
+          end
+          else begin
+            let r = Driver.run ?timeline:ts cfg in
+            Lsm_harness.Report.print (Lsm_serve.Serve_report.report r);
+            (r, Lsm_serve.Serve_report.to_json r)
+          end
+        in
+        Option.iter
+          (fun ts ->
             Lsm_harness.Report.print
               (Lsm_serve.Serve_report.timeline_report r ts objectives);
-            (match timeline with
-            | Some path ->
+            Option.iter
+              (fun path ->
                 Lsm_obs.Json.write ~path
                   (Lsm_serve.Serve_report.timeline_to_json r ts objectives);
-                Printf.printf "wrote timeline document to %s\n" path
-            | None -> ());
-            (match timeline_csv with
-            | Some path ->
+                Printf.printf "wrote timeline document to %s\n" path)
+              timeline;
+            Option.iter
+              (fun path ->
                 let oc = open_out path in
                 output_string oc (Lsm_obs.Timeseries.to_csv ts);
                 close_out oc;
-                Printf.printf "wrote timeline CSV to %s\n" path
-            | None -> ())
-        | None -> ());
+                Printf.printf "wrote timeline CSV to %s\n" path)
+              timeline_csv)
+          ts;
         Lsm_serve.Serve_report.publish r reg;
-        Lsm_serve.Serve_report.to_json r
+        doc
       end
     in
     (match json with

@@ -49,6 +49,16 @@ dune exec bin/lsm_repro.exe -- serve -s tiny --duration 0.2 --rate 1000 \
   --seed 7 --json /tmp/serve_smoke.json
 grep -q '"schema": "lsm-repro-serve/1"' /tmp/serve_smoke.json
 
+# The same loop with sharded memtables and overlapping maintenance: the
+# budget's shard-granular eviction is the only budget path left that the
+# unsharded smoke does not reach.  Two same-seed runs must agree byte
+# for byte.
+for run in a b; do
+  dune exec bin/lsm_repro.exe -- serve -s tiny --duration 0.2 --rate 1000 \
+    --seed 7 --mem-shards 2 --maint-workers 2 --json /tmp/serve_shard_$run.json
+done
+cmp /tmp/serve_shard_a.json /tmp/serve_shard_b.json
+
 # --- timeline determinism ---------------------------------------------
 # The same seeded run collected twice must export byte-identical timeline
 # documents (JSON and CSV): the telemetry path reads the simulated clock

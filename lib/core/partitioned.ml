@@ -154,20 +154,6 @@ module Make (R : Record.S) = struct
   let total_mem_bytes t =
     Array.fold_left (fun acc d -> acc + D.total_mem_bytes d) 0 t.parts
 
-  (** [largest_mem_partition t] is the index of the partition currently
-      holding the most memory-component bytes (ties break low). *)
-  let largest_mem_partition t =
-    let best = ref 0 and best_bytes = ref min_int in
-    Array.iteri
-      (fun i d ->
-        let b = D.total_mem_bytes d in
-        if b > !best_bytes then begin
-          best := i;
-          best_bytes := b
-        end)
-      t.parts;
-    !best
-
   (** [flush_partition t i] flushes partition [i]'s memory components and
       runs its merge scheduler (the coordinator's eviction primitive). *)
   let flush_partition t i = D.flush_now t.parts.(i)

@@ -123,9 +123,6 @@ module Make (R : Record.S) : sig
   val mem_bytes_of : t -> int -> int
   val total_mem_bytes : t -> int
 
-  val largest_mem_partition : t -> int
-  (** Index of the partition holding the most memory-component bytes. *)
-
   val flush_partition : t -> int -> unit
   (** Flush one partition's memory components and run its merges — the
       coordinator's eviction primitive. *)

@@ -8,22 +8,20 @@
     partitions until the aggregate is back under budget.  Callers disable
     per-partition auto-maintenance and call {!enforce} after every write.
 
-    The eviction unit depends on what the partitions offer:
-
-    - unsharded partitions ([shards = 1] everywhere): flush the largest
-      memtable across partitions — the policy AsterixDB uses for its
-      shared memory-component pool;
-    - sharded partitions: a budget trip typically overshoots by one
-      write's worth of bytes, so dumping a whole partition's memtables
-      evicts far more memory than the deficit requires.  Instead, evict
-      the smallest-sufficient *set of shards*, greedily largest shard
-      first across partitions: one shard usually covers the deficit, so
-      each eviction stalls O(memtable/shards) bytes instead of a whole
-      partition, while still releasing enough headroom that evictions
-      never degenerate into one per write (which is what picking the
-      minimum covering shard would do — the deficit is one write's
-      worth, so the smallest shard always "suffices" and the budget
-      thrashes tiny flushes). *)
+    The eviction unit is the finest the partitions offer: a whole
+    partition's memtables when unsharded ([shards = 1]: the largest
+    memtable across partitions goes, the policy AsterixDB uses for its
+    shared memory-component pool), one memory shard when sharded.  A
+    budget trip typically overshoots by one write's worth of bytes, so
+    dumping a whole partition's memtables evicts far more memory than the
+    deficit requires; instead the coordinator evicts greedily, largest
+    shard first across partitions, until the aggregate is back under
+    budget.  One shard usually covers the deficit, so each eviction
+    stalls O(memtable/shards) bytes instead of a whole partition, while
+    still releasing enough headroom that evictions never degenerate into
+    one per write (which is what picking the minimum covering shard would
+    do — the deficit is one write's worth, so the smallest shard always
+    "suffices" and the budget thrashes tiny flushes). *)
 
 type part = {
   mem_bytes : unit -> int;  (** partition's current memory-component bytes *)
@@ -33,17 +31,22 @@ type part = {
   flush_shard : int -> unit;  (** flush one memory shard *)
 }
 
-(** [part ~mem_bytes ~flush ()] builds a partition handle; the shard
-    hooks default to whole-partition granularity ([shards = 1]). *)
+(** [part ~mem_bytes ~flush ()] builds a partition handle.  With
+    [shards = 1] (the default) the single shard is the whole partition,
+    so the shard hooks are ignored in favour of [mem_bytes] and
+    [flush]. *)
 let part ?(shards = 1) ?shard_bytes ?flush_shard ~mem_bytes ~flush () =
+  let sharded = shards > 1 in
   {
     mem_bytes;
     flush;
     shards = max 1 shards;
     shard_bytes =
-      (match shard_bytes with Some f -> f | None -> fun _ -> mem_bytes ());
+      (match shard_bytes with
+      | Some f when sharded -> f
+      | _ -> fun _ -> mem_bytes ());
     flush_shard =
-      (match flush_shard with Some f -> f | None -> fun _ -> flush ());
+      (match flush_shard with Some f when sharded -> f | _ -> fun _ -> flush ());
   }
 
 type t = {
@@ -83,43 +86,16 @@ let peak_pre_bytes t = t.peak_pre_bytes
 let total t =
   Array.fold_left (fun acc p -> acc + p.mem_bytes ()) 0 t.parts
 
-(** [largest t] is the index of the partition holding the most
-    memory-component bytes (ties break low). *)
-let largest t =
-  let best = ref 0 and best_bytes = ref min_int in
-  Array.iteri
-    (fun i p ->
-      let b = p.mem_bytes () in
-      if b > !best_bytes then begin
-        best := i;
-        best_bytes := b
-      end)
-    t.parts;
-  !best
-
 let record_eviction t i =
   t.evictions <- t.evictions + 1;
   t.evictions_by.(i) <- t.evictions_by.(i) + 1
 
-(* Whole-memtable eviction: flush the largest partition until under
-   budget (the original policy; the only one available unsharded). *)
-let rec drain_partitions t =
-  if total t >= t.budget_bytes then begin
-    let i = largest t in
-    if t.parts.(i).mem_bytes () > 0 then begin
-      t.parts.(i).flush ();
-      record_eviction t i;
-      drain_partitions t
-    end
-    (* else: nothing evictable — all memory already on disk; the budget
-       is smaller than the engine's irreducible footprint. *)
-  end
-
-(* Shard-granular eviction: flush the largest shard across partitions
-   (ties break low partition, then low shard) and recurse — greedily
-   building the smallest-sufficient shard set.  One shard usually covers
-   the deficit, so this never dumps a whole partition's memtables. *)
-let rec drain_shards t =
+(* Flush the largest shard across partitions (ties break low partition,
+   then low shard) and recurse until under budget, or until nothing is
+   left to evict: the budget is then smaller than the engine's
+   irreducible footprint.  Unsharded, every shard is a whole partition,
+   so this flushes the largest memtable. *)
+let rec drain t =
   if total t >= t.budget_bytes then begin
     let best = ref None in
     Array.iteri
@@ -136,7 +112,7 @@ let rec drain_shards t =
     | Some (_, i, s) ->
         t.parts.(i).flush_shard s;
         record_eviction t i;
-        drain_shards t
+        drain t
     | None -> ()
   end
 
@@ -148,7 +124,6 @@ let rec drain_shards t =
 let enforce t =
   let pre = total t in
   if pre > t.peak_pre_bytes then t.peak_pre_bytes <- pre;
-  if Array.exists (fun p -> p.shards > 1) t.parts then drain_shards t
-  else drain_partitions t;
+  drain t;
   let post = total t in
   if post > t.peak_bytes then t.peak_bytes <- post

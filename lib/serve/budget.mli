@@ -1,8 +1,8 @@
 (** Global flush coordinator (paper Sec. 2.3): one memory budget shared
     by all partitions' LSM memory components.  When the aggregate reaches
     the budget, the coordinator evicts at the finest granularity the
-    partitions offer: whole memtables when unsharded, or single memory
-    shards — smallest shard covering the deficit first — when sharded,
+    partitions offer — whole memtables when unsharded, single memory
+    shards when sharded — greedily, largest first across partitions,
     which bounds the eviction overshoot by a shard instead of a whole
     partition. *)
 
@@ -22,9 +22,10 @@ val part :
   flush:(unit -> unit) ->
   unit ->
   part
-(** Build a partition handle.  The shard hooks default to
-    whole-partition granularity ([shards = 1]); pass all three to let
-    the coordinator evict one shard at a time. *)
+(** Build a partition handle.  With [shards = 1] (the default) the
+    shard hooks are ignored and the whole partition is the eviction
+    unit; pass [shards > 1] and both shard hooks to let the coordinator
+    evict one shard at a time. *)
 
 type t
 
@@ -36,14 +37,11 @@ val budget_bytes : t -> int
 val total : t -> int
 (** Aggregate memory-component footprint, bytes. *)
 
-val largest : t -> int
-(** Index of the partition holding the most memory-component bytes. *)
-
 val enforce : t -> unit
-(** Restore [total t < budget_bytes]: unsharded, flush the largest
-    memtable repeatedly; sharded, flush the smallest single shard that
-    covers the deficit (or the largest shard when none does),
-    repeatedly.  Call after every write. *)
+(** Restore [total t < budget_bytes] by flushing the largest shard
+    across partitions (unsharded: the largest memtable), ties to the
+    lowest partition and shard, repeatedly until under budget or nothing
+    is left to evict.  Call after every write. *)
 
 val evictions : t -> int
 (** Coordinator-initiated flushes so far. *)

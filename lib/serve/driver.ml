@@ -5,8 +5,10 @@
     has its own device, cache, and clock — Sec. 2.2's shared-nothing
     nodes).  A request arriving at [a] starts at
     [max a (free over the partitions it involves)], runs for the max of
-    its per-partition service times, and pushes each involved
-    partition's [free] horizon by that partition's own share.  Queueing
+    its per-partition service times, and pushes the [free] horizon of
+    each partition that did work by that partition's own share.  Clean
+    runs ({!run}) and chaos runs ({!run_chaos}) share one request loop;
+    a clean run is a chaos run with an empty fault plan.  Queueing
     delay is [start - a]; when the offered rate exceeds capacity the
     [free] horizons run away from the arrival clock and queueing delay
     grows without bound — the saturation knee the load sweep exists to
@@ -326,215 +328,8 @@ let maintenance_spans =
     "maint.job";
   ]
 
-(** [run ?timeline cfg] executes one open-loop run.  With
-    [cfg.rate_rps <= 0] the rate is set to 70% of a fresh capacity
-    estimate.  Deterministic for a fixed seed.
-
-    When [timeline] is given, every completion feeds it: per-class
-    latency histograms stamped at the request's *completion* on the
-    arrival timeline, per-partition busy time / backlog / memtable
-    gauges, budget-eviction counters, and flight-recorder events for
-    evictions and the maintenance spans inside them.  All
-    instrumentation is read-only against the simulated clocks, so a
-    run's result is identical with the timeline on or off. *)
-let run ?timeline (cfg : config) =
-  let capacity_rps, cfg =
-    if cfg.rate_rps > 0.0 then (0.0, cfg)
-    else begin
-      let cap = estimate_capacity cfg in
-      if cap <= 0.0 then invalid_arg "Driver.run: capacity estimate is zero";
-      (cap, { cfg with rate_rps = 0.7 *. cap })
-    end
-  in
-  let sys = build cfg in
-  preload sys cfg;
-  (* Timeline plumbing.  Partition clocks are independent of the arrival
-     timeline, and a request's start is only known *after* execution
-     (the free-horizon start depends on which partitions it involved) —
-     so span hooks buffer maintenance spans during execution, and the
-     per-partition clock snapshots in [c0] translate them afterwards:
-     run_ts = start + (span_start − c0).  Hooks go in after the preload;
-     preload maintenance happens before the timeline's time zero. *)
-  let c0 = Array.make cfg.partitions 0.0 in
-  let spanbuf = ref [] in
-  (match timeline with
-  | None -> ()
-  | Some _ ->
-      for i = 0 to cfg.partitions - 1 do
-        Lsm_sim.Env.set_span_hook
-          (P.env (Rt.partitioned sys.rt) i)
-          (fun sp ->
-            if List.mem sp.Lsm_sim.Env.sp_name maintenance_spans then
-              spanbuf := (i, sp) :: !spanbuf)
-      done);
-  let arr =
-    Arrivals.create ~seed:((cfg.seed * 131) + 7) ~rate_rps:cfg.rate_rps
-      cfg.arrivals
-  in
-  let horizon_us = cfg.duration_s *. 1e6 in
-  let free = Array.make cfg.partitions 0.0 in
-  let samples = ref [] in
-  let n_req = ref 0 in
-  let rec loop a =
-    if a <= horizon_us then begin
-      let s_cls, req = gen_request sys cfg in
-      (match timeline with
-      | None -> ()
-      | Some _ ->
-          spanbuf := [];
-          for i = 0 to cfg.partitions - 1 do
-            c0.(i) <- Lsm_sim.Env.now_us (P.env (Rt.partitioned sys.rt) i)
-          done);
-      let o = Rt.exec sys.rt req in
-      (* Involved = structurally touched plus any partition whose clock
-         moved (a budget-triggered flush on another partition lands
-         there and delays only requests routed to it). *)
-      let involved = ref o.Rt.touched in
-      Array.iteri
-        (fun i d -> if d > 0.0 && not (List.mem i !involved) then involved := i :: !involved)
-        o.Rt.service_us;
-      let start = List.fold_left (fun acc i -> Float.max acc free.(i)) a !involved in
-      let service_us =
-        List.fold_left (fun acc i -> Float.max acc o.Rt.service_us.(i)) 0.0 !involved
-      in
-      List.iter (fun i -> free.(i) <- start +. o.Rt.service_us.(i)) !involved;
-      (match timeline with
-      | None -> ()
-      | Some ts ->
-          let done_us = start +. service_us in
-          let lat = (start -. a) +. service_us in
-          Timeseries.observe ts ~at_us:done_us (class_name s_cls) lat;
-          Timeseries.observe ts ~at_us:done_us "all" lat;
-          Timeseries.set_max ts ~at_us:done_us "queue_us" (start -. a);
-          List.iter
-            (fun i ->
-              Timeseries.add ts ~at_us:done_us
-                (Printf.sprintf "p%d.busy_us" i)
-                o.Rt.service_us.(i);
-              Timeseries.set_last ts ~at_us:done_us
-                (Printf.sprintf "p%d.backlog_us" i)
-                (Float.max 0.0 (free.(i) -. a));
-              Timeseries.set_last ts ~at_us:done_us
-                (Printf.sprintf "p%d.mem_bytes" i)
-                (Float.of_int (P.mem_bytes_of (Rt.partitioned sys.rt) i)))
-            !involved;
-          Timeseries.set_last ts ~at_us:done_us "mem_bytes"
-            (Float.of_int (P.total_mem_bytes (Rt.partitioned sys.rt)));
-          List.iter
-            (fun (ev : Rt.eviction) ->
-              let ev_ts = start +. ev.Rt.ev_start_off_us in
-              Timeseries.count ts ~at_us:ev_ts "evictions" 1;
-              Timeseries.count ts ~at_us:ev_ts "flushes" ev.Rt.ev_flushes;
-              Timeseries.count ts ~at_us:ev_ts "merges" ev.Rt.ev_merges;
-              Timeseries.add ts ~at_us:ev_ts "evicted_bytes"
-                (Float.of_int ev.Rt.ev_bytes);
-              Timeseries.event ts ~start_us:ev_ts ~dur_us:ev.Rt.ev_dur_us
-                ~kind:"eviction" ~part:ev.Rt.ev_part
-                [
-                  ("bytes", ev.Rt.ev_bytes);
-                  ("flushes", ev.Rt.ev_flushes);
-                  ("merges", ev.Rt.ev_merges);
-                  ("merge_bytes", ev.Rt.ev_merge_bytes);
-                ])
-            o.Rt.evictions;
-          List.iter
-            (fun (i, (sp : Lsm_sim.Env.span_event)) ->
-              Timeseries.event ts
-                ~start_us:(start +. (sp.Lsm_sim.Env.sp_start_us -. c0.(i)))
-                ~dur_us:sp.Lsm_sim.Env.sp_dur_us ~kind:sp.Lsm_sim.Env.sp_name
-                ~part:i [])
-            (List.rev !spanbuf));
-      samples := { s_cls; arrival_us = a; queue_us = start -. a; service_us } :: !samples;
-      incr n_req;
-      loop (Arrivals.next arr)
-    end
-  in
-  loop (Arrivals.next arr);
-  (match timeline with
-  | None -> ()
-  | Some _ ->
-      for i = 0 to cfg.partitions - 1 do
-        Lsm_sim.Env.clear_span_hook (P.env (Rt.partitioned sys.rt) i)
-      done);
-  let samples = List.rev !samples in
-  let classes =
-    List.map
-      (fun c ->
-        stats_of (class_name c) (List.filter (fun s -> s.s_cls = c) samples))
-      all_classes
-    @ [ stats_of "all" samples ]
-  in
-  let backlog =
-    Array.fold_left (fun acc f -> Float.max acc (f -. horizon_us)) 0.0 free
-  in
-  let backlog_frac = if horizon_us > 0.0 then backlog /. horizon_us else 0.0 in
-  let half = horizon_us /. 2.0 in
-  let q1 =
-    mean
-      (List.filter_map
-         (fun s -> if s.arrival_us < half then Some s.queue_us else None)
-         samples)
-  in
-  let q2 =
-    mean
-      (List.filter_map
-         (fun s -> if s.arrival_us >= half then Some s.queue_us else None)
-         samples)
-  in
-  let queue_growth = (q2 +. 1.0) /. (q1 +. 1.0) in
-  let b = Rt.budget sys.rt in
-  {
-    r_cfg = cfg;
-    rate_rps = cfg.rate_rps;
-    capacity_rps;
-    requests = !n_req;
-    classes;
-    backlog_frac;
-    queue_growth;
-    saturated = backlog_frac > 0.05;
-    budget_bytes = Budget.budget_bytes b;
-    peak_mem_bytes = Budget.peak_bytes b;
-    peak_pre_mem_bytes = Budget.peak_pre_bytes b;
-    evictions = Budget.evictions b;
-    resil = collect_resil sys cfg.partitions;
-  }
-
 (* ------------------------------------------------------------------ *)
-(* Load sweep *)
-
-type sweep_result = {
-  sw_capacity_rps : float;
-  points : result list;  (** one run per rung of the rate ladder *)
-  knee_rps : float option;
-      (** highest offered rate that did not saturate; [None] when every
-          rung saturated *)
-}
-
-(** [sweep cfg] anchors a rate ladder to a capacity estimate, runs each
-    rung on a fresh system (same seed), and reports the knee: the
-    highest rate whose run stayed below saturation.  The default ladder
-    straddles the estimate so the knee is demonstrated from both
-    sides. *)
-let sweep ?(fractions = [ 0.3; 0.6; 0.85; 1.1; 1.5 ]) (cfg : config) =
-  let cap = estimate_capacity cfg in
-  if cap <= 0.0 then invalid_arg "Driver.sweep: capacity estimate is zero";
-  let points =
-    List.map (fun f -> run { cfg with rate_rps = f *. cap }) fractions
-  in
-  let knee_rps =
-    List.fold_left
-      (fun acc r ->
-        if r.saturated then acc
-        else
-          match acc with
-          | Some best when best >= r.rate_rps -> acc
-          | _ -> Some r.rate_rps)
-      None points
-  in
-  { sw_capacity_rps = cap; points; knee_rps }
-
-(* ------------------------------------------------------------------ *)
-(* Chaos runs: scheduled partition faults under open-loop load *)
+(* Fault plans and what the client sees *)
 
 (** What the front door told the client — one event per arrival, in
     arrival order.  A model-based checker ({!Chaos_checker}) replays the
@@ -606,39 +401,22 @@ type fault_rt = {
   mutable healed : bool;  (** corruption repaired (Corrupt only) *)
 }
 
-(** [run_chaos ?timeline ?observe ?probe cfg] executes one open-loop run
-    against a *durable* cluster (every partition behind a serial-WAL
-    transactional wrapper, so acknowledged means durable) while
-    interpreting [cfg.chaos] on the arrival clock and degrading
-    gracefully per [cfg.policy]:
+(* ------------------------------------------------------------------ *)
+(* The request loop *)
 
-    - a crashed partition loses its memory state and replays the WAL
-      from the durable frontier while the rest of the fleet keeps
-      serving; requests that need it fast-fail as ["down"];
-    - fan-out reads answer partially: healthy partitions' slots are
-      returned, errored partitions are reported in the reply;
-    - per-partition circuit breakers shed work from erroring partitions
-      and probe them back to health (["breaker"] failures);
-    - reads carry a deadline (fail-fast when queueing alone exceeds it),
-      a bounded retry budget, and one hedged re-attempt;
-    - admission control sheds requests (typed {!Chaos.Overloaded}) when
-      every needed partition is over the backlog cap — counted, never
-      silently dropped.
-
-    [on_preload] sees each record ingested before traffic starts (so a
-    checker can seed its model); [observe] sees one {!chaos_obs} per
-    arrival; [probe] runs after the horizon with direct point-query
-    access for durability audits.  Deterministic for a fixed seed,
-    timeline on or off. *)
-let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
+(* [serve ~durable ...] is the one open-loop request loop behind {!run}
+   and {!run_chaos}: it builds the cluster ([~durable] puts every
+   partition behind the serial-WAL wrapper), interprets [cfg.chaos] on
+   the arrival clock, and gates, executes and accounts every arrival.
+   With an empty plan no fault fires, every breaker stays closed, and
+   the default policy neither sheds, hedges nor times out, so each
+   request runs exactly as {!Rt.exec} would run it.  Eager runs only on
+   a non-durable cluster: the WAL wrapper rejects it, because Eager's
+   read-modify-write path needs old-record logging the wrapper does not
+   provide. *)
+let serve ~durable ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
     ?(observe = fun (_ : chaos_obs) -> ())
     ?(probe = fun (_ : int -> Tweet.t option) -> ()) (cfg : config) =
-  (match cfg.strategy with
-  | Strategy.Eager ->
-      invalid_arg
-        "Driver.run_chaos: chaos runs need the WAL wrapper; Eager is \
-         unsupported"
-  | _ -> ());
   let n = cfg.partitions in
   List.iter
     (fun (f : Chaos.fault) ->
@@ -652,26 +430,31 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
   let capacity_rps, cfg =
     if cfg.rate_rps > 0.0 then (0.0, cfg)
     else begin
-      let cap = estimate_capacity ~durable:true cfg in
-      if cap <= 0.0 then
-        invalid_arg "Driver.run_chaos: capacity estimate is zero";
+      let cap = estimate_capacity ~durable cfg in
+      if cap <= 0.0 then invalid_arg "Driver: capacity estimate is zero";
       (cap, { cfg with rate_rps = 0.7 *. cap })
     end
   in
   let policy = cfg.policy in
   let deadline_us = policy.Chaos.deadline_us in
   let hedge_us = Chaos.hedge_trigger_us policy in
-  let sys = build ~durable:true cfg in
+  let sys = build ~durable cfg in
   preload ~f:on_preload sys cfg;
   let rt = sys.rt in
   let pt = Rt.partitioned rt in
   let envof i = P.env pt i in
-  (* Timeline span plumbing, as in [run]. *)
+  let tl f = Option.iter f timeline in
+  (* Timeline span plumbing.  Partition clocks are independent of the
+     arrival timeline, and a request's start is only known *after*
+     execution (the free-horizon start depends on which partitions it
+     involved) — so span hooks buffer maintenance spans during
+     execution, and the per-partition clock snapshots in [c0] translate
+     them afterwards: run_ts = start + (span_start − c0).  Hooks go in
+     after the preload; preload maintenance happens before the
+     timeline's time zero. *)
   let c0 = Array.make n 0.0 in
   let spanbuf = ref [] in
-  (match timeline with
-  | None -> ()
-  | Some _ ->
+  tl (fun _ ->
       for i = 0 to n - 1 do
         Lsm_sim.Env.set_span_hook (envof i) (fun sp ->
             if List.mem sp.Lsm_sim.Env.sp_name maintenance_spans then
@@ -691,9 +474,7 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
   for i = 0 to n - 1 do
     let st = hooks.(i) in
     Lsm_sim.Env.set_fault_hook (envof i) (fun point ->
-        if
-          String.length point >= 3 && String.equal (String.sub point 0 3) "io."
-        then begin
+        if String.starts_with ~prefix:"io." point then begin
           if st.corrupt_armed && String.equal point "io.write" then begin
             st.corrupt_armed <- false;
             st.corrupt_hit <- true;
@@ -725,9 +506,7 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
   let breaker_events = ref 0 in
   let down_us = ref 0.0 in
   let ev ~start_us ~dur_us kind part detail =
-    match timeline with
-    | None -> ()
-    | Some ts -> Timeseries.event ts ~start_us ~dur_us ~kind ~part detail
+    tl (fun ts -> Timeseries.event ts ~start_us ~dur_us ~kind ~part detail)
   in
   let fire_faults a narr =
     List.iter
@@ -879,10 +658,16 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
   let samples = ref [] in
   let n_req = ref 0 in
   let successes = ref 0 and partials = ref 0 and shed = ref 0 in
+  let bump tbl k =
+    Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+  in
   let fail_tbl = Hashtbl.create 8 in
-  let fail reason =
-    Hashtbl.replace fail_tbl reason
-      (1 + Option.value ~default:0 (Hashtbl.find_opt fail_tbl reason))
+  let fail a reason =
+    bump fail_tbl reason;
+    observe (O_error reason);
+    tl (fun ts ->
+        Timeseries.count ts ~at_us:a "errors" 1;
+        Timeseries.count ts ~at_us:a ("error." ^ reason) 1)
   in
   let phase_tbl = Hashtbl.create 4 in
   let blocked_reason blocked =
@@ -894,8 +679,7 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
       fire_faults a !n_req;
       heal_due a;
       let ph = phase_of a in
-      Hashtbl.replace phase_tbl ph
-        (1 + Option.value ~default:0 (Hashtbl.find_opt phase_tbl ph));
+      bump phase_tbl ph;
       let s_cls, req = gen_request sys cfg in
       let targets = Rt.targets rt req in
       let backlog i = Float.max 0.0 (free.(i) -. a) in
@@ -911,18 +695,17 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
       | exception Chaos.Overloaded _ ->
           incr shed;
           observe O_shed;
-          (match timeline with
-          | None -> ()
-          | Some ts ->
+          tl (fun ts ->
               Timeseries.count ts ~at_us:a "shed" 1;
               Timeseries.event ts ~start_us:a ~dur_us:0.0 ~kind:"shed"
                 ~part:(List.hd targets) [])
       | () ->
+          let record i ok = Chaos.Breaker.record breakers.(i) ~now:a ~ok in
           let gates =
             List.map
               (fun i ->
                 if a < down_until.(i) then begin
-                  Chaos.Breaker.record breakers.(i) ~now:a ~ok:false;
+                  record i false;
                   (i, `Down)
                 end
                 else
@@ -940,9 +723,31 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
               (fun (i, g) -> if g <> `Go then Some (i, g) else None)
               gates
           in
-          (match timeline with
-          | None -> ()
-          | Some _ ->
+          (* A fan-out answers from the partitions that can: [piece i]
+             is partition [i]'s share, errored and blocked partitions
+             are reported beside the answer, and the request fails only
+             when no partition answered. *)
+          let fan_out piece answer =
+            if go = [] then Error "unavailable"
+            else begin
+              let got = ref [] and err_parts = ref (List.map fst blocked) in
+              List.iter
+                (fun i ->
+                  match with_attempts (fun () -> piece i) with
+                  | Ok v ->
+                      record i true;
+                      got := (i, v) :: !got
+                  | Error _ ->
+                      record i false;
+                      err_parts := i :: !err_parts)
+                go;
+              let err_parts = List.sort_uniq Int.compare !err_parts in
+              if List.length err_parts >= List.length targets then
+                Error "unavailable"
+              else Ok (answer (List.rev !got) err_parts, None, err_parts <> [])
+            end
+          in
+          tl (fun _ ->
               spanbuf := [];
               for i = 0 to n - 1 do
                 c0.(i) <- Lsm_sim.Env.now_us (envof i)
@@ -960,21 +765,19 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
                  without occupying the engine, and charge the slow
                  partitions' error budgets so their breakers start
                  shedding. *)
-              List.iter
-                (fun i -> Chaos.Breaker.record breakers.(i) ~now:a ~ok:false)
-                go;
+              List.iter (fun i -> record i false) go;
               Error "deadline"
             end
-            else if Rt.is_write req then begin
-              match go with
-              | [ i ] -> (
+            else
+              match (req, go) with
+              | (Rt.Insert _ | Rt.Upsert _ | Rt.Delete _), [ i ] -> (
                   match with_attempts (fun () -> Rt.exec_write rt req) with
                   | Ok reply ->
                       (* The write is acked even if an eviction it
                          triggers fails; the budget retries next write. *)
                       (try Budget.enforce (Rt.budget rt)
                        with Lsm_sim.Resilience.Unrecoverable _ -> ());
-                      Chaos.Breaker.record breakers.(i) ~now:a ~ok:true;
+                      record i true;
                       Ok
                         ( (match reply with
                           | Rt.Rejected -> O_reject_dup
@@ -982,130 +785,58 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
                           None,
                           false )
                   | Error r ->
-                      Chaos.Breaker.record breakers.(i) ~now:a ~ok:false;
+                      record i false;
                       Error r)
-              | _ -> Error (blocked_reason blocked)
-            end
-            else begin
-              match req with
-              | Rt.Point pk -> (
-                  match go with
-                  | [ i ] -> (
-                      let env = envof i in
-                      let attempt () =
-                        let t0 = Lsm_sim.Env.now_us env in
-                        let v = Rt.point_part rt pk in
-                        (v, Lsm_sim.Env.now_us env -. t0)
+              | Rt.Point pk, [ i ] -> (
+                  let env = envof i in
+                  let attempt () =
+                    let t0 = Lsm_sim.Env.now_us env in
+                    let v = Rt.point_part rt pk in
+                    (v, Lsm_sim.Env.now_us env -. t0)
+                  in
+                  match with_attempts attempt with
+                  | Error r ->
+                      record i false;
+                      Error r
+                  | Ok (v, d1) ->
+                      record i true;
+                      let lat =
+                        if d1 > hedge_us then begin
+                          (* One hedged re-attempt to the same partition:
+                             it pays for both, the client sees the
+                             earlier completion. *)
+                          match attempt () with
+                          | _, d2 -> Float.min d1 (hedge_us +. d2)
+                          | exception Lsm_sim.Resilience.Unrecoverable _ -> d1
+                        end
+                        else d1
                       in
-                      match with_attempts attempt with
-                      | Error r ->
-                          Chaos.Breaker.record breakers.(i) ~now:a ~ok:false;
-                          Error r
-                      | Ok (v, d1) ->
-                          Chaos.Breaker.record breakers.(i) ~now:a ~ok:true;
-                          let lat =
-                            if d1 > hedge_us then begin
-                              (* One hedged re-attempt to the same
-                                 partition: it pays for both, the client
-                                 sees the earlier completion. *)
-                              match attempt () with
-                              | _, d2 -> Float.min d1 (hedge_us +. d2)
-                              | exception Lsm_sim.Resilience.Unrecoverable _
-                                ->
-                                  d1
-                            end
-                            else d1
-                          in
-                          Ok (O_point (pk, v), Some lat, false))
-                  | _ -> Error (blocked_reason blocked))
-              | Rt.Multi_get pks ->
-                  if go = [] then Error "unavailable"
-                  else begin
-                    let got = ref []
-                    and err_parts = ref (List.map fst blocked) in
-                    List.iter
-                      (fun i ->
-                        let mine =
-                          Array.to_list pks
-                          |> List.filter (fun pk -> Rt.route rt pk = i)
-                        in
-                        match
-                          with_attempts (fun () -> Rt.multi_get_part rt i mine)
-                        with
-                        | Ok slots ->
-                            Chaos.Breaker.record breakers.(i) ~now:a ~ok:true;
-                            got := !got @ slots
-                        | Error _ ->
-                            Chaos.Breaker.record breakers.(i) ~now:a ~ok:false;
-                            err_parts := i :: !err_parts)
-                      go;
-                    let err_parts = List.sort_uniq Int.compare !err_parts in
-                    if List.length err_parts >= List.length targets then
-                      Error "unavailable"
-                    else
-                      Ok
-                        ( O_multi { got = !got; err_parts },
-                          None,
-                          err_parts <> [] )
-                  end
-              | Rt.Secondary { sec; lo; hi; mode } ->
-                  if go = [] then Error "unavailable"
-                  else begin
-                    let rows = ref []
-                    and err_parts = ref (List.map fst blocked) in
-                    List.iter
-                      (fun i ->
-                        match
-                          with_attempts (fun () ->
-                              Rt.secondary_part rt i ~sec ~lo ~hi ~mode)
-                        with
-                        | Ok rs ->
-                            Chaos.Breaker.record breakers.(i) ~now:a ~ok:true;
-                            rows := !rows @ rs
-                        | Error _ ->
-                            Chaos.Breaker.record breakers.(i) ~now:a ~ok:false;
-                            err_parts := i :: !err_parts)
-                      go;
-                    let err_parts = List.sort_uniq Int.compare !err_parts in
-                    if List.length err_parts >= List.length targets then
-                      Error "unavailable"
-                    else
-                      Ok
-                        ( O_secondary { lo; hi; rows = !rows; err_parts },
-                          None,
-                          err_parts <> [] )
-                  end
-              | Rt.Time_range { tlo; thi } ->
-                  if go = [] then Error "unavailable"
-                  else begin
-                    let counts = ref []
-                    and err_parts = ref (List.map fst blocked) in
-                    List.iter
-                      (fun i ->
-                        match
-                          with_attempts (fun () ->
-                              Rt.time_range_part rt i ~tlo ~thi)
-                        with
-                        | Ok c ->
-                            Chaos.Breaker.record breakers.(i) ~now:a ~ok:true;
-                            counts := (i, c) :: !counts
-                        | Error _ ->
-                            Chaos.Breaker.record breakers.(i) ~now:a ~ok:false;
-                            err_parts := i :: !err_parts)
-                      go;
-                    let err_parts = List.sort_uniq Int.compare !err_parts in
-                    if List.length err_parts >= List.length targets then
-                      Error "unavailable"
-                    else
-                      Ok
-                        ( O_scan
-                            { tlo; thi; counts = List.rev !counts; err_parts },
-                          None,
-                          err_parts <> [] )
-                  end
-              | Rt.Insert _ | Rt.Upsert _ | Rt.Delete _ -> assert false
-            end
+                      Ok (O_point (pk, v), Some lat, false))
+              | (Rt.Insert _ | Rt.Upsert _ | Rt.Delete _ | Rt.Point _), _ ->
+                  Error (blocked_reason blocked)
+              | Rt.Multi_get pks, _ ->
+                  let groups = Rt.key_groups rt pks in
+                  fan_out
+                    (fun i -> Rt.multi_get_part rt i groups.(i))
+                    (fun got err_parts ->
+                      O_multi { got = List.concat_map snd got; err_parts })
+              | Rt.Secondary { sec; lo; hi; mode }, _ ->
+                  fan_out
+                    (fun i -> Rt.secondary_part rt i ~sec ~lo ~hi ~mode)
+                    (fun rows err_parts ->
+                      O_secondary
+                        { lo; hi; rows = List.concat_map snd rows; err_parts })
+              | Rt.Time_range { tlo; thi }, _ ->
+                  fan_out
+                    (fun i -> Rt.time_range_part rt i ~tlo ~thi)
+                    (fun counts err_parts ->
+                      O_scan { tlo; thi; counts; err_parts })
           in
+          (* The free-horizon rule: a request starts once every partition
+             it involved is free — its targets plus any partition whose
+             clock moved (a budget flush elsewhere delays only requests
+             routed there) — and pushes the horizon of each partition
+             that did work by that partition's own share. *)
           let svc = Rt.service_since rt in
           let involved = ref go in
           Array.iteri
@@ -1118,39 +849,30 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
           in
           Array.iteri (fun i d -> if d > 0.0 then free.(i) <- start +. d) svc;
           let queue_us = start -. a in
-          (match outcome with
+          match outcome with
           | Ok (obs, lat_override, partial) ->
-              let svc_max =
-                List.fold_left
-                  (fun acc i -> Float.max acc svc.(i))
-                  0.0 !involved
-              in
               let lat_svc =
-                match lat_override with Some l -> l | None -> svc_max
+                match lat_override with
+                | Some l -> l
+                | None ->
+                    List.fold_left
+                      (fun acc i -> Float.max acc svc.(i))
+                      0.0 !involved
               in
               if
                 deadline_us > 0.0
                 && (not (Rt.is_write req))
                 && queue_us +. lat_svc > deadline_us
-              then begin
-                fail "deadline";
-                observe (O_error "deadline");
-                match timeline with
-                | None -> ()
-                | Some ts ->
-                    Timeseries.count ts ~at_us:a "errors" 1;
-                    Timeseries.count ts ~at_us:a "error.deadline" 1
-              end
+              then fail a "deadline"
               else begin
                 incr successes;
                 if partial then incr partials;
                 observe obs;
                 samples :=
-                  (ph, { s_cls; arrival_us = a; queue_us; service_us = lat_svc })
+                  ( ph,
+                    { s_cls; arrival_us = a; queue_us; service_us = lat_svc } )
                   :: !samples;
-                match timeline with
-                | None -> ()
-                | Some ts ->
+                tl (fun ts ->
                     let done_us = start +. lat_svc in
                     let lat = queue_us +. lat_svc in
                     Timeseries.observe ts ~at_us:done_us (class_name s_cls) lat;
@@ -1166,12 +888,23 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
                           svc.(i);
                         Timeseries.set_last ts ~at_us:done_us
                           (Printf.sprintf "p%d.backlog_us" i)
-                          (Float.max 0.0 (free.(i) -. a)))
+                          (backlog i);
+                        Timeseries.set_last ts ~at_us:done_us
+                          (Printf.sprintf "p%d.mem_bytes" i)
+                          (Float.of_int (P.mem_bytes_of pt i)))
                       !involved;
+                    Timeseries.set_last ts ~at_us:done_us "mem_bytes"
+                      (Float.of_int (P.total_mem_bytes pt));
                     List.iter
                       (fun (e : Rt.eviction) ->
                         let ev_ts = start +. e.Rt.ev_start_off_us in
                         Timeseries.count ts ~at_us:ev_ts "evictions" 1;
+                        Timeseries.count ts ~at_us:ev_ts "flushes"
+                          e.Rt.ev_flushes;
+                        Timeseries.count ts ~at_us:ev_ts "merges"
+                          e.Rt.ev_merges;
+                        Timeseries.add ts ~at_us:ev_ts "evicted_bytes"
+                          (Float.of_int e.Rt.ev_bytes);
                         Timeseries.event ts ~start_us:ev_ts
                           ~dur_us:e.Rt.ev_dur_us ~kind:"eviction"
                           ~part:e.Rt.ev_part
@@ -1179,6 +912,7 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
                             ("bytes", e.Rt.ev_bytes);
                             ("flushes", e.Rt.ev_flushes);
                             ("merges", e.Rt.ev_merges);
+                            ("merge_bytes", e.Rt.ev_merge_bytes);
                           ])
                       (Rt.evictions_since rt);
                     List.iter
@@ -1188,16 +922,9 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
                             (start +. (sp.Lsm_sim.Env.sp_start_us -. c0.(i)))
                           ~dur_us:sp.Lsm_sim.Env.sp_dur_us
                           ~kind:sp.Lsm_sim.Env.sp_name ~part:i [])
-                      (List.rev !spanbuf)
+                      (List.rev !spanbuf))
               end
-          | Error reason ->
-              fail reason;
-              observe (O_error reason);
-              (match timeline with
-              | None -> ()
-              | Some ts ->
-                  Timeseries.count ts ~at_us:a "errors" 1;
-                  Timeseries.count ts ~at_us:a ("error." ^ reason) 1)));
+          | Error reason -> fail a reason);
       drain_breakers ();
       loop (Arrivals.next arr)
     end
@@ -1206,9 +933,7 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
   for i = 0 to n - 1 do
     Lsm_sim.Env.clear_fault_hook (envof i);
     Lsm_sim.Env.set_io_penalty (envof i) 1.0;
-    match timeline with
-    | None -> ()
-    | Some _ -> Lsm_sim.Env.clear_span_hook (envof i)
+    tl (fun _ -> Lsm_sim.Env.clear_span_hook (envof i))
   done;
   (* Corruption still unhealed at the horizon heals now, so the
      durability probe audits a fully repaired cluster. *)
@@ -1222,31 +947,26 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
     frts;
   drain_breakers ();
   let samples = List.rev !samples in
-  let all = List.map snd samples in
-  let classes =
+  let class_table ss =
     List.map
-      (fun c ->
-        stats_of (class_name c) (List.filter (fun s -> s.s_cls = c) all))
+      (fun c -> stats_of (class_name c) (List.filter (fun s -> s.s_cls = c) ss))
       all_classes
-    @ [ stats_of "all" all ]
+    @ [ stats_of "all" ss ]
   in
+  let all = List.map snd samples in
   let backlog =
     Array.fold_left (fun acc f -> Float.max acc (f -. horizon_us)) 0.0 free
   in
   let backlog_frac = if horizon_us > 0.0 then backlog /. horizon_us else 0.0 in
   let half = horizon_us /. 2.0 in
-  let q1 =
+  let mean_queue keep =
     mean
       (List.filter_map
-         (fun s -> if s.arrival_us < half then Some s.queue_us else None)
+         (fun s -> if keep s.arrival_us then Some s.queue_us else None)
          all)
   in
-  let q2 =
-    mean
-      (List.filter_map
-         (fun s -> if s.arrival_us >= half then Some s.queue_us else None)
-         all)
-  in
+  let q1 = mean_queue (fun t -> t < half) in
+  let q2 = mean_queue (fun t -> t >= half) in
   let b = Rt.budget rt in
   let base =
     {
@@ -1254,7 +974,7 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
       rate_rps = cfg.rate_rps;
       capacity_rps;
       requests = !n_req;
-      classes;
+      classes = class_table all;
       backlog_frac;
       queue_growth = (q2 +. 1.0) /. (q1 +. 1.0);
       saturated = backlog_frac > 0.05;
@@ -1282,17 +1002,11 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
   let phase_classes =
     List.map
       (fun phn ->
-        let ss =
-          List.filter_map
-            (fun (p, s) -> if String.equal p phn then Some s else None)
-            samples
-        in
         ( phn,
-          List.map
-            (fun c ->
-              stats_of (class_name c) (List.filter (fun s -> s.s_cls = c) ss))
-            all_classes
-          @ [ stats_of "all" ss ] ))
+          class_table
+            (List.filter_map
+               (fun (p, s) -> if String.equal p phn then Some s else None)
+               samples) ))
       phases
   in
   let total = !n_req in
@@ -1322,3 +1036,79 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
   in
   probe (fun pk -> P.point_query pt pk);
   res
+
+(** [run ?timeline cfg] executes one clean open-loop run: the request
+    loop on a non-durable cluster with an empty fault plan.  With
+    [cfg.rate_rps <= 0] the rate is set to 70% of a fresh capacity
+    estimate.  Deterministic for a fixed seed.
+
+    When [timeline] is given, every completion feeds it: per-class
+    latency histograms stamped at the request's *completion* on the
+    arrival timeline, per-partition busy time / backlog / memtable
+    gauges, budget-eviction counters, and flight-recorder events for
+    evictions and the maintenance spans inside them.  All
+    instrumentation is read-only against the simulated clocks, so a
+    run's result is identical with the timeline on or off. *)
+let run ?timeline (cfg : config) =
+  (serve ~durable:false ?timeline { cfg with chaos = [] }).c_base
+
+(** [run_chaos ?timeline ?on_preload ?observe ?probe cfg] executes the
+    same loop against a *durable* cluster (every partition behind a
+    serial-WAL transactional wrapper, so acknowledged means durable)
+    while interpreting [cfg.chaos] on the arrival clock and degrading
+    gracefully per [cfg.policy]:
+
+    - a crashed partition loses its memory state and replays the WAL
+      from the durable frontier while the rest of the fleet keeps
+      serving; requests that need it fast-fail as ["down"];
+    - fan-out reads answer partially: healthy partitions' slots are
+      returned, errored partitions are reported in the reply;
+    - per-partition circuit breakers shed work from erroring partitions
+      and probe them back to health (["breaker"] failures);
+    - reads carry a deadline (fail-fast when queueing alone exceeds it),
+      a bounded retry budget, and one hedged re-attempt;
+    - admission control sheds requests (typed {!Chaos.Overloaded}) when
+      every needed partition is over the backlog cap — counted, never
+      silently dropped.
+
+    [on_preload] sees each record ingested before traffic starts (so a
+    checker can seed its model); [observe] sees one {!chaos_obs} per
+    arrival; [probe] runs after the horizon with direct point-query
+    access for durability audits.  Deterministic for a fixed seed,
+    timeline on or off. *)
+let run_chaos ?timeline ?on_preload ?observe ?probe cfg =
+  serve ~durable:true ?timeline ?on_preload ?observe ?probe cfg
+
+(* ------------------------------------------------------------------ *)
+(* Load sweep *)
+
+type sweep_result = {
+  sw_capacity_rps : float;
+  points : result list;  (** one run per rung of the rate ladder *)
+  knee_rps : float option;
+      (** highest offered rate that did not saturate; [None] when every
+          rung saturated *)
+}
+
+(** [sweep cfg] anchors a rate ladder to a capacity estimate, runs each
+    rung on a fresh system (same seed), and reports the knee: the
+    highest rate whose run stayed below saturation.  The default ladder
+    straddles the estimate so the knee is demonstrated from both
+    sides. *)
+let sweep ?(fractions = [ 0.3; 0.6; 0.85; 1.1; 1.5 ]) (cfg : config) =
+  let cap = estimate_capacity cfg in
+  if cap <= 0.0 then invalid_arg "Driver.sweep: capacity estimate is zero";
+  let points =
+    List.map (fun f -> run { cfg with rate_rps = f *. cap }) fractions
+  in
+  let knee_rps =
+    List.fold_left
+      (fun acc r ->
+        if r.saturated then acc
+        else
+          match acc with
+          | Some best when best >= r.rate_rps -> acc
+          | _ -> Some r.rate_rps)
+      None points
+  in
+  { sw_capacity_rps = cap; points; knee_rps }

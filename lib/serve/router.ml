@@ -147,85 +147,39 @@ module Make (R : Lsm_core.Record.S) = struct
 
   let all_partitions t = List.init (P.partitions t.p) Fun.id
 
-  (* Owning partitions of a key set, deduplicated. *)
-  let owners t pks =
-    let n = P.partitions t.p in
-    let seen = Array.make n false in
-    Array.iter (fun pk -> seen.(P.route t.p pk) <- true) pks;
-    List.filter (fun i -> seen.(i)) (List.init n Fun.id)
-
   let is_write = function
     | Insert _ | Upsert _ | Delete _ -> true
     | Point _ | Multi_get _ | Secondary _ | Time_range _ -> false
 
-  (* Write primitives, routed through the WAL wrapper when durable (an
-     auto-committed transaction per write: acked = durable). *)
-  let do_insert t r =
-    let i = P.route t.p (R.primary_key r) in
-    if durable t then
-      if P.D.key_exists (P.partition t.p i) (R.primary_key r) then `Duplicate
-      else begin
-        T.upsert_auto t.txns.(i) r;
-        `Inserted
-      end
-    else P.insert t.p r
+  (** [key_groups t pks] is each partition's share of a multi-get's
+      keys, grouped the way [P.point_query_batch] groups them (each group
+      in reverse request order), so the sort inside {!multi_get_part}
+      charges the same comparisons whoever assembles the request. *)
+  let key_groups t pks =
+    let groups = Array.make (P.partitions t.p) [] in
+    Array.iter
+      (fun pk ->
+        let i = P.route t.p pk in
+        groups.(i) <- pk :: groups.(i))
+      pks;
+    groups
 
-  let do_upsert t r =
-    if durable t then T.upsert_auto t.txns.(P.route t.p (R.primary_key r)) r
-    else P.upsert t.p r
-
-  let do_delete t ~pk =
-    if durable t then T.delete_auto t.txns.(P.route t.p pk) ~pk
-    else P.delete t.p ~pk
-
-  (** [exec t req] runs one request to completion and reports where the
-      simulated time went. *)
-  let exec t req =
-    let n = P.partitions t.p in
-    t.evlog := [];
-    for i = 0 to n - 1 do
-      t.before.(i) <- Lsm_sim.Env.now_us (P.env t.p i)
-    done;
-    let reply, touched =
-      match req with
-      | Insert r ->
-          let reply =
-            match do_insert t r with
-            | `Inserted -> Wrote
-            | `Duplicate -> Rejected
-          in
-          (reply, [ P.route t.p (R.primary_key r) ])
-      | Upsert r ->
-          do_upsert t r;
-          (Wrote, [ P.route t.p (R.primary_key r) ])
-      | Delete pk ->
-          do_delete t ~pk;
-          (Wrote, [ P.route t.p pk ])
-      | Point pk -> (Found (P.point_query t.p pk), [ P.route t.p pk ])
-      | Multi_get pks ->
-          let found = ref 0 in
-          P.point_query_batch ~lookup:t.lookup t.p pks ~emit:(fun _ r ->
-              if r <> None then incr found);
-          (Rows !found, owners t pks)
-      | Secondary { sec; lo; hi; mode } ->
-          let rows = P.query_secondary t.p ~sec ~lo ~hi ~mode ~lookup:t.lookup () in
-          (Rows (List.length rows), all_partitions t)
-      | Time_range { tlo; thi } ->
-          let rows = P.query_time_range t.p ~tlo ~thi ~f:(fun _ -> ()) in
-          (Rows rows, all_partitions t)
-    in
-    if is_write req then Budget.enforce t.budget;
-    let service_us =
-      Array.init n (fun i -> Lsm_sim.Env.now_us (P.env t.p i) -. t.before.(i))
-    in
-    { reply; service_us; touched; evictions = List.rev !(t.evlog) }
+  (** [targets t req] is the partition set the request structurally
+      needs (fan-outs: every partition). *)
+  let targets t req =
+    match req with
+    | Insert r | Upsert r -> [ P.route t.p (R.primary_key r) ]
+    | Delete pk | Point pk -> [ P.route t.p pk ]
+    | Multi_get pks ->
+        let groups = key_groups t pks in
+        List.filter (fun i -> groups.(i) <> []) (all_partitions t)
+    | Secondary _ | Time_range _ -> all_partitions t
 
   (* ------------------------------------------------------------------ *)
-  (* Chaos session API: the degraded front door executes a request in
-     per-partition pieces (so one failed partition costs only its own
-     slots), with the driver deciding gating, retries, and hedging
-     between pieces.  [snapshot]/[service_since] bracket the whole
-     request exactly like [exec] does internally. *)
+  (* The session API: a request runs in per-partition pieces (so under
+     chaos one failed partition costs only its own slots), bracketed by
+     [snapshot] and [service_since].  {!exec} is the whole request
+     assembled from the same pieces. *)
 
   let snapshot t =
     t.evlog := [];
@@ -239,31 +193,31 @@ module Make (R : Lsm_core.Record.S) = struct
 
   let evictions_since t = List.rev !(t.evlog)
 
-  let route t pk = P.route t.p pk
-
-  (** [targets t req] is the partition set the request structurally
-      needs (fan-outs: every partition). *)
-  let targets t req =
-    match req with
-    | Insert r | Upsert r -> [ P.route t.p (R.primary_key r) ]
-    | Delete pk | Point pk -> [ P.route t.p pk ]
-    | Multi_get pks -> owners t pks
-    | Secondary _ | Time_range _ -> all_partitions t
-
-  (** [exec_write t req] performs a (single-partition) write — acked
-      means durable when the router is.  Budget enforcement is the
-      caller's separate step: the write is already acknowledged when an
-      eviction it triggers fails, and conflating the two would make an
-      eviction error look like a lost write. *)
+  (** [exec_write t req] performs a (single-partition) write, routed
+      through the WAL wrapper when durable (an auto-committed
+      transaction per write: acked means durable).  Budget enforcement
+      is the caller's separate step: the write is already acknowledged
+      when an eviction it triggers fails, and conflating the two would
+      make an eviction error look like a lost write. *)
   let exec_write t req =
     match req with
-    | Insert r -> (
-        match do_insert t r with `Inserted -> Wrote | `Duplicate -> Rejected)
+    | Insert r ->
+        let pk = R.primary_key r in
+        let i = P.route t.p pk in
+        if not (durable t) then (
+          match P.insert t.p r with `Inserted -> Wrote | `Duplicate -> Rejected)
+        else if P.D.key_exists (P.partition t.p i) pk then Rejected
+        else begin
+          T.upsert_auto t.txns.(i) r;
+          Wrote
+        end
     | Upsert r ->
-        do_upsert t r;
+        if durable t then T.upsert_auto t.txns.(P.route t.p (R.primary_key r)) r
+        else P.upsert t.p r;
         Wrote
     | Delete pk ->
-        do_delete t ~pk;
+        if durable t then T.delete_auto t.txns.(P.route t.p pk) ~pk
+        else P.delete t.p ~pk;
         Wrote
     | _ -> invalid_arg "Router.exec_write: not a write"
 
@@ -282,6 +236,36 @@ module Make (R : Lsm_core.Record.S) = struct
 
   let time_range_part t i ~tlo ~thi =
     P.query_time_range_part t.p i ~tlo ~thi ~f:(fun _ -> ())
+
+  (** [exec t req] runs one request to completion and reports where the
+      simulated time went. *)
+  let exec t req =
+    snapshot t;
+    let sum f = List.fold_left (fun n i -> n + f i) 0 (all_partitions t) in
+    let reply =
+      match req with
+      | Insert _ | Upsert _ | Delete _ ->
+          let reply = exec_write t req in
+          Budget.enforce t.budget;
+          reply
+      | Point pk -> Found (point_part t pk)
+      | Multi_get pks ->
+          let groups = key_groups t pks in
+          let found slots = List.filter (fun (_, r) -> r <> None) slots in
+          Rows
+            (sum (fun i -> List.length (found (multi_get_part t i groups.(i)))))
+      | Secondary { sec; lo; hi; mode } ->
+          Rows
+            (sum (fun i -> List.length (secondary_part t i ~sec ~lo ~hi ~mode)))
+      | Time_range { tlo; thi } ->
+          Rows (sum (fun i -> time_range_part t i ~tlo ~thi))
+    in
+    {
+      reply;
+      service_us = service_since t;
+      touched = targets t req;
+      evictions = evictions_since t;
+    }
 
   (* Partition lifecycle under chaos (durable routers only). *)
 

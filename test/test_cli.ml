@@ -322,6 +322,22 @@ let test_serve_chaos_bad_specs () =
   Alcotest.(check int) "unknown strategy exits 2" 2
     (run [ "serve"; "-s"; "tiny"; "--strategy"; "eager" ])
 
+(* The front-door policy flags only shape chaos runs: without --chaos a
+   non-default value is a usage error, not a silent no-op. *)
+let test_serve_policy_needs_chaos () =
+  List.iter
+    (fun (flag, v) ->
+      Alcotest.(check int) (flag ^ " without --chaos exits 2") 2
+        (run [ "serve"; "-s"; "tiny"; flag; v ]))
+    [
+      ("--deadline-us", "8000");
+      ("--hedge-us", "500");
+      ("--shed-backlog", "30000");
+      ("--retries", "3");
+    ];
+  Alcotest.(check int) "--deadline-us with --sweep exits 2" 2
+    (run [ "serve"; "-s"; "tiny"; "--sweep"; "--deadline-us"; "8000" ])
+
 let test_serve_chaos_json () =
   let path = Filename.temp_file "serve_chaos" ".json" in
   Alcotest.(check int) "chaos run passes its checker" 0
@@ -435,6 +451,8 @@ let () =
           Alcotest.test_case "bad arrivals flag" `Quick test_serve_bad_arrivals;
           Alcotest.test_case "chaos flag validation" `Quick
             test_serve_chaos_bad_specs;
+          Alcotest.test_case "policy flags need --chaos" `Quick
+            test_serve_policy_needs_chaos;
           Alcotest.test_case "chaos run + document" `Quick
             test_serve_chaos_json;
         ] );

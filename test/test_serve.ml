@@ -311,6 +311,146 @@ let test_knee () =
     && high.Driver.backlog_frac > 0.5)
 
 (* ------------------------------------------------------------------ *)
+(* One request loop: the router's whole-request path and its pieces *)
+
+module Rt = Driver.Rt
+
+(* The chaos mix (every class, multi-gets included) under an eighth of
+   the tiny budget, so budget evictions land on partitions other than
+   the writer's during traffic, not only during the preload. *)
+let mixed_cfg ?(strategy = Lsm_core.Strategy.validation) () =
+  let cfg = tiny_cfg ~duration:1.25 () in
+  {
+    cfg with
+    Driver.mix = Driver.chaos_mix;
+    strategy;
+    budget_bytes = cfg.Driver.budget_bytes / 8;
+  }
+
+(* [Router.exec] and the per-partition session pieces the request loop
+   drives must charge every partition the same simulated time for the
+   same request: two identical clusters fed the same seeded requests,
+   one through each path. *)
+let test_exec_equals_pieces () =
+  let cfg = mixed_cfg () in
+  let whole = Driver.build cfg and pieces = Driver.build cfg in
+  Driver.preload whole cfg;
+  Driver.preload pieces cfg;
+  let rt = pieces.Driver.rt in
+  let n = cfg.Driver.partitions in
+  let seen = Hashtbl.create 5 in
+  for _ = 1 to 1500 do
+    let cls, req = Driver.gen_request whole cfg in
+    ignore (Driver.gen_request pieces cfg);
+    let o = Rt.exec whole.Driver.rt req in
+    Rt.snapshot rt;
+    (match req with
+    | Rt.Insert _ | Rt.Upsert _ | Rt.Delete _ ->
+        ignore (Rt.exec_write rt req);
+        Budget.enforce (Rt.budget rt)
+    | Rt.Point pk -> ignore (Rt.point_part rt pk)
+    | Rt.Multi_get pks ->
+        let groups = Rt.key_groups rt pks in
+        for i = 0 to n - 1 do
+          ignore (Rt.multi_get_part rt i groups.(i))
+        done
+    | Rt.Secondary { sec; lo; hi; mode } ->
+        for i = 0 to n - 1 do
+          ignore (Rt.secondary_part rt i ~sec ~lo ~hi ~mode)
+        done
+    | Rt.Time_range { tlo; thi } ->
+        for i = 0 to n - 1 do
+          ignore (Rt.time_range_part rt i ~tlo ~thi)
+        done);
+    let svc = Rt.service_since rt in
+    Hashtbl.replace seen (Driver.class_name cls) ();
+    Array.iteri
+      (fun i d ->
+        if not (Float.equal d svc.(i)) then
+          Alcotest.failf "%s: partition %d charged %.17g by exec, %.17g by \
+                          the pieces"
+            (Driver.class_name cls) i d svc.(i))
+      o.Rt.service_us
+  done;
+  Alcotest.(check int) "every class exercised" 5 (Hashtbl.length seen)
+
+(* The folded loop moves only the horizons of partitions that did work;
+   the whole-request loop it replaced moved every involved partition's.
+   Pin [Driver.run]'s class tables to that older rule, replayed here over
+   [Router.exec]: any request that involves an idle partition shows up
+   as a difference. *)
+let exec_loop_classes (cfg : Driver.config) =
+  let sys = Driver.build cfg in
+  Driver.preload sys cfg;
+  let arr =
+    Arrivals.create ~seed:((cfg.Driver.seed * 131) + 7)
+      ~rate_rps:cfg.Driver.rate_rps cfg.Driver.arrivals
+  in
+  let horizon = cfg.Driver.duration_s *. 1e6 in
+  let free = Array.make cfg.Driver.partitions 0.0 in
+  let lats = Hashtbl.create 5 in
+  let rec go a =
+    if a <= horizon then begin
+      let cls, req = Driver.gen_request sys cfg in
+      let o = Rt.exec sys.Driver.rt req in
+      let svc = o.Rt.service_us in
+      let involved = ref o.Rt.touched in
+      Array.iteri
+        (fun i d ->
+          if d > 0.0 && not (List.mem i !involved) then
+            involved := i :: !involved)
+        svc;
+      let start =
+        List.fold_left (fun m i -> Float.max m free.(i)) a !involved
+      in
+      let service =
+        List.fold_left (fun m i -> Float.max m svc.(i)) 0.0 !involved
+      in
+      List.iter (fun i -> free.(i) <- start +. svc.(i)) !involved;
+      let name = Driver.class_name cls in
+      let prev = Option.value ~default:[] (Hashtbl.find_opt lats name) in
+      Hashtbl.replace lats name ((start -. a, service) :: prev);
+      go (Arrivals.next arr)
+    end
+  in
+  go (Arrivals.next arr);
+  lats
+
+let check_run_matches_exec_loop strategy () =
+  let cfg = mixed_cfg ~strategy () in
+  let r = Driver.run cfg in
+  let lats = exec_loop_classes cfg in
+  List.iter
+    (fun (c : Driver.class_stats) ->
+      if c.Driver.cls <> "all" then begin
+        let qs =
+          List.rev
+            (Option.value ~default:[] (Hashtbl.find_opt lats c.Driver.cls))
+        in
+        let xs = Array.of_list (List.map (fun (q, s) -> q +. s) qs) in
+        let pct p =
+          if Array.length xs = 0 then 0.0 else Lsm_obs.Stats.percentile xs p
+        in
+        let mean f =
+          if qs = [] then 0.0
+          else
+            List.fold_left (fun acc x -> acc +. f x) 0.0 qs
+            /. Float.of_int (List.length qs)
+        in
+        let same what x y =
+          Alcotest.(check bool) (c.Driver.cls ^ " " ^ what ^ " identical") true
+            (Float.equal x y)
+        in
+        Alcotest.(check int) (c.Driver.cls ^ " count") (Array.length xs)
+          c.Driver.count;
+        same "p50" (pct 50.0) c.Driver.p50_us;
+        same "p99" (pct 99.0) c.Driver.p99_us;
+        same "mean queue" (mean fst) c.Driver.mean_queue_us;
+        same "mean service" (mean snd) c.Driver.mean_service_us
+      end)
+    r.Driver.classes
+
+(* ------------------------------------------------------------------ *)
 (* Timelines, burn-rate SLOs, and interference attribution *)
 
 module Timeseries = Lsm_obs.Timeseries
@@ -444,6 +584,15 @@ let () =
           Alcotest.test_case "auto rate anchors to capacity" `Quick
             test_auto_rate;
           Alcotest.test_case "saturation knee" `Quick test_knee;
+          Alcotest.test_case "run matches the exec loop (validation)" `Quick
+            (check_run_matches_exec_loop Lsm_core.Strategy.validation);
+          Alcotest.test_case "run matches the exec loop (eager)" `Quick
+            (check_run_matches_exec_loop Lsm_core.Strategy.Eager);
+        ] );
+      ( "router",
+        [
+          Alcotest.test_case "exec equals the session pieces" `Quick
+            test_exec_equals_pieces;
         ] );
       ( "timeline",
         [
