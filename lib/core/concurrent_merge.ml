@@ -109,12 +109,11 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
           | None -> mark_in_new st pk)
 
   (* A writer transaction: the Mutable-bitmap ingestion path of Sec. 5.2,
-     inlined so the concurrency protocol can hook the bitmap flip. *)
+     with the concurrency protocol hooked on the bit it flips. *)
   let writer_step st op =
     st.writer_count <- st.writer_count + 1;
     let d = st.d in
-    let pkt = Option.get (D.pk_index d) in
-    let pk, record = match op with Upsert r -> (R.primary_key r, Some r) | Delete k -> (k, None) in
+    let pk = match op with Upsert r -> R.primary_key r | Delete k -> k in
     let ts = D.next_timestamp d in
     (* Record-level X lock for the transaction (Sec. 5.2). *)
     if st.method_ = Lock then begin
@@ -123,29 +122,11 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
       | `Conflict -> failwith "writer lock conflict (protocol bug)");
       charge st st.costs.lock_us
     end;
-    (match D.Pk.mem_find pkt pk with
-    | Some _ -> () (* newest version in memory; same-key write supersedes *)
-    | None -> (
-        match D.Pk.disk_find pkt pk with
-        | Some (c, pos, row)
-          when Entry.is_put row.D.Pk.value && D.Pk.component_row_valid c pos ->
-            D.Pk.invalidate c pos;
-            propagate_to_new st pk
-        | _ -> ()));
+    if Option.is_some (D.mark_old_deleted d pk) then propagate_to_new st pk;
     (* New entry into the memory components. *)
-    (match record with
-    | Some r ->
-        D.Prim.write (D.primary d) ~key:pk ~ts (Entry.Put r);
-        D.Pk.write pkt ~key:pk ~ts (Entry.Put ());
-        Array.iter
-          (fun s ->
-            List.iter
-              (fun sk -> D.Sec.write s.D.tree ~key:(sk, pk) ~ts (Entry.Put ()))
-              (s.D.extract_all r))
-          (D.secondaries d)
-    | None ->
-        D.Prim.write (D.primary d) ~key:pk ~ts Entry.Del;
-        D.Pk.write pkt ~key:pk ~ts Entry.Del);
+    (match op with
+    | Upsert r -> D.write_new_record d r ~ts
+    | Delete pk -> D.write_delete d pk ~ts);
     if st.method_ = Lock then begin
       Lsm_txn.Lock_table.release st.locks ~owner:(st.writer_count + 1) ~key:pk;
       charge st st.costs.lock_us

@@ -97,8 +97,6 @@ module Make (R : Record.S) = struct
     mutable clock : int;  (** logical ingestion timestamp (Sec. 4.1) *)
     stats : stats;
     maint : maint_stats;
-    mutable maint_workers : int;
-        (** > 1: the merge scheduler overlaps independent jobs *)
     mutable auto_maintenance : bool;
         (** flush/merge when the budget fills; disable to drive manually *)
   }
@@ -178,7 +176,6 @@ module Make (R : Record.S) = struct
             maint_serial_us = 0.0;
             maint_makespan_us = 0.0;
           };
-        maint_workers = max 1 cfg.maint_workers;
         auto_maintenance = true;
       }
     in
@@ -193,8 +190,7 @@ module Make (R : Record.S) = struct
   let strategy t = t.cfg.strategy
   let config t = t.cfg
   let maint_stats t = t.maint
-  let maint_workers t = t.maint_workers
-  let set_maint_workers t n = t.maint_workers <- max 1 n
+  let maint_workers t = max 1 t.cfg.maint_workers
   let secondary t name =
     match Array.find_opt (fun s -> s.sec_name = name) t.secondaries with
     | Some s -> s
@@ -613,7 +609,7 @@ module Make (R : Record.S) = struct
 
   let execute_round t jobs =
     let n = Array.length jobs in
-    let w = max 1 (min t.maint_workers n) in
+    let w = max 1 (min (maint_workers t) n) in
     let busy = Array.make n 0.0 in
     let timed i f =
       let s0 = Lsm_sim.Env.now_us t.env in
@@ -680,7 +676,7 @@ module Make (R : Record.S) = struct
     if o.Lsm_obs.Obs.enabled then begin
       let m = Lsm_sim.Env.metrics t.env in
       let set name v = Lsm_obs.Metrics.set (Lsm_obs.Metrics.gauge m name) v in
-      set "maint.workers" (float_of_int t.maint_workers);
+      set "maint.workers" (float_of_int (maint_workers t));
       set "maint.rounds" (float_of_int t.maint.maint_rounds);
       set "maint.jobs" (float_of_int t.maint.maint_jobs);
       set "maint.max_overlap" (float_of_int t.maint.maint_max_overlap);
@@ -798,7 +794,7 @@ module Make (R : Record.S) = struct
        run after that round's merges, which were picked without the new
        component; so it runs before the first pick.  With more workers it
        rides round 1 as a job and overlaps the runnable merges. *)
-    if t.maint_workers <= 1 then begin
+    if maint_workers t <= 1 then begin
       supervised t (fun () -> flush_trees ~shard:s t);
       supervised t (fun () -> run_merges t)
     end
@@ -882,6 +878,12 @@ module Make (R : Record.S) = struct
           (s.extract_all r))
       t.secondaries
 
+  let write_delete t pk ~ts =
+    Prim.write t.primary ~key:pk ~ts Entry.Del;
+    match t.pk_index with
+    | Some pkt -> Pk.write pkt ~key:pk ~ts Entry.Del
+    | None -> ()
+
   (* The memory-component optimization (Sec. 4.2): deleting/upserting must
      search the primary memory component anyway to place the new entry; if
      the old record happens to live there, clean up secondaries for free. *)
@@ -893,7 +895,8 @@ module Make (R : Record.S) = struct
 
   (* Mutable-bitmap strategy: mark the old version of [pk] (if on disk)
      deleted by flipping its validity bit, located via the primary key
-     index (Sec. 5.2). *)
+     index (Sec. 5.2).  Returns the flipped bit as (component seq,
+     position): the WAL's update bit. *)
   let mark_old_deleted t pk =
     match t.pk_index with
     | None -> invalid_arg "Mutable-bitmap strategy requires the primary key index"
@@ -902,14 +905,15 @@ module Make (R : Record.S) = struct
         | Some _ ->
             (* Newest version is in memory: the same-key write replaces it;
                no bitmap involved. *)
-            ()
+            None
         | None -> (
             match Pk.disk_find pkt pk with
             | Some (c, pos, row)
               when Entry.is_put row.Pk.value && Pk.component_row_valid c pos ->
                 (* The shared bitmap makes the primary component see it. *)
-                Pk.invalidate c pos
-            | _ -> ()))
+                Pk.invalidate c pos;
+                Some (c.Pk.seq, pos)
+            | _ -> None))
 
   (** [key_exists t pk] is the insert-time uniqueness check, against the
       primary key index when available (the optimization Fig. 13
@@ -972,7 +976,7 @@ module Make (R : Record.S) = struct
             | None -> ())
           t.secondaries
     | Strategy.Mutable_bitmap _ ->
-        mark_old_deleted t pk;
+        ignore (mark_old_deleted t pk);
         mem_cleanup_opportunity t pk ~new_r:(Some r) ~ts);
     write_new_record t r ~ts;
     t.stats.n_upserts <- t.stats.n_upserts + 1;
@@ -991,10 +995,7 @@ module Make (R : Record.S) = struct
             Option.iter
               (fun fk -> Prim.widen_filter t.primary pk (fk old_r))
               t.filter_key;
-            Prim.write t.primary ~key:pk ~ts Entry.Del;
-            (match t.pk_index with
-            | Some pkt -> Pk.write pkt ~key:pk ~ts Entry.Del
-            | None -> ());
+            write_delete t pk ~ts;
             t.stats.n_deletes <- t.stats.n_deletes + 1
         | _ -> () (* nonexistent key: ignored *))
     | Strategy.Validation _ | Strategy.Deleted_key_btree ->
@@ -1008,20 +1009,14 @@ module Make (R : Record.S) = struct
                 | None -> ())
               t.secondaries
         | _ -> ());
-        Prim.write t.primary ~key:pk ~ts Entry.Del;
-        (match t.pk_index with
-        | Some pkt -> Pk.write pkt ~key:pk ~ts Entry.Del
-        | None -> ());
+        write_delete t pk ~ts;
         t.stats.n_deletes <- t.stats.n_deletes + 1
     | Strategy.Mutable_bitmap _ ->
-        mark_old_deleted t pk;
+        ignore (mark_old_deleted t pk);
         mem_cleanup_opportunity t pk ~new_r:None ~ts;
         (* The anti-matter key is still added: bitmaps are an auxiliary
            structure that must not change LSM semantics (Sec. 5.2). *)
-        Prim.write t.primary ~key:pk ~ts Entry.Del;
-        (match t.pk_index with
-        | Some pkt -> Pk.write pkt ~key:pk ~ts Entry.Del
-        | None -> ());
+        write_delete t pk ~ts;
         t.stats.n_deletes <- t.stats.n_deletes + 1);
     maybe_flush t
 

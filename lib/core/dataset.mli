@@ -125,6 +125,26 @@ module Make (R : Record.S) : sig
 
   val key_exists : t -> int -> bool
 
+  (** {2 The Mutable-bitmap write path}
+
+      The pieces of {!upsert} and {!delete} that transactional and
+      concurrent-merge writers reuse, so the bit flip and the entry writes
+      have one implementation. *)
+
+  val mark_old_deleted : t -> int -> (int * int) option
+  (** Flip the validity bit of the key's newest disk version, located via
+      the primary key index (Sec. 5.2); [Some (component seq, position)]
+      names the flipped bit, [None] when the newest version is in memory,
+      deleted, or already invalid.
+      @raise Invalid_argument without a primary key index. *)
+
+  val write_new_record : t -> R.t -> ts:int -> unit
+  (** Write the record's entries into every memory component. *)
+
+  val write_delete : t -> int -> ts:int -> unit
+  (** Write anti-matter for the key into the primary and primary key
+      memory components. *)
+
   (** {1 Maintenance} *)
 
   val total_mem_bytes : t -> int
@@ -177,13 +197,10 @@ module Make (R : Record.S) : sig
   val set_auto_maintenance : t -> bool -> unit
   (** Default [true]: flush/merge when the shared budget fills. *)
 
-  val set_maint_workers : t -> int -> unit
-  (** Override the modeled worker count at runtime (clamped to >= 1).
-      Every worker count runs the same scheduler and produces
-      byte-for-byte identical trees (installs stay in pick order), so
-      switching mid-run is safe; only the modeled clock differs. *)
-
   val maint_workers : t -> int
+  (** The configured worker count, clamped to >= 1.  Every worker count
+      runs the same scheduler and produces byte-for-byte identical trees
+      (installs stay in pick order); only the modeled clock differs. *)
 
   val maint_stats : t -> maint_stats
   (** Live counters of the merge scheduler, at any worker count;

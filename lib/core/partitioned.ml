@@ -142,11 +142,6 @@ module Make (R : Record.S) = struct
   let set_auto_maintenance t on =
     Array.iter (fun d -> D.set_auto_maintenance d on) t.parts
 
-  (** [set_maint_workers t n] sets every partition's modeled
-      maintenance-worker count (overlapping merges when [n > 1]). *)
-  let set_maint_workers t n =
-    Array.iter (fun d -> D.set_maint_workers d n) t.parts
-
   let mem_bytes_of t i = D.total_mem_bytes t.parts.(i)
 
   (** [total_mem_bytes t] is the aggregate memory-component footprint

@@ -116,10 +116,6 @@ module Make (R : Record.S) : sig
   val set_auto_maintenance : t -> bool -> unit
   (** Toggle every partition's own budget-triggered flush/merge. *)
 
-  val set_maint_workers : t -> int -> unit
-  (** Set every partition's modeled maintenance-worker count; [> 1]
-      overlaps independent merges deterministically (Sec. 2.3). *)
-
   val mem_bytes_of : t -> int -> int
   val total_mem_bytes : t -> int
 

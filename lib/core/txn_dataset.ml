@@ -18,6 +18,13 @@
       LSN", per index), bitmap redo from the checkpoint LSN.  No undo is
       ever needed.
 
+    The WAL is the one log: each operation appends one {!redo} record
+    (the op, its timestamp, its update bit) and recovery replays
+    [Wal.records_after], memory redo from LSN 0 and bitmap redo from
+    [Wal.checkpoint_lsn].  Only the undo information — the memory
+    bindings an operation replaced — lives on the transaction handle, so
+    it is dropped with the handle when the transaction ends.
+
     Crashes need not land between operations: a crash may interrupt a
     multi-tree flush or a correlated merge halfway (see [lib/faultsim]).
     Recovery therefore (1) replays bitmap updates onto the surviving
@@ -37,28 +44,31 @@ module Wal = Lsm_txn.Wal
 module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
   type op = Op_upsert of R.t | Op_delete of int
 
-  (* One logged operation with everything needed for redo and undo. *)
-  type log_op = {
-    lsn : int;
-    txn_id : int;
+  (* One WAL payload: everything recovery needs to redo an operation. *)
+  type redo = {
     op : op;
     ts : int;  (** ingestion timestamp consumed by the operation *)
-    update : (int * int) option;  (** (component seq, position) bit set *)
-    prior_prim : (int * R.t Entry.t) option;  (** replaced memory bindings *)
+    update : (int * int) option;  (** update bit: (component seq, position) *)
+  }
+
+  (* What an abort needs to undo one operation: its redo record and the
+     memory bindings it replaced. *)
+  type undo = {
+    redo : redo;
+    prior_prim : (int * R.t Entry.t) option;
     prior_pk : (int * unit Entry.t) option;
     prior_sec : (string * int * (int * unit Entry.t) option) list;
         (** per secondary: (name, secondary key, replaced binding) *)
   }
 
-  type txn = { id : int; mutable ops : log_op list (* newest first *) }
+  type txn = { id : int; mutable undo : undo list (* newest first *) }
 
   type t = {
     d : D.t;
-    wal : Wal.t;
-    mutable redo : log_op list;  (** all logged ops, newest first *)
-    mutable checkpoint_lsn : int;  (** bitmap pages durable up to here *)
+    wal : redo Wal.t;
     mutable checkpoint_bitmaps : (int * Lsm_util.Bitset.t) list;
-        (** durable copies, keyed by pk-index component seq *)
+        (** durable bitmap pages as of [Wal.checkpoint_lsn], keyed by
+            pk-index component seq *)
     mutable live_txns : int;
   }
 
@@ -83,14 +93,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
         (dev.Lsm_sim.Device.seek_us +. dev.Lsm_sim.Device.write_us_per_page)
       ~charge:(fun us -> Lsm_sim.Env.advance env us)
       ~fault:(fun p -> Lsm_sim.Env.fault_point env p);
-    {
-      d;
-      wal;
-      redo = [];
-      checkpoint_lsn = 0;
-      checkpoint_bitmaps = [];
-      live_txns = 0;
-    }
+    { d; wal; checkpoint_bitmaps = []; live_txns = 0 }
 
   let dataset t = t.d
   let wal t = t.wal
@@ -136,24 +139,10 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
               (s.D.extract_all r))
           (Array.to_list (D.secondaries t.d))
 
-  (* Flip the old version's bit, reporting which bit was flipped. *)
-  let mark_old t pk =
-    let pkt = pk_index t in
-    match D.Pk.mem_find pkt pk with
-    | Some _ -> None
-    | None -> (
-        match D.Pk.disk_find pkt pk with
-        | Some (c, pos, row)
-          when Entry.is_put row.D.Pk.value && D.Pk.component_row_valid c pos ->
-            D.Pk.invalidate c pos;
-            Some (c.D.Pk.seq, pos)
-        | _ -> None)
-
   let apply t txn op =
     let d = t.d in
     (* Crash here: nothing logged, nothing written — the op vanishes. *)
     Lsm_sim.Env.fault_point (D.env d) "txn.op.begin";
-    let pkt = pk_index t in
     let pk, r_opt =
       match op with
       | Op_upsert r -> (R.primary_key r, Some r)
@@ -166,32 +155,15 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
     (* Only the Mutable-bitmap strategy flips validity bits at write time;
        Validation datasets write new entries only (Sec. 4.2). *)
     let update =
-      if Strategy.uses_primary_bitmap (D.strategy t.d) then mark_old t pk
+      if Strategy.uses_primary_bitmap (D.strategy d) then D.mark_old_deleted d pk
       else None
     in
-    (match r_opt with
-    | Some r ->
-        D.Prim.write (D.primary d) ~key:pk ~ts (Entry.Put r);
-        D.Pk.write pkt ~key:pk ~ts (Entry.Put ());
-        Array.iter
-          (fun s ->
-            List.iter
-              (fun sk -> D.Sec.write s.D.tree ~key:(sk, pk) ~ts (Entry.Put ()))
-              (s.D.extract_all r))
-          (D.secondaries d)
-    | None ->
-        D.Prim.write (D.primary d) ~key:pk ~ts Entry.Del;
-        D.Pk.write pkt ~key:pk ~ts Entry.Del);
-    let lsn =
-      Wal.log t.wal ~txn:txn.id
-        ~kind:(match op with Op_upsert _ -> Wal.Upsert | Op_delete _ -> Wal.Delete)
-        ~pk ~update
-    in
-    let lop =
-      { lsn; txn_id = txn.id; op; ts; update; prior_prim; prior_pk; prior_sec }
-    in
-    txn.ops <- lop :: txn.ops;
-    t.redo <- lop :: t.redo;
+    (match op with
+    | Op_upsert r -> D.write_new_record d r ~ts
+    | Op_delete pk -> D.write_delete d pk ~ts);
+    let redo = { op; ts; update } in
+    ignore (Wal.log t.wal ~txn:txn.id redo);
+    txn.undo <- { redo; prior_prim; prior_pk; prior_sec } :: txn.undo;
     (* Crash here: the op's WAL record exists but its transaction has not
        committed — recovery must make the op invisible. *)
     Lsm_sim.Env.fault_point (D.env d) "txn.op.logged"
@@ -201,7 +173,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
 
   let begin_txn t =
     t.live_txns <- t.live_txns + 1;
-    { id = Wal.begin_txn t.wal; ops = [] }
+    { id = Wal.begin_txn t.wal; undo = [] }
 
   let txn_id (txn : txn) = txn.id
 
@@ -224,18 +196,18 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
     let d = t.d in
     let pkt = pk_index t in
     List.iter
-      (fun lop ->
+      (fun u ->
         let pk =
-          match lop.op with Op_upsert r -> R.primary_key r | Op_delete pk -> pk
+          match u.redo.op with Op_upsert r -> R.primary_key r | Op_delete pk -> pk
         in
-        D.Prim.mem_rollback (D.primary d) ~key:pk ~prior:lop.prior_prim;
-        D.Pk.mem_rollback pkt ~key:pk ~prior:lop.prior_pk;
+        D.Prim.mem_rollback (D.primary d) ~key:pk ~prior:u.prior_prim;
+        D.Pk.mem_rollback pkt ~key:pk ~prior:u.prior_pk;
         List.iter
           (fun (name, sk, prior) ->
             let s = D.secondary d name in
             D.Sec.mem_rollback s.D.tree ~key:(sk, pk) ~prior)
-          lop.prior_sec;
-        (match lop.update with
+          u.prior_sec;
+        (match u.redo.update with
         | Some (comp_seq, pos) ->
             (* "perform a primary key index lookup (without bitmaps) to
                unset the bit": locate the component by its id. *)
@@ -244,7 +216,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
                 if c.D.Pk.seq = comp_seq then D.Pk.revalidate c pos)
               (D.Pk.components pkt)
         | None -> ()))
-      txn.ops (* newest first = reverse chronological *);
+      txn.undo (* newest first = reverse chronological *);
     Wal.abort t.wal ~txn:txn.id;
     t.live_txns <- t.live_txns - 1
 
@@ -288,7 +260,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
     Lsm_sim.Env.fault_point (D.env t.d) "txn.ckpt.begin";
     t.checkpoint_bitmaps <- snapshot_bitmaps t;
     Lsm_sim.Env.fault_point (D.env t.d) "txn.ckpt.mid";
-    t.checkpoint_lsn <- t.wal.Wal.next_lsn - 1;
+    Wal.checkpoint t.wal;
     Lsm_sim.Env.fault_point (D.env t.d) "txn.ckpt.end"
 
   (** [flush t] makes all memory components durable (and runs merges);
@@ -501,32 +473,31 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
     (* Durably committed only: under group commit a logically committed
        transaction whose group never fsynced must not be replayed (its
        demotion happened in {!crash}; the durability check also guards a
-       recover driven without the crash entry point). *)
-    let committed txn_id = Wal.txn_durable t.wal ~txn:txn_id in
-    (* Oldest-first replay.  (A discarded torn record's op needs no
-       explicit filtering: its transaction is not committed.) *)
-    let ops = List.rev t.redo in
+       recover driven without the crash entry point).  A discarded torn
+       record needs no explicit filtering: it is gone from the log. *)
+    let committed (l : redo Wal.record) = Wal.txn_durable t.wal ~txn:l.Wal.txn in
+    let d = t.d in
+    let pkt = pk_index t in
     (* 1. Bitmap redo: "a log record is replayed on the bitmaps only when
        its update bit is 1".  Runs first, onto the surviving pre-crash
        components, so a redone merge below sees fully recovered bits. *)
     List.iter
-      (fun lop ->
-        if committed lop.txn_id && lop.lsn > t.checkpoint_lsn then
-          match lop.update with
+      (fun (l : redo Wal.record) ->
+        if committed l then
+          match l.Wal.payload.update with
           | Some (comp_seq, pos) ->
               Array.iter
                 (fun c -> if c.D.Pk.seq = comp_seq then D.Pk.invalidate c pos)
-                (D.Pk.components (pk_index t))
+                (D.Pk.components pkt)
           | None -> ())
-      ops;
+      (Wal.records_after t.wal ~lsn:(Wal.checkpoint_lsn t.wal));
     (* 2. Structural realignment of the correlated primary pair. *)
     realign_primary_pair t;
-    (* 3. Memory redo, per (tree, shard).  Frontiers are computed after
-       the realignment (a dropped orphan lowers the primary's frontier,
-       which is exactly what routes its entries back through redo); each
-       write is gated on the frontier of the shard its key routes to. *)
-    let d = t.d in
-    let pkt = pk_index t in
+    (* 3. Memory redo, per (tree, shard), over the whole log oldest first.
+       Frontiers are computed after the realignment (a dropped orphan
+       lowers the primary's frontier, which is exactly what routes its
+       entries back through redo); each write is gated on the frontier of
+       the shard its key routes to. *)
     let nshards = D.mem_shards d in
     let prim_f = prim_frontiers t ~nshards in
     let pk_f = pk_frontiers t ~nshards in
@@ -534,29 +505,29 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
       Array.map (fun s -> (s, sec_frontiers s ~nshards)) (D.secondaries d)
     in
     List.iter
-      (fun lop ->
-        if committed lop.txn_id then begin
-          match lop.op with
+      (fun (l : redo Wal.record) ->
+        if committed l then begin
+          let { op; ts; _ } = l.Wal.payload in
+          match op with
           | Op_upsert r ->
               let pk = R.primary_key r in
-              if lop.ts > prim_f.(D.Prim.shard_of (D.primary d) pk) then
-                D.Prim.write (D.primary d) ~key:pk ~ts:lop.ts (Entry.Put r);
-              if lop.ts > pk_f.(D.Pk.shard_of pkt pk) then
-                D.Pk.write pkt ~key:pk ~ts:lop.ts (Entry.Put ());
+              if ts > prim_f.(D.Prim.shard_of (D.primary d) pk) then
+                D.Prim.write (D.primary d) ~key:pk ~ts (Entry.Put r);
+              if ts > pk_f.(D.Pk.shard_of pkt pk) then
+                D.Pk.write pkt ~key:pk ~ts (Entry.Put ());
               Array.iter
                 (fun (s, f) ->
                   List.iter
                     (fun sk ->
-                      if lop.ts > f.(D.Sec.shard_of s.D.tree (sk, pk)) then
-                        D.Sec.write s.D.tree ~key:(sk, pk) ~ts:lop.ts
-                          (Entry.Put ()))
+                      if ts > f.(D.Sec.shard_of s.D.tree (sk, pk)) then
+                        D.Sec.write s.D.tree ~key:(sk, pk) ~ts (Entry.Put ()))
                     (s.D.extract_all r))
                 sec_f
           | Op_delete pk ->
-              if lop.ts > prim_f.(D.Prim.shard_of (D.primary d) pk) then
-                D.Prim.write (D.primary d) ~key:pk ~ts:lop.ts Entry.Del;
-              if lop.ts > pk_f.(D.Pk.shard_of pkt pk) then
-                D.Pk.write pkt ~key:pk ~ts:lop.ts Entry.Del
+              if ts > prim_f.(D.Prim.shard_of (D.primary d) pk) then
+                D.Prim.write (D.primary d) ~key:pk ~ts Entry.Del;
+              if ts > pk_f.(D.Pk.shard_of pkt pk) then
+                D.Pk.write pkt ~key:pk ~ts Entry.Del
         end)
-      ops
+      (Wal.records_after t.wal ~lsn:0)
 end

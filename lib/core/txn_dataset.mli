@@ -1,12 +1,16 @@
 (** Record-level transactions with write-ahead logging, aborts,
     checkpoints, and crash recovery — Sec. 5.2's protocol end to end over
-    real components.  See the implementation header for the redo/undo
-    rules; flushes, checkpoints, and merges require transaction
-    quiescence. *)
+    real components.  The WAL holds the only log (one {!redo} record per
+    operation); a transaction handle holds only its undo information.
+    See the implementation header for the redo/undo rules; flushes,
+    checkpoints, and merges require transaction quiescence. *)
 
 module Make (R : Record.S) (D : module type of Dataset.Make (R)) : sig
   type t
   type txn
+
+  type redo
+  (** One WAL payload: an operation, its timestamp and its update bit. *)
 
   val create : D.t -> t
   (** Wrap a dataset (Mutable-bitmap or Validation strategy; Eager's
@@ -15,9 +19,10 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) : sig
 
   val dataset : t -> D.t
 
-  val wal : t -> Lsm_txn.Wal.t
-  (** The write-ahead log — after a {!crash}, the durable commit record
-      is the authority on whether an in-flight transaction committed. *)
+  val wal : t -> redo Lsm_txn.Wal.t
+  (** The write-ahead log, the one log recovery replays — after a
+      {!crash}, the durable commit record is the authority on whether an
+      in-flight transaction committed. *)
 
   val set_group_commit : t -> batch:int -> unit
   (** Batched group commit: commits enqueue into a group and one

@@ -23,7 +23,8 @@ struct
     ever : (int, unit) Hashtbl.t;  (** every pk ever touched *)
   }
 
-  let create () = { live = Hashtbl.create 256; ever = Hashtbl.create 256 }
+  let create ?(size = 256) () =
+    { live = Hashtbl.create size; ever = Hashtbl.create size }
 
   let upsert m r =
     Hashtbl.replace m.live (R.pk r) r;

@@ -106,10 +106,10 @@ let create cfg =
         D.default_config with
         strategy;
         mem_budget = 8 * 1024;
+        maint_workers = cfg.maint_workers;
         mem_shards = max 1 cfg.mem_shards;
       }
   in
-  if cfg.maint_workers > 1 then D.set_maint_workers d cfg.maint_workers;
   let t = T.create d in
   if cfg.group_commit > 1 then T.set_group_commit t ~batch:cfg.group_commit;
   {

@@ -2,8 +2,9 @@
 
     The front door under faults may answer partially, shed, or error —
     but it must never lie.  The checker replays the run's client-visible
-    contract against a trivial model (a hashtable of acknowledged
-    writes, fault-free semantics) and audits three invariants:
+    contract against the reference model of acknowledged writes
+    ({!Lsm_faultsim.Model}, fault-free semantics) and audits three
+    invariants:
 
     - {b answers are exact}: every non-errored answer (point, multi-get
       slot, secondary row set, per-partition scan count) equals the
@@ -21,9 +22,15 @@
 
 module Tweet = Lsm_workload.Tweet
 
+module M = Lsm_faultsim.Model.Make (struct
+  type t = Tweet.t
+
+  let pk = Tweet.primary_key
+end)
+
 type t = {
   partitions : int;
-  model : (int, Tweet.t) Hashtbl.t;  (** acknowledged state, by key *)
+  model : M.t;  (** acknowledged state *)
   mutable arrivals : int;
   mutable successes : int;
   mutable failures : int;
@@ -37,7 +44,9 @@ let create ~partitions () =
   if partitions < 1 then invalid_arg "Chaos_checker.create: partitions >= 1";
   {
     partitions;
-    model = Hashtbl.create 4096;
+    (* The table size fixes the iteration order, hence the order of the
+       durability probes against the live cluster. *)
+    model = M.create ~size:4096 ();
     arrivals = 0;
     successes = 0;
     failures = 0;
@@ -53,7 +62,7 @@ let route t pk = Lsm_bloom.Hashing.mix64 pk land max_int mod t.partitions
 
 (** [preload t r] seeds the model with a record ingested before traffic
     started (the driver's warm-up preload) — not an arrival. *)
-let preload t r = Hashtbl.replace t.model (Tweet.primary_key r) r
+let preload t r = M.upsert t.model r
 
 let max_kept = 64
 
@@ -79,15 +88,14 @@ let observe t (obs : Driver.chaos_obs) =
   | Driver.O_ack req -> (
       t.successes <- t.successes + 1;
       match req with
-      | Driver.Rt.Insert r | Driver.Rt.Upsert r ->
-          Hashtbl.replace t.model (Tweet.primary_key r) r
-      | Driver.Rt.Delete pk -> Hashtbl.remove t.model pk
+      | Driver.Rt.Insert r | Driver.Rt.Upsert r -> M.upsert t.model r
+      | Driver.Rt.Delete pk -> M.delete t.model pk
       | _ -> violate t "protocol: ack of a non-write request")
   | Driver.O_reject_dup -> t.successes <- t.successes + 1
   | Driver.O_point (pk, v) ->
       t.successes <- t.successes + 1;
       t.checked <- t.checked + 1;
-      let expect = Hashtbl.find_opt t.model pk in
+      let expect = M.point t.model pk in
       if v <> expect then
         violate t "point %d: got %s, expected %s" pk (pp_opt v) (pp_opt expect)
   | Driver.O_multi { got; err_parts } ->
@@ -98,7 +106,7 @@ let observe t (obs : Driver.chaos_obs) =
           if List.mem (route t pk) err_parts then
             violate t "multi slot %d answered by errored partition p%d" pk
               (route t pk);
-          let expect = Hashtbl.find_opt t.model pk in
+          let expect = M.point t.model pk in
           if v <> expect then
             violate t "multi slot %d: got %s, expected %s" pk (pp_opt v)
               (pp_opt expect))
@@ -110,15 +118,15 @@ let observe t (obs : Driver.chaos_obs) =
          the answered rows must equal the model's rows owned by
          non-errored partitions. *)
       let expect =
-        Hashtbl.fold
-          (fun pk r acc ->
+        M.fold t.model
+          (fun r acc ->
             if
               Tweet.user_id r >= lo
               && Tweet.user_id r <= hi
-              && not (List.mem (route t pk) err_parts)
+              && not (List.mem (route t (Tweet.primary_key r)) err_parts)
             then r :: acc
             else acc)
-          t.model []
+          []
       in
       if by_id rows <> by_id expect then
         violate t
@@ -134,15 +142,15 @@ let observe t (obs : Driver.chaos_obs) =
           if List.mem i err_parts then
             violate t "scan slot p%d both answered and errored" i;
           let expect =
-            Hashtbl.fold
-              (fun pk r acc ->
+            M.fold t.model
+              (fun r acc ->
                 if
                   Tweet.created_at r >= tlo
                   && Tweet.created_at r <= thi
-                  && route t pk = i
+                  && route t (Tweet.primary_key r) = i
                 then acc + 1
                 else acc)
-              t.model 0
+              0
           in
           if c <> expect then
             violate t "time scan [%d,%d] p%d: %d rows, expected %d" tlo thi i c
@@ -170,8 +178,9 @@ let ok v = v.v_violations_total = 0
     value. *)
 let verify t ~probe =
   let probed = ref 0 in
-  Hashtbl.iter
-    (fun pk r ->
+  M.fold t.model
+    (fun r () ->
+      let pk = Tweet.primary_key r in
       incr probed;
       match probe pk with
       | Some r' when r' = r -> ()
@@ -179,7 +188,7 @@ let verify t ~probe =
           violate t "durability: acked key %d reads %s after recovery, not %s"
             pk (pp_opt v)
             (pp_opt (Some r)))
-    t.model;
+    ();
   {
     v_arrivals = t.arrivals;
     v_successes = t.successes;

@@ -6,20 +6,14 @@
     abort, a record with the update bit performs a primary-key-index
     lookup to unset the bit; on crash recovery, committed transactions
     after the last checkpoint are replayed onto the bitmaps (only records
-    with the update bit matter to bitmaps). *)
+    with the update bit matter to bitmaps).
 
-type op_kind = Upsert | Delete
+    The log is generic in its payload: the owner of the storage (see
+    [Lsm_core.Txn_dataset]) logs one redo record per operation, and this
+    module keeps LSNs, transaction states, commit durability, the torn
+    tail and the checkpoint LSN around it. *)
 
-type record = {
-  lsn : int;
-  txn : int;
-  kind : op_kind;
-  pk : int;
-  update_bit : bool;
-      (** the operation invalidated an entry in a disk component *)
-  comp_seq : int;  (** which component (its [seq]); -1 if none *)
-  pos : int;  (** which bit; -1 if none *)
-}
+type 'a record = { lsn : int; txn : int; payload : 'a }
 
 type txn_state = Active | Committed | Aborted
 
@@ -30,8 +24,8 @@ type sync_stats = {
   mutable durable_commits : int;  (** commits whose record reached media *)
 }
 
-type t = {
-  mutable records : record list;  (** newest first *)
+type 'a t = {
+  mutable records : 'a record list;  (** newest first *)
   mutable next_lsn : int;
   mutable checkpoint_lsn : int;
   txns : (int, txn_state) Hashtbl.t;
@@ -40,7 +34,7 @@ type t = {
       (** LSN of a trailing record whose append a crash interrupted; the
           record exists in [records] but must be treated as never written *)
   mutable tracer : Lsm_obs.Tracer.t;
-      (** span tracer for append/checkpoint; disabled by default.  The
+      (** span tracer for appends; disabled by default.  The
           caller that owns the storage environment attaches the
           environment's tracer so WAL spans share the simulated clock. *)
   mutable group_size : int;
@@ -100,16 +94,12 @@ let begin_txn t =
   Hashtbl.replace t.txns id Active;
   id
 
-(** [log t ~txn ~kind ~pk ~update] appends a record; [update] carries the
-    (component seq, position) whose bit the operation set, if any. *)
-let log t ~txn ~kind ~pk ~update =
+(** [log t ~txn payload] appends a record and returns its LSN. *)
+let log t ~txn payload =
   Lsm_obs.Tracer.with_span t.tracer ~cat:"wal" "wal.append" @@ fun () ->
   let lsn = t.next_lsn in
   t.next_lsn <- lsn + 1;
-  let update_bit, comp_seq, pos =
-    match update with Some (c, p) -> (true, c, p) | None -> (false, -1, -1)
-  in
-  t.records <- { lsn; txn; kind; pk; update_bit; comp_seq; pos } :: t.records;
+  t.records <- { lsn; txn; payload } :: t.records;
   lsn
 
 let charge_fsync t =
@@ -221,9 +211,7 @@ let discard_torn_tail t =
 
 (** [checkpoint t] records that all bitmap pages dirtied by records up to
     this point have been flushed (regular checkpointing, Sec. 5.2). *)
-let checkpoint t =
-  Lsm_obs.Tracer.with_span t.tracer ~cat:"wal" "wal.checkpoint" @@ fun () ->
-  t.checkpoint_lsn <- t.next_lsn - 1
+let checkpoint t = t.checkpoint_lsn <- t.next_lsn - 1
 
 let checkpoint_lsn t = t.checkpoint_lsn
 
@@ -231,8 +219,5 @@ let checkpoint_lsn t = t.checkpoint_lsn
     first — the replay stream. *)
 let records_after t ~lsn =
   List.rev (List.filter (fun r -> r.lsn > lsn) t.records)
-
-(** [records_of_txn t ~txn] newest-first — the undo stream for aborts. *)
-let records_of_txn t ~txn = List.filter (fun r -> r.txn = txn) t.records
 
 let length t = List.length t.records

@@ -1,20 +1,11 @@
 (** Write-ahead logging for mutable bitmaps (Sec. 5.2): each delete/upsert
     record carries an *update bit* saying whether the operation flipped a
-    validity bit in a disk component (and which one).  Aborts consult a
-    transaction's records to unset bits; recovery replays committed
-    post-checkpoint records. *)
+    validity bit in a disk component (and which one).  Aborts unset the
+    bits a transaction flipped; recovery replays committed
+    post-checkpoint records.  The log is generic in its payload: the
+    storage owner decides what one redo record holds. *)
 
-type op_kind = Upsert | Delete
-
-type record = {
-  lsn : int;
-  txn : int;
-  kind : op_kind;
-  pk : int;
-  update_bit : bool;
-  comp_seq : int;  (** which component's bit was set; -1 if none *)
-  pos : int;  (** which bit; -1 if none *)
-}
+type 'a record = { lsn : int; txn : int; payload : 'a }
 
 type txn_state = Active | Committed | Aborted
 
@@ -25,57 +16,37 @@ type sync_stats = {
   mutable durable_commits : int;  (** commits whose record reached media *)
 }
 
-type t = {
-  mutable records : record list;  (** newest first *)
-  mutable next_lsn : int;
-  mutable checkpoint_lsn : int;
-  txns : (int, txn_state) Hashtbl.t;
-  mutable next_txn : int;
-  mutable torn_lsn : int option;
-      (** LSN of a trailing record whose append a crash interrupted *)
-  mutable tracer : Lsm_obs.Tracer.t;
-      (** span tracer for append/checkpoint spans; disabled by default *)
-  mutable group_size : int;
-      (** commits per group-commit batch; <= 1 = serial *)
-  mutable group : int list;
-      (** open group: committed but not yet durable, newest first *)
-  durable : (int, unit) Hashtbl.t;
-      (** transactions whose commit record has been fsynced *)
-  mutable fsync_us : float;
-  mutable charge : float -> unit;
-  mutable fault : string -> unit;
-  sync_stats : sync_stats;
-}
+type 'a t
+(** A log whose records carry ['a] payloads. *)
 
-val create : unit -> t
+val create : unit -> 'a t
 
-val set_tracer : t -> Lsm_obs.Tracer.t -> unit
+val set_tracer : 'a t -> Lsm_obs.Tracer.t -> unit
 (** Attach the storage environment's tracer so WAL spans share the
     simulated clock. *)
 
 val set_sync_hooks :
-  t -> fsync_us:float -> charge:(float -> unit) -> fault:(string -> unit) -> unit
+  'a t -> fsync_us:float -> charge:(float -> unit) -> fault:(string -> unit) -> unit
 (** Attach the owning environment's cost model and fault machinery:
     [charge] advances the simulated clock by [fsync_us] per log fsync,
     and [fault] announces the [wal.group.*] crash windows. *)
 
-val sync_stats : t -> sync_stats
+val sync_stats : 'a t -> sync_stats
 
-val begin_txn : t -> int
+val begin_txn : 'a t -> int
 (** Open a transaction; returns its id. *)
 
-val log : t -> txn:int -> kind:op_kind -> pk:int -> update:(int * int) option -> int
-(** Append a record; [update] is the (component seq, position) whose bit
-    the operation set, if any.  Returns the LSN. *)
+val log : 'a t -> txn:int -> 'a -> int
+(** Append a record carrying the payload; returns its LSN. *)
 
-val commit : t -> txn:int -> unit
-(** Mark the transaction committed.  Serial mode ([group_size <= 1])
-    fsyncs the commit record immediately; group-commit mode enqueues it
-    into the open group, sealing and fsyncing the group — ONE simulated
-    fsync for the whole batch — when it reaches [group_size]. *)
+val commit : 'a t -> txn:int -> unit
+(** Mark the transaction committed.  Serial mode (batch <= 1) fsyncs the
+    commit record immediately; group-commit mode enqueues it into the
+    open group, sealing and fsyncing the group — ONE simulated fsync for
+    the whole batch — when it reaches the batch size. *)
 
-val abort : t -> txn:int -> unit
-val txn_state : t -> txn:int -> txn_state option
+val abort : 'a t -> txn:int -> unit
+val txn_state : 'a t -> txn:int -> txn_state option
 
 (** {1 Group commit (batched durability)}
 
@@ -88,25 +59,25 @@ val txn_state : t -> txn:int -> txn_state option
     durability transition so the crash checker can enumerate every torn
     and half-acknowledged group state. *)
 
-val set_group_commit : t -> batch:int -> unit
+val set_group_commit : 'a t -> batch:int -> unit
 (** Switch to batched group commit ([batch] >= 2) or back to serial
     ([batch] <= 1).  Syncs any open group first. *)
 
-val group_commit_batch : t -> int
+val group_commit_batch : 'a t -> int
 
-val sync : t -> unit
+val sync : 'a t -> unit
 (** Group-commit barrier: seal and fsync the open group.  Must run
     before anything that assumes the log is durable (component flushes,
     checkpoint anchoring). *)
 
-val pending_group : t -> int list
+val pending_group : 'a t -> int list
 (** Transactions committed but not yet durable, oldest first. *)
 
-val txn_durable : t -> txn:int -> bool
+val txn_durable : 'a t -> txn:int -> bool
 (** Committed AND the commit record reached media — the authority that
     recovery and the crash checker consult. *)
 
-val crash : t -> int list
+val crash : 'a t -> int list
 (** Apply a crash to commit durability: demote the open group's
     transactions (commit records never fsynced — a torn group tail) to
     aborted.  Returns the demoted ids, oldest first. *)
@@ -115,29 +86,26 @@ val crash : t -> int list
 
     A crash can interrupt the append of the newest record, leaving a
     partial record on media whose checksum would not verify.  {!tear_tail}
-    simulates that; {!Recovery.recover} discards the torn record
+    simulates that; [Lsm_core.Txn_dataset.recover] discards the torn record
     (truncate-at-first-bad-record) before replaying. *)
 
-val tear_tail : t -> unit
+val tear_tail : 'a t -> unit
 (** Mark the newest record as torn (no-op on an empty log). *)
 
-val torn_tail : t -> int option
+val torn_tail : 'a t -> int option
 (** LSN of the torn trailing record, if any. *)
 
-val discard_torn_tail : t -> record option
+val discard_torn_tail : 'a t -> 'a record option
 (** Drop the torn trailing record and return it.  A torn record implies
     its transaction never wrote a commit record after it, so callers must
     treat that transaction as uncommitted. *)
 
-val checkpoint : t -> unit
+val checkpoint : 'a t -> unit
 (** Record that all bitmap pages dirtied so far have been flushed. *)
 
-val checkpoint_lsn : t -> int
+val checkpoint_lsn : 'a t -> int
 
-val records_after : t -> lsn:int -> record list
+val records_after : 'a t -> lsn:int -> 'a record list
 (** Records with LSN > [lsn], oldest first — the replay stream. *)
 
-val records_of_txn : t -> txn:int -> record list
-(** A transaction's records, newest first — the undo stream. *)
-
-val length : t -> int
+val length : 'a t -> int

@@ -63,6 +63,39 @@ let test_parse_errors () =
       "io@p0@t5ms+4ms!0";
     ]
 
+(* Random strings over the alphabet of the chaos and SLO grammars,
+   sometimes behind a valid fault kind so they reach the trigger, window
+   and tail parsers.  Both parsers do index arithmetic on raw strings;
+   they must answer with a value and never raise.  No bare string over
+   this alphabet names a fault kind, so the chaos parser must reject it;
+   an accepted SLO objective must be well-formed. *)
+let grammar_alphabet =
+  Array.append
+    [| "@"; "p"; "t"; "n"; "+"; "!"; "*"; ";"; ","; ":"; "<"; "."; "us"; "ms"; "s" |]
+    (Array.init 10 string_of_int)
+
+let prop_parsers_never_raise =
+  QCheck2.Test.make ~count:2000 ~name:"spec parsers return Error, never raise"
+    ~print:(fun (kind, noise) -> kind ^ noise)
+    QCheck2.Gen.(
+      pair
+        (oneofl [ ""; "crash@"; "corrupt@"; "io@"; "slow@" ])
+        (map (String.concat "")
+           (list_size (int_range 0 24) (oneofa grammar_alphabet))))
+    (fun (kind, noise) ->
+      let spec = kind ^ noise in
+      (match Chaos.parse spec with
+      | Error _ -> true
+      | Ok faults -> kind <> "" && List.for_all (fun f -> f.Chaos.part >= 0) faults)
+      &&
+      match Lsm_obs.Slo.objective_of_string spec with
+      | Error _ -> true
+      | Ok o ->
+          o.Lsm_obs.Slo.series <> ""
+          && o.Lsm_obs.Slo.quantile > 0.0
+          && o.Lsm_obs.Slo.quantile < 1.0
+          && o.Lsm_obs.Slo.threshold_us > 0.0)
+
 (* ------------------------------------------------------------------ *)
 (* Circuit breaker *)
 
@@ -334,6 +367,7 @@ let () =
         [
           Alcotest.test_case "grammar round-trips" `Quick test_parse_ok;
           Alcotest.test_case "rejects nonsense" `Quick test_parse_errors;
+          QCheck_alcotest.to_alcotest prop_parsers_never_raise;
         ] );
       ( "breaker",
         [

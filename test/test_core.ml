@@ -2,13 +2,12 @@
    cross-strategy query equivalence, repair correctness, filter queries.
 
    The central property: whatever the maintenance strategy and whenever
-   flushes/merges/repairs happen, queries return exactly what a reference
-   hash-map model says they should. *)
+   flushes/merges/repairs happen, queries return exactly what the
+   reference model (Lsm_faultsim.Model) says they should. *)
 
 module D = Lsm_core.Dataset.Make (Lsm_workload.Tweet.Record)
 module Strategy = Lsm_core.Strategy
 module Tweet = Lsm_workload.Tweet
-module IntMap = Map.Make (Int)
 
 let qtest ?(count = 60) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -35,37 +34,11 @@ let mk_dataset ?(strategy = Strategy.eager) ?(mem_budget = 8 * 1024)
 let tw ?(user = 0) ?(loc = 0) ?(at = 0) id =
   { Tweet.id; user_id = user; location = loc; created_at = at; msg_len = 100 }
 
-(* ------------------------------------------------------------------ *)
-(* Reference model *)
+module Model = Lsm_faultsim.Model.Make (struct
+  type t = Tweet.t
 
-module Model = struct
-  type t = Tweet.t IntMap.t
-
-  let empty : t = IntMap.empty
-
-  let insert m r =
-    if IntMap.mem (Tweet.primary_key r) m then (m, `Duplicate)
-    else (IntMap.add (Tweet.primary_key r) r m, `Inserted)
-
-  let upsert m r = IntMap.add (Tweet.primary_key r) r m
-  let delete m pk = IntMap.remove pk m
-
-  let by_user m ~lo ~hi =
-    IntMap.fold
-      (fun _ r acc -> if r.Tweet.user_id >= lo && r.Tweet.user_id <= hi then r :: acc else acc)
-      m []
-    |> List.map Tweet.primary_key
-    |> List.sort compare
-
-  let by_time m ~tlo ~thi =
-    IntMap.fold
-      (fun _ r acc ->
-        if r.Tweet.created_at >= tlo && r.Tweet.created_at <= thi then r :: acc
-        else acc)
-      m []
-    |> List.map Tweet.primary_key
-    |> List.sort compare
-end
+  let pk = Tweet.primary_key
+end)
 
 let pks records = List.map Tweet.primary_key records |> List.sort compare
 
@@ -218,13 +191,17 @@ let run_ops d ops =
     ops
 
 let run_model ops =
-  List.fold_left
-    (fun m op ->
-      match op with
-      | Ins (k, u, at) -> fst (Model.insert m (tw ~user:u ~loc:(u mod 7) ~at k))
+  let m = Model.create () in
+  List.iter
+    (function
+      | Ins (k, u, at) ->
+          (* Insert rejects duplicates: the first version stays. *)
+          if Model.point m k = None then
+            Model.upsert m (tw ~user:u ~loc:(u mod 7) ~at k)
       | Ups (k, u, at) -> Model.upsert m (tw ~user:u ~loc:(u mod 7) ~at k)
       | Del k -> Model.delete m k)
-    Model.empty ops
+    ops;
+  m
 
 let strategies_under_test =
   [
@@ -244,8 +221,10 @@ let prop_strategies_agree_with_model =
     (fun (ops, (b1, b2)) ->
       let lo = min b1 b2 and hi = max b1 b2 in
       let model = run_model ops in
-      let expected_sec = Model.by_user model ~lo ~hi in
-      let expected_time = Model.by_time model ~tlo:100 ~thi:700 in
+      let expected_sec = pks (Model.range_by model Tweet.user_id ~lo ~hi) in
+      let expected_time =
+        pks (Model.range_by model Tweet.created_at ~lo:100 ~hi:700)
+      in
       List.for_all
         (fun (strategy, modes) ->
           let env = mk_env () in
@@ -267,13 +246,13 @@ let prop_strategies_agree_with_model =
           (* Point queries. *)
           && List.for_all
                (fun k ->
-                 match (D.point_query d k, IntMap.find_opt k model) with
+                 match (D.point_query d k, Model.point model k) with
                  | Some r, Some r' -> r.Tweet.user_id = r'.Tweet.user_id
                  | None, None -> true
                  | _ -> false)
                [ 1; 5; 10; 20; 40 ]
           (* Full scan count. *)
-          && D.full_scan d ~f:ignore = IntMap.cardinal model)
+          && D.full_scan d ~f:ignore = Model.count model)
         strategies_under_test)
 
 let prop_repair_preserves_queries =
@@ -281,7 +260,7 @@ let prop_repair_preserves_queries =
     QCheck2.Gen.(list_size (int_range 1 120) op_gen)
     (fun ops ->
       let model = run_model ops in
-      let expected = Model.by_user model ~lo:0 ~hi:50 in
+      let expected = pks (Model.range_by model Tweet.user_id ~lo:0 ~hi:50) in
       List.for_all
         (fun repair ->
           let env = mk_env () in
@@ -310,15 +289,7 @@ let prop_index_only_agrees =
     QCheck2.Gen.(list_size (int_range 1 120) op_gen)
     (fun ops ->
       let model = run_model ops in
-      let expected =
-        IntMap.fold
-          (fun pk r acc ->
-            if r.Tweet.user_id >= 10 && r.Tweet.user_id <= 60 then
-              (r.Tweet.user_id, pk) :: acc
-            else acc)
-          model []
-        |> List.sort compare
-      in
+      let expected = Model.keys_by model Tweet.user_id ~lo:10 ~hi:60 in
       List.for_all
         (fun strategy ->
           let env = mk_env () in

@@ -7,6 +7,7 @@ module T = Lsm_core.Txn_dataset.Make (Lsm_workload.Tweet.Record) (D)
 module P = Lsm_core.Partitioned.Make (Lsm_workload.Tweet.Record)
 module Strategy = Lsm_core.Strategy
 module Tweet = Lsm_workload.Tweet
+module Wal = Lsm_txn.Wal
 module IntMap = Map.Make (Int)
 
 let qtest ?(count = 50) name gen prop =
@@ -188,6 +189,39 @@ let test_recovery_validation_strategy () =
   Alcotest.(check (list (pair int int))) "post-recovery" committed
     (query_all_users t)
 
+(* A crash can tear the newest WAL record mid-append.  Recovery must drop
+   the record, abort its (necessarily uncommitted) transaction, and keep
+   the committed work logged before it. *)
+let test_recovery_torn_tail () =
+  List.iter
+    (fun strategy ->
+      let name = Strategy.name strategy in
+      let t = mk_txn_dataset ~strategy () in
+      T.upsert_auto t (tw ~user:1 1);
+      T.upsert_auto t (tw ~user:3 3);
+      T.flush t;
+      (* Committed after the flush: redone from the log. *)
+      T.upsert_auto t (tw ~user:11 1);
+      (* In flight, its only record torn: under Mutable-bitmap it flipped
+         key 3's bit in the flushed component. *)
+      let doomed = T.begin_txn t in
+      T.upsert t doomed (tw ~user:99 3);
+      let wal = T.wal t in
+      let logged = Wal.length wal in
+      Wal.tear_tail wal;
+      T.crash t;
+      T.recover t;
+      Alcotest.(check bool) (name ^ ": torn transaction aborted") true
+        (Wal.txn_state wal ~txn:(T.txn_id doomed) = Some Wal.Aborted);
+      Alcotest.(check int) (name ^ ": torn record gone") (logged - 1)
+        (Wal.length wal);
+      Alcotest.(check bool) (name ^ ": torn mark consumed") true
+        (Wal.torn_tail wal = None);
+      Alcotest.(check (list (pair int int)))
+        (name ^ ": torn write invisible, committed write survives")
+        [ (1, 11); (3, 3) ] (query_all_users t))
+    [ Strategy.mutable_bitmap; Strategy.validation ]
+
 type rop = RUp of int * int | RDel of int | RFlush | RCkpt
 
 let rop_gen =
@@ -221,6 +255,47 @@ let prop_recovery_restores_committed_state =
       T.crash t;
       T.recover t;
       query_all_users t = before)
+
+let set_bits t =
+  match D.pk_index (T.dataset t) with
+  | None -> []
+  | Some pkt ->
+      Array.to_list (D.Pk.components pkt)
+      |> List.map (fun c ->
+             match c.D.Pk.bitmap with
+             | None -> []
+             | Some b ->
+                 let acc = ref [] in
+                 Lsm_util.Bitset.iter_set b (fun i -> acc := i :: !acc);
+                 List.rev !acc)
+
+(* Recovery is idempotent: a second crash right after recovery, before
+   any new checkpoint, recovers to the same committed state (bitmaps
+   included) under both WAL-backed strategies. *)
+let prop_crash_twice =
+  qtest ~count:40 "idempotent (crash twice)"
+    QCheck2.Gen.(list_size (int_range 1 60) rop_gen)
+    (fun ops ->
+      List.for_all
+        (fun strategy ->
+          let t = mk_txn_dataset ~strategy () in
+          List.iter
+            (function
+              | RUp (k, u) -> T.upsert_auto t (tw ~user:u k)
+              | RDel k -> T.delete_auto t ~pk:k
+              | RFlush -> T.flush t
+              | RCkpt -> T.checkpoint t)
+            ops;
+          let committed = query_all_users t in
+          let doomed = T.begin_txn t in
+          T.upsert t doomed (tw ~user:77 1);
+          T.crash t;
+          T.recover t;
+          let once = (query_all_users t, set_bits t) in
+          T.crash t;
+          T.recover t;
+          fst once = committed && (query_all_users t, set_bits t) = once)
+        [ Strategy.mutable_bitmap; Strategy.validation ])
 
 (* ------------------------------------------------------------------ *)
 (* Partitioned datasets *)
@@ -353,7 +428,9 @@ let () =
           Alcotest.test_case "eager rejected" `Quick test_txn_requires_lazy_strategy;
           Alcotest.test_case "validation strategy" `Quick
             test_recovery_validation_strategy;
+          Alcotest.test_case "torn tail" `Quick test_recovery_torn_tail;
           prop_recovery_restores_committed_state;
+          prop_crash_twice;
         ] );
       ( "partitioned",
         [

@@ -1,10 +1,8 @@
-(* Tests for Lsm_txn (locks, WAL, bitmap recovery, side-files) and the
+(* Tests for Lsm_txn (locks, WAL, side-files) and the
    concurrent-merge protocols of Sec. 5.3 (Lsm_core.Concurrent_merge). *)
 
 module Lt = Lsm_txn.Lock_table
 module Wal = Lsm_txn.Wal
-module Bs = Lsm_txn.Bitmap_store
-module Rec = Lsm_txn.Recovery
 module Sf = Lsm_txn.Side_file
 
 (* ------------------------------------------------------------------ *)
@@ -49,115 +47,25 @@ let test_lock_counts_and_cleanup () =
   Alcotest.(check int) "releases" 2 (Lt.releases t)
 
 (* ------------------------------------------------------------------ *)
-(* WAL + bitmap store + recovery *)
+(* WAL: LSNs, the replay stream, checkpoints, torn tails.  Recovery over
+   real components is tested in test_integration.ml. *)
 
 let test_wal_basic () =
   let w = Wal.create () in
   let t1 = Wal.begin_txn w in
-  let l1 = Wal.log w ~txn:t1 ~kind:Wal.Upsert ~pk:5 ~update:(Some (0, 3)) in
-  let l2 = Wal.log w ~txn:t1 ~kind:Wal.Delete ~pk:6 ~update:None in
+  let l1 = Wal.log w ~txn:t1 "upsert 5" in
+  let l2 = Wal.log w ~txn:t1 "delete 6" in
   Alcotest.(check bool) "lsn monotone" true (l2 > l1);
   Wal.commit w ~txn:t1;
   Alcotest.(check bool) "committed" true (Wal.txn_state w ~txn:t1 = Some Wal.Committed);
   Alcotest.(check int) "2 records" 2 (Wal.length w);
-  Alcotest.(check int) "replay stream" 2
-    (List.length (Wal.records_after w ~lsn:0));
+  Alcotest.(check (list string)) "replay stream, oldest first"
+    [ "upsert 5"; "delete 6" ]
+    (List.map (fun r -> r.Wal.payload) (Wal.records_after w ~lsn:0));
   Wal.checkpoint w;
+  Alcotest.(check int) "checkpoint at the last LSN" l2 (Wal.checkpoint_lsn w);
   Alcotest.(check int) "nothing after ckpt" 0
     (List.length (Wal.records_after w ~lsn:(Wal.checkpoint_lsn w)))
-
-let test_abort_unsets_bits () =
-  let w = Wal.create () in
-  let store = Bs.create () in
-  Bs.register store ~comp_seq:0 ~size:10;
-  let t1 = Wal.begin_txn w in
-  Bs.set store ~comp_seq:0 ~pos:4;
-  ignore (Wal.log w ~txn:t1 ~kind:Wal.Upsert ~pk:1 ~update:(Some (0, 4)));
-  Alcotest.(check bool) "bit set" true (Bs.get store ~comp_seq:0 ~pos:4);
-  Rec.abort_txn w store ~txn:t1;
-  Alcotest.(check bool) "bit unset on abort" false (Bs.get store ~comp_seq:0 ~pos:4)
-
-let test_recovery_replays_committed_only () =
-  let w = Wal.create () in
-  let store = Bs.create () in
-  Bs.register store ~comp_seq:0 ~size:16;
-  Bs.register store ~comp_seq:1 ~size:16;
-  (* Committed before checkpoint. *)
-  let t1 = Wal.begin_txn w in
-  Bs.set store ~comp_seq:0 ~pos:1;
-  ignore (Wal.log w ~txn:t1 ~kind:Wal.Upsert ~pk:1 ~update:(Some (0, 1)));
-  Wal.commit w ~txn:t1;
-  Bs.checkpoint store;
-  Wal.checkpoint w;
-  (* Committed after checkpoint: must be replayed. *)
-  let t2 = Wal.begin_txn w in
-  Bs.set store ~comp_seq:1 ~pos:2;
-  ignore (Wal.log w ~txn:t2 ~kind:Wal.Delete ~pk:2 ~update:(Some (1, 2)));
-  Wal.commit w ~txn:t2;
-  (* Uncommitted at crash: must NOT be replayed. *)
-  let t3 = Wal.begin_txn w in
-  Bs.set store ~comp_seq:1 ~pos:3;
-  ignore (Wal.log w ~txn:t3 ~kind:Wal.Delete ~pk:3 ~update:(Some (1, 3)));
-  (* Also a no-update-bit record: replay must not touch bitmaps. *)
-  let t4 = Wal.begin_txn w in
-  ignore (Wal.log w ~txn:t4 ~kind:Wal.Upsert ~pk:4 ~update:None);
-  Wal.commit w ~txn:t4;
-  let expected = Bs.create () in
-  Bs.register expected ~comp_seq:0 ~size:16;
-  Bs.register expected ~comp_seq:1 ~size:16;
-  Bs.set expected ~comp_seq:0 ~pos:1;
-  Bs.set expected ~comp_seq:1 ~pos:2;
-  (* Crash + recover. *)
-  Rec.recover w store;
-  Alcotest.(check bool) "t1 durable via checkpoint" true
-    (Bs.get store ~comp_seq:0 ~pos:1);
-  Alcotest.(check bool) "t2 replayed" true (Bs.get store ~comp_seq:1 ~pos:2);
-  Alcotest.(check bool) "t3 not replayed" false (Bs.get store ~comp_seq:1 ~pos:3);
-  Alcotest.(check bool) "full state equal" true (Bs.equal_state store expected)
-
-let test_recovery_idempotent () =
-  let w = Wal.create () in
-  let store = Bs.create () in
-  Bs.register store ~comp_seq:0 ~size:8;
-  let t1 = Wal.begin_txn w in
-  Bs.set store ~comp_seq:0 ~pos:0;
-  ignore (Wal.log w ~txn:t1 ~kind:Wal.Upsert ~pk:1 ~update:(Some (0, 0)));
-  Wal.commit w ~txn:t1;
-  Rec.recover w store;
-  let snap1 = Bs.snapshot store in
-  Rec.recover w store;
-  Alcotest.(check bool) "second recovery same" true (Bs.snapshot store = snap1)
-
-(* A crash can tear the last WAL record mid-write; recovery must treat
-   the log as ending just before it: the torn record's effect is
-   discarded, its (necessarily uncommitted) transaction aborted. *)
-let test_recovery_discards_torn_tail () =
-  let w = Wal.create () in
-  let store = Bs.create () in
-  Bs.register store ~comp_seq:0 ~size:8;
-  (* A committed transaction whose record precedes the torn one. *)
-  let t1 = Wal.begin_txn w in
-  Bs.set store ~comp_seq:0 ~pos:1;
-  ignore (Wal.log w ~txn:t1 ~kind:Wal.Upsert ~pk:1 ~update:(Some (0, 1)));
-  Wal.commit w ~txn:t1;
-  (* The in-flight transaction's last record is torn by the crash. *)
-  let t2 = Wal.begin_txn w in
-  Bs.set store ~comp_seq:0 ~pos:2;
-  ignore (Wal.log w ~txn:t2 ~kind:Wal.Upsert ~pk:2 ~update:(Some (0, 2)));
-  Wal.tear_tail w;
-  Alcotest.(check bool) "torn mark set" true (Wal.torn_tail w <> None);
-  Rec.recover w store;
-  Alcotest.(check bool) "torn mark consumed" true (Wal.torn_tail w = None);
-  Alcotest.(check bool) "committed bit survives" true
-    (Bs.get store ~comp_seq:0 ~pos:1);
-  Alcotest.(check bool) "torn record's bit discarded" false
-    (Bs.get store ~comp_seq:0 ~pos:2);
-  Alcotest.(check bool) "torn transaction aborted" true
-    (Wal.txn_state w ~txn:t2 = Some Wal.Aborted);
-  (* Idempotent: a second recovery does not re-discard anything. *)
-  let snap = Bs.snapshot store in
-  Rec.recover w store;
-  Alcotest.(check bool) "re-recovery stable" true (Bs.snapshot store = snap)
 
 (* Tearing is only meaningful mid-write: an empty log has no tail, and a
    discard with a stale marker (record already gone) is a no-op. *)
@@ -169,12 +77,13 @@ let test_torn_tail_edge_cases () =
   Alcotest.(check bool) "empty log: nothing to discard" true
     (Wal.discard_torn_tail w = None);
   let t1 = Wal.begin_txn w in
-  ignore (Wal.log w ~txn:t1 ~kind:Wal.Upsert ~pk:1 ~update:None);
+  ignore (Wal.log w ~txn:t1 1);
   Wal.tear_tail w;
   (match Wal.discard_torn_tail w with
-  | Some r -> Alcotest.(check int) "discarded the tail record" 1 r.Wal.pk
+  | Some r -> Alcotest.(check int) "discarded the tail record" 1 r.Wal.payload
   | None -> Alcotest.fail "expected the torn record back");
   Alcotest.(check bool) "marker cleared" true (Wal.torn_tail w = None);
+  Alcotest.(check int) "record gone" 0 (Wal.length w);
   Alcotest.(check bool) "second discard no-op" true
     (Wal.discard_torn_tail w = None)
 
@@ -387,12 +296,6 @@ let () =
       ( "wal",
         [
           Alcotest.test_case "basic" `Quick test_wal_basic;
-          Alcotest.test_case "abort unsets" `Quick test_abort_unsets_bits;
-          Alcotest.test_case "recovery committed-only" `Quick
-            test_recovery_replays_committed_only;
-          Alcotest.test_case "recovery idempotent" `Quick test_recovery_idempotent;
-          Alcotest.test_case "torn tail discarded" `Quick
-            test_recovery_discards_torn_tail;
           Alcotest.test_case "torn tail edge cases" `Quick
             test_torn_tail_edge_cases;
         ] );
