@@ -691,8 +691,8 @@ let run_compare ?only old_path new_path threshold =
         exit 2
   in
   (* [--only PREFIX] narrows the comparison to matching entry names — the
-     CI gate runs on the deterministic sim.range_scan series, where any
-     threshold break is a real cost change rather than host noise. *)
+     CI gate runs on the deterministic sim.* series, where any threshold
+     break is a real cost change rather than host noise. *)
   let restrict (d : Lsm_harness.Bench_json.doc) =
     match only with
     | None -> d

@@ -529,8 +529,9 @@ let faultsim_cmd =
   in
   let list_points_arg =
     let doc =
-      "Run the fault-free counting run and list every announced fault \
-       point with its occurrence count (valid --point values), then exit."
+      "Run the fault-free counting run and list every fault point (the \
+       valid --point values) with its occurrence count, then exit.  Points \
+       this configuration never reaches count 0."
     in
     Arg.(value & flag & info [ "list-points" ] ~doc)
   in
@@ -561,8 +562,19 @@ let faultsim_cmd =
     Arg.(value & opt int 1 & info [ "mem-shards" ] ~docv:"N" ~doc)
   in
   let point_arg =
-    let doc = "Reproduce a single plan: fault point name (with --hit)." in
-    Arg.(value & opt (some string) None & info [ "point" ] ~docv:"POINT" ~doc)
+    let doc =
+      "Reproduce a single plan: fault point name (with --hit); \
+       $(b,--list-points) lists them."
+    in
+    let points =
+      List.map
+        (fun p -> (Lsm_sim.Fault_point.name p, p))
+        Lsm_sim.Fault_point.all
+    in
+    Arg.(
+      value
+      & opt (some (enum points)) None
+      & info [ "point" ] ~docv:"POINT" ~doc)
   in
   let hit_arg =
     let doc = "Which occurrence of --point fails (1-based)." in
@@ -570,20 +582,10 @@ let faultsim_cmd =
   in
   let kind_arg =
     let doc =
-      "Fault kind for --point: $(b,crash), $(b,io) (alias $(b,io-error)), \
-       or $(b,corrupt)."
+      "Fault kind for --point: " ^ Arg.doc_alts_enum F.kind_spellings ^ "."
     in
     Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("crash", F.Crash);
-               ("io", F.Io_error);
-               ("io-error", F.Io_error);
-               ("corrupt", F.Corrupt);
-             ])
-          F.Crash
+      value & opt (enum F.kind_spellings) F.Crash
       & info [ "kind" ] ~docv:"KIND" ~doc)
   in
   let fails_arg =
@@ -606,6 +608,14 @@ let faultsim_cmd =
       Printf.eprintf "--mem-shards must be >= 1\n";
       exit 2
     end;
+    if hit < 1 then begin
+      Printf.eprintf "--hit must be >= 1\n";
+      exit 2
+    end;
+    if fails < 1 then begin
+      Printf.eprintf "--fails must be >= 1\n";
+      exit 2
+    end;
     let cfg =
       {
         Sc.default_config with
@@ -619,10 +629,9 @@ let faultsim_cmd =
     in
     if list_points then begin
       let inj, _ = Sc.run cfg in
-      Printf.printf "fault points announced (drive phase, seed %d):\n" seed;
-      List.iter
-        (fun (p, c) -> Printf.printf "  %-22s %6d\n" p c)
-        (F.hits inj);
+      Printf.printf
+        "fault points, announcements in the drive phase (seed %d):\n" seed;
+      List.iter (Format.printf "%a@." H.pp_point_count) (F.hits inj);
       print_newline ();
       print_string
         "serve-layer chaos faults (lsm_repro serve --chaos, per partition):\n\

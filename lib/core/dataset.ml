@@ -9,6 +9,7 @@
     index repair in the [Repair] section. *)
 
 module Entry = Lsm_tree.Entry
+module Fault_point = Lsm_sim.Fault_point
 
 (** Counters for the maintenance scheduler (Sec. 2.3): how
     many rounds ran, how many merge jobs they dispatched, the widest
@@ -238,12 +239,12 @@ module Make (R : Record.S) = struct
       match shard with
       | None ->
           ( Prim.mem_count t.primary > 0,
-            "dataset.flush.begin",
-            "dataset.flush.pair" )
+            Fault_point.Dataset_flush_begin,
+            Fault_point.Dataset_flush_pair )
       | Some s ->
           ( Prim.mem_shard_bytes t.primary s > 0,
-            "dataset.flush.shard.begin",
-            "dataset.flush.shard.pair" )
+            Dataset_flush_shard_begin,
+            Dataset_flush_shard_pair )
     in
     if flushed then Lsm_sim.Env.fault_point t.env begin_point;
     Prim.flush ?shard t.primary;
@@ -524,7 +525,7 @@ module Make (R : Record.S) = struct
                    (* Crash here leaves the merged primary without its
                       lockstep pk-index merge; recovery redoes the pk
                       side. *)
-                   Lsm_sim.Env.fault_point t.env "dataset.merge.pair";
+                   Lsm_sim.Env.fault_point t.env Dataset_merge_pair;
                    follow_primary t pk pc)
                  follower))
     | None -> ());
@@ -625,7 +626,7 @@ module Make (R : Record.S) = struct
     while !finished < n do
       while !next < n && List.length !active < w do
         let i = !next in
-        Lsm_sim.Env.fault_point t.env "maint.job.start";
+        Lsm_sim.Env.fault_point t.env Maint_job_start;
         active := !active @ [ (i, timed i jobs.(i).job_start) ];
         incr next;
         let overlap = List.length !active in
@@ -643,7 +644,7 @@ module Make (R : Record.S) = struct
         match !active with
         | (i, ph) :: rest when steps_done.(i) ->
             timed i ph.finish;
-            Lsm_sim.Env.fault_point t.env "maint.job.install";
+            Lsm_sim.Env.fault_point t.env Maint_job_install;
             active := rest;
             incr finished;
             drain ()

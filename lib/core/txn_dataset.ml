@@ -92,7 +92,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
       ~fsync_us:
         (dev.Lsm_sim.Device.seek_us +. dev.Lsm_sim.Device.write_us_per_page)
       ~charge:(fun us -> Lsm_sim.Env.advance env us)
-      ~fault:(fun p -> Lsm_sim.Env.fault_point env p);
+      ~fault:(Lsm_sim.Env.fault_point env);
     { d; wal; checkpoint_bitmaps = []; live_txns = 0 }
 
   let dataset t = t.d
@@ -142,7 +142,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
   let apply t txn op =
     let d = t.d in
     (* Crash here: nothing logged, nothing written — the op vanishes. *)
-    Lsm_sim.Env.fault_point (D.env d) "txn.op.begin";
+    Lsm_sim.Env.fault_point (D.env d) Txn_op_begin;
     let pk, r_opt =
       match op with
       | Op_upsert r -> (R.primary_key r, Some r)
@@ -166,7 +166,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
     txn.undo <- { redo; prior_prim; prior_pk; prior_sec } :: txn.undo;
     (* Crash here: the op's WAL record exists but its transaction has not
        committed — recovery must make the op invisible. *)
-    Lsm_sim.Env.fault_point (D.env d) "txn.op.logged"
+    Lsm_sim.Env.fault_point (D.env d) Txn_op_logged
 
   (* ------------------------------------------------------------------ *)
   (* Transactions *)
@@ -182,12 +182,12 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
 
   let commit t txn =
     (* Crash before the commit record is durable: the transaction aborts. *)
-    Lsm_sim.Env.fault_point (D.env t.d) "txn.commit.pre";
+    Lsm_sim.Env.fault_point (D.env t.d) Txn_commit_pre;
     Wal.commit t.wal ~txn:txn.id;
     t.live_txns <- t.live_txns - 1;
     (* Crash after: the transaction is committed and must survive even
        though [commit] never returned to the caller. *)
-    Lsm_sim.Env.fault_point (D.env t.d) "txn.commit.durable"
+    Lsm_sim.Env.fault_point (D.env t.d) Txn_commit_durable
 
   (** [abort t txn] applies inverse operations in reverse order: restore
       memory bindings, unset update bits. *)
@@ -257,11 +257,11 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
      the new LSN.  The [txn.ckpt.mid] fault point exists to keep this
      ordering honest. *)
   let anchor_checkpoint t =
-    Lsm_sim.Env.fault_point (D.env t.d) "txn.ckpt.begin";
+    Lsm_sim.Env.fault_point (D.env t.d) Txn_ckpt_begin;
     t.checkpoint_bitmaps <- snapshot_bitmaps t;
-    Lsm_sim.Env.fault_point (D.env t.d) "txn.ckpt.mid";
+    Lsm_sim.Env.fault_point (D.env t.d) Txn_ckpt_mid;
     Wal.checkpoint t.wal;
-    Lsm_sim.Env.fault_point (D.env t.d) "txn.ckpt.end"
+    Lsm_sim.Env.fault_point (D.env t.d) Txn_ckpt_end
 
   (** [flush t] makes all memory components durable (and runs merges);
       redo for operations up to this point is no longer needed.  Requires
@@ -281,7 +281,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
        gives unknown (post-merge) components all-valid bitmaps — correct,
        because the merge physically applied their bits — and replayed
        update records that target merged-away seqs are no-ops. *)
-    Lsm_sim.Env.fault_point (D.env t.d) "txn.flush.anchor";
+    Lsm_sim.Env.fault_point (D.env t.d) Txn_flush_anchor;
     anchor_checkpoint t
 
   (** [flush_shard t s] makes memory shard [s] of every tree durable (and
@@ -294,7 +294,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
     assert_quiescent t "flush_shard";
     Wal.sync t.wal;
     D.flush_shard_now t.d s;
-    Lsm_sim.Env.fault_point (D.env t.d) "txn.flush.anchor";
+    Lsm_sim.Env.fault_point (D.env t.d) Txn_flush_anchor;
     anchor_checkpoint t
 
   (** [checkpoint t] durably flushes the bitmap pages (Sec. 5.2: "regular

@@ -17,9 +17,11 @@
     identical announcement sequence: every failure reproduces from
     (seed, point, hit, fails) alone. *)
 
+module Point = Lsm_sim.Fault_point
+
 type kind = Lsm_sim.Env.fault_kind = Crash | Io_error | Corrupt
 
-type plan = { kind : kind; point : string; hit : int; fails : int }
+type plan = { kind : kind; point : Point.t; hit : int; fails : int }
 (** Fail at announcements [hit .. hit + fails - 1] (1-based) of
     [point].  [fails = 1] is the classic one-shot fault; [fails > 1]
     models an intermittent fault that persists across retries. *)
@@ -28,18 +30,24 @@ let plan ?(fails = 1) kind ~point ~hit = { kind; point; hit; fails }
 
 let kind_to_string = Lsm_sim.Env.string_of_fault_kind
 
-let kind_of_string = function
-  | "crash" -> Crash
-  | "io" | "io-error" -> Io_error (* both spellings; "io" is canonical *)
-  | "corrupt" -> Corrupt
-  | s -> invalid_arg ("Fault.kind_of_string: " ^ s ^ " (crash|io|io-error|corrupt)")
+(* Every accepted spelling; "io" is canonical, "io-error" an alias. *)
+let kind_spellings =
+  [
+    ("crash", Crash);
+    ("io", Io_error);
+    ("io-error", Io_error);
+    ("corrupt", Corrupt);
+  ]
+
+let kind_of_string s = List.assoc_opt s kind_spellings
 
 let describe p =
-  Printf.sprintf "%s at %s hit %d%s" (kind_to_string p.kind) p.point p.hit
+  Printf.sprintf "%s at %s hit %d%s" (kind_to_string p.kind)
+    (Point.name p.point) p.hit
     (if p.fails > 1 then Printf.sprintf " x%d" p.fails else "")
 
 type injector = {
-  counts : (string, int) Hashtbl.t;
+  counts : (Point.t, int) Hashtbl.t;
   plan : plan option;  (** [None] = counting only *)
   mutable armed : bool;
   mutable fired : bool;
@@ -50,9 +58,12 @@ let injector plan =
 
 let fired i = i.fired
 
-(** [hits i] is the per-point announcement totals, sorted by point name. *)
+(** [hits i] is every point's announcement total, in
+    {!Lsm_sim.Fault_point.all} order (unannounced points count 0). *)
 let hits i =
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) i.counts [])
+  List.map
+    (fun p -> (p, Option.value ~default:0 (Hashtbl.find_opt i.counts p)))
+    Point.all
 
 let total i = Hashtbl.fold (fun _ v acc -> acc + v) i.counts 0
 
@@ -63,7 +74,7 @@ let hook i point =
   | Some p
     when i.armed && n >= p.hit
          && n < p.hit + p.fails
-         && String.equal p.point point ->
+         && p.point = point ->
       (* Disarm after the last firing of the window: recovery and
          post-crash checking re-enter the engine, and a plan must fire a
          bounded number of times. *)

@@ -7,7 +7,12 @@
 
 type kind = Lsm_sim.Env.fault_kind = Crash | Io_error | Corrupt
 
-type plan = { kind : kind; point : string; hit : int; fails : int }
+type plan = {
+  kind : kind;
+  point : Lsm_sim.Fault_point.t;
+  hit : int;
+  fails : int;
+}
 (** Fail at announcements [hit .. hit + fails - 1] (1-based) of
     [point].  [Crash] aborts execution (the harness then runs recovery);
     [Io_error] is transient — the engine retries under its backoff
@@ -15,15 +20,18 @@ type plan = { kind : kind; point : string; hit : int; fails : int }
     outlasts the budget; [Corrupt] silently flips the page's simulated
     checksum instead of raising. *)
 
-val plan : ?fails:int -> kind -> point:string -> hit:int -> plan
+val plan : ?fails:int -> kind -> point:Lsm_sim.Fault_point.t -> hit:int -> plan
 (** [fails] defaults to 1 (a one-shot fault). *)
 
 val kind_to_string : kind -> string
 (** Canonical spellings ["crash"], ["io"], ["corrupt"]. *)
 
-val kind_of_string : string -> kind
-(** Accepts the canonical spellings plus the legacy ["io-error"].
-    @raise Invalid_argument otherwise. *)
+val kind_spellings : (string * kind) list
+(** Every accepted spelling: the canonical ones plus the alias
+    ["io-error"].  The CLI's [--kind] parser is built from this table. *)
+
+val kind_of_string : string -> kind option
+(** Looks the spelling up in {!kind_spellings}. *)
 
 val describe : plan -> string
 
@@ -38,7 +46,8 @@ val arm : injector -> Lsm_sim.Env.t -> unit
 val fired : injector -> bool
 (** Did the plan's fault actually trigger? *)
 
-val hits : injector -> (string * int) list
-(** Per-point announcement totals, sorted by point name. *)
+val hits : injector -> (Lsm_sim.Fault_point.t * int) list
+(** Every point's announcement total, in {!Lsm_sim.Fault_point.all}
+    order; points never announced count 0. *)
 
 val total : injector -> int

@@ -16,7 +16,8 @@ type failure = {
 
 type report = {
   r_cfg : Scenario.config;
-  r_points : (string * int) list;  (** counting-run announcement totals *)
+  r_points : (Lsm_sim.Fault_point.t * int) list;
+      (** counting-run announcement totals, every point *)
   r_plans : Fault.plan list;  (** every plan the matrix ran *)
   r_crashed : int;  (** plans whose fault actually fired *)
   r_not_fired : Fault.plan list;
@@ -85,8 +86,7 @@ let run ?(crash_budget = 60) ?(io_budget = 12) ?(corrupt_budget = 8)
   | msgs -> raise (Baseline_failure msgs));
   let points = Fault.hits inj0 in
   let io_points =
-    List.filter (fun (p, _) -> String.length p > 3 && String.sub p 0 3 = "io.")
-      points
+    List.filter (fun (p, _) -> Lsm_sim.Fault_point.is_io p) points
   in
   let absorbed = intermittent_budget / 2 in
   let plans =
@@ -135,6 +135,12 @@ let run ?(crash_budget = 60) ?(io_budget = 12) ?(corrupt_budget = 8)
 (* ------------------------------------------------------------------ *)
 (* Reporting *)
 
+(** One ["  <name> <count>"] listing row, the name column as wide as the
+    longest point name. *)
+let pp_point_count ppf (p, c) =
+  Format.fprintf ppf "  %-*s %6d" Lsm_sim.Fault_point.max_name_length
+    (Lsm_sim.Fault_point.name p) c
+
 (** The one command that replays a failing plan exactly. *)
 let repro_command cfg (p : Fault.plan) =
   Printf.sprintf
@@ -151,7 +157,7 @@ let repro_command cfg (p : Fault.plan) =
     (if cfg.Scenario.mem_shards > 1 then
        Printf.sprintf " --mem-shards %d" cfg.Scenario.mem_shards
      else "")
-    p.Fault.point p.Fault.hit
+    (Lsm_sim.Fault_point.name p.Fault.point) p.Fault.hit
     (Fault.kind_to_string p.Fault.kind)
     (if p.Fault.fails > 1 then Printf.sprintf " --fails %d" p.Fault.fails
      else "")
@@ -172,7 +178,8 @@ let print_report ppf r =
      else "");
   Format.fprintf ppf "fault points announced (drive phase):@.";
   List.iter
-    (fun (p, c) -> Format.fprintf ppf "  %-22s %6d@." p c)
+    (fun (p, c) ->
+      if c > 0 then Format.fprintf ppf "%a@." pp_point_count (p, c))
     r.r_points;
   Format.fprintf ppf "plans run: %d (%d fired as crashes)@."
     (List.length r.r_plans) r.r_crashed;

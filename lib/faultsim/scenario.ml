@@ -65,7 +65,9 @@ let default_config =
     mem_shards = 1;
   }
 
-type outcome = Completed | Crashed of { point : string; hit : int }
+type outcome =
+  | Completed
+  | Crashed of { point : Lsm_sim.Fault_point.t; hit : int }
 
 type pending = Op_up of Tweet.t | Op_del of int
 

@@ -152,14 +152,19 @@ let of_reports ~scale reports =
 type regression = {
   r_name : string;
   r_old : float;  (** baseline p50 *)
-  r_new : float;  (** candidate p50 *)
+  r_new : float;  (** candidate p50; nan when the candidate lacks the entry *)
   r_ratio : float;  (** new / old *)
 }
 
+(** Speedups (unit ["x"]) improve upward; every other unit we snapshot
+    is a cost. *)
+let higher_is_better e = String.equal e.unit_ "x"
+
 (** [compare_docs ~threshold old_d new_d] matches entries by name and
-    flags every one whose candidate p50 exceeds the baseline p50 by more
-    than [threshold] (lower is better for everything we snapshot).
-    Returns [(regressions, compared, only_old, only_new)]. *)
+    flags every one whose candidate p50 is worse than the baseline p50
+    by more than [threshold], in the entry's direction, plus every
+    baseline entry the candidate lacks.  Returns
+    [(regressions, compared, only_old, only_new)]. *)
 let compare_docs ~threshold old_d new_d =
   let tbl = Hashtbl.create 64 in
   List.iter (fun e -> Hashtbl.replace tbl e.name e) old_d.entries;
@@ -172,21 +177,35 @@ let compare_docs ~threshold old_d new_d =
           Hashtbl.remove tbl e.name;
           incr compared;
           let ov = p50 o and nv = p50 e in
-          (* A zero baseline (e.g. the sorted view's zero scan
-             comparisons) can't regress by ratio, so any move off zero
-             is flagged outright. *)
+          (* Orient the pair so [worse] grows on a regression.  A zero
+             [base] (e.g. the sorted view's zero scan comparisons) can't
+             regress by ratio, so any move off zero is flagged outright. *)
+          let base, worse = if higher_is_better o then (nv, ov) else (ov, nv) in
           if
             Float.is_finite ov && Float.is_finite nv
-            && ((ov > 0.0 && nv > ov *. (1.0 +. threshold))
-               || (ov = 0.0 && nv > 0.0))
+            && ((base > 0.0 && worse > base *. (1.0 +. threshold))
+               || (base = 0.0 && worse > 0.0))
           then
             regs :=
               { r_name = e.name; r_old = ov; r_new = nv; r_ratio = nv /. ov }
               :: !regs)
     new_d.entries;
-  let only_old = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
-  (List.rev !regs, !compared, List.sort compare only_old, List.rev !only_new)
+  let only_old =
+    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
+  in
+  let missing =
+    List.map
+      (fun name ->
+        let ov = p50 (Hashtbl.find tbl name) in
+        { r_name = name; r_old = ov; r_new = Float.nan; r_ratio = Float.nan })
+      only_old
+  in
+  (List.rev_append !regs missing, !compared, only_old, List.rev !only_new)
 
 let pp_regression fmt r =
-  Format.fprintf fmt "%-44s %12.1f -> %12.1f  (%+.1f%%)" r.r_name r.r_old
-    r.r_new ((r.r_ratio -. 1.0) *. 100.0)
+  if Float.is_nan r.r_new then
+    Format.fprintf fmt "%-44s %12.1f -> missing from candidate" r.r_name
+      r.r_old
+  else
+    Format.fprintf fmt "%-44s %12.1f -> %12.1f  (%+.1f%%)" r.r_name r.r_old
+      r.r_new ((r.r_ratio -. 1.0) *. 100.0)

@@ -1,6 +1,7 @@
 (** Machine-readable bench snapshots: schema-versioned JSON documents
     holding named entries with raw samples and p50/p95/p99, plus a
-    baseline comparison used by CI in advisory mode. *)
+    the baseline comparison behind CI's [sim.*] gate and its advisory
+    full compare. *)
 
 val schema : string
 (** ["lsm-repro-bench/1"]. *)
@@ -38,7 +39,7 @@ val of_reports : scale:Scale.t -> Report.t list -> doc
 type regression = {
   r_name : string;
   r_old : float;  (** baseline p50 *)
-  r_new : float;  (** candidate p50 *)
+  r_new : float;  (** candidate p50; nan when the candidate lacks the entry *)
   r_ratio : float;  (** new / old *)
 }
 
@@ -48,8 +49,10 @@ val compare_docs :
   doc ->
   regression list * int * string list * string list
 (** [compare_docs ~threshold old new] flags entries whose candidate p50
-    exceeds the baseline by more than [threshold] (lower is better).
-    Returns (regressions, compared count, names only in old, names only
-    in new). *)
+    is worse than the baseline's by more than [threshold]: higher for a
+    cost, lower for a unit-["x"] speedup.  A baseline entry missing from
+    the candidate is a regression too (with [r_new] nan).  Returns
+    (regressions, compared count, names only in old, names only in
+    new). *)
 
 val pp_regression : Format.formatter -> regression -> unit

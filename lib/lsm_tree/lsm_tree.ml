@@ -15,6 +15,7 @@
 module Entry = Entry
 module Config = Config
 module Merge_policy = Merge_policy
+module Fault_point = Lsm_sim.Fault_point
 
 (** Provenance of a disk component w.r.t. memory-shard flushes: which
     flush operation(s) produced its rows.  Lives outside the functor so
@@ -414,14 +415,14 @@ module Make (K : KEY) (V : VALUE) = struct
       (fun (key, (ts, entry)) -> { key; ts; value = entry })
       (Mbt.to_sorted_array m.table)
 
-  (* Flush pre-sorted rows into a fresh newest component.  [fault] is the
-     fault-point prefix — "lsm.flush" for whole-memory flushes,
-     "lsm.flush.shard" for per-shard ones — so the crash harness
-     enumerates both windows. *)
-  let flush_shard_rows t rows ~cmin_ts ~cmax_ts ~range_filter ~prov ~fault
-      ~reset =
+  (* Flush pre-sorted rows into a fresh newest component.  [points] is
+     the (begin, install) fault-point pair — whole-memory and per-shard
+     flushes announce distinct pairs, so the crash harness enumerates
+     both windows. *)
+  let flush_shard_rows t rows ~cmin_ts ~cmax_ts ~range_filter ~prov
+      ~points:(begin_point, install_point) ~reset =
     Lsm_sim.Env.span t.env ~cat:(name t) "lsm.flush" @@ fun () ->
-    Lsm_sim.Env.fault_point t.env (fault ^ ".begin");
+    Lsm_sim.Env.fault_point t.env begin_point;
     Lsm_sim.Env.charge_entry_visits t.env (Array.length rows);
     let c =
       mk_component t rows ~cmin_ts ~cmax_ts ~range_filter ~repaired_ts:0 ~prov
@@ -432,7 +433,7 @@ module Make (K : KEY) (V : VALUE) = struct
     Lsm_obs.Ampstats.on_flush
       (Lsm_sim.Env.amp t.env)
       ~bytes:(component_size_bytes t c) ~rows:(Array.length rows);
-    Lsm_sim.Env.fault_point t.env (fault ^ ".install")
+    Lsm_sim.Env.fault_point t.env install_point
 
   (** [flush t] turns a non-empty memory component into the newest disk
       component, inheriting the (possibly widened) memory range filter:
@@ -462,7 +463,8 @@ module Make (K : KEY) (V : VALUE) = struct
             ]
           in
           flush_shard_rows t (shard_rows m) ~cmin_ts:m.min_ts
-            ~cmax_ts:m.max_ts ~range_filter ~prov ~fault:"lsm.flush.shard"
+            ~cmax_ts:m.max_ts ~range_filter ~prov
+            ~points:(Fault_point.Lsm_flush_shard_begin, Lsm_flush_shard_install)
             ~reset:(fun () -> t.mems.(s) <- fresh_mem ())
         end
     | None ->
@@ -508,7 +510,8 @@ module Make (K : KEY) (V : VALUE) = struct
             ]
           in
           flush_shard_rows t rows ~cmin_ts ~cmax_ts ~range_filter ~prov
-            ~fault:"lsm.flush" ~reset:(fun () -> reset_memory t)
+            ~points:(Fault_point.Lsm_flush_begin, Lsm_flush_install)
+            ~reset:(fun () -> reset_memory t)
         end
 
   (* ------------------------------------------------------------------ *)
@@ -565,7 +568,7 @@ module Make (K : KEY) (V : VALUE) = struct
     if not (0 <= first && first <= last && last < n) then
       invalid_arg "Lsm_tree.merge: bad range";
     let inputs = Array.sub comps first (last - first + 1) in
-    Lsm_sim.Env.fault_point t.env "lsm.merge.begin";
+    Lsm_sim.Env.fault_point t.env Lsm_merge_begin;
     let j =
       {
         mj_inputs = inputs;
@@ -697,7 +700,7 @@ module Make (K : KEY) (V : VALUE) = struct
       ~bytes_read:j.mj_input_bytes
       ~bytes_written:(component_size_bytes t merged)
       ~rows_in:j.mj_input_rows ~rows_out:(Array.length rows);
-    Lsm_sim.Env.fault_point t.env "lsm.merge.install";
+    Lsm_sim.Env.fault_point t.env Lsm_merge_install;
     merged
 
   (** [merge t ~first ~last] merges the contiguous component range

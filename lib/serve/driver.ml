@@ -473,9 +473,9 @@ let serve ~durable ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
   in
   for i = 0 to n - 1 do
     let st = hooks.(i) in
-    Lsm_sim.Env.set_fault_hook (envof i) (fun point ->
-        if String.starts_with ~prefix:"io." point then begin
-          if st.corrupt_armed && String.equal point "io.write" then begin
+    Lsm_sim.Env.set_fault_hook (envof i) (function
+      | (Lsm_sim.Fault_point.Io_read | Io_write) as point ->
+          if st.corrupt_armed && point = Io_write then begin
             st.corrupt_armed <- false;
             st.corrupt_hit <- true;
             raise
@@ -490,7 +490,7 @@ let serve ~durable ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
                 (Lsm_sim.Env.Injected_fault
                    { kind = Lsm_sim.Env.Io_error; point; hit = k + 1 })
           end
-        end)
+      | _ -> ())
   done;
   let frts =
     List.map
@@ -534,9 +534,10 @@ let serve ~durable ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
                 hooks.(i).io_on <- false;
                 let t0 = Lsm_sim.Env.now_us env in
                 (* The WAL scan: recovery reads the log back from the
-                   device before replaying (Txn_dataset keeps its redo
-                   list in memory, so the read cost is modeled here —
-                   ~64B per record, sequential, uncached). *)
+                   device before replaying.  The simulated WAL holds its
+                   records in memory and charges only fsyncs, so the
+                   read cost is modeled here — ~64B per record,
+                   sequential, uncached. *)
                 let wal_pages =
                   let per_page = max 1 (Lsm_sim.Env.page_size env / 64) in
                   (Rt.wal_length rt i + per_page - 1) / per_page

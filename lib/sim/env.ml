@@ -57,9 +57,9 @@ type t = {
   amp : Lsm_obs.Ampstats.t;
       (** flush/merge amplification accounting; always on — the engine
           reports every flush and merge here *)
-  mutable fault : (string -> unit) option;
+  mutable fault : (Fault_point.t -> unit) option;
       (** fault-injection hook; [None] by default, so every {!fault_point}
-          in the engine costs one branch.  The hook observes the point name
+          in the engine costs one branch.  The hook observes the point
           and may raise {!Injected_fault} to simulate a crash, a transient
           I/O error, or silent corruption at exactly that point. *)
   mutable retry : Resilience.policy;
@@ -123,7 +123,7 @@ and view_stats = {
 type fault_kind = Crash | Io_error | Corrupt
 
 exception
-  Injected_fault of { kind : fault_kind; point : string; hit : int }
+  Injected_fault of { kind : fault_kind; point : Fault_point.t; hit : int }
 
 let string_of_fault_kind = function
   | Crash -> "crash"
@@ -135,7 +135,8 @@ let () =
     | Injected_fault { kind; point; hit } ->
         Some
           (Printf.sprintf "Injected_fault(%s at %s hit %d)"
-             (string_of_fault_kind kind) point hit)
+             (string_of_fault_kind kind)
+             (Fault_point.name point) hit)
     | _ -> None)
 
 (** [create ?cache_bytes ?cpu device] builds an environment.  The default
@@ -201,12 +202,12 @@ let create ?(cache_bytes = 64 * 1024 * 1024) ?read_ahead_bytes ?cpu device =
     n_corrupt = 0;
   }
 
-(** [fault_point t name] announces a potential failure site to the
+(** [fault_point t point] announces a potential failure site to the
     installed fault hook (if any).  The engine places these at every
     crash-relevant transition — page I/O, flush/merge begin and install,
     WAL append/commit, checkpoint phases — so a fault plan can enumerate
     and target them deterministically. *)
-let fault_point t name = match t.fault with None -> () | Some f -> f name
+let fault_point t point = match t.fault with None -> () | Some f -> f point
 
 let set_fault_hook t f = t.fault <- Some f
 let clear_fault_hook t = t.fault <- None
@@ -371,7 +372,7 @@ let read_page t ~file ~page =
     advance t t.cpu.page_hit_us
   end
   else begin
-    announce_io t "io.read" ~file ~page;
+    announce_io t Fault_point.Io_read ~file ~page;
     t.stats.Io_stats.cache_misses <- t.stats.Io_stats.cache_misses + 1;
     t.stats.Io_stats.pages_read <- t.stats.Io_stats.pages_read + 1;
     let sequential = t.head_file = file && t.head_page + 1 = page in
@@ -397,7 +398,7 @@ let read_page t ~file ~page =
     OS page cache would). *)
 let write_pages t ~file ~first ~count =
   if count > 0 then begin
-    announce_io t "io.write" ~file ~page:first;
+    announce_io t Fault_point.Io_write ~file ~page:first;
     t.stats.Io_stats.pages_written <- t.stats.Io_stats.pages_written + count;
     t.stats.Io_stats.write_batches <- t.stats.Io_stats.write_batches + 1;
     advance t

@@ -19,9 +19,10 @@ type t
 
     Environments carry an optional fault hook, [None] by default (one
     predicted branch per {!fault_point}).  The engine announces every
-    crash-relevant transition — cache-missing page reads ([io.read]),
-    page-write batches ([io.write]), flush/merge begin and install, WAL
-    append/commit boundaries, checkpoint phases — and an installed hook
+    crash-relevant transition — one {!Fault_point.t} each: cache-missing
+    page reads ([Io_read]), page-write batches ([Io_write]), flush/merge
+    begin and install, WAL append/commit boundaries, checkpoint phases —
+    and an installed hook
     may raise {!Injected_fault} to simulate a crash, a transient I/O
     error, or silent page corruption at exactly that point.  See
     [lib/faultsim]. *)
@@ -29,7 +30,7 @@ type t
 type fault_kind = Crash | Io_error | Corrupt
 
 exception
-  Injected_fault of { kind : fault_kind; point : string; hit : int }
+  Injected_fault of { kind : fault_kind; point : Fault_point.t; hit : int }
 (** Raised by fault hooks.  [hit] is the 1-based occurrence index of
     [point] within the run, so a failure reproduces from (seed, point,
     hit) alone. *)
@@ -37,16 +38,16 @@ exception
 val string_of_fault_kind : fault_kind -> string
 (** Canonical spellings: ["crash"], ["io"], ["corrupt"]. *)
 
-val fault_point : t -> string -> unit
-(** [fault_point t name] announces the failure site [name] to the
+val fault_point : t -> Fault_point.t -> unit
+(** [fault_point t point] announces the failure site [point] to the
     installed hook, if any. *)
 
-val set_fault_hook : t -> (string -> unit) -> unit
+val set_fault_hook : t -> (Fault_point.t -> unit) -> unit
 val clear_fault_hook : t -> unit
 
 (** {1 Resilience}
 
-    The I/O announcement sites ([io.read], [io.write]) absorb transient
+    The I/O announcement sites ([Io_read], [Io_write]) absorb transient
     injected faults: an [Io_error] is retried under the environment's
     {!Resilience.policy} with exponential backoff charged to the
     simulated clock, and each retry re-announces the point (so an

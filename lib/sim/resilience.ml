@@ -25,7 +25,7 @@ let backoff p ~attempt =
   p.backoff_us *. (p.backoff_factor ** Float.of_int attempt)
 
 exception
-  Unrecoverable of { point : string; hit : int; attempts : int }
+  Unrecoverable of { point : Fault_point.t; hit : int; attempts : int }
 (** A transient fault persisted through every retry.  [point] and [hit]
     identify the injected fault that exhausted the budget; [attempts]
     counts tries made (first + retries). *)
@@ -35,5 +35,5 @@ let () =
     | Unrecoverable { point; hit; attempts } ->
         Some
           (Printf.sprintf "Resilience.Unrecoverable(%s hit %d after %d attempts)"
-             point hit attempts)
+             (Fault_point.name point) hit attempts)
     | _ -> None)

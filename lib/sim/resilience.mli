@@ -16,6 +16,6 @@ val backoff : policy -> attempt:int -> float
 (** Simulated sleep before retry [attempt] (0-based). *)
 
 exception
-  Unrecoverable of { point : string; hit : int; attempts : int }
+  Unrecoverable of { point : Fault_point.t; hit : int; attempts : int }
 (** A transient fault persisted through every retry; [attempts] counts
     tries made (first + retries). *)

@@ -47,7 +47,7 @@ type 'a t = {
   mutable fsync_us : float;  (** simulated cost of one log fsync *)
   mutable charge : float -> unit;
       (** clock hook: charges fsync time to the owning environment *)
-  mutable fault : string -> unit;
+  mutable fault : Lsm_sim.Fault_point.t -> unit;
       (** fault-point hook: announces the group-commit crash windows
           ([wal.group.seal] / [wal.group.fsync] / [wal.group.ack]) to the
           owning environment's fault-injection machinery *)
@@ -125,13 +125,13 @@ let fsync_group t =
   match t.group with
   | [] -> ()
   | g ->
-      t.fault "wal.group.seal";
+      t.fault Wal_group_seal;
       charge_fsync t;
-      t.fault "wal.group.fsync";
+      t.fault Wal_group_fsync;
       List.iter (fun txn -> mark_durable t txn) (List.rev g);
       t.sync_stats.groups_sealed <- t.sync_stats.groups_sealed + 1;
       t.group <- [];
-      t.fault "wal.group.ack"
+      t.fault Wal_group_ack
 
 (** [sync t] is the group-commit barrier: seal and fsync the open group,
     if any.  Callers must issue it before any action that assumes the log

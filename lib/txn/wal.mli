@@ -26,7 +26,11 @@ val set_tracer : 'a t -> Lsm_obs.Tracer.t -> unit
     simulated clock. *)
 
 val set_sync_hooks :
-  'a t -> fsync_us:float -> charge:(float -> unit) -> fault:(string -> unit) -> unit
+  'a t ->
+  fsync_us:float ->
+  charge:(float -> unit) ->
+  fault:(Lsm_sim.Fault_point.t -> unit) ->
+  unit
 (** Attach the owning environment's cost model and fault machinery:
     [charge] advances the simulated clock by [fsync_us] per log fsync,
     and [fault] announces the [wal.group.*] crash windows. *)

@@ -366,11 +366,58 @@ let test_faultsim_single_plan () =
        [ "faultsim"; "--seed"; "3"; "--txns"; "15"; "--point";
          "dataset.flush.pair"; "--hit"; "1"; "--kind"; "crash" ])
 
+(* A real point this configuration never announces (the group seal
+   without --group-commit) runs the scenario and reports an unfired plan. *)
 let test_faultsim_unreachable_plan_fails () =
   Alcotest.(check int) "unfired plan exits 1" 1
     (run
-       [ "faultsim"; "--seed"; "3"; "--txns"; "15"; "--point"; "no.such.point";
+       [ "faultsim"; "--seed"; "3"; "--txns"; "15"; "--point"; "wal.group.seal";
          "--hit"; "1" ])
+
+(* Plans that can never fire are usage errors, rejected before any run. *)
+let test_faultsim_bad_plan_usage () =
+  let base = [ "faultsim"; "--seed"; "3"; "--txns"; "15" ] in
+  Alcotest.(check int) "unknown --point exits 2" 2
+    (run (base @ [ "--point"; "no.such.point"; "--hit"; "1" ]));
+  Alcotest.(check int) "misspelt --point exits 2" 2
+    (run (base @ [ "--point"; "lsm.flsh.begin" ]));
+  Alcotest.(check int) "--hit 0 exits 2" 2
+    (run (base @ [ "--point"; "io.read"; "--hit"; "0" ]));
+  Alcotest.(check int) "--fails 0 exits 2" 2
+    (run (base @ [ "--point"; "io.read"; "--fails"; "0" ]));
+  Alcotest.(check int) "unknown --kind exits 2" 2
+    (run (base @ [ "--point"; "io.read"; "--kind"; "bogus" ]))
+
+(* --list-points prints the whole closed set, one aligned line per point,
+   with 0 for the points this configuration never reaches. *)
+let test_faultsim_list_points () =
+  let path = Filename.temp_file "points" ".txt" in
+  let code =
+    Sys.command
+      (Filename.quote_command exe ~stdout:path ~stderr:"/dev/null"
+         [ "faultsim"; "--seed"; "3"; "--txns"; "15"; "--list-points" ])
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  let lines = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  let rows =
+    List.filter_map
+      (fun l ->
+        match List.filter (( <> ) "") (String.split_on_char ' ' l) with
+        | [ name; count ] when Lsm_sim.Fault_point.of_name name <> None ->
+            Some (l, name, int_of_string count)
+        | _ -> None)
+      (String.split_on_char '\n' lines)
+  in
+  Alcotest.(check (list string)) "every point, in type order"
+    (List.map Lsm_sim.Fault_point.name Lsm_sim.Fault_point.all)
+    (List.map (fun (_, n, _) -> n) rows);
+  Alcotest.(check int) "unreached point shows 0" 0
+    (List.assoc "wal.group.seal" (List.map (fun (_, n, c) -> (n, c)) rows));
+  Alcotest.(check int) "aligned count column" 1
+    (List.length
+       (List.sort_uniq compare
+          (List.map (fun (l, _, _) -> String.length l) rows)))
 
 (* Group-commit + overlapping-maintenance flags: matrices pass, the
    repro-command contract reaches the new fault points, and nonsense
@@ -463,6 +510,10 @@ let () =
             test_faultsim_single_plan;
           Alcotest.test_case "unfired plan fails" `Quick
             test_faultsim_unreachable_plan_fails;
+          Alcotest.test_case "bad plan is a usage error" `Quick
+            test_faultsim_bad_plan_usage;
+          Alcotest.test_case "list-points covers the type" `Quick
+            test_faultsim_list_points;
           Alcotest.test_case "grouped matrix passes" `Quick
             test_faultsim_grouped_ok;
           Alcotest.test_case "group/maint point repro" `Quick

@@ -7,6 +7,9 @@ module F = Lsm_faultsim.Fault
 module Sc = Lsm_faultsim.Scenario
 module Ch = Lsm_faultsim.Checker
 module H = Lsm_faultsim.Harness
+module P = Lsm_sim.Fault_point
+
+let point = Alcotest.testable (fun ppf p -> Fmt.string ppf (P.name p)) ( = )
 
 let small ?(validation = false) ?(seed = 7) ?(group_commit = 1)
     ?(maint_workers = 1) ?(mem_shards = 1) () =
@@ -37,7 +40,7 @@ let sharded ?validation ?seed () = small ?validation ?seed ~mem_shards:4 ()
 let test_counting_deterministic () =
   let inj1, st1 = Sc.run (small ()) in
   let inj2, st2 = Sc.run (small ()) in
-  Alcotest.(check (list (pair string int)))
+  Alcotest.(check (list (pair point int)))
     "announcement totals repeat" (F.hits inj1) (F.hits inj2);
   Alcotest.(check int)
     "model state repeats"
@@ -54,16 +57,16 @@ let test_counting_covers_required_points () =
     (fun p ->
       match List.assoc_opt p hits with
       | Some n when n > 0 -> ()
-      | _ -> Alcotest.failf "fault point %s never announced" p)
+      | _ -> Alcotest.failf "fault point %s never announced" (P.name p))
     [
-      "io.read"; "io.write"; "lsm.flush.begin"; "lsm.flush.install";
-      "lsm.merge.begin"; "lsm.merge.install"; "dataset.flush.begin";
-      "dataset.flush.pair"; "dataset.merge.pair"; "txn.op.begin";
-      "txn.op.logged"; "txn.commit.pre"; "txn.commit.durable";
-      "txn.ckpt.begin"; "txn.ckpt.mid"; "txn.ckpt.end"; "txn.flush.anchor";
+      P.Io_read; Io_write; Lsm_flush_begin; Lsm_flush_install;
+      Lsm_merge_begin; Lsm_merge_install; Dataset_flush_begin;
+      Dataset_flush_pair; Dataset_merge_pair; Txn_op_begin;
+      Txn_op_logged; Txn_commit_pre; Txn_commit_durable;
+      Txn_ckpt_begin; Txn_ckpt_mid; Txn_ckpt_end; Txn_flush_anchor;
       (* One worker runs the same scheduler, so its job boundaries are
          crash points too. *)
-      "maint.job.start"; "maint.job.install";
+      Maint_job_start; Maint_job_install;
     ]
 
 (* Under group commit + overlapped maintenance the enumerator must also
@@ -77,16 +80,16 @@ let test_counting_covers_group_points () =
     (fun p ->
       match List.assoc_opt p hits with
       | Some n when n > 0 -> ()
-      | _ -> Alcotest.failf "fault point %s never announced" p)
+      | _ -> Alcotest.failf "fault point %s never announced" (P.name p))
     [
-      "wal.group.seal"; "wal.group.fsync"; "wal.group.ack";
-      "maint.job.start"; "maint.job.install";
+      P.Wal_group_seal; Wal_group_fsync; Wal_group_ack;
+      Maint_job_start; Maint_job_install;
     ];
   (* Without group commit no group window is announced. *)
   let inj0, _ = Sc.run (small ()) in
-  match List.assoc_opt "wal.group.seal" (F.hits inj0) with
-  | None -> ()
-  | Some n -> Alcotest.failf "ungrouped run announced wal.group.seal %d times" n
+  match List.assoc P.Wal_group_seal (F.hits inj0) with
+  | 0 -> ()
+  | n -> Alcotest.failf "ungrouped run announced wal.group.seal %d times" n
 
 (* Sharded memtables expose per-shard flush windows: the dataset-level
    shard flush (each tree pair flushed for one shard) and the tree-level
@@ -99,21 +102,57 @@ let test_counting_covers_shard_points () =
     (fun p ->
       match List.assoc_opt p hits with
       | Some n when n > 0 -> ()
-      | _ -> Alcotest.failf "fault point %s never announced" p)
+      | _ -> Alcotest.failf "fault point %s never announced" (P.name p))
     [
-      "dataset.flush.shard.begin"; "dataset.flush.shard.pair";
-      "lsm.flush.shard.begin"; "lsm.flush.shard.install";
+      P.Dataset_flush_shard_begin; Dataset_flush_shard_pair;
+      Lsm_flush_shard_begin; Lsm_flush_shard_install;
     ];
   let inj0, _ = Sc.run (small ()) in
   List.iter
     (fun p ->
-      match List.assoc_opt p (F.hits inj0) with
-      | None -> ()
-      | Some n -> Alcotest.failf "unsharded run announced %s %d times" p n)
-    [ "dataset.flush.shard.begin"; "lsm.flush.shard.begin" ]
+      match List.assoc p (F.hits inj0) with
+      | 0 -> ()
+      | n ->
+          Alcotest.failf "unsharded run announced %s %d times" (P.name p) n)
+    [ P.Dataset_flush_shard_begin; Lsm_flush_shard_begin ]
+
+(* Exhaustiveness: the fullest configuration (group commit, overlapping
+   maintenance, sharded memtables) under Mutable-bitmap announces every
+   point of the closed set.  A constructor no scenario reaches is dead
+   weight in the fault matrix and fails here. *)
+let test_counting_covers_every_point () =
+  let inj, _ =
+    Sc.run (small ~group_commit:4 ~maint_workers:2 ~mem_shards:4 ())
+  in
+  List.iter
+    (fun (p, n) ->
+      if n < 1 then Alcotest.failf "fault point %s never announced" (P.name p))
+    (F.hits inj);
+  Alcotest.(check (list point)) "hits cover the type in order" P.all
+    (List.map fst (F.hits inj))
+
+(* Every constructor's name parses back to it; the list is in name order
+   with no duplicates; only the page-I/O points are I/O points. *)
+let test_point_names_round_trip () =
+  List.iter
+    (fun p ->
+      Alcotest.(check (option point)) (P.name p ^ " round-trips") (Some p)
+        (P.of_name (P.name p));
+      Alcotest.(check bool) (P.name p ^ " is_io")
+        (String.starts_with ~prefix:"io." (P.name p))
+        (P.is_io p))
+    P.all;
+  let names = List.map P.name P.all in
+  Alcotest.(check (list string)) "name order, unique"
+    (List.sort_uniq compare names) names;
+  Alcotest.(check (option point)) "unknown name" None
+    (P.of_name "lsm.flsh.begin");
+  Alcotest.(check int) "longest name"
+    (List.fold_left (fun m s -> max m (String.length s)) 0 names)
+    P.max_name_length
 
 let test_select_plans () =
-  let hits = [ ("a", 100); ("b", 3); ("c", 1) ] in
+  let hits = [ (P.Io_read, 100); (P.Io_write, 3); (P.Txn_op_begin, 1) ] in
   let plans = H.select_plans ~kind:F.Crash ~budget:20 hits in
   Alcotest.(check bool)
     "budget roughly met" true
@@ -122,18 +161,19 @@ let test_select_plans () =
     (fun { F.point; hit; _ } ->
       let c = List.assoc point hits in
       if hit < 1 || hit > c then
-        Alcotest.failf "plan hit %d out of range for %s (count %d)" hit point c)
+        Alcotest.failf "plan hit %d out of range for %s (count %d)" hit
+          (P.name point) c)
     plans;
   (* every point gets at least one plan; hits within a point are unique *)
   List.iter
     (fun (p, _) ->
       let mine = List.filter (fun { F.point; _ } -> point = p) plans in
-      Alcotest.(check bool) (p ^ " covered") true (mine <> []);
+      Alcotest.(check bool) (P.name p ^ " covered") true (mine <> []);
       let hs = List.map (fun { F.hit; _ } -> hit) mine in
-      Alcotest.(check int) (p ^ " hits unique") (List.length hs)
+      Alcotest.(check int) (P.name p ^ " hits unique") (List.length hs)
         (List.length (List.sort_uniq compare hs)))
     hits;
-  Alcotest.(check (list (pair string int)))
+  Alcotest.(check (list (pair point int)))
     "selection is deterministic"
     (List.map (fun { F.point; hit; _ } -> (point, hit)) plans)
     (List.map
@@ -192,75 +232,77 @@ let test_matrix_sharded_validation () =
    must fire, recovery must pass the checker, and the system must accept
    new work afterwards. *)
 let run_point_cfg cfg point =
+  let name = P.name point in
   let inj0, _ = Sc.run cfg in
-  match List.assoc_opt point (F.hits inj0) with
-  | None | Some 0 -> Alcotest.failf "point %s never announced" point
-  | Some c ->
+  match List.assoc point (F.hits inj0) with
+  | 0 -> Alcotest.failf "point %s never announced" name
+  | c ->
       let plan = F.plan F.Crash ~point ~hit:((c / 2) + 1) in
       let inj, st = Sc.run ~plan cfg in
-      Alcotest.(check bool) (point ^ " fired") true (F.fired inj);
+      Alcotest.(check bool) (name ^ " fired") true (F.fired inj);
       Alcotest.(check bool)
-        (point ^ " crashed") true
+        (name ^ " crashed") true
         (match st.Sc.outcome with Sc.Crashed _ -> true | _ -> false);
       (match Ch.check st with
       | [] -> ()
       | msgs ->
-          Alcotest.failf "%s: post-recovery check failed:@.%s" point
+          Alcotest.failf "%s: post-recovery check failed:@.%s" name
             (String.concat "\n" msgs));
       Sc.smoke st;
       match Ch.check st with
       | [] -> ()
       | msgs ->
-          Alcotest.failf "%s: post-smoke check failed:@.%s" point
+          Alcotest.failf "%s: post-smoke check failed:@.%s" name
             (String.concat "\n" msgs)
 
 let run_point ?validation point = run_point_cfg (small ?validation ()) point
 
-let test_crash_between_pair_flush () = run_point "dataset.flush.pair"
-let test_crash_mid_lockstep_merge () = run_point "dataset.merge.pair"
-let test_crash_mid_checkpoint () = run_point "txn.ckpt.mid"
-let test_crash_at_commit_durable () = run_point "txn.commit.durable"
-let test_crash_before_commit () = run_point "txn.commit.pre"
-let test_crash_at_merge_install () = run_point "lsm.merge.install"
-let test_crash_validation_flush () = run_point ~validation:true "dataset.flush.begin"
+let test_crash_between_pair_flush () = run_point P.Dataset_flush_pair
+let test_crash_mid_lockstep_merge () = run_point P.Dataset_merge_pair
+let test_crash_mid_checkpoint () = run_point P.Txn_ckpt_mid
+let test_crash_at_commit_durable () = run_point P.Txn_commit_durable
+let test_crash_before_commit () = run_point P.Txn_commit_pre
+let test_crash_at_merge_install () = run_point P.Lsm_merge_install
+let test_crash_validation_flush () =
+  run_point ~validation:true P.Dataset_flush_begin
 
 (* Group-commit crash windows: before the group fsync (the whole group is
    torn — every member must be discarded), after the fsync but before the
    durable frontier advances, and after durability but before the ack. *)
-let test_crash_at_group_seal () = run_point_cfg (grouped ()) "wal.group.seal"
-let test_crash_at_group_fsync () = run_point_cfg (grouped ()) "wal.group.fsync"
-let test_crash_at_group_ack () = run_point_cfg (grouped ()) "wal.group.ack"
+let test_crash_at_group_seal () = run_point_cfg (grouped ()) P.Wal_group_seal
+let test_crash_at_group_fsync () = run_point_cfg (grouped ()) P.Wal_group_fsync
+let test_crash_at_group_ack () = run_point_cfg (grouped ()) P.Wal_group_ack
 
 (* Crashes inside the overlapping scheduler: at a job admission (merges
    in flight but nothing installed) and at a job install (a prefix of the
    round's merges installed, the rest abandoned). *)
 let test_crash_at_maint_job_start () =
-  run_point_cfg (grouped ()) "maint.job.start"
+  run_point_cfg (grouped ()) P.Maint_job_start
 
 let test_crash_at_maint_job_install () =
-  run_point_cfg (grouped ()) "maint.job.install"
+  run_point_cfg (grouped ()) P.Maint_job_install
 
 let test_crash_grouped_lockstep_merge () =
-  run_point_cfg (grouped ()) "dataset.merge.pair"
+  run_point_cfg (grouped ()) P.Dataset_merge_pair
 
 (* Per-shard flush crash windows: between the two trees of a shard flush
    (primary durable for the shard, a secondary not), and at the tree-level
    shard install (the shard's component on disk but the in-memory shard
    not yet cleared at crash time). *)
 let test_crash_between_shard_pair () =
-  run_point_cfg (sharded ()) "dataset.flush.shard.pair"
+  run_point_cfg (sharded ()) P.Dataset_flush_shard_pair
 
 let test_crash_at_shard_install () =
-  run_point_cfg (sharded ()) "lsm.flush.shard.install"
+  run_point_cfg (sharded ()) P.Lsm_flush_shard_install
 
 let test_crash_at_shard_begin_validation () =
-  run_point_cfg (sharded ~validation:true ()) "dataset.flush.shard.begin"
+  run_point_cfg (sharded ~validation:true ()) P.Dataset_flush_shard_begin
 
 (* A transient I/O error during a query is retried and the run completes
    with no crash at all. *)
 let test_transient_io_error_retried () =
   let cfg = small () in
-  let plan = F.plan F.Io_error ~point:"io.read" ~hit:3 in
+  let plan = F.plan F.Io_error ~point:P.Io_read ~hit:3 in
   let inj, st = Sc.run ~plan cfg in
   Alcotest.(check bool) "io error fired" true (F.fired inj);
   (* The engine's retry/backoff absorbs a one-shot transient fault at the
@@ -280,13 +322,12 @@ let test_kind_round_trip () =
       Alcotest.(check bool)
         (F.kind_to_string k ^ " round-trips")
         true
-        (F.kind_of_string (F.kind_to_string k) = k))
+        (F.kind_of_string (F.kind_to_string k) = Some k))
     [ F.Crash; F.Io_error; F.Corrupt ];
   Alcotest.(check bool) "io-error alias" true
-    (F.kind_of_string "io-error" = F.Io_error);
-  (match F.kind_of_string "bogus" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "bogus kind accepted");
+    (F.kind_of_string "io-error" = Some F.Io_error);
+  Alcotest.(check bool) "bogus kind rejected" true
+    (F.kind_of_string "bogus" = None);
   (* The Env printer and Fault use the same spelling. *)
   List.iter
     (fun k ->
@@ -301,10 +342,10 @@ let test_kind_round_trip () =
 let test_corrupt_detected_and_healed () =
   let cfg = small () in
   let inj0, _ = Sc.run cfg in
-  match List.assoc_opt "io.write" (F.hits inj0) with
-  | None | Some 0 -> Alcotest.fail "io.write never announced"
-  | Some c ->
-      let plan = F.plan F.Corrupt ~point:"io.write" ~hit:((c / 2) + 1) in
+  match List.assoc P.Io_write (F.hits inj0) with
+  | 0 -> Alcotest.fail "io.write never announced"
+  | c ->
+      let plan = F.plan F.Corrupt ~point:P.Io_write ~hit:((c / 2) + 1) in
       let inj, st = Sc.run ~plan cfg in
       Alcotest.(check bool) "corruption fired" true (F.fired inj);
       Alcotest.(check bool) "completed (no crash)" true
@@ -328,7 +369,7 @@ let test_corrupt_detected_and_healed () =
    absorbed entirely at the I/O site: the run completes with no crash. *)
 let test_intermittent_absorbed () =
   let cfg = small () in
-  let plan = F.plan ~fails:2 F.Io_error ~point:"io.read" ~hit:5 in
+  let plan = F.plan ~fails:2 F.Io_error ~point:P.Io_read ~hit:5 in
   let inj, st = Sc.run ~plan cfg in
   Alcotest.(check bool) "fired" true (F.fired inj);
   Alcotest.(check bool) "completed" true (st.Sc.outcome = Sc.Completed);
@@ -338,9 +379,11 @@ let test_intermittent_absorbed () =
   | [] -> ()
   | msgs -> Alcotest.failf "intermittent run failed:@.%s" (String.concat "\n" msgs)
 
-(* An unreachable plan never fires and the scenario just completes. *)
+(* A plan on a point this configuration never reaches (the group-commit
+   seal without group commit) never fires and the scenario just
+   completes. *)
 let test_unreachable_plan () =
-  let inj, st = Sc.run ~plan:(F.plan F.Crash ~point:"no.such.point" ~hit:1)
+  let inj, st = Sc.run ~plan:(F.plan F.Crash ~point:P.Wal_group_seal ~hit:1)
       (small ())
   in
   Alcotest.(check bool) "not fired" false (F.fired inj);
@@ -359,6 +402,10 @@ let () =
             test_counting_covers_group_points;
           Alcotest.test_case "per-shard points announced" `Quick
             test_counting_covers_shard_points;
+          Alcotest.test_case "every point announced" `Quick
+            test_counting_covers_every_point;
+          Alcotest.test_case "point names round-trip" `Quick
+            test_point_names_round_trip;
           Alcotest.test_case "plan selection" `Quick test_select_plans;
         ] );
       ( "matrix",

@@ -660,6 +660,48 @@ let test_bench_compare () =
       Alcotest.(check (float 1e-9)) "ratio" 2.0 r.B.r_ratio
   | _ -> Alcotest.failf "expected 1 regression, got %d" (List.length regs)
 
+(* A gated entry the candidate dropped is a regression, not a silent
+   pass. *)
+let test_bench_compare_missing () =
+  let old_d = bench_doc () in
+  let new_d =
+    {
+      old_d with
+      B.entries = [ { B.name = "a"; unit_ = "ns/run"; samples = [| 2.0 |] } ];
+    }
+  in
+  let regs, compared, only_old, _ =
+    B.compare_docs ~threshold:0.15 old_d new_d
+  in
+  Alcotest.(check int) "compared" 1 compared;
+  Alcotest.(check (list string)) "only old" [ "b" ] only_old;
+  match regs with
+  | [ r ] ->
+      Alcotest.(check string) "missing entry flagged" "b" r.B.r_name;
+      Alcotest.(check bool) "no candidate value" true (Float.is_nan r.B.r_new)
+  | _ -> Alcotest.failf "expected 1 regression, got %d" (List.length regs)
+
+(* Unit "x" is a speedup: a fall regresses, a rise does not. *)
+let test_bench_compare_speedup () =
+  let doc v =
+    {
+      B.kind = "micro";
+      scale = None;
+      entries = [ { B.name = "s"; unit_ = "x"; samples = [| v |] } ];
+    }
+  in
+  let regs old_v new_v =
+    let r, _, _, _ = B.compare_docs ~threshold:0.10 (doc old_v) (doc new_v) in
+    List.map (fun r -> r.B.r_name) r
+  in
+  let check msg want old_v new_v =
+    Alcotest.(check (list string)) msg want (regs old_v new_v)
+  in
+  check "1.29 -> 1.0 regresses" [ "s" ] 1.29 1.0;
+  check "1.29 -> 1.2 within threshold" [] 1.29 1.2;
+  check "1.29 -> 2.0 improves" [] 1.29 2.0;
+  check "fall to zero regresses" [ "s" ] 1.29 0.0
+
 let test_bench_of_reports () =
   let r =
     Lsm_harness.Report.make ~id:"figX" ~title:"t"
@@ -1082,6 +1124,10 @@ let () =
             test_bench_schema_rejected;
           Alcotest.test_case "compare flags regressions" `Quick
             test_bench_compare;
+          Alcotest.test_case "compare flags a missing entry" `Quick
+            test_bench_compare_missing;
+          Alcotest.test_case "compare: speedups improve upward" `Quick
+            test_bench_compare_speedup;
           Alcotest.test_case "reports -> entries" `Quick test_bench_of_reports;
         ] );
     ]

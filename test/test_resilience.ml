@@ -70,7 +70,8 @@ let test_backoff_advances_clock () =
   in
   let dt_clean, r_clean = run None in
   let dt_fault, r_fault =
-    run (Some (F.plan ~fails:2 F.Io_error ~point:"io.read" ~hit:1))
+    run
+      (Some (F.plan ~fails:2 F.Io_error ~point:Lsm_sim.Fault_point.Io_read ~hit:1))
   in
   Alcotest.(check int) "clean run retries nothing" 0 r_clean;
   Alcotest.(check bool) "fault absorbed by retries" true (r_fault >= 2);
@@ -91,12 +92,18 @@ let test_retry_exhaustion_no_partials () =
   for i = 1 to 60 do
     ignore (D.insert d (tw ~user:(i mod 7) ~at:i i))
   done;
-  let inj = F.injector (Some (F.plan ~fails:1000 F.Io_error ~point:"io.write" ~hit:1)) in
+  let inj =
+    F.injector
+      (Some
+         (F.plan ~fails:1000 F.Io_error ~point:Lsm_sim.Fault_point.Io_write
+            ~hit:1))
+  in
   F.arm inj env;
   (match D.flush_now d with
   | () -> Alcotest.fail "flush succeeded under a persistent io fault"
   | exception Resilience.Unrecoverable { point; attempts; _ } ->
-      Alcotest.(check string) "failed at the write site" "io.write" point;
+      Alcotest.(check bool) "failed at the write site" true
+        (point = Lsm_sim.Fault_point.Io_write);
       Alcotest.(check bool) "attempts counted" true (attempts >= 1));
   Env.clear_fault_hook env;
   let r = Env.resil env in
