@@ -415,6 +415,25 @@ let sim_parallel_maint_entries () =
     e "sim.parallel_maint.w2.speedup" "x" speedup;
   ]
 
+(* Concurrent-merge series (Fig. 23), same contract: the simulated merge
+   time of one Fig. 23 cell — 4 components of 1,000 records of 100 B,
+   writers updating existing keys half the time — per protocol. *)
+let sim_concurrent_merge_entries () =
+  List.map
+    (fun (m, label) ->
+      let us =
+        Lsm_harness.Fig23.merge_time ~method_:m ~update_ratio:0.5 ~comps:4
+          ~records_per_comp:1_000 ~record_bytes:100
+      in
+      Printf.printf "sim.concurrent_merge %-9s %10.0fus\n" label us;
+      {
+        Lsm_harness.Bench_json.name =
+          Printf.sprintf "sim.concurrent_merge.%s.merge_us" label;
+        unit_ = "us/run";
+        samples = [| us |];
+      })
+    [ (CM.Baseline, "baseline"); (CM.Side_file, "side_file"); (CM.Lock, "lock") ]
+
 (* Sharded-memtable series, same contract: two open-loop runs at the
    same offered rate — 0.8x of one capacity estimate made on the
    unsharded config — differing only in mem_shards.  The budget is 2x
@@ -602,6 +621,7 @@ let run_micro ?(quota = 0.4) ?json_path () =
     sim_range_scan_entries () @ sim_serve_entries ()
     @ sim_serve_chaos_entries () @ sim_group_commit_entries ()
     @ sim_parallel_maint_entries () @ sim_shard_entries ()
+    @ sim_concurrent_merge_entries ()
   in
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]

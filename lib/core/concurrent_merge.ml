@@ -17,10 +17,14 @@
       silently lost (the motivation for the protocols); it provides the
       merge-time floor.
 
-    The builder here is an incremental k-way merge interleaved
-    deterministically with writer operations, all charging the shared
-    simulated clock.  It merges *all* primary-index components (and the
-    primary key index in lockstep, preserving the shared bitmaps). *)
+    The builder merges *all* primary-index components through the
+    engine's shared k-way cursor ({!Lsm_util.Kmerge} over
+    {!Lsm_tree.Make.component_stream}s), interleaving writer operations
+    deterministically between merged rows on the shared simulated clock.
+    It then installs the primary component and its primary-key-index
+    twin exactly like a scheduled merge ({!Lsm_tree.Make.install}: same
+    ID range, repairedTS, range filter and flush provenance), sharing one
+    bitmap, so later lockstep merges keep the pair aligned. *)
 
 module Entry = Lsm_tree.Entry
 
@@ -87,7 +91,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
     let cost = ref 0 in
     (match
        Lsm_util.Vec.binary_search
-         ~cmp:(fun (r : D.Prim.row) k -> compare r.D.Prim.key k)
+         ~cmp:(fun (r : D.Prim.row) k -> Int.compare r.D.Prim.key k)
          ~cost st.out pk
      with
     | Some pos -> Hashtbl.replace st.out_marks pos ()
@@ -148,8 +152,9 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
       | None -> invalid_arg "Concurrent_merge.run: primary key index required"
     in
     let pcomps = D.Prim.components prim in
-    let np = Array.length pcomps in
-    if np < 2 then invalid_arg "Concurrent_merge.run: need >= 2 components";
+    let kcomps = D.Pk.components pkt in
+    if Array.length pcomps < 2 then
+      invalid_arg "Concurrent_merge.run: need >= 2 components";
     let st =
       {
         d;
@@ -185,17 +190,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
         st.side <- Some (Lsm_txn.Side_file.create ())
     | _ -> ());
     (* --- Build phase: k-way reconciling scan with interleaved writers --- *)
-    let scans =
-      Array.map (fun c -> D.Prim.Dbt.Scan.seek env c.D.Prim.tree None) pcomps
-    in
-    let cmp (k1, p1, _, _) (k2, p2, _, _) =
-      Lsm_sim.Env.charge_comparisons env 1;
-      let c = compare (k1 : int) k2 in
-      if c <> 0 then c else compare (p1 : int) p2
-    in
-    let heap = Lsm_util.Heap.create cmp in
-    let row_valid_for_scan p pos =
-      let c = pcomps.(p) in
+    let row_valid_for_scan c pos =
       match method_ with
       | Side_file -> (
           (* Scan against the snapshot, immune to concurrent flips. *)
@@ -204,21 +199,22 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
           | None -> true)
       | _ -> D.Prim.component_row_valid c pos
     in
-    let rec push p =
-      match D.Prim.Dbt.Scan.next env scans.(p) with
-      | None -> ()
-      | Some (pos, row) ->
-          if row_valid_for_scan p pos then
-            Lsm_util.Heap.push heap (row.D.Prim.key, p, pos, row)
-          else push p
+    let m =
+      Lsm_util.Kmerge.create
+        ~compare:(fun (_, (a : D.Prim.row)) (_, b) ->
+          Lsm_sim.Env.charge_comparisons env 1;
+          Int.compare a.D.Prim.key b.D.Prim.key)
+        (Array.map
+           (fun c ->
+             D.Prim.component_stream prim ~valid:(row_valid_for_scan c) c)
+           pcomps)
     in
-    Array.iteri (fun p _ -> push p) pcomps;
     let writer_budget = ref 0.0 in
     let last_key = ref min_int in
     let first_row = ref true in
-    while not (Lsm_util.Heap.is_empty heap) do
-      let k, p, pos, row = Lsm_util.Heap.pop heap in
-      push p;
+    while not (Lsm_util.Kmerge.is_empty m) do
+      let p, (pos, row) = Lsm_util.Kmerge.pop m in
+      let k = row.D.Prim.key in
       (* Interleave writers. *)
       writer_budget := !writer_budget +. writer_ops_per_row;
       while !writer_budget >= 1.0 do
@@ -266,30 +262,14 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
         Array.iter (fun k -> mark_in_new st k) keys
     | None -> ());
     st.building <- false;
-    (* --- Install the new components (primary + primary key index) --- *)
+    (* --- Install the new components (primary + primary key index) like
+       a merge, sharing one bitmap --- *)
     let rows = Lsm_util.Vec.to_array st.out in
     let n = Array.length rows in
     let bitmap = Lsm_util.Bitset.create n in
     Hashtbl.iter (fun pos () -> Lsm_util.Bitset.set bitmap pos) st.out_marks;
-    let cmin =
-      Array.fold_left (fun a c -> min a c.D.Prim.cmin_ts) max_int pcomps
-    in
-    let cmax = Array.fold_left (fun a c -> max a c.D.Prim.cmax_ts) (-1) pcomps in
-    let range_filter =
-      Array.fold_left
-        (fun acc c ->
-          match (acc, c.D.Prim.range_filter) with
-          | None, x | x, None -> x
-          | Some (a, b), Some (a', b') -> Some (min a a', max b b'))
-        None pcomps
-    in
-    let pc =
-      D.Prim.build_component prim rows ~cmin_ts:cmin ~cmax_ts:cmax ~range_filter
-        ~repaired_ts:0
-    in
+    let pc = D.Prim.install prim ~inputs:pcomps rows in
     pc.D.Prim.bitmap <- Some bitmap;
-    D.Prim.replace_range prim ~first:0 ~last:(np - 1) pc;
-    (* Primary key index follows in lockstep, sharing the bitmap. *)
     let krows =
       Array.map
         (fun (r : D.Prim.row) ->
@@ -300,13 +280,8 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
           })
         rows
     in
-    let nk = Array.length (D.Pk.components pkt) in
-    let kc =
-      D.Pk.build_component pkt krows ~cmin_ts:cmin ~cmax_ts:cmax
-        ~range_filter:None ~repaired_ts:0
-    in
+    let kc = D.Pk.install pkt ~inputs:kcomps krows in
     kc.D.Pk.bitmap <- Some bitmap;
-    if nk >= 1 then D.Pk.replace_range pkt ~first:0 ~last:(nk - 1) kc;
     {
       merge_time_us = Lsm_sim.Env.now_us env -. t0;
       rows_merged = n;

@@ -1,8 +1,8 @@
 (** Concurrency control between mutable bitmaps and flush/merge
     (Sec. 5.3): the {b Lock} and {b Side-file} protocols of Figs. 10-11
-    against an unprotected {b Baseline}, driven as an incremental k-way
-    merge with writer transactions interleaved between merged rows
-    (Fig. 23's experiment). *)
+    against an unprotected {b Baseline}, driven as a k-way merge over the
+    shared cursor with writer transactions interleaved between merged
+    rows (Fig. 23's experiment), installed like a scheduled merge. *)
 
 module Make (R : Record.S) (D : module type of Dataset.Make (R)) : sig
   type method_ = Baseline | Lock | Side_file

@@ -443,15 +443,15 @@ module Make (R : Record.S) = struct
      tree; picks on distinct trees are independent — and runs them on
      [maint_workers] modeled workers.  A job starts when it is admitted
      (its input seeks, and any correlated pre-steps, run then), its step
-     phases interleave deterministically on the simulated clock
-     (round-robin quanta, the [concurrent_merge] interleaver pattern), and
-     installs run strictly in pick order, so every structural mutation,
-     repair, and file-id allocation happens in the same order at any W and
-     the resulting trees are byte-for-byte identical.  With one worker,
-     jobs simply run one after another.  Each job's busy time is measured
-     from clock deltas; at round end the jobs are list-scheduled onto W
-     modeled workers and the clock is rewound from the serial sum to the
-     modeled makespan, so wall-clock consumers observe pipeline cost. *)
+     phases interleave deterministically on the simulated clock in
+     round-robin quanta, and installs run strictly in pick order, so
+     every structural mutation, repair, and file-id allocation happens in
+     the same order at any W and the resulting trees are byte-for-byte
+     identical.  With one worker, jobs simply run one after another.
+     Each job's busy time is measured from clock deltas; at round end the
+     jobs are list-scheduled onto W modeled workers and the clock is
+     rewound from the serial sum to the modeled makespan, so wall-clock
+     consumers observe pipeline cost. *)
 
   type job_phases = {
     step : rows:int -> bool;  (** [false] once inputs are exhausted *)
@@ -1337,12 +1337,12 @@ module Make (R : Record.S) = struct
   (* Rebuild one quarantined secondary component from the primary key
      index, reusing the Sec. 4 standalone-repair path: re-validate its
      entries against the pk index (fresh bitmap, advanced repairedTS),
-     then rewrite the survivors into a brand-new component with clean
-     pages and, where configured, a fresh Bloom filter.  The component
-     keeps its ID range and repairedTS, so disjointness and the
-     tombstone barrier are untouched; the old file's corruption leaves
-     the system when [replace_range] deletes it. *)
-  let rebuild_secondary t s ~at (comp : Sec.disk_component) =
+     then install the survivors in its place as a brand-new component
+     with clean pages and, where configured, a fresh Bloom filter.  A
+     one-component install keeps the ID range and repairedTS, so
+     disjointness and the tombstone barrier are untouched; the old file's
+     corruption leaves the system when the install deletes it. *)
+  let rebuild_secondary t s (comp : Sec.disk_component) =
     Lsm_sim.Env.span t.env ~cat:s.sec_name "resilience.rebuild" @@ fun () ->
     repair_component t s comp ~piggyback:false;
     let rows = Sec.rows_of comp in
@@ -1352,12 +1352,7 @@ module Make (R : Record.S) = struct
       rows;
     let live = Array.of_list (List.rev !live) in
     Lsm_sim.Env.charge_entry_visits t.env (Array.length live);
-    let c' =
-      Sec.build_component s.tree live ~prov:comp.Sec.prov
-        ~cmin_ts:comp.Sec.cmin_ts ~cmax_ts:comp.Sec.cmax_ts
-        ~range_filter:comp.Sec.range_filter ~repaired_ts:comp.Sec.repaired_ts
-    in
-    Sec.replace_range s.tree ~first:at ~last:at c';
+    ignore (Sec.install s.tree ~inputs:[| comp |] live);
     let r = resil t in
     r.Lsm_sim.Env.rebuilds <- r.Lsm_sim.Env.rebuilds + 1
 
@@ -1448,7 +1443,7 @@ module Make (R : Record.S) = struct
               (fun i c -> if !doomed < 0 && Sec.quarantined c then doomed := i)
               comps;
             if !doomed >= 0 then begin
-              rebuild_secondary t s ~at:!doomed comps.(!doomed);
+              rebuild_secondary t s comps.(!doomed);
               pass ()
             end
           in
@@ -1469,21 +1464,13 @@ module Make (R : Record.S) = struct
     let comps = Prim.components t.primary in
     if Array.length comps > 0 then begin
       (* K-way scan over all disk components, newest-first priority. *)
-      let scans =
-        Array.map (fun c -> Prim.Dbt.Scan.seek t.env c.Prim.tree None) comps
+      let m =
+        Lsm_util.Kmerge.create
+          ~compare:(fun (_, (a : Prim.row)) (_, b) ->
+            Lsm_sim.Env.charge_comparisons t.env 1;
+            Int.compare a.Prim.key b.Prim.key)
+          (Array.map (Prim.component_stream t.primary) comps)
       in
-      let cmp (k1, p1, _) (k2, p2, _) =
-        Lsm_sim.Env.charge_comparisons t.env 1;
-        let c = compare (k1 : int) k2 in
-        if c <> 0 then c else compare (p1 : int) p2
-      in
-      let heap = Lsm_util.Heap.create cmp in
-      let push p =
-        match Prim.Dbt.Scan.next t.env scans.(p) with
-        | Some (_, row) -> Lsm_util.Heap.push heap (row.Prim.key, p, row)
-        | None -> ()
-      in
-      Array.iteri (fun p _ -> push p) comps;
       (* Group same-pk versions; the newest of a group is current unless
          the memory component holds an even newer one. *)
       let process_group pk (versions : Prim.row list) =
@@ -1523,9 +1510,9 @@ module Make (R : Record.S) = struct
       let flush_group () =
         if !group <> [] then process_group !cur_pk (List.rev !group)
       in
-      while not (Lsm_util.Heap.is_empty heap) do
-        let pk, p, row = Lsm_util.Heap.pop heap in
-        push p;
+      while not (Lsm_util.Kmerge.is_empty m) do
+        let _, (_, row) = Lsm_util.Kmerge.pop m in
+        let pk = row.Prim.key in
         if pk <> !cur_pk then begin
           flush_group ();
           cur_pk := pk;

@@ -197,9 +197,9 @@ module Make (K : KEY) (V : VALUE) = struct
   let view_min_components = 2
 
   (** [invalidate_view t] drops the sorted view, if any.  Called
-      immediately before *every* assignment of [t.disk] (flush, merge,
-      replace_range, remove_component): the drop and the list mutation
-      are adjacent non-raising stores, so a crash — which in this
+      immediately before *every* assignment of [t.disk] (flush, install,
+      remove_component): the drop and the list mutation are adjacent
+      non-raising stores, so a crash — which in this
       simulator is an exception at a fault point — can never observe a
       view describing a component set that no longer exists.  Recovery
       needs no view repair: a rebuilt tree starts with [view = None] and
@@ -520,6 +520,40 @@ module Make (K : KEY) (V : VALUE) = struct
   let row_valid c i =
     match c.bitmap with None -> true | Some b -> not (Lsm_util.Bitset.get b i)
 
+  (* [key <= hi], charging the comparison; no bound = no comparison. *)
+  let within_hi t hi key =
+    match hi with
+    | None -> true
+    | Some h ->
+        Lsm_sim.Env.charge_comparisons t.env 1;
+        K.compare key h <= 0
+
+  (** [component_stream t ?lo ?hi ?valid c] is [c] as a sorted pull
+      stream of (row position, row): it seeks to the first key >= [lo],
+      ends at the first key past [hi], and skips positions [valid]
+      rejects (default: none).  The seek runs now, each pull charges
+      the rows it reads.  Every k-way merge over components reads them
+      through this stream and {!Lsm_util.Kmerge}. *)
+  let component_stream t ?lo ?hi ?(valid = fun _ -> true) c =
+    let s = Dbt.Scan.seek t.env c.tree lo in
+    let rec next () =
+      match Dbt.Scan.next t.env s with
+      | None -> None
+      | Some (i, row) as r ->
+          if not (within_hi t hi row.key) then None
+          else if valid i then r
+          else next ()
+    in
+    next
+
+  (* Merge order of component-stream heads: one charged key comparison
+     per heap comparison. *)
+  let by_key t =
+    let env = t.env in
+    fun (_, a) (_, b) ->
+      Lsm_sim.Env.charge_comparisons env 1;
+      K.compare a.key b.key
+
   (** An in-flight incremental merge: the k-way reconciling merge of
       {!merge} broken into explicit steps so a scheduler can interleave
       several independent merges deterministically on one simulated clock
@@ -531,11 +565,9 @@ module Make (K : KEY) (V : VALUE) = struct
       bug. *)
   type merge_job = {
     mj_inputs : disk_component array;
-    mj_scans : row Dbt.Scan.s array;
-    mj_heap : (K.t * int * row) Lsm_util.Heap.t;
+    mj_merge : (int * row) Lsm_util.Kmerge.t;
     mutable mj_out : row list;  (** merged rows, newest-emitted first *)
     mutable mj_last_key : K.t option;
-    mutable mj_rows_done : int;
     mj_input_bytes : int;
     mj_input_rows : int;
     mj_includes_oldest : bool;
@@ -543,21 +575,7 @@ module Make (K : KEY) (V : VALUE) = struct
         (** tombstone barrier captured at start — a concurrent repair
             raising a secondary's repairedTS mid-merge must not change
             this job's output (serial equivalence) *)
-    mj_extra_invalid : disk_component -> int -> bool;
   }
-
-  let mj_push_from t j p =
-    let rec go () =
-      match Dbt.Scan.next t.env j.mj_scans.(p) with
-      | None -> ()
-      | Some (i, row) ->
-          if
-            row_valid j.mj_inputs.(p) i
-            && not (j.mj_extra_invalid j.mj_inputs.(p) i)
-          then Lsm_util.Heap.push j.mj_heap (row.key, p, row)
-          else go ()
-    in
-    go ()
 
   (** [merge_start t ~first ~last] opens an incremental merge of the
       contiguous component range [first..last] (indices into
@@ -569,40 +587,34 @@ module Make (K : KEY) (V : VALUE) = struct
       invalid_arg "Lsm_tree.merge: bad range";
     let inputs = Array.sub comps first (last - first + 1) in
     Lsm_sim.Env.fault_point t.env Lsm_merge_begin;
-    let j =
-      {
-        mj_inputs = inputs;
-        mj_scans = Array.map (fun c -> Dbt.Scan.seek t.env c.tree None) inputs;
-        mj_heap =
-          (* K-way merge ordered by (key, input priority); input 0 is
-             newest. *)
-          Lsm_util.Heap.create (fun (k1, p1, _) (k2, p2, _) ->
-              Lsm_sim.Env.charge_comparisons t.env 1;
-              let c = K.compare k1 k2 in
-              if c <> 0 then c else compare (p1 : int) p2);
-        mj_out = [];
-        mj_last_key = None;
-        mj_rows_done = 0;
-        mj_input_bytes =
-          Array.fold_left (fun acc c -> acc + component_size_bytes t c) 0 inputs;
-        mj_input_rows =
-          Array.fold_left (fun acc c -> acc + component_rows c) 0 inputs;
-        mj_includes_oldest = last = n - 1;
-        mj_drop_ts = t.tombstone_drop_ts;
-        mj_extra_invalid = extra_invalid;
-      }
+    let streams =
+      Array.map
+        (fun c ->
+          component_stream t c ~valid:(fun i ->
+              row_valid c i && not (extra_invalid c i)))
+        inputs
     in
-    Array.iteri (fun p _ -> mj_push_from t j p) inputs;
-    j
+    {
+      mj_inputs = inputs;
+      mj_merge = Lsm_util.Kmerge.create ~compare:(by_key t) streams;
+      mj_out = [];
+      mj_last_key = None;
+      mj_input_bytes =
+        Array.fold_left (fun acc c -> acc + component_size_bytes t c) 0 inputs;
+      mj_input_rows =
+        Array.fold_left (fun acc c -> acc + component_rows c) 0 inputs;
+      mj_includes_oldest = last = n - 1;
+      mj_drop_ts = t.tombstone_drop_ts;
+    }
 
   (** [merge_step t j ~rows] advances the merge by up to [rows] output
       decisions; [false] once the input streams are exhausted. *)
   let merge_step t j ~rows =
     let budget = ref rows in
-    while !budget > 0 && not (Lsm_util.Heap.is_empty j.mj_heap) do
+    while !budget > 0 && not (Lsm_util.Kmerge.is_empty j.mj_merge) do
       decr budget;
-      let k, p, row = Lsm_util.Heap.pop j.mj_heap in
-      mj_push_from t j p;
+      let _, (_, row) = Lsm_util.Kmerge.pop j.mj_merge in
+      let k = row.key in
       let dup =
         match j.mj_last_key with
         | Some lk -> K.compare lk k = 0
@@ -615,40 +627,32 @@ module Make (K : KEY) (V : VALUE) = struct
           Entry.is_del row.value && j.mj_includes_oldest
           && row.ts <= j.mj_drop_ts
         then ()
-        else begin
-          j.mj_out <- row :: j.mj_out;
-          j.mj_rows_done <- j.mj_rows_done + 1
-        end
+        else j.mj_out <- row :: j.mj_out
     done;
-    not (Lsm_util.Heap.is_empty j.mj_heap)
+    not (Lsm_util.Kmerge.is_empty j.mj_merge)
 
-  (** [merge_finish t j] builds and installs the merged component,
-      deletes the inputs' files, and announces [lsm.merge.install].  The
-      input components must still be present as a contiguous run —
-      located by physical identity, so flushes that *prepend* components
-      while the merge was in flight (per-shard flushes overlapping
-      merges) are tolerated; any other mutation of the inputs is
-      rejected. *)
-  let merge_finish t j =
-    let inputs = j.mj_inputs in
+  (** [install t ~inputs rows] replaces [inputs] — a contiguous run of the
+      current components, newest first, located by physical identity so
+      components prepended meanwhile (per-shard flushes overlapping a
+      merge) are tolerated — with one component built from the
+      key-sorted [rows].  Its ID range, repairedTS (the inputs' minimum),
+      range filter and flush provenance derive from the inputs exactly as
+      for a merge.  The inputs' files are deleted. *)
+  let install t ~inputs rows =
     let k = Array.length inputs in
     let comps = Array.of_list t.disk in
     let n = Array.length comps in
-    let found = ref (-1) in
-    Array.iteri
-      (fun i c -> if !found < 0 && c == inputs.(0) then found := i)
-      comps;
-    let stable =
-      !found >= 0
-      && !found + k <= n
-      && Array.for_all
-           (fun i -> comps.(!found + i) == inputs.(i))
-           (Array.init k Fun.id)
+    let rec run_from f i =
+      i = k || (comps.(f + i) == inputs.(i) && run_from f (i + 1))
     in
-    if not stable then invalid_arg "Lsm_tree.merge_finish: tree changed";
-    let first = !found in
+    let rec find f =
+      if k = 0 || f + k > n then
+        invalid_arg "Lsm_tree.install: inputs are not a run of the tree"
+      else if run_from f 0 then f
+      else find (f + 1)
+    in
+    let first = find 0 in
     let last = first + k - 1 in
-    let rows = Array.of_list (List.rev j.mj_out) in
     let cmin_ts =
       Array.fold_left (fun acc c -> min acc c.cmin_ts) max_int inputs
     in
@@ -661,7 +665,7 @@ module Make (K : KEY) (V : VALUE) = struct
       match t.filter_of with
       | None -> None
       | Some f ->
-          if j.mj_includes_oldest then begin
+          if last = n - 1 then begin
             (* No anti-matter survives a bottom merge: recompute tightly. *)
             let fmin = ref max_int and fmax = ref min_int in
             Array.iter
@@ -686,15 +690,23 @@ module Make (K : KEY) (V : VALUE) = struct
               None inputs
     in
     let prov = List.concat_map (fun c -> c.prov) (Array.to_list inputs) in
-    let merged =
+    let c =
       mk_component t rows ~cmin_ts ~cmax_ts ~range_filter ~repaired_ts ~prov
     in
     invalidate_view t;
     t.disk <-
       List.filteri (fun i _ -> i < first) t.disk
-      @ [ merged ]
+      @ [ c ]
       @ List.filteri (fun i _ -> i > last) t.disk;
     Array.iter (fun c -> Dbt.delete t.env c.tree) inputs;
+    c
+
+  (** [merge_finish t j] installs the merged component (see {!install}),
+      records the merge's amplification and announces
+      [lsm.merge.install]. *)
+  let merge_finish t j =
+    let rows = Array.of_list (List.rev j.mj_out) in
+    let merged = install t ~inputs:j.mj_inputs rows in
     Lsm_obs.Ampstats.on_merge
       (Lsm_sim.Env.amp t.env)
       ~bytes_read:j.mj_input_bytes
@@ -718,32 +730,6 @@ module Make (K : KEY) (V : VALUE) = struct
       ()
     done;
     merge_finish t j
-
-  (** [build_component t rows ...] constructs a disk component from
-      pre-merged, key-sorted rows without installing it — the low-level
-      piece used by the incremental concurrent-merge machinery (Sec. 5.3),
-      which interleaves writers with the component builder and therefore
-      cannot use the atomic {!merge}. *)
-  let build_component ?(prov = []) t rows ~cmin_ts ~cmax_ts ~range_filter
-      ~repaired_ts =
-    mk_component t rows ~cmin_ts ~cmax_ts ~range_filter ~repaired_ts ~prov
-
-  (** [replace_range t ~first ~last c] atomically replaces the component
-      range [first..last] (newest-first indices) with [c], deleting the
-      old components' files. *)
-  let replace_range t ~first ~last c =
-    let comps = Array.of_list t.disk in
-    let n = Array.length comps in
-    if not (0 <= first && first <= last && last < n) then
-      invalid_arg "Lsm_tree.replace_range: bad range";
-    invalidate_view t;
-    t.disk <-
-      List.filteri (fun i _ -> i < first) t.disk
-      @ [ c ]
-      @ List.filteri (fun i _ -> i > last) t.disk;
-    for i = first to last do
-      Dbt.delete t.env comps.(i).tree
-    done
 
   (** [remove_component t ~at] removes the component at newest-first index
       [at], deleting its file.  Recovery-only: rolls a tree back to a
@@ -1061,7 +1047,7 @@ module Make (K : KEY) (V : VALUE) = struct
      position — runs are ordered newest-first — which reproduces the heap
      path's semantics exactly, including "an older valid duplicate wins
      when the newest is bitmap-invalidated". *)
-  let scan_view t spec ~f =
+  let scan_view t spec ~emit =
     let comps_a = Array.of_list t.disk in
     let v = ensure_view t comps_a in
     let mask =
@@ -1081,11 +1067,6 @@ module Make (K : KEY) (V : VALUE) = struct
     let nm = Array.length mem_rows in
     let mi = ref 0 in
     let vnext = ref (View.next t.env it) in
-    let emit row ~src_repaired =
-      match row.value with
-      | Entry.Put _ -> f row ~src_repaired
-      | Entry.Del -> if spec.emit_del then f row ~src_repaired
-    in
     let continue = ref true in
     while !continue do
       match (!mi < nm, !vnext) with
@@ -1159,100 +1140,70 @@ module Make (K : KEY) (V : VALUE) = struct
     let comps =
       match spec.only with Some cs -> cs | None -> t.disk
     in
-    let in_hi k =
-      match spec.hi with
-      | None -> true
-      | Some h ->
-          Lsm_sim.Env.charge_comparisons t.env 1;
-          K.compare k h <= 0
+    let stream c =
+      component_stream t c ?lo:spec.lo ?hi:spec.hi ~valid:(fun i ->
+          (not spec.respect_bitmap) || row_valid c i)
     in
-    if view_usable t spec then scan_view t spec ~f
+    let emit row ~src_repaired =
+      match row.value with
+      | Entry.Put _ -> f row ~src_repaired
+      | Entry.Del -> if spec.emit_del then f row ~src_repaired
+    in
+    if view_usable t spec then scan_view t spec ~emit
     else if spec.reconcile then begin
       (if t.views_enabled && List.length t.disk >= view_min_components then begin
          let vs = Lsm_sim.Env.view_stats t.env in
          vs.Lsm_sim.Env.fallbacks <- vs.Lsm_sim.Env.fallbacks + 1
        end);
-      (* Streams: 0 = memory (newest), then disk components in order. *)
+      (* Sources: 0 = memory (newest), then disk components in order. *)
       let mem_rows = mem_slice t spec in
       let mem_pos = ref 0 in
-      let comps_a = Array.of_list comps in
-      let scans =
-        Array.map (fun c -> Dbt.Scan.seek t.env c.tree spec.lo) comps_a
-      in
-      let cmp (k1, p1, _) (k2, p2, _) =
-        Lsm_sim.Env.charge_comparisons t.env 1;
-        let c = K.compare k1 k2 in
-        if c <> 0 then c else compare (p1 : int) p2
-      in
-      let heap = Lsm_util.Heap.create cmp in
-      let push_mem () =
+      let mem_stream () =
         if !mem_pos < Array.length mem_rows then begin
           let r = mem_rows.(!mem_pos) in
           incr mem_pos;
-          if in_hi r.key then Lsm_util.Heap.push heap (r.key, 0, r)
+          (* Memory rows have no component position. *)
+          if within_hi t spec.hi r.key then Some (-1, r) else None
         end
+        else None
       in
-      let rec push_disk p =
-        match Dbt.Scan.next t.env scans.(p) with
-        | None -> ()
-        | Some (i, row) ->
-            if not (in_hi row.key) then ()
-            else if
-              spec.respect_bitmap && not (row_valid comps_a.(p) i)
-            then push_disk p
-            else Lsm_util.Heap.push heap (row.key, p + 1, row)
+      let comps_a = Array.of_list comps in
+      let streams = Array.map stream comps_a in
+      let m =
+        Lsm_util.Kmerge.create ~compare:(by_key t)
+          (Array.append [| mem_stream |] streams)
       in
-      push_mem ();
-      Array.iteri (fun p _ -> push_disk p) comps_a;
       let last_key = ref None in
-      while not (Lsm_util.Heap.is_empty heap) do
-        let k, p, row = Lsm_util.Heap.pop heap in
-        let src_repaired =
-          if p = 0 then 0 else comps_a.(p - 1).repaired_ts
-        in
-        if p = 0 then push_mem () else push_disk (p - 1);
+      while not (Lsm_util.Kmerge.is_empty m) do
+        let p, (_, row) = Lsm_util.Kmerge.pop m in
         let dup =
           match !last_key with
           | Some lk ->
               Lsm_sim.Env.charge_comparisons t.env 1;
-              K.compare lk k = 0
+              K.compare lk row.key = 0
           | None -> false
         in
-        last_key := Some k;
+        last_key := Some row.key;
         if not dup then
-          match row.value with
-          | Entry.Put _ -> f row ~src_repaired
-          | Entry.Del -> if spec.emit_del then f row ~src_repaired
+          emit row
+            ~src_repaired:(if p = 0 then 0 else comps_a.(p - 1).repaired_ts)
       done
     end
     else begin
       (* Component-at-a-time: bitmaps have already removed stale versions,
          so no cross-component reconciliation is necessary. *)
-      let emit_mem () =
-        Array.iter
-          (fun r ->
-            match r.value with
-            | Entry.Put _ -> f r ~src_repaired:0
-            | Entry.Del -> if spec.emit_del then f r ~src_repaired:0)
-          (mem_slice t spec)
-      in
-      emit_mem ();
+      Array.iter (fun r -> emit r ~src_repaired:0) (mem_slice t spec);
       List.iter
         (fun c ->
-          let s = Dbt.Scan.seek t.env c.tree spec.lo in
-          let continue = ref true in
-          while !continue do
-            match Dbt.Scan.next t.env s with
-            | None -> continue := false
-            | Some (i, row) ->
-                if not (in_hi row.key) then continue := false
-                else if spec.respect_bitmap && not (row_valid c i) then ()
-                else
-                  (match row.value with
-                  | Entry.Put _ -> f row ~src_repaired:c.repaired_ts
-                  | Entry.Del ->
-                      if spec.emit_del then f row ~src_repaired:c.repaired_ts)
-          done)
+          let next = stream c in
+          let rec drain () =
+            match next () with
+            | None -> ()
+            | Some (_, row) ->
+                emit row ~src_repaired:c.repaired_ts;
+                drain ()
+          in
+          drain ())
         comps
     end
 

@@ -198,24 +198,21 @@ module Make (K : KEY) (V : VALUE) : sig
       streams are exhausted. *)
 
   val merge_finish : t -> merge_job -> disk_component
-  (** Build and install the merged component, deleting the inputs' files;
-      announces [lsm.merge.install]. *)
+  (** {!install} the merged rows in place of the job's inputs, record the
+      merge's amplification, and announce [lsm.merge.install]. *)
 
-  val build_component :
-    ?prov:flush_origin list ->
-    t ->
-    row array ->
-    cmin_ts:int ->
-    cmax_ts:int ->
-    range_filter:(int * int) option ->
-    repaired_ts:int ->
-    disk_component
-  (** Construct a component from pre-merged, key-sorted rows without
-      installing it (the incremental concurrent-merge machinery).
-      [?prov] (default [[]]) stamps flush provenance through. *)
-
-  val replace_range : t -> first:int -> last:int -> disk_component -> unit
-  (** Atomically replace a component range with a new component. *)
+  val install : t -> inputs:disk_component array -> row array -> disk_component
+  (** [install t ~inputs rows] builds one component from the key-sorted
+      [rows] and splices it in place of [inputs], a contiguous newest-first
+      run of the current components located by physical identity
+      (components prepended since the inputs were read are tolerated;
+      anything else raises [Invalid_argument]).  The component's ID range,
+      repairedTS (the inputs' minimum), range filter and flush provenance
+      derive from the inputs as for a merge: a run reaching the oldest
+      component recomputes the filter from [rows], any other run takes
+      the union of the inputs' filters.  The inputs' files are deleted.
+      Merges, the concurrent builder (Sec. 5.3) and secondary rebuilds
+      all install through this. *)
 
   val remove_component : t -> at:int -> unit
   (** Remove the component at newest-first index [at], deleting its file.
@@ -281,6 +278,20 @@ module Make (K : KEY) (V : VALUE) : sig
       algorithm is not global key order — the Fig. 12d trade-off). *)
 
   (** {1 Scans} *)
+
+  val component_stream :
+    t ->
+    ?lo:K.t ->
+    ?hi:K.t ->
+    ?valid:(int -> bool) ->
+    disk_component ->
+    unit ->
+    (int * row) option
+  (** [component_stream t ?lo ?hi ?valid c] seeks [c] to the first key >=
+      [lo] and returns a pull stream of (position, row) that ends at the
+      first key past [hi] and skips positions [valid] rejects (default:
+      none), charging the reads as it goes.  Feed such streams, newest
+      first, to {!Lsm_util.Kmerge} for a k-way merge over components. *)
 
   type scan_spec = {
     lo : K.t option;  (** inclusive *)

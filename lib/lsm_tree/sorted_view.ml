@@ -82,38 +82,37 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
     let sel = Array.make n 0 in
     let pos = Array.make n 0 in
     let eq_prev = Lsm_util.Bitset.create n in
-    let cmp (k1, r1, _) (k2, r2, _) =
-      Lsm_sim.Env.charge_comparisons env 1;
-      let c = K.compare k1 k2 in
-      if c <> 0 then c else compare (r1 : int) r2
+    let run_stream r =
+      let i = ref 0 in
+      fun () ->
+        if !i < Array.length r.keys then begin
+          incr i;
+          Some r.keys.(!i - 1)
+        end
+        else None
     in
-    let heap = Lsm_util.Heap.create cmp in
-    let next_idx = Array.make nruns 0 in
-    let push r =
-      let i = next_idx.(r) in
-      if i < Array.length runs.(r).keys then begin
-        next_idx.(r) <- i + 1;
-        Lsm_util.Heap.push heap (runs.(r).keys.(i), r, i)
-      end
+    let merge =
+      Lsm_util.Kmerge.create
+        ~compare:(fun k1 k2 ->
+          Lsm_sim.Env.charge_comparisons env 1;
+          K.compare k1 k2)
+        (Array.map run_stream runs)
     in
-    for r = 0 to nruns - 1 do
-      push r
-    done;
     let nanchors = if n = 0 then 0 else ((n - 1) / stride) + 1 in
     let anchor_offs = Array.make (nanchors * nruns) 0 in
     let anchors_rev = ref [] in
     let consumed = Array.make nruns 0 in
     let last = ref None in
     let j = ref 0 in
-    while not (Lsm_util.Heap.is_empty heap) do
-      let k, r, i = Lsm_util.Heap.pop heap in
-      push r;
+    while not (Lsm_util.Kmerge.is_empty merge) do
+      let r, k = Lsm_util.Kmerge.pop merge in
       if !j mod stride = 0 then begin
         anchors_rev := k :: !anchors_rev;
         Array.blit consumed 0 anchor_offs (!j / stride * nruns) nruns
       end;
       sel.(!j) <- r;
-      pos.(!j) <- i;
+      (* A run's rows pop in order, so its count so far is this row's index. *)
+      pos.(!j) <- consumed.(r);
       consumed.(r) <- consumed.(r) + 1;
       (match !last with
       | Some lk ->

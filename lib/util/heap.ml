@@ -1,9 +1,8 @@
 (** A mutable binary min-heap.
 
-    LSM range scans reconcile entries from many components with a k-way
-    merge; the heap orders cursor heads by (key, recency).  The comparison
-    function is supplied at creation time, so heaps over tuples avoid
-    polymorphic compare. *)
+    The priority queue under {!Kmerge}, which holds the engine's one k-way
+    merge of component streams.  The comparison function is supplied at
+    creation time, so heaps over tuples avoid polymorphic compare. *)
 
 type 'a t = {
   cmp : 'a -> 'a -> int;
@@ -26,35 +25,39 @@ let ensure_room t filler =
     t.data <- data
   end
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if t.cmp t.data.(i) t.data.(parent) < 0 then begin
-      let tmp = t.data.(i) in
-      t.data.(i) <- t.data.(parent);
-      t.data.(parent) <- tmp;
-      sift_up t parent
-    end
+(* Both sifts move a hole instead of swapping: [x] is written once, where
+   it lands.  The comparisons are the swapping version's, operand for
+   operand, so a counting [cmp] sees the same sequence. *)
+let rec sift_up t i x =
+  let parent = (i - 1) / 2 in
+  if i > 0 && t.cmp x t.data.(parent) < 0 then begin
+    t.data.(i) <- t.data.(parent);
+    sift_up t parent x
   end
+  else t.data.(i) <- x
 
-let rec sift_down t i =
+let rec sift_down t i x =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && t.cmp t.data.(l) t.data.(!smallest) < 0 then smallest := l;
-  if r < t.size && t.cmp t.data.(r) t.data.(!smallest) < 0 then smallest := r;
+  let smallest = ref i and least = ref x in
+  if l < t.size && t.cmp t.data.(l) !least < 0 then begin
+    smallest := l;
+    least := t.data.(l)
+  end;
+  if r < t.size && t.cmp t.data.(r) !least < 0 then begin
+    smallest := r;
+    least := t.data.(r)
+  end;
   if !smallest <> i then begin
-    let tmp = t.data.(i) in
-    t.data.(i) <- t.data.(!smallest);
-    t.data.(!smallest) <- tmp;
-    sift_down t !smallest
+    t.data.(i) <- !least;
+    sift_down t !smallest x
   end
+  else t.data.(i) <- x
 
 (** [push t x] inserts [x]. *)
 let push t x =
   ensure_room t x;
-  t.data.(t.size) <- x;
   t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  sift_up t (t.size - 1) x
 
 (** [peek t] is the minimum element, if any. *)
 let peek t = if t.size = 0 then None else Some t.data.(0)
@@ -65,10 +68,7 @@ let pop t =
   if t.size = 0 then invalid_arg "Heap.pop: empty";
   let top = t.data.(0) in
   t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.data.(0) <- t.data.(t.size);
-    sift_down t 0
-  end;
+  if t.size > 0 then sift_down t 0 t.data.(t.size);
   top
 
 (** [pop_opt t] is [pop] returning an option. *)

@@ -1,4 +1,4 @@
-(** Mutable binary min-heaps (k-way merge reconciliation in LSM scans). *)
+(** Mutable binary min-heaps (the priority queue under {!Kmerge}). *)
 
 type 'a t
 

@@ -156,7 +156,7 @@ let test_tombstone_barrier () =
   Alcotest.(check int) "tombstone dropped once safe" 1 (L.component_rows c2)
 
 (* ------------------------------------------------------------------ *)
-(* build_component / replace_range *)
+(* install *)
 
 let test_build_and_replace () =
   let env = mk_env () in
@@ -165,19 +165,25 @@ let test_build_and_replace () =
   L.flush t;
   L.write t ~key:2 ~ts:2 (Entry.Put 20);
   L.flush t;
+  let inputs = L.components t in
+  L.write t ~key:3 ~ts:3 (Entry.Put 30);
+  L.flush t;
   let rows =
     [| { L.key = 1; ts = 1; value = Entry.Put 11 };
        { L.key = 2; ts = 2; value = Entry.Put 20 } |]
   in
-  let c =
-    L.build_component t rows ~cmin_ts:1 ~cmax_ts:2 ~range_filter:None
-      ~repaired_ts:0
-  in
-  L.replace_range t ~first:0 ~last:1 c;
-  Alcotest.(check int) "one component" 1 (L.component_count t);
-  match L.lookup_one t 1 with
+  (* The inputs are found by identity behind the component flushed since. *)
+  let c = L.install t ~inputs rows in
+  Alcotest.(check int) "two components" 2 (L.component_count t);
+  Alcotest.(check bool) "installed oldest" true ((L.components t).(1) == c);
+  Alcotest.(check (pair int int)) "id spans inputs" (1, 2) (L.component_id c);
+  Alcotest.(check int) "provenance of both flushes" 2 (List.length c.L.prov);
+  (match L.lookup_one t 1 with
   | Some r -> Alcotest.(check bool) "replacement visible" true (r.L.value = Entry.Put 11)
-  | None -> Alcotest.fail "lost key"
+  | None -> Alcotest.fail "lost key");
+  Alcotest.check_raises "inputs gone"
+    (Invalid_argument "Lsm_tree.install: inputs are not a run of the tree")
+    (fun () -> ignore (L.install t ~inputs rows))
 
 (* ------------------------------------------------------------------ *)
 (* mem_rollback / reset_memory *)

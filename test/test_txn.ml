@@ -216,6 +216,34 @@ let test_cm_components_after () =
   | Some pk -> Alcotest.(check int) "pk merged to 1" 1 (D.Pk.component_count pk)
   | None -> Alcotest.fail "pk index"
 
+(* The builder installs like a scheduled merge — flush provenance
+   included — so the lockstep merges that follow still find each primary
+   component's pk-index counterpart and the shared-bitmap pair stays
+   aligned. *)
+let test_cm_then_merges_aligned method_ () =
+  let d, model, _ = run_method method_ in
+  let name = CM.method_name method_ in
+  let pk =
+    match D.pk_index d with Some pk -> pk | None -> Alcotest.fail "pk index"
+  in
+  let rng = Lsm_util.Rng.create 5 in
+  for round = 1 to 6 do
+    for _ = 1 to 150 do
+      let id = 1 + Lsm_util.Rng.int rng 600 in
+      let r =
+        tw ~user:(Lsm_util.Rng.int rng 100) ~at:(5000 + (1000 * round) + id) id
+      in
+      D.upsert d r;
+      Hashtbl.replace model id r
+    done;
+    D.flush_now d;
+    Alcotest.(check int)
+      (Printf.sprintf "%s round %d: pk components = primary" name round)
+      (D.Prim.component_count (D.primary d))
+      (D.Pk.component_count pk)
+  done;
+  check_consistency d model name
+
 let prop_cm_protocols_lose_nothing =
   (* Random batch layouts, writer mixes and interleaving rates: both
      protected protocols keep every committed record exactly once. *)
@@ -307,6 +335,12 @@ let () =
             test_cm_side_file_correct;
           Alcotest.test_case "overhead ordering" `Quick test_cm_overhead_ordering;
           Alcotest.test_case "components after" `Quick test_cm_components_after;
+          Alcotest.test_case "lock: later merges stay aligned" `Quick
+            (test_cm_then_merges_aligned CM.Lock);
+          Alcotest.test_case "side-file: later merges stay aligned" `Quick
+            (test_cm_then_merges_aligned CM.Side_file);
+          Alcotest.test_case "baseline: later merges stay aligned" `Quick
+            (test_cm_then_merges_aligned CM.Baseline);
           prop_cm_protocols_lose_nothing;
         ] );
     ]

@@ -377,6 +377,50 @@ let test_heap_interleaved () =
   Alcotest.(check int) "pop 5" 5 (Heap.pop h);
   Alcotest.(check bool) "empty" true (Heap.is_empty h)
 
+(* ------------------------------------------------------------------ *)
+(* Kmerge *)
+
+let prop_kmerge =
+  qtest "kmerge: stable (key, source) order, lazy pulls"
+    QCheck2.Gen.(
+      list_size (int_range 0 6) (list_size (int_range 0 40) (int_range 0 20)))
+    (fun lists ->
+      let srcs = Array.of_list (List.map (List.sort compare) lists) in
+      let k = Array.length srcs in
+      let rest = Array.copy srcs in
+      let exhausted = Array.make k false in
+      let pulled = ref [] in
+      let ok = ref true in
+      let stream s () =
+        (* A pull after [None] breaks the contract. *)
+        if exhausted.(s) then ok := false;
+        pulled := s :: !pulled;
+        match rest.(s) with
+        | [] ->
+            exhausted.(s) <- true;
+            None
+        | x :: tl ->
+            rest.(s) <- tl;
+            Some x
+      in
+      let m = Kmerge.create ~compare:Int.compare (Array.init k stream) in
+      (* Creation pulls each source's head once, in source order. *)
+      if List.rev !pulled <> List.init k Fun.id then ok := false;
+      let out = ref [] in
+      while not (Kmerge.is_empty m) do
+        pulled := [];
+        let s, x = Kmerge.pop m in
+        (* Only the popped source refills. *)
+        if !pulled <> [ s ] then ok := false;
+        out := (x, s) :: !out
+      done;
+      let expected =
+        List.sort compare
+          (List.concat
+             (List.mapi (fun s l -> List.map (fun x -> (x, s)) l) lists))
+      in
+      !ok && List.rev !out = expected)
+
 let () =
   Alcotest.run "lsm_util"
     [
@@ -427,4 +471,5 @@ let () =
           prop_heap_sorts;
           Alcotest.test_case "interleaved" `Quick test_heap_interleaved;
         ] );
+      ("kmerge", [ prop_kmerge ]);
     ]
