@@ -142,6 +142,22 @@ let test_lsm_scan =
          let n = ref 0 in
          L.scan t L.full_scan_spec ~f:(fun _ ~src_repaired:_ -> incr n)))
 
+(* A reconciling scan that reads only the memory component: the shape of
+   a time-range scan whose range filters prune every disk component. *)
+let test_lsm_mem_scan =
+  let env = quiet_env () in
+  let t =
+    L.create env
+      (Lsm_tree.Config.make ~bloom:(Some Lsm_tree.Config.default_bloom) "bench")
+  in
+  for i = 1 to 2_000 do
+    L.write t ~key:i ~ts:i (Lsm_tree.Entry.Put i)
+  done;
+  Test.make ~name:"lsm.mem_scan(2k)"
+    (Staged.stage (fun () ->
+         let n = ref 0 in
+         L.scan t L.full_scan_spec ~f:(fun _ ~src_repaired:_ -> incr n)))
+
 let test_lsm_merge =
   Test.make ~name:"lsm.merge(2x2.5k)"
     (Staged.stage (fun () ->
@@ -591,6 +607,7 @@ let micro_tests =
       test_dbt_cursor;
       test_lsm_write;
       test_lsm_scan;
+      test_lsm_mem_scan;
       range_scan_bench "lsm.range_scan(16k,8comps,heap)" range_fixture_heap;
       range_scan_bench "lsm.range_scan(16k,8comps,view)" range_fixture_view;
       test_lsm_merge;

@@ -106,7 +106,7 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
   let leaf_of_row t i =
     let cost = ref 0 in
     let l =
-      Lsm_util.Search.upper_bound ~cmp:compare ~cost t.leaf_starts ~lo:0
+      Lsm_util.Search.upper_bound ~cmp:Int.compare ~cost t.leaf_starts ~lo:0
         ~hi:(Array.length t.leaf_starts) i
     in
     l - 1

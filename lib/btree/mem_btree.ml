@@ -232,49 +232,84 @@ struct
 
   let mem t key = Option.is_some (find t key)
 
+  (* A pull cursor: the next binding is slot [ci] of leaf [cl], or the
+     first live slot after it along the leaf links ([None] = exhausted). *)
+  type 'v cursor = { mutable cl : 'v leaf option; mutable ci : int }
+
+  (** [seek t lo] is a cursor at the first binding with key >= [lo]
+      ([None] = the first binding).  The one descent of the tree: it
+      counts the comparisons of a root-to-leaf lower-bound search, and
+      none with no bound.  {!iter} and {!iter_from} walk a cursor. *)
+  let seek t lo =
+    match (lo, t.root) with
+    | None, _ -> { cl = t.first; ci = 0 }
+    | Some _, None -> { cl = None; ci = 0 }
+    | Some key, Some r ->
+        let rec find_leaf = function
+          | L lf -> { cl = Some lf; ci = leaf_lower_bound t lf key }
+          | I nd -> find_leaf nd.ic.(child_index t nd key)
+        in
+        find_leaf r
+
+  (** [next c] returns the binding under [c] and advances past it, or
+      [None] once the bindings run out (and ever after).  No comparisons. *)
+  let rec next c =
+    match c.cl with
+    | None -> None
+    | Some lf ->
+        if c.ci < lf.ln then begin
+          let i = c.ci in
+          c.ci <- i + 1;
+          Some (lf.lk.(i), lf.lv.(i))
+        end
+        else begin
+          c.cl <- lf.next;
+          c.ci <- 0;
+          next c
+        end
+
+  (** [copy c] is an independent cursor at [c]'s position. *)
+  let copy c = { cl = c.cl; ci = c.ci }
+
   (** [iter t f] applies [f key value] in ascending key order. *)
   let iter t f =
-    let rec leaves = function
+    let c = seek t None in
+    let rec go () =
+      match next c with
       | None -> ()
-      | Some lf ->
-          for i = 0 to lf.ln - 1 do
-            f lf.lk.(i) lf.lv.(i)
-          done;
-          leaves lf.next
+      | Some (k, v) ->
+          f k v;
+          go ()
     in
-    leaves t.first
+    go ()
 
   (** [to_sorted_array t] materializes all bindings in key order (flush). *)
   let to_sorted_array t =
-    match t.first with
+    let c = seek t None in
+    match next c with
     | None -> [||]
-    | Some lf0 ->
-        let out = Array.make t.count (lf0.lk.(0), lf0.lv.(0)) in
-        let i = ref 0 in
-        iter t (fun k v ->
-            out.(!i) <- (k, v);
-            incr i);
+    | Some b0 ->
+        let out = Array.make t.count b0 in
+        let rec fill i =
+          match next c with
+          | None -> ()
+          | Some b ->
+              out.(i) <- b;
+              fill (i + 1)
+        in
+        fill 1;
         out
 
   (** [iter_from t key f] applies [f] to bindings with key >= [key], in
       order, while [f] returns [true]. *)
   let iter_from t key f =
-    let rec find_leaf = function
-      | L lf -> (lf, leaf_lower_bound t lf key)
-      | I nd -> find_leaf nd.ic.(child_index t nd key)
+    let c = seek t (Some key) in
+    let rec go () =
+      match next c with
+      | Some (k, v) when f k v -> go ()
+      | _ -> ()
     in
-    match t.root with
-    | None -> ()
-    | Some r ->
-        let start = find_leaf r in
-        let rec go (lf : 'v leaf) pos =
-          if pos < lf.ln then begin
-            if f lf.lk.(pos) lf.lv.(pos) then go lf (pos + 1)
-          end
-          else match lf.next with None -> () | Some nxt -> go nxt 0
-        in
-        let lf, pos = start in
-        go lf pos
+    go ()
 
   (** [min_binding t] / [max_binding t]: extreme bindings, if any.
       (Leaves may be empty after {!remove}; skip them.) *)

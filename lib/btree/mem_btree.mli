@@ -32,14 +32,34 @@ end) : sig
   val mem : 'v t -> K.t -> bool
 
   val iter : 'v t -> (K.t -> 'v -> unit) -> unit
-  (** Ascending key order. *)
+  (** Ascending key order: a walk of [seek t None]. *)
 
   val to_sorted_array : 'v t -> (K.t * 'v) array
   (** Materialize all bindings in key order (flush). *)
 
   val iter_from : 'v t -> K.t -> (K.t -> 'v -> bool) -> unit
   (** Bindings with key >= the bound, in order, while the callback returns
-      [true]. *)
+      [true]: a walk of [seek t (Some bound)]. *)
+
+  type 'v cursor
+  (** A pull cursor over the bindings in ascending key order.  It reads the
+      leaves in place: the tree must not be modified while a cursor over
+      it is in use. *)
+
+  val seek : 'v t -> K.t option -> 'v cursor
+  (** [seek t lo] positions a cursor at the first binding with key >= [lo]
+      ([None] = the first binding).  It is the tree's one ordered descent:
+      it adds to the comparison counter the comparisons of a root-to-leaf
+      lower-bound search ({!find} adds at most one more, its equality
+      check); [None] adds nothing. *)
+
+  val next : 'v cursor -> (K.t * 'v) option
+  (** The binding under the cursor, which then moves past it along the
+      leaf links; [None] once exhausted, and on every later call.  Makes
+      no comparisons. *)
+
+  val copy : 'v cursor -> 'v cursor
+  (** An independent cursor at the same position. *)
 
   val min_binding : 'v t -> (K.t * 'v) option
   val max_binding : 'v t -> (K.t * 'v) option

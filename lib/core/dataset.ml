@@ -1567,7 +1567,7 @@ module Make (R : Record.S) = struct
   let sort_entries_by_pk t entries =
     let arr = Array.of_list entries in
     let cmps = ref 0 in
-    Lsm_util.Sorter.sort ~cmp:(fun a b -> compare a.e_pk b.e_pk) ~cost:cmps arr;
+    Lsm_util.Sorter.sort ~cmp:(fun a b -> Int.compare a.e_pk b.e_pk) ~cost:cmps arr;
     Lsm_sim.Env.charge_comparisons t.env !cmps;
     arr
 

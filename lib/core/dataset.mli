@@ -270,11 +270,14 @@ module Make (R : Record.S) : sig
       records (Sec. 4.3). *)
 
   val full_scan : t -> f:(R.t -> unit) -> int
-  (** Every live record (reconciled); returns the count. *)
+  (** Every live record (reconciled); returns the count.  [f] runs while
+      the scan reads the memory component in place, so it must not write
+      to [t]. *)
 
   val query_time_range : t -> tlo:int -> thi:int -> f:(R.t -> unit) -> int
   (** Primary scan with component-level range-filter pruning
-      (Sec. 6.4.2); pruning power depends on the strategy.
+      (Sec. 6.4.2); pruning power depends on the strategy.  As with
+      {!full_scan}, [f] must not write to [t].
       @raise Invalid_argument if the dataset has no filter key. *)
 
   val point_query : t -> int -> R.t option

@@ -89,12 +89,17 @@ module Make (R : Record.S) : sig
     (int * int) list
 
   val query_time_range : t -> tlo:int -> thi:int -> f:(R.t -> unit) -> int
+  (** {!D.query_time_range} on every partition.  [f] must not
+      write to [t]: each partition's scan reads its memory component in
+      place. *)
 
   val query_time_range_part :
     t -> int -> tlo:int -> thi:int -> f:(R.t -> unit) -> int
-  (** One partition's share of a time-range fan-out. *)
+  (** One partition's share of a time-range fan-out; [f] must not write
+      to [t]. *)
 
   val full_scan : t -> f:(R.t -> unit) -> int
+  (** Every live record of every partition; [f] must not write to [t]. *)
 
   (** {1 Timing and maintenance} *)
 

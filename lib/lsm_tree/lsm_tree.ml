@@ -986,12 +986,23 @@ module Make (K : KEY) (V : VALUE) = struct
       only = None;
     }
 
-  (* Materialize the in-range slice of the memory component: each shard
-     contributes its sorted in-range rows; shard key sets are disjoint,
-     so sorting the concatenation reproduces the single-memtable slice
-     byte for byte. *)
-  let mem_slice t spec =
-    if not spec.include_mem then [||]
+  (* The in-range rows of the memory component as a sorted pull stream.
+     Every charge of the slice lands at creation, before the first row is
+     pulled: one hi comparison per memtable row the counting walk visits,
+     the seek's comparisons ([charge_mem_cmps]), then one entry visit per
+     in-range row.  A single memtable is read in place through an
+     {!Mbt.seek} cursor; the counting walk runs on a copy of it.  Several
+     shards are sliced and their concatenation sorted, charged: shard key
+     sets are disjoint, so that reproduces the single-memtable order byte
+     for byte.
+
+     Two charge quirks are kept, because fixing them moves the simulated
+     gates: with no [lo] the counting walk charges a hi comparison on
+     every memtable row, even on the rows past [hi]; and the heap merge
+     charges each memory row a second hi comparison when it pulls it
+     ({!scan}). *)
+  let mem_stream t spec =
+    if not spec.include_mem then fun () -> None
     else begin
       let hi_ok k =
         match spec.hi with
@@ -1000,48 +1011,66 @@ module Make (K : KEY) (V : VALUE) = struct
             Lsm_sim.Env.charge_comparisons t.env 1;
             K.compare k h <= 0
       in
-      let count = ref 0 in
-      let slice_one m =
-        let buf = ref [] in
-        (match spec.lo with
-        | None ->
-            Mbt.iter m.table (fun k (ts, e) ->
-                if hi_ok k then begin
-                  buf := { key = k; ts; value = e } :: !buf;
-                  incr count
-                end)
-        | Some lo ->
-            Mbt.iter_from m.table lo (fun k (ts, e) ->
-                if hi_ok k then begin
-                  buf := { key = k; ts; value = e } :: !buf;
-                  incr count;
-                  true
-                end
-                else false));
-        Array.of_list (List.rev !buf)
+      (* A cursor at [lo] over [table] and the number of in-range rows
+         ahead of it. *)
+      let seek table =
+        let c = Mbt.seek table spec.lo in
+        let n =
+          match (spec.lo, spec.hi) with
+          | None, None -> Mbt.length table
+          | _ ->
+              let w = Mbt.copy c in
+              let rec count n =
+                match Mbt.next w with
+                | None -> n
+                | Some (k, _) ->
+                    if hi_ok k then count (n + 1)
+                    else if Option.is_none spec.lo then count n
+                    else n
+              in
+              count 0
+        in
+        (c, n)
       in
-      let rows =
-        if Array.length t.mems = 1 then slice_one t.mems.(0)
+      let pull c =
+        match Mbt.next c with
+        | Some (key, (ts, value)) -> { key; ts; value }
+        | None -> invalid_arg "Lsm_tree.mem_stream: memtable changed mid-scan"
+      in
+      let next, n =
+        if Array.length t.mems = 1 then begin
+          let c, n = seek t.mems.(0).table in
+          let left = ref n in
+          ( (fun () ->
+              if !left = 0 then None
+              else begin
+                decr left;
+                Some (pull c)
+              end),
+            n )
+        end
         else begin
-          let all =
-            Array.concat (Array.to_list (Array.map slice_one t.mems))
+          let slice m =
+            let c, n = seek m.table in
+            Array.init n (fun _ -> pull c)
           in
+          let all = Array.concat (Array.to_list (Array.map slice t.mems)) in
           Array.sort
             (fun a b ->
               Lsm_sim.Env.charge_comparisons t.env 1;
               K.compare a.key b.key)
             all;
-          all
+          (Seq.to_dispenser (Array.to_seq all), Array.length all)
         end
       in
       charge_mem_cmps t;
-      Lsm_sim.Env.charge_entry_visits t.env !count;
-      rows
+      Lsm_sim.Env.charge_entry_visits t.env n;
+      next
     end
 
   (* Reconciling scan served from the sorted view: one anchor binary
      search plus bounded per-run gallops to position, then a sequential
-     walk of the selector stream 2-way merged with the memory slice
+     walk of the selector stream 2-way merged with the memory stream
      (memory is strictly newer than every disk component, so it wins
      ties).  Within a disk key group the winner is the first live
      position — runs are ordered newest-first — which reproduces the heap
@@ -1063,33 +1092,31 @@ module Make (K : KEY) (V : VALUE) = struct
     in
     let valid r i = (not spec.respect_bitmap) || row_valid comps_a.(r) i in
     let it = View.start t.env v ~lo:spec.lo ~hi:spec.hi ~mask ~valid in
-    let mem_rows = mem_slice t spec in
-    let nm = Array.length mem_rows in
-    let mi = ref 0 in
+    let mem = mem_stream t spec in
+    let mnext = ref (mem ()) in
     let vnext = ref (View.next t.env it) in
     let continue = ref true in
     while !continue do
-      match (!mi < nm, !vnext) with
-      | false, None -> continue := false
-      | true, None ->
-          emit mem_rows.(!mi) ~src_repaired:0;
-          incr mi
-      | false, Some (_, r, row) ->
+      match (!mnext, !vnext) with
+      | None, None -> continue := false
+      | Some m, None ->
+          emit m ~src_repaired:0;
+          mnext := mem ()
+      | None, Some (_, r, row) ->
           emit row ~src_repaired:comps_a.(r).repaired_ts;
           vnext := View.next t.env it
-      | true, Some (vk, r, row) ->
-          let m = mem_rows.(!mi) in
+      | Some m, Some (vk, r, row) ->
           Lsm_sim.Env.charge_comparisons t.env 1;
           let c = K.compare m.key vk in
           if c < 0 then begin
             emit m ~src_repaired:0;
-            incr mi
+            mnext := mem ()
           end
           else begin
             (if c = 0 then begin
                (* Memory supersedes the whole disk group. *)
                emit m ~src_repaired:0;
-               incr mi
+               mnext := mem ()
              end
              else emit row ~src_repaired:comps_a.(r).repaired_ts);
             vnext := View.next t.env it
@@ -1156,22 +1183,19 @@ module Make (K : KEY) (V : VALUE) = struct
          vs.Lsm_sim.Env.fallbacks <- vs.Lsm_sim.Env.fallbacks + 1
        end);
       (* Sources: 0 = memory (newest), then disk components in order. *)
-      let mem_rows = mem_slice t spec in
-      let mem_pos = ref 0 in
-      let mem_stream () =
-        if !mem_pos < Array.length mem_rows then begin
-          let r = mem_rows.(!mem_pos) in
-          incr mem_pos;
-          (* Memory rows have no component position. *)
-          if within_hi t spec.hi r.key then Some (-1, r) else None
-        end
-        else None
+      let mem = mem_stream t spec in
+      let mem_src () =
+        match mem () with
+        | Some r when within_hi t spec.hi r.key ->
+            (* Memory rows have no component position. *)
+            Some (-1, r)
+        | _ -> None
       in
       let comps_a = Array.of_list comps in
       let streams = Array.map stream comps_a in
       let m =
         Lsm_util.Kmerge.create ~compare:(by_key t)
-          (Array.append [| mem_stream |] streams)
+          (Array.append [| mem_src |] streams)
       in
       let last_key = ref None in
       while not (Lsm_util.Kmerge.is_empty m) do
@@ -1192,18 +1216,17 @@ module Make (K : KEY) (V : VALUE) = struct
     else begin
       (* Component-at-a-time: bitmaps have already removed stale versions,
          so no cross-component reconciliation is necessary. *)
-      Array.iter (fun r -> emit r ~src_repaired:0) (mem_slice t spec);
+      let rec drain next f =
+        match next () with
+        | None -> ()
+        | Some x ->
+            f x;
+            drain next f
+      in
+      drain (mem_stream t spec) (fun row -> emit row ~src_repaired:0);
       List.iter
         (fun c ->
-          let next = stream c in
-          let rec drain () =
-            match next () with
-            | None -> ()
-            | Some (_, row) ->
-                emit row ~src_repaired:c.repaired_ts;
-                drain ()
-          in
-          drain ())
+          drain (stream c) (fun (_, row) -> emit row ~src_repaired:c.repaired_ts))
         comps
     end
 

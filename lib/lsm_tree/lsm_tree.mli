@@ -324,7 +324,13 @@ module Make (K : KEY) (V : VALUE) : sig
       components; [only]-restricted scans without a fresh view (a build
       there would tax ingest); and views turned off with
       {!set_sorted_views}, the differential oracle.  Non-reconciling
-      scans stream components one by one and never use a view. *)
+      scans stream components one by one and never use a view.
+
+      Every path reads the memory component in place, through a cursor
+      over a single memtable (several shards are sliced and sorted
+      instead), so a scan does not copy it; [f] must therefore not write
+      to [t].  Simulated charges match those of a scan that copies the
+      memtable first, in count and order. *)
 
   (** {1 Sorted views (REMIX)} *)
 

@@ -81,6 +81,78 @@ let test_mbt_comparison_counter () =
   Alcotest.(check bool) "counted some" true (c > 0);
   Alcotest.(check int) "drained" 0 (Mbt.take_comparisons t)
 
+(* Random memtables: puts, with removes mixed in so some leaves underflow
+   or empty out, and a random seek bound. *)
+let gen_table_and_lo =
+  QCheck2.Gen.(
+    pair
+      (list_size (int_range 0 400) (pair bool (int_range 0 300)))
+      (opt (int_range (-10) 310)))
+
+let table_of ops =
+  let t = Mbt.create () in
+  List.iter
+    (fun (is_put, k) ->
+      if is_put then ignore (Mbt.put t k (k * 3)) else ignore (Mbt.remove t k))
+    ops;
+  t
+
+let drain_cursor c =
+  let rec go acc =
+    match Mbt.next c with None -> List.rev acc | Some b -> go (b :: acc)
+  in
+  go []
+
+let prop_mbt_cursor_matches_model =
+  qtest ~count:300 "cursor = Map model, copies walk alone, stays exhausted"
+    gen_table_and_lo (fun (ops, lo) ->
+      let t = table_of ops in
+      let model =
+        List.fold_left
+          (fun m (is_put, k) ->
+            if is_put then IntMap.add k (k * 3) m else IntMap.remove k m)
+          IntMap.empty ops
+      in
+      let expected =
+        List.filter
+          (fun (k, _) -> match lo with None -> true | Some l -> k >= l)
+          (IntMap.bindings model)
+      in
+      let c = Mbt.seek t lo in
+      let from_copy = drain_cursor (Mbt.copy c) in
+      let got = drain_cursor c in
+      let via_iter = ref [] in
+      (match lo with
+      | Some key ->
+          Mbt.iter_from t key (fun k v ->
+              via_iter := (k, v) :: !via_iter;
+              true)
+      | None -> Mbt.iter t (fun k v -> via_iter := (k, v) :: !via_iter));
+      from_copy = expected && got = expected
+      && List.rev !via_iter = expected
+      && Mbt.next c = None
+      && Mbt.next c = None)
+
+let prop_mbt_cursor_seek_comparisons =
+  qtest ~count:300 "cursor seek = one descent, walking compares nothing"
+    gen_table_and_lo (fun (ops, lo) ->
+      let t = table_of ops in
+      ignore (Mbt.take_comparisons t);
+      let c = Mbt.seek t lo in
+      let seek_cmps = Mbt.take_comparisons t in
+      ignore (drain_cursor c);
+      let walk_cmps = Mbt.take_comparisons t in
+      let descent_ok =
+        match lo with
+        | None -> seek_cmps = 0
+        | Some key ->
+            (* [find] descends the same way, then may check equality. *)
+            ignore (Mbt.find t key);
+            let d = Mbt.take_comparisons t - seek_cmps in
+            d = 0 || d = 1
+      in
+      descent_ok && walk_cmps = 0)
+
 (* ------------------------------------------------------------------ *)
 (* Disk_btree *)
 
@@ -258,6 +330,8 @@ let () =
           Alcotest.test_case "min/max" `Quick test_mbt_min_max;
           Alcotest.test_case "comparison counter" `Quick
             test_mbt_comparison_counter;
+          prop_mbt_cursor_matches_model;
+          prop_mbt_cursor_seek_comparisons;
         ] );
       ( "disk",
         [

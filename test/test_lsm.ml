@@ -333,6 +333,30 @@ let test_scan_only_subset () =
     ~f:(fun r ~src_repaired:_ -> out := r.L.key :: !out);
   Alcotest.(check (list int)) "only newest comp" [ 2 ] (List.rev !out)
 
+(* A memory-only reconciling scan reads the memtable in place: it must not
+   copy it into a block too large for the minor heap.  A direct
+   major-heap allocation shows as major words that were not promoted. *)
+let test_mem_scan_no_major_alloc () =
+  let env = mk_env () in
+  let t = mk_tree env in
+  for i = 1 to 5_000 do
+    L.write t ~key:i ~ts:i (Entry.Put i)
+  done;
+  let direct_major spec =
+    let n = ref 0 in
+    Gc.minor ();
+    let _, promoted0, major0 = Gc.counters () in
+    L.scan t spec ~f:(fun _ ~src_repaired:_ -> incr n);
+    let _, promoted1, major1 = Gc.counters () in
+    (!n, major1 -. major0 -. (promoted1 -. promoted0))
+  in
+  Alcotest.(check (pair int (float 0.0)))
+    "full scan" (5_000, 0.0)
+    (direct_major L.full_scan_spec);
+  Alcotest.(check (pair int (float 0.0)))
+    "range scan" (3_001, 0.0)
+    (direct_major { L.full_scan_spec with lo = Some 1_000; hi = Some 4_000 })
+
 (* ------------------------------------------------------------------ *)
 (* Range filters *)
 
@@ -508,6 +532,8 @@ let () =
           Alcotest.test_case "non-reconciling" `Quick
             test_scan_non_reconciling_per_component;
           Alcotest.test_case "subset" `Quick test_scan_only_subset;
+          Alcotest.test_case "memory scan allocates no major block" `Quick
+            test_mem_scan_no_major_alloc;
         ] );
       ( "filter",
         [
