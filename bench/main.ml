@@ -561,6 +561,25 @@ let obs_point_bench name fixture =
          let d = Lazy.force fixture in
          ignore (D.point_query d (Lsm_util.Rng.int rng 1_000_000))))
 
+(* 10k simulated page reads over a working set twice the buffer cache
+   (128 pages through 64): about half hit, the rest miss and evict the
+   LRU page.  The same loop as test_sim's allocation test. *)
+let test_env_read_page =
+  let device = Lsm_harness.Scale.hdd_device in
+  let env =
+    Lsm_sim.Env.create ~cache_bytes:(64 * device.Lsm_sim.Device.page_size) device
+  in
+  let f = Lsm_sim.Sfile.create env in
+  Lsm_sim.Sfile.append_pages env f 128;
+  let file = Lsm_sim.Sfile.id f in
+  let rng = Random.State.make [| 19 |] in
+  let pages = Array.init 10_000 (fun _ -> Random.State.int rng 128) in
+  Test.make ~name:"env.read_page(2x cache)"
+    (Staged.stage (fun () ->
+         for i = 0 to Array.length pages - 1 do
+           Lsm_sim.Env.read_page env ~file ~page:pages.(i)
+         done))
+
 let test_obs_span_disabled =
   let env = quiet_env () in
   Test.make ~name:"obs.span(disabled)"
@@ -617,6 +636,7 @@ let micro_tests =
       query_bench "dataset.query(ts-validation,0.1%)" `Timestamp;
       query_bench "dataset.query(direct,0.1%)" `Direct;
       query_bench "dataset.query(assume-valid,0.1%)" `Assume_valid;
+      test_env_read_page;
       test_obs_span_disabled;
       test_obs_timeseries_observe;
       obs_point_bench "obs.point_query(off)" obs_fixture_off;

@@ -1,5 +1,10 @@
 (** Page-granular LRU buffer cache.  Keys are (file id, page number); the
-    cache stores residency only — files in this simulation are phantom. *)
+    cache stores residency only — files in this simulation are phantom.
+
+    Access allocates nothing: {!mem}, {!touch}, {!insert}, {!remove} and
+    evictions work on flat int arrays.  Memory grows with the resident
+    set — the arrays double on demand up to the capacity — not with the
+    configured capacity. *)
 
 type t
 
@@ -9,17 +14,19 @@ val create : capacity_pages:int -> t
 val size : t -> int
 val capacity : t -> int
 
-val mem : t -> int * int -> bool
+val mem : t -> file:int -> page:int -> bool
 (** Residency without touching recency. *)
 
-val touch : t -> int * int -> bool
-(** [touch t key] is [true] on a hit (promoting to MRU); [false] on a miss
-    (caller fetches and {!insert}s). *)
+val touch : t -> file:int -> page:int -> bool
+(** [touch t ~file ~page] is [true] on a hit (promoting to MRU); [false]
+    on a miss (caller fetches and {!insert}s). *)
 
-val insert : t -> int * int -> unit
-(** Make [key] resident at MRU, evicting the LRU page if at capacity. *)
+val insert : t -> file:int -> page:int -> unit
+(** Make the page resident at MRU, evicting the LRU page if at capacity.
+    An already-resident page is promoted to MRU; a zero-capacity cache
+    ignores the call. *)
 
-val remove : t -> int * int -> unit
+val remove : t -> file:int -> page:int -> unit
 (** Discard one resident page (e.g. a checksum-failed copy); no-op if
     absent. *)
 

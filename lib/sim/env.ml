@@ -32,6 +32,13 @@ let default_cpu ~page_size =
     entry_us = 0.02;
   }
 
+(* The clock is a record of float fields only, which OCaml stores flat:
+   [advance] then writes the new time in place.  As a [mutable float]
+   field of [t], a record mixing floats with other fields, every write
+   would box a fresh float on the heap, and every cost charge writes the
+   clock. *)
+type clock = { mutable us : float }
+
 type t = {
   device : Device.t;
   cache : Buffer_cache.t;
@@ -41,7 +48,7 @@ type t = {
       (** pages a sequential scan stream fetches per device request; the
           paper uses 4MB read-ahead "to minimize random I/Os" when many
           scan streams interleave (Sec. 6.1) *)
-  mutable now_us : float;
+  clock : clock;  (** simulated time in microseconds since creation *)
   mutable next_file_id : int;
   (* Device head position, for sequential-vs-random classification. *)
   mutable head_file : int;
@@ -161,7 +168,7 @@ let create ?(cache_bytes = 64 * 1024 * 1024) ?read_ahead_bytes ?cpu device =
     stats = Io_stats.create ();
     cpu;
     read_ahead_pages = max 1 (read_ahead_bytes / device.Device.page_size);
-    now_us = 0.0;
+    clock = { us = 0.0 };
     next_file_id = 0;
     head_file = -1;
     head_page = -1;
@@ -220,13 +227,13 @@ let stats t = t.stats
 let cache t = t.cache
 
 (** [now_us t] is the simulated clock in microseconds since creation. *)
-let now_us t = t.now_us
+let now_us t = t.clock.us
 
 (** [now_s t] is the simulated clock in seconds. *)
-let now_s t = t.now_us /. 1e6
+let now_s t = t.clock.us /. 1e6
 
 (** [advance t us] advances the clock by [us] microseconds. *)
-let advance t us = t.now_us <- t.now_us +. us
+let advance t us = t.clock.us <- t.clock.us +. us
 
 (** [rewind t us] moves the clock back by [us] >= 0 microseconds (clamped
     at zero).  The one legitimate caller is the overlapping-maintenance
@@ -235,7 +242,8 @@ let advance t us = t.now_us <- t.now_us +. us
     difference between that serial sum and the modeled W-worker makespan,
     so downstream consumers (the serving driver's clock deltas, span
     durations) see the pipeline's wall-clock cost, not the sum. *)
-let rewind t us = if us > 0.0 then t.now_us <- Float.max 0.0 (t.now_us -. us)
+let rewind t us =
+  if us > 0.0 then t.clock.us <- Float.max 0.0 (t.clock.us -. us)
 
 (* ------------------------------------------------------------------ *)
 (* Memory introspection: who holds how many in-memory bytes against
@@ -325,7 +333,7 @@ let announce_io t point ~file ~page =
 let verify_page t ~file ~page =
   if Hashtbl.mem t.corrupt (file, page) then begin
     t.resil.checksum_failures <- t.resil.checksum_failures + 1;
-    Buffer_cache.remove t.cache (file, page)
+    Buffer_cache.remove t.cache ~file ~page
   end
 
 (** [charge_comparisons t n] accounts for [n] key comparisons. *)
@@ -366,8 +374,7 @@ let fresh_file_id t =
     hit; otherwise a transfer, plus a positioning cost if the device head is
     not already on the preceding page of the same file. *)
 let read_page t ~file ~page =
-  let key = (file, page) in
-  if Buffer_cache.touch t.cache key then begin
+  if Buffer_cache.touch t.cache ~file ~page then begin
     t.stats.Io_stats.cache_hits <- t.stats.Io_stats.cache_hits + 1;
     advance t t.cpu.page_hit_us
   end
@@ -388,7 +395,7 @@ let read_page t ~file ~page =
     end;
     t.head_file <- file;
     t.head_page <- page;
-    Buffer_cache.insert t.cache key
+    Buffer_cache.insert t.cache ~file ~page
   end;
   if t.n_corrupt > 0 then verify_page t ~file ~page
 
@@ -408,7 +415,7 @@ let write_pages t ~file ~first ~count =
     t.head_file <- file;
     t.head_page <- first + count - 1;
     for p = first to first + count - 1 do
-      Buffer_cache.insert t.cache (file, p)
+      Buffer_cache.insert t.cache ~file ~page:p
     done
   end
 
@@ -449,7 +456,7 @@ let amp t = t.amp
 let enable_explain t =
   let e =
     Lsm_obs.Explain.create
-      ~clock:(fun () -> t.now_us)
+      ~clock:(fun () -> t.clock.us)
       ~counters:(fun () -> Io_stats.fields t.stats)
       ()
   in
@@ -469,7 +476,7 @@ let explain_count t key by =
 (** [enable_obs t] installs (and returns) an enabled observability handle
     whose span tracer is stamped with this environment's simulated clock. *)
 let enable_obs ?trace_capacity t =
-  let o = Lsm_obs.Obs.create ?trace_capacity ~clock:(fun () -> t.now_us) () in
+  let o = Lsm_obs.Obs.create ?trace_capacity ~clock:(fun () -> t.clock.us) () in
   t.obs <- o;
   o
 
@@ -490,7 +497,7 @@ let span t ?cat name f =
     if not o.Lsm_obs.Obs.enabled then f ()
     else begin
       let before = Io_stats.copy t.stats in
-      let t0 = t.now_us in
+      let t0 = t.clock.us in
       let r =
         Lsm_obs.Tracer.with_span o.Lsm_obs.Obs.tracer ?cat
           ~args_of:(fun () -> Io_stats.fields (Io_stats.diff t.stats before))
@@ -499,7 +506,7 @@ let span t ?cat name f =
       let labels = match cat with Some c when c <> "" -> [ ("src", c) ] | _ -> [] in
       Lsm_obs.Metrics.observe
         (Lsm_obs.Metrics.histogram o.Lsm_obs.Obs.metrics ~labels ("span." ^ name))
-        (t.now_us -. t0);
+        (t.clock.us -. t0);
       r
     end
   in
@@ -508,14 +515,14 @@ let span t ?cat name f =
   match t.span_hook with
   | None -> run ()
   | Some hook ->
-      let t0 = t.now_us in
+      let t0 = t.clock.us in
       let r = run () in
       hook
         {
           sp_name = name;
           sp_cat = (match cat with Some c -> c | None -> "");
           sp_start_us = t0;
-          sp_dur_us = t.now_us -. t0;
+          sp_dur_us = t.clock.us -. t0;
         };
       r
 
@@ -564,7 +571,7 @@ let publish_io_metrics t =
     Lsm_obs.Metrics.set
       (Lsm_obs.Metrics.gauge m "cache.capacity_pages")
       (Float.of_int (Buffer_cache.capacity t.cache));
-    Lsm_obs.Metrics.set (Lsm_obs.Metrics.gauge m "sim.now_us") t.now_us;
+    Lsm_obs.Metrics.set (Lsm_obs.Metrics.gauge m "sim.now_us") t.clock.us;
     if t.mem_probes <> [] then
       Lsm_obs.Metrics.set
         (Lsm_obs.Metrics.gauge m "mem.resident_bytes")

@@ -11,36 +11,40 @@ let mk_env ?(cache_bytes = 4 * Device.hdd.Device.page_size) () =
 
 let test_cache_hit_miss () =
   let c = Buffer_cache.create ~capacity_pages:2 in
-  Alcotest.(check bool) "miss" false (Buffer_cache.touch c (1, 0));
-  Buffer_cache.insert c (1, 0);
-  Alcotest.(check bool) "hit" true (Buffer_cache.touch c (1, 0));
+  Alcotest.(check bool) "miss" false (Buffer_cache.touch c ~file:1 ~page:0);
+  Buffer_cache.insert c ~file:1 ~page:0;
+  Alcotest.(check bool) "hit" true (Buffer_cache.touch c ~file:1 ~page:0);
   Alcotest.(check int) "size" 1 (Buffer_cache.size c)
 
 let test_cache_lru_eviction () =
   let c = Buffer_cache.create ~capacity_pages:2 in
-  Buffer_cache.insert c (1, 0);
-  Buffer_cache.insert c (1, 1);
+  Buffer_cache.insert c ~file:1 ~page:0;
+  Buffer_cache.insert c ~file:1 ~page:1;
   (* Touch page 0 so page 1 becomes LRU. *)
-  ignore (Buffer_cache.touch c (1, 0));
-  Buffer_cache.insert c (1, 2);
-  Alcotest.(check bool) "page 0 kept" true (Buffer_cache.mem c (1, 0));
-  Alcotest.(check bool) "page 1 evicted" false (Buffer_cache.mem c (1, 1));
-  Alcotest.(check bool) "page 2 resident" true (Buffer_cache.mem c (1, 2));
+  ignore (Buffer_cache.touch c ~file:1 ~page:0);
+  Buffer_cache.insert c ~file:1 ~page:2;
+  Alcotest.(check bool) "page 0 kept" true (Buffer_cache.mem c ~file:1 ~page:0);
+  Alcotest.(check bool) "page 1 evicted" false
+    (Buffer_cache.mem c ~file:1 ~page:1);
+  Alcotest.(check bool) "page 2 resident" true
+    (Buffer_cache.mem c ~file:1 ~page:2);
   Alcotest.(check int) "at capacity" 2 (Buffer_cache.size c)
 
 let test_cache_drop_file () =
   let c = Buffer_cache.create ~capacity_pages:10 in
-  Buffer_cache.insert c (1, 0);
-  Buffer_cache.insert c (2, 0);
-  Buffer_cache.insert c (1, 5);
+  Buffer_cache.insert c ~file:1 ~page:0;
+  Buffer_cache.insert c ~file:2 ~page:0;
+  Buffer_cache.insert c ~file:1 ~page:5;
   Buffer_cache.drop_file c 1;
   Alcotest.(check int) "only file 2 left" 1 (Buffer_cache.size c);
-  Alcotest.(check bool) "file2 resident" true (Buffer_cache.mem c (2, 0))
+  Alcotest.(check bool) "file2 resident" true
+    (Buffer_cache.mem c ~file:2 ~page:0)
 
 let test_cache_zero_capacity () =
   let c = Buffer_cache.create ~capacity_pages:0 in
-  Buffer_cache.insert c (1, 0);
-  Alcotest.(check bool) "never caches" false (Buffer_cache.mem c (1, 0))
+  Buffer_cache.insert c ~file:1 ~page:0;
+  Alcotest.(check bool) "never caches" false
+    (Buffer_cache.mem c ~file:1 ~page:0)
 
 let test_cache_lru_chain_stress () =
   (* Insert far more than capacity; size must stay at capacity and the
@@ -48,13 +52,14 @@ let test_cache_lru_chain_stress () =
   let cap = 8 in
   let c = Buffer_cache.create ~capacity_pages:cap in
   for p = 0 to 99 do
-    Buffer_cache.insert c (0, p)
+    Buffer_cache.insert c ~file:0 ~page:p
   done;
   Alcotest.(check int) "size at cap" cap (Buffer_cache.size c);
   for p = 100 - cap to 99 do
-    Alcotest.(check bool) "recent resident" true (Buffer_cache.mem c (0, p))
+    Alcotest.(check bool) "recent resident" true
+      (Buffer_cache.mem c ~file:0 ~page:p)
   done;
-  Alcotest.(check bool) "old gone" false (Buffer_cache.mem c (0, 0))
+  Alcotest.(check bool) "old gone" false (Buffer_cache.mem c ~file:0 ~page:0)
 
 (* A reference LRU model — MRU-first association list over the same op
    alphabet — run in lockstep with the real cache.  After every op the
@@ -102,7 +107,8 @@ let prop_cache_matches_model =
                 (fun f ->
                   List.for_all
                     (fun p ->
-                      Buffer_cache.mem c (f, p) = List.mem (f, p) !model)
+                      Buffer_cache.mem c ~file:f ~page:p
+                      = List.mem (f, p) !model)
                     [ 0; 1; 2; 3; 4; 5 ])
                 [ 0; 1; 2 ]
          in
@@ -110,19 +116,19 @@ let prop_cache_matches_model =
            (fun op ->
              (match op with
              | Insert (f, p) ->
-                 Buffer_cache.insert c (f, p);
+                 Buffer_cache.insert c ~file:f ~page:p;
                  model := model_insert cap !model (f, p)
              | Touch (f, p) ->
-                 let hit = Buffer_cache.touch c (f, p) in
+                 let hit = Buffer_cache.touch c ~file:f ~page:p in
                  let mhit = List.mem (f, p) !model in
                  if mhit then
                    model := (f, p) :: List.filter (( <> ) (f, p)) !model;
                  if hit <> mhit then failwith "touch hit mismatch"
              | Mem (f, p) ->
                  (* must not touch recency — checked by later evictions *)
-                 ignore (Buffer_cache.mem c (f, p))
+                 ignore (Buffer_cache.mem c ~file:f ~page:p)
              | Remove (f, p) ->
-                 Buffer_cache.remove c (f, p);
+                 Buffer_cache.remove c ~file:f ~page:p;
                  model := List.filter (( <> ) (f, p)) !model
              | Drop_file f ->
                  Buffer_cache.drop_file c f;
@@ -132,6 +138,113 @@ let prop_cache_matches_model =
                  model := []);
              agree ())
            ops))
+
+(* The same model over wide keys: ~200 distinct (file, page) pairs whose
+   file ids span 2^30, capacities up to 64 (tables of at most 128
+   buckets, so probe runs collide and wrap past the last bucket), and
+   long op sequences, so backward-shift deletion runs across the wrap
+   point many times per case.  The slot arrays grow, and [Clear] shrinks
+   them, at capacities the narrow model never reaches.  After every op
+   the sizes agree and every model key is resident — together, the same
+   resident set. *)
+let wide_files = 20
+let wide_pages = 10
+
+let wide_op_gen =
+  QCheck2.Gen.(
+    let key = int_range 0 ((wide_files * wide_pages) - 1) in
+    frequency
+      [
+        (6, map (fun k -> Insert (k / wide_pages, k mod wide_pages)) key);
+        (3, map (fun k -> Touch (k / wide_pages, k mod wide_pages)) key);
+        (2, map (fun k -> Mem (k / wide_pages, k mod wide_pages)) key);
+        (3, map (fun k -> Remove (k / wide_pages, k mod wide_pages)) key);
+        (1, map (fun f -> Drop_file f) (int_range 0 (wide_files - 1)));
+        (1, return Clear);
+      ])
+
+let prop_cache_wide_keys =
+  let open QCheck2 in
+  QCheck_alcotest.to_alcotest
+    (Test.make ~count:60 ~name:"lru matches reference model on wide keys"
+       Gen.(
+         triple (int_range 0 64)
+           (array_repeat wide_files (int_range 0 (1 lsl 30)))
+           (int_range 500 3000 >>= fun n -> list_repeat n wide_op_gen))
+       (fun (cap, files, ops) ->
+         let c = Buffer_cache.create ~capacity_pages:cap in
+         let model = ref [] in
+         let key f p = (files.(f), p) in
+         let agree (f, p) =
+           Buffer_cache.size c = List.length !model
+           && Buffer_cache.mem c ~file:f ~page:p = List.mem (f, p) !model
+           && List.for_all
+                (fun (f, p) -> Buffer_cache.mem c ~file:f ~page:p)
+                !model
+         in
+         List.for_all
+           (fun op ->
+             match op with
+             | Insert (f, p) ->
+                 let ((f, p) as k) = key f p in
+                 Buffer_cache.insert c ~file:f ~page:p;
+                 model := model_insert cap !model k;
+                 agree k
+             | Touch (f, p) ->
+                 let ((f, p) as k) = key f p in
+                 let hit = Buffer_cache.touch c ~file:f ~page:p in
+                 let mhit = List.mem k !model in
+                 if mhit then model := k :: List.filter (( <> ) k) !model;
+                 hit = mhit && agree k
+             | Mem (f, p) ->
+                 let ((f, p) as k) = key f p in
+                 ignore (Buffer_cache.mem c ~file:f ~page:p);
+                 agree k
+             | Remove (f, p) ->
+                 let ((f, p) as k) = key f p in
+                 Buffer_cache.remove c ~file:f ~page:p;
+                 model := List.filter (( <> ) k) !model;
+                 agree k
+             | Drop_file f ->
+                 let file = files.(f) in
+                 Buffer_cache.drop_file c file;
+                 model := List.filter (fun (f', _) -> f' <> file) !model;
+                 agree (file, 0)
+             | Clear ->
+                 Buffer_cache.clear c;
+                 model := [];
+                 agree (files.(0), 0))
+           ops))
+
+(* After warm-up a page access or a cost charge allocates nothing: the
+   cache is flat int arrays and the clock an unboxed float.  10k reads
+   over 128 pages through a 64-page cache (hits, misses and evictions)
+   plus 10k comparison charges stay under 64 minor words in total. *)
+let test_access_allocates_nothing () =
+  let env = mk_env ~cache_bytes:(64 * Device.hdd.Device.page_size) () in
+  let f = Sfile.create env in
+  Sfile.append_pages env f 128;
+  let file = Sfile.id f in
+  let rs = Random.State.make [| 19 |] in
+  let pages = Array.init 10_000 (fun _ -> Random.State.int rs 128) in
+  Array.iter (fun page -> Env.read_page env ~file ~page) pages;
+  Env.charge_comparisons env 1;
+  Env.reset_measurement env;
+  let w0 = Gc.minor_words () in
+  for i = 0 to Array.length pages - 1 do
+    Env.read_page env ~file ~page:pages.(i)
+  done;
+  for _ = 1 to 10_000 do
+    Env.charge_comparisons env 1
+  done;
+  let words = Gc.minor_words () -. w0 in
+  let st = Env.stats env in
+  Alcotest.(check bool) "hits" true (st.Io_stats.cache_hits > 1000);
+  Alcotest.(check bool) "misses" true (st.Io_stats.cache_misses > 1000);
+  Alcotest.(check int) "cache full" 64 (Buffer_cache.size (Env.cache env));
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words < 64" words)
+    true (words < 64.0)
 
 (* ------------------------------------------------------------------ *)
 (* Env cost accounting *)
@@ -276,12 +389,15 @@ let () =
           Alcotest.test_case "zero capacity" `Quick test_cache_zero_capacity;
           Alcotest.test_case "lru stress" `Quick test_cache_lru_chain_stress;
           prop_cache_matches_model;
+          prop_cache_wide_keys;
         ] );
       ( "env",
         [
           Alcotest.test_case "seq cheaper than random" `Quick
             test_sequential_cheaper_than_random;
           Alcotest.test_case "cache hit cheap" `Quick test_cache_hit_is_cheap;
+          Alcotest.test_case "access allocates nothing" `Quick
+            test_access_allocates_nothing;
           Alcotest.test_case "miss counting" `Quick test_read_miss_counted;
           Alcotest.test_case "interleaving randomizes" `Quick
             test_interleaved_files_are_random;
