@@ -268,8 +268,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
     let n = Array.length rows in
     let bitmap = Lsm_util.Bitset.create n in
     Hashtbl.iter (fun pos () -> Lsm_util.Bitset.set bitmap pos) st.out_marks;
-    let pc = D.Prim.install prim ~inputs:pcomps rows in
-    pc.D.Prim.bitmap <- Some bitmap;
+    ignore (D.Prim.install prim ~inputs:pcomps rows);
     let krows =
       Array.map
         (fun (r : D.Prim.row) ->
@@ -282,6 +281,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
     in
     let kc = D.Pk.install pkt ~inputs:kcomps krows in
     kc.D.Pk.bitmap <- Some bitmap;
+    D.share_pair_bitmaps d;
     {
       merge_time_us = Lsm_sim.Env.now_us env -. t0;
       rows_merged = n;

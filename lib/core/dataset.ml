@@ -211,15 +211,15 @@ module Make (R : Record.S) = struct
   (* ------------------------------------------------------------------ *)
   (* Shared flush and merge scheduling *)
 
-  (* Unify the newest primary / primary-key components' bitmaps so that a
-     bit set through either index is seen by both (their entries align
-     positionally: same keys, same order; Sec. 5.1). *)
-  let unify_newest_bitmaps t =
+  (* The one writer of primary bitmaps (see the interface).  Differing
+     component counts mean a crash or a failed retry left the pair
+     mid-step; realignment restores the counts first. *)
+  let share_pair_bitmaps t =
     match t.pk_index with
     | Some pk when Strategy.uses_primary_bitmap t.cfg.strategy ->
         let pcs = Prim.components t.primary and kcs = Pk.components pk in
-        if Array.length pcs > 0 && Array.length kcs > 0 then
-          kcs.(0).Pk.bitmap <- pcs.(0).Prim.bitmap
+        if Array.length pcs = Array.length kcs then
+          Array.iteri (fun i pc -> pc.Prim.bitmap <- kcs.(i).Pk.bitmap) pcs
     | _ -> ()
 
   (* Flush every tree's memory — or, with [~shard:s], memory shard [s] of
@@ -227,10 +227,10 @@ module Make (R : Record.S) = struct
      shard reaches disk while its siblings keep absorbing writes.  The
      primary pair is Int-keyed identically on both sides, so its two
      shard-[s] cuts hold the same keys in the same order and the newest
-     bitmaps still unify; secondary / deleted-key trees route by their own
-     keys, so their shard [s] is a different key slice — fine, since no
-     correctness property ever related *which* entries flush together
-     across tree families (the tombstone barrier covers the one
+     pair still shares a bitmap; secondary / deleted-key trees route by
+     their own keys, so their shard [s] is a different key slice — fine,
+     since no correctness property ever related *which* entries flush
+     together across tree families (the tombstone barrier covers the one
      exception; see [update_tombstone_barrier]). *)
   let flush_trees ?shard t =
     Lsm_sim.Env.span t.env ~cat:"dataset" "dataset.flush" @@ fun () ->
@@ -258,11 +258,11 @@ module Make (R : Record.S) = struct
         Sec.flush ?shard s.tree;
         match s.del_tree with Some d -> Pk.flush ?shard d | None -> ())
       t.secondaries;
-    (* Unconditional (idempotent, cheap): a supervised retry after a
-       partial flush — primary flushed, pk-index flush died — re-enters
-       with an empty primary memory, and the newest pair must still end
-       up sharing one bitmap object. *)
-    unify_newest_bitmaps t;
+    (* Unconditional (idempotent): a supervised retry after a partial
+       flush — primary flushed, pk-index flush died — re-enters with an
+       empty primary memory, and the newest pair must still end up
+       sharing one bitmap object. *)
+    share_pair_bitmaps t;
     if flushed then begin
       t.stats.n_flushes <- t.stats.n_flushes + 1;
       Log.debug (fun m ->
@@ -281,76 +281,6 @@ module Make (R : Record.S) = struct
   let repair_hook :
       (t -> sec_index -> Sec.disk_component -> piggyback:bool -> unit) ref =
     ref (fun _ _ _ ~piggyback:_ -> ())
-
-  (* Merge the components of [tree] whose IDs fall inside [lo, hi]
-     (a contiguous run, by the disjointness of component IDs). *)
-  let merge_id_range (type dc) ~(components : unit -> dc array)
-      ~(id : dc -> int * int) ~(merge : first:int -> last:int -> dc) ~lo ~hi =
-    let comps = components () in
-    let first = ref (-1) and last = ref (-1) in
-    Array.iteri
-      (fun i c ->
-        let cmin, cmax = id c in
-        if cmin >= lo && cmax <= hi then begin
-          if !first < 0 then first := i;
-          last := i
-        end)
-      comps;
-    if !first >= 0 && !last > !first then Some (merge ~first:!first ~last:!last)
-    else None
-
-  (* Merge the lockstep counterpart of a merged component: find the
-     contiguous run of [components] whose concatenated flush provenance
-     equals [prov].  Per-shard flushes produce components whose ID ranges
-     overlap across shards, so ts-range nesting no longer identifies a
-     merge's inputs (a range can nest a sibling shard's component that
-     was never an input); flush provenance does — the primary pair
-     flushes the same shard cuts in lockstep, so the counterpart side
-     always holds a run with exactly the same origin sequence.  Returns
-     [None] when the counterpart is a single already-aligned component
-     (nothing to merge) or when no run matches (counterpart not flushed
-     yet — recovery redoes it). *)
-  let merge_prov_range (type dc) ~(components : unit -> dc array)
-      ~(prov_of : dc -> Lsm_tree.flush_origin list)
-      ~(merge : first:int -> last:int -> dc) ~prov =
-    match prov with
-    | [] -> None
-    | _ ->
-        let comps = components () in
-        let n = Array.length comps in
-        (* [eat p rem] strips [p] off the front of [rem]. *)
-        let rec eat p rem =
-          match (p, rem) with
-          | [], rest -> Some rest
-          | ph :: pt, rh :: rt when Lsm_tree.flush_origin_equal ph rh ->
-              eat pt rt
-          | _ -> None
-        in
-        (* [run_at j rem] = Some last if comps.(j..last) concatenate to
-           exactly [rem]. *)
-        let rec run_at j rem =
-          match rem with
-          | [] -> Some (j - 1)
-          | _ when j >= n -> None
-          | _ -> (
-              match prov_of comps.(j) with
-              | [] -> None
-              | p -> (
-                  match eat p rem with
-                  | Some rest -> run_at (j + 1) rest
-                  | None -> None))
-        in
-        let found = ref None in
-        let i = ref 0 in
-        while Option.is_none !found && !i < n do
-          (match run_at !i prov with
-          | Some last -> found := Some (!i, last)
-          | None -> ());
-          incr i
-        done;
-        (match !found with
-        | Some (first, last) when last > first -> Some (merge ~first ~last)
-        | _ -> None)
 
   (* Secondary entries validate lazily against the primary key index, so a
      pk-index bottom merge must not drop a delete tombstone until every
@@ -395,26 +325,22 @@ module Make (R : Record.S) = struct
             ())
 
   (* The correlated primary pair's lockstep follow (Sec. 5.1): merge the
-     pk-index run whose flush provenance matches primary component [pc],
-     then re-share [pc]'s bitmap so a bit set through either index is seen
-     by both. *)
+     pk-index run whose flush provenance matches primary component [pc]
+     (the pair flushes the same shard cuts in lockstep, so that run
+     exists unless the pk side has not flushed yet — recovery redoes it),
+     then re-share the pair's bitmaps.  A single-component run is already
+     aligned. *)
   let follow_primary t pk pc =
-    match
-      merge_prov_range
-        ~components:(fun () -> Pk.components pk)
-        ~prov_of:(fun c -> c.Pk.prov)
-        ~merge:(fun ~first ~last -> Pk.merge pk ~first ~last)
-        ~prov:pc.Prim.prov
-    with
-    | Some kc ->
-        if Strategy.uses_primary_bitmap t.cfg.strategy then
-          kc.Pk.bitmap <- pc.Prim.bitmap
-    | None -> ()
+    match Pk.prov_run pk pc.Prim.prov with
+    | Some (first, last) when last > first ->
+        ignore (Pk.merge pk ~first ~last);
+        share_pair_bitmaps t
+    | _ -> ()
 
   (* The pk index when it follows the primary in lockstep. *)
   let pk_follower t =
     match t.pk_index with
-    | Some pk when Strategy.correlates_primary_pair t.cfg.strategy -> Some pk
+    | Some pk when Strategy.uses_primary_bitmap t.cfg.strategy -> Some pk
     | _ -> None
 
   (* Catch-up realignment: a supervised retry (or recovery) may re-enter
@@ -557,16 +483,11 @@ module Make (R : Record.S) = struct
                    bump ();
                    Array.iter
                      (fun s ->
-                       match
-                         merge_id_range
-                           ~components:(fun () -> Sec.components s.tree)
-                           ~id:Sec.component_id
-                           ~merge:(fun ~first ~last ->
-                             Sec.merge s.tree ~first ~last)
-                           ~lo ~hi
-                       with
-                       | Some sc -> !repair_hook t s sc ~piggyback:true
-                       | None -> ())
+                       match Sec.id_run s.tree ~lo ~hi with
+                       | Some (first, last) when last > first ->
+                           let sc = Sec.merge s.tree ~first ~last in
+                           !repair_hook t s sc ~piggyback:true
+                       | _ -> ())
                      t.secondaries;
                    Pk.merge_start pk ~first ~last)
                  ~step:(Pk.merge_step pk)
@@ -1361,9 +1282,9 @@ module Make (R : Record.S) = struct
      merge, physically applies its bitmap).  Under Mutable-bitmap the
      primary and pk-index components share validity bitmaps and must keep
      identical row sequences, so the pair scrubs in lockstep and the
-     fresh bitmap is re-shared, mirroring run_merges. *)
+     fresh bitmaps are re-shared, mirroring run_merges. *)
   let scrub_primary_pair t =
-    let correlated = Strategy.correlates_primary_pair t.cfg.strategy in
+    let correlated = Strategy.uses_primary_bitmap t.cfg.strategy in
     let rec pass () =
       let pcs = Prim.components t.primary in
       let kcs =
@@ -1380,12 +1301,11 @@ module Make (R : Record.S) = struct
       if !doomed >= 0 then begin
         let i = !doomed in
         update_tombstone_barrier t;
-        let pc = Prim.merge t.primary ~first:i ~last:i in
+        ignore (Prim.merge t.primary ~first:i ~last:i);
         (match t.pk_index with
         | Some pk when correlated && i < Array.length kcs ->
-            let kc = Pk.merge pk ~first:i ~last:i in
-            if Strategy.uses_primary_bitmap t.cfg.strategy then
-              kc.Pk.bitmap <- pc.Prim.bitmap
+            ignore (Pk.merge pk ~first:i ~last:i);
+            share_pair_bitmaps t
         | _ -> ());
         let r = resil t in
         r.Lsm_sim.Env.rebuilds <- r.Lsm_sim.Env.rebuilds + 1;
@@ -1430,7 +1350,7 @@ module Make (R : Record.S) = struct
          clean (fully trusted) primary key index. *)
       scrub_primary_pair t;
       (match t.pk_index with
-      | Some pk when not (Strategy.correlates_primary_pair t.cfg.strategy) ->
+      | Some pk when not (Strategy.uses_primary_bitmap t.cfg.strategy) ->
           scrub_solo_pk t pk
       | _ -> ());
       Array.iter

@@ -180,19 +180,20 @@ module Make (R : Record.S) : sig
   val largest_mem_shard : t -> int * int
   (** [(shard, bytes)] of the fullest memory shard. *)
 
-  val merge_prov_range :
-    components:(unit -> 'dc array) ->
-    prov_of:('dc -> Lsm_tree.flush_origin list) ->
-    merge:(first:int -> last:int -> 'dc) ->
-    prov:Lsm_tree.flush_origin list ->
-    'dc option
-  (** Merge the lockstep counterpart of a merged component: find the
-      contiguous run of [components] whose concatenated flush provenance
-      equals [prov] and merge it.  Per-shard flushes produce components
-      whose ID ranges overlap across shards, so ts-range nesting no
-      longer identifies a merge's inputs; provenance does.  [None] when
-      the counterpart is a single already-aligned component or no run
-      matches (recovery redoes it). *)
+  val share_pair_bitmaps : t -> unit
+  (** Under Mutable-bitmap, point each primary component's bitmap at its
+      pk-index counterpart's, so the positionally aligned pair shares one
+      validity bitmap object (Sec. 5.1).  The pk side is authoritative:
+      bits are set through it, and recovery restores and replays them
+      there.  A no-op while the pair's component counts differ, and for
+      other strategies. *)
+
+  val realign_pk_to_primary : t -> unit
+  (** Under Mutable-bitmap, complete any lockstep pk-index merge the
+      primary has run but the pk index has not (a retry or recovery after
+      a crash between the two): merge each pk run whose flush provenance
+      ({!Lsm_tree.Make.prov_run}) matches a primary component, then
+      re-share bitmaps.  No-op otherwise. *)
 
   val set_auto_maintenance : t -> bool -> unit
   (** Default [true]: flush/merge when the shared budget fills. *)

@@ -51,12 +51,9 @@ let mutable_bitmap = Mutable_bitmap { secondary_repair = false }
 let deleted_key_btree = Deleted_key_btree
 
 (** Does this strategy keep a validity bitmap on primary / primary-key
-    components? *)
+    components?  Such a pair shares its bitmaps, so it must also merge in
+    lockstep (Sec. 5.1). *)
 let uses_primary_bitmap = function Mutable_bitmap _ -> true | _ -> false
-
-(** Must primary and primary-key index merges be synchronized?  Required
-    for shared bitmaps (Sec. 5.1). *)
-let correlates_primary_pair = function Mutable_bitmap _ -> true | _ -> false
 
 (** Must secondary-index merges be synchronized *with the primary key
     index*?  The Bloom-repair optimization needs this (Sec. 4.4: "use a

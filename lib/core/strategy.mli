@@ -27,11 +27,8 @@ val deleted_key_btree : t
 
 val uses_primary_bitmap : t -> bool
 (** Does the strategy keep validity bitmaps on primary / primary-key
-    components? *)
-
-val correlates_primary_pair : t -> bool
-(** Must primary and primary-key index merges be synchronized (shared
-    bitmaps, Sec. 5.1)? *)
+    components?  The pair then shares them and merges in lockstep
+    (Sec. 5.1). *)
 
 val correlates_secondaries : t -> bool
 (** Must secondary merges be synchronized with the primary key index

@@ -320,9 +320,8 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
     D.Prim.reset_memory (D.primary t.d);
     D.Pk.reset_memory (pk_index t);
     Array.iter (fun s -> D.Sec.reset_memory s.D.tree) (D.secondaries t.d);
-    (* Validity bitmaps exist only under the Mutable-bitmap strategy;
-       a Validation pair is not lockstep-aligned, so sharing a pk-index
-       bitmap onto a primary component there would mismatch its rows. *)
+    (* Validity bitmaps exist only under the Mutable-bitmap strategy:
+       restore the pk side's, then re-share them with the primary. *)
     if Strategy.uses_primary_bitmap (D.strategy t.d) then begin
       let pkt = pk_index t in
       Array.iter
@@ -333,65 +332,9 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
               c.D.Pk.bitmap <-
                 Some (Lsm_util.Bitset.create (D.Pk.component_rows c)))
         (D.Pk.components pkt);
-      (* Re-share bitmaps with the primary components (aligned layouts). *)
-      let pcs = D.Prim.components (D.primary t.d) in
-      let kcs = D.Pk.components pkt in
-      if Array.length pcs = Array.length kcs then
-        Array.iteri (fun i p -> p.D.Prim.bitmap <- kcs.(i).D.Pk.bitmap) pcs
+      D.share_pair_bitmaps t.d
     end;
     t.live_txns <- 0
-
-  (* The durable frontier of one tree, per memory shard: the maximum
-     entry timestamp the surviving disk components cover *for that
-     shard's key slice*.  Timestamps are handed out monotonically at
-     write time and a key always routes to the same shard, so every
-     committed write at or below its shard's frontier was in that shard's
-     memory at — and therefore included in — some flush; everything above
-     it needs memory redo.  Unlike a single dataset-wide LSN (or even a
-     single per-tree frontier), this survives a crash that interrupted a
-     multi-tree or per-shard flush halfway: each (tree, shard) reports
-     exactly what it managed to make durable.  Coverage comes from flush
-     provenance: a whole-memory origin ([fo_shard = -1]) covers every
-     shard, a per-shard origin covers its shard (under the same shard
-     count; origins from a different sharding cover nothing — redo is
-     conservative there), and a component with no provenance falls back
-     to covering every shard up to its ID range. *)
-  let shard_frontiers (type dc) ~nshards ~(prov_of : dc -> Lsm_tree.flush_origin list)
-      ~(id_of : dc -> int * int) (comps : dc array) =
-    let f = Array.make nshards 0 in
-    let cover_all hi =
-      for s = 0 to nshards - 1 do
-        f.(s) <- max f.(s) hi
-      done
-    in
-    Array.iter
-      (fun c ->
-        match prov_of c with
-        | [] -> cover_all (snd (id_of c))
-        | prov ->
-            List.iter
-              (fun (o : Lsm_tree.flush_origin) ->
-                if o.Lsm_tree.fo_shard < 0 then cover_all o.Lsm_tree.fo_max_ts
-                else if o.Lsm_tree.fo_shards = nshards then
-                  f.(o.Lsm_tree.fo_shard) <-
-                    max f.(o.Lsm_tree.fo_shard) o.Lsm_tree.fo_max_ts)
-              prov)
-      comps;
-    f
-
-  let prim_frontiers t ~nshards =
-    shard_frontiers ~nshards ~prov_of:(fun c -> c.D.Prim.prov)
-      ~id_of:D.Prim.component_id
-      (D.Prim.components (D.primary t.d))
-
-  let pk_frontiers t ~nshards =
-    shard_frontiers ~nshards ~prov_of:(fun c -> c.D.Pk.prov)
-      ~id_of:D.Pk.component_id
-      (D.Pk.components (pk_index t))
-
-  let sec_frontiers s ~nshards =
-    shard_frontiers ~nshards ~prov_of:(fun c -> c.D.Sec.prov)
-      ~id_of:D.Sec.component_id (D.Sec.components s.D.tree)
 
   (* Restore the structural invariant of the correlated primary pair
      (Mutable-bitmap only): identical component layouts with positionally
@@ -399,8 +342,9 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
      ways, both one step deep because maintenance is sequential:
 
      - an interrupted lockstep merge: the primary merged but the pk index
-       did not.  Redo the pk side — merge the pk components whose IDs nest
-       inside one primary component.  This runs *after* bitmap redo, so
+       did not.  Redo the pk side — merge the pk run whose flush
+       provenance matches a primary component
+       ({!D.realign_pk_to_primary}).  This runs *after* bitmap redo, so
        the re-merge drops exactly the rows the original (crashed) merge
        dropped: merges happen at quiescent points, hence every bit present
        at merge time was committed and is reproduced by checkpoint
@@ -412,37 +356,20 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
        per-tree frontier (computed after the drop) sends them back through
        memory redo on both trees.
 
-     Finally re-share bitmap objects pairwise so a bit set through either
-     index is seen by both. *)
-  let prov_eq a b =
-    List.length a = List.length b
-    && List.for_all2 Lsm_tree.flush_origin_equal a b
-
+     Finally re-share bitmap objects pairwise ({!D.share_pair_bitmaps})
+     so a bit set through either index is seen by both. *)
   let realign_primary_pair t =
     if Strategy.uses_primary_bitmap (D.strategy t.d) then begin
       let prim = D.primary t.d in
       let pkt = pk_index t in
-      (* Catch-up pk-index merges, matched by flush provenance (per-shard
-         flushes make component ID ranges overlap across shards, so
-         ts-range nesting no longer identifies the merge's inputs). *)
-      Array.iter
-        (fun pc ->
-          ignore
-            (D.merge_prov_range
-               ~components:(fun () -> D.Pk.components pkt)
-               ~prov_of:(fun c -> c.D.Pk.prov)
-               ~merge:(fun ~first ~last -> D.Pk.merge pkt ~first ~last)
-               ~prov:pc.D.Prim.prov))
-        (D.Prim.components prim);
+      D.realign_pk_to_primary t.d;
       (* Drop orphaned primary components (no pk counterpart).  The pair
          writes identical key/ts sets, so lockstep counterparts carry
          identical provenance. *)
       let has_pk_counterpart pc =
         Array.exists
           (fun kc ->
-            if pc.D.Prim.prov = [] || kc.D.Pk.prov = [] then
-              D.Pk.component_id kc = D.Prim.component_id pc
-            else prov_eq kc.D.Pk.prov pc.D.Prim.prov)
+            List.equal Lsm_tree.flush_origin_equal kc.D.Pk.prov pc.D.Prim.prov)
           (D.Pk.components pkt)
       in
       let orphans = ref [] in
@@ -451,11 +378,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
         (D.Prim.components prim);
       (* Newest-first indices, removed in descending order to stay valid. *)
       List.iter (fun i -> D.Prim.remove_component prim ~at:i) !orphans;
-      (* Re-share bitmap objects (pk side is authoritative: it went
-         through checkpoint restore + WAL replay). *)
-      let pcs = D.Prim.components prim and kcs = D.Pk.components pkt in
-      if Array.length pcs = Array.length kcs then
-        Array.iteri (fun i pc -> pc.D.Prim.bitmap <- kcs.(i).D.Pk.bitmap) pcs
+      D.share_pair_bitmaps t.d
     end
 
   (** [recover t] replays committed work: bitmap redo past the checkpoint
@@ -498,11 +421,12 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
        lowers the primary's frontier, which is exactly what routes its
        entries back through redo); each write is gated on the frontier of
        the shard its key routes to. *)
-    let nshards = D.mem_shards d in
-    let prim_f = prim_frontiers t ~nshards in
-    let pk_f = pk_frontiers t ~nshards in
+    let prim_f = D.Prim.durable_frontiers (D.primary d) in
+    let pk_f = D.Pk.durable_frontiers pkt in
     let sec_f =
-      Array.map (fun s -> (s, sec_frontiers s ~nshards)) (D.secondaries d)
+      Array.map
+        (fun s -> (s, D.Sec.durable_frontiers s.D.tree))
+        (D.secondaries d)
     in
     List.iter
       (fun (l : redo Wal.record) ->

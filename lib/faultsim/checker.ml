@@ -132,6 +132,11 @@ let check_pair_alignment acc (st : S.t) =
               if prows <> krows then
                 failf acc "pair comp %d: %d primary rows vs %d pk rows" i
                   prows krows;
+              if
+                not
+                  (List.equal Lsm_tree.flush_origin_equal pc.D.Prim.prov
+                     kc.D.Pk.prov)
+              then failf acc "pair comp %d: flush provenance differs" i;
               match (pc.D.Prim.bitmap, kc.D.Pk.bitmap) with
               | None, None -> ()
               | Some pb, Some kb ->

@@ -21,9 +21,8 @@ module Fault_point = Lsm_sim.Fault_point
     flush operation(s) produced its rows.  Lives outside the functor so
     the provenance of components from *different* [Make] instances (the
     primary / primary-key pair of a dataset, whose flush histories are
-    identical by construction) can be compared, and so recovery can
-    compute per-shard durable frontiers.  A merged component carries the
-    concatenation of its inputs' origins, newest first. *)
+    identical by construction) can be compared.  A merged component
+    carries the concatenation of its inputs' origins, newest first. *)
 type flush_origin = {
   fo_shards : int;  (** the tree's shard count when the flush ran *)
   fo_shard : int;  (** flushed shard index; [-1] = whole-memory flush *)
@@ -74,8 +73,8 @@ module Make (K : KEY) (V : VALUE) = struct
             the maintenance supervisor rebuilds or scrubs it *)
     seq : int;  (** unique id, for debugging and cache bookkeeping *)
     prov : flush_origin list;
-        (** flush provenance, newest first; [[]] for components built by
-            machinery that does not track it *)
+        (** flush provenance, newest first; never empty: a flush stamps
+            one origin and {!install} concatenates its inputs' *)
   }
 
   type t = {
@@ -415,15 +414,26 @@ module Make (K : KEY) (V : VALUE) = struct
       (fun (key, (ts, entry)) -> { key; ts; value = entry })
       (Mbt.to_sorted_array m.table)
 
-  (* Flush pre-sorted rows into a fresh newest component.  [points] is
-     the (begin, install) fault-point pair — whole-memory and per-shard
-     flushes announce distinct pairs, so the crash harness enumerates
-     both windows. *)
-  let flush_shard_rows t rows ~cmin_ts ~cmax_ts ~range_filter ~prov
+  (* Flush pre-sorted rows into a fresh newest component, stamped with
+     one flush origin ([fo_shard]: the flushed shard, [-1] = all).
+     [points] is the (begin, install) fault-point pair — whole-memory and
+     per-shard flushes announce distinct pairs, so the crash harness
+     enumerates both windows. *)
+  let flush_shard_rows t rows ~cmin_ts ~cmax_ts ~range_filter ~fo_shard
       ~points:(begin_point, install_point) ~reset =
     Lsm_sim.Env.span t.env ~cat:(name t) "lsm.flush" @@ fun () ->
     Lsm_sim.Env.fault_point t.env begin_point;
     Lsm_sim.Env.charge_entry_visits t.env (Array.length rows);
+    let prov =
+      [
+        {
+          fo_shards = Array.length t.mems;
+          fo_shard;
+          fo_min_ts = cmin_ts;
+          fo_max_ts = cmax_ts;
+        };
+      ]
+    in
     let c =
       mk_component t rows ~cmin_ts ~cmax_ts ~range_filter ~repaired_ts:0 ~prov
     in
@@ -452,18 +462,8 @@ module Make (K : KEY) (V : VALUE) = struct
               Some (m.fmin, m.fmax)
             else None
           in
-          let prov =
-            [
-              {
-                fo_shards = Array.length t.mems;
-                fo_shard = s;
-                fo_min_ts = m.min_ts;
-                fo_max_ts = m.max_ts;
-              };
-            ]
-          in
           flush_shard_rows t (shard_rows m) ~cmin_ts:m.min_ts
-            ~cmax_ts:m.max_ts ~range_filter ~prov
+            ~cmax_ts:m.max_ts ~range_filter ~fo_shard:s
             ~points:(Fault_point.Lsm_flush_shard_begin, Lsm_flush_shard_install)
             ~reset:(fun () -> t.mems.(s) <- fresh_mem ())
         end
@@ -499,17 +499,8 @@ module Make (K : KEY) (V : VALUE) = struct
                   else acc)
                 None t.mems
           in
-          let prov =
-            [
-              {
-                fo_shards = Array.length t.mems;
-                fo_shard = -1;
-                fo_min_ts = cmin_ts;
-                fo_max_ts = cmax_ts;
-              };
-            ]
-          in
-          flush_shard_rows t rows ~cmin_ts ~cmax_ts ~range_filter ~prov
+          flush_shard_rows t rows ~cmin_ts ~cmax_ts ~range_filter
+            ~fo_shard:(-1)
             ~points:(Fault_point.Lsm_flush_begin, Lsm_flush_install)
             ~reset:(fun () -> reset_memory t)
         end
@@ -759,6 +750,69 @@ module Make (K : KEY) (V : VALUE) = struct
     Option.map
       (fun (f_old, l_old) -> (n - 1 - l_old, n - 1 - f_old))
       (Merge_policy.pick policy ~sizes)
+
+  (* ------------------------------------------------------------------ *)
+  (* Flush provenance queries *)
+
+  (** [prov_run t prov]: the run of components whose provenance
+      concatenates to exactly [prov] — a lockstep merge's inputs on the
+      counterpart tree, which ID nesting cannot find once per-shard
+      flushes make ID ranges overlap across shards. *)
+  let prov_run t prov =
+    let rec strip p rem =
+      match (p, rem) with
+      | [], rest -> Some rest
+      | o :: p, o' :: rem when flush_origin_equal o o' -> strip p rem
+      | _ -> None
+    in
+    (* [Some last] when components [i..last] (the head of [cs] is
+       component [i]) concatenate to exactly [rem]. *)
+    let rec run i cs rem =
+      match (cs, rem) with
+      | _, [] -> Some (i - 1)
+      | [], _ -> None
+      | c :: cs, _ -> Option.bind (strip c.prov rem) (run (i + 1) cs)
+    in
+    let rec find i = function
+      | [] -> None
+      | _ :: rest as cs -> (
+          match run i cs prov with
+          | Some last -> Some (i, last)
+          | None -> find (i + 1) rest)
+    in
+    find 0 t.disk
+
+  let id_run t ~lo ~hi =
+    let run = ref None in
+    List.iteri
+      (fun i c ->
+        if c.cmin_ts >= lo && c.cmax_ts <= hi then
+          run := Some (match !run with None -> (i, i) | Some (f, _) -> (f, i)))
+      t.disk;
+    !run
+
+  (** [durable_frontiers t]: timestamps are handed out monotonically and
+      a key always routes to the same shard, so every write at or below
+      its shard's frontier reached disk in some flush and everything
+      above it did not.  A whole-memory origin covers every shard, a
+      per-shard origin its own shard (under another shard count,
+      nothing). *)
+  let durable_frontiers t =
+    let n = Array.length t.mems in
+    let f = Array.make n 0 in
+    let cover s ts = f.(s) <- max f.(s) ts in
+    List.iter
+      (fun c ->
+        List.iter
+          (fun o ->
+            if o.fo_shard < 0 then
+              for s = 0 to n - 1 do
+                cover s o.fo_max_ts
+              done
+            else if o.fo_shards = n then cover o.fo_shard o.fo_max_ts)
+          c.prov)
+      t.disk;
+    f
 
   (* ------------------------------------------------------------------ *)
   (* Point lookups (Sec. 3.2) *)

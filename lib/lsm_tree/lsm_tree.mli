@@ -18,8 +18,7 @@ module Merge_policy = Merge_policy
 (** Provenance of a disk component w.r.t. memory-shard flushes.  Lives
     outside the functor so origins of components from different [Make]
     instances (a dataset's primary / primary-key pair, whose flush
-    histories are identical by construction) can be compared, and so
-    recovery can compute per-shard durable frontiers.  A merged
+    histories are identical by construction) can be compared.  A merged
     component carries the concatenation of its inputs' origins, newest
     first. *)
 type flush_origin = {
@@ -59,8 +58,8 @@ module Make (K : KEY) (V : VALUE) : sig
             (degraded reads) until rebuilt or scrubbed *)
     seq : int;  (** unique id *)
     prov : flush_origin list;
-        (** flush provenance, newest first; [[]] for components built by
-            machinery that does not track it *)
+        (** flush provenance, newest first; never empty: a flush stamps
+            one origin and {!install} concatenates its inputs' *)
   }
 
   type t
@@ -169,6 +168,25 @@ module Make (K : KEY) (V : VALUE) : sig
       is merged independently") without merging: the newest-first range
       [(first, last)] to hand to {!merge} or {!merge_start}, or [None]
       when no merge is due. *)
+
+  (** {1 Flush provenance} *)
+
+  val prov_run : t -> flush_origin list -> (int * int) option
+  (** [prov_run t prov]: the newest-first index range [(first, last)] of
+      the contiguous run of components whose concatenated provenance is
+      exactly [prov] (non-empty) — a lockstep merge's inputs on the
+      counterpart tree.  Per-shard flushes make ID ranges overlap across
+      shards, so ID nesting cannot find them; provenance can. *)
+
+  val id_run : t -> lo:int -> hi:int -> (int * int) option
+  (** [id_run t ~lo ~hi]: the newest-first index range spanning every
+      component whose ID nests in [[lo, hi]]. *)
+
+  val durable_frontiers : t -> int array
+  (** Recovery's redo gate, per memory shard: the maximum entry
+      timestamp the disk components cover for that shard's keys.  A
+      write routed to shard [s] reached disk iff its timestamp is at or
+      below element [s]. *)
 
   (** {1 Incremental merges (overlapping maintenance)}
 

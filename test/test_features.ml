@@ -1,7 +1,7 @@
 (* Unit tests for features added beyond the first pass: growable arrays,
    spill-accounted sorting, memory-B+-tree removal, anti-matter-emitting
-   scans, the tombstone drop barrier, component replacement, and
-   memory-write rollback. *)
+   scans, the tombstone drop barrier, component replacement, flush
+   provenance queries, and memory-write rollback. *)
 
 module Vec = Lsm_util.Vec
 module Mbt = Lsm_btree.Mem_btree.Make (Lsm_util.Keys.Int_key)
@@ -186,6 +186,111 @@ let test_build_and_replace () =
     (fun () -> ignore (L.install t ~inputs rows))
 
 (* ------------------------------------------------------------------ *)
+(* Flush provenance: prov_run, id_run, durable_frontiers *)
+
+let mk_sharded_tree env shards =
+  L.create env (Lsm_tree.Config.make ~bloom:None ~shards "t")
+
+(* The first key at or above [from] that routes to shard [s]. *)
+let rec key_in t s ~from =
+  if L.shard_of t from = s then from else key_in t s ~from:(from + 1)
+
+let test_provenance_queries () =
+  let env = mk_env () in
+  let t = mk_sharded_tree env 2 in
+  let a = key_in t 0 ~from:0 and b = key_in t 1 ~from:0 in
+  let a' = key_in t 0 ~from:(a + 1) in
+  let a'' = key_in t 0 ~from:(a' + 1) in
+  (* Shard 0 holds ts 1 and 3, shard 1 holds ts 2: flushing shard 0
+     first gives x = (1,3), which nests the later shard-1 component
+     y = (2,2) in its ID range. *)
+  L.write t ~key:a ~ts:1 (Entry.Put 1);
+  L.write t ~key:b ~ts:2 (Entry.Put 2);
+  L.write t ~key:a' ~ts:3 (Entry.Put 3);
+  L.flush ~shard:0 t;
+  L.write t ~key:a'' ~ts:4 (Entry.Put 4);
+  L.flush ~shard:1 t;
+  L.flush ~shard:0 t;
+  let c = L.components t in
+  let z = c.(0) and y = c.(1) and x = c.(2) in
+  Alcotest.(check (list (pair int int)))
+    "ids, newest first" [ (4, 4); (2, 2); (1, 3) ]
+    (Array.to_list (Array.map L.component_id c));
+  Array.iter
+    (fun c -> Alcotest.(check int) "one origin per flush" 1 (List.length c.L.prov))
+    c;
+  let run = Alcotest.(option (pair int int)) in
+  Alcotest.check run "id_run takes in the nested sibling" (Some (1, 2))
+    (L.id_run t ~lo:1 ~hi:3);
+  Alcotest.check run "prov_run finds only the true component" (Some (2, 2))
+    (L.prov_run t x.L.prov);
+  Alcotest.check run "prov_run: a two-component run" (Some (0, 1))
+    (L.prov_run t (z.L.prov @ y.L.prov));
+  Alcotest.check run "prov_run: not contiguous" None
+    (L.prov_run t (z.L.prov @ x.L.prov));
+  Alcotest.check run "prov_run: wrong order" None
+    (L.prov_run t (y.L.prov @ z.L.prov));
+  Alcotest.check run "id_run: nothing nests" None (L.id_run t ~lo:5 ~hi:9);
+  Alcotest.(check (array int)) "frontiers per shard" [| 4; 2 |]
+    (L.durable_frontiers t);
+  (* A merge concatenates provenance, so the run is found again on a
+     counterpart tree that has not merged. *)
+  let m = L.merge t ~first:0 ~last:1 in
+  Alcotest.(check int) "merged provenance" 2 (List.length m.L.prov);
+  Alcotest.check run "merged component matches itself" (Some (0, 0))
+    (L.prov_run t (z.L.prov @ y.L.prov));
+  (* A whole-memory flush covers every shard. *)
+  L.write t ~key:b ~ts:5 (Entry.Put 5);
+  L.flush t;
+  Alcotest.(check (array int)) "whole flush covers all" [| 5; 5 |]
+    (L.durable_frontiers t)
+
+type prov_op = Write of int | Flush | Flush_shard of int | Merge of int * int
+
+let prop_frontiers_split_disk_and_memory =
+  qtest ~count:200 "frontiers split disk rows from memory rows"
+    QCheck2.Gen.(
+      pair (int_range 1 4)
+        (list_size (int_range 0 120)
+           (frequency
+              [
+                (8, map (fun k -> Write k) (int_range 0 40));
+                (1, return Flush);
+                (3, map (fun s -> Flush_shard s) (int_range 0 3));
+                (2, map2 (fun a b -> Merge (a, b)) (int_range 0 9) (int_range 0 9));
+              ])))
+    (fun (shards, ops) ->
+      let t = mk_sharded_tree (mk_env ()) shards in
+      let ts = ref 0 in
+      List.iter
+        (function
+          | Write k ->
+              incr ts;
+              L.write t ~key:k ~ts:!ts (Entry.Put k)
+          | Flush -> L.flush t
+          | Flush_shard s -> L.flush ~shard:(s mod shards) t
+          | Merge (a, b) ->
+              let n = L.component_count t in
+              if n > 0 then
+                let a = a mod n and b = b mod n in
+                ignore (L.merge t ~first:(min a b) ~last:(max a b)))
+        ops;
+      let f = L.durable_frontiers t in
+      Array.for_all (fun c -> c.L.prov <> []) (L.components t)
+      && Array.for_all
+           (fun c ->
+             Array.for_all
+               (fun r -> r.L.ts <= f.(L.shard_of t r.L.key))
+               (L.rows_of c))
+           (L.components t)
+      && List.for_all
+           (fun k ->
+             match L.mem_find t k with
+             | Some r -> r.L.ts > f.(L.shard_of t k)
+             | None -> true)
+           (List.init 41 Fun.id))
+
+(* ------------------------------------------------------------------ *)
 (* mem_rollback / reset_memory *)
 
 let test_mem_rollback () =
@@ -238,6 +343,12 @@ let () =
         [ Alcotest.test_case "drop barrier" `Quick test_tombstone_barrier ] );
       ( "components",
         [ Alcotest.test_case "build + replace" `Quick test_build_and_replace ] );
+      ( "provenance",
+        [
+          Alcotest.test_case "prov_run / id_run / frontiers" `Quick
+            test_provenance_queries;
+          prop_frontiers_split_disk_and_memory;
+        ] );
       ( "rollback",
         [
           Alcotest.test_case "mem_rollback" `Quick test_mem_rollback;
