@@ -42,9 +42,7 @@ let run strategy =
 
   (* Q1: all users currently in CA — must be exactly user 102. *)
   let ca = Lsm_bloom.Hashing.hash_string "CA" land 0xffff in
-  let mode =
-    match strategy with Lsm_core.Strategy.Eager -> `Assume_valid | _ -> `Timestamp
-  in
+  let mode = Lsm_core.Strategy.query_mode strategy in
   let q1 = D.query_secondary d ~sec:"location" ~lo:ca ~hi:ca ~mode () in
 
   (* Q2: all records with Time < 2017 — must be exactly (102, CA, 2016).

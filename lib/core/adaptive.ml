@@ -12,12 +12,13 @@
     - to {b Eager} when it is query-dominated — the validation overhead on
       every query outweighs the occasional ingestion lookups.
 
-    Switching Eager -> Validation is free: Eager-maintained indexes are
-    already clean, and the engine simply stops doing ingestion-time
-    lookups.  Switching Validation -> Eager must first run a full
-    standalone repair so every obsolete entry is invalidated; from then on
-    the eager invariant (indexes always current) holds again, and queries
-    may drop their validation step.
+    The controller only decides; the dataset does the writes.  Switching
+    calls {!Dataset.Make.set_eager_writes}.  Switching Eager -> Validation
+    is free: Eager-maintained indexes are already clean, and the dataset
+    simply stops doing ingestion-time lookups.  Switching Validation ->
+    Eager first runs a full standalone repair so every obsolete entry is
+    invalidated; from then on the eager invariant (indexes always
+    current) holds again, and queries may drop their validation step.
 
     Correctness does not depend on the controller's taste: whatever the
     mode history, queries answer exactly like the reference model (see
@@ -44,7 +45,6 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
     mutable w_queries : int;  (** secondary queries in the current window *)
     mutable w_ops : int;
     mutable switches : int;
-    mutable repairs_on_switch : int;
   }
 
   (** [create ?config d] wraps [d].  The dataset must use the Validation
@@ -62,7 +62,6 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
       w_queries = 0;
       w_ops = 0;
       switches = 0;
-      repairs_on_switch = 0;
     }
 
   let dataset t = t.d
@@ -71,13 +70,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
 
   let switch_to t target =
     if t.mode <> target then begin
-      (match target with
-      | Eager_mode ->
-          (* Clean the lazily-maintained indexes before asserting the
-             eager invariant. *)
-          D.standalone_repair t.d;
-          t.repairs_on_switch <- t.repairs_on_switch + 1
-      | Validation_mode -> ());
+      D.set_eager_writes t.d (target = Eager_mode);
       t.mode <- target;
       t.switches <- t.switches + 1;
       Log.info (fun m ->
@@ -104,51 +97,17 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
     if t.w_ops >= t.cfg.window then decide t
 
   (* ------------------------------------------------------------------ *)
-  (* Operations: eager mode performs the Eager strategy's maintenance by
-     hand (the underlying dataset is configured as Validation). *)
-
-  let eager_cleanup t r_new ~pk ~ts =
-    match D.Prim.lookup_one (D.primary t.d) pk with
-    | Some { D.Prim.value = Dataset.Entry.Put old_r; _ } ->
-        Array.iter
-          (fun s ->
-            let new_keys =
-              match r_new with None -> [] | Some r -> s.D.extract_all r
-            in
-            List.iter
-              (fun sko ->
-                if not (List.mem sko new_keys) then
-                  D.Sec.write s.D.tree ~key:(sko, pk) ~ts Dataset.Entry.Del)
-              (s.D.extract_all old_r))
-          (D.secondaries t.d);
-        (match D.filter_key_fn t.d with
-        | Some fk -> D.Prim.widen_filter (D.primary t.d) pk (fk old_r)
-        | None -> ());
-        true
-    | _ -> false
+  (* Operations: in eager mode the dataset's writes take the Eager
+     strategy's maintenance step (see [D.set_eager_writes]). *)
 
   let upsert t r =
     t.w_updates <- t.w_updates + 1;
-    (match t.mode with
-    | Validation_mode -> D.upsert t.d r
-    | Eager_mode ->
-        (* The dataset's Validation upsert plus an eager-style cleanup
-           pass, so indexes stay current.  The anti-matter shares the
-           timestamp the upsert is about to consume. *)
-        let pk = R.primary_key r in
-        let ts = D.now_ts t.d + 1 in
-        ignore (eager_cleanup t (Some r) ~pk ~ts);
-        D.upsert t.d r);
+    D.upsert t.d r;
     tick t
 
   let delete t ~pk =
     t.w_updates <- t.w_updates + 1;
-    (match t.mode with
-    | Validation_mode -> D.delete t.d ~pk
-    | Eager_mode ->
-        let ts = D.now_ts t.d + 1 in
-        ignore (eager_cleanup t None ~pk ~ts);
-        D.delete t.d ~pk);
+    D.delete t.d ~pk;
     tick t
 
   let insert t r =

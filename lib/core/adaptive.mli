@@ -1,10 +1,11 @@
 (** Adaptive strategy selection — the paper's future-work auto-tuning
     (Sec. 7), for the Eager / Validation pair: a sliding-window controller
     switches to Validation when write-dominated and to Eager when
-    query-dominated, running a full standalone repair before every switch
-    into Eager mode so the eager invariant (indexes always current)
-    holds.  Whatever the mode history, queries answer exactly like the
-    reference model. *)
+    query-dominated.  It only decides: a switch calls
+    {!Dataset.Make.set_eager_writes}, which runs a full standalone repair
+    before every switch into Eager mode so the eager invariant (indexes
+    always current) holds.  Whatever the mode history, queries answer
+    exactly like the reference model. *)
 
 module Make (R : Record.S) (D : module type of Dataset.Make (R)) : sig
   type mode = Eager_mode | Validation_mode

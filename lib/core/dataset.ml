@@ -100,6 +100,9 @@ module Make (R : Record.S) = struct
     maint : maint_stats;
     mutable auto_maintenance : bool;
         (** flush/merge when the budget fills; disable to drive manually *)
+    mutable eager_writes : bool;
+        (** a Validation dataset retiring old versions Eager's way
+            ({!set_eager_writes}) *)
   }
 
   let total_mem_bytes t =
@@ -136,14 +139,13 @@ module Make (R : Record.S) = struct
             (Lsm_tree.Config.make ~bloom:None ~validity_bitmap:false ~shards
                ("sec:" ^ s.Record.sec_name));
         del_tree =
-          (match cfg.strategy with
-          | Strategy.Deleted_key_btree ->
-              Some
-                (Pk.create env
-                   (Lsm_tree.Config.make ~bloom:cfg.bloom ~validity_bitmap:false
-                      ~shards
-                      ("del:" ^ s.Record.sec_name)))
-          | _ -> None);
+          (if cfg.strategy = Strategy.Deleted_key_btree then
+             Some
+               (Pk.create env
+                  (Lsm_tree.Config.make ~bloom:cfg.bloom ~validity_bitmap:false
+                     ~shards
+                     ("del:" ^ s.Record.sec_name)))
+           else None);
       }
     in
     let t =
@@ -178,6 +180,7 @@ module Make (R : Record.S) = struct
             maint_makespan_us = 0.0;
           };
         auto_maintenance = true;
+        eager_writes = false;
       }
     in
     (* Make the environment aware of this dataset's in-memory footprint,
@@ -287,42 +290,37 @@ module Make (R : Record.S) = struct
      secondary component's repairedTS has passed it — otherwise an obsolete
      secondary entry for the deleted key would validate as live.  Memory
      components need no barrier: they always flush together with the
-     tombstones that concern them. *)
+     tombstones that concern them.  Eager secondaries are always valid; the
+     deleted-key strategy validates against its own per-index trees (whose
+     merges only ever keep the newest deletion record per key). *)
   let update_tombstone_barrier t =
     match t.pk_index with
-    | None -> ()
-    | Some pkt -> (
-        match t.cfg.strategy with
-        | Strategy.Validation _ | Strategy.Mutable_bitmap _ ->
-            let barrier = ref max_int in
+    | Some pkt when Strategy.validates_against_pk t.cfg.strategy ->
+        let barrier = ref max_int in
+        Array.iter
+          (fun s ->
             Array.iter
-              (fun s ->
-                Array.iter
-                  (fun c -> barrier := min !barrier c.Sec.repaired_ts)
-                  (Sec.components s.tree);
-                (* Per-shard flushes can persist a pk-index tombstone
-                   while the secondary entries it concerns still sit in a
-                   differently-routed secondary memory shard (the trees
-                   shard-route by different keys); keep tombstones until
-                   those entries have flushed too.  No-op when the
-                   secondary memory is empty — in particular, always a
-                   no-op for unsharded whole-memory flushes. *)
-                if t.cfg.mem_shards > 1 then begin
-                  let mlo, _ = Sec.mem_id s.tree in
-                  if mlo <> max_int then barrier := min !barrier (mlo - 1)
-                end)
-              t.secondaries;
-            Pk.set_tombstone_drop_ts pkt !barrier;
-            (* Under Mutable-bitmap, primary and pk-index components share
-               validity bitmaps and must keep identical row sequences, so
-               the primary observes the same barrier. *)
-            if Strategy.uses_primary_bitmap t.cfg.strategy then
-              Prim.set_tombstone_drop_ts t.primary !barrier
-        | Strategy.Eager | Strategy.Deleted_key_btree ->
-            (* Eager secondaries are always valid; the deleted-key strategy
-               validates against its own per-index structures (whose merges
-               only ever keep the newest deletion record per key). *)
-            ())
+              (fun c -> barrier := min !barrier c.Sec.repaired_ts)
+              (Sec.components s.tree);
+            (* Per-shard flushes can persist a pk-index tombstone while
+               the secondary entries it concerns still sit in a
+               differently-routed secondary memory shard (the trees
+               shard-route by different keys); keep tombstones until those
+               entries have flushed too.  No-op when the secondary memory
+               is empty — in particular, always a no-op for unsharded
+               whole-memory flushes. *)
+            if t.cfg.mem_shards > 1 then begin
+              let mlo, _ = Sec.mem_id s.tree in
+              if mlo <> max_int then barrier := min !barrier (mlo - 1)
+            end)
+          t.secondaries;
+        Pk.set_tombstone_drop_ts pkt !barrier;
+        (* Under Mutable-bitmap, primary and pk-index components share
+           validity bitmaps and must keep identical row sequences, so the
+           primary observes the same barrier. *)
+        if Strategy.uses_primary_bitmap t.cfg.strategy then
+          Prim.set_tombstone_drop_ts t.primary !barrier
+    | _ -> ()
 
   (* The correlated primary pair's lockstep follow (Sec. 5.1): merge the
      pk-index run whose flush provenance matches primary component [pc]
@@ -354,12 +352,8 @@ module Make (R : Record.S) = struct
       (pk_follower t)
 
   let repair_after_merge t s sc =
-    match t.cfg.strategy with
-    | Strategy.Validation { repair_on_merge = true; _ }
-    | Strategy.Mutable_bitmap { secondary_repair = true }
-    | Strategy.Deleted_key_btree ->
-        !repair_hook t s sc ~piggyback:true
-    | _ -> ()
+    if Strategy.repairs_on_merge t.cfg.strategy then
+      !repair_hook t s sc ~piggyback:true
 
   (* ------------------------------------------------------------------ *)
   (* The maintenance scheduler (Sec. 2.3).  Each round picks one runnable
@@ -869,77 +863,63 @@ module Make (R : Record.S) = struct
       `Inserted
     end
 
-  (** [upsert t r] inserts [r], superseding any existing record with the
-      same primary key.  This is where the strategies differ (Fig. 14). *)
-  let upsert t r =
-    Lsm_sim.Env.span t.env ~cat:"dataset" "ingest.upsert" @@ fun () ->
-    let pk = R.primary_key r in
-    let ts = next_ts t in
-    (match t.cfg.strategy with
-    | Strategy.Eager -> (
+  (* How a write retires the key's previous version — the one step where
+     the strategies differ (Secs. 3.1, 4.2, 5.2).  [false] only when
+     Eager's point lookup finds no live version. *)
+  let retire_old t pk ~new_r ~ts =
+    match t.cfg.strategy with
+    | Strategy.Validation _ when not t.eager_writes ->
+        mem_cleanup_opportunity t pk ~new_r ~ts;
+        true
+    | Strategy.Eager | Strategy.Validation _ -> (
         (* Point lookup for the old record; anti-matter its secondary
            entries; widen memory filters to cover its filter key. *)
         match Prim.lookup_one t.primary pk with
         | Some { Prim.value = Entry.Put old_r; _ } ->
-            cleanup_secondaries t ~old_r ~new_r:(Some r) ~ts;
+            cleanup_secondaries t ~old_r ~new_r ~ts;
             Option.iter
               (fun fk -> Prim.widen_filter t.primary pk (fk old_r))
-              t.filter_key
-        | _ -> ())
-    | Strategy.Validation _ -> mem_cleanup_opportunity t pk ~new_r:(Some r) ~ts
+              t.filter_key;
+            true
+        | _ -> false)
+    | Strategy.Mutable_bitmap ->
+        ignore (mark_old_deleted t pk);
+        mem_cleanup_opportunity t pk ~new_r ~ts;
+        true
     | Strategy.Deleted_key_btree ->
-        mem_cleanup_opportunity t pk ~new_r:(Some r) ~ts;
+        mem_cleanup_opportunity t pk ~new_r ~ts;
         (* Record "pk superseded as of ts" in every secondary's deleted-key
            structure. *)
         Array.iter
           (fun s ->
-            match s.del_tree with
-            | Some d -> Pk.write d ~key:pk ~ts (Entry.Put ())
-            | None -> ())
-          t.secondaries
-    | Strategy.Mutable_bitmap _ ->
-        ignore (mark_old_deleted t pk);
-        mem_cleanup_opportunity t pk ~new_r:(Some r) ~ts);
+            Option.iter
+              (fun d -> Pk.write d ~key:pk ~ts (Entry.Put ()))
+              s.del_tree)
+          t.secondaries;
+        true
+
+  (** [upsert t r] inserts [r], superseding any existing record with the
+      same primary key; how it retires the old version is where the
+      strategies differ (Fig. 14). *)
+  let upsert t r =
+    Lsm_sim.Env.span t.env ~cat:"dataset" "ingest.upsert" @@ fun () ->
+    let ts = next_ts t in
+    ignore (retire_old t (R.primary_key r) ~new_r:(Some r) ~ts);
     write_new_record t r ~ts;
     t.stats.n_upserts <- t.stats.n_upserts + 1;
     maybe_flush t
 
-  (** [delete t ~pk] removes the record with key [pk] (a no-op for the
-      Eager strategy if it does not exist; blind for the others). *)
+  (** [delete t ~pk] removes the record with key [pk]: a no-op under
+      Eager writes if it does not exist, blind otherwise.  The anti-matter
+      key is written even under Mutable-bitmap: bitmaps are an auxiliary
+      structure that must not change LSM semantics (Sec. 5.2). *)
   let delete t ~pk =
     Lsm_sim.Env.span t.env ~cat:"dataset" "ingest.delete" @@ fun () ->
     let ts = next_ts t in
-    (match t.cfg.strategy with
-    | Strategy.Eager -> (
-        match Prim.lookup_one t.primary pk with
-        | Some { Prim.value = Entry.Put old_r; _ } ->
-            cleanup_secondaries t ~old_r ~new_r:None ~ts;
-            Option.iter
-              (fun fk -> Prim.widen_filter t.primary pk (fk old_r))
-              t.filter_key;
-            write_delete t pk ~ts;
-            t.stats.n_deletes <- t.stats.n_deletes + 1
-        | _ -> () (* nonexistent key: ignored *))
-    | Strategy.Validation _ | Strategy.Deleted_key_btree ->
-        mem_cleanup_opportunity t pk ~new_r:None ~ts;
-        (match t.cfg.strategy with
-        | Strategy.Deleted_key_btree ->
-            Array.iter
-              (fun s ->
-                match s.del_tree with
-                | Some d -> Pk.write d ~key:pk ~ts (Entry.Put ())
-                | None -> ())
-              t.secondaries
-        | _ -> ());
-        write_delete t pk ~ts;
-        t.stats.n_deletes <- t.stats.n_deletes + 1
-    | Strategy.Mutable_bitmap _ ->
-        ignore (mark_old_deleted t pk);
-        mem_cleanup_opportunity t pk ~new_r:None ~ts;
-        (* The anti-matter key is still added: bitmaps are an auxiliary
-           structure that must not change LSM semantics (Sec. 5.2). *)
-        write_delete t pk ~ts;
-        t.stats.n_deletes <- t.stats.n_deletes + 1);
+    if retire_old t pk ~new_r:None ~ts then begin
+      write_delete t pk ~ts;
+      t.stats.n_deletes <- t.stats.n_deletes + 1
+    end;
     maybe_flush t
 
   (* ------------------------------------------------------------------ *)
@@ -998,12 +978,8 @@ module Make (R : Record.S) = struct
         @@ fun () ->
         let t0 = Lsm_sim.Env.now_us t.env in
         let bloom_opt =
-          match bloom_opt with
-          | Some b -> b
-          | None -> (
-              match t.cfg.strategy with
-              | Strategy.Validation { bloom_opt; _ } -> bloom_opt
-              | _ -> false)
+          Option.value bloom_opt
+            ~default:(Strategy.correlates_secondaries t.cfg.strategy)
         in
         let threshold = comp.Sec.repaired_ts in
         if not piggyback then Sec.charge_component_scan sec.tree comp;
@@ -1043,9 +1019,7 @@ module Make (R : Record.S) = struct
            cross-shard merge can combine eras — so strict pruning also
            requires unsharded memory. *)
         let strict_regime =
-          match t.cfg.strategy with
-          | Strategy.Validation { bloom_opt = true; _ } -> t.cfg.mem_shards <= 1
-          | _ -> false
+          Strategy.correlates_secondaries t.cfg.strategy && t.cfg.mem_shards <= 1
         in
         let could_supersede c ts =
           if strict_regime then c.Pk.cmin_ts > max threshold ts
@@ -1202,6 +1176,17 @@ module Make (R : Record.S) = struct
           (fun comp -> repair_component ?bloom_opt t s comp ~piggyback:false)
           (Sec.components s.tree))
       t.secondaries
+
+  (** [set_eager_writes t on] makes a Validation dataset retire old
+      versions Eager's way (point lookup, anti-matter, filter widening).
+      Switching on repairs every secondary first, so the eager invariant
+      holds from then on. *)
+  let set_eager_writes t on =
+    (match t.cfg.strategy with
+    | Strategy.Validation _ -> ()
+    | _ -> invalid_arg "Dataset.set_eager_writes: requires Validation");
+    if on && not t.eager_writes then standalone_repair t;
+    t.eager_writes <- on
 
   (* ------------------------------------------------------------------ *)
   (* Self-healing (resilience): quarantine scan + rebuild/scrub.  The
@@ -1658,47 +1643,33 @@ module Make (R : Record.S) = struct
         f r
       end
     in
-    let note_pruning only =
-      Lsm_sim.Env.explain_count t.env "components_scanned" (List.length only);
-      Lsm_sim.Env.explain_count t.env "components_pruned"
-        (List.length comps - List.length only)
-    in
-    (match t.cfg.strategy with
-    | Strategy.Mutable_bitmap _ ->
-        let only = List.filter overlaps comps in
-        note_pruning only;
-        Prim.scan t.primary
-          {
-            Prim.full_scan_spec with
-            reconcile = false;
-            include_mem = mem_overlaps;
-            only = Some only;
-          }
-          ~f:(fun row ~src_repaired:_ ->
-            match row.Prim.value with Entry.Put r -> visit r | Entry.Del -> ())
-    | Strategy.Eager ->
-        let only = List.filter overlaps comps in
-        note_pruning only;
-        Prim.scan t.primary
-          { Prim.full_scan_spec with include_mem = mem_overlaps; only = Some only }
-          ~f:(fun row ~src_repaired:_ ->
-            match row.Prim.value with Entry.Put r -> visit r | Entry.Del -> ())
-    | Strategy.Validation _ | Strategy.Deleted_key_btree ->
+    let st = t.cfg.strategy in
+    let only, include_mem =
+      if Strategy.exact st || Strategy.uses_primary_bitmap st then
+        (List.filter overlaps comps, mem_overlaps)
+      else begin
         (* Find the oldest overlapping component; everything newer must be
            read too, to not miss overriding updates (Sec. 4.2). *)
         let arr = Array.of_list comps in
         let oldest = ref (-1) in
         Array.iteri (fun i c -> if overlaps c then oldest := i) arr;
-        let only =
-          if !oldest < 0 then []
-          else Array.to_list (Array.sub arr 0 (!oldest + 1))
-        in
-        let include_mem = mem_overlaps || !oldest >= 0 in
-        note_pruning only;
-        Prim.scan t.primary
-          { Prim.full_scan_spec with include_mem; only = Some only }
-          ~f:(fun row ~src_repaired:_ ->
-            match row.Prim.value with Entry.Put r -> visit r | Entry.Del -> ()));
+        ( (if !oldest < 0 then []
+           else Array.to_list (Array.sub arr 0 (!oldest + 1))),
+          mem_overlaps || !oldest >= 0 )
+      end
+    in
+    Lsm_sim.Env.explain_count t.env "components_scanned" (List.length only);
+    Lsm_sim.Env.explain_count t.env "components_pruned"
+      (List.length comps - List.length only);
+    Prim.scan t.primary
+      {
+        Prim.full_scan_spec with
+        reconcile = not (Strategy.uses_primary_bitmap st);
+        include_mem;
+        only = Some only;
+      }
+      ~f:(fun row ~src_repaired:_ ->
+        match row.Prim.value with Entry.Put r -> visit r | Entry.Del -> ());
     !n
 
   (** [point_query t pk] is a primary-key point query. *)

@@ -118,10 +118,23 @@ module Make (R : Record.S) : sig
       present — the Fig. 13 optimization). *)
 
   val upsert : t -> R.t -> unit
-  (** Insert, superseding any record with the same key — where the
-      strategies differ (Fig. 14). *)
+  (** Insert, superseding any record with the same key.  The strategies
+      differ only in how a write retires the old version (Fig. 14): Eager
+      anti-matters it everywhere, Validation only while it is in memory,
+      Mutable-bitmap also flips its bit, Deleted-key also records the key
+      in every deleted-key tree. *)
 
   val delete : t -> pk:int -> unit
+  (** Retire the key's old version as {!upsert} does, then write
+      anti-matter for the key.  Under Eager writes, a key with no live
+      version is left alone: no anti-matter, no count in [n_deletes]. *)
+
+  val set_eager_writes : t -> bool -> unit
+  (** [set_eager_writes t true] makes a Validation dataset's writes
+      retire old versions Eager's way, so secondaries stay current and
+      queries may skip validation; switching on runs {!standalone_repair}
+      once first.  Everything else still follows the Validation strategy.
+      @raise Invalid_argument unless the strategy is Validation. *)
 
   val key_exists : t -> int -> bool
 

@@ -40,20 +40,20 @@ type validation_opts = {
 type t =
   | Eager
   | Validation of validation_opts
-  | Mutable_bitmap of { secondary_repair : bool }
+  | Mutable_bitmap
   | Deleted_key_btree
 
 let eager = Eager
 let validation = Validation { repair_on_merge = true; bloom_opt = false }
 let validation_no_repair = Validation { repair_on_merge = false; bloom_opt = false }
 let validation_bloom_opt = Validation { repair_on_merge = true; bloom_opt = true }
-let mutable_bitmap = Mutable_bitmap { secondary_repair = false }
+let mutable_bitmap = Mutable_bitmap
 let deleted_key_btree = Deleted_key_btree
 
 (** Does this strategy keep a validity bitmap on primary / primary-key
     components?  Such a pair shares its bitmaps, so it must also merge in
     lockstep (Sec. 5.1). *)
-let uses_primary_bitmap = function Mutable_bitmap _ -> true | _ -> false
+let uses_primary_bitmap = function Mutable_bitmap -> true | _ -> false
 
 (** Must secondary-index merges be synchronized *with the primary key
     index*?  The Bloom-repair optimization needs this (Sec. 4.4: "use a
@@ -65,12 +65,33 @@ let correlates_secondaries = function
   | Validation { bloom_opt = true; _ } -> true
   | _ -> false
 
+(** Does every secondary-component merge repair its output (Fig. 7)?
+    Eager's secondaries are never stale. *)
+let repairs_on_merge = function
+  | Validation { repair_on_merge; _ } -> repair_on_merge
+  | Deleted_key_btree -> true
+  | Eager | Mutable_bitmap -> false
+
+(** Do secondary entries validate lazily against the primary key index
+    (so pk-index merges keep tombstones behind the repair barrier)?  The
+    deleted-key baseline validates against its own per-index trees. *)
+let validates_against_pk = function
+  | Validation _ | Mutable_bitmap -> true
+  | Eager | Deleted_key_btree -> false
+
+(** Eager's invariant: indexes and filters are always current, so queries
+    skip validation and time-range scans prune freely. *)
+let exact = function Eager -> true | _ -> false
+
+(** The cheapest secondary-query plan the strategy keeps correct. *)
+let query_mode t = if exact t then `Assume_valid else `Timestamp
+
 let name = function
   | Eager -> "eager"
   | Validation { repair_on_merge = false; _ } -> "validation(no-repair)"
   | Validation { bloom_opt = true; _ } -> "validation(bf)"
   | Validation _ -> "validation"
-  | Mutable_bitmap _ -> "mutable-bitmap"
+  | Mutable_bitmap -> "mutable-bitmap"
   | Deleted_key_btree -> "deleted-key-btree"
 
 let pp fmt t = Fmt.string fmt (name t)

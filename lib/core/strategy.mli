@@ -15,7 +15,7 @@ type validation_opts = {
 type t =
   | Eager
   | Validation of validation_opts
-  | Mutable_bitmap of { secondary_repair : bool }
+  | Mutable_bitmap
   | Deleted_key_btree
 
 val eager : t
@@ -33,6 +33,21 @@ val uses_primary_bitmap : t -> bool
 val correlates_secondaries : t -> bool
 (** Must secondary merges be synchronized with the primary key index
     (Bloom-repair optimization, Sec. 4.4)? *)
+
+val repairs_on_merge : t -> bool
+(** Does every secondary-component merge repair the merged component
+    (Fig. 7)? *)
+
+val validates_against_pk : t -> bool
+(** Do secondary entries validate lazily against the primary key index,
+    so pk-index merges must keep tombstones behind the repair barrier? *)
+
+val exact : t -> bool
+(** Eager's invariant: indexes and filters are always current, so
+    queries skip validation and time-range scans prune freely. *)
+
+val query_mode : t -> [> `Assume_valid | `Timestamp ]
+(** [`Assume_valid] when {!exact}, else [`Timestamp] validation. *)
 
 val name : t -> string
 val pp : Format.formatter -> t -> unit

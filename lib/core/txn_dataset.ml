@@ -73,13 +73,13 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
   }
 
   let create d =
-    (match D.strategy d with
-    | Strategy.Mutable_bitmap _ | Strategy.Validation _ -> ()
-    | _ ->
-        invalid_arg
-          "Txn_dataset.create: requires the Mutable-bitmap or Validation \
-           strategy (Eager's read-modify-write path needs old-record \
-           logging this layer does not provide)");
+    (* The write path below adds new entries only, so secondaries must
+       validate against the primary key index. *)
+    if not (Strategy.validates_against_pk (D.strategy d)) then
+      invalid_arg
+        "Txn_dataset.create: requires the Mutable-bitmap or Validation \
+         strategy (Eager's read-modify-write path needs old-record \
+         logging this layer does not provide)";
     D.set_auto_maintenance d false;
     let wal = Wal.create () in
     (* WAL spans share the dataset environment's simulated clock. *)

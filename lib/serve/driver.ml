@@ -149,10 +149,7 @@ let build ?(durable = false) cfg =
     qgen = Query_gen.create ~seed:(cfg.seed * 17 + 3) ();
     zipf = Lsm_util.Zipf.create ~theta:cfg.theta cfg.users;
     rng = Lsm_util.Rng.create cfg.seed;
-    sec_mode =
-      (match cfg.strategy with
-      | Strategy.Eager -> `Assume_valid
-      | _ -> `Timestamp);
+    sec_mode = Strategy.query_mode cfg.strategy;
     now_created = 0;
   }
 

@@ -137,6 +137,39 @@ let test_switch_repairs_first () =
   in
   Alcotest.(check (list int)) "no stale entries" [] got
 
+let test_set_eager_writes () =
+  List.iter
+    (fun strategy ->
+      let d =
+        D.create ~secondaries:[] (mk_env ())
+          { D.default_config with strategy }
+      in
+      Alcotest.(check bool)
+        (Strategy.name strategy ^ " rejected")
+        true
+        (match D.set_eager_writes d true with
+        | () -> false
+        | exception Invalid_argument _ -> true))
+    [ Strategy.eager; Strategy.mutable_bitmap ];
+  let d = A.dataset (mk ()) in
+  D.set_auto_maintenance d false;
+  D.upsert d (tw ~user:3 1);
+  D.flush_now d;
+  let repairs () = (D.stats d).D.n_repairs in
+  let before = repairs () in
+  D.set_eager_writes d true;
+  let after_first = repairs () in
+  Alcotest.(check bool) "switching on repairs" true (after_first > before);
+  D.set_eager_writes d true;
+  Alcotest.(check int) "switching on again does not" after_first (repairs ());
+  D.upsert d (tw ~user:4 1);
+  match D.Sec.mem_find (D.secondary d "user_id").D.tree (3, 1) with
+  | Some row ->
+      Alcotest.(check bool) "anti-matter" false
+        (Lsm_core.Dataset.Entry.is_put row.D.Sec.value);
+      Alcotest.(check int) "at the upsert's timestamp" (D.now_ts d) row.D.Sec.ts
+  | None -> Alcotest.fail "no anti-matter for the on-disk version"
+
 let () =
   Alcotest.run "lsm_adaptive"
     [
@@ -150,6 +183,7 @@ let () =
             test_switches_back_when_write_heavy;
           Alcotest.test_case "repairs before eager" `Quick
             test_switch_repairs_first;
+          Alcotest.test_case "set_eager_writes" `Quick test_set_eager_writes;
           prop_adaptive_matches_model;
         ] );
     ]

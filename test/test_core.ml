@@ -89,9 +89,7 @@ let test_running_example () =
       D.flush_now d;
       D.upsert d (tw ~loc:ma ~at:2017 103);
       D.upsert d (tw ~loc:ny ~at:2018 101);
-      let mode =
-        match strategy with Strategy.Eager -> `Assume_valid | _ -> `Timestamp
-      in
+      let mode = Strategy.query_mode strategy in
       let got = D.query_secondary d ~sec:"location" ~lo:ca ~hi:ca ~mode () in
       Alcotest.(check (list int))
         (Strategy.name strategy ^ ": only 102")
@@ -138,9 +136,7 @@ let test_index_only_queries () =
       D.flush_now d;
       D.upsert d (tw ~user:30 1);
       (* key 1 moved out of [5,25]; only key 2 remains *)
-      let mode =
-        match strategy with Strategy.Eager -> `Assume_valid | _ -> `Timestamp
-      in
+      let mode = Strategy.query_mode strategy in
       let got = D.query_secondary_keys d ~sec:"user_id" ~lo:5 ~hi:25 ~mode () in
       Alcotest.(check (list (pair int int)))
         (Strategy.name strategy)
@@ -152,6 +148,82 @@ let test_index_only_queries () =
       Strategy.mutable_bitmap;
       Strategy.deleted_key_btree;
     ]
+
+(* The one step where the strategies differ: how a write retires the
+   key's old version.  Upsert over a version on disk, then delete a key
+   that never existed, and observe what each strategy wrote.  Columns:
+   secondary anti-matter plus a widened memory filter (Eager), a flipped
+   pk bit (Mutable-bitmap), a deleted-key entry (Deleted-key), and
+   whether a delete of an absent key is blind. *)
+let write_step_table =
+  [
+    (Strategy.eager, true, false, false, false);
+    (Strategy.validation, false, false, false, true);
+    (Strategy.validation_no_repair, false, false, false, true);
+    (Strategy.validation_bloom_opt, false, false, false, true);
+    (Strategy.mutable_bitmap, false, true, false, true);
+    (Strategy.deleted_key_btree, false, false, true, true);
+  ]
+
+let test_write_step_per_strategy () =
+  List.iter
+    (fun (strategy, antimatter, bit_flipped, del_keyed, blind_delete) ->
+      let name what = Strategy.name strategy ^ ": " ^ what in
+      let env = mk_env () in
+      let d = mk_dataset ~strategy env in
+      D.set_auto_maintenance d false;
+      D.upsert d (tw ~user:5 ~loc:7 ~at:2015 1);
+      D.flush_now d;
+      D.upsert d (tw ~user:6 ~loc:7 ~at:2018 1);
+      let sec_mem name key = D.Sec.mem_find (D.secondary d name).D.tree key in
+      let is_del = function
+        | Some row -> not (Lsm_core.Dataset.Entry.is_put row.D.Sec.value)
+        | None -> false
+      in
+      Alcotest.(check bool)
+        (name "old user_id anti-mattered")
+        antimatter
+        (is_del (sec_mem "user_id" (5, 1)));
+      Alcotest.(check bool)
+        (name "unchanged location left alone")
+        false
+        (is_del (sec_mem "location" (7, 1)));
+      Alcotest.(check (option (pair int int)))
+        (name "memory filter")
+        (Some ((if antimatter then 2015 else 2018), 2018))
+        (D.Prim.mem_filter (D.primary d));
+      let pkt = Option.get (D.pk_index d) in
+      (match (D.Pk.disk_find pkt 1, D.Prim.disk_find (D.primary d) 1) with
+      | Some (kc, kpos, _), Some (pc, ppos, _) ->
+          Alcotest.(check bool)
+            (name "pk bit flipped")
+            bit_flipped
+            (not (D.Pk.component_row_valid kc kpos));
+          Alcotest.(check bool)
+            (name "primary sees the bit")
+            bit_flipped
+            (not (D.Prim.component_row_valid pc ppos))
+      | _ -> Alcotest.fail (name "old version not on disk"));
+      Array.iter
+        (fun s ->
+          Alcotest.(check bool)
+            (name ("del tree of " ^ s.D.sec_name))
+            del_keyed
+            (match s.D.del_tree with
+            | Some dt -> D.Pk.mem_find dt 1 <> None
+            | None -> false))
+        (D.secondaries d);
+      let deletes = (D.stats d).D.n_deletes in
+      D.delete d ~pk:42;
+      Alcotest.(check bool)
+        (name "pk tombstone for an absent key")
+        blind_delete
+        (D.Pk.mem_find pkt 42 <> None);
+      Alcotest.(check int)
+        (name "n_deletes")
+        (deletes + if blind_delete then 1 else 0)
+        (D.stats d).D.n_deletes)
+    write_step_table
 
 let test_insert_without_pk_index () =
   let env = mk_env () in
@@ -295,9 +367,7 @@ let prop_index_only_agrees =
           let env = mk_env () in
           let d = mk_dataset ~strategy ~mem_budget:2048 env in
           run_ops d ops;
-          let mode =
-            match strategy with Strategy.Eager -> `Assume_valid | _ -> `Timestamp
-          in
+          let mode = Strategy.query_mode strategy in
           List.sort compare
             (D.query_secondary_keys d ~sec:"user_id" ~lo:10 ~hi:60 ~mode ())
           = expected)
@@ -563,6 +633,8 @@ let () =
           Alcotest.test_case "eager filter widening" `Quick
             test_eager_filter_widening;
           Alcotest.test_case "index-only queries" `Quick test_index_only_queries;
+          Alcotest.test_case "write step per strategy" `Quick
+            test_write_step_per_strategy;
           Alcotest.test_case "insert without pk index" `Quick
             test_insert_without_pk_index;
         ] );
