@@ -95,6 +95,9 @@ module Make (R : Record.S) = struct
     primary : Prim.t;
     pk_index : Pk.t option;
     secondaries : sec_index array;
+    trees : Lsm_tree.tree array;
+        (** every tree, in flush order: primary, pk index, then each
+            secondary followed by its deleted-key tree *)
     mutable clock : int;  (** logical ingestion timestamp (Sec. 4.1) *)
     stats : stats;
     maint : maint_stats;
@@ -105,14 +108,11 @@ module Make (R : Record.S) = struct
             ({!set_eager_writes}) *)
   }
 
+  (* Runs on every write (budget checks): a plain fold, no allocation. *)
   let total_mem_bytes t =
-    Prim.mem_bytes t.primary
-    + (match t.pk_index with Some pk -> Pk.mem_bytes pk | None -> 0)
-    + Array.fold_left
-        (fun acc s ->
-          acc + Sec.mem_bytes s.tree
-          + (match s.del_tree with Some d -> Pk.mem_bytes d | None -> 0))
-        0 t.secondaries
+    Array.fold_left
+      (fun acc (tr : Lsm_tree.tree) -> acc + tr.mem_bytes ())
+      0 t.trees
 
   let create ?filter_key ?(secondaries = []) env cfg =
     let bitmap = Strategy.uses_primary_bitmap cfg.strategy in
@@ -148,6 +148,15 @@ module Make (R : Record.S) = struct
            else None);
       }
     in
+    let secondaries = Array.of_list (List.map mk_sec secondaries) in
+    let trees =
+      Array.of_list
+        ((Prim.erase primary :: Option.to_list (Option.map Pk.erase pk_index))
+        @ List.concat_map
+            (fun s ->
+              Sec.erase s.tree :: Option.to_list (Option.map Pk.erase s.del_tree))
+            (Array.to_list secondaries))
+    in
     let t =
       {
         env;
@@ -155,7 +164,8 @@ module Make (R : Record.S) = struct
         filter_key;
         primary;
         pk_index;
-        secondaries = Array.of_list (List.map mk_sec secondaries);
+        secondaries;
+        trees;
         clock = 0;
         stats =
           {
@@ -255,12 +265,10 @@ module Make (R : Record.S) = struct
        the primary-key index's is not yet (recovery rolls the primary back
        to the aligned cut; see Txn_dataset.recover). *)
     if flushed then Lsm_sim.Env.fault_point t.env pair_point;
-    (match t.pk_index with Some pk -> Pk.flush ?shard pk | None -> ());
-    Array.iter
-      (fun s ->
-        Sec.flush ?shard s.tree;
-        match s.del_tree with Some d -> Pk.flush ?shard d | None -> ())
-      t.secondaries;
+    (* Every tree after the primary, in [trees] order. *)
+    for i = 1 to Array.length t.trees - 1 do
+      t.trees.(i).flush ?shard ()
+    done;
     (* Unconditional (idempotent): a supervised retry after a partial
        flush — primary flushed, pk-index flush died — re-enters with an
        empty primary memory, and the newest pair must still end up
@@ -722,15 +730,9 @@ module Make (R : Record.S) = struct
   (** Aggregate bytes of memory shard [s] across every tree of the
       dataset — the budget's eviction unit when sharded. *)
   let mem_shard_bytes t s =
-    Prim.mem_shard_bytes t.primary s
-    + (match t.pk_index with Some pk -> Pk.mem_shard_bytes pk s | None -> 0)
-    + Array.fold_left
-        (fun acc sx ->
-          acc + Sec.mem_shard_bytes sx.tree s
-          + (match sx.del_tree with
-            | Some d -> Pk.mem_shard_bytes d s
-            | None -> 0))
-        0 t.secondaries
+    Array.fold_left
+      (fun acc (tr : Lsm_tree.tree) -> acc + tr.mem_shard_bytes s)
+      0 t.trees
 
   (** [(shard, bytes)] of the fullest memory shard. *)
   let largest_mem_shard t =
@@ -1086,7 +1088,9 @@ module Make (R : Record.S) = struct
                        then
                          match Pk.Dbt.Cursor.find (Pk.env vt) cursors.(i) pk with
                          | Some (_, row) -> row.Pk.ts > ts
-                         | None -> go (i + 1)
+                         | None ->
+                             Pk.note_bloom_fp vt c;
+                             go (i + 1)
                        else go (i + 1)
                      end
                    in
@@ -1195,50 +1199,9 @@ module Make (R : Record.S) = struct
      drives. *)
 
   let quarantined_count t =
-    let count comps quarantined =
-      Array.fold_left (fun a c -> if quarantined c then a + 1 else a) 0 comps
-    in
-    count (Prim.components t.primary) Prim.quarantined
-    + (match t.pk_index with
-      | Some pk -> count (Pk.components pk) Pk.quarantined
-      | None -> 0)
-    + Array.fold_left
-        (fun acc s ->
-          acc
-          + count (Sec.components s.tree) Sec.quarantined
-          + match s.del_tree with
-            | Some d -> count (Pk.components d) Pk.quarantined
-            | None -> 0)
-        0 t.secondaries
-
-  (* Quarantine every component whose backing file holds a page that
-     failed its checksum. *)
-  let quarantine_corrupt t =
-    let env = t.env in
-    let scan comps ~file ~quarantined ~quarantine =
-      Array.iter
-        (fun c ->
-          if (not (quarantined c)) && Lsm_sim.Env.file_corrupt env ~file:(file c)
-          then quarantine c)
-        comps
-    in
-    scan (Prim.components t.primary) ~file:Prim.component_file
-      ~quarantined:Prim.quarantined ~quarantine:(Prim.quarantine t.primary);
-    (match t.pk_index with
-    | Some pk ->
-        scan (Pk.components pk) ~file:Pk.component_file
-          ~quarantined:Pk.quarantined ~quarantine:(Pk.quarantine pk)
-    | None -> ());
-    Array.iter
-      (fun s ->
-        scan (Sec.components s.tree) ~file:Sec.component_file
-          ~quarantined:Sec.quarantined ~quarantine:(Sec.quarantine s.tree);
-        match s.del_tree with
-        | Some d ->
-            scan (Pk.components d) ~file:Pk.component_file
-              ~quarantined:Pk.quarantined ~quarantine:(Pk.quarantine d)
-        | None -> ())
-      t.secondaries
+    Array.fold_left
+      (fun acc (tr : Lsm_tree.tree) -> acc + tr.quarantined_count ())
+      0 t.trees
 
   (* Rebuild one quarantined secondary component from the primary key
      index, reusing the Sec. 4 standalone-repair path: re-validate its
@@ -1328,7 +1291,7 @@ module Make (R : Record.S) = struct
       is born clean) and deletes the corrupt file.  Idempotent; a no-op
       when nothing is quarantined and no corruption is recorded. *)
   let heal t =
-    quarantine_corrupt t;
+    Array.iter (fun (tr : Lsm_tree.tree) -> tr.quarantine_corrupt ()) t.trees;
     if quarantined_count t > 0 then begin
       Lsm_sim.Env.span t.env ~cat:"dataset" "resilience.heal" @@ fun () ->
       (* Primary family first, so secondary rebuilds validate against a
@@ -1685,31 +1648,20 @@ module Make (R : Record.S) = struct
   let primary t = t.primary
   let pk_index t = t.pk_index
   let secondaries t = t.secondaries
+  let trees t = t.trees
 
   (** [set_sorted_views t on] toggles REMIX-style sorted-view scans on
-      every index of the dataset (primary, primary-key, secondary and
-      deleted-key trees).  On by default; the heap merge is the fallback
-      and the differential-test oracle. *)
+      every tree of the dataset.  On by default; the heap merge is the
+      fallback and the differential-test oracle. *)
   let set_sorted_views t on =
-    Prim.set_sorted_views t.primary on;
-    (match t.pk_index with Some pk -> Pk.set_sorted_views pk on | None -> ());
-    Array.iter
-      (fun s ->
-        Sec.set_sorted_views s.tree on;
-        match s.del_tree with
-        | Some d -> Pk.set_sorted_views d on
-        | None -> ())
-      t.secondaries
+    Array.iter (fun (tr : Lsm_tree.tree) -> tr.set_sorted_views on) t.trees
+
   let filter_key_fn t = t.filter_key
 
   let set_auto_maintenance t v = t.auto_maintenance <- v
 
   let total_disk_bytes t =
-    Prim.disk_size_bytes t.primary
-    + (match t.pk_index with Some pk -> Pk.disk_size_bytes pk | None -> 0)
-    + Array.fold_left
-        (fun acc s ->
-          acc + Sec.disk_size_bytes s.tree
-          + (match s.del_tree with Some d -> Pk.disk_size_bytes d | None -> 0))
-        0 t.secondaries
+    Array.fold_left
+      (fun acc (tr : Lsm_tree.tree) -> acc + tr.disk_size_bytes ())
+      0 t.trees
 end

@@ -190,9 +190,6 @@ module Make (R : Record.S) : sig
   (** Aggregate bytes of one memory shard across every tree of the
       dataset — the budget's eviction unit when sharded. *)
 
-  val largest_mem_shard : t -> int * int
-  (** [(shard, bytes)] of the fullest memory shard. *)
-
   val share_pair_bitmaps : t -> unit
   (** Under Mutable-bitmap, point each primary component's bitmap at its
       pk-index counterpart's, so the positionally aligned pair shares one
@@ -301,6 +298,11 @@ module Make (R : Record.S) : sig
   val primary : t -> Prim.t
   val pk_index : t -> Pk.t option
   val secondaries : t -> sec_index array
+
+  val trees : t -> Lsm_tree.tree array
+  (** Every tree of the dataset, type-erased, in flush order: the
+      primary, the primary key index, then each secondary followed by its
+      deleted-key tree.  Built once by {!create}. *)
 
   (** [set_sorted_views t on] toggles REMIX-style sorted-view scans on
       every index of the dataset; on by default; the heap merge remains

@@ -12,6 +12,9 @@
     partitions generally achieves near-linear speedup" (Sec. 6.1).  The
     scale-out ablation bench checks exactly that claim. *)
 
+(** [owner ~partitions pk] is the partition that owns primary key [pk]. *)
+let owner ~partitions pk = Lsm_bloom.Hashing.mix64 pk land max_int mod partitions
+
 module Make (R : Record.S) = struct
   module D = Dataset.Make (R)
 
@@ -34,8 +37,7 @@ module Make (R : Record.S) = struct
   let partition t i = t.parts.(i)
   let env t i = t.envs.(i)
 
-  let route t pk =
-    Lsm_bloom.Hashing.mix64 pk land max_int mod Array.length t.parts
+  let route t pk = owner ~partitions:(Array.length t.parts) pk
 
   (* ------------------------------------------------------------------ *)
   (* Ingestion: routed to one partition. *)

@@ -4,6 +4,10 @@
     to one partition, secondary queries fan out to all.  System wall-clock
     under partition parallelism is the slowest partition's clock. *)
 
+val owner : partitions:int -> int -> int
+(** [owner ~partitions pk] is the partition, in [[0, partitions)], that
+    owns primary key [pk]: the one routing rule for every caller. *)
+
 module Make (R : Record.S) : sig
   module D : module type of Dataset.Make (R)
 
@@ -21,6 +25,7 @@ module Make (R : Record.S) : sig
   val partition : t -> int -> D.t
   val env : t -> int -> Lsm_sim.Env.t
   val route : t -> int -> int
+  (** [route t pk] is [owner ~partitions:(partitions t) pk]. *)
 
   (** {1 Ingestion (routed)} *)
 

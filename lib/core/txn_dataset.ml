@@ -317,9 +317,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
        committed-transaction predicate (and the crash checker's durable
        authority) exclude them. *)
     ignore (Wal.crash t.wal);
-    D.Prim.reset_memory (D.primary t.d);
-    D.Pk.reset_memory (pk_index t);
-    Array.iter (fun s -> D.Sec.reset_memory s.D.tree) (D.secondaries t.d);
+    Array.iter (fun (tr : Lsm_tree.tree) -> tr.reset_memory ()) (D.trees t.d);
     (* Validity bitmaps exist only under the Mutable-bitmap strategy:
        restore the pk side's, then re-share them with the primary. *)
     if Strategy.uses_primary_bitmap (D.strategy t.d) then begin

@@ -10,114 +10,50 @@ module J = Lsm_obs.Json
 module Env = Lsm_sim.Env
 module Io = Lsm_sim.Io_stats
 module D = Setup.D
-module Prim = D.Prim
-module Pk = D.Pk
-module Sec = D.Sec
 module Tweet = Lsm_workload.Tweet
 
 type result = { reports : Report.t list; json : J.t }
 
 let schema = "lsm-repro-inspect/1"
 
-(* One snapshot per disk component, same shape for every tree. *)
-type comp_info = {
-  tree : string;
-  slot : int;  (** 0 = newest *)
-  id : int * int;  (** (minTS, maxTS) *)
-  rows : int;
-  bytes : int;
-  bloom : bool;
-  bitmap : bool;
-  repaired : int;
-}
+(* One row per disk component: its tree's name, its slot (0 = newest)
+   and the tree's summary of it. *)
+type comp_info = { tree : string; slot : int; c : Lsm_tree.component_summary }
 
 let comp_columns =
   [ "tree"; "slot"; "id"; "rows"; "bytes"; "bloom"; "bitmap"; "repairedTS" ]
 
-let comp_row c =
+let comp_row { tree; slot; c } =
   [
-    c.tree;
-    string_of_int c.slot;
-    Printf.sprintf "(%d,%d)" (fst c.id) (snd c.id);
-    string_of_int c.rows;
-    string_of_int c.bytes;
-    (if c.bloom then "y" else "-");
-    (if c.bitmap then "y" else "-");
-    string_of_int c.repaired;
+    tree;
+    string_of_int slot;
+    Printf.sprintf "(%d,%d)" (fst c.cs_id) (snd c.cs_id);
+    string_of_int c.cs_rows;
+    string_of_int c.cs_bytes;
+    (if c.cs_bloom then "y" else "-");
+    (if c.cs_bitmap then "y" else "-");
+    string_of_int c.cs_repaired_ts;
   ]
 
-let comp_json c =
+let comp_json { tree; slot; c } =
   J.Obj
     [
-      ("tree", J.Str c.tree);
-      ("slot", J.Int c.slot);
-      ("min_ts", J.Int (fst c.id));
-      ("max_ts", J.Int (snd c.id));
-      ("rows", J.Int c.rows);
-      ("bytes", J.Int c.bytes);
-      ("bloom", J.Bool c.bloom);
-      ("bitmap", J.Bool c.bitmap);
-      ("repaired_ts", J.Int c.repaired);
+      ("tree", J.Str tree);
+      ("slot", J.Int slot);
+      ("min_ts", J.Int (fst c.cs_id));
+      ("max_ts", J.Int (snd c.cs_id));
+      ("rows", J.Int c.cs_rows);
+      ("bytes", J.Int c.cs_bytes);
+      ("bloom", J.Bool c.cs_bloom);
+      ("bitmap", J.Bool c.cs_bitmap);
+      ("repaired_ts", J.Int c.cs_repaired_ts);
     ]
 
-(* The three index families instantiate Lsm_tree at different types, so
-   each gets its own (identical-shaped) walker. *)
-let prim_components name p =
-  Array.to_list
-    (Array.mapi
-       (fun i (c : Prim.disk_component) ->
-         {
-           tree = name;
-           slot = i;
-           id = Prim.component_id c;
-           rows = Prim.component_rows c;
-           bytes = Prim.component_size_bytes p c;
-           bloom = c.Prim.bloom <> None;
-           bitmap = c.Prim.bitmap <> None;
-           repaired = c.Prim.repaired_ts;
-         })
-       (Prim.components p))
-
-let pk_components name p =
-  Array.to_list
-    (Array.mapi
-       (fun i (c : Pk.disk_component) ->
-         {
-           tree = name;
-           slot = i;
-           id = Pk.component_id c;
-           rows = Pk.component_rows c;
-           bytes = Pk.component_size_bytes p c;
-           bloom = c.Pk.bloom <> None;
-           bitmap = c.Pk.bitmap <> None;
-           repaired = c.Pk.repaired_ts;
-         })
-       (Pk.components p))
-
-let sec_components name s =
-  Array.to_list
-    (Array.mapi
-       (fun i (c : Sec.disk_component) ->
-         {
-           tree = name;
-           slot = i;
-           id = Sec.component_id c;
-           rows = Sec.component_rows c;
-           bytes = Sec.component_size_bytes s c;
-           bloom = c.Sec.bloom <> None;
-           bitmap = c.Sec.bitmap <> None;
-           repaired = c.Sec.repaired_ts;
-         })
-       (Sec.components s))
-
 let dataset_components d =
-  prim_components "primary" (D.primary d)
-  @ (match D.pk_index d with
-    | Some pk -> pk_components "pk_index" pk
-    | None -> [])
-  @ List.concat_map
-      (fun (s : D.sec_index) -> sec_components ("sec:" ^ s.D.sec_name) s.D.tree)
-      (Array.to_list (D.secondaries d))
+  List.concat_map
+    (fun (tr : Lsm_tree.tree) ->
+      List.mapi (fun slot c -> { tree = tr.name; slot; c }) (tr.summaries ()))
+    (Array.to_list (D.trees d))
 
 let f3 = Printf.sprintf "%.3f"
 

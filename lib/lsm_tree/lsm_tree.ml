@@ -35,6 +35,33 @@ let flush_origin_equal (a : flush_origin) (b : flush_origin) =
   && a.fo_min_ts = b.fo_min_ts
   && a.fo_max_ts = b.fo_max_ts
 
+(** One disk component as Inspect reports it; see {!tree}. *)
+type component_summary = {
+  cs_id : int * int;
+  cs_rows : int;
+  cs_bytes : int;
+  cs_bloom : bool;
+  cs_bitmap : bool;
+  cs_repaired_ts : int;
+}
+
+(** A tree with its key and value types erased: the operations a dataset
+    runs on every one of its trees alike, closed over one [Make]
+    instance's tree by [Make.erase].  Lives outside the functor so the
+    differently-typed trees of one dataset fit in one array. *)
+type tree = {
+  name : string;
+  mem_bytes : unit -> int;
+  mem_shard_bytes : int -> int;
+  flush : ?shard:int -> unit -> unit;
+  reset_memory : unit -> unit;
+  disk_size_bytes : unit -> int;
+  set_sorted_views : bool -> unit;
+  quarantine_corrupt : unit -> unit;
+  quarantined_count : unit -> int;
+  summaries : unit -> component_summary list;
+}
+
 module type KEY = Lsm_util.Intf.ORDERED
 
 module type VALUE = Lsm_util.Intf.SIZED
@@ -164,7 +191,6 @@ module Make (K : KEY) (V : VALUE) = struct
   let component_id c = (c.cmin_ts, c.cmax_ts)
   let component_rows c = Dbt.nrows c.tree
   let component_size_bytes t c = Dbt.size_bytes t.env c.tree
-  let component_file c = Lsm_sim.Sfile.id (Dbt.file c.tree)
   let quarantined c = c.quarantined
 
   (** [quarantine t c] marks [c] degraded (see {!disk_component}); counted
@@ -175,6 +201,19 @@ module Make (K : KEY) (V : VALUE) = struct
       let r = Lsm_sim.Env.resil t.env in
       r.Lsm_sim.Env.quarantines <- r.Lsm_sim.Env.quarantines + 1
     end
+
+  (** [quarantine_corrupt t] quarantines every component whose backing
+      file holds a page that failed its checksum. *)
+  let quarantine_corrupt t =
+    List.iter
+      (fun c ->
+        let file = Lsm_sim.Sfile.id (Dbt.file c.tree) in
+        if (not c.quarantined) && Lsm_sim.Env.file_corrupt t.env ~file then
+          quarantine t c)
+      t.disk
+
+  let quarantined_count t =
+    List.fold_left (fun a c -> if c.quarantined then a + 1 else a) 0 t.disk
 
   let disk_size_bytes t =
     List.fold_left (fun acc c -> acc + component_size_bytes t c) 0 t.disk
@@ -1318,4 +1357,33 @@ module Make (K : KEY) (V : VALUE) = struct
       end
       else None
     end
+
+  (* ------------------------------------------------------------------ *)
+  (* Type erasure *)
+
+  let erase t =
+    {
+      name = name t;
+      mem_bytes = (fun () -> mem_bytes t);
+      mem_shard_bytes = mem_shard_bytes t;
+      flush = (fun ?shard () -> flush ?shard t);
+      reset_memory = (fun () -> reset_memory t);
+      disk_size_bytes = (fun () -> disk_size_bytes t);
+      set_sorted_views = set_sorted_views t;
+      quarantine_corrupt = (fun () -> quarantine_corrupt t);
+      quarantined_count = (fun () -> quarantined_count t);
+      summaries =
+        (fun () ->
+          List.map
+            (fun c ->
+              {
+                cs_id = component_id c;
+                cs_rows = component_rows c;
+                cs_bytes = component_size_bytes t c;
+                cs_bloom = c.bloom <> None;
+                cs_bitmap = c.bitmap <> None;
+                cs_repaired_ts = c.repaired_ts;
+              })
+            t.disk);
+    }
 end

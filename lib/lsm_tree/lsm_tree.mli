@@ -30,6 +30,36 @@ type flush_origin = {
 
 val flush_origin_equal : flush_origin -> flush_origin -> bool
 
+(** One disk component's state, as [lsm_repro inspect] reports it. *)
+type component_summary = {
+  cs_id : int * int;  (** (minTS, maxTS) *)
+  cs_rows : int;
+  cs_bytes : int;
+  cs_bloom : bool;
+  cs_bitmap : bool;
+  cs_repaired_ts : int;
+}
+
+(** A tree with its key and value types erased, built by {!Make.erase}:
+    the operations a dataset runs on all of its trees alike (its primary,
+    primary key, secondary and deleted-key trees instantiate [Make] at
+    different types).  A field named after a [Make] function applies it
+    to the erased tree. *)
+type tree = {
+  name : string;
+  mem_bytes : unit -> int;
+  mem_shard_bytes : int -> int;
+  flush : ?shard:int -> unit -> unit;
+  reset_memory : unit -> unit;
+  disk_size_bytes : unit -> int;
+  set_sorted_views : bool -> unit;
+  quarantine_corrupt : unit -> unit;
+      (** quarantine every component whose backing file holds a page that
+          failed its checksum *)
+  quarantined_count : unit -> int;  (** components currently quarantined *)
+  summaries : unit -> component_summary list;  (** newest first *)
+}
+
 module type KEY = Lsm_util.Intf.ORDERED
 module type VALUE = Lsm_util.Intf.SIZED
 
@@ -128,13 +158,8 @@ module Make (K : KEY) (V : VALUE) : sig
   val component_count : t -> int
   val component_id : disk_component -> int * int
   val component_rows : disk_component -> int
-  val component_size_bytes : t -> disk_component -> int
   val disk_size_bytes : t -> int
   val total_rows : t -> int
-
-  val component_file : disk_component -> int
-  (** Id of the component's backing file (to match against
-      {!Lsm_sim.Env.file_corrupt}). *)
 
   val quarantined : disk_component -> bool
 
@@ -360,4 +385,8 @@ module Make (K : KEY) (V : VALUE) : sig
 
   val view_info : t -> (int * int * int) option
   (** [(positions, anchors, runs)] of the materialized view, if any. *)
+
+  val erase : t -> tree
+  (** The type-erased handle of a tree.  Build it once: calling one of
+      its fields allocates no more than the function it wraps. *)
 end

@@ -56,9 +56,7 @@ let create ~partitions () =
     violations = [];
   }
 
-(* Mirrors [Partitioned.route]; the property test pins the two together
-   by comparing checker expectations against the live cluster. *)
-let route t pk = Lsm_bloom.Hashing.mix64 pk land max_int mod t.partitions
+let route t pk = Lsm_core.Partitioned.owner ~partitions:t.partitions pk
 
 (** [preload t r] seeds the model with a record ingested before traffic
     started (the driver's warm-up preload) — not an arrival. *)

@@ -445,11 +445,10 @@ let serve ~durable ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
      arrival timeline, and a request's start is only known *after*
      execution (the free-horizon start depends on which partitions it
      involved) — so span hooks buffer maintenance spans during
-     execution, and the per-partition clock snapshots in [c0] translate
-     them afterwards: run_ts = start + (span_start − c0).  Hooks go in
-     after the preload; preload maintenance happens before the
+     execution, and the router's per-request clock snapshot translates
+     them afterwards: run_ts = start + (span_start − snapshot).  Hooks go
+     in after the preload; preload maintenance happens before the
      timeline's time zero. *)
-  let c0 = Array.make n 0.0 in
   let spanbuf = ref [] in
   tl (fun _ ->
       for i = 0 to n - 1 do
@@ -745,11 +744,7 @@ let serve ~durable ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
               else Ok (answer (List.rev !got) err_parts, None, err_parts <> [])
             end
           in
-          tl (fun _ ->
-              spanbuf := [];
-              for i = 0 to n - 1 do
-                c0.(i) <- Lsm_sim.Env.now_us (envof i)
-              done);
+          tl (fun _ -> spanbuf := []);
           Rt.snapshot rt;
           let queue0 =
             List.fold_left (fun acc i -> Float.max acc (backlog i)) 0.0 go
@@ -917,7 +912,8 @@ let serve ~durable ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
                       (fun (i, (sp : Lsm_sim.Env.span_event)) ->
                         Timeseries.event ts
                           ~start_us:
-                            (start +. (sp.Lsm_sim.Env.sp_start_us -. c0.(i)))
+                            (start
+                            +. Rt.since_snapshot rt i sp.Lsm_sim.Env.sp_start_us)
                           ~dur_us:sp.Lsm_sim.Env.sp_dur_us
                           ~kind:sp.Lsm_sim.Env.sp_name ~part:i [])
                       (List.rev !spanbuf))

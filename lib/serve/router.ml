@@ -187,9 +187,13 @@ module Make (R : Lsm_core.Record.S) = struct
       t.before.(i) <- Lsm_sim.Env.now_us (P.env t.p i)
     done
 
+  (** [since_snapshot t i us] is partition [i]'s clock reading [us]
+      relative to the last {!snapshot}. *)
+  let since_snapshot t i us = us -. t.before.(i)
+
   let service_since t =
     Array.init (P.partitions t.p) (fun i ->
-        Lsm_sim.Env.now_us (P.env t.p i) -. t.before.(i))
+        since_snapshot t i (Lsm_sim.Env.now_us (P.env t.p i)))
 
   let evictions_since t = List.rev !(t.evlog)
 

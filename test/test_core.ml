@@ -469,6 +469,91 @@ let test_deleted_key_strategy_records_deletes () =
       Alcotest.(check bool) "pk recorded as superseded" true
         (D.Pk.lookup_one del 1 <> None)
 
+(* Every positive Bloom probe whose search then misses is a false
+   positive, counted the same whether repair runs the Bloom-filter
+   optimization or not.  Unique keys and a leaky filter make false
+   positives certain. *)
+let test_bloom_opt_repair_counts_fps () =
+  let fps ~bloom_opt =
+    let env = mk_env () in
+    let d =
+      D.create ~filter_key:Tweet.created_at ~secondaries env
+        {
+          D.default_config with
+          strategy = Strategy.validation;
+          mem_budget = 1 lsl 30;
+          bloom = Some { Lsm_tree.Config.default_bloom with fpr = 0.5 };
+        }
+    in
+    for f = 0 to 5 do
+      for i = 1 to 200 do
+        let id = (f * 200) + i in
+        D.upsert d (tw ~user:id ~loc:id id)
+      done;
+      D.flush_memory d
+    done;
+    let st = Lsm_sim.Env.stats env in
+    let before = st.Lsm_sim.Io_stats.bloom_fps in
+    D.standalone_repair ~bloom_opt d;
+    st.Lsm_sim.Io_stats.bloom_fps - before
+  in
+  Alcotest.(check bool) "baseline repair counts fps" true (fps ~bloom_opt:false > 0);
+  Alcotest.(check bool) "bloom-opt repair counts fps" true (fps ~bloom_opt:true > 0)
+
+(* [D.trees] lists every tree once, in flush order, and the per-shard
+   memory walk agrees with the whole-memory one. *)
+let test_tree_walk () =
+  List.iter
+    (fun strategy ->
+      List.iter
+        (fun mem_shards ->
+          let d =
+            D.create ~filter_key:Tweet.created_at ~secondaries (mk_env ())
+              { D.default_config with strategy; mem_shards; mem_budget = 8 * 1024 }
+          in
+          let label =
+            Printf.sprintf "%s, %d shards" (Strategy.name strategy) mem_shards
+          in
+          let del name =
+            if strategy = Strategy.deleted_key_btree then [ "del:" ^ name ] else []
+          in
+          Alcotest.(check (list string))
+            (label ^ ": trees")
+            ([ "primary"; "pk-index"; "sec:user_id" ] @ del "user_id"
+            @ ("sec:location" :: del "location"))
+            (Array.to_list
+               (Array.map (fun (tr : Lsm_tree.tree) -> tr.name) (D.trees d)));
+          let rng = Random.State.make [| mem_shards |] in
+          for i = 1 to 300 do
+            let pk = Random.State.int rng 60 in
+            if Random.State.int rng 5 = 0 then D.delete d ~pk
+            else D.upsert d (tw ~user:(Random.State.int rng 9) ~at:i pk);
+            let shards = List.init (D.mem_shards d) (D.mem_shard_bytes d) in
+            Alcotest.(check int)
+              (label ^ ": shard bytes sum to memory bytes")
+              (D.total_mem_bytes d)
+              (List.fold_left ( + ) 0 shards)
+          done;
+          (* Every write's budget check runs this walk: it must not
+             allocate. *)
+          let w0 = Gc.minor_words () in
+          for _ = 1 to 1000 do
+            ignore (Sys.opaque_identity (D.total_mem_bytes d))
+          done;
+          let words = Gc.minor_words () -. w0 in
+          if words > 16.0 then
+            Alcotest.failf "%s: total_mem_bytes allocated %.0f words" label words)
+        [ 1; 3 ])
+    Strategy.
+      [
+        eager;
+        validation;
+        validation_no_repair;
+        validation_bloom_opt;
+        mutable_bitmap;
+        deleted_key_btree;
+      ]
+
 (* ------------------------------------------------------------------ *)
 (* Partitioned cluster (Sec. 2.2): routing, isolation, equivalence *)
 
@@ -637,6 +722,7 @@ let () =
             test_write_step_per_strategy;
           Alcotest.test_case "insert without pk index" `Quick
             test_insert_without_pk_index;
+          Alcotest.test_case "one walk over the trees" `Quick test_tree_walk;
         ] );
       ( "model",
         [
@@ -653,6 +739,8 @@ let () =
           Alcotest.test_case "merge repair cleans" `Quick test_merge_repair_on_merge;
           Alcotest.test_case "deleted-key records deletes" `Quick
             test_deleted_key_strategy_records_deletes;
+          Alcotest.test_case "bloom-opt repair counts false positives" `Quick
+            test_bloom_opt_repair_counts_fps;
         ] );
       ( "partitioned",
         [

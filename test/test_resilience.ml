@@ -139,7 +139,10 @@ let quarantine_everything d =
   | None -> ());
   Array.iter
     (fun (s : D.sec_index) ->
-      Array.iter (fun c -> D.Sec.quarantine s.D.tree c) (D.Sec.components s.D.tree))
+      Array.iter (fun c -> D.Sec.quarantine s.D.tree c) (D.Sec.components s.D.tree);
+      Option.iter
+        (fun del -> Array.iter (fun c -> D.Pk.quarantine del c) (D.Pk.components del))
+        s.D.del_tree)
     (D.secondaries d)
 
 let snapshot d keys =
@@ -160,16 +163,15 @@ let snapshot d keys =
 
 let gen_ops =
   QCheck2.Gen.(
-    pair bool
+    pair
+      (oneofl
+         [ Strategy.mutable_bitmap; Strategy.validation; Strategy.deleted_key_btree ])
       (list_size (int_range 30 150)
          (pair (int_range 0 40) (int_range 0 10))))
 
 let degraded_equals_healthy =
-  qtest "degraded == healthy == healed" gen_ops (fun (validation, ops) ->
+  qtest "degraded == healthy == healed" gen_ops (fun (strategy, ops) ->
       let env = mk_env () in
-      let strategy =
-        if validation then Strategy.validation else Strategy.mutable_bitmap
-      in
       let d = mk_dataset ~strategy env in
       List.iteri
         (fun i (k, u) ->
@@ -186,7 +188,7 @@ let degraded_equals_healthy =
       if
         D.quarantined_count d > 0
         && (Env.resil env).Env.degraded_probes = 0
-        && not validation
+        && Strategy.uses_primary_bitmap strategy
       then QCheck2.Test.fail_report "no degraded probe was counted";
       D.heal d;
       if D.quarantined_count d <> 0 then

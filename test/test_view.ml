@@ -186,7 +186,10 @@ let quarantine_everything d =
   | None -> ());
   Array.iter
     (fun (s : D.sec_index) ->
-      Array.iter (fun c -> D.Sec.quarantine s.D.tree c) (D.Sec.components s.D.tree))
+      Array.iter (fun c -> D.Sec.quarantine s.D.tree c) (D.Sec.components s.D.tree);
+      Option.iter
+        (fun del -> Array.iter (fun c -> D.Pk.quarantine del c) (D.Pk.components del))
+        s.D.del_tree)
     (D.secondaries d)
 
 let strategies_under_test =
@@ -194,6 +197,7 @@ let strategies_under_test =
     (Strategy.eager, `Assume_valid);
     (Strategy.validation, `Timestamp);
     (Strategy.mutable_bitmap, `Direct);
+    (Strategy.deleted_key_btree, `Timestamp);
   ]
 
 let prop_dataset_view_equals_heap =
