@@ -11,7 +11,13 @@ open Cmdliner
 
 let scale_arg =
   let doc = "Experiment scale: tiny, small, medium, or large." in
-  Arg.(value & opt string "small" & info [ "s"; "scale" ] ~docv:"SCALE" ~doc)
+  let scales =
+    List.map (fun s -> (s.Lsm_harness.Scale.name, s)) Lsm_harness.Scale.all
+  in
+  Arg.(
+    value
+    & opt (enum scales) Lsm_harness.Scale.small
+    & info [ "s"; "scale" ] ~docv:"SCALE" ~doc)
 
 let list_cmd =
   let run () =
@@ -88,7 +94,6 @@ let run_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT")
   in
   let run scale id trace profile metrics explain explain_json =
-    let scale = Lsm_harness.Scale.of_string scale in
     match Lsm_harness.Registry.find id with
     | None ->
         Printf.eprintf "unknown experiment %s (try `lsm_repro list`)\n" id;
@@ -123,7 +128,6 @@ let csv_arg =
 
 let all_cmd =
   let run scale csv_dir trace profile metrics explain explain_json =
-    let scale = Lsm_harness.Scale.of_string scale in
     setup_obs ~trace ~profile ~metrics ~explain ~explain_json;
     Lsm_harness.Registry.run_all ?csv_dir scale;
     finish_obs ~trace ~profile ~metrics ~explain ~explain_json
@@ -144,7 +148,6 @@ let inspect_cmd =
     Arg.(value & opt int 200 & info [ "queries" ] ~docv:"N" ~doc)
   in
   let run scale json queries =
-    let scale = Lsm_harness.Scale.of_string scale in
     check_writable json;
     Printf.printf "inspecting at scale %s (%d records)...\n%!"
       scale.Lsm_harness.Scale.name scale.Lsm_harness.Scale.records;
@@ -307,10 +310,13 @@ let serve_cmd =
   let run scale partitions rate sweep duration seed users arrivals chaos
       deadline_us shed_backlog_us retries hedge_us strategy json timeline
       timeline_csv slos window_ms maint_workers mem_shards metrics =
-    let scale = Lsm_harness.Scale.of_string scale in
     check_writable json;
     check_writable timeline;
     check_writable timeline_csv;
+    if partitions < 1 then begin
+      Printf.eprintf "--partitions must be >= 1\n";
+      exit 2
+    end;
     if maint_workers < 1 then begin
       Printf.eprintf "--maint-workers must be >= 1\n";
       exit 2

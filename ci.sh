@@ -84,6 +84,22 @@ grep -q '"schema": "lsm-repro-timeline/1"' /tmp/serve_tl_a.json
 cmp /tmp/serve_tl_a.json /tmp/serve_tl_b.json
 cmp /tmp/serve_tl_a.csv /tmp/serve_tl_b.csv
 
+# --- observability determinism ----------------------------------------
+# The span path (tracer ring, plan trees, span histograms, profile) reads
+# the simulated clock and never perturbs it, so the same run collected
+# twice must write byte-identical trace and explain files and print the
+# same report (the "wrote ... to PATH" lines name different files and
+# are masked).
+for run in a b; do
+  dune exec bin/lsm_repro.exe -- run abl-bf-repair -s tiny \
+    --trace /tmp/obs_trace_$run.json --explain-json /tmp/obs_explain_$run.json \
+    --metrics --profile > /tmp/obs_raw_$run.txt
+  sed 's/^\(wrote .* to \).*/\1PATH/' /tmp/obs_raw_$run.txt > /tmp/obs_out_$run.txt
+done
+cmp /tmp/obs_trace_a.json /tmp/obs_trace_b.json
+cmp /tmp/obs_explain_a.json /tmp/obs_explain_b.json
+cmp /tmp/obs_out_a.txt /tmp/obs_out_b.txt
+
 # --- chaos gate --------------------------------------------------------
 # The serving layer under a deterministic partition-fault matrix (crash
 # + intermittent I/O + slow disk, one partition each) must keep serving,

@@ -81,19 +81,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
          strategy (Eager's read-modify-write path needs old-record \
          logging this layer does not provide)";
     D.set_auto_maintenance d false;
-    let wal = Wal.create () in
-    (* WAL spans share the dataset environment's simulated clock. *)
-    let env = D.env d in
-    Wal.set_tracer wal (Lsm_sim.Env.tracer env);
-    (* Forcing the log is one positioning plus one page write on the
-       dataset's device; group commit exists to amortize exactly this. *)
-    let dev = Lsm_sim.Env.device env in
-    Wal.set_sync_hooks wal
-      ~fsync_us:
-        (dev.Lsm_sim.Device.seek_us +. dev.Lsm_sim.Device.write_us_per_page)
-      ~charge:(fun us -> Lsm_sim.Env.advance env us)
-      ~fault:(Lsm_sim.Env.fault_point env);
-    { d; wal; checkpoint_bitmaps = []; live_txns = 0 }
+    { d; wal = Wal.create (D.env d); checkpoint_bitmaps = []; live_txns = 0 }
 
   let dataset t = t.d
   let wal t = t.wal

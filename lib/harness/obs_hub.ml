@@ -70,12 +70,10 @@ let write_chrome_trace path =
   List.iteri
     (fun pid env ->
       let tr = Env.tracer env in
-      let evs = Tracer.events tr in
-      if Array.length evs > 0 then begin
+      if Tracer.recorded tr > 0 then begin
         process_name_event b ~first:(!n = 0) ~pid
           (Printf.sprintf "env-%d (%s)" pid (device_name env));
-        ignore (Tracer.add_chrome_events b ~pid ~first:false tr);
-        n := !n + Array.length evs
+        n := !n + Tracer.add_chrome_events b ~pid ~first:false tr
       end)
     (observed ());
   Buffer.add_string b "]}\n";
@@ -96,10 +94,10 @@ let profile_text () =
         Buffer.add_string b
           (Printf.sprintf "\n--- profile: env-%d (%s) ---\n" i
              (device_name env));
-        Buffer.add_string b
-          (Tracer.profile ~total_us:(Env.now_us env) tr)
+        Buffer.add_string b (Tracer.profile ~total_us:(Env.now_us env) tr)
       end)
     (observed ());
+  if Buffer.length b > 0 then Buffer.add_char b '\n';
   Buffer.contents b
 
 (** [explain_text ()] renders every attached environment's retained query

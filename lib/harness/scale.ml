@@ -19,12 +19,12 @@ let small = { name = "small"; records = 60_000 }
 let medium = { name = "medium"; records = 150_000 }
 let large = { name = "large"; records = 400_000 }
 
-let of_string = function
-  | "tiny" -> tiny
-  | "small" -> small
-  | "medium" -> medium
-  | "large" -> large
-  | s -> invalid_arg ("unknown scale: " ^ s ^ " (tiny|small|medium|large)")
+let all = [ tiny; small; medium; large ]
+
+let of_string s =
+  match List.find_opt (fun t -> t.name = s) all with
+  | Some t -> t
+  | None -> invalid_arg ("unknown scale: " ^ s ^ " (tiny|small|medium|large)")
 
 (** Derived knobs, all proportional to the record count (at ~500B/record).
     [data_bytes] is the primary-index payload volume. *)

@@ -14,6 +14,9 @@ val medium : t  (** 150K records *)
 
 val large : t  (** 400K records *)
 
+val all : t list
+(** Every scale, smallest first. *)
+
 val of_string : string -> t
 (** @raise Invalid_argument for unknown names. *)
 

@@ -1,17 +1,18 @@
 (** EXPLAIN ANALYZE-style plan recording.
 
-    A recorder is threaded through the engine's instrumented sections
-    (the same sites as tracer spans — see [Lsm_sim.Env.span]): each
-    section becomes a plan-tree node carrying its simulated duration,
-    the I/O counter delta it caused (inclusive and self), plus free-form
-    properties ([annotate]) and named operation counters ([count] —
-    component probes, Bloom hits/negatives/false-positives, cursor
-    restarts, entries validated vs. discarded...).
+    A recorder turns the engine's instrumented sections into plan trees
+    (the same sites as tracer spans — see [Lsm_sim.Env.span], which owns
+    the span stack and drives this module): each section becomes a node
+    carrying its simulated duration, the I/O counter delta it caused
+    (inclusive and self), plus free-form properties ([annotate]) and
+    named operation counters ([count] — component probes, Bloom
+    hits/negatives/false-positives, cursor restarts, entries validated
+    vs. discarded...).
 
     Per distinct root operation (e.g. [query.point]) the recorder keeps
-    the {e first} completed tree and the execution count, so explaining
-    a 10K-query experiment costs one retained tree per operation shape,
-    not 10K.
+    the {e first} tree and the execution count, so explaining a
+    10K-query experiment builds one tree per operation shape, not 10K:
+    a later root of a retained name builds no nodes at all.
 
     Invariant the test suite leans on: a node's inclusive I/O delta
     equals its self delta plus the sum of its children's inclusive
@@ -29,70 +30,57 @@ type node = {
   mutable children : node list;
 }
 
-type frame = { n : node; t0 : float; io0 : (string * int) list }
-
 type plan = { root : node; executions : int }
 
 type t = {
-  mutable active : bool;
-  clock : unit -> float;
-  counters : unit -> (string * int) list;
-      (** the live I/O counter snapshot (e.g. [Io_stats.fields]) *)
-  mutable stack : frame list;
+  active : bool;
   plans : (string, node * int ref) Hashtbl.t;  (** first tree per root name *)
   mutable order : string list;  (** root names, reverse arrival order *)
 }
 
-let create ~clock ~counters () =
-  {
-    active = true;
-    clock;
-    counters;
-    stack = [];
-    plans = Hashtbl.create 16;
-    order = [];
-  }
-
-let disabled =
-  {
-    active = false;
-    clock = (fun () -> 0.0);
-    counters = (fun () -> []);
-    stack = [];
-    plans = Hashtbl.create 1;
-    order = [];
-  }
-
+let create () = { active = true; plans = Hashtbl.create 16; order = [] }
+let disabled = { active = false; plans = Hashtbl.create 1; order = [] }
 let active t = t.active
 
-let reset t =
-  t.stack <- [];
-  Hashtbl.reset t.plans;
-  t.order <- []
+let fresh name =
+  {
+    name;
+    props = [];
+    counts = [];
+    dur_us = 0.0;
+    self_us = 0.0;
+    io = [];
+    self_io = [];
+    children = [];
+  }
 
-(* Counter lists always come from the same [counters] closure, so they
-   share key order; still resolve by key to stay robust. *)
-let sub_counters now before =
-  List.map
-    (fun (k, v) ->
-      let v0 = match List.assoc_opt k before with Some x -> x | None -> 0 in
-      (k, v - v0))
-    now
+let enter_root t name =
+  match Hashtbl.find_opt t.plans name with
+  | Some (_, execs) ->
+      incr execs;
+      None
+  | None ->
+      let n = fresh name in
+      Hashtbl.add t.plans name (n, ref 1);
+      t.order <- name :: t.order;
+      Some n
 
-let add_counters a b =
-  let merged =
-    List.map
-      (fun (k, v) ->
-        let w = match List.assoc_opt k b with Some x -> x | None -> 0 in
-        (k, v + w))
-      a
-  in
-  let extra = List.filter (fun (k, _) -> not (List.mem_assoc k a)) b in
-  merged @ extra
+let enter_child parent name =
+  let n = fresh name in
+  parent.children <- n :: parent.children;
+  n
 
-let nonzero = List.filter (fun (_, v) -> v <> 0)
+let leave n ~dur_us ~self_us ~io ~self_io =
+  (* Children were consed on; restore execution order. *)
+  n.children <- List.rev n.children;
+  n.dur_us <- dur_us;
+  n.self_us <- self_us;
+  n.io <- io;
+  n.self_io <- self_io
 
-let bump_count n key by =
+let annotate n props = n.props <- n.props @ props
+
+let count n key by =
   let rec go = function
     | [] -> [ (key, by) ]
     | (k, v) :: rest when k = key -> (k, v + by) :: rest
@@ -100,66 +88,7 @@ let bump_count n key by =
   in
   n.counts <- go n.counts
 
-let annotate t props =
-  match t.stack with
-  | { n; _ } :: _ when t.active -> n.props <- n.props @ props
-  | _ -> ()
-
-let count t key by =
-  match t.stack with
-  | { n; _ } :: _ when t.active -> bump_count n key by
-  | _ -> ()
-
-let record_root t root =
-  match Hashtbl.find_opt t.plans root.name with
-  | Some (_, execs) -> incr execs
-  | None ->
-      Hashtbl.add t.plans root.name (root, ref 1);
-      t.order <- root.name :: t.order
-
-let finish t frame =
-  let n = frame.n in
-  (* Children were consed on; restore execution order. *)
-  n.children <- List.rev n.children;
-  n.dur_us <- t.clock () -. frame.t0;
-  n.io <- sub_counters (t.counters ()) frame.io0;
-  let child_io =
-    List.fold_left (fun acc c -> add_counters acc c.io) [] n.children
-  in
-  n.self_io <- sub_counters n.io child_io;
-  n.self_us <-
-    n.dur_us -. List.fold_left (fun acc c -> acc +. c.dur_us) 0.0 n.children;
-  match t.stack with
-  | parent :: _ -> parent.n.children <- n :: parent.n.children
-  | [] -> record_root t n
-
-let node t ?(props = []) name f =
-  if not t.active then f ()
-  else begin
-    let n =
-      {
-        name;
-        props;
-        counts = [];
-        dur_us = 0.0;
-        self_us = 0.0;
-        io = [];
-        self_io = [];
-        children = [];
-      }
-    in
-    let frame = { n; t0 = t.clock (); io0 = t.counters () } in
-    t.stack <- frame :: t.stack;
-    match f () with
-    | r ->
-        t.stack <- List.tl t.stack;
-        finish t frame;
-        r
-    | exception e ->
-        t.stack <- List.tl t.stack;
-        finish t frame;
-        raise e
-  end
+let nonzero = List.filter (fun (_, v) -> v <> 0)
 
 let plans t =
   List.rev_map

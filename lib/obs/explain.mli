@@ -5,7 +5,8 @@
     delta it caused (inclusive and self), free-form properties, and
     named operation counters (component probes, Bloom outcomes, cursor
     restarts, validation results).  Per distinct root operation the
-    first completed tree is retained together with an execution count.
+    first tree is retained together with an execution count; later
+    roots of that name build no nodes.
 
     Invariant: a node's inclusive I/O delta equals its self delta plus
     the sum of its children's inclusive deltas, so [self_io] summed over
@@ -26,29 +27,43 @@ type plan = { root : node; executions : int }
 
 type t
 
-val create :
-  clock:(unit -> float) -> counters:(unit -> (string * int) list) -> unit -> t
-(** [create ~clock ~counters ()] — [counters] returns the live I/O
-    counter snapshot (e.g. [Io_stats.fields] of the environment's
-    stats); node deltas are differences of its values. *)
+val create : unit -> t
+(** An active recorder, fed by [Lsm_sim.Env.span]. *)
 
 val disabled : t
-(** Inert recorder: [node] reduces to running the thunk. *)
+(** Inert recorder: the environment builds no nodes for it. *)
 
 val active : t -> bool
-val reset : t -> unit
 
-val node : t -> ?props:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** [node t name f] runs [f] as a plan node (child of the innermost
-    in-flight node, or a new root).  Exception-safe. *)
+(** {1 Tree building}
 
-val annotate : t -> (string * string) list -> unit
-(** Attach properties to the innermost in-flight node; no-op outside
-    any node or when inactive. *)
+    Called by the span owner ([Lsm_sim.Env.span]) only: it opens a node
+    per section and closes it with the duration and I/O delta it
+    measured. *)
 
-val count : t -> string -> int -> unit
-(** [count t key by] bumps named counter [key] on the innermost
-    in-flight node; no-op outside any node or when inactive. *)
+val enter_root : t -> string -> node option
+(** [enter_root t name] opens the root of a top-level section: a fresh
+    node retained as [name]'s plan, or [None] (counting one more
+    execution) when [name]'s first tree is already retained — its
+    subtree is then not built. *)
+
+val enter_child : node -> string -> node
+(** [enter_child parent name] opens a node under [parent]. *)
+
+val leave :
+  node ->
+  dur_us:float ->
+  self_us:float ->
+  io:(string * int) list ->
+  self_io:(string * int) list ->
+  unit
+(** Close a node with its inclusive and self time and I/O delta. *)
+
+val annotate : node -> (string * string) list -> unit
+(** Append properties to a node. *)
+
+val count : node -> string -> int -> unit
+(** [count n key by] bumps named counter [key] on [n]. *)
 
 val plans : t -> plan list
 (** Retained plans in first-arrival order. *)

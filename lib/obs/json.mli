@@ -14,6 +14,9 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+val escape : Buffer.t -> string -> unit
+(** Append a string's JSON-escaped contents (no surrounding quotes). *)
+
 val to_string : ?indent:int -> t -> string
 (** Render [t]. [indent] > 0 pretty-prints with that many spaces per
     nesting level; the default (0) is compact. Floats print as valid

@@ -13,15 +13,13 @@ type t = {
 let disabled =
   { enabled = false; metrics = Metrics.create (); tracer = Tracer.disabled }
 
-(** [create ~clock ()] builds an enabled handle; [clock] supplies span
-    timestamps (the simulated clock, in microseconds). *)
-let create ?trace_capacity ~clock () =
+(** [create ()] builds an enabled handle; [trace_capacity] bounds the
+    tracer's span ring and [arg_names] names its span arguments. *)
+let create ?trace_capacity ~arg_names () =
   {
     enabled = true;
     metrics = Metrics.create ();
-    tracer = Tracer.create ?capacity:trace_capacity ~clock ();
+    tracer = Tracer.create ?capacity:trace_capacity ~arg_names ();
   }
 
 let enabled t = t.enabled
-let metrics t = t.metrics
-let tracer t = t.tracer

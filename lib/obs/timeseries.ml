@@ -36,9 +36,7 @@ type t = {
   window_us : float;
   windows : (int, window) Hashtbl.t;
   mutable max_index : int;  (** highest window index touched; -1 = none *)
-  ring : event option array;
-  capacity : int;
-  mutable ev_recorded : int;  (** events ever; ring holds the last [capacity] *)
+  ring : event Ring.t;
 }
 
 let create ?(events_capacity = 4096) ~window_us () =
@@ -49,9 +47,7 @@ let create ?(events_capacity = 4096) ~window_us () =
     window_us;
     windows = Hashtbl.create 64;
     max_index = -1;
-    ring = Array.make events_capacity None;
-    capacity = events_capacity;
-    ev_recorded = 0;
+    ring = Ring.create events_capacity;
   }
 
 let window_us t = t.window_us
@@ -170,31 +166,20 @@ let gauge_names t = names_of (fun w -> w.gauges) t
 (** [event t ~start_us ~dur_us ~kind ~part detail] records one discrete
     maintenance event into the bounded ring. *)
 let event t ~start_us ~dur_us ~kind ~part detail =
-  t.ring.(t.ev_recorded mod t.capacity) <-
-    Some
-      {
-        e_start_us = start_us;
-        e_dur_us = dur_us;
-        e_kind = kind;
-        e_part = part;
-        e_detail = detail;
-      };
-  t.ev_recorded <- t.ev_recorded + 1
+  Ring.push t.ring
+    {
+      e_start_us = start_us;
+      e_dur_us = dur_us;
+      e_kind = kind;
+      e_part = part;
+      e_detail = detail;
+    }
 
-let events_recorded t = t.ev_recorded
-
-let events_dropped t =
-  if t.ev_recorded > t.capacity then t.ev_recorded - t.capacity else 0
+let events_recorded t = Ring.recorded t.ring
+let events_dropped t = Ring.dropped t.ring
 
 (** [events t] is the ring's contents, oldest first. *)
-let events t =
-  let n = min t.ev_recorded t.capacity in
-  Array.init n (fun i ->
-      let idx =
-        if t.ev_recorded <= t.capacity then i
-        else (t.ev_recorded + i) mod t.capacity
-      in
-      Option.get t.ring.(idx))
+let events t = Ring.to_array t.ring
 
 (** [events_between t ~from_us ~until_us] is every ring event whose span
     [start, start+dur] intersects [[from_us, until_us)], oldest first. *)
@@ -285,7 +270,7 @@ let to_json t =
       ( "events",
         Json.Obj
           [
-            ("recorded", Json.Int t.ev_recorded);
+            ("recorded", Json.Int (events_recorded t));
             ("dropped", Json.Int (events_dropped t));
             ( "ring",
               Json.List (Array.to_list (Array.map event_json (events t))) );

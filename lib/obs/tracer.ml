@@ -1,15 +1,12 @@
-(** Span tracer over the *simulated* clock.
+(** The span sink: completed spans of the *simulated* clock.
 
-    Spans nest (strictly, per thread of control — the engine is
-    single-threaded); each completed span lands in a bounded ring buffer
-    for trace export, while exact aggregates (per-name count / total /
-    self time, top-level coverage, top-level I/O argument totals) are
-    folded in at completion so they survive ring wraparound.
-
-    The disabled tracer reduces [with_span] to a single branch around the
-    thunk — the engine instruments its hot paths unconditionally and pays
-    ~nothing when observability is off (asserted by a bechamel
-    microbench). *)
+    The storage environment ([Lsm_sim.Env.span]) owns the span stack and
+    computes each span's duration, self time and I/O arguments once;
+    this module only folds the result in.  Each completed span lands in
+    a bounded ring for trace export, while exact aggregates (per-name
+    count / total / self time, top-level coverage, top-level I/O
+    argument totals) are folded in at completion so they survive ring
+    wraparound.  The disabled tracer ignores everything. *)
 
 type event = {
   ev_name : string;
@@ -17,15 +14,7 @@ type event = {
   ev_start_us : float;
   ev_dur_us : float;
   ev_depth : int;  (** 0 = top-level *)
-  ev_args : (string * int) list;  (** e.g. I/O counter deltas *)
-}
-
-type frame = {
-  f_name : string;
-  f_cat : string;
-  f_start : float;
-  f_depth : int;
-  mutable f_child_us : float;  (** time inside completed direct children *)
+  ev_args : int array;  (** one value per argument name, e.g. I/O deltas *)
 }
 
 type agg = {
@@ -37,40 +26,31 @@ type agg = {
 
 type t = {
   enabled : bool;
-  clock : unit -> float;
-  ring : event option array;
-  capacity : int;
-  mutable recorded : int;  (** completed spans ever; ring holds the last [capacity] *)
-  mutable stack : frame list;
+  arg_names : string array;  (** what each event argument counts *)
+  ring : event Ring.t;  (** the last [capacity] completed spans *)
   aggs : (string, agg) Hashtbl.t;
-  top_args : (string, int ref) Hashtbl.t;
+  top_args : int array;  (** per argument, its top-level span total *)
   mutable top_level_us : float;  (** sum of top-level span durations *)
 }
 
-let create ?(capacity = 65_536) ~clock () =
+let create ?(capacity = 65_536) ~arg_names () =
   if capacity < 1 then invalid_arg "Tracer.create: capacity must be positive";
   {
     enabled = true;
-    clock;
-    ring = Array.make capacity None;
-    capacity;
-    recorded = 0;
-    stack = [];
+    arg_names;
+    ring = Ring.create capacity;
     aggs = Hashtbl.create 64;
-    top_args = Hashtbl.create 16;
+    top_args = Array.make (Array.length arg_names) 0;
     top_level_us = 0.0;
   }
 
 let disabled =
   {
     enabled = false;
-    clock = (fun () -> 0.0);
-    ring = [||];
-    capacity = 0;
-    recorded = 0;
-    stack = [];
+    arg_names = [||];
+    ring = Ring.create 0;
     aggs = Hashtbl.create 1;
-    top_args = Hashtbl.create 1;
+    top_args = [||];
     top_level_us = 0.0;
   }
 
@@ -84,83 +64,46 @@ let agg_of t name =
       Hashtbl.replace t.aggs name a;
       a
 
-let finish t fr args =
-  let now = t.clock () in
-  let dur = now -. fr.f_start in
-  (* Pop this frame; tolerate (but do not require) a desynchronized stack
-     so a buggy caller degrades the profile instead of crashing the run. *)
-  (match t.stack with
-  | top :: rest when top == fr -> t.stack <- rest
-  | _ -> t.stack <- List.filter (fun f -> not (f == fr)) t.stack);
-  (match t.stack with
-  | parent :: _ -> parent.f_child_us <- parent.f_child_us +. dur
-  | [] ->
-      t.top_level_us <- t.top_level_us +. dur;
-      List.iter
-        (fun (k, v) ->
-          match Hashtbl.find_opt t.top_args k with
-          | Some r -> r := !r + v
-          | None -> Hashtbl.replace t.top_args k (ref v))
-        args);
-  let a = agg_of t fr.f_name in
-  a.a_count <- a.a_count + 1;
-  a.a_total_us <- a.a_total_us +. dur;
-  a.a_self_us <- a.a_self_us +. (dur -. fr.f_child_us);
-  if dur > a.a_max_us then a.a_max_us <- dur;
-  t.ring.(t.recorded mod t.capacity) <-
-    Some
+(** [record t ~name ~cat ~start_us ~dur_us ~self_us ~depth args] folds
+    one completed span into the ring and the aggregates; [args] (one
+    value per argument name) count toward the top-level totals only at
+    [depth] 0. *)
+let record t ~name ~cat ~start_us ~dur_us ~self_us ~depth args =
+  if t.enabled then begin
+    if depth = 0 then begin
+      t.top_level_us <- t.top_level_us +. dur_us;
+      for i = 0 to Array.length t.top_args - 1 do
+        t.top_args.(i) <- t.top_args.(i) + args.(i)
+      done
+    end;
+    let a = agg_of t name in
+    a.a_count <- a.a_count + 1;
+    a.a_total_us <- a.a_total_us +. dur_us;
+    a.a_self_us <- a.a_self_us +. self_us;
+    if dur_us > a.a_max_us then a.a_max_us <- dur_us;
+    Ring.push t.ring
       {
-        ev_name = fr.f_name;
-        ev_cat = fr.f_cat;
-        ev_start_us = fr.f_start;
-        ev_dur_us = dur;
-        ev_depth = fr.f_depth;
+        ev_name = name;
+        ev_cat = cat;
+        ev_start_us = start_us;
+        ev_dur_us = dur_us;
+        ev_depth = depth;
         ev_args = args;
-      };
-  t.recorded <- t.recorded + 1
-
-(** [with_span t ?cat ?args_of name f] runs [f] inside a span.  [args_of]
-    is evaluated at completion (even if [f] raises) — the hook the
-    environment uses to attach I/O counter deltas. *)
-let with_span t ?(cat = "") ?args_of name f =
-  if not t.enabled then f ()
-  else begin
-    let fr =
-      {
-        f_name = name;
-        f_cat = cat;
-        f_start = t.clock ();
-        f_depth = List.length t.stack;
-        f_child_us = 0.0;
       }
-    in
-    t.stack <- fr :: t.stack;
-    Fun.protect
-      ~finally:(fun () ->
-        let args = match args_of with Some g -> g () | None -> [] in
-        finish t fr args)
-      f
   end
 
-let recorded t = t.recorded
-let dropped t = if t.recorded > t.capacity then t.recorded - t.capacity else 0
+let recorded t = Ring.recorded t.ring
+let dropped t = Ring.dropped t.ring
 
 (** [events t] is the ring's contents, oldest first — the last
     [capacity] completed spans. *)
-let events t =
-  let n = min t.recorded t.capacity in
-  Array.init n (fun i ->
-      let idx =
-        if t.recorded <= t.capacity then i
-        else (t.recorded + i) mod t.capacity
-      in
-      Option.get t.ring.(idx))
+let events t = Ring.to_array t.ring
 
 let top_level_us t = t.top_level_us
 
 let top_level_args t =
   List.sort compare
-    (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.top_args [])
+    (Array.to_list (Array.mapi (fun i k -> (k, t.top_args.(i))) t.arg_names))
 
 let aggregates t =
   List.sort
@@ -170,51 +113,37 @@ let aggregates t =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event export *)
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 (** [add_chrome_events b ?pid ~first t] appends one Chrome [trace_event]
     object per ring event to [b] (comma-separated; [first] says whether
     the first event emitted should omit its leading comma).  Returns
-    whether anything was emitted.  Timestamps are simulated microseconds,
-    which is exactly Chrome's unit. *)
+    the number of events emitted.  Timestamps are simulated
+    microseconds, which is exactly Chrome's unit. *)
 let add_chrome_events b ?(pid = 0) ~first t =
   let evs = events t in
   Array.iteri
     (fun i ev ->
       if not (first && i = 0) then Buffer.add_string b ",\n";
       Buffer.add_string b "{\"name\":\"";
-      json_escape b ev.ev_name;
+      Json.escape b ev.ev_name;
       Buffer.add_string b "\",\"cat\":\"";
-      json_escape b (if ev.ev_cat = "" then "engine" else ev.ev_cat);
+      Json.escape b (if ev.ev_cat = "" then "engine" else ev.ev_cat);
       Buffer.add_string b
         (Printf.sprintf "\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":0"
            ev.ev_start_us ev.ev_dur_us pid);
-      (match ev.ev_args with
-      | [] -> ()
-      | args ->
-          Buffer.add_string b ",\"args\":{";
-          List.iteri
-            (fun j (k, v) ->
-              if j > 0 then Buffer.add_char b ',';
-              Buffer.add_char b '"';
-              json_escape b k;
-              Buffer.add_string b (Printf.sprintf "\":%d" v))
-            args;
-          Buffer.add_char b '}');
+      if Array.length ev.ev_args > 0 then begin
+        Buffer.add_string b ",\"args\":{";
+        Array.iteri
+          (fun j v ->
+            if j > 0 then Buffer.add_char b ',';
+            Buffer.add_char b '"';
+            Json.escape b t.arg_names.(j);
+            Buffer.add_string b (Printf.sprintf "\":%d" v))
+          ev.ev_args;
+        Buffer.add_char b '}'
+      end;
       Buffer.add_char b '}')
     evs;
-  Array.length evs > 0
+  Array.length evs
 
 (** [to_chrome_json t] is a standalone loadable trace (one process). *)
 let to_chrome_json t =
@@ -268,6 +197,6 @@ let profile ?total_us t =
        spans recorded, %d dropped from the ring"
       (t.top_level_us /. 1e3) (total /. 1e3)
       (t.top_level_us /. total *. 100.0)
-      t.recorded (dropped t)
+      (recorded t) (dropped t)
   in
   String.concat "\n" ((line header :: sep :: List.map line rows) @ [ coverage ])

@@ -1,9 +1,10 @@
-(** Nested-span tracer stamped with the simulated clock.
+(** The span sink: completed spans of the simulated clock.
 
-    Completed spans land in a bounded ring buffer (for Chrome
-    [trace_event] export); exact per-name aggregates and top-level totals
-    are folded in at completion and survive ring wraparound.  The
-    disabled tracer reduces {!with_span} to one branch. *)
+    [Lsm_sim.Env.span] owns the span stack and hands each completed span
+    to {!record}.  Completed spans land in a bounded ring buffer (for
+    Chrome [trace_event] export); exact per-name aggregates and
+    top-level totals are folded in at completion and survive ring
+    wraparound.  The disabled tracer records nothing. *)
 
 type t
 
@@ -13,7 +14,7 @@ type event = {
   ev_start_us : float;
   ev_dur_us : float;
   ev_depth : int;  (** 0 = top-level *)
-  ev_args : (string * int) list;  (** e.g. I/O counter deltas *)
+  ev_args : int array;  (** one value per argument name, e.g. I/O deltas *)
 }
 
 type agg = {
@@ -23,21 +24,27 @@ type agg = {
   mutable a_max_us : float;
 }
 
-val create : ?capacity:int -> clock:(unit -> float) -> unit -> t
-(** [capacity] bounds the ring buffer (default 65536 completed spans). *)
+val create : ?capacity:int -> arg_names:string array -> unit -> t
+(** [capacity] bounds the ring buffer (default 65536 completed spans);
+    [arg_names] names the arguments every event carries, e.g. the I/O
+    counters. *)
 
 val disabled : t
 val enabled : t -> bool
 
-val with_span :
+val record :
   t ->
-  ?cat:string ->
-  ?args_of:(unit -> (string * int) list) ->
-  string ->
-  (unit -> 'a) ->
-  'a
-(** Run a thunk inside a span.  [args_of] is evaluated at completion
-    (even on exceptions) — used to attach I/O counter deltas. *)
+  name:string ->
+  cat:string ->
+  start_us:float ->
+  dur_us:float ->
+  self_us:float ->
+  depth:int ->
+  int array ->
+  unit
+(** Fold one completed span; its arguments (one value per argument
+    name, e.g. I/O counter deltas) count toward {!top_level_args} only
+    at [depth] 0.  A no-op on {!disabled}. *)
 
 val recorded : t -> int
 (** Completed spans ever (including any no longer in the ring). *)
@@ -59,10 +66,10 @@ val top_level_args : t -> (string * int) list
 val aggregates : t -> (string * agg) list
 (** Per-name aggregates, largest total first. *)
 
-val add_chrome_events : Buffer.t -> ?pid:int -> first:bool -> t -> bool
+val add_chrome_events : Buffer.t -> ?pid:int -> first:bool -> t -> int
 (** Append the ring's events as Chrome [trace_event] objects
     (comma-separated; [first] controls the leading comma).  Returns
-    whether anything was emitted.  Timestamps are microseconds — exactly
+    how many were emitted.  Timestamps are microseconds — exactly
     Chrome's unit. *)
 
 val to_chrome_json : t -> string

@@ -61,6 +61,11 @@ type t = {
   mutable explain : Lsm_obs.Explain.t;
       (** plan recorder; {!Lsm_obs.Explain.disabled} by default — every
           {!span} site doubles as a plan node when this is active *)
+  mutable frames : frame array;
+      (** the span stack: [frames.(0 .. depth-1)] are the open spans,
+          innermost last; slots are reused, so opening a span allocates
+          nothing once the stack has reached its depth *)
+  mutable depth : int;
   amp : Lsm_obs.Ampstats.t;
       (** flush/merge amplification accounting; always on — the engine
           reports every flush and merge here *)
@@ -97,6 +102,22 @@ type t = {
   mutable n_corrupt : int;
       (** total corrupt pages; checksum verification is one branch when 0 *)
 }
+
+(* One open span.  Only {!span} reads or writes these. *)
+and frame = {
+  mutable f_name : string;
+  mutable f_cat : string;
+  f_time : span_time;
+  f_io : int array;  (** {!Io_stats.read_into} snapshot at entry *)
+  f_self_base : int array;
+      (** the entry snapshot plus the I/O of completed children: the
+          span's self I/O is the live counters minus this *)
+  mutable f_node : Lsm_obs.Explain.node option;
+      (** this span's plan node, when its plan tree is being built *)
+}
+
+(* Float fields only, so stored flat: writing them allocates nothing. *)
+and span_time = { mutable start_us : float; mutable child_us : float }
 
 and span_event = {
   sp_name : string;
@@ -175,6 +196,8 @@ let create ?(cache_bytes = 64 * 1024 * 1024) ?read_ahead_bytes ?cpu device =
     obs = Lsm_obs.Obs.disabled;
     published = Io_stats.create ();
     explain = Lsm_obs.Explain.disabled;
+    frames = [||];
+    depth = 0;
     amp = Lsm_obs.Ampstats.create ();
     fault = None;
     retry = Resilience.default_policy;
@@ -449,82 +472,156 @@ let metrics t = t.obs.Lsm_obs.Obs.metrics
 let explain t = t.explain
 let amp t = t.amp
 
-(** [enable_explain t] installs (and returns) an active plan recorder
-    stamped with this environment's simulated clock and fed by its
-    {!Io_stats} counters.  Independent of {!enable_obs}: explain can run
-    with tracing off and vice versa. *)
+(** [enable_explain t] installs (and returns) an active plan recorder:
+    every {!span} then doubles as a plan node carrying the simulated
+    time and {!Io_stats} delta the span measured.  Independent of
+    {!enable_obs}: explain can run with tracing off and vice versa. *)
 let enable_explain t =
-  let e =
-    Lsm_obs.Explain.create
-      ~clock:(fun () -> t.clock.us)
-      ~counters:(fun () -> Io_stats.fields t.stats)
-      ()
-  in
+  let e = Lsm_obs.Explain.create () in
   t.explain <- e;
   e
 
+(* The innermost open span's plan node, if its tree is being built. *)
+let innermost_node t = if t.depth = 0 then None else t.frames.(t.depth - 1).f_node
+
 (** [explain_annotate t props] / [explain_count t key by] attach detail to
-    the innermost in-flight plan node; one branch when explain is off. *)
+    the innermost in-flight plan node; one branch when no span is open. *)
 let explain_annotate t props =
-  if Lsm_obs.Explain.active t.explain then
-    Lsm_obs.Explain.annotate t.explain props
+  match innermost_node t with
+  | Some n -> Lsm_obs.Explain.annotate n props
+  | None -> ()
 
 let explain_count t key by =
-  if Lsm_obs.Explain.active t.explain then
-    Lsm_obs.Explain.count t.explain key by
+  match innermost_node t with
+  | Some n -> Lsm_obs.Explain.count n key by
+  | None -> ()
 
-(** [enable_obs t] installs (and returns) an enabled observability handle
-    whose span tracer is stamped with this environment's simulated clock. *)
+(** [enable_obs t] installs (and returns) an enabled observability
+    handle: a metrics registry and a span tracer fed by {!span}. *)
 let enable_obs ?trace_capacity t =
-  let o = Lsm_obs.Obs.create ?trace_capacity ~clock:(fun () -> t.clock.us) () in
+  let o = Lsm_obs.Obs.create ?trace_capacity ~arg_names:Io_stats.names () in
   t.obs <- o;
   o
 
-(** [span t ?cat name f] runs [f] inside a tracer span carrying the
-    {!Io_stats} deltas it caused as span arguments, and feeds the span's
-    simulated duration into the [span.<name>] latency histogram.  When a
-    plan recorder is active ({!enable_explain}) the same section also
-    becomes a plan-tree node.  With both disabled this is two predicted
-    branches around [f]. *)
+let span_histogram o cat name dur_us =
+  let labels = if cat = "" then [] else [ ("src", cat) ] in
+  Lsm_obs.Metrics.observe
+    (Lsm_obs.Metrics.histogram o.Lsm_obs.Obs.metrics ~labels ("span." ^ name))
+    dur_us
+
+let new_frame () =
+  {
+    f_name = "";
+    f_cat = "";
+    f_time = { start_us = 0.0; child_us = 0.0 };
+    f_io = Array.make (Array.length Io_stats.names) 0;
+    f_self_base = Array.make (Array.length Io_stats.names) 0;
+    f_node = None;
+  }
+
+let open_frame t cat name =
+  let d = t.depth in
+  if d = Array.length t.frames then
+    t.frames <-
+      Array.init (max 8 (2 * d)) (fun i ->
+          if i < d then t.frames.(i) else new_frame ());
+  let fr = t.frames.(d) in
+  fr.f_name <- name;
+  fr.f_cat <- cat;
+  fr.f_time.start_us <- t.clock.us;
+  fr.f_time.child_us <- 0.0;
+  fr.f_node <-
+    (if not (Lsm_obs.Explain.active t.explain) then None
+     else if d = 0 then Lsm_obs.Explain.enter_root t.explain name
+     else
+       match t.frames.(d - 1).f_node with
+       | Some p -> Some (Lsm_obs.Explain.enter_child p name)
+       | None -> None);
+  if t.obs.Lsm_obs.Obs.enabled || Option.is_some fr.f_node then begin
+    Io_stats.read_into t.stats fr.f_io;
+    Io_stats.read_into t.stats fr.f_self_base
+  end;
+  t.depth <- d + 1
+
+(* Close [fr]'s plan node [n].  The node's self I/O is the live counters
+   minus [f_self_base] (the entry snapshot plus every completed child's
+   delta [io]); its own delta then joins its parent's base. *)
+let close_node t fr n ~io ~dur_us ~self_us =
+  let named a = List.mapi (fun i k -> (k, a.(i))) (Array.to_list Io_stats.names) in
+  let self = fr.f_self_base in
+  for i = 0 to Array.length io - 1 do
+    self.(i) <- fr.f_io.(i) + io.(i) - self.(i)
+  done;
+  Lsm_obs.Explain.leave n ~dur_us ~self_us ~io:(named io) ~self_io:(named self);
+  fr.f_node <- None;
+  if t.depth > 0 then begin
+    let base = t.frames.(t.depth - 1).f_self_base in
+    for i = 0 to Array.length io - 1 do
+      base.(i) <- base.(i) + io.(i)
+    done
+  end
+
+(* Pop the innermost span and hand its measurements to every consumer:
+   the tracer and the plan node always, the [span.<name>] histogram and
+   the hook only when the section [completed] without raising. *)
+let close_frame t ~completed =
+  let d = t.depth - 1 in
+  t.depth <- d;
+  let fr = t.frames.(d) in
+  let start_us = fr.f_time.start_us in
+  let dur_us = t.clock.us -. start_us in
+  let self_us = dur_us -. fr.f_time.child_us in
+  if d > 0 then begin
+    let p = t.frames.(d - 1) in
+    p.f_time.child_us <- p.f_time.child_us +. dur_us
+  end;
+  let o = t.obs in
+  if o.Lsm_obs.Obs.enabled || Option.is_some fr.f_node then begin
+    (* The span's I/O delta, in {!Io_stats.names} order. *)
+    let io = Array.make (Array.length fr.f_io) 0 in
+    Io_stats.read_into t.stats io;
+    for i = 0 to Array.length io - 1 do
+      io.(i) <- io.(i) - fr.f_io.(i)
+    done;
+    Lsm_obs.Tracer.record o.Lsm_obs.Obs.tracer ~name:fr.f_name ~cat:fr.f_cat
+      ~start_us ~dur_us ~self_us ~depth:d io;
+    match fr.f_node with
+    | Some n -> close_node t fr n ~io ~dur_us ~self_us
+    | None -> ()
+  end;
+  if completed then begin
+    if o.Lsm_obs.Obs.enabled then span_histogram o fr.f_cat fr.f_name dur_us;
+    match t.span_hook with
+    | None -> ()
+    | Some hook ->
+        hook
+          {
+            sp_name = fr.f_name;
+            sp_cat = fr.f_cat;
+            sp_start_us = start_us;
+            sp_dur_us = dur_us;
+          }
+  end
+
+(** [span t ?cat name f] runs [f] as one instrumented section on the
+    environment's span stack (see the interface for the consumers and
+    the exception rule). *)
 let span t ?cat name f =
-  let f =
-    if Lsm_obs.Explain.active t.explain then fun () ->
-      Lsm_obs.Explain.node t.explain name f
-    else f
-  in
-  let run () =
-    let o = t.obs in
-    if not o.Lsm_obs.Obs.enabled then f ()
-    else begin
-      let before = Io_stats.copy t.stats in
-      let t0 = t.clock.us in
-      let r =
-        Lsm_obs.Tracer.with_span o.Lsm_obs.Obs.tracer ?cat
-          ~args_of:(fun () -> Io_stats.fields (Io_stats.diff t.stats before))
-          name f
-      in
-      let labels = match cat with Some c when c <> "" -> [ ("src", c) ] | _ -> [] in
-      Lsm_obs.Metrics.observe
-        (Lsm_obs.Metrics.histogram o.Lsm_obs.Obs.metrics ~labels ("span." ^ name))
-        (t.clock.us -. t0);
-      r
-    end
-  in
-  (* The telemetry tap is independent of the obs handle: a timeline can
-     watch maintenance spans without paying for full tracing. *)
   match t.span_hook with
-  | None -> run ()
-  | Some hook ->
-      let t0 = t.clock.us in
-      let r = run () in
-      hook
-        {
-          sp_name = name;
-          sp_cat = (match cat with Some c -> c | None -> "");
-          sp_start_us = t0;
-          sp_dur_us = t.clock.us -. t0;
-        };
-      r
+  | None
+    when (not t.obs.Lsm_obs.Obs.enabled)
+         && not (Lsm_obs.Explain.active t.explain) ->
+      f ()
+  | _ -> (
+      open_frame t (match cat with Some c -> c | None -> "") name;
+      match f () with
+      | r ->
+          close_frame t ~completed:true;
+          r
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          close_frame t ~completed:false;
+          Printexc.raise_with_backtrace e bt)
 
 let set_span_hook t h = t.span_hook <- Some h
 let clear_span_hook t = t.span_hook <- None
@@ -535,23 +632,13 @@ let clear_span_hook t = t.span_hook <- None
     span is only known (start, busy-time) after the fact.  Feeds the
     same latency histogram and telemetry tap as {!span}. *)
 let emit_span t ?cat name ~start_us ~dur_us =
-  let o = t.obs in
-  if o.Lsm_obs.Obs.enabled then begin
-    let labels = match cat with Some c when c <> "" -> [ ("src", c) ] | _ -> [] in
-    Lsm_obs.Metrics.observe
-      (Lsm_obs.Metrics.histogram o.Lsm_obs.Obs.metrics ~labels ("span." ^ name))
-      dur_us
-  end;
+  let cat = match cat with Some c -> c | None -> "" in
+  if t.obs.Lsm_obs.Obs.enabled then span_histogram t.obs cat name dur_us;
   match t.span_hook with
   | None -> ()
   | Some hook ->
       hook
-        {
-          sp_name = name;
-          sp_cat = (match cat with Some c -> c | None -> "");
-          sp_start_us = start_us;
-          sp_dur_us = dur_us;
-        }
+        { sp_name = name; sp_cat = cat; sp_start_us = start_us; sp_dur_us = dur_us }
 
 (** [publish_io_metrics t] bridges the {!Io_stats} counters accumulated
     since the last publish into the metrics registry ([io.*] counters, via

@@ -204,21 +204,22 @@ val tracer : t -> Lsm_obs.Tracer.t
 val metrics : t -> Lsm_obs.Metrics.t
 
 val enable_obs : ?trace_capacity:int -> t -> Lsm_obs.Obs.t
-(** Install (and return) an enabled handle whose span tracer is stamped
-    with this environment's simulated clock. *)
+(** Install (and return) an enabled handle: a metrics registry and a
+    span tracer fed by {!span}, whose events carry the {!Io_stats.names}
+    counters as arguments. *)
 
 val explain : t -> Lsm_obs.Explain.t
 
 val enable_explain : t -> Lsm_obs.Explain.t
-(** Install (and return) an active plan recorder stamped with this
-    environment's simulated clock and fed by its {!Io_stats} counters;
-    every {!span} site then doubles as a plan-tree node.  Independent of
-    {!enable_obs}. *)
+(** Install (and return) an active plan recorder; every {!span} site
+    then doubles as a plan-tree node carrying the time and {!Io_stats}
+    delta the span measured.  Independent of {!enable_obs}. *)
 
 val explain_annotate : t -> (string * string) list -> unit
 val explain_count : t -> string -> int -> unit
 (** Attach properties / bump a named counter on the innermost in-flight
-    plan node; one branch when explain is off. *)
+    plan node; a no-op when that span builds no node (explain off, or
+    a later execution of an already-retained plan). *)
 
 val amp : t -> Lsm_obs.Ampstats.t
 (** Flush/merge amplification accounting.  Always on, fed by the LSM
@@ -226,10 +227,15 @@ val amp : t -> Lsm_obs.Ampstats.t
     {!Lsm_obs.Ampstats.reset} if a phase boundary should discard it). *)
 
 val span : t -> ?cat:string -> string -> (unit -> 'a) -> 'a
-(** Run a thunk inside a tracer span that carries the {!Io_stats} deltas
-    it caused as span arguments, and feed its simulated duration into the
-    [span.<name>] latency histogram.  Doubles as a plan node when a
-    recorder is active. *)
+(** Run a thunk as one instrumented section.  The environment owns the
+    only span stack: at close it computes the section's duration, self
+    time and {!Io_stats} delta once and hands them to each active
+    consumer — the tracer (an event with the I/O delta as arguments),
+    the plan recorder (a plan node), the [span.<name>] latency histogram
+    and the {!set_span_hook} tap.  If the thunk raises, the tracer event
+    and plan node are still recorded, the histogram sample and hook call
+    are not.  Spans never charge the clock; with every consumer off this
+    is one test around the thunk and allocates nothing. *)
 
 type span_event = {
   sp_name : string;

@@ -90,24 +90,36 @@ let diff a b =
     cursor_restarts = a.cursor_restarts - b.cursor_restarts;
   }
 
+(** Every counter's name, in declaration order. *)
+let names =
+  [| "pages_read"; "seq_reads"; "rand_reads"; "pages_written";
+     "write_batches"; "cache_hits"; "cache_misses"; "bloom_probes";
+     "bloom_negatives"; "bloom_fps"; "bloom_cache_lines"; "comparisons";
+     "cursor_restarts" |]
+
+(** [read_into t a] writes every counter into [a], in {!names} order —
+    a snapshot that allocates nothing. *)
+let read_into t a =
+  a.(0) <- t.pages_read;
+  a.(1) <- t.seq_reads;
+  a.(2) <- t.rand_reads;
+  a.(3) <- t.pages_written;
+  a.(4) <- t.write_batches;
+  a.(5) <- t.cache_hits;
+  a.(6) <- t.cache_misses;
+  a.(7) <- t.bloom_probes;
+  a.(8) <- t.bloom_negatives;
+  a.(9) <- t.bloom_fps;
+  a.(10) <- t.bloom_cache_lines;
+  a.(11) <- t.comparisons;
+  a.(12) <- t.cursor_restarts
+
 (** [fields t] names every counter — the single source of truth for
     bridging into the metrics registry and for span I/O arguments. *)
 let fields t =
-  [
-    ("pages_read", t.pages_read);
-    ("seq_reads", t.seq_reads);
-    ("rand_reads", t.rand_reads);
-    ("pages_written", t.pages_written);
-    ("write_batches", t.write_batches);
-    ("cache_hits", t.cache_hits);
-    ("cache_misses", t.cache_misses);
-    ("bloom_probes", t.bloom_probes);
-    ("bloom_negatives", t.bloom_negatives);
-    ("bloom_fps", t.bloom_fps);
-    ("bloom_cache_lines", t.bloom_cache_lines);
-    ("comparisons", t.comparisons);
-    ("cursor_restarts", t.cursor_restarts);
-  ]
+  let a = Array.make (Array.length names) 0 in
+  read_into t a;
+  List.init (Array.length names) (fun i -> (names.(i), a.(i)))
 
 let pp fmt t =
   Fmt.pf fmt

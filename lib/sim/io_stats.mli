@@ -27,8 +27,15 @@ val copy : t -> t
 val diff : t -> t -> t
 (** [diff a b] is the counter-wise difference [a - b]. *)
 
+val names : string array
+(** Every counter's name, in declaration order. *)
+
+val read_into : t -> int array -> unit
+(** [read_into t a] writes every counter into [a] (of length
+    [Array.length names]), in {!names} order; allocates nothing. *)
+
 val fields : t -> (string * int) list
-(** Every counter as a (name, value) pair — the bridge into the metrics
-    registry and span I/O arguments. *)
+(** Every counter as a (name, value) pair, in {!names} order — the
+    bridge into the metrics registry. *)
 
 val pp : Format.formatter -> t -> unit

@@ -33,10 +33,10 @@ type 'a t = {
   mutable torn_lsn : int option;
       (** LSN of a trailing record whose append a crash interrupted; the
           record exists in [records] but must be treated as never written *)
-  mutable tracer : Lsm_obs.Tracer.t;
-      (** span tracer for appends; disabled by default.  The
-          caller that owns the storage environment attaches the
-          environment's tracer so WAL spans share the simulated clock. *)
+  env : Lsm_sim.Env.t;
+      (** the owning storage environment: appends and fsyncs run as its
+          spans, fsyncs charge its clock, and the group-commit crash
+          windows are its fault points *)
   mutable group_size : int;
       (** commits per group-commit batch; <= 1 = serial (fsync per commit) *)
   mutable group : int list;
@@ -44,17 +44,10 @@ type 'a t = {
           yet fsynced (logically committed, not durable), newest first *)
   durable : (int, unit) Hashtbl.t;
       (** transactions whose commit record has been fsynced to media *)
-  mutable fsync_us : float;  (** simulated cost of one log fsync *)
-  mutable charge : float -> unit;
-      (** clock hook: charges fsync time to the owning environment *)
-  mutable fault : Lsm_sim.Fault_point.t -> unit;
-      (** fault-point hook: announces the group-commit crash windows
-          ([wal.group.seal] / [wal.group.fsync] / [wal.group.ack]) to the
-          owning environment's fault-injection machinery *)
   sync_stats : sync_stats;
 }
 
-let create () =
+let create env =
   {
     records = [];
     next_lsn = 1;
@@ -62,28 +55,13 @@ let create () =
     txns = Hashtbl.create 64;
     next_txn = 1;
     torn_lsn = None;
-    tracer = Lsm_obs.Tracer.disabled;
+    env;
     group_size = 1;
     group = [];
     durable = Hashtbl.create 64;
-    fsync_us = 0.0;
-    charge = (fun _ -> ());
-    fault = (fun _ -> ());
     sync_stats =
       { fsyncs = 0; fsync_time_us = 0.0; groups_sealed = 0; durable_commits = 0 };
   }
-
-(** [set_tracer t tr] attaches a span tracer (see {!type:t}). *)
-let set_tracer t tr = t.tracer <- tr
-
-(** [set_sync_hooks t ~fsync_us ~charge ~fault] attaches the owning
-    environment's cost model and fault-injection machinery: [charge]
-    advances the simulated clock by the time of each log fsync
-    ([fsync_us]), and [fault] announces the group-commit crash windows. *)
-let set_sync_hooks t ~fsync_us ~charge ~fault =
-  t.fsync_us <- fsync_us;
-  t.charge <- charge;
-  t.fault <- fault
 
 let sync_stats t = t.sync_stats
 
@@ -96,16 +74,21 @@ let begin_txn t =
 
 (** [log t ~txn payload] appends a record and returns its LSN. *)
 let log t ~txn payload =
-  Lsm_obs.Tracer.with_span t.tracer ~cat:"wal" "wal.append" @@ fun () ->
+  Lsm_sim.Env.span t.env ~cat:"wal" "wal.append" @@ fun () ->
   let lsn = t.next_lsn in
   t.next_lsn <- lsn + 1;
   t.records <- { lsn; txn; payload } :: t.records;
   lsn
 
+(* Forcing the log is one positioning plus one page write on the
+   environment's device; group commit exists to amortize exactly this. *)
 let charge_fsync t =
-  t.charge t.fsync_us;
+  Lsm_sim.Env.span t.env ~cat:"wal" "wal.fsync" @@ fun () ->
+  let dev = Lsm_sim.Env.device t.env in
+  let us = dev.Lsm_sim.Device.seek_us +. dev.Lsm_sim.Device.write_us_per_page in
+  Lsm_sim.Env.advance t.env us;
   t.sync_stats.fsyncs <- t.sync_stats.fsyncs + 1;
-  t.sync_stats.fsync_time_us <- t.sync_stats.fsync_time_us +. t.fsync_us
+  t.sync_stats.fsync_time_us <- t.sync_stats.fsync_time_us +. us
 
 let mark_durable t txn =
   Hashtbl.replace t.durable txn ();
@@ -125,13 +108,13 @@ let fsync_group t =
   match t.group with
   | [] -> ()
   | g ->
-      t.fault Wal_group_seal;
+      Lsm_sim.Env.fault_point t.env Wal_group_seal;
       charge_fsync t;
-      t.fault Wal_group_fsync;
+      Lsm_sim.Env.fault_point t.env Wal_group_fsync;
       List.iter (fun txn -> mark_durable t txn) (List.rev g);
       t.sync_stats.groups_sealed <- t.sync_stats.groups_sealed + 1;
       t.group <- [];
-      t.fault Wal_group_ack
+      Lsm_sim.Env.fault_point t.env Wal_group_ack
 
 (** [sync t] is the group-commit barrier: seal and fsync the open group,
     if any.  Callers must issue it before any action that assumes the log

@@ -19,21 +19,11 @@ type sync_stats = {
 type 'a t
 (** A log whose records carry ['a] payloads. *)
 
-val create : unit -> 'a t
-
-val set_tracer : 'a t -> Lsm_obs.Tracer.t -> unit
-(** Attach the storage environment's tracer so WAL spans share the
-    simulated clock. *)
-
-val set_sync_hooks :
-  'a t ->
-  fsync_us:float ->
-  charge:(float -> unit) ->
-  fault:(Lsm_sim.Fault_point.t -> unit) ->
-  unit
-(** Attach the owning environment's cost model and fault machinery:
-    [charge] advances the simulated clock by [fsync_us] per log fsync,
-    and [fault] announces the [wal.group.*] crash windows. *)
+val create : Lsm_sim.Env.t -> 'a t
+(** [create env] is an empty log on [env]: appends run as [wal.append]
+    spans, and each log fsync runs as a [wal.fsync] span that charges
+    [env]'s clock one positioning plus one page write on its device.
+    The [wal.group.*] crash windows are [env]'s fault points. *)
 
 val sync_stats : 'a t -> sync_stats
 

@@ -26,6 +26,37 @@ let test_bad_scale_value () =
     "unknown flag on inspect" 2
     (run [ "inspect"; "--no-such-flag" ])
 
+(* Bad values of typed flags are usage errors too, not uncaught
+   exceptions (which cmdliner reports as exit 125). *)
+let test_unknown_scale_name () =
+  Alcotest.(check int) "exit 2" 2 (run [ "run"; "fig14"; "-s"; "huge" ])
+
+let test_zero_partitions () =
+  Alcotest.(check int) "exit 2" 2 (run [ "serve"; "-s"; "tiny"; "-p"; "0" ])
+
+(* The profile ends its last line, so the next report line starts on a
+   line of its own. *)
+let test_profile_then_explain_lines () =
+  let out = Filename.temp_file "profile" ".txt"
+  and plans = Filename.temp_file "plans" ".json" in
+  Alcotest.(check int) "run exits 0" 0
+    (Sys.command
+       (Filename.quote_command exe ~stdout:out ~stderr:"/dev/null"
+          [
+            "run"; "abl-bf-repair"; "-s"; "tiny"; "--profile"; "--explain-json";
+            plans;
+          ]));
+  let lines =
+    String.split_on_char '\n'
+      (In_channel.with_open_text out In_channel.input_all)
+  in
+  Alcotest.(check bool) "coverage line ends" true
+    (List.exists
+       (fun l -> String.length l > 16 && String.sub l 0 16 = "top-level spans ")
+       lines);
+  Alcotest.(check bool) "explain line on its own" true
+    (List.mem ("wrote explain plans to " ^ plans) lines)
+
 let test_list_ok () = Alcotest.(check int) "exit 0" 0 (run [ "list" ])
 
 let test_help_ok () = Alcotest.(check int) "exit 0" 0 (run [ "--help" ])
@@ -478,6 +509,11 @@ let () =
             test_missing_required_arg;
           Alcotest.test_case "unknown flag on inspect" `Quick
             test_bad_scale_value;
+          Alcotest.test_case "unknown scale name" `Quick
+            test_unknown_scale_name;
+          Alcotest.test_case "zero partitions" `Quick test_zero_partitions;
+          Alcotest.test_case "profile then explain lines" `Quick
+            test_profile_then_explain_lines;
           Alcotest.test_case "list succeeds" `Quick test_list_ok;
           Alcotest.test_case "--help succeeds" `Quick test_help_ok;
         ] );

@@ -98,18 +98,24 @@ let prop_hist_quantile_bounds =
 (* ------------------------------------------------------------------ *)
 (* Tracer *)
 
-(* A manual clock: spans advance it explicitly. *)
-let manual () =
-  let now = ref 0.0 in
-  let t = T.create ~capacity:8 ~clock:(fun () -> !now) () in
-  (t, now)
+(* Spans are driven through an environment, as the engine drives them;
+   [Env.advance] moves the simulated clock by hand. *)
+let test_device =
+  Lsm_sim.Device.custom ~name:"test" ~page_size:1024 ~seek_us:1000.0
+    ~read_us_per_page:100.0 ~write_us_per_page:100.0
+
+let traced ?(capacity = 8) () =
+  let env = Env.create ~cache_bytes:(64 * 1024) test_device in
+  ignore (Env.enable_obs ~trace_capacity:capacity env);
+  env
 
 let test_tracer_nesting_self_time () =
-  let t, now = manual () in
-  T.with_span t "outer" (fun () ->
-      now := !now +. 10.0;
-      T.with_span t "inner" (fun () -> now := !now +. 30.0);
-      now := !now +. 5.0);
+  let env = traced () in
+  Env.span env "outer" (fun () ->
+      Env.advance env 10.0;
+      Env.span env "inner" (fun () -> Env.advance env 30.0);
+      Env.advance env 5.0);
+  let t = Env.tracer env in
   let agg name = List.assoc name (T.aggregates t) in
   Alcotest.(check (float 1e-9)) "outer total" 45.0 (agg "outer").T.a_total_us;
   Alcotest.(check (float 1e-9)) "outer self" 15.0 (agg "outer").T.a_self_us;
@@ -121,13 +127,16 @@ let test_tracer_nesting_self_time () =
   Alcotest.(check int) "two events" 2 (Array.length evs);
   Alcotest.(check string) "inner first" "inner" evs.(0).T.ev_name;
   Alcotest.(check int) "inner depth" 1 evs.(0).T.ev_depth;
+  Alcotest.(check (float 1e-9)) "inner starts at 10" 10.0
+    evs.(0).T.ev_start_us;
   Alcotest.(check int) "outer depth" 0 evs.(1).T.ev_depth
 
 let test_tracer_ring_wraparound () =
-  let t, now = manual () in
+  let env = traced () in
   for i = 1 to 20 do
-    T.with_span t (Printf.sprintf "s%d" i) (fun () -> now := !now +. 1.0)
+    Env.span env (Printf.sprintf "s%d" i) (fun () -> Env.advance env 1.0)
   done;
+  let t = Env.tracer env in
   Alcotest.(check int) "recorded all" 20 (T.recorded t);
   Alcotest.(check int) "dropped overflow" 12 (T.dropped t);
   let evs = T.events t in
@@ -145,50 +154,106 @@ let test_tracer_ring_wraparound () =
   Alcotest.(check (float 1e-9)) "coverage exact" 20.0 (T.top_level_us t)
 
 let test_tracer_exception_safety () =
-  let t, now = manual () in
+  let env = traced () in
   (try
-     T.with_span t "boom" (fun () ->
-         now := !now +. 7.0;
-         failwith "x")
+     Env.span env "outer" (fun () ->
+         Env.span env "boom" (fun () ->
+             Env.advance env 7.0;
+             failwith "x"))
    with Failure _ -> ());
-  Alcotest.(check int) "span still recorded" 1 (T.recorded t);
+  let t = Env.tracer env in
+  Alcotest.(check int) "both spans still recorded" 2 (T.recorded t);
   Alcotest.(check (float 1e-9)) "duration kept" 7.0 (T.top_level_us t);
+  Alcotest.(check (float 1e-9)) "self time kept" 0.0
+    (List.assoc "outer" (T.aggregates t)).T.a_self_us;
   (* The stack unwound: a new span is top-level again. *)
-  T.with_span t "next" (fun () -> now := !now +. 1.0);
-  Alcotest.(check int) "next at depth 0" 0 (T.events t).(1).T.ev_depth
+  Env.span env "next" (fun () -> Env.advance env 1.0);
+  Alcotest.(check int) "next at depth 0" 0 (T.events t).(2).T.ev_depth
 
 let test_tracer_disabled_noop () =
-  let r = T.with_span T.disabled "x" (fun () -> 42) in
+  let env = Env.create ~cache_bytes:(64 * 1024) test_device in
+  let r = Env.span env "x" (fun () -> 42) in
   Alcotest.(check int) "value through" 42 r;
-  Alcotest.(check int) "nothing recorded" 0 (T.recorded T.disabled);
-  Alcotest.(check bool) "not enabled" false (T.enabled T.disabled)
+  Alcotest.(check int) "nothing recorded" 0 (T.recorded (Env.tracer env));
+  Alcotest.(check bool) "not enabled" false (T.enabled (Env.tracer env));
+  Alcotest.(check int) "disabled tracer ignores records" 0
+    (T.record T.disabled ~name:"x" ~cat:"" ~start_us:0.0 ~dur_us:1.0
+       ~self_us:1.0 ~depth:0 [| 1 |];
+     T.recorded T.disabled)
 
+(* A span's arguments are the I/O counter deltas it caused; nested
+   spans' deltas must not double-count in the top-level totals. *)
 let test_tracer_args_accumulate () =
-  let t, now = manual () in
-  let go name pages =
-    T.with_span t ~args_of:(fun () -> [ ("pages", pages); ("seeks", 1) ]) name
-      (fun () -> now := !now +. 1.0)
+  let env = traced () in
+  let go name cmps =
+    Env.span env name (fun () ->
+        Env.charge_comparisons env cmps;
+        Env.charge_cache_lines env 1)
   in
   go "a" 3;
   go "b" 4;
-  (* Nested spans' args must NOT double-count at top level. *)
-  T.with_span t ~args_of:(fun () -> [ ("pages", 10) ]) "outer" (fun () ->
-      go "inner" 10);
+  Env.span env "outer" (fun () -> go "inner" 10);
+  let args = T.top_level_args (Env.tracer env) in
+  Alcotest.(check int) "comparisons" 17 (List.assoc "comparisons" args);
+  Alcotest.(check int) "cache lines" 3 (List.assoc "bloom_cache_lines" args);
+  Alcotest.(check int) "untouched counter" 0 (List.assoc "pages_read" args);
+  let inner = (T.events (Env.tracer env)).(2) in
+  Alcotest.(check string) "third event" "inner" inner.T.ev_name;
   Alcotest.(check (list (pair string int)))
-    "top-level arg totals"
-    [ ("pages", 17); ("seeks", 2) ]
-    (T.top_level_args t)
+    "event args = the span's delta"
+    [ ("bloom_cache_lines", 1); ("comparisons", 10) ]
+    (List.sort compare
+       (List.filter
+          (fun (_, v) -> v <> 0)
+          (List.combine (Array.to_list Io_stats.names)
+             (Array.to_list inner.T.ev_args))))
 
 let test_chrome_json_shape () =
-  let t, now = manual () in
-  T.with_span t ~cat:"c" ~args_of:(fun () -> [ ("n", 1) ]) "quote\"back\\slash"
-    (fun () -> now := !now +. 2.5);
-  let json = T.to_chrome_json t in
+  let env = traced () in
+  Env.span env ~cat:"c" "quote\"back\\slash" (fun () ->
+      Env.charge_comparisons env 1;
+      Env.advance env 2.5);
+  let json = T.to_chrome_json (Env.tracer env) in
   Alcotest.(check bool) "has traceEvents" true (contains json "\"traceEvents\"");
   Alcotest.(check bool) "escaped quote" true
     (contains json {|quote\"back\\slash|});
   Alcotest.(check bool) "complete event" true (contains json {|"ph":"X"|});
+  Alcotest.(check bool) "category" true (contains json {|"cat":"c"|});
+  Alcotest.(check bool) "io args" true (contains json {|"comparisons":1|});
   Alcotest.(check bool) "duration" true (contains json {|"dur":2.5|})
+
+(* The exception rule, pinned at the environment: a section that raises
+   still lands as a tracer event and a plan node, but feeds neither the
+   [span.<name>] histogram nor the span hook. *)
+let test_span_exception_rule () =
+  let env = traced () in
+  ignore (Env.enable_explain env);
+  let hooked = ref [] in
+  Env.set_span_hook env (fun sp -> hooked := sp.Env.sp_name :: !hooked);
+  (try
+     Env.span env "boom" (fun () ->
+         Env.span env "fine" (fun () -> Env.advance env 1.0);
+         Env.advance env 2.0;
+         failwith "x")
+   with Failure _ -> ());
+  let t = Env.tracer env in
+  Alcotest.(check (list string))
+    "tracer events" [ "fine"; "boom" ]
+    (Array.to_list (Array.map (fun e -> e.T.ev_name) (T.events t)));
+  (match Lsm_obs.Explain.plans (Env.explain env) with
+  | [ p ] ->
+      Alcotest.(check string) "plan root" "boom" p.Lsm_obs.Explain.root.name;
+      Alcotest.(check (float 1e-9)) "plan duration" 3.0
+        p.Lsm_obs.Explain.root.dur_us;
+      Alcotest.(check int) "plan child" 1
+        (List.length p.Lsm_obs.Explain.root.children)
+  | ps -> Alcotest.failf "expected one plan, got %d" (List.length ps));
+  let histograms = ref [] in
+  M.iter (Env.metrics env) (fun name _ _ -> histograms := name :: !histograms);
+  Alcotest.(check (list string)) "histogram: the completed span only"
+    [ "span.fine" ] !histograms;
+  Alcotest.(check (list string)) "hook: the completed span only" [ "fine" ]
+    !hooked
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry *)
@@ -305,6 +370,45 @@ let test_disabled_records_nothing () =
   done;
   Alcotest.(check int) "no spans" 0 (T.recorded (Env.tracer env));
   Alcotest.(check (list string)) "no metrics" [] (M.to_lines (Env.metrics env))
+
+(* The WAL spans through its dataset's environment: appends and fsyncs
+   reach the span hook (and so the serving ledger) like any engine
+   section, and the fsync spans account for exactly the log-force time
+   the WAL charged. *)
+module Txn = Lsm_core.Txn_dataset.Make (Lsm_workload.Tweet.Record) (D)
+module Wal = Lsm_txn.Wal
+
+let test_wal_spans_through_env () =
+  let env = traced ~capacity:4096 () in
+  let hooked = Hashtbl.create 16 and fsync_us = ref 0.0 in
+  Env.set_span_hook env (fun sp ->
+      Hashtbl.replace hooked sp.Env.sp_name ();
+      if sp.Env.sp_name = "wal.fsync" then
+        fsync_us := !fsync_us +. sp.Env.sp_dur_us);
+  let d =
+    D.create ~filter_key:Tweet.created_at ~secondaries env
+      { D.default_config with strategy = Strategy.validation; mem_budget = 2048 }
+  in
+  let tx = Txn.create d in
+  for i = 1 to 30 do
+    if i = 16 then Txn.set_group_commit tx ~batch:4;
+    let txn = Txn.begin_txn tx in
+    Txn.upsert tx txn (tw ~user:(i mod 5) i);
+    Txn.commit tx txn
+  done;
+  Txn.flush tx;
+  let s = Wal.sync_stats (Txn.wal tx) in
+  Alcotest.(check bool) "log forced" true (s.Wal.fsyncs > 15);
+  Alcotest.(check bool) "hook sees wal.append" true
+    (Hashtbl.mem hooked "wal.append");
+  Alcotest.(check bool) "hook sees wal.fsync" true
+    (Hashtbl.mem hooked "wal.fsync");
+  Alcotest.(check (float 1e-6)) "fsync span time = fsync_time_us"
+    s.Wal.fsync_time_us !fsync_us;
+  let agg = List.assoc "wal.fsync" (T.aggregates (Env.tracer env)) in
+  Alcotest.(check int) "one span per fsync" s.Wal.fsyncs agg.T.a_count;
+  Alcotest.(check (float 1e-6)) "tracer agrees" s.Wal.fsync_time_us
+    agg.T.a_total_us
 
 (* ------------------------------------------------------------------ *)
 (* Json: every machine-readable document we emit must parse back. *)
@@ -546,10 +650,15 @@ let test_explain_text_and_json () =
             ps)
 
 let test_explain_disabled_inert () =
-  let e = E.disabled in
+  let env = traced () in
+  let e = Env.explain env in
   Alcotest.(check bool) "inactive" false (E.active e);
-  Alcotest.(check int) "thunk runs" 7 (E.node e "x" (fun () -> 7));
-  Alcotest.(check bool) "no plans" true (E.plans e = [])
+  Alcotest.(check int) "thunk runs" 7
+    (Env.span env "x" (fun () ->
+         Env.explain_count env "n" 1;
+         7));
+  Alcotest.(check bool) "no plans" true (E.plans e = []);
+  Alcotest.(check int) "the tracer still sees it" 1 (T.recorded (Env.tracer env))
 
 (* ------------------------------------------------------------------ *)
 (* Bench_json *)
@@ -957,18 +1066,18 @@ let test_slo_attribution_and_flight_record () =
    aggregates must survive ring wraparound. *)
 
 let test_chrome_trace_roundtrip () =
-  let now = ref 0.0 in
-  let t = T.create ~capacity:4 ~clock:(fun () -> !now) () in
+  let env = traced ~capacity:4 () in
   (* Three top-level spans, then a nested pair: completion order is
      t1 t2 t3 inner outer, so the capacity-4 ring drops t1 but keeps
      the nested pair intact. *)
   for i = 1 to 3 do
-    T.with_span t (Printf.sprintf "t%d" i) (fun () -> now := !now +. 1.0)
+    Env.span env (Printf.sprintf "t%d" i) (fun () -> Env.advance env 1.0)
   done;
-  T.with_span t ~cat:"dataset" "outer" (fun () ->
-      now := !now +. 1.0;
-      T.with_span t "inner" (fun () -> now := !now +. 2.0);
-      now := !now +. 1.0);
+  Env.span env ~cat:"dataset" "outer" (fun () ->
+      Env.advance env 1.0;
+      Env.span env "inner" (fun () -> Env.advance env 2.0);
+      Env.advance env 1.0);
+  let t = Env.tracer env in
   Alcotest.(check int) "recorded" 5 (T.recorded t);
   Alcotest.(check int) "dropped" 1 (T.dropped t);
   match J.of_string (T.to_chrome_json t) with
@@ -1075,6 +1184,7 @@ let () =
           Alcotest.test_case "chrome json" `Quick test_chrome_json_shape;
           Alcotest.test_case "chrome trace round-trip" `Quick
             test_chrome_trace_roundtrip;
+          Alcotest.test_case "exception rule" `Quick test_span_exception_rule;
         ] );
       ( "metrics",
         [
@@ -1086,6 +1196,8 @@ let () =
           prop_span_io_reconciles;
           Alcotest.test_case "disabled records nothing" `Quick
             test_disabled_records_nothing;
+          Alcotest.test_case "wal spans through env" `Quick
+            test_wal_spans_through_env;
         ] );
       ( "json",
         [

@@ -50,8 +50,13 @@ let test_lock_counts_and_cleanup () =
 (* WAL: LSNs, the replay stream, checkpoints, torn tails.  Recovery over
    real components is tested in test_integration.ml. *)
 
+let wal_env () =
+  Lsm_sim.Env.create ~cache_bytes:(1024 * 64)
+    (Lsm_sim.Device.custom ~name:"wal" ~page_size:1024 ~seek_us:1000.0
+       ~read_us_per_page:100.0 ~write_us_per_page:100.0)
+
 let test_wal_basic () =
-  let w = Wal.create () in
+  let w = Wal.create (wal_env ()) in
   let t1 = Wal.begin_txn w in
   let l1 = Wal.log w ~txn:t1 "upsert 5" in
   let l2 = Wal.log w ~txn:t1 "delete 6" in
@@ -70,7 +75,7 @@ let test_wal_basic () =
 (* Tearing is only meaningful mid-write: an empty log has no tail, and a
    discard with a stale marker (record already gone) is a no-op. *)
 let test_torn_tail_edge_cases () =
-  let w = Wal.create () in
+  let w = Wal.create (wal_env ()) in
   Wal.tear_tail w;
   Alcotest.(check bool) "empty log: nothing to tear" true
     (Wal.torn_tail w = None);
