@@ -209,10 +209,64 @@ let range_scan_bench name fixture =
          let n = ref 0 in
          L.scan t L.full_scan_spec ~f:(fun _ ~src_repaired:_ -> incr n)))
 
+(* The shape of a time-range scan after its range filters pruned all but
+   [ncomps] (0 or 1) disk components: a reconciling scan, restricted to
+   the remaining component, of 1k memory rows against its 2k rows, with
+   half of the memory keys also on disk.  Memory merges against one
+   component in the scan's two-way loop, not the k-way heap. *)
+let time_range_tree ~ncomps =
+  let env = quiet_env () in
+  let t =
+    L.create env
+      (Lsm_tree.Config.make ~bloom:(Some Lsm_tree.Config.default_bloom) "bench")
+  in
+  if ncomps = 1 then begin
+    for i = 0 to 1_999 do
+      L.write t ~key:(2 * i) ~ts:(i + 1) (Lsm_tree.Entry.Put i)
+    done;
+    L.flush t
+  end;
+  for i = 0 to 999 do
+    L.write t ~key:(3 * i) ~ts:(10_000 + i) (Lsm_tree.Entry.Put i)
+  done;
+  let spec =
+    { L.full_scan_spec with only = Some (Array.to_list (L.components t)) }
+  in
+  (* Warm the cache: steady state is what both series measure. *)
+  L.scan t spec ~f:(fun _ ~src_repaired:_ -> ());
+  (env, t, spec)
+
+let time_range_fixture = lazy (time_range_tree ~ncomps:1)
+
+let test_lsm_time_range_scan =
+  Test.make ~name:"lsm.time_range_scan(1k mem + 1 comp)"
+    (Staged.stage (fun () ->
+         let _env, t, spec = Lazy.force time_range_fixture in
+         let n = ref 0 in
+         L.scan t spec ~f:(fun _ ~src_repaired:_ -> incr n)))
+
 (* The simulated-cost series the CI gates on: deterministic (engine cost
    model only, no host timing), one sample per entry, so a >10% change
    is a real cost-model or algorithm change, not noise. *)
 let sim_range_scan_entries () =
+  let e name unit_ v =
+    { Lsm_harness.Bench_json.name; unit_; samples = [| v |] }
+  in
+  let two_way ncomps =
+    let env, t, spec = time_range_tree ~ncomps in
+    let before_cmp = (Lsm_sim.Env.stats env).Lsm_sim.Io_stats.comparisons in
+    let before_us = Lsm_sim.Env.now_us env in
+    L.scan t spec ~f:(fun _ ~src_repaired:_ -> ());
+    let cmp = (Lsm_sim.Env.stats env).Lsm_sim.Io_stats.comparisons - before_cmp in
+    let us = Lsm_sim.Env.now_us env -. before_us in
+    Printf.printf "sim.range_scan c%d: two-way %7.0fus %7d cmp\n" ncomps us cmp;
+    [
+      e (Printf.sprintf "sim.range_scan.c%d.sim_us" ncomps) "us/scan" us;
+      e
+        (Printf.sprintf "sim.range_scan.c%d.comparisons" ncomps)
+        "cmp/scan" (float_of_int cmp);
+    ]
+  in
   let measure ~views ~ncomps =
     let env, t = scan_tree ~views ~ncomps in
     let before_cmp = (Lsm_sim.Env.stats env).Lsm_sim.Io_stats.comparisons in
@@ -223,7 +277,10 @@ let sim_range_scan_entries () =
       (Lsm_sim.Env.stats env).Lsm_sim.Io_stats.comparisons - before_cmp,
       Lsm_sim.Env.now_us env -. before_us )
   in
-  List.concat_map
+  let c0 = two_way 0 in
+  let c1 = two_way 1 in
+  c0 @ c1
+  @ List.concat_map
     (fun ncomps ->
       let rows_h, cmp_h, us_h = measure ~views:false ~ncomps in
       let rows_v, cmp_v, us_v = measure ~views:true ~ncomps in
@@ -233,9 +290,6 @@ let sim_range_scan_entries () =
          (%.1fx / %.1fx)\n"
         ncomps us_h cmp_h us_v cmp_v (us_h /. us_v)
         (float_of_int cmp_h /. float_of_int cmp_v);
-      let e name unit_ v =
-        { Lsm_harness.Bench_json.name; unit_; samples = [| v |] }
-      in
       [
         e (Printf.sprintf "sim.range_scan.c%d.heap.sim_us" ncomps) "us/scan" us_h;
         e
@@ -616,7 +670,6 @@ let test_standalone_repair =
          D.standalone_repair d))
 
 let micro_tests =
-  Test.make_grouped ~name:"lsm-repro"
     [
       test_mem_btree_put;
       test_mem_btree_find;
@@ -627,6 +680,7 @@ let micro_tests =
       test_lsm_write;
       test_lsm_scan;
       test_lsm_mem_scan;
+      test_lsm_time_range_scan;
       range_scan_bench "lsm.range_scan(16k,8comps,heap)" range_fixture_heap;
       range_scan_bench "lsm.range_scan(16k,8comps,view)" range_fixture_view;
       test_lsm_merge;
@@ -644,7 +698,40 @@ let micro_tests =
       test_standalone_repair;
     ]
 
-let run_micro ?(quota = 0.4) ?json_path () =
+let has_prefix ~prefix name =
+  String.length name >= String.length prefix
+  && String.sub name 0 (String.length prefix) = prefix
+
+(* The simulated-cost series, each with the prefix all its entry names
+   share, so [--only] runs a series only when some of its entries can
+   match. *)
+let sim_series =
+  [
+    ("sim.range_scan.", sim_range_scan_entries);
+    ("sim.serve.", fun () -> sim_serve_entries () @ sim_serve_chaos_entries ());
+    ("sim.group_commit.", sim_group_commit_entries);
+    ("sim.parallel_maint.", sim_parallel_maint_entries);
+    ("sim.shard.", sim_shard_entries);
+    ("sim.concurrent_merge.", sim_concurrent_merge_entries);
+  ]
+
+(* [--only PREFIX] keeps the entries whose name, as written to [--json]
+   (host entries carry the [lsm-repro/] group prefix), starts with
+   PREFIX; a prefix that matches nothing exits 2. *)
+let run_micro ?(quota = 0.4) ?json_path ?(only = "") () =
+  let keep name = has_prefix ~prefix:only name in
+  let tests =
+    List.filter (fun t -> keep ("lsm-repro/" ^ Test.name t)) micro_tests
+  in
+  let series =
+    List.filter
+      (fun (p, _) -> has_prefix ~prefix:only p || has_prefix ~prefix:p only)
+      sim_series
+  in
+  if tests = [] && series = [] then begin
+    Printf.eprintf "bench micro: no entry matches --only %s\n" only;
+    exit 2
+  end;
   print_endline "\n===== Bechamel microbenchmarks (host CPU time / run) =====";
   (* Build shared fixtures up front so their one-time cost never lands
      inside a measured run. *)
@@ -653,19 +740,22 @@ let run_micro ?(quota = 0.4) ?json_path () =
   ignore (Lazy.force obs_fixture_on);
   ignore (Lazy.force range_fixture_heap);
   ignore (Lazy.force range_fixture_view);
+  ignore (Lazy.force time_range_fixture);
   (* Deterministic simulated-cost series first — the CI gate reads these. *)
   let sim_entries =
-    sim_range_scan_entries () @ sim_serve_entries ()
-    @ sim_serve_chaos_entries () @ sim_group_commit_entries ()
-    @ sim_parallel_maint_entries () @ sim_shard_entries ()
-    @ sim_concurrent_merge_entries ()
+    List.concat_map (fun (_, run) -> run ()) series
+    |> List.filter (fun (e : Lsm_harness.Bench_json.entry) -> keep e.name)
   in
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second quota) ~kde:None () in
-  let raw = Benchmark.all cfg instances micro_tests in
+  let raw =
+    if tests = [] then Hashtbl.create 1
+    else
+      Benchmark.all cfg instances (Test.make_grouped ~name:"lsm-repro" tests)
+  in
   (match json_path with
   | None -> ()
   | Some path ->
@@ -759,8 +849,7 @@ let run_compare ?only old_path new_path threshold =
           Lsm_harness.Bench_json.entries =
             List.filter
               (fun (e : Lsm_harness.Bench_json.entry) ->
-                String.length e.name >= String.length prefix
-                && String.sub e.name 0 (String.length prefix) = prefix)
+                has_prefix ~prefix e.name)
               d.Lsm_harness.Bench_json.entries;
         }
   in
@@ -816,12 +905,12 @@ let () =
     | w :: tl -> split (w :: pos) tl
   in
   match split [] args with
-  | [ "micro" ] -> run_micro ?quota:!quota ?json_path:!json ()
+  | [ "micro" ] -> run_micro ?quota:!quota ?json_path:!json ?only:!only ()
   | [ "figures" ] -> run_figures ?json_path:!json Lsm_harness.Scale.small
   | [ "figures"; s ] -> run_figures ?json_path:!json (Lsm_harness.Scale.of_string s)
   | [ "compare"; old_path; new_path ] ->
       run_compare ?only:!only old_path new_path !threshold
   | [] ->
       run_figures Lsm_harness.Scale.small;
-      run_micro ?quota:!quota ?json_path:!json ()
+      run_micro ?quota:!quota ?json_path:!json ?only:!only ()
   | _ -> usage ()

@@ -261,9 +261,10 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
     (** [peek_key s] is the key of the next row without consuming it. *)
     let peek_key s = if has_next s then Some s.tree.keys.(s.i) else None
 
-    (** [next env s] consumes and returns the next row (index and row). *)
+    (** [next env s] consumes the next row and returns its index ([-1]
+        when exhausted); the row is [(rows t).(i)]. *)
     let next env s =
-      if not (has_next s) then None
+      if not (has_next s) then -1
       else begin
         let t = s.tree in
         let i = s.i in
@@ -274,7 +275,7 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
         end;
         Lsm_sim.Env.charge_entry_visits env 1;
         s.i <- i + 1;
-        Some (i, t.rows.(i))
+        i
       end
   end
 end

@@ -76,8 +76,9 @@ module Make (K : Lsm_util.Intf.ORDERED) : sig
     val has_next : 'row s -> bool
     val peek_key : 'row s -> K.t option
 
-    val next : Lsm_sim.Env.t -> 'row s -> (int * 'row) option
-    (** Consume the next row (index and row), charging page fetches as
-        leaves are entered and one entry visit per row. *)
+    val next : Lsm_sim.Env.t -> 'row s -> int
+    (** Consume the next row and return its index into {!rows} ([-1] when
+        exhausted), charging page fetches as leaves are entered and one
+        entry visit per row.  Allocates nothing. *)
   end
 end

@@ -239,7 +239,7 @@ struct
   (** [seek t lo] is a cursor at the first binding with key >= [lo]
       ([None] = the first binding).  The one descent of the tree: it
       counts the comparisons of a root-to-leaf lower-bound search, and
-      none with no bound.  {!iter} and {!iter_from} walk a cursor. *)
+      none with no bound. *)
   let seek t lo =
     match (lo, t.root) with
     | None, _ -> { cl = t.first; ci = 0 }
@@ -251,22 +251,36 @@ struct
         in
         find_leaf r
 
-  (** [next c] returns the binding under [c] and advances past it, or
-      [None] once the bindings run out (and ever after).  No comparisons. *)
-  let rec next c =
+  (** [step c] moves [c] past the binding under it and is [true], or is
+      [false] once the bindings run out (and ever after); {!key} and
+      {!value} read the binding it moved past.  No comparisons, no
+      allocation.  {!iter}, {!iter_from} and {!to_sorted_array} walk a
+      cursor this way. *)
+  let rec step c =
     match c.cl with
-    | None -> None
+    | None -> false
     | Some lf ->
         if c.ci < lf.ln then begin
-          let i = c.ci in
-          c.ci <- i + 1;
-          Some (lf.lk.(i), lf.lv.(i))
+          c.ci <- c.ci + 1;
+          true
         end
         else begin
           c.cl <- lf.next;
           c.ci <- 0;
-          next c
+          step c
         end
+
+  (* After a [step] that returned [true], the binding it moved past is
+     slot [ci - 1] of leaf [cl]. *)
+  let key c =
+    match c.cl with
+    | Some lf when c.ci > 0 -> lf.lk.(c.ci - 1)
+    | _ -> invalid_arg "Mem_btree.key: no binding stepped over"
+
+  let value c =
+    match c.cl with
+    | Some lf when c.ci > 0 -> lf.lv.(c.ci - 1)
+    | _ -> invalid_arg "Mem_btree.value: no binding stepped over"
 
   (** [copy c] is an independent cursor at [c]'s position. *)
   let copy c = { cl = c.cl; ci = c.ci }
@@ -274,42 +288,31 @@ struct
   (** [iter t f] applies [f key value] in ascending key order. *)
   let iter t f =
     let c = seek t None in
-    let rec go () =
-      match next c with
-      | None -> ()
-      | Some (k, v) ->
-          f k v;
-          go ()
-    in
-    go ()
+    while step c do
+      f (key c) (value c)
+    done
 
   (** [to_sorted_array t] materializes all bindings in key order (flush). *)
   let to_sorted_array t =
     let c = seek t None in
-    match next c with
-    | None -> [||]
-    | Some b0 ->
-        let out = Array.make t.count b0 in
-        let rec fill i =
-          match next c with
-          | None -> ()
-          | Some b ->
-              out.(i) <- b;
-              fill (i + 1)
-        in
-        fill 1;
-        out
+    if not (step c) then [||]
+    else begin
+      let out = Array.make t.count (key c, value c) in
+      let i = ref 1 in
+      while step c do
+        out.(!i) <- (key c, value c);
+        incr i
+      done;
+      out
+    end
 
-  (** [iter_from t key f] applies [f] to bindings with key >= [key], in
+  (** [iter_from t lo f] applies [f] to bindings with key >= [lo], in
       order, while [f] returns [true]. *)
-  let iter_from t key f =
-    let c = seek t (Some key) in
-    let rec go () =
-      match next c with
-      | Some (k, v) when f k v -> go ()
-      | _ -> ()
-    in
-    go ()
+  let iter_from t lo f =
+    let c = seek t (Some lo) in
+    while step c && f (key c) (value c) do
+      ()
+    done
 
   (** [min_binding t] / [max_binding t]: extreme bindings, if any.
       (Leaves may be empty after {!remove}; skip them.) *)

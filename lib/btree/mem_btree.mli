@@ -53,10 +53,15 @@ end) : sig
       lower-bound search ({!find} adds at most one more, its equality
       check); [None] adds nothing. *)
 
-  val next : 'v cursor -> (K.t * 'v) option
-  (** The binding under the cursor, which then moves past it along the
-      leaf links; [None] once exhausted, and on every later call.  Makes
-      no comparisons. *)
+  val step : 'v cursor -> bool
+  (** Move the cursor past the binding under it, along the leaf links:
+      [false] once exhausted, and on every later call.  Makes no
+      comparisons and allocates nothing. *)
+
+  val key : 'v cursor -> K.t
+  val value : 'v cursor -> 'v
+  (** The binding the last successful {!step} moved past.
+      @raise Invalid_argument before the first. *)
 
   val copy : 'v cursor -> 'v cursor
   (** An independent cursor at the same position. *)

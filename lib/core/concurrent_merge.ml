@@ -206,14 +206,26 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
           Int.compare a.D.Prim.key b.D.Prim.key)
         (Array.map
            (fun c ->
-             D.Prim.component_stream prim ~valid:(row_valid_for_scan c) c)
+             (* The builder re-checks a row's bit by position: a stream
+                yields the row [valid] last accepted. *)
+             let pos = ref 0 in
+             let next =
+               D.Prim.component_stream prim c ~valid:(fun i ->
+                   row_valid_for_scan c i
+                   &&
+                   (pos := i;
+                    true))
+             in
+             fun () ->
+               match next () with Some row -> Some (!pos, row) | None -> None)
            pcomps)
     in
     let writer_budget = ref 0.0 in
     let last_key = ref min_int in
     let first_row = ref true in
     while not (Lsm_util.Kmerge.is_empty m) do
-      let p, (pos, row) = Lsm_util.Kmerge.pop m in
+      let pos, row = Lsm_util.Kmerge.pop m in
+      let p = Lsm_util.Kmerge.last_source m in
       let k = row.D.Prim.key in
       (* Interleave writers. *)
       writer_budget := !writer_budget +. writer_ops_per_row;

@@ -1334,7 +1334,7 @@ module Make (R : Record.S) = struct
       (* K-way scan over all disk components, newest-first priority. *)
       let m =
         Lsm_util.Kmerge.create
-          ~compare:(fun (_, (a : Prim.row)) (_, b) ->
+          ~compare:(fun (a : Prim.row) b ->
             Lsm_sim.Env.charge_comparisons t.env 1;
             Int.compare a.Prim.key b.Prim.key)
           (Array.map (Prim.component_stream t.primary) comps)
@@ -1379,7 +1379,7 @@ module Make (R : Record.S) = struct
         if !group <> [] then process_group !cur_pk (List.rev !group)
       in
       while not (Lsm_util.Kmerge.is_empty m) do
-        let _, (_, row) = Lsm_util.Kmerge.pop m in
+        let row = Lsm_util.Kmerge.pop m in
         let pk = row.Prim.key in
         if pk <> !cur_pk then begin
           flush_group ();

@@ -558,29 +558,30 @@ module Make (K : KEY) (V : VALUE) = struct
         Lsm_sim.Env.charge_comparisons t.env 1;
         K.compare key h <= 0
 
-  (** [component_stream t ?lo ?hi ?valid c] is [c] as a sorted pull
-      stream of (row position, row): it seeks to the first key >= [lo],
-      ends at the first key past [hi], and skips positions [valid]
-      rejects (default: none).  The seek runs now, each pull charges
-      the rows it reads.  Every k-way merge over components reads them
-      through this stream and {!Lsm_util.Kmerge}. *)
+  (** [component_stream t ?lo ?hi ?valid c] is [c]'s rows as a sorted
+      pull stream: it seeks to the first key >= [lo], ends at the first
+      key past [hi], and skips positions [valid] rejects (default: none).
+      The seek runs now, each pull charges the rows it reads.  Every
+      merge over components reads them through this stream. *)
   let component_stream t ?lo ?hi ?(valid = fun _ -> true) c =
     let s = Dbt.Scan.seek t.env c.tree lo in
+    let rows = Dbt.rows c.tree in
     let rec next () =
-      match Dbt.Scan.next t.env s with
-      | None -> None
-      | Some (i, row) as r ->
-          if not (within_hi t hi row.key) then None
-          else if valid i then r
-          else next ()
+      let i = Dbt.Scan.next t.env s in
+      if i < 0 then None
+      else
+        let row = rows.(i) in
+        if not (within_hi t hi row.key) then None
+        else if valid i then Some row
+        else next ()
     in
     next
 
-  (* Merge order of component-stream heads: one charged key comparison
-     per heap comparison. *)
+  (* Merge order of stream heads: one charged key comparison per merge
+     comparison. *)
   let by_key t =
     let env = t.env in
-    fun (_, a) (_, b) ->
+    fun a b ->
       Lsm_sim.Env.charge_comparisons env 1;
       K.compare a.key b.key
 
@@ -595,7 +596,7 @@ module Make (K : KEY) (V : VALUE) = struct
       bug. *)
   type merge_job = {
     mj_inputs : disk_component array;
-    mj_merge : (int * row) Lsm_util.Kmerge.t;
+    mj_merge : row Lsm_util.Kmerge.t;
     mutable mj_out : row list;  (** merged rows, newest-emitted first *)
     mutable mj_last_key : K.t option;
     mj_input_bytes : int;
@@ -643,7 +644,7 @@ module Make (K : KEY) (V : VALUE) = struct
     let budget = ref rows in
     while !budget > 0 && not (Lsm_util.Kmerge.is_empty j.mj_merge) do
       decr budget;
-      let _, (_, row) = Lsm_util.Kmerge.pop j.mj_merge in
+      let row = Lsm_util.Kmerge.pop j.mj_merge in
       let k = row.key in
       let dup =
         match j.mj_last_key with
@@ -1091,9 +1092,9 @@ module Make (K : KEY) (V : VALUE) = struct
 
      Two charge quirks are kept, because fixing them moves the simulated
      gates: with no [lo] the counting walk charges a hi comparison on
-     every memtable row, even on the rows past [hi]; and the heap merge
-     charges each memory row a second hi comparison when it pulls it
-     ({!scan}). *)
+     every memtable row, even on the rows past [hi]; and a reconciling
+     merge charges each memory row a second hi comparison when it pulls
+     it ({!scan}). *)
   let mem_stream t spec =
     if not spec.include_mem then fun () -> None
     else begin
@@ -1114,21 +1115,20 @@ module Make (K : KEY) (V : VALUE) = struct
           | _ ->
               let w = Mbt.copy c in
               let rec count n =
-                match Mbt.next w with
-                | None -> n
-                | Some (k, _) ->
-                    if hi_ok k then count (n + 1)
-                    else if Option.is_none spec.lo then count n
-                    else n
+                if not (Mbt.step w) then n
+                else if hi_ok (Mbt.key w) then count (n + 1)
+                else if Option.is_none spec.lo then count n
+                else n
               in
               count 0
         in
         (c, n)
       in
       let pull c =
-        match Mbt.next c with
-        | Some (key, (ts, value)) -> { key; ts; value }
-        | None -> invalid_arg "Lsm_tree.mem_stream: memtable changed mid-scan"
+        if not (Mbt.step c) then
+          invalid_arg "Lsm_tree.mem_stream: memtable changed mid-scan";
+        let ts, value = Mbt.value c in
+        { key = Mbt.key c; ts; value }
       in
       let next, n =
         if Array.length t.mems = 1 then begin
@@ -1224,8 +1224,9 @@ module Make (K : KEY) (V : VALUE) = struct
       vs.Lsm_sim.Env.rows_skipped + View.skipped it;
     vs.Lsm_sim.Env.rows_emitted <- vs.Lsm_sim.Env.rows_emitted + View.emitted it
 
-  (* A reconciling scan prefers the sorted view.  The cases that keep the
-     heap merge (so it stays a runtime path, not only a test oracle):
+  (* A reconciling scan prefers the sorted view.  The cases that merge
+     the scan's sources instead (so that stays a runtime path, not only a
+     test oracle):
      - fewer than [view_min_components] disk components: there is no
        multi-way merge for a view to precompute;
      - an [only]-restricted scan without a fresh view: it reuses a fresh
@@ -1271,40 +1272,104 @@ module Make (K : KEY) (V : VALUE) = struct
     in
     if view_usable t spec then scan_view t spec ~emit
     else if spec.reconcile then begin
-      (if t.views_enabled && List.length t.disk >= view_min_components then begin
-         let vs = Lsm_sim.Env.view_stats t.env in
-         vs.Lsm_sim.Env.fallbacks <- vs.Lsm_sim.Env.fallbacks + 1
-       end);
-      (* Sources: 0 = memory (newest), then disk components in order. *)
+      (* Sources, newest first: memory, then the disk components.  Every
+         charge below lands in the order of the k-way heap merge: the
+         memory stream's slice, each component's seek, each source's
+         first pull, then per output the pull that refills the popped
+         source, the merge comparison that pull causes, and the
+         duplicate-key comparison. *)
       let mem = mem_stream t spec in
       let mem_src () =
         match mem () with
-        | Some r when within_hi t spec.hi r.key ->
-            (* Memory rows have no component position. *)
-            Some (-1, r)
+        | Some r as head when within_hi t spec.hi r.key -> head
         | _ -> None
       in
       let comps_a = Array.of_list comps in
       let streams = Array.map stream comps_a in
-      let m =
-        Lsm_util.Kmerge.create ~compare:(by_key t)
-          (Array.append [| mem_src |] streams)
+      let by_key = by_key t in
+      (* Emit a popped row unless it repeats the last output key [lk]
+         (meaningless while [first]), charging that comparison. *)
+      let out row ~src_repaired ~lk ~first =
+        if first then emit row ~src_repaired
+        else begin
+          Lsm_sim.Env.charge_comparisons t.env 1;
+          if K.compare lk row.key <> 0 then emit row ~src_repaired
+        end
       in
-      let last_key = ref None in
-      while not (Lsm_util.Kmerge.is_empty m) do
-        let p, (_, row) = Lsm_util.Kmerge.pop m in
-        let dup =
-          match !last_key with
-          | Some lk ->
-              Lsm_sim.Env.charge_comparisons t.env 1;
-              K.compare lk row.key = 0
-          | None -> false
+      if Array.length comps_a <= 1 then begin
+        (* Memory against at most one component — what a time-range scan
+           reads once range filters have pruned the rest — merges in a
+           two-way loop that makes the heap's comparisons on two
+           sources: while both heads are live, refilling one compares
+           (new head, other head) once, and memory wins ties.
+           [mem_first] orders the heads while both are live. *)
+        let dnext =
+          if Array.length comps_a = 0 then fun () -> None else streams.(0)
         in
-        last_key := Some row.key;
-        if not dup then
-          emit row
-            ~src_repaired:(if p = 0 then 0 else comps_a.(p - 1).repaired_ts)
-      done
+        let rec merge m d ~mem_first ~lk ~first =
+          match (m, d) with
+          | None, None -> ()
+          | Some mr, None ->
+              let m = mem_src () in
+              out mr ~src_repaired:0 ~lk ~first;
+              merge m d ~mem_first ~lk:mr.key ~first:false
+          | Some mr, Some dr when mem_first ->
+              let m = mem_src () in
+              let mem_first =
+                match m with Some nm -> by_key nm dr <= 0 | None -> mem_first
+              in
+              out mr ~src_repaired:0 ~lk ~first;
+              merge m d ~mem_first ~lk:mr.key ~first:false
+          | _, Some dr ->
+              let d = dnext () in
+              let mem_first =
+                match (m, d) with
+                | Some mr, Some nd -> not (by_key nd mr < 0)
+                | _ -> mem_first
+              in
+              out dr ~src_repaired:comps_a.(0).repaired_ts ~lk ~first;
+              merge m d ~mem_first ~lk:dr.key ~first:false
+        in
+        let m = mem_src () in
+        let d = dnext () in
+        match (m, d) with
+        | None, None -> ()
+        | Some r, _ | None, Some r ->
+            let mem_first =
+              match (m, d) with
+              | Some mr, Some dr -> not (by_key dr mr < 0)
+              | _ -> true
+            in
+            merge m d ~mem_first ~lk:r.key ~first:true
+      end
+      else begin
+        (if t.views_enabled && Array.length comps_a >= view_min_components
+         then begin
+           let vs = Lsm_sim.Env.view_stats t.env in
+           vs.Lsm_sim.Env.fallbacks <- vs.Lsm_sim.Env.fallbacks + 1
+         end);
+        let m =
+          Lsm_util.Kmerge.create ~compare:by_key
+            (Array.append [| mem_src |] streams)
+        in
+        let src_repaired () =
+          match Lsm_util.Kmerge.last_source m with
+          | 0 -> 0
+          | p -> comps_a.(p - 1).repaired_ts
+        in
+        let rec drain lk =
+          if not (Lsm_util.Kmerge.is_empty m) then begin
+            let row = Lsm_util.Kmerge.pop m in
+            out row ~src_repaired:(src_repaired ()) ~lk ~first:false;
+            drain row.key
+          end
+        in
+        if not (Lsm_util.Kmerge.is_empty m) then begin
+          let row = Lsm_util.Kmerge.pop m in
+          emit row ~src_repaired:(src_repaired ());
+          drain row.key
+        end
+      end
     end
     else begin
       (* Component-at-a-time: bitmaps have already removed stale versions,
@@ -1319,7 +1384,7 @@ module Make (K : KEY) (V : VALUE) = struct
       drain (mem_stream t spec) (fun row -> emit row ~src_repaired:0);
       List.iter
         (fun c ->
-          drain (stream c) (fun (_, row) -> emit row ~src_repaired:c.repaired_ts))
+          drain (stream c) (fun row -> emit row ~src_repaired:c.repaired_ts))
         comps
     end
 

@@ -329,12 +329,13 @@ module Make (K : KEY) (V : VALUE) : sig
     ?valid:(int -> bool) ->
     disk_component ->
     unit ->
-    (int * row) option
+    row option
   (** [component_stream t ?lo ?hi ?valid c] seeks [c] to the first key >=
-      [lo] and returns a pull stream of (position, row) that ends at the
-      first key past [hi] and skips positions [valid] rejects (default:
-      none), charging the reads as it goes.  Feed such streams, newest
-      first, to {!Lsm_util.Kmerge} for a k-way merge over components. *)
+      [lo] and returns a pull stream of its rows that ends at the first
+      key past [hi] and skips positions [valid] rejects (default: none),
+      charging the reads as it goes.  [valid] runs last on a row before it
+      is yielded.  Feed such streams, newest first, to {!Lsm_util.Kmerge}
+      for a k-way merge over components. *)
 
   type scan_spec = {
     lo : K.t option;  (** inclusive *)
@@ -353,6 +354,13 @@ module Make (K : KEY) (V : VALUE) : sig
 
   val full_scan_spec : scan_spec
 
+  val mem_stream : t -> scan_spec -> unit -> row option
+  (** [mem_stream t spec] is the memory component's rows in
+      [spec.lo..spec.hi] as a sorted pull stream (none unless
+      [spec.include_mem]).  Every charge of the slice lands at creation,
+      before the first pull; [t] must not be written while it is read.
+      {!scan} reads memory through it. *)
+
   val scan : t -> scan_spec -> f:(row -> src_repaired:int -> unit) -> unit
   (** Stream entries; [src_repaired] is the source component's repairedTS
       (0 for memory).  Reconciled output is in ascending key order.
@@ -362,12 +370,15 @@ module Make (K : KEY) (V : VALUE) : sig
       the first unrestricted reconciling scan, reused (through a run mask)
       by [only]-restricted scans while fresh, and invalidated atomically
       whenever the component list changes, so crash recovery simply
-      rebuilds on the next scan.  Output is byte-identical to the k-way
-      heap merge, which remains the fallback for: fewer than 2 disk
-      components; [only]-restricted scans without a fresh view (a build
-      there would tax ingest); and views turned off with
-      {!set_sorted_views}, the differential oracle.  Non-reconciling
-      scans stream components one by one and never use a view.
+      rebuilds on the next scan.  Output is byte-identical to a merge of
+      the scan's sources, which remains the fallback for: fewer than 2
+      disk components; [only]-restricted scans without a fresh view (a
+      build there would tax ingest); and views turned off with
+      {!set_sorted_views}, the differential oracle.  Memory against at
+      most one disk component merges in a two-way loop; more components
+      go through {!Lsm_util.Kmerge}, with the same comparisons, charged
+      in the same order.  Non-reconciling scans stream components one by
+      one and never use a view.
 
       Every path reads the memory component in place, through a cursor
       over a single memtable (several shards are sliced and sorted

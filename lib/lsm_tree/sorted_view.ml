@@ -105,7 +105,8 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
     let last = ref None in
     let j = ref 0 in
     while not (Lsm_util.Kmerge.is_empty merge) do
-      let r, k = Lsm_util.Kmerge.pop merge in
+      let k = Lsm_util.Kmerge.pop merge in
+      let r = Lsm_util.Kmerge.last_source merge in
       if !j mod stride = 0 then begin
         anchors_rev := k :: !anchors_rev;
         Array.blit consumed 0 anchor_offs (!j / stride * nruns) nruns

@@ -504,10 +504,7 @@ let enable_obs ?trace_capacity t =
   o
 
 let span_histogram o cat name dur_us =
-  let labels = if cat = "" then [] else [ ("src", cat) ] in
-  Lsm_obs.Metrics.observe
-    (Lsm_obs.Metrics.histogram o.Lsm_obs.Obs.metrics ~labels ("span." ^ name))
-    dur_us
+  Lsm_obs.Metrics.observe (Lsm_obs.Obs.span_histogram o ~cat name) dur_us
 
 let new_frame () =
   {

@@ -99,7 +99,7 @@ let table_of ops =
 
 let drain_cursor c =
   let rec go acc =
-    match Mbt.next c with None -> List.rev acc | Some b -> go (b :: acc)
+    if Mbt.step c then go ((Mbt.key c, Mbt.value c) :: acc) else List.rev acc
   in
   go []
 
@@ -130,8 +130,8 @@ let prop_mbt_cursor_matches_model =
       | None -> Mbt.iter t (fun k v -> via_iter := (k, v) :: !via_iter));
       from_copy = expected && got = expected
       && List.rev !via_iter = expected
-      && Mbt.next c = None
-      && Mbt.next c = None)
+      && (not (Mbt.step c))
+      && not (Mbt.step c))
 
 let prop_mbt_cursor_seek_comparisons =
   qtest ~count:300 "cursor seek = one descent, walking compares nothing"
@@ -199,7 +199,7 @@ let test_dbt_empty () =
   Alcotest.(check bool) "empty find" true (Dbt.find env t 1 = None);
   Alcotest.(check int) "no pages" 0 (Dbt.leaf_pages t);
   let s = Dbt.Scan.seek env t None in
-  Alcotest.(check bool) "no next" true (Dbt.Scan.next env s = None)
+  Alcotest.(check int) "no next" (-1) (Dbt.Scan.next env s)
 
 let prop_dbt_find_matches_model =
   qtest ~count:100 "disk btree find = model"
@@ -268,22 +268,23 @@ let test_dbt_scan_full_and_range () =
   let s = Dbt.Scan.seek env t None in
   let n = ref 0 and last = ref (-1) in
   let rec drain () =
-    match Dbt.Scan.next env s with
-    | Some (i, (k, _)) ->
-        Alcotest.(check int) "index order" !n i;
-        Alcotest.(check bool) "ascending" true (k > !last);
-        last := k;
-        incr n;
-        drain ()
-    | None -> ()
+    let i = Dbt.Scan.next env s in
+    if i >= 0 then begin
+      let k, _ = (Dbt.rows t).(i) in
+      Alcotest.(check int) "index order" !n i;
+      Alcotest.(check bool) "ascending" true (k > !last);
+      last := k;
+      incr n;
+      drain ()
+    end
   in
   drain ();
   Alcotest.(check int) "all rows" 100 !n;
   (* Seek into the middle. *)
   let s = Dbt.Scan.seek env t (Some 50) in
   (match Dbt.Scan.next env s with
-  | Some (_, (k, _)) -> Alcotest.(check int) "first >= 50" 51 k
-  | None -> Alcotest.fail "expected rows");
+  | -1 -> Alcotest.fail "expected rows"
+  | i -> Alcotest.(check int) "first >= 50" 51 (fst (Dbt.rows t).(i)));
   Alcotest.(check (option int)) "peek" (Some 54) (Dbt.Scan.peek_key s)
 
 let test_dbt_scan_sequential_io () =
@@ -294,7 +295,7 @@ let test_dbt_scan_sequential_io () =
   Lsm_sim.Env.reset_measurement env;
   let s = Dbt.Scan.seek env t None in
   let rec drain () =
-    match Dbt.Scan.next env s with Some _ -> drain () | None -> ()
+    if Dbt.Scan.next env s >= 0 then drain ()
   in
   drain ();
   let st = Lsm_sim.Env.stats env in

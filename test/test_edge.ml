@@ -65,7 +65,7 @@ let test_dbt_scan_seek_past_end () =
       (Array.init 10 (fun i -> (i, i)))
   in
   let s = Dbt.Scan.seek env t (Some 100) in
-  Alcotest.(check bool) "empty scan" true (Dbt.Scan.next env s = None)
+  Alcotest.(check int) "empty scan" (-1) (Dbt.Scan.next env s)
 
 let prop_dbt_lower_bound_row =
   qtest "lower_bound_row = model"

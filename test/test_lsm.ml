@@ -357,6 +357,186 @@ let test_mem_scan_no_major_alloc () =
     "range scan" (3_001, 0.0)
     (direct_major { L.full_scan_spec with lo = Some 1_000; hi = Some 4_000 })
 
+(* The k-way heap loop every reconciling scan without a sorted view ran
+   before memory against at most one disk component got its own two-way
+   loop; kept as that loop's oracle.  Same streams, same charged
+   comparisons, in the same order. *)
+let heap_scan env t (spec : L.scan_spec) ~f =
+  let charge () = Lsm_sim.Env.charge_comparisons env 1 in
+  let comps =
+    match spec.only with
+    | Some cs -> cs
+    | None -> Array.to_list (L.components t)
+  in
+  let emit (row : L.row) ~src_repaired =
+    match row.value with
+    | Entry.Put _ -> f row ~src_repaired
+    | Entry.Del -> if spec.emit_del then f row ~src_repaired
+  in
+  let mem = L.mem_stream t spec in
+  let mem_src () =
+    match mem () with
+    | Some (r : L.row) as head
+      when match spec.hi with
+           | None -> true
+           | Some h ->
+               charge ();
+               r.key <= h ->
+        head
+    | _ -> None
+  in
+  let comps_a = Array.of_list comps in
+  let streams =
+    Array.map
+      (fun c ->
+        L.component_stream t ?lo:spec.lo ?hi:spec.hi
+          ~valid:(fun i ->
+            (not spec.respect_bitmap) || L.component_row_valid c i)
+          c)
+      comps_a
+  in
+  let m =
+    Lsm_util.Kmerge.create
+      ~compare:(fun (a : L.row) b ->
+        charge ();
+        Int.compare a.key b.key)
+      (Array.append [| mem_src |] streams)
+  in
+  let last_key = ref None in
+  while not (Lsm_util.Kmerge.is_empty m) do
+    let row = Lsm_util.Kmerge.pop m in
+    let p = Lsm_util.Kmerge.last_source m in
+    let dup =
+      match !last_key with
+      | Some lk ->
+          charge ();
+          lk = row.key
+      | None -> false
+    in
+    last_key := Some row.key;
+    if not dup then
+      emit row
+        ~src_repaired:(if p = 0 then 0 else comps_a.(p - 1).L.repaired_ts)
+  done
+
+type scan_case = {
+  ops : op list;  (** [MergeAll] is not drawn *)
+  shards : int;
+  invalid : (int * int) list;  (** (component, position) bits to set *)
+  repaired : int;  (** component [i]'s repairedTS: [repaired * (i + 1) mod 101] *)
+  lo : int option;
+  hi : int option;
+  include_mem : bool;
+  respect_bitmap : bool;
+  emit_del : bool;
+  pick : int option;
+      (** with >= 2 components: scan only this one ([None] = none; past
+          the last = all of them, through the heap with views off) *)
+}
+
+let scan_case_gen =
+  QCheck2.Gen.(
+    let* ops =
+      list_size (int_range 0 120)
+        (frequency
+           [
+             (8, map2 (fun k v -> Write (k, v)) (int_range 0 40) (int_range 0 99));
+             (3, map (fun k -> Delete k) (int_range 0 40));
+             (1, return Flush);
+           ])
+    in
+    let* shards = oneofl [ 1; 1; 3 ] in
+    let* invalid = list_size (int_range 0 12) (pair (int_range 0 3) (int_range 0 40)) in
+    let* repaired = int_range 0 100 in
+    let* lo = opt (int_range 0 40) in
+    let* hi = opt (int_range 0 40) in
+    let* include_mem = frequency [ (4, return true); (1, return false) ] in
+    let* respect_bitmap = bool in
+    let* emit_del = bool in
+    let* pick = opt (int_range 0 3) in
+    return
+      {
+        ops;
+        shards;
+        invalid;
+        repaired;
+        lo;
+        hi;
+        include_mem;
+        respect_bitmap;
+        emit_del;
+        pick;
+      })
+
+(* A reconciling scan without a sorted view — memory and at most one disk
+   component (a one-component tree, or [only] picking one or none of
+   several) through the two-way loop, or all of several through Kmerge —
+   gives the same rows, the same source repairedTS, the same I/O counters
+   and the same simulated clock as the heap loop on an identical tree. *)
+let prop_scan_matches_heap =
+  qtest ~count:300 "reconciling scan = heap loop (rows, stats, clock)"
+    scan_case_gen (fun c ->
+      let build () =
+        let env = mk_env () in
+        let t =
+          L.create env
+            (Lsm_tree.Config.make ~bloom:(Some Lsm_tree.Config.default_bloom)
+               ~shards:c.shards "t")
+        in
+        let ts = ref 0 in
+        List.iter
+          (function
+            | Write (k, v) ->
+                incr ts;
+                L.write t ~key:k ~ts:!ts (Entry.Put v)
+            | Delete k ->
+                incr ts;
+                L.write t ~key:k ~ts:!ts Entry.Del
+            | Flush | MergeAll -> L.flush t)
+          c.ops;
+        let comps = L.components t in
+        List.iter
+          (fun (ci, pos) ->
+            if ci < Array.length comps && pos < L.component_rows comps.(ci) then
+              L.invalidate comps.(ci) pos)
+          c.invalid;
+        Array.iteri
+          (fun i comp -> L.set_repaired_ts comp (c.repaired * (i + 1) mod 101))
+          comps;
+        let only =
+          if Array.length comps <= 1 then None
+          else
+            match c.pick with
+            | Some i when i < Array.length comps -> Some [ comps.(i) ]
+            | Some _ ->
+                L.set_sorted_views t false;
+                None
+            | None -> Some []
+        in
+        let spec =
+          {
+            L.full_scan_spec with
+            lo = c.lo;
+            hi = c.hi;
+            include_mem = c.include_mem;
+            respect_bitmap = c.respect_bitmap;
+            emit_del = c.emit_del;
+            only;
+          }
+        in
+        (env, t, spec)
+      in
+      let run scan =
+        let env, t, spec = build () in
+        let out = ref [] in
+        scan env t spec ~f:(fun (r : L.row) ~src_repaired ->
+            out := (r.key, r.ts, r.value, src_repaired) :: !out);
+        ( List.rev !out,
+          Lsm_sim.Io_stats.fields (Lsm_sim.Env.stats env),
+          Int64.bits_of_float (Lsm_sim.Env.now_us env) )
+      in
+      run (fun _env t spec ~f -> L.scan t spec ~f) = run heap_scan)
+
 (* ------------------------------------------------------------------ *)
 (* Range filters *)
 
@@ -534,6 +714,7 @@ let () =
           Alcotest.test_case "subset" `Quick test_scan_only_subset;
           Alcotest.test_case "memory scan allocates no major block" `Quick
             test_mem_scan_no_major_alloc;
+          prop_scan_matches_heap;
         ] );
       ( "filter",
         [

@@ -347,37 +347,6 @@ let test_dedup_sorted () =
   Alcotest.(check (array int)) "empty" [||] (Sorter.dedup_sorted ~eq:( = ) [||])
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let prop_heap_sorts =
-  qtest "heap drains in sorted order"
-    QCheck2.Gen.(list_size (int_range 0 300) (int_range (-1000) 1000))
-    (fun l ->
-      let h = Heap.create compare in
-      List.iter (Heap.push h) l;
-      let out = ref [] in
-      let rec drain () =
-        match Heap.pop_opt h with
-        | Some x ->
-            out := x :: !out;
-            drain ()
-        | None -> ()
-      in
-      drain ();
-      List.rev !out = List.sort compare l)
-
-let test_heap_interleaved () =
-  let h = Heap.create compare in
-  Heap.push h 5;
-  Heap.push h 1;
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check int) "pop" 1 (Heap.pop h);
-  Heap.push h 0;
-  Alcotest.(check int) "pop 0" 0 (Heap.pop h);
-  Alcotest.(check int) "pop 5" 5 (Heap.pop h);
-  Alcotest.(check bool) "empty" true (Heap.is_empty h)
-
-(* ------------------------------------------------------------------ *)
 (* Kmerge *)
 
 let prop_kmerge =
@@ -406,20 +375,104 @@ let prop_kmerge =
       let m = Kmerge.create ~compare:Int.compare (Array.init k stream) in
       (* Creation pulls each source's head once, in source order. *)
       if List.rev !pulled <> List.init k Fun.id then ok := false;
+      if Kmerge.last_source m <> -1 then ok := false;
       let out = ref [] in
       while not (Kmerge.is_empty m) do
         pulled := [];
-        let s, x = Kmerge.pop m in
-        (* Only the popped source refills. *)
+        let x = Kmerge.pop m in
+        let s = Kmerge.last_source m in
+        (* Only the popped source refills, before [pop] returns. *)
         if !pulled <> [ s ] then ok := false;
         out := (x, s) :: !out
       done;
+      (match Kmerge.pop m with
+      | _ -> ok := false
+      | exception Invalid_argument _ -> ());
       let expected =
         List.sort compare
           (List.concat
              (List.mapi (fun s l -> List.map (fun x -> (x, s)) l) lists))
       in
       !ok && List.rev !out = expected)
+
+(* The two-way merge of [Lsm_tree.scan] (memory against at most one disk
+   component), written against plain streams: after a pull that leaves
+   both heads live, one [compare new_head other_head]; source 0 wins ties.
+   Kmerge on the same one or two sources must pop the same (source,
+   element) sequence and make the same [compare] calls, operand pair for
+   operand pair, or the scan's two paths would charge differently. *)
+let two_way ~compare s0 s1 ~emit =
+  let h0 = ref (s0 ()) in
+  let h1 = ref (s1 ()) in
+  let first0 =
+    ref
+      (match (!h0, !h1) with
+      | Some x0, Some x1 -> not (compare x1 x0 < 0)
+      | _ -> true)
+  in
+  let rec loop () =
+    match (!h0, !h1) with
+    | None, None -> ()
+    | Some x0, h when Option.is_none h || !first0 ->
+        h0 := s0 ();
+        (match (!h0, !h1) with
+        | Some n0, Some x1 -> first0 := compare n0 x1 <= 0
+        | _ -> ());
+        emit 0 x0;
+        loop ()
+    | _, Some x1 ->
+        h1 := s1 ();
+        (match (!h0, !h1) with
+        | Some x0, Some n1 -> first0 := not (compare n1 x0 < 0)
+        | _ -> ());
+        emit 1 x1;
+        loop ()
+    | Some _, None -> assert false
+  in
+  loop ()
+
+let prop_two_way_is_kmerge =
+  qtest "two-way merge = kmerge on <= 2 sources: output and compare calls"
+    QCheck2.Gen.(
+      list_size (int_range 0 2)
+        (list_size (int_range 0 30) (pair (int_range 0 12) (int_range 0 99))))
+    (fun lists ->
+      (* Elements are (key, tag): equal keys, distinguishable elements. *)
+      let srcs =
+        Array.of_list
+          (List.map (List.sort (fun (a, _) (b, _) -> Int.compare a b)) lists)
+      in
+      let run merge =
+        let calls = ref [] and out = ref [] in
+        let compare ((a, _) as x) ((b, _) as y) =
+          calls := (x, y) :: !calls;
+          Int.compare a b
+        in
+        let stream s =
+          let rest = ref (if s < Array.length srcs then srcs.(s) else []) in
+          fun () ->
+            match !rest with
+            | [] -> None
+            | x :: tl ->
+                rest := tl;
+                Some x
+        in
+        merge ~compare stream (fun s x -> out := (s, x) :: !out);
+        (List.rev !out, List.rev !calls)
+      in
+      let via_kmerge ~compare stream emit =
+        let m =
+          Kmerge.create ~compare (Array.init (Array.length srcs) stream)
+        in
+        while not (Kmerge.is_empty m) do
+          let x = Kmerge.pop m in
+          emit (Kmerge.last_source m) x
+        done
+      in
+      let via_two_way ~compare stream emit =
+        two_way ~compare (stream 0) (stream 1) ~emit
+      in
+      run via_kmerge = run via_two_way)
 
 let () =
   Alcotest.run "lsm_util"
@@ -466,10 +519,5 @@ let () =
           Alcotest.test_case "sort counts" `Quick test_sorter_counts;
           Alcotest.test_case "dedup_sorted" `Quick test_dedup_sorted;
         ] );
-      ( "heap",
-        [
-          prop_heap_sorts;
-          Alcotest.test_case "interleaved" `Quick test_heap_interleaved;
-        ] );
-      ("kmerge", [ prop_kmerge ]);
+      ("kmerge", [ prop_kmerge; prop_two_way_is_kmerge ]);
     ]
