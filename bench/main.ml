@@ -562,6 +562,129 @@ let sim_shard_entries () =
     e "sim.shard.n4.peak_pre_bytes" "bytes" (float_of_int pre4);
   ]
 
+(* Point-lookup series, same contract as sim.range_scan: 2,000 sorted
+   keys, 60% of them present, spread over three of the 6 components
+   (4,000 rows each) of a tree that does not fit its 16-page buffer
+   cache, looked up cold by each algorithm of Sec. 3.2 (Fig. 12) on its
+   own identically built tree. *)
+let sim_lookup_entries () =
+  let e name unit_ v =
+    { Lsm_harness.Bench_json.name; unit_; samples = [| v |] }
+  in
+  let measure label opts =
+    let device = Lsm_harness.Scale.hdd_device in
+    let env =
+      Lsm_sim.Env.create
+        ~cache_bytes:(16 * device.Lsm_sim.Device.page_size)
+        device
+    in
+    let t =
+      L.create env
+        (Lsm_tree.Config.make ~bloom:(Some Lsm_tree.Config.default_bloom)
+           "bench")
+    in
+    let ts = ref 0 in
+    for c = 0 to 5 do
+      for i = 0 to 3_999 do
+        incr ts;
+        L.write t ~key:((i * 6) + (c * 5)) ~ts:!ts (Lsm_tree.Entry.Put !ts)
+      done;
+      L.flush t
+    done;
+    let keys = L.plain_keys (Array.init 2_000 (fun i -> i * 20)) in
+    let st = Lsm_sim.Env.stats env in
+    let probes0 = st.Lsm_sim.Io_stats.bloom_probes in
+    let us0 = Lsm_sim.Env.now_us env in
+    L.lookup_batch t opts keys ~emit:(fun _ _ -> ());
+    let us = Lsm_sim.Env.now_us env -. us0 in
+    let probes = st.Lsm_sim.Io_stats.bloom_probes - probes0 in
+    Printf.printf "sim.lookup %-8s %9.0fus %6d bloom probes\n" label us probes;
+    [
+      e (Printf.sprintf "sim.lookup.%s.sim_us" label) "us/batch" us;
+      e
+        (Printf.sprintf "sim.lookup.%s.bloom_probes" label)
+        "probes/batch" (float_of_int probes);
+    ]
+  in
+  let o = L.default_lookup_opts in
+  let naive = measure "naive" { o with L.batched = false; stateful = false } in
+  let batched = measure "batched" { o with L.stateful = false } in
+  let stateful = measure "stateful" { o with L.stateful = true } in
+  naive @ batched @ stateful
+
+(* Timestamp-validation series: the simulated time of every
+   [validate.timestamp] section (Fig. 5b) across 50 index-only
+   secondary queries on an update-heavy Validation dataset. *)
+let sim_validate_entries () =
+  let env = quiet_env () in
+  let d =
+    dataset ~strategy:Strategy.validation ~mem_budget:(128 * 1024) env
+      Lsm_harness.Scale.tiny
+  in
+  let stream =
+    Streams.upsert_stream ~seed:3 ~update_ratio:0.5 ~distribution:`Uniform ()
+  in
+  for _ = 1 to 10_000 do
+    apply_op d (Streams.next stream)
+  done;
+  let us = ref 0.0 in
+  Lsm_sim.Env.set_span_hook env (fun ev ->
+      if ev.Lsm_sim.Env.sp_name = "validate.timestamp" then
+        us := !us +. ev.Lsm_sim.Env.sp_dur_us);
+  let rng = Lsm_util.Rng.create 9 in
+  for _ = 1 to 50 do
+    let lo = Lsm_util.Rng.int rng 99_000 in
+    ignore
+      (D.query_secondary_keys d ~sec:"user_id" ~lo ~hi:(lo + 1_000)
+         ~mode:`Timestamp ())
+  done;
+  Lsm_sim.Env.clear_span_hook env;
+  Printf.printf "sim.validate timestamp %9.0fus\n" !us;
+  [
+    {
+      Lsm_harness.Bench_json.name = "sim.validate.timestamp.sim_us";
+      unit_ = "us/run";
+      samples = [| !us |];
+    };
+  ]
+
+(* Standalone-repair series (Sec. 4.4, Fig. 20): one repair of every
+   secondary component of a 10k-upsert, 50%-update dataset that never
+   repaired, without and with the Bloom-filter optimisation, each on its
+   own identically built dataset. *)
+let sim_repair_entries () =
+  let e name unit_ v =
+    { Lsm_harness.Bench_json.name; unit_; samples = [| v |] }
+  in
+  let measure label bloom_opt =
+    let env = quiet_env () in
+    let d =
+      dataset ~strategy:Strategy.validation_no_repair ~mem_budget:(128 * 1024)
+        env Lsm_harness.Scale.tiny
+    in
+    let stream =
+      Streams.upsert_stream ~seed:5 ~update_ratio:0.5 ~distribution:`Uniform ()
+    in
+    for _ = 1 to 10_000 do
+      apply_op d (Streams.next stream)
+    done;
+    let st = Lsm_sim.Env.stats env in
+    let probes0 = st.Lsm_sim.Io_stats.bloom_probes in
+    let us0 = Lsm_sim.Env.now_us env in
+    D.standalone_repair ~bloom_opt d;
+    let us = Lsm_sim.Env.now_us env -. us0 in
+    let probes = st.Lsm_sim.Io_stats.bloom_probes - probes0 in
+    Printf.printf "sim.repair %-9s %9.0fus %6d bloom probes\n" label us probes;
+    [
+      e (Printf.sprintf "sim.repair.%s.sim_us" label) "us/run" us;
+      e
+        (Printf.sprintf "sim.repair.%s.bloom_probes" label)
+        "probes/run" (float_of_int probes);
+    ]
+  in
+  let baseline = measure "baseline" false in
+  baseline @ measure "bloom_opt" true
+
 (* Query-plan benches share one prepared update-heavy dataset. *)
 let query_fixture =
   lazy
@@ -713,6 +836,9 @@ let sim_series =
     ("sim.parallel_maint.", sim_parallel_maint_entries);
     ("sim.shard.", sim_shard_entries);
     ("sim.concurrent_merge.", sim_concurrent_merge_entries);
+    ("sim.lookup.", sim_lookup_entries);
+    ("sim.validate.", sim_validate_entries);
+    ("sim.repair.", sim_repair_entries);
   ]
 
 (* [--only PREFIX] keeps the entries whose name, as written to [--json]

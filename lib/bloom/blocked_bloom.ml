@@ -35,9 +35,12 @@ let add t h =
   done
 
 (** [contains t h] is [false] only if the key was never added. *)
-let contains t h =
-  let rec go i = i >= t.k || (Lsm_util.Bitset.get t.bits (position t h i) && go (i + 1)) in
-  go 0
+let rec contains_from t h i =
+  i >= t.k
+  || Lsm_util.Bitset.get t.bits (position t h i)
+     && contains_from t h (i + 1)
+
+let contains t h = contains_from t h 0
 
 let k t = t.k
 let bit_count t = t.nblocks * block_bits

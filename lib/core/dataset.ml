@@ -672,11 +672,12 @@ module Make (R : Record.S) = struct
 
   (* A maintenance pass (flush, merge sweep, heal) whose I/O retries were
      exhausted is rescheduled after a backoff instead of failing the
-     engine: the partial component was already discarded (Dbt.build
-     deletes its file when the append dies), the inputs are intact, and a
-     transient fault that has cleared lets the rerun complete.  Bounded
-     by the same policy as the I/O sites; a fault that persists through
-     every reschedule propagates as Unrecoverable (fail-stop). *)
+     engine: the partial component was already discarded (the B+-tree
+     build deletes its file when the append dies), the inputs are
+     intact, and a transient fault that has cleared lets the rerun
+     complete.  Bounded by the same policy as the I/O sites; a fault
+     that persists through every reschedule propagates as Unrecoverable
+     (fail-stop). *)
   let supervised t f =
     let p = Lsm_sim.Env.retry_policy t.env in
     let rec go attempt =
@@ -934,29 +935,14 @@ module Make (R : Record.S) = struct
   let entry_is_valid (vt : Pk.t) ?cursors ~pk ~ts ~threshold () =
     match Pk.mem_find vt pk with
     | Some row -> row.Pk.ts <= ts
-    | None ->
-        let comps = Pk.components vt in
-        let rec go i =
-          if i >= Array.length comps then true
-          else begin
-            let c = comps.(i) in
-            if c.Pk.cmax_ts <= threshold then true
-            else if Pk.probe_bloom vt c pk then begin
-              let hit =
-                match cursors with
-                | Some cs -> Pk.Dbt.Cursor.find (Pk.env vt) cs.(i) pk
-                | None -> Pk.Dbt.find (Pk.env vt) c.Pk.tree pk
-              in
-              match hit with
-              | Some (_, row) -> row.Pk.ts <= ts
-              | None ->
-                  Pk.note_bloom_fp vt c;
-                  go (i + 1)
-            end
-            else go (i + 1)
-          end
-        in
-        go 0
+    | None -> (
+        match
+          Pk.find_newest vt ?cursors
+            ~stop:(fun c -> c.Pk.cmax_ts <= threshold)
+            pk
+        with
+        | Some (_, _, row) -> row.Pk.ts <= ts
+        | None -> true)
 
   (* The validation index for a secondary: its own deleted-key tree under
      the Deleted-key strategy, else the dataset's primary key index. *)
@@ -1046,7 +1032,6 @@ module Make (R : Record.S) = struct
               pk memory component) is valid and never sorted or validated.
               Survivors remember their first positive component so the
               validation pass does not re-probe it. *)
-           let comps = Pk.components vt in
            let cands = ref [] in
            Array.iter
              (fun (pk, ts, pos) ->
@@ -1054,13 +1039,11 @@ module Make (R : Record.S) = struct
                | Some row ->
                    if row.Pk.ts > ts then cands := (pk, ts, pos, -1) :: !cands
                | None ->
-                   let fp = ref (-2) in
-                   Array.iteri
-                     (fun i c ->
-                       if !fp = -2 && could_supersede c ts && Pk.probe_bloom vt c pk
-                       then fp := i)
-                     comps;
-                   if !fp >= 0 then cands := (pk, ts, pos, !fp) :: !cands)
+                   let fp =
+                     Pk.first_positive vt pk
+                       ~eligible:(fun c -> could_supersede c ts)
+                   in
+                   if fp >= 0 then cands := (pk, ts, pos, fp) :: !cands)
              items;
            let cands = Array.of_list !cands in
            Lsm_sim.Env.explain_count t.env "repair_candidates"
@@ -1068,34 +1051,21 @@ module Make (R : Record.S) = struct
            Lsm_sim.Spill_sort.sort t.env spill_grant
              ~cmp:(fun (a, _, _, _) (b, _, _, _) -> compare (a : int) b)
              cands;
-           let cursors =
-             Array.map (fun c -> Pk.Dbt.Cursor.create c.Pk.tree) comps
-           in
+           let cursors = Pk.cursors vt in
            Array.iter
              (fun (pk, ts, pos, fp) ->
                let stale =
-                 if fp < 0 then true (* memory entry, strictly newer *)
-                 else begin
-                   (* Search newest-first from the memoized component; the
-                      first hit is the newest entry and decides. *)
-                   let rec go i =
-                     if i >= Array.length comps then false
-                     else begin
-                       let c = comps.(i) in
-                       if not (could_supersede c ts) then false
-                       else if
-                         (i = fp || Pk.probe_bloom vt c pk)
-                       then
-                         match Pk.Dbt.Cursor.find (Pk.env vt) cursors.(i) pk with
-                         | Some (_, row) -> row.Pk.ts > ts
-                         | None ->
-                             Pk.note_bloom_fp vt c;
-                             go (i + 1)
-                       else go (i + 1)
-                     end
-                   in
-                   go fp
-                 end
+                 fp < 0 (* memory entry, strictly newer *)
+                 ||
+                 (* Search newest-first from the memoized component; the
+                    first hit is the newest entry and decides. *)
+                 match
+                   Pk.find_newest vt ~cursors ~from:fp ~positive:fp
+                     ~stop:(fun c -> not (could_supersede c ts))
+                     pk
+                 with
+                 | Some (_, _, row) -> row.Pk.ts > ts
+                 | None -> false
                in
                if stale then invalidate pos)
              cands
@@ -1129,10 +1099,7 @@ module Make (R : Record.S) = struct
                items
            end
            else begin
-             let cursors =
-               Array.map (fun c -> Pk.Dbt.Cursor.create c.Pk.tree)
-                 (Pk.components vt)
-             in
+             let cursors = Pk.cursors vt in
              (* The pruning bound is the component-level repairedTS,
                 exactly as Sec. 4.4 describes — not each entry's own
                 timestamp (a refinement that would erase the effect the
@@ -1231,23 +1198,19 @@ module Make (R : Record.S) = struct
      primary and pk-index components share validity bitmaps and must keep
      identical row sequences, so the pair scrubs in lockstep and the
      fresh bitmaps are re-shared, mirroring run_merges. *)
-  let scrub_primary_pair t =
+  let rec scrub_primary_pair t =
     let correlated = Strategy.uses_primary_bitmap t.cfg.strategy in
-    let rec pass () =
-      let pcs = Prim.components t.primary in
-      let kcs =
-        match t.pk_index with Some pk -> Pk.components pk | None -> [||]
-      in
-      let doomed = ref (-1) in
-      Array.iteri
-        (fun i c -> if !doomed < 0 && Prim.quarantined c then doomed := i)
-        pcs;
-      if correlated && !doomed < 0 then
-        Array.iteri
-          (fun i c -> if !doomed < 0 && Pk.quarantined c then doomed := i)
-          kcs;
-      if !doomed >= 0 then begin
-        let i = !doomed in
+    let kcs =
+      match t.pk_index with Some pk -> Pk.components pk | None -> [||]
+    in
+    let doomed =
+      match Array.find_index Prim.quarantined (Prim.components t.primary) with
+      | None when correlated -> Array.find_index Pk.quarantined kcs
+      | i -> i
+    in
+    match doomed with
+    | None -> ()
+    | Some i ->
         update_tombstone_barrier t;
         ignore (Prim.merge t.primary ~first:i ~last:i);
         (match t.pk_index with
@@ -1257,29 +1220,19 @@ module Make (R : Record.S) = struct
         | _ -> ());
         let r = resil t in
         r.Lsm_sim.Env.rebuilds <- r.Lsm_sim.Env.rebuilds + 1;
-        pass ()
-      end
-    in
-    pass ()
+        scrub_primary_pair t
 
   (* Scrub quarantined components of an uncorrelated pk-typed tree (the
      validation-strategy pk index, deleted-key trees). *)
-  let scrub_solo_pk t tree =
-    let rec pass () =
-      let comps = Pk.components tree in
-      let doomed = ref (-1) in
-      Array.iteri
-        (fun i c -> if !doomed < 0 && Pk.quarantined c then doomed := i)
-        comps;
-      if !doomed >= 0 then begin
+  let rec scrub_solo_pk t tree =
+    match Array.find_index Pk.quarantined (Pk.components tree) with
+    | None -> ()
+    | Some i ->
         update_tombstone_barrier t;
-        ignore (Pk.merge tree ~first:!doomed ~last:!doomed);
+        ignore (Pk.merge tree ~first:i ~last:i);
         let r = resil t in
         r.Lsm_sim.Env.rebuilds <- r.Lsm_sim.Env.rebuilds + 1;
-        pass ()
-      end
-    in
-    pass ()
+        scrub_solo_pk t tree
 
   (** [heal t] is the self-healing sweep: quarantine every component
       whose backing file holds a checksum-failed page, scrub quarantined
@@ -1305,15 +1258,11 @@ module Make (R : Record.S) = struct
         (fun s ->
           (match s.del_tree with Some d -> scrub_solo_pk t d | None -> ());
           let rec pass () =
-            let comps = Sec.components s.tree in
-            let doomed = ref (-1) in
-            Array.iteri
-              (fun i c -> if !doomed < 0 && Sec.quarantined c then doomed := i)
-              comps;
-            if !doomed >= 0 then begin
-              rebuild_secondary t s comps.(!doomed);
-              pass ()
-            end
+            match Array.find_opt Sec.quarantined (Sec.components s.tree) with
+            | Some c ->
+                rebuild_secondary t s c;
+                pass ()
+            | None -> ()
           in
           pass ())
         t.secondaries
@@ -1447,9 +1396,7 @@ module Make (R : Record.S) = struct
     | Some vt ->
         Lsm_sim.Env.span t.env ~cat:sec.sec_name "validate.timestamp"
         @@ fun () ->
-        let cursors =
-          Array.map (fun c -> Pk.Dbt.Cursor.create c.Pk.tree) (Pk.components vt)
-        in
+        let cursors = Pk.cursors vt in
         let valid =
           List.filter
             (fun e ->

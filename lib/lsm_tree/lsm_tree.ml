@@ -112,10 +112,12 @@ module Make (K : KEY) (V : VALUE) = struct
     mems : mem_component array;
         (** memory shards; writes hash-route by key.  Length 1 behaves
             exactly like the classic single memory component. *)
-    mutable disk : disk_component list;  (** newest first *)
+    mutable disk : disk_component array;
+        (** newest first; every change installs a fresh array, so an
+            array once read is a stable snapshot *)
     mutable view : (row View.t * disk_component array) option;
-        (** REMIX-style sorted view over the *current* [disk] list (the
-            array snapshot it was built from), built lazily by the first
+        (** REMIX-style sorted view over the *current* [disk] array (the
+            very array it was built from), built lazily by the first
             full reconciling scan and dropped — atomically, in the same
             step — whenever [disk] changes, so a view can never outlive
             the component set it orders *)
@@ -146,7 +148,7 @@ module Make (K : KEY) (V : VALUE) = struct
       config;
       filter_of;
       mems = Array.init (max 1 config.Config.shards) (fun _ -> fresh_mem ());
-      disk = [];
+      disk = [||];
       view = None;
       views_enabled = true;
       next_seq = 0;
@@ -185,9 +187,9 @@ module Make (K : KEY) (V : VALUE) = struct
       (max_int, -1) t.mems
 
   (** [components t] is the disk components, newest first. *)
-  let components t = Array.of_list t.disk
+  let components t = t.disk
 
-  let component_count t = List.length t.disk
+  let component_count t = Array.length t.disk
   let component_id c = (c.cmin_ts, c.cmax_ts)
   let component_rows c = Dbt.nrows c.tree
   let component_size_bytes t c = Dbt.size_bytes t.env c.tree
@@ -205,7 +207,7 @@ module Make (K : KEY) (V : VALUE) = struct
   (** [quarantine_corrupt t] quarantines every component whose backing
       file holds a page that failed its checksum. *)
   let quarantine_corrupt t =
-    List.iter
+    Array.iter
       (fun c ->
         let file = Lsm_sim.Sfile.id (Dbt.file c.tree) in
         if (not c.quarantined) && Lsm_sim.Env.file_corrupt t.env ~file then
@@ -213,13 +215,13 @@ module Make (K : KEY) (V : VALUE) = struct
       t.disk
 
   let quarantined_count t =
-    List.fold_left (fun a c -> if c.quarantined then a + 1 else a) 0 t.disk
+    Array.fold_left (fun a c -> if c.quarantined then a + 1 else a) 0 t.disk
 
   let disk_size_bytes t =
-    List.fold_left (fun acc c -> acc + component_size_bytes t c) 0 t.disk
+    Array.fold_left (fun acc c -> acc + component_size_bytes t c) 0 t.disk
 
   let total_rows t =
-    mem_count t + List.fold_left (fun acc c -> acc + component_rows c) 0 t.disk
+    mem_count t + Array.fold_left (fun acc c -> acc + component_rows c) 0 t.disk
 
   let charge_mem_cmps t =
     Lsm_sim.Env.charge_comparisons t.env
@@ -267,21 +269,13 @@ module Make (K : KEY) (V : VALUE) = struct
     | None -> None
     | Some (v, _) -> Some (View.positions v, View.anchor_count v, View.run_count v)
 
-  let view_matches comps_a built =
-    Array.length built = Array.length comps_a
-    && begin
-         let ok = ref true in
-         Array.iteri (fun i c -> if built.(i) != c then ok := false) comps_a;
-         !ok
-       end
-
   (* Build (or reuse) the view covering exactly [comps_a] = the current
      disk list.  The build is charged through [Env] (merge comparisons +
      sequential view-page writes) inside its own span, so explain plans
      and traces show rebuild cost where it happens. *)
   let ensure_view t comps_a =
     match t.view with
-    | Some (v, built) when view_matches comps_a built -> v
+    | Some (v, built) when built == comps_a -> v
     | _ ->
         invalidate_view t;
         Lsm_sim.Env.span t.env ~cat:(name t) "lsm.view.build" @@ fun () ->
@@ -376,17 +370,44 @@ module Make (K : KEY) (V : VALUE) = struct
         Lsm_sim.Env.charge_entry_visits t.env 1;
         Some { key; ts; value = entry }
 
-  (* ------------------------------------------------------------------ *)
-  (* Bloom filter probing with cost accounting *)
+  (** [mem_filter t] is the memory component's current range-filter
+      bounds (the union over shards), if the tree has a filter and the
+      component is non-empty. *)
+  let mem_filter t =
+    if t.filter_of = None then None
+    else
+      Array.fold_left
+        (fun acc m ->
+          if m.fmin <= m.fmax then
+            match acc with
+            | None -> Some (m.fmin, m.fmax)
+            | Some (a, b) -> Some (min a m.fmin, max b m.fmax)
+          else acc)
+        None t.mems
 
-  let probe_bloom t c key =
+  (* Row order by key, one charged comparison per call: merges order
+     their stream heads with it, and several memory shards sort their
+     concatenation with it. *)
+  let by_key t =
+    let env = t.env in
+    fun a b ->
+      Lsm_sim.Env.charge_comparisons env 1;
+      K.compare a.key b.key
+
+  (* ------------------------------------------------------------------ *)
+  (* The newest-first component probe *)
+
+  (* [bloom_maybe t c key] probes [c]'s Bloom filter: one probe counted,
+     its hashes and cache lines charged, a negative counted.  A
+     filterless component answers "maybe" for free; a quarantined one
+     takes the degraded path: its filter cannot be trusted (a corrupt
+     filter's false negative would silently lose data), so the probe is
+     counted as degraded and falls through to the B+-tree, which
+     verifies every page it reads. *)
+  let bloom_maybe t c key =
     match c.bloom with
     | None -> true
     | Some _ when c.quarantined ->
-        (* Degraded read: the component failed a checksum, so its filter
-           cannot be trusted — a corrupt filter's false negative would
-           silently lose data.  Fall through to the B+-tree probe, which
-           verifies every page it reads. *)
         let r = Lsm_sim.Env.resil t.env in
         r.Lsm_sim.Env.degraded_probes <- r.Lsm_sim.Env.degraded_probes + 1;
         true
@@ -402,15 +423,67 @@ module Make (K : KEY) (V : VALUE) = struct
             st.Lsm_sim.Io_stats.bloom_negatives + 1;
         maybe
 
-  (* A positive Bloom answer whose component search then missed was a
-     false positive; lookups report it here. *)
-  let note_bloom_fp t c =
-    (* A quarantined component's filter was never consulted, so a miss
-       there is not a false positive. *)
-    if c.bloom <> None && not c.quarantined then begin
-      let st = Lsm_sim.Env.stats t.env in
-      st.Lsm_sim.Io_stats.bloom_fps <- st.Lsm_sim.Io_stats.bloom_fps + 1
+  type cursors = {
+    snapshot : disk_component array;
+    curs : row Dbt.Cursor.cur array;
+  }
+
+  let cursors t =
+    {
+      snapshot = t.disk;
+      curs = Array.map (fun c -> Dbt.Cursor.create c.tree) t.disk;
+    }
+
+  (* Probe component [i] of the walked snapshot, [c], for [key]: its
+     Bloom filter unless [positive] (already probed and positive), then a
+     descent — with [i]'s cursor when [cursors] holds one, else from the
+     root — and on a miss a false positive, when the filter was
+     consulted.  The one place these charges are made. *)
+  let probe_at t cursors ~positive i c key =
+    if positive || bloom_maybe t c key then begin
+      let hit =
+        match cursors with
+        | Some k -> Dbt.Cursor.find t.env k.curs.(i) key
+        | None -> Dbt.find t.env c.tree key
+      in
+      (match hit with
+      | None when c.bloom <> None && not c.quarantined ->
+          let st = Lsm_sim.Env.stats t.env in
+          st.Lsm_sim.Io_stats.bloom_fps <- st.Lsm_sim.Io_stats.bloom_fps + 1
+      | _ -> ());
+      hit
     end
+    else None
+
+  let rec walk t cursors comps stop positive key i =
+    if i >= Array.length comps then None
+    else
+      let c = comps.(i) in
+      if stop c then None
+      else
+        match probe_at t cursors ~positive:(i = positive) i c key with
+        | Some (pos, row) -> Some (i, pos, row)
+        | None -> walk t cursors comps stop positive key (i + 1)
+
+  (** [find_newest t ?cursors ?from ?stop ?positive key]: the newest disk
+      entry for [key] as (component index, row position, row), probing
+      components newest to oldest from [from] until [stop] says so or one
+      hits.  With [cursors], the walk reads their snapshot. *)
+  let find_newest t ?cursors ?(from = 0) ?(stop = fun _ -> false)
+      ?(positive = -1) key =
+    let comps = match cursors with Some k -> k.snapshot | None -> t.disk in
+    walk t cursors comps stop positive key from
+
+  (** [first_positive t ?eligible key]: the newest [eligible] component
+      whose Bloom filter may hold [key], or [-1]. *)
+  let first_positive t ?(eligible = fun _ -> true) key =
+    let rec go i =
+      if i >= Array.length t.disk then -1
+      else
+        let c = t.disk.(i) in
+        if eligible c && bloom_maybe t c key then i else go (i + 1)
+    in
+    go 0
 
   (* ------------------------------------------------------------------ *)
   (* Flush *)
@@ -477,7 +550,7 @@ module Make (K : KEY) (V : VALUE) = struct
       mk_component t rows ~cmin_ts ~cmax_ts ~range_filter ~repaired_ts:0 ~prov
     in
     invalidate_view t;
-    t.disk <- c :: t.disk;
+    t.disk <- Array.append [| c |] t.disk;
     reset ();
     Lsm_obs.Ampstats.on_flush
       (Lsm_sim.Env.amp t.env)
@@ -517,28 +590,12 @@ module Make (K : KEY) (V : VALUE) = struct
               let all =
                 Array.concat (Array.to_list (Array.map shard_rows t.mems))
               in
-              Array.sort
-                (fun a b ->
-                  Lsm_sim.Env.charge_comparisons t.env 1;
-                  K.compare a.key b.key)
-                all;
+              Array.sort (by_key t) all;
               all
             end
           in
           let cmin_ts, cmax_ts = mem_id t in
-          let range_filter =
-            if t.filter_of = None then None
-            else
-              Array.fold_left
-                (fun acc m ->
-                  if m.fmin <= m.fmax then
-                    match acc with
-                    | None -> Some (m.fmin, m.fmax)
-                    | Some (a, b) -> Some (min a m.fmin, max b m.fmax)
-                  else acc)
-                None t.mems
-          in
-          flush_shard_rows t rows ~cmin_ts ~cmax_ts ~range_filter
+          flush_shard_rows t rows ~cmin_ts ~cmax_ts ~range_filter:(mem_filter t)
             ~fo_shard:(-1)
             ~points:(Fault_point.Lsm_flush_begin, Lsm_flush_install)
             ~reset:(fun () -> reset_memory t)
@@ -577,14 +634,6 @@ module Make (K : KEY) (V : VALUE) = struct
     in
     next
 
-  (* Merge order of stream heads: one charged key comparison per merge
-     comparison. *)
-  let by_key t =
-    let env = t.env in
-    fun a b ->
-      Lsm_sim.Env.charge_comparisons env 1;
-      K.compare a.key b.key
-
   (** An in-flight incremental merge: the k-way reconciling merge of
       {!merge} broken into explicit steps so a scheduler can interleave
       several independent merges deterministically on one simulated clock
@@ -612,7 +661,7 @@ module Make (K : KEY) (V : VALUE) = struct
       contiguous component range [first..last] (indices into
       {!components}, 0 = newest).  Announces [lsm.merge.begin]. *)
   let merge_start ?(extra_invalid = fun _ _ -> false) t ~first ~last =
-    let comps = Array.of_list t.disk in
+    let comps = t.disk in
     let n = Array.length comps in
     if not (0 <= first && first <= last && last < n) then
       invalid_arg "Lsm_tree.merge: bad range";
@@ -671,7 +720,7 @@ module Make (K : KEY) (V : VALUE) = struct
       for a merge.  The inputs' files are deleted. *)
   let install t ~inputs rows =
     let k = Array.length inputs in
-    let comps = Array.of_list t.disk in
+    let comps = t.disk in
     let n = Array.length comps in
     let rec run_from f i =
       i = k || (comps.(f + i) == inputs.(i) && run_from f (i + 1))
@@ -726,9 +775,12 @@ module Make (K : KEY) (V : VALUE) = struct
     in
     invalidate_view t;
     t.disk <-
-      List.filteri (fun i _ -> i < first) t.disk
-      @ [ c ]
-      @ List.filteri (fun i _ -> i > last) t.disk;
+      Array.concat
+        [
+          Array.sub comps 0 first;
+          [| c |];
+          Array.sub comps (last + 1) (n - last - 1);
+        ];
     Array.iter (fun c -> Dbt.delete t.env c.tree) inputs;
     c
 
@@ -768,11 +820,13 @@ module Make (K : KEY) (V : VALUE) = struct
       the crash (the discarded entries are still in the WAL and are redone
       into memory). *)
   let remove_component t ~at =
-    let comps = Array.of_list t.disk in
+    let comps = t.disk in
     let n = Array.length comps in
     if not (0 <= at && at < n) then invalid_arg "Lsm_tree.remove_component";
     invalidate_view t;
-    t.disk <- List.filteri (fun i _ -> i <> at) t.disk;
+    t.disk <-
+      Array.append (Array.sub comps 0 at)
+        (Array.sub comps (at + 1) (n - at - 1));
     Dbt.delete t.env comps.(at).tree
 
   (** [pick_merge t policy] applies a merge policy to this tree's own
@@ -781,7 +835,7 @@ module Make (K : KEY) (V : VALUE) = struct
       [Some (first, last)] to hand to {!merge} or {!merge_start}, or
       [None] when no merge is due. *)
   let pick_merge t policy =
-    let comps = Array.of_list t.disk in
+    let comps = t.disk in
     let n = Array.length comps in
     (* Policy works oldest-first. *)
     let sizes =
@@ -820,11 +874,11 @@ module Make (K : KEY) (V : VALUE) = struct
           | Some last -> Some (i, last)
           | None -> find (i + 1) rest)
     in
-    find 0 t.disk
+    find 0 (Array.to_list t.disk)
 
   let id_run t ~lo ~hi =
     let run = ref None in
-    List.iteri
+    Array.iteri
       (fun i c ->
         if c.cmin_ts >= lo && c.cmax_ts <= hi then
           run := Some (match !run with None -> (i, i) | Some (f, _) -> (f, i)))
@@ -841,7 +895,7 @@ module Make (K : KEY) (V : VALUE) = struct
     let n = Array.length t.mems in
     let f = Array.make n 0 in
     let cover s ts = f.(s) <- max f.(s) ts in
-    List.iter
+    Array.iter
       (fun c ->
         List.iter
           (fun o ->
@@ -894,38 +948,24 @@ module Make (K : KEY) (V : VALUE) = struct
     | Some r ->
         Lsm_sim.Env.explain_count t.env "mem_hits" 1;
         Some r
-    | None ->
-        let rec go = function
-          | [] -> None
-          | c :: rest ->
-              Lsm_sim.Env.explain_count t.env "components_probed" 1;
-              if probe_bloom t c key then
-                match Dbt.find t.env c.tree key with
-                | Some (pos, row) -> if row_valid c pos then Some row else None
-                | None ->
-                    note_bloom_fp t c;
-                    go rest
-              else go rest
+    | None -> (
+        let hit = find_newest t key in
+        let probed =
+          match hit with Some (i, _, _) -> i + 1 | None -> Array.length t.disk
         in
-        go t.disk
+        if probed > 0 then
+          Lsm_sim.Env.explain_count t.env "components_probed" probed;
+        match hit with
+        | Some (i, pos, row) when row_valid t.disk.(i) pos -> Some row
+        | _ -> None)
 
   (** [disk_find t key] locates the newest *disk* entry for [key] as
       (component, row position, row), ignoring the memory component and any
       validity bitmap (callers inspect validity themselves).  Used by the
       Mutable-bitmap strategy to find the bit to flip (Sec. 5.2). *)
   let disk_find t key =
-    let rec go = function
-      | [] -> None
-      | c :: rest -> (
-          if probe_bloom t c key then
-            match Dbt.find t.env c.tree key with
-            | Some (pos, row) -> Some (c, pos, row)
-            | None ->
-                note_bloom_fp t c;
-                go rest
-          else go rest)
-    in
-    go t.disk
+    let comps = t.disk in
+    Option.map (fun (i, pos, row) -> (comps.(i), pos, row)) (find_newest t key)
 
   (** [component_row_valid c i] consults the validity bitmap. *)
   let component_row_valid = row_valid
@@ -941,21 +981,6 @@ module Make (K : KEY) (V : VALUE) = struct
   let charge_component_scan t c =
     Lsm_sim.Sfile.scan_all t.env (Dbt.file c.tree);
     Lsm_sim.Env.charge_entry_visits t.env (Dbt.nrows c.tree)
-
-  (** [mem_filter t] is the memory component's current range-filter
-      bounds (the union over shards), if the tree has a filter and the
-      component is non-empty. *)
-  let mem_filter t =
-    if t.filter_of = None then None
-    else
-      Array.fold_left
-        (fun acc m ->
-          if m.fmin <= m.fmax then
-            match acc with
-            | None -> Some (m.fmin, m.fmax)
-            | Some (a, b) -> Some (min a m.fmin, max b m.fmax)
-          else acc)
-        None t.mems
 
   (** [lookup_batch t opts qkeys ~emit] resolves many point lookups.
       [qkeys] must be sorted ascending by key.  [emit key row_opt] is
@@ -976,17 +1001,8 @@ module Make (K : KEY) (V : VALUE) = struct
           ("stateful", string_of_bool opts.stateful);
           ("hints", string_of_bool opts.use_hints);
         ];
-      let comps = Array.of_list t.disk in
-      let cursors =
-        if opts.stateful then
-          Some (Array.map (fun c -> Dbt.Cursor.create c.tree) comps)
-        else None
-      in
-      let find_in ci key =
-        match cursors with
-        | Some cs -> Dbt.Cursor.find t.env cs.(ci) key
-        | None -> Dbt.find t.env comps.(ci).tree key
-      in
+      let comps = t.disk in
+      let cursors = if opts.stateful then Some (cursors t) else None in
       let per_batch =
         if not opts.batched then 1
         else begin
@@ -1028,15 +1044,14 @@ module Make (K : KEY) (V : VALUE) = struct
                 Lsm_sim.Env.explain_count t.env "hint_skips" 1
               else begin
                 Lsm_sim.Env.explain_count t.env "components_probed" 1;
-                if probe_bloom t c qk.qkey then
-                  match find_in !ci qk.qkey with
-                  | Some (pos, row) ->
-                      (* A bitmap-invalidated hit resolves the key to absent:
-                         any superseding version is strictly newer and was
-                         already searched. *)
-                      if row_valid c pos then resolve i qk.qkey (Some row)
-                      else resolve i qk.qkey None
-                  | None -> note_bloom_fp t c
+                match probe_at t cursors ~positive:false !ci c qk.qkey with
+                | Some (pos, row) ->
+                    (* A bitmap-invalidated hit resolves the key to absent:
+                       any superseding version is strictly newer and was
+                       already searched. *)
+                    if row_valid c pos then resolve i qk.qkey (Some row)
+                    else resolve i qk.qkey None
+                | None -> ()
               end
             end
           done;
@@ -1098,13 +1113,6 @@ module Make (K : KEY) (V : VALUE) = struct
   let mem_stream t spec =
     if not spec.include_mem then fun () -> None
     else begin
-      let hi_ok k =
-        match spec.hi with
-        | None -> true
-        | Some h ->
-            Lsm_sim.Env.charge_comparisons t.env 1;
-            K.compare k h <= 0
-      in
       (* A cursor at [lo] over [table] and the number of in-range rows
          ahead of it. *)
       let seek table =
@@ -1116,7 +1124,7 @@ module Make (K : KEY) (V : VALUE) = struct
               let w = Mbt.copy c in
               let rec count n =
                 if not (Mbt.step w) then n
-                else if hi_ok (Mbt.key w) then count (n + 1)
+                else if within_hi t spec.hi (Mbt.key w) then count (n + 1)
                 else if Option.is_none spec.lo then count n
                 else n
               in
@@ -1148,11 +1156,7 @@ module Make (K : KEY) (V : VALUE) = struct
             Array.init n (fun _ -> pull c)
           in
           let all = Array.concat (Array.to_list (Array.map slice t.mems)) in
-          Array.sort
-            (fun a b ->
-              Lsm_sim.Env.charge_comparisons t.env 1;
-              K.compare a.key b.key)
-            all;
+          Array.sort (by_key t) all;
           (Seq.to_dispenser (Array.to_seq all), Array.length all)
         end
       in
@@ -1170,7 +1174,7 @@ module Make (K : KEY) (V : VALUE) = struct
      path's semantics exactly, including "an older valid duplicate wins
      when the newest is bitmap-invalidated". *)
   let scan_view t spec ~emit =
-    let comps_a = Array.of_list t.disk in
+    let comps_a = t.disk in
     let v = ensure_view t comps_a in
     let mask =
       match spec.only with
@@ -1187,20 +1191,21 @@ module Make (K : KEY) (V : VALUE) = struct
     let it = View.start t.env v ~lo:spec.lo ~hi:spec.hi ~mask ~valid in
     let mem = mem_stream t spec in
     let mnext = ref (mem ()) in
-    let vnext = ref (View.next t.env it) in
+    let r = ref (View.next t.env it) in
     let continue = ref true in
     while !continue do
-      match (!mnext, !vnext) with
-      | None, None -> continue := false
-      | Some m, None ->
+      match !mnext with
+      | None when !r < 0 -> continue := false
+      | Some m when !r < 0 ->
           emit m ~src_repaired:0;
           mnext := mem ()
-      | None, Some (_, r, row) ->
-          emit row ~src_repaired:comps_a.(r).repaired_ts;
-          vnext := View.next t.env it
-      | Some m, Some (vk, r, row) ->
+      | None ->
+          emit (View.row it !r) ~src_repaired:comps_a.(!r).repaired_ts;
+          r := View.next t.env it
+      | Some m ->
+          let row = View.row it !r in
           Lsm_sim.Env.charge_comparisons t.env 1;
-          let c = K.compare m.key vk in
+          let c = K.compare m.key row.key in
           if c < 0 then begin
             emit m ~src_repaired:0;
             mnext := mem ()
@@ -1211,8 +1216,8 @@ module Make (K : KEY) (V : VALUE) = struct
                emit m ~src_repaired:0;
                mnext := mem ()
              end
-             else emit row ~src_repaired:comps_a.(r).repaired_ts);
-            vnext := View.next t.env it
+             else emit row ~src_repaired:comps_a.(!r).repaired_ts);
+            r := View.next t.env it
           end
     done;
     Lsm_sim.Env.explain_count t.env "view_scans" 1;
@@ -1238,7 +1243,7 @@ module Make (K : KEY) (V : VALUE) = struct
        differential oracle the view suite compares against. *)
   let view_usable t spec =
     spec.reconcile && t.views_enabled
-    && List.length t.disk >= view_min_components
+    && Array.length t.disk >= view_min_components
     &&
     match spec.only with
     | None -> true
@@ -1246,8 +1251,7 @@ module Make (K : KEY) (V : VALUE) = struct
     | Some cs -> (
         match t.view with
         | Some (_, built) ->
-            view_matches (Array.of_list t.disk) built
-            && List.for_all (fun c -> List.memq c t.disk) cs
+            built == t.disk && List.for_all (fun c -> Array.memq c t.disk) cs
         | None -> false)
 
   (** [scan t spec ~f] streams entries to [f row ~src_repaired], where
@@ -1258,8 +1262,8 @@ module Make (K : KEY) (V : VALUE) = struct
       only under [emit_del]).  Without it, components are emitted one by
       one, memory first then newest-to-oldest, each in key order. *)
   let scan t spec ~f =
-    let comps =
-      match spec.only with Some cs -> cs | None -> t.disk
+    let comps_a =
+      match spec.only with Some cs -> Array.of_list cs | None -> t.disk
     in
     let stream c =
       component_stream t c ?lo:spec.lo ?hi:spec.hi ~valid:(fun i ->
@@ -1284,7 +1288,6 @@ module Make (K : KEY) (V : VALUE) = struct
         | Some r as head when within_hi t spec.hi r.key -> head
         | _ -> None
       in
-      let comps_a = Array.of_list comps in
       let streams = Array.map stream comps_a in
       let by_key = by_key t in
       (* Emit a popped row unless it repeats the last output key [lk]
@@ -1382,10 +1385,10 @@ module Make (K : KEY) (V : VALUE) = struct
             drain next f
       in
       drain (mem_stream t spec) (fun row -> emit row ~src_repaired:0);
-      List.iter
+      Array.iter
         (fun c ->
           drain (stream c) (fun row -> emit row ~src_repaired:c.repaired_ts))
-        comps
+        comps_a
     end
 
   (* ------------------------------------------------------------------ *)
@@ -1449,6 +1452,6 @@ module Make (K : KEY) (V : VALUE) = struct
                 cs_bitmap = c.bitmap <> None;
                 cs_repaired_ts = c.repaired_ts;
               })
-            t.disk);
+            (Array.to_list t.disk));
     }
 end

@@ -153,7 +153,9 @@ module Make (K : KEY) (V : VALUE) : sig
   (** {1 Components} *)
 
   val components : t -> disk_component array
-  (** Newest first. *)
+  (** Newest first.  A snapshot: the tree installs a fresh array on every
+      change and never writes to one it handed out; callers must not
+      write to it either. *)
 
   val component_count : t -> int
   val component_id : disk_component -> int * int
@@ -280,13 +282,44 @@ module Make (K : KEY) (V : VALUE) : sig
   (** Charge the I/O and CPU of a full sequential scan of a component
       without materializing anything (standalone repair). *)
 
-  val probe_bloom : t -> disk_component -> K.t -> bool
-  (** Probe a component's Bloom filter with full cost accounting. *)
+  (** {1 The newest-first component probe}
 
-  val note_bloom_fp : t -> disk_component -> unit
-  (** Report a Bloom false positive: a positive {!probe_bloom} answer
-      whose component search then missed.  Bumps [Io_stats.bloom_fps]
-      (no-op for filterless components). *)
+      Point lookups, timestamp validation (Sec. 4.3) and Bloom-opt repair
+      (Sec. 4.4) all ask: what is the newest disk entry for a key, in the
+      components newer than some bound?  {!find_newest} is the one walk
+      that answers it.  Newest to oldest, for each component it runs
+      [stop] ([true] ends the walk with no hit); unless the component is
+      [positive], probes its Bloom filter — one [bloom_probes], hashes,
+      cache lines, and on a negative a [bloom_negatives] and the next
+      component (a filterless component is a free "maybe"; a quarantined
+      one counts a [degraded_probes] and is searched); descends its
+      B+-tree with the component's cursor from [cursors], else from the
+      root (comparisons, page reads); returns a hit, or on a miss counts
+      a [bloom_fps] if the filter was consulted and moves on.  The walk
+      allocates nothing per component (a descent does, inside the
+      B+-tree). *)
+
+  type cursors
+  (** Stateful search cursors ("sLookup") over a snapshot of {!components}. *)
+
+  val cursors : t -> cursors
+
+  val find_newest :
+    t ->
+    ?cursors:cursors ->
+    ?from:int ->
+    ?stop:(disk_component -> bool) ->
+    ?positive:int ->
+    K.t ->
+    (int * int * row) option
+  (** (component index, row position, row) of the newest disk entry for
+      the key, walking from component [from] (default 0) of {!components}
+      or of [cursors]' snapshot.  Memory and bitmaps are the caller's. *)
+
+  val first_positive : t -> ?eligible:(disk_component -> bool) -> K.t -> int
+  (** The index of the newest component [eligible] accepts (default: all)
+      whose Bloom filter, probed as {!find_newest} does, may hold the
+      key; [-1] if none. *)
 
   (** {1 Point lookups (Sec. 3.2)} *)
 

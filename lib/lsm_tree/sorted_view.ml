@@ -176,6 +176,7 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
     valid : int -> int -> bool;  (** run -> row index -> live? *)
     mutable j : int;  (** next unconsumed position *)
     mutable finished : bool;
+    mutable win_row : int;  (** the last winner's row index in its run *)
     (* Per-run read-ahead windows over the data leaves, mirroring
        [Disk_btree.Scan.fetch_leaf]. *)
     cur_leaf : int array;
@@ -236,6 +237,7 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
       valid;
       j = j0;
       finished = j0 >= t.n;
+      win_row = -1;
       cur_leaf = Array.make (max 1 nruns) (-1);
       pref = Array.make (max 1 nruns) (-1);
       vpage = -1;
@@ -284,17 +286,17 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
       end;
       it.cur_leaf.(r) <- l
     end;
-    Lsm_sim.Env.charge_entry_visits env 1;
-    run.rows.(i)
+    Lsm_sim.Env.charge_entry_visits env 1
 
   (** [next env it] resolves the next key group: the winner is the first
       position of the group that is mask-included and live ([valid]);
       shadowed, masked and invalid positions are skipped without touching
-      their data pages.  Returns [(key, run, row)], or [None] past [hi] or
-      the end.  Groups whose members are all skipped produce nothing and
-      the iterator moves on. *)
+      their data pages.  Returns the winner's run, whose row {!row} then
+      reads, or [-1] past [hi] or the end.  Groups whose members are all
+      skipped produce nothing and the iterator moves on.  Allocates
+      nothing. *)
   let rec next env it =
-    if it.finished then None
+    if it.finished then -1
     else begin
       let t = it.view in
       let j = it.j in
@@ -309,7 +311,7 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
       in
       if beyond then begin
         it.finished <- true;
-        None
+        -1
       end
       else begin
         (* Walk the key group starting at [j]; group membership is the
@@ -336,11 +338,15 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
         it.j <- !jj;
         if !jj >= t.n then it.finished <- true;
         if !winner_r >= 0 then begin
-          let row = fetch_row env it !winner_r !winner_i in
+          fetch_row env it !winner_r !winner_i;
           it.emitted <- it.emitted + 1;
-          Some (k, !winner_r, row)
+          it.win_row <- !winner_i;
+          !winner_r
         end
         else next env it
       end
     end
+
+  (** [row it r] is the row of the winner [next] last returned, [r]. *)
+  let row it r = it.view.runs.(r).rows.(it.win_row)
 end

@@ -538,6 +538,278 @@ let prop_scan_matches_heap =
       run (fun _env t spec ~f -> L.scan t spec ~f) = run heap_scan)
 
 (* ------------------------------------------------------------------ *)
+(* The newest-first component probe *)
+
+(* The Bloom probe and false-positive count the lookups, timestamp
+   validation and Bloom-opt repair made before [L.find_newest] took their
+   loops over; the loops below are those loops, kept as its oracles. *)
+let oracle_probe_bloom env (c : L.disk_component) key =
+  match c.L.bloom with
+  | None -> true
+  | Some _ when c.L.quarantined ->
+      let r = Lsm_sim.Env.resil env in
+      r.Lsm_sim.Env.degraded_probes <- r.Lsm_sim.Env.degraded_probes + 1;
+      true
+  | Some f ->
+      let st = Lsm_sim.Env.stats env in
+      st.Lsm_sim.Io_stats.bloom_probes <- st.Lsm_sim.Io_stats.bloom_probes + 1;
+      Lsm_sim.Env.charge_hashes env (Lsm_bloom.Filter.hashes_per_probe f);
+      Lsm_sim.Env.charge_cache_lines env
+        (Lsm_bloom.Filter.cache_lines_per_probe f);
+      let maybe =
+        Lsm_bloom.Filter.contains f (Lsm_util.Keys.Int_key.hash key)
+      in
+      if not maybe then
+        st.Lsm_sim.Io_stats.bloom_negatives <-
+          st.Lsm_sim.Io_stats.bloom_negatives + 1;
+      maybe
+
+let oracle_note_fp env (c : L.disk_component) =
+  if c.L.bloom <> None && not c.L.quarantined then begin
+    let st = Lsm_sim.Env.stats env in
+    st.Lsm_sim.Io_stats.bloom_fps <- st.Lsm_sim.Io_stats.bloom_fps + 1
+  end
+
+let oracle_lookup_one env t key =
+  match L.mem_find t key with
+  | Some r -> Some r
+  | None ->
+      let rec go = function
+        | [] -> None
+        | (c : L.disk_component) :: rest ->
+            if oracle_probe_bloom env c key then
+              match L.Dbt.find env c.L.tree key with
+              | Some (pos, row) -> if L.row_valid c pos then Some row else None
+              | None ->
+                  oracle_note_fp env c;
+                  go rest
+            else go rest
+      in
+      go (Array.to_list (L.components t))
+
+let oracle_entry_is_valid env t ?cursors ~key ~ts ~threshold () =
+  match L.mem_find t key with
+  | Some row -> row.L.ts <= ts
+  | None ->
+      let comps = L.components t in
+      let rec go i =
+        if i >= Array.length comps then true
+        else begin
+          let c = comps.(i) in
+          if c.L.cmax_ts <= threshold then true
+          else if oracle_probe_bloom env c key then begin
+            let hit =
+              match cursors with
+              | Some cs -> L.Dbt.Cursor.find env cs.(i) key
+              | None -> L.Dbt.find env c.L.tree key
+            in
+            match hit with
+            | Some (_, row) -> row.L.ts <= ts
+            | None ->
+                oracle_note_fp env c;
+                go (i + 1)
+          end
+          else go (i + 1)
+        end
+      in
+      go 0
+
+(* The Bloom-opt repair's skip pass, then its validation pass from the
+   remembered component: [None] = skipped, else [Some stale]. *)
+let oracle_repair env t cursors ~could_supersede ~key ~ts =
+  let comps = L.components t in
+  let fp = ref (-2) in
+  Array.iteri
+    (fun i c ->
+      if !fp = -2 && could_supersede c ts && oracle_probe_bloom env c key then
+        fp := i)
+    comps;
+  if !fp < 0 then None
+  else
+    let rec go i =
+      if i >= Array.length comps then false
+      else begin
+        let c = comps.(i) in
+        if not (could_supersede c ts) then false
+        else if i = !fp || oracle_probe_bloom env c key then
+          match L.Dbt.Cursor.find env cursors.(i) key with
+          | Some (_, row) -> row.L.ts > ts
+          | None ->
+              oracle_note_fp env c;
+              go (i + 1)
+        else go (i + 1)
+      end
+    in
+    Some (go !fp)
+
+type probe_case = {
+  batches : (int * int option) list list;
+      (** one list of (key, [Some v] = put | [None] = delete) per flushed
+          component, oldest first; the last list stays in memory *)
+  pbloom : bool;
+  pinvalid : (int * int) list;  (** (component, position) bits to set *)
+  quarantine : int option;
+  use_cursors : bool;
+  strict : bool;  (** repair's "strictly newer" pruning rule *)
+  queries : (int * int * int) list;  (** (key, ts, threshold) *)
+}
+
+let probe_case_gen =
+  QCheck2.Gen.(
+    let write =
+      pair (int_range 0 30)
+        (frequency [ (4, map Option.some (int_range 0 99)); (1, return None) ])
+    in
+    let* ncomps = int_range 0 5 in
+    let* batches =
+      list_repeat (ncomps + 1) (list_size (int_range 0 15) write)
+    in
+    let* pbloom = frequency [ (3, return true); (1, return false) ] in
+    let* pinvalid =
+      list_size (int_range 0 8) (pair (int_range 0 4) (int_range 0 15))
+    in
+    let* quarantine = opt (int_range 0 4) in
+    let* use_cursors = bool in
+    let* strict = bool in
+    let* queries =
+      list_size (int_range 1 25)
+        (triple (int_range 0 32) (int_range 0 90) (int_range 0 90))
+    in
+    return
+      { batches; pbloom; pinvalid; quarantine; use_cursors; strict; queries })
+
+(* The walk answers lookup_one, timestamp validation and the Bloom-opt
+   repair exactly as their own loops did, and charges the same: the same
+   Io_stats counters (probes, negatives, false positives, comparisons,
+   pages read, ...), the same degraded probes and the same clock.  Trees
+   of 0-5 components, with and without Bloom filters, random invalid
+   bits, one quarantined component, stateless or stateful descents. *)
+let prop_probe_matches_loops =
+  qtest ~count:300
+    "newest-first probe = per-caller loops (answers, stats, clock)"
+    probe_case_gen (fun pc ->
+      let build () =
+        let env = mk_env () in
+        let bloom =
+          if pc.pbloom then Some Lsm_tree.Config.default_bloom else None
+        in
+        let t = mk_tree ~bloom ~bitmap:true env in
+        let ts = ref 0 in
+        let n = List.length pc.batches in
+        List.iteri
+          (fun b writes ->
+            List.iter
+              (fun (k, v) ->
+                incr ts;
+                L.write t ~key:k ~ts:!ts
+                  (match v with Some v -> Entry.Put v | None -> Entry.Del))
+              writes;
+            if b < n - 1 then L.flush t)
+          pc.batches;
+        let comps = L.components t in
+        List.iter
+          (fun (ci, pos) ->
+            if ci < Array.length comps && pos < L.component_rows comps.(ci) then
+              L.invalidate comps.(ci) pos)
+          pc.pinvalid;
+        (match pc.quarantine with
+        | Some q when q < Array.length comps -> L.quarantine t comps.(q)
+        | _ -> ());
+        (env, t)
+      in
+      let could_supersede threshold (c : L.disk_component) ts =
+        if pc.strict then c.L.cmin_ts > max threshold ts
+        else c.L.cmax_ts > max threshold ts
+      in
+      let run ~lookup_one ~entry_is_valid ~repair =
+        let env, t = build () in
+        let answers =
+          List.map
+            (fun (key, ts, threshold) ->
+              let threshold = max threshold ts in
+              let row =
+                Option.map
+                  (fun (r : L.row) -> (r.L.ts, r.L.value))
+                  (lookup_one env t key)
+              in
+              ( row,
+                entry_is_valid env t ~key ~ts ~threshold,
+                repair env t
+                  ~could_supersede:(could_supersede threshold)
+                  ~key ~ts ))
+            pc.queries
+        in
+        ( answers,
+          Lsm_sim.Io_stats.fields (Lsm_sim.Env.stats env),
+          (Lsm_sim.Env.resil env).Lsm_sim.Env.degraded_probes,
+          Int64.bits_of_float (Lsm_sim.Env.now_us env) )
+      in
+      let oracle =
+        let cursors = ref None in
+        let cursors_of t =
+          match !cursors with
+          | Some cs -> cs
+          | None ->
+              let cs =
+                Array.map
+                  (fun c -> L.Dbt.Cursor.create c.L.tree)
+                  (L.components t)
+              in
+              cursors := Some cs;
+              cs
+        in
+        run ~lookup_one:oracle_lookup_one
+          ~entry_is_valid:(fun env t ~key ~ts ~threshold ->
+            let cursors =
+              if pc.use_cursors then Some (cursors_of t) else None
+            in
+            oracle_entry_is_valid env t ?cursors ~key ~ts ~threshold ())
+          ~repair:(fun env t ~could_supersede ~key ~ts ->
+            oracle_repair env t (cursors_of t) ~could_supersede ~key ~ts)
+      in
+      let walk =
+        let cursors = ref None in
+        let cursors_of t =
+          match !cursors with
+          | Some cs -> cs
+          | None ->
+              let cs = L.cursors t in
+              cursors := Some cs;
+              cs
+        in
+        run
+          ~lookup_one:(fun _env t key -> L.lookup_one t key)
+          ~entry_is_valid:(fun _env t ~key ~ts ~threshold ->
+            let cursors =
+              if pc.use_cursors then Some (cursors_of t) else None
+            in
+            match L.mem_find t key with
+            | Some row -> row.L.ts <= ts
+            | None -> (
+                match
+                  L.find_newest t ?cursors key
+                    ~stop:(fun c -> c.L.cmax_ts <= threshold)
+                with
+                | Some (_, _, row) -> row.L.ts <= ts
+                | None -> true))
+          ~repair:(fun _env t ~could_supersede ~key ~ts ->
+            let fp =
+              L.first_positive t key ~eligible:(fun c -> could_supersede c ts)
+            in
+            if fp < 0 then None
+            else
+              Some
+                (match
+                   L.find_newest t ~cursors:(cursors_of t) ~from:fp ~positive:fp
+                     ~stop:(fun c -> not (could_supersede c ts))
+                     key
+                 with
+                | Some (_, _, row) -> row.L.ts > ts
+                | None -> false))
+      in
+      oracle = walk)
+
+(* ------------------------------------------------------------------ *)
 (* Range filters *)
 
 let test_range_filter_from_puts () =
@@ -716,6 +988,7 @@ let () =
             test_mem_scan_no_major_alloc;
           prop_scan_matches_heap;
         ] );
+      ("probe", [ prop_probe_matches_loops ]);
       ( "filter",
         [
           Alcotest.test_case "from puts" `Quick test_range_filter_from_puts;
