@@ -34,14 +34,14 @@ let test_mem_btree_put =
     (Staged.stage (fun () ->
          let t = Mbt.create () in
          for i = 0 to 999 do
-           ignore (Mbt.put t ((i * 7919) land 0xfffff) i)
+           ignore (Mbt.put t ((i * 7919) land 0xfffff) ~fkey:i i)
          done))
 
 let test_mem_btree_find =
   let t = Mbt.create () in
   let () =
     for i = 0 to 9_999 do
-      ignore (Mbt.put t ((i * 7919) land 0xfffff) i)
+      ignore (Mbt.put t ((i * 7919) land 0xfffff) ~fkey:i i)
     done
   in
   Test.make ~name:"mem_btree.find(10k)"
@@ -244,6 +244,89 @@ let test_lsm_time_range_scan =
          let _env, t, spec = Lazy.force time_range_fixture in
          let n = ref 0 in
          L.scan t spec ~f:(fun _ ~src_repaired:_ -> incr n)))
+
+(* A time-range scan proper: the primary tree has a range filter (each
+   value is its own filter key, rising with the timestamp, as
+   [created_at] does) and the scan keeps the rows whose key lies in a
+   window over a third of the timestamps, from the middle on.  [c0]: 1k
+   memory rows; [c1]: 1k memory rows against one 2k-row component, half
+   of the memory keys also on disk; [view]: 1k memory rows against four
+   1k-row components served by a sorted view. *)
+let filtered_tree shape =
+  let env = quiet_env () in
+  let t =
+    L.create ~filter_of:Fun.id env
+      (Lsm_tree.Config.make ~bloom:(Some Lsm_tree.Config.default_bloom) "bench")
+  in
+  let ts = ref 0 in
+  let put key =
+    incr ts;
+    L.write t ~key ~ts:!ts (Lsm_tree.Entry.Put !ts)
+  in
+  (match shape with
+  | `C0 -> ()
+  | `C1 ->
+      for i = 0 to 1_999 do
+        put (2 * i)
+      done;
+      L.flush t
+  | `View ->
+      for c = 0 to 3 do
+        for i = 0 to 999 do
+          put ((4 * i) + c)
+        done;
+        L.flush t
+      done);
+  for i = 0 to 999 do
+    put (3 * i)
+  done;
+  let spec =
+    { L.full_scan_spec with only = Some (Array.to_list (L.components t)) }
+  in
+  (* Warm the cache and, for [`View], build the view. *)
+  L.scan t L.full_scan_spec ~f:(fun _ ~src_repaired:_ -> ());
+  (env, t, spec, (!ts / 2, !ts * 5 / 6))
+
+(* The filtered scan every time-range entry runs, [f] on each kept row. *)
+let time_range_scan t spec window ~f =
+  L.scan t
+    { spec with L.filter = Some window }
+    ~f:(fun r ~src_repaired:_ -> f r)
+
+let filtered_fixture = lazy (filtered_tree `C1)
+
+let test_lsm_filtered_time_range_scan =
+  Test.make ~name:"lsm.time_range_scan(filtered, 1k mem + 1 comp)"
+    (Staged.stage (fun () ->
+         let _env, t, spec, window = Lazy.force filtered_fixture in
+         let n = ref 0 in
+         time_range_scan t spec window ~f:(fun _ -> incr n)))
+
+(* Simulated cost of one filtered scan per fixture shape: the filter is
+   pushed into the scan, which charges exactly what an unfiltered scan
+   followed by the caller's own range test charged. *)
+let sim_time_range_entries () =
+  List.concat_map
+    (fun (shape, label) ->
+      let env, t, spec, window = filtered_tree shape in
+      let cmp0 = (Lsm_sim.Env.stats env).Lsm_sim.Io_stats.comparisons in
+      let us0 = Lsm_sim.Env.now_us env in
+      let n = ref 0 in
+      time_range_scan t spec window ~f:(fun _ -> incr n);
+      let cmp = (Lsm_sim.Env.stats env).Lsm_sim.Io_stats.comparisons - cmp0 in
+      let us = Lsm_sim.Env.now_us env -. us0 in
+      Printf.printf "sim.time_range %-4s %7.0fus %7d cmp %5d rows\n" label us
+        cmp !n;
+      let e name unit_ v =
+        { Lsm_harness.Bench_json.name; unit_; samples = [| v |] }
+      in
+      [
+        e (Printf.sprintf "sim.time_range.%s.sim_us" label) "us/scan" us;
+        e
+          (Printf.sprintf "sim.time_range.%s.comparisons" label)
+          "cmp/scan" (float_of_int cmp);
+      ])
+    [ (`C0, "c0"); (`C1, "c1"); (`View, "view") ]
 
 (* The simulated-cost series the CI gates on: deterministic (engine cost
    model only, no host timing), one sample per entry, so a >10% change
@@ -804,6 +887,7 @@ let micro_tests =
       test_lsm_scan;
       test_lsm_mem_scan;
       test_lsm_time_range_scan;
+      test_lsm_filtered_time_range_scan;
       range_scan_bench "lsm.range_scan(16k,8comps,heap)" range_fixture_heap;
       range_scan_bench "lsm.range_scan(16k,8comps,view)" range_fixture_view;
       test_lsm_merge;
@@ -831,6 +915,7 @@ let has_prefix ~prefix name =
 let sim_series =
   [
     ("sim.range_scan.", sim_range_scan_entries);
+    ("sim.time_range.", sim_time_range_entries);
     ("sim.serve.", fun () -> sim_serve_entries () @ sim_serve_chaos_entries ());
     ("sim.group_commit.", sim_group_commit_entries);
     ("sim.parallel_maint.", sim_parallel_maint_entries);
@@ -867,6 +952,7 @@ let run_micro ?(quota = 0.4) ?json_path ?(only = "") () =
   ignore (Lazy.force range_fixture_heap);
   ignore (Lazy.force range_fixture_view);
   ignore (Lazy.force time_range_fixture);
+  ignore (Lazy.force filtered_fixture);
   (* Deterministic simulated-cost series first — the CI gate reads these. *)
   let sim_entries =
     List.concat_map (fun (_, run) -> run ()) series

@@ -22,25 +22,32 @@ let create ~expected ~fpr =
   let nblocks = max 1 ((m + block_bits - 1) / block_bits) in
   { bits = Lsm_util.Bitset.create (nblocks * block_bits); nblocks; k }
 
-let block_of t h = Hashing.mix64 h land max_int mod t.nblocks
+(* The first bit of the block a key's first base hash picks, and the
+   [i]-th probe's offset inside it. *)
+let block_base ~nblocks h1 = h1 land max_int mod nblocks * block_bits
+let offset h1 h2 i = (h1 + ((i + 1) * h2)) land max_int mod block_bits
 
-let position t h i =
-  let base = block_of t h * block_bits in
-  base + (Hashing.double_hash h (i + 1) land max_int mod block_bits)
+(** [position ~nblocks h1 h2 i] is the [i]-th probe's bit, from a key's two
+    base hashes ({!Hashing.h1}, {!Hashing.h2}). *)
+let position ~nblocks h1 h2 i = block_base ~nblocks h1 + offset h1 h2 i
 
 (** [add t h] inserts a key by its hash. *)
 let add t h =
+  let h1 = Hashing.h1 h and h2 = Hashing.h2 h in
+  let base = block_base ~nblocks:t.nblocks h1 in
   for i = 0 to t.k - 1 do
-    Lsm_util.Bitset.set t.bits (position t h i)
+    Lsm_util.Bitset.set t.bits (base + offset h1 h2 i)
   done
 
 (** [contains t h] is [false] only if the key was never added. *)
-let rec contains_from t h i =
+let rec contains_from t base h1 h2 i =
   i >= t.k
-  || Lsm_util.Bitset.get t.bits (position t h i)
-     && contains_from t h (i + 1)
+  || Lsm_util.Bitset.get t.bits (base + offset h1 h2 i)
+     && contains_from t base h1 h2 (i + 1)
 
-let contains t h = contains_from t h 0
+let contains t h =
+  let h1 = Hashing.h1 h in
+  contains_from t (block_base ~nblocks:t.nblocks h1) h1 (Hashing.h2 h) 0
 
 let k t = t.k
 let bit_count t = t.nblocks * block_bits

@@ -8,6 +8,13 @@ val block_bits : int
 (** 512: one 64-byte cache line. *)
 
 val create : expected:int -> fpr:float -> t
+
+val position : nblocks:int -> int -> int -> int -> int
+(** [position ~nblocks h1 h2 i]: the [i]-th probe's bit, from a key's
+    base hashes [h1 = Hashing.h1 h] and [h2 = Hashing.h2 h]: block
+    [h1 mod nblocks], offset [h1 + (i + 1)*h2 mod 512].
+    {!add} and {!contains} hash each key once and probe these bits. *)
+
 val add : t -> int -> unit
 
 val contains : t -> int -> bool

@@ -30,23 +30,25 @@ let create ~expected ~fpr =
   let m, k = params ~expected ~fpr in
   { bits = Lsm_util.Bitset.create m; m; k }
 
-let position t h i =
-  Hashing.double_hash h i land max_int mod t.m
+(** [position ~m h1 h2 i] is the [i]-th probe's bit, from a key's two base
+    hashes ({!Hashing.h1}, {!Hashing.h2}): the seed [h1 + i*h2] mod [m]. *)
+let position ~m h1 h2 i = (h1 + (i * h2)) land max_int mod m
 
 (** [add t h] inserts a key by its hash. *)
 let add t h =
+  let h1 = Hashing.h1 h and h2 = Hashing.h2 h in
   for i = 0 to t.k - 1 do
-    Lsm_util.Bitset.set t.bits (position t h i)
+    Lsm_util.Bitset.set t.bits (position ~m:t.m h1 h2 i)
   done
 
 (** [contains t h] is [false] only if the key was never added; [true] may
     be a false positive. *)
-let rec contains_from t h i =
+let rec contains_from t h1 h2 i =
   i >= t.k
-  || Lsm_util.Bitset.get t.bits (position t h i)
-     && contains_from t h (i + 1)
+  || Lsm_util.Bitset.get t.bits (position ~m:t.m h1 h2 i)
+     && contains_from t h1 h2 (i + 1)
 
-let contains t h = contains_from t h 0
+let contains t h = contains_from t (Hashing.h1 h) (Hashing.h2 h) 0
 
 let k t = t.k
 let bit_count t = t.m

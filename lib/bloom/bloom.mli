@@ -12,6 +12,12 @@ val params : expected:int -> fpr:float -> int * int
 
 val create : expected:int -> fpr:float -> t
 
+val position : m:int -> int -> int -> int -> int
+(** [position ~m h1 h2 i]: the [i]-th probe's bit of an [m]-bit filter,
+    from a key's base hashes [h1 = Hashing.h1 h] and [h2 = Hashing.h2 h]
+    — the probe seed [h1 + i*h2] reduced mod [m].  {!add} and {!contains}
+    hash each key once and probe these bits. *)
+
 val add : t -> int -> unit
 
 val contains : t -> int -> bool

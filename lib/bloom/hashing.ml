@@ -22,9 +22,10 @@ let hash_string s =
   String.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001B3) s;
   mix64 !h
 
-(** [double_hash h i] is the i-th probe position seed under Kirsch &
-    Mitzenmacher double hashing: [h1 + i*h2] with [h2] forced odd. *)
-let double_hash h i =
-  let h1 = mix64 h in
-  let h2 = mix64 (h lxor 0x5851F42D4C957F2D) lor 1 in
-  h1 + (i * h2)
+(** [h1 h] and [h2 h] are the two base hashes of Kirsch & Mitzenmacher
+    double hashing, [h2] forced odd: the i-th probe position seed is
+    [h1 + i*h2].  A filter computes them once per key and derives every
+    probe position from them. *)
+let h1 h = mix64 h
+
+let h2 h = mix64 (h lxor 0x5851F42D4C957F2D) lor 1

@@ -9,6 +9,8 @@ val combine : int -> int -> int
 val hash_string : string -> int
 (** FNV-1a over bytes, then mixed. *)
 
-val double_hash : int -> int -> int
-(** [double_hash h i]: the i-th probe seed under Kirsch-Mitzenmacher
-    double hashing ([h1 + i*h2], [h2] odd). *)
+val h1 : int -> int
+val h2 : int -> int
+(** The two base hashes of Kirsch-Mitzenmacher double hashing: the i-th
+    probe seed of a key hash [h] is [h1 h + i * h2 h] ([h2] odd).  A
+    filter computes them once per key. *)

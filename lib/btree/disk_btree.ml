@@ -28,6 +28,9 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
     fences : K.t array;  (** first key of each leaf *)
     leaf_pages : int;
     interior_pages : int;
+    cost : int ref;
+        (** the searches' comparison counter, reset by each search before
+            use, so a descent allocates none *)
   }
 
   let nrows t = Array.length t.rows
@@ -82,14 +85,24 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
      with e ->
        Lsm_sim.Sfile.delete env file;
        raise e);
-    { file; keys; rows; leaf_starts; fences; leaf_pages = nleaves; interior_pages }
+    {
+      file;
+      keys;
+      rows;
+      leaf_starts;
+      fences;
+      leaf_pages = nleaves;
+      interior_pages;
+      cost = ref 0;
+    }
 
   (** [delete env t] releases the underlying file. *)
   let delete env t = Lsm_sim.Sfile.delete env t.file
 
   (* Leaf that may contain [key]: the last leaf whose fence is <= key. *)
   let leaf_for env t key =
-    let cost = ref 0 in
+    let cost = t.cost in
+    cost := 0;
     let i =
       Lsm_util.Search.upper_bound ~cmp:K.compare ~cost t.fences ~lo:0
         ~hi:(Array.length t.fences) key
@@ -104,9 +117,9 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
       themselves.  Scans use it to detect leaf crossings; the sorted-view
       layer uses it to charge the same page fetches a scan would. *)
   let leaf_of_row t i =
-    let cost = ref 0 in
     let l =
-      Lsm_util.Search.upper_bound ~cmp:Int.compare ~cost t.leaf_starts ~lo:0
+      Lsm_util.Search.upper_bound ~cmp:Int.compare ~cost:t.cost t.leaf_starts
+        ~lo:0
         ~hi:(Array.length t.leaf_starts) i
     in
     l - 1
@@ -118,7 +131,8 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
     else begin
       let l = leaf_for env t key in
       read_leaf env t l;
-      let cost = ref 0 in
+      let cost = t.cost in
+      cost := 0;
       let i =
         Lsm_util.Search.lower_bound ~cmp:K.compare ~cost t.keys
           ~lo:t.leaf_starts.(l) ~hi:t.leaf_starts.(l + 1) key
@@ -136,7 +150,8 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
     else begin
       let l = leaf_for env t key in
       read_leaf env t l;
-      let cost = ref 0 in
+      let cost = t.cost in
+      cost := 0;
       let i =
         Lsm_util.Search.lower_bound ~cmp:K.compare ~cost t.keys
           ~lo:t.leaf_starts.(l) ~hi:t.leaf_starts.(l + 1) key
@@ -166,7 +181,8 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
       let t = c.tree in
       if is_empty t then None
       else begin
-        let cost = ref 0 in
+        let cost = t.cost in
+        cost := 0;
         (* Gallop over fences from the current leaf. *)
         let fhi = Array.length t.fences in
         let fidx =

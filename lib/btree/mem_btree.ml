@@ -8,8 +8,15 @@
     deletes insert anti-matter *values*, and rollback likewise applies
     inverse operations as new entries (Sec. 2.2).
 
+    Each binding carries an int *filter key* in a leaf column beside its
+    key, so an ordered walk can test a range predicate without touching
+    the value (the LSM layer stores a row's range-filter key there).
+
     Key comparisons are counted per tree; the LSM layer drains the counter
     into the simulated clock after each operation. *)
+
+(** The filter key a tree without a filter-key column reads back. *)
+let no_fkey = min_int
 
 module Make (K : sig
   type t
@@ -24,6 +31,9 @@ struct
   type 'v leaf = {
     lk : K.t array;  (* keys, length node_cap; first [ln] are live *)
     lv : 'v array;
+    lf : int array;
+        (* each binding's filter key, aligned with [lk]; empty in a tree
+           without the column *)
     mutable ln : int;
     mutable next : 'v leaf option;
   }
@@ -41,9 +51,11 @@ struct
     mutable first : 'v leaf option;  (* leftmost leaf, for iteration *)
     mutable count : int;
     mutable cmps : int;
+    fkeys : bool;  (* leaves carry the filter-key column *)
   }
 
-  let create () = { root = None; first = None; count = 0; cmps = 0 }
+  let create ?(fkeys = true) () =
+    { root = None; first = None; count = 0; cmps = 0; fkeys }
 
   let length t = t.count
   let is_empty t = t.count = 0
@@ -76,8 +88,16 @@ struct
     done;
     !l
 
-  let mk_leaf key value =
-    { lk = Array.make node_cap key; lv = Array.make node_cap value; ln = 1; next = None }
+  let has_column lf = Array.length lf.lf > 0
+
+  let mk_leaf t key fkey value =
+    {
+      lk = Array.make node_cap key;
+      lv = Array.make node_cap value;
+      lf = (if t.fkeys then Array.make node_cap fkey else [||]);
+      ln = 1;
+      next = None;
+    }
 
   (* Split the full child at [idx] of internal node [parent].  The new right
      sibling takes the upper half; the separator rises into [parent]. *)
@@ -100,12 +120,14 @@ struct
           {
             lk = Array.make node_cap lf.lk.(0);
             lv = Array.make node_cap lf.lv.(0);
+            lf = (if has_column lf then Array.make node_cap 0 else [||]);
             ln = lf.ln - mid;
             next = lf.next;
           }
         in
         Array.blit lf.lk mid right.lk 0 right.ln;
         Array.blit lf.lv mid right.lv 0 right.ln;
+        if has_column lf then Array.blit lf.lf mid right.lf 0 right.ln;
         lf.ln <- mid;
         lf.next <- Some right;
         insert_sep right.lk.(0) (L right)
@@ -129,12 +151,13 @@ struct
     | L lf -> lf.ln = node_cap
     | I nd -> nd.inn = node_cap
 
-  (** [put t key value] inserts or replaces; returns the previous value
-      bound to [key], if any. *)
-  let put t key value =
+  (** [put t key ~fkey value] inserts or replaces the binding of [key]
+      with [value] and filter key [fkey]; returns the previous value bound
+      to [key], if any. *)
+  let put t key ~fkey value =
     match t.root with
     | None ->
-        let lf = mk_leaf key value in
+        let lf = mk_leaf t key fkey value in
         t.root <- Some (L lf);
         t.first <- Some lf;
         t.count <- 1;
@@ -166,6 +189,7 @@ struct
               if pos < lf.ln && cmp t lf.lk.(pos) key = 0 then begin
                 let old = lf.lv.(pos) in
                 lf.lv.(pos) <- value;
+                if has_column lf then lf.lf.(pos) <- fkey;
                 Some old
               end
               else begin
@@ -175,6 +199,10 @@ struct
                 done;
                 lf.lk.(pos) <- key;
                 lf.lv.(pos) <- value;
+                if has_column lf then begin
+                  Array.blit lf.lf pos lf.lf (pos + 1) (lf.ln - pos);
+                  lf.lf.(pos) <- fkey
+                end;
                 lf.ln <- lf.ln + 1;
                 t.count <- t.count + 1;
                 None
@@ -210,6 +238,8 @@ struct
               lf.lk.(j) <- lf.lk.(j + 1);
               lf.lv.(j) <- lf.lv.(j + 1)
             done;
+            if has_column lf then
+              Array.blit lf.lf (pos + 1) lf.lf pos (lf.ln - 1 - pos);
             lf.ln <- lf.ln - 1;
             t.count <- t.count - 1;
             Some old
@@ -281,6 +311,12 @@ struct
     match c.cl with
     | Some lf when c.ci > 0 -> lf.lv.(c.ci - 1)
     | _ -> invalid_arg "Mem_btree.value: no binding stepped over"
+
+  let fkey c =
+    match c.cl with
+    | Some lf when c.ci > 0 ->
+        if has_column lf then lf.lf.(c.ci - 1) else no_fkey
+    | _ -> invalid_arg "Mem_btree.fkey: no binding stepped over"
 
   (** [copy c] is an independent cursor at [c]'s position. *)
   let copy c = { cl = c.cl; ci = c.ci }

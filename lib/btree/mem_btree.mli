@@ -2,10 +2,16 @@
     components* (Sec. 2.2).  Insert-or-replace, point lookup, leaf-linked
     in-order iteration, and a rollback-only removal (LSM deletion inserts
     anti-matter values; physical removal exists solely for transaction
-    rollback, Sec. 5.2).
+    rollback, Sec. 5.2).  Each binding also carries an int filter key,
+    kept in a leaf column aligned with the keys, so a cursor walk can test
+    a range predicate on it without reading the value.
 
     Key comparisons are counted per tree; the LSM layer drains the counter
     into the simulated clock after each operation. *)
+
+val no_fkey : int
+(** [min_int]: the filter key every binding of a tree created without the
+    filter-key column reads back. *)
 
 module Make (K : sig
   type t
@@ -14,15 +20,19 @@ module Make (K : sig
 end) : sig
   type 'v t
 
-  val create : unit -> 'v t
+  val create : ?fkeys:bool -> unit -> 'v t
+  (** [~fkeys:false] leaves out the filter-key column (default: kept);
+      {!put} then drops its [fkey] and {!fkey} reads {!no_fkey}. *)
+
   val length : 'v t -> int
   val is_empty : 'v t -> bool
 
   val take_comparisons : 'v t -> int
   (** Return and reset the comparison counter. *)
 
-  val put : 'v t -> K.t -> 'v -> 'v option
-  (** Insert or replace; returns the previous binding, if any. *)
+  val put : 'v t -> K.t -> fkey:int -> 'v -> 'v option
+  (** Insert or replace the value and filter key bound to a key; returns
+      the previous value, if any. *)
 
   val remove : 'v t -> K.t -> 'v option
   (** Remove a binding (transaction rollback only).  Leaves may underflow;
@@ -60,7 +70,9 @@ end) : sig
 
   val key : 'v cursor -> K.t
   val value : 'v cursor -> 'v
-  (** The binding the last successful {!step} moved past.
+  val fkey : 'v cursor -> int
+  (** The binding the last successful {!step} moved past: its key, value
+      and filter key.
       @raise Invalid_argument before the first. *)
 
   val copy : 'v cursor -> 'v cursor

@@ -1517,7 +1517,9 @@ module Make (R : Record.S) = struct
   (** [query_time_range t ~tlo ~thi ~f] scans the primary index with
       component-level range-filter pruning (Sec. 6.4.2), applying [f] to
       records whose filter key lies in [tlo, thi]; returns the match count.
-      Pruning power depends on the strategy:
+      The per-record test is pushed into the scan ([Lsm_tree]'s [filter]),
+      which reads each row's filter key from a column and hands over only
+      the matching records.  Pruning power depends on the strategy:
       - Eager: prune any component whose (old-value-widened) filter is
         disjoint from the query;
       - Validation: all components newer than the oldest overlapping one
@@ -1526,11 +1528,8 @@ module Make (R : Record.S) = struct
         already removed superseded versions. *)
   let query_time_range t ~tlo ~thi ~f =
     Lsm_sim.Env.span t.env ~cat:"dataset" "query.time_range" @@ fun () ->
-    let fk =
-      match t.filter_key with
-      | Some fk -> fk
-      | None -> invalid_arg "query_time_range: dataset has no filter key"
-    in
+    if t.filter_key = None then
+      invalid_arg "query_time_range: dataset has no filter key";
     let comps = Array.to_list (Prim.components t.primary) in
     let overlaps c =
       match c.Prim.range_filter with
@@ -1546,13 +1545,6 @@ module Make (R : Record.S) = struct
       | Some (a, b) -> not (b < tlo || a > thi)
     in
     let n = ref 0 in
-    let visit r =
-      let v = fk r in
-      if v >= tlo && v <= thi then begin
-        incr n;
-        f r
-      end
-    in
     let st = t.cfg.strategy in
     let only, include_mem =
       if Strategy.exact st || Strategy.uses_primary_bitmap st then
@@ -1577,9 +1569,14 @@ module Make (R : Record.S) = struct
         reconcile = not (Strategy.uses_primary_bitmap st);
         include_mem;
         only = Some only;
+        filter = Some (tlo, thi);
       }
       ~f:(fun row ~src_repaired:_ ->
-        match row.Prim.value with Entry.Put r -> visit r | Entry.Del -> ());
+        match row.Prim.value with
+        | Entry.Put r ->
+            incr n;
+            f r
+        | Entry.Del -> ());
     !n
 
   (** [point_query t pk] is a primary-key point query. *)

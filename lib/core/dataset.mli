@@ -287,8 +287,11 @@ module Make (R : Record.S) : sig
 
   val query_time_range : t -> tlo:int -> thi:int -> f:(R.t -> unit) -> int
   (** Primary scan with component-level range-filter pruning
-      (Sec. 6.4.2); pruning power depends on the strategy.  As with
-      {!full_scan}, [f] must not write to [t].
+      (Sec. 6.4.2); pruning power depends on the strategy.  [f] gets the
+      records whose filter key lies in [[tlo, thi]], and the count of them
+      is returned; the range test runs inside the scan, on the primary
+      tree's filter-key columns.  As with {!full_scan}, [f] must not write
+      to [t].
       @raise Invalid_argument if the dataset has no filter key. *)
 
   val point_query : t -> int -> R.t option

@@ -90,6 +90,12 @@ module Make (K : KEY) (V : VALUE) = struct
     cmin_ts : int;  (** component ID lower bound *)
     cmax_ts : int;  (** component ID upper bound *)
     range_filter : (int * int) option;
+    fkeys : int array Lazy.t;
+        (** each row's filter key ({!no_fkey} for anti-matter), aligned
+            with the rows; empty for a tree without range filters.  Built
+            by the first filtered scan that reads the component: built at
+            every flush and merge, these arrays raised the peak heap of an
+            ingest-only run that never scans by time. *)
     mutable bitmap : Lsm_util.Bitset.t option;  (** 1 = entry invalid *)
     mutable repaired_ts : int;
         (** entries are valid w.r.t. primary-key-index entries with
@@ -132,9 +138,9 @@ module Make (K : KEY) (V : VALUE) = struct
             entry has been repaired. *)
   }
 
-  let fresh_mem () =
+  let fresh_mem filter_of =
     {
-      table = Mbt.create ();
+      table = Mbt.create ~fkeys:(filter_of <> None) ();
       bytes = 0;
       min_ts = max_int;
       max_ts = -1;
@@ -147,7 +153,8 @@ module Make (K : KEY) (V : VALUE) = struct
       env;
       config;
       filter_of;
-      mems = Array.init (max 1 config.Config.shards) (fun _ -> fresh_mem ());
+      mems =
+        Array.init (max 1 config.Config.shards) (fun _ -> fresh_mem filter_of);
       disk = [||];
       view = None;
       views_enabled = true;
@@ -299,6 +306,19 @@ module Make (K : KEY) (V : VALUE) = struct
   (* ------------------------------------------------------------------ *)
   (* Writes *)
 
+  (** The filter-key column's entry for anti-matter, and for every row of
+      a tree without range filters. *)
+  let no_fkey = Lsm_btree.Mem_btree.no_fkey
+
+  (* A row's filter-key column entry: its value's filter key for a [Put]
+     in a tree with range filters, else [no_fkey].  Memory leaves and
+     disk components store it beside the keys, so a filtered scan tests
+     rows without reading them. *)
+  let fkey_of t = function
+    | Entry.Put v -> ( match t.filter_of with Some f -> f v | None -> no_fkey)
+    | Entry.Del -> no_fkey
+
+
   (** [widen_filter t key fkey] widens the range filter of the memory
       shard owning [key] to cover [fkey].  The Eager strategy calls this
       with the *old* record's filter key on upserts and deletes so that
@@ -318,7 +338,8 @@ module Make (K : KEY) (V : VALUE) = struct
       within a component).  [Put] values widen the range filter. *)
   let write t ~key ~ts entry =
     let m = t.mems.(shard_of t key) in
-    let old = Mbt.put m.table key (ts, entry) in
+    let fkey = fkey_of t entry in
+    let old = Mbt.put m.table key ~fkey (ts, entry) in
     charge_mem_cmps t;
     let new_size = K.byte_size key + 8 + Entry.byte_size V.byte_size entry in
     (match old with
@@ -330,7 +351,7 @@ module Make (K : KEY) (V : VALUE) = struct
     if ts < m.min_ts then m.min_ts <- ts;
     if ts > m.max_ts then m.max_ts <- ts;
     (match (entry, t.filter_of) with
-    | Entry.Put v, Some f -> widen_filter t key (f v)
+    | Entry.Put _, Some _ -> widen_filter t key fkey
     | _ -> ());
     Lsm_sim.Env.charge_entry_visits t.env 1
 
@@ -349,7 +370,7 @@ module Make (K : KEY) (V : VALUE) = struct
     | None -> ());
     (match prior with
     | Some ((ts : int), entry) ->
-        ignore (Mbt.put m.table key (ts, entry));
+        ignore (Mbt.put m.table key ~fkey:(fkey_of t entry) (ts, entry));
         m.bytes <-
           m.bytes + K.byte_size key + 8 + Entry.byte_size V.byte_size entry
     | None -> ());
@@ -358,7 +379,7 @@ module Make (K : KEY) (V : VALUE) = struct
   (** [reset_memory t] discards the memory component (crash simulation:
       under no-steal/no-force, everything unflushed is volatile). *)
   let reset_memory t =
-    Array.iteri (fun i _ -> t.mems.(i) <- fresh_mem ()) t.mems
+    Array.iteri (fun i _ -> t.mems.(i) <- fresh_mem t.filter_of) t.mems
 
   (** [mem_find t key] searches only the memory component. *)
   let mem_find t key =
@@ -514,6 +535,10 @@ module Make (K : KEY) (V : VALUE) = struct
       cmin_ts;
       cmax_ts;
       range_filter;
+      fkeys =
+        (match t.filter_of with
+        | None -> Lazy.from_val [||]
+        | Some _ -> lazy (Array.map (fun r -> fkey_of t r.value) rows));
       bitmap;
       repaired_ts;
       quarantined = false;
@@ -577,7 +602,7 @@ module Make (K : KEY) (V : VALUE) = struct
           flush_shard_rows t (shard_rows m) ~cmin_ts:m.min_ts
             ~cmax_ts:m.max_ts ~range_filter ~fo_shard:s
             ~points:(Fault_point.Lsm_flush_shard_begin, Lsm_flush_shard_install)
-            ~reset:(fun () -> t.mems.(s) <- fresh_mem ())
+            ~reset:(fun () -> t.mems.(s) <- fresh_mem t.filter_of)
         end
     | None ->
         if not (mem_is_empty t) then begin
@@ -615,6 +640,17 @@ module Make (K : KEY) (V : VALUE) = struct
         Lsm_sim.Env.charge_comparisons t.env 1;
         K.compare key h <= 0
 
+  (* The next row position of scan [s] over [keys]: [-1] once the rows
+     run out or reach a key past [hi]; positions [valid] rejects are
+     skipped.  Charges the rows it reads (a leaf fetch on a crossing, an
+     entry visit, a hi comparison). *)
+  let rec next_pos t s keys hi valid =
+    let i = Dbt.Scan.next t.env s in
+    if i < 0 then -1
+    else if not (within_hi t hi keys.(i)) then -1
+    else if valid i then i
+    else next_pos t s keys hi valid
+
   (** [component_stream t ?lo ?hi ?valid c] is [c]'s rows as a sorted
       pull stream: it seeks to the first key >= [lo], ends at the first
       key past [hi], and skips positions [valid] rejects (default: none).
@@ -622,17 +658,10 @@ module Make (K : KEY) (V : VALUE) = struct
       merge over components reads them through this stream. *)
   let component_stream t ?lo ?hi ?(valid = fun _ -> true) c =
     let s = Dbt.Scan.seek t.env c.tree lo in
-    let rows = Dbt.rows c.tree in
-    let rec next () =
-      let i = Dbt.Scan.next t.env s in
-      if i < 0 then None
-      else
-        let row = rows.(i) in
-        if not (within_hi t hi row.key) then None
-        else if valid i then Some row
-        else next ()
-    in
-    next
+    let keys = Dbt.keys c.tree and rows = Dbt.rows c.tree in
+    fun () ->
+      let i = next_pos t s keys hi valid in
+      if i < 0 then None else Some rows.(i)
 
   (** An in-flight incremental merge: the k-way reconciling merge of
       {!merge} broken into explicit steps so a scheduler can interleave
@@ -1082,6 +1111,10 @@ module Make (K : KEY) (V : VALUE) = struct
     only : disk_component list option;
         (** restrict to these disk components (newest-first); [None] = all.
             Callers use this for range-filter pruning. *)
+    filter : (int * int) option;
+        (** emit only [Put] rows whose filter key lies in [\[a, b\]]
+            (anti-matter follows [emit_del]); every row is still read,
+            reconciled and charged.  Needs a tree with range filters. *)
   }
 
   let full_scan_spec =
@@ -1093,28 +1126,44 @@ module Make (K : KEY) (V : VALUE) = struct
       include_mem = true;
       emit_del = false;
       only = None;
+      filter = None;
     }
 
-  (* The in-range rows of the memory component as a sorted pull stream.
-     Every charge of the slice lands at creation, before the first row is
-     pulled: one hi comparison per memtable row the counting walk visits,
-     the seek's comparisons ([charge_mem_cmps]), then one entry visit per
-     in-range row.  A single memtable is read in place through an
-     {!Mbt.seek} cursor; the counting walk runs on a copy of it.  Several
-     shards are sliced and their concatenation sorted, charged: shard key
-     sets are disjoint, so that reproduces the single-memtable order byte
-     for byte.
+  (* The memory component's in-range rows: a single memtable's cursor at
+     [lo] with the number of in-range rows ahead of it, or several
+     shards' in-range rows, sorted.  Every charge of the slice lands
+     here, before the first row is read: one hi comparison per memtable
+     row the counting walk visits, the seek's comparisons
+     ([charge_mem_cmps]), then one entry visit per in-range row.  A single
+     memtable is read in place through an {!Mbt.seek} cursor; the counting
+     walk runs on a copy of it.  Several shards are sliced and their
+     concatenation sorted, charged: shard key sets are disjoint, so that
+     reproduces the single-memtable order byte for byte.  Without
+     [include_mem] the slice is an empty cursor and charges nothing.
 
      Two charge quirks are kept, because fixing them moves the simulated
      gates: with no [lo] the counting walk charges a hi comparison on
      every memtable row, even on the rows past [hi]; and a reconciling
      merge charges each memory row a second hi comparison when it pulls
      it ({!scan}). *)
-  let mem_stream t spec =
-    if not spec.include_mem then fun () -> None
+  (* Step a memory cursor that has in-range rows left to its next one;
+     [mem_row] also builds the row. *)
+  let mem_step c =
+    if not (Mbt.step c) then
+      invalid_arg "Lsm_tree.scan: memtable changed mid-scan"
+
+  let mem_row c =
+    mem_step c;
+    let ts, value = Mbt.value c in
+    { key = Mbt.key c; ts; value }
+
+  type mem_slice =
+    | Mem_cursor of (int * V.t Entry.t) Mbt.cursor * int
+    | Mem_rows of row array
+
+  let mem_slice t spec =
+    if not spec.include_mem then Mem_cursor (Mbt.seek t.mems.(0).table None, 0)
     else begin
-      (* A cursor at [lo] over [table] and the number of in-range rows
-         ahead of it. *)
       let seek table =
         let c = Mbt.seek table spec.lo in
         let n =
@@ -1132,38 +1181,40 @@ module Make (K : KEY) (V : VALUE) = struct
         in
         (c, n)
       in
-      let pull c =
-        if not (Mbt.step c) then
-          invalid_arg "Lsm_tree.mem_stream: memtable changed mid-scan";
-        let ts, value = Mbt.value c in
-        { key = Mbt.key c; ts; value }
-      in
-      let next, n =
+      let slice, n =
         if Array.length t.mems = 1 then begin
           let c, n = seek t.mems.(0).table in
-          let left = ref n in
-          ( (fun () ->
-              if !left = 0 then None
-              else begin
-                decr left;
-                Some (pull c)
-              end),
-            n )
+          (Mem_cursor (c, n), n)
         end
         else begin
           let slice m =
             let c, n = seek m.table in
-            Array.init n (fun _ -> pull c)
+            Array.init n (fun _ -> mem_row c)
           in
           let all = Array.concat (Array.to_list (Array.map slice t.mems)) in
           Array.sort (by_key t) all;
-          (Seq.to_dispenser (Array.to_seq all), Array.length all)
+          (Mem_rows all, Array.length all)
         end
       in
       charge_mem_cmps t;
       Lsm_sim.Env.charge_entry_visits t.env n;
-      next
+      slice
     end
+
+  let slice_stream = function
+    | Mem_cursor (c, n) ->
+        let left = ref n in
+        fun () ->
+          if !left = 0 then None
+          else begin
+            decr left;
+            Some (mem_row c)
+          end
+    | Mem_rows all -> Seq.to_dispenser (Array.to_seq all)
+
+  (** [mem_stream t spec] is the memory component's in-range rows as a
+      sorted pull stream; the slice's charges land at creation. *)
+  let mem_stream t spec = slice_stream (mem_slice t spec)
 
   (* Reconciling scan served from the sorted view: one anchor binary
      search plus bounded per-run gallops to position, then a sequential
@@ -1254,140 +1305,228 @@ module Make (K : KEY) (V : VALUE) = struct
             built == t.disk && List.for_all (fun c -> Array.memq c t.disk) cs
         | None -> false)
 
+  (* An open component scan read by position: its keys, rows and
+     filter-key column, its repairedTS, and the next position. *)
+  type disk_reader = {
+    d_keys : K.t array;
+    d_rows : row array;
+    d_col : int array;
+    d_repaired : int;
+    d_next : unit -> int;
+  }
+
+  let no_component =
+    {
+      d_keys = [||];
+      d_rows = [||];
+      d_col = [||];
+      d_repaired = 0;
+      d_next = (fun () -> -1);
+    }
+
   (** [scan t spec ~f] streams entries to [f row ~src_repaired], where
       [src_repaired] is the [repaired_ts] of the entry's source component
       (0 for the memory component — never repaired).  With [reconcile],
       output is in ascending key order with newest-wins semantics and
       anti-matter suppressing older entries (anti-matter itself is emitted
       only under [emit_del]).  Without it, components are emitted one by
-      one, memory first then newest-to-oldest, each in key order. *)
+      one, memory first then newest-to-oldest, each in key order.  With
+      [filter], a [Put] row reaches [f] only if its filter key is in
+      range; the single-memtable paths below read that key from the
+      filter-key columns and build a memory row only when they emit it. *)
   let scan t spec ~f =
     let comps_a =
       match spec.only with Some cs -> Array.of_list cs | None -> t.disk
     in
-    let stream c =
-      component_stream t c ?lo:spec.lo ?hi:spec.hi ~valid:(fun i ->
-          (not spec.respect_bitmap) || row_valid c i)
+    let flo, fhi =
+      match (spec.filter, t.filter_of) with
+      | None, _ -> (min_int, max_int)
+      | Some (a, b), Some _ -> (a, b)
+      | Some _, None ->
+          invalid_arg "Lsm_tree.scan: filter on a tree without range filters"
+    in
+    let filtered = Option.is_some spec.filter in
+    let in_range fk = flo <= fk && fk <= fhi in
+    (* Whether a row with filter-key column [fk] and entry [e] is emitted.
+       A column other than [no_fkey] belongs to a [Put], so the column
+       paths below read [e] only when [fk = no_fkey]. *)
+    let keeps fk e =
+      match e with Entry.Put _ -> in_range fk | Entry.Del -> spec.emit_del
     in
     let emit row ~src_repaired =
-      match row.value with
-      | Entry.Put _ -> f row ~src_repaired
-      | Entry.Del -> if spec.emit_del then f row ~src_repaired
+      let fk = if filtered then fkey_of t row.value else no_fkey in
+      if keeps fk row.value then f row ~src_repaired
+    in
+    (* Emit the memory binding [key] -> [tv] with column [fk], and row [i]
+       of component [d] (rows, column) testing the columns.  An unfiltered
+       scan reads no column ([no_fkey], an empty [d_col]). *)
+    let mem_fkey c = if filtered then Mbt.fkey c else no_fkey in
+    let emit_mem key tv fk =
+      if (if fk <> no_fkey then in_range fk else keeps fk (snd tv)) then begin
+        let ts, value = tv in
+        f { key; ts; value } ~src_repaired:0
+      end
+    in
+    let emit_disk d i =
+      let row = d.d_rows.(i) in
+      let fk = if Array.length d.d_col = 0 then no_fkey else d.d_col.(i) in
+      if if fk <> no_fkey then in_range fk else keeps fk row.value then
+        f row ~src_repaired:d.d_repaired
+    in
+    (* A component's scan from [lo]; [d_next] is its [next_pos] under [hi]
+       and the bitmap. *)
+    let open_component c =
+      let s = Dbt.Scan.seek t.env c.tree spec.lo in
+      let keys = Dbt.keys c.tree in
+      let valid i = (not spec.respect_bitmap) || row_valid c i in
+      {
+        d_keys = keys;
+        d_rows = Dbt.rows c.tree;
+        d_col = (if filtered then Lazy.force c.fkeys else [||]);
+        d_repaired = c.repaired_ts;
+        d_next = (fun () -> next_pos t s keys spec.hi valid);
+      }
     in
     if view_usable t spec then scan_view t spec ~emit
     else if spec.reconcile then begin
       (* Sources, newest first: memory, then the disk components.  Every
          charge below lands in the order of the k-way heap merge: the
-         memory stream's slice, each component's seek, each source's
-         first pull, then per output the pull that refills the popped
-         source, the merge comparison that pull causes, and the
-         duplicate-key comparison. *)
-      let mem = mem_stream t spec in
-      let mem_src () =
-        match mem () with
-        | Some r as head when within_hi t spec.hi r.key -> head
-        | _ -> None
-      in
-      let streams = Array.map stream comps_a in
-      let by_key = by_key t in
-      (* Emit a popped row unless it repeats the last output key [lk]
-         (meaningless while [first]), charging that comparison. *)
-      let out row ~src_repaired ~lk ~first =
-        if first then emit row ~src_repaired
-        else begin
-          Lsm_sim.Env.charge_comparisons t.env 1;
-          if K.compare lk row.key <> 0 then emit row ~src_repaired
-        end
-      in
-      if Array.length comps_a <= 1 then begin
-        (* Memory against at most one component — what a time-range scan
-           reads once range filters have pruned the rest — merges in a
-           two-way loop that makes the heap's comparisons on two
-           sources: while both heads are live, refilling one compares
-           (new head, other head) once, and memory wins ties.
-           [mem_first] orders the heads while both are live. *)
-        let dnext =
-          if Array.length comps_a = 0 then fun () -> None else streams.(0)
-        in
-        let rec merge m d ~mem_first ~lk ~first =
-          match (m, d) with
-          | None, None -> ()
-          | Some mr, None ->
-              let m = mem_src () in
-              out mr ~src_repaired:0 ~lk ~first;
-              merge m d ~mem_first ~lk:mr.key ~first:false
-          | Some mr, Some dr when mem_first ->
-              let m = mem_src () in
+         memory slice, each component's seek, each source's first pull,
+         then per output the pull that refills the popped source, the
+         merge comparison that pull causes, and the duplicate-key
+         comparison. *)
+      match mem_slice t spec with
+      | Mem_cursor (c, n) when Array.length comps_a <= 1 ->
+          (* One memtable against at most one component — what a
+             time-range scan reads once range filters have pruned the
+             rest — merges in a two-way loop over cursor positions that
+             makes the heap's comparisons on two sources: while both
+             heads are live, refilling one compares (new head, other
+             head) once, and memory wins ties.  The memory head, if [ml],
+             is the binding [c] last stepped over, with key [mk]; the disk
+             head is position [di] ([-1] = none); [mem_first] orders them
+             while both are live.  A head is emitted after the pull that
+             replaces it, from what was read of it before that pull. *)
+          let left = ref n in
+          (* Pull the next memory head, charging its second hi
+             comparison. *)
+          let mem_next () =
+            !left > 0
+            &&
+            (decr left;
+             mem_step c;
+             Option.is_none spec.hi || within_hi t spec.hi (Mbt.key c))
+          in
+          let d =
+            if Array.length comps_a = 0 then no_component
+            else open_component comps_a.(0)
+          in
+          let dkeys = d.d_keys and dnext = d.d_next in
+          let cmp a b =
+            Lsm_sim.Env.charge_comparisons t.env 1;
+            K.compare a b
+          in
+          (* Whether a head's key differs from the last output key [lk]
+             (always while [first]), charging that comparison. *)
+          let fresh ~lk ~first key = first || cmp lk key <> 0 in
+          let rec merge ml mk di ~mem_first ~lk ~first =
+            if ml && (di < 0 || mem_first) then begin
+              let tv = Mbt.value c and fk = mem_fkey c in
+              let ml = mem_next () in
+              let key = mk in
+              let mk = if ml then Mbt.key c else mk in
               let mem_first =
-                match m with Some nm -> by_key nm dr <= 0 | None -> mem_first
+                if ml && di >= 0 then cmp mk dkeys.(di) <= 0 else mem_first
               in
-              out mr ~src_repaired:0 ~lk ~first;
-              merge m d ~mem_first ~lk:mr.key ~first:false
-          | _, Some dr ->
-              let d = dnext () in
+              if fresh ~lk ~first key then emit_mem key tv fk;
+              merge ml mk di ~mem_first ~lk:key ~first:false
+            end
+            else if di >= 0 then begin
+              let key = dkeys.(di) in
+              let i = di in
+              let di = dnext () in
               let mem_first =
-                match (m, d) with
-                | Some mr, Some nd -> not (by_key nd mr < 0)
-                | _ -> mem_first
+                if ml && di >= 0 then not (cmp dkeys.(di) mk < 0)
+                else mem_first
               in
-              out dr ~src_repaired:comps_a.(0).repaired_ts ~lk ~first;
-              merge m d ~mem_first ~lk:dr.key ~first:false
-        in
-        let m = mem_src () in
-        let d = dnext () in
-        match (m, d) with
-        | None, None -> ()
-        | Some r, _ | None, Some r ->
+              if fresh ~lk ~first key then emit_disk d i;
+              merge ml mk di ~mem_first ~lk:key ~first:false
+            end
+          in
+          let ml = mem_next () in
+          let di = dnext () in
+          if ml || di >= 0 then
+            let mk = if ml then Mbt.key c else dkeys.(di) in
             let mem_first =
-              match (m, d) with
-              | Some mr, Some dr -> not (by_key dr mr < 0)
-              | _ -> true
+              if ml && di >= 0 then not (cmp dkeys.(di) mk < 0) else true
             in
-            merge m d ~mem_first ~lk:r.key ~first:true
-      end
-      else begin
-        (if t.views_enabled && Array.length comps_a >= view_min_components
-         then begin
-           let vs = Lsm_sim.Env.view_stats t.env in
-           vs.Lsm_sim.Env.fallbacks <- vs.Lsm_sim.Env.fallbacks + 1
-         end);
-        let m =
-          Lsm_util.Kmerge.create ~compare:by_key
-            (Array.append [| mem_src |] streams)
-        in
-        let src_repaired () =
-          match Lsm_util.Kmerge.last_source m with
-          | 0 -> 0
-          | p -> comps_a.(p - 1).repaired_ts
-        in
-        let rec drain lk =
+            merge ml mk di ~mem_first ~lk:mk ~first:true
+      | slice ->
+          (* Several memory shards, or several disk components: a k-way
+             heap merge of materialised rows. *)
+          (if t.views_enabled && Array.length comps_a >= view_min_components
+           then begin
+             let vs = Lsm_sim.Env.view_stats t.env in
+             vs.Lsm_sim.Env.fallbacks <- vs.Lsm_sim.Env.fallbacks + 1
+           end);
+          let mem = slice_stream slice in
+          let mem_src () =
+            match mem () with
+            | Some r as head when within_hi t spec.hi r.key -> head
+            | _ -> None
+          in
+          let streams =
+            Array.map
+              (fun c ->
+                component_stream t c ?lo:spec.lo ?hi:spec.hi ~valid:(fun i ->
+                    (not spec.respect_bitmap) || row_valid c i))
+              comps_a
+          in
+          let m =
+            Lsm_util.Kmerge.create ~compare:(by_key t)
+              (Array.append [| mem_src |] streams)
+          in
+          let src_repaired () =
+            match Lsm_util.Kmerge.last_source m with
+            | 0 -> 0
+            | p -> comps_a.(p - 1).repaired_ts
+          in
+          let rec drain lk =
+            if not (Lsm_util.Kmerge.is_empty m) then begin
+              let row = Lsm_util.Kmerge.pop m in
+              Lsm_sim.Env.charge_comparisons t.env 1;
+              if K.compare lk row.key <> 0 then
+                emit row ~src_repaired:(src_repaired ());
+              drain row.key
+            end
+          in
           if not (Lsm_util.Kmerge.is_empty m) then begin
             let row = Lsm_util.Kmerge.pop m in
-            out row ~src_repaired:(src_repaired ()) ~lk ~first:false;
+            emit row ~src_repaired:(src_repaired ());
             drain row.key
           end
-        in
-        if not (Lsm_util.Kmerge.is_empty m) then begin
-          let row = Lsm_util.Kmerge.pop m in
-          emit row ~src_repaired:(src_repaired ());
-          drain row.key
-        end
-      end
     end
     else begin
       (* Component-at-a-time: bitmaps have already removed stale versions,
          so no cross-component reconciliation is necessary. *)
-      let rec drain next f =
-        match next () with
-        | None -> ()
-        | Some x ->
-            f x;
-            drain next f
-      in
-      drain (mem_stream t spec) (fun row -> emit row ~src_repaired:0);
+      (match mem_slice t spec with
+      | Mem_cursor (c, n) ->
+          for _ = 1 to n do
+            mem_step c;
+            emit_mem (Mbt.key c) (Mbt.value c) (mem_fkey c)
+          done
+      | Mem_rows all -> Array.iter (fun row -> emit row ~src_repaired:0) all);
       Array.iter
         (fun c ->
-          drain (stream c) (fun row -> emit row ~src_repaired:c.repaired_ts))
+          let d = open_component c in
+          let rec drain () =
+            let i = d.d_next () in
+            if i >= 0 then begin
+              emit_disk d i;
+              drain ()
+            end
+          in
+          drain ())
         comps_a
     end
 

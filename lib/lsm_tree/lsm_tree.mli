@@ -79,6 +79,10 @@ module Make (K : KEY) (V : VALUE) : sig
     cmin_ts : int;  (** component ID lower bound *)
     cmax_ts : int;  (** component ID upper bound *)
     range_filter : (int * int) option;
+    fkeys : int array Lazy.t;
+        (** each row's filter key, aligned with the rows ({!no_fkey} for
+            anti-matter); empty for a tree without range filters.  Built
+            by the first filtered scan that reads the component. *)
     mutable bitmap : Lsm_util.Bitset.t option;  (** 1 = entry invalid *)
     mutable repaired_ts : int;
         (** entries are valid w.r.t. primary-key-index entries with
@@ -96,7 +100,13 @@ module Make (K : KEY) (V : VALUE) : sig
 
   val create : ?filter_of:(V.t -> int) -> Lsm_sim.Env.t -> Config.t -> t
   (** [filter_of] extracts the range-filter key from a value; absent = no
-      component range filters. *)
+      component range filters.  With it, every row's filter key is also
+      kept in a column beside its key — in the memory leaves, and in each
+      disk component's [fkeys] once a filtered scan has read it. *)
+
+  val no_fkey : int
+  (** The filter-key column's entry for anti-matter ([min_int]), and for
+      every row of a tree without range filters. *)
 
   val set_tombstone_drop_ts : t -> int -> unit
   (** Bottom merges may drop an anti-matter entry only if its timestamp is
@@ -383,6 +393,14 @@ module Make (K : KEY) (V : VALUE) : sig
     only : disk_component list option;
         (** restrict to these components (newest-first); [None] = all —
             used for range-filter pruning *)
+    filter : (int * int) option;
+        (** [Some (a, b)]: emit only the [Put] rows whose filter key
+            ([filter_of] of the value) lies in [\[a, b\]]; anti-matter
+            follows [emit_del].  Output is exactly that of the scan without
+            [filter] with the test applied afterwards — every row is still
+            read, reconciled, bitmap-checked and charged, so the simulated
+            cost does not change.  Raises [Invalid_argument] on a tree
+            without [filter_of].  [None] (in {!full_scan_spec}) emits all. *)
   }
 
   val full_scan_spec : scan_spec
@@ -415,9 +433,15 @@ module Make (K : KEY) (V : VALUE) : sig
 
       Every path reads the memory component in place, through a cursor
       over a single memtable (several shards are sliced and sorted
-      instead), so a scan does not copy it; [f] must therefore not write
-      to [t].  Simulated charges match those of a scan that copies the
-      memtable first, in count and order. *)
+      instead, and merge through {!Lsm_util.Kmerge}), so a scan does not
+      copy it; [f] must therefore not write to [t].  Simulated charges
+      match those of a scan that copies the memtable first, in count and
+      order.
+
+      A [filter] is pushed down: the single-memtable two-way loop and the
+      component-at-a-time scan reconcile on keys and positions, test the
+      filter-key columns, and build a memory row only when they emit it;
+      the view, heap and multi-shard paths test the materialised row. *)
 
   (** {1 Sorted views (REMIX)} *)
 

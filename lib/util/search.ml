@@ -39,27 +39,46 @@ let upper_bound ~cmp ~cost a ~lo ~hi key =
     O(log distance) instead of O(log n). *)
 let exponential_lower_bound ~cmp ~cost a ~lo ~hi ~start key =
   let start = if start < lo then lo else if start > hi then hi else start in
-  if start >= hi || (incr cost; cmp a.(start) key >= 0) then
+  (* Gallop to a window [!l, !h] holding the answer, then binary-search it;
+     loops, not local closures, so a search allocates nothing. *)
+  let l = ref lo and h = ref hi and step = ref 1 and galloping = ref true in
+  if start >= hi || (incr cost; cmp a.(start) key >= 0) then begin
     (* Answer is at or before [start]: gallop backwards.  Invariant: the
-       lower bound lies in [lo, high] and either [high = start] or
-       [a.(high) >= key], so [lower_bound] returning [high] is correct. *)
-    let rec back step high =
-      let probe = start - step in
-      if probe <= lo then lower_bound ~cmp ~cost a ~lo ~hi:high key
-      else if (incr cost; cmp a.(probe) key >= 0) then back (step * 2) probe
-      else lower_bound ~cmp ~cost a ~lo:(probe + 1) ~hi:high key
-    in
-    back 1 start
-  else
+       lower bound lies in [lo, !h] and either [!h = start] or
+       [a.(!h) >= key], so [lower_bound] returning [!h] is correct. *)
+    h := start;
+    while !galloping do
+      let probe = start - !step in
+      if probe <= lo then galloping := false
+      else if (incr cost; cmp a.(probe) key >= 0) then begin
+        step := !step * 2;
+        h := probe
+      end
+      else begin
+        l := probe + 1;
+        galloping := false
+      end
+    done
+  end
+  else begin
     (* Answer is strictly after [start]: gallop forwards.  Invariant:
        [a.(low) < key], so the lower bound lies in (low, hi]. *)
-    let rec fwd step low =
-      let probe = start + step in
-      if probe >= hi then lower_bound ~cmp ~cost a ~lo:(low + 1) ~hi key
-      else if (incr cost; cmp a.(probe) key < 0) then fwd (step * 2) probe
-      else lower_bound ~cmp ~cost a ~lo:(low + 1) ~hi:probe key
-    in
-    fwd 1 start
+    let low = ref start in
+    while !galloping do
+      let probe = start + !step in
+      if probe >= hi then galloping := false
+      else if (incr cost; cmp a.(probe) key < 0) then begin
+        step := !step * 2;
+        low := probe
+      end
+      else begin
+        h := probe;
+        galloping := false
+      end
+    done;
+    l := !low + 1
+  end;
+  lower_bound ~cmp ~cost a ~lo:!l ~hi:!h key
 
 (** [binary_find ~cmp ~cost a key] returns [Some i] with [cmp a.(i) key = 0]
     if present in the sorted array [a]. *)

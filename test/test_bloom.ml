@@ -8,6 +8,28 @@ let qtest ?(count = 100) name gen prop =
 (* ------------------------------------------------------------------ *)
 (* Hashing *)
 
+(* The probe positions as they were computed per probe, hashing the key
+   twice for every one of the [k] probes; kept as the oracle of the
+   hash-once positions. *)
+let per_probe_double_hash h i =
+  Hashing.mix64 h + (i * (Hashing.mix64 (h lxor 0x5851F42D4C957F2D) lor 1))
+
+let prop_positions_hash_once =
+  qtest ~count:500 "hash-once probe positions = per-probe double hashing"
+    QCheck2.Gen.(
+      quad int (int_range 8 50_000_000) (int_range 1 24) (int_range 1 100_000))
+    (fun (h, m, k, nblocks) ->
+      let h1 = Hashing.h1 h and h2 = Hashing.h2 h in
+      List.for_all
+        (fun i ->
+          Bloom.position ~m h1 h2 i
+          = per_probe_double_hash h i land max_int mod m
+          && Blocked_bloom.position ~nblocks h1 h2 i
+             = (Hashing.mix64 h land max_int mod nblocks * Blocked_bloom.block_bits)
+               + (per_probe_double_hash h (i + 1) land max_int
+                 mod Blocked_bloom.block_bits))
+        (List.init k Fun.id))
+
 let test_mix64_bijective_ish () =
   (* Distinct small ints must hash to distinct values (mix64 is a
      bijection on 64 bits, so collisions here would be a bug). *)
@@ -132,6 +154,7 @@ let () =
             test_mix64_bijective_ish;
           Alcotest.test_case "hash_string" `Quick test_hash_string_differs;
           Alcotest.test_case "combine order" `Quick test_combine_order_sensitive;
+          prop_positions_hash_once;
         ] );
       ( "standard",
         [

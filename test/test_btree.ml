@@ -20,8 +20,8 @@ let test_mbt_empty () =
 
 let test_mbt_put_find () =
   let t = Mbt.create () in
-  Alcotest.(check (option int)) "fresh" None (Mbt.put t 1 10);
-  Alcotest.(check (option int)) "replace" (Some 10) (Mbt.put t 1 11);
+  Alcotest.(check (option int)) "fresh" None (Mbt.put t 1 ~fkey:0 10);
+  Alcotest.(check (option int)) "replace" (Some 10) (Mbt.put t 1 ~fkey:0 11);
   Alcotest.(check (option int)) "find" (Some 11) (Mbt.find t 1);
   Alcotest.(check int) "len" 1 (Mbt.length t)
 
@@ -29,7 +29,7 @@ let test_mbt_many_sorted_iteration () =
   let t = Mbt.create () in
   let rng = Lsm_util.Rng.create 1 in
   let keys = Array.init 2000 (fun _ -> Lsm_util.Rng.int rng 1_000_000) in
-  Array.iter (fun k -> ignore (Mbt.put t k (k * 2))) keys;
+  Array.iter (fun k -> ignore (Mbt.put t k ~fkey:0 (k * 2))) keys;
   let sorted = List.sort_uniq compare (Array.to_list keys) in
   Alcotest.(check int) "distinct count" (List.length sorted) (Mbt.length t);
   let out = ref [] in
@@ -46,7 +46,7 @@ let prop_mbt_matches_map =
       let m = ref IntMap.empty in
       List.iter
         (fun (k, v) ->
-          let prev = Mbt.put t k v in
+          let prev = Mbt.put t k ~fkey:0 v in
           let mprev = IntMap.find_opt k !m in
           m := IntMap.add k v !m;
           assert (prev = mprev))
@@ -57,7 +57,7 @@ let prop_mbt_matches_map =
 
 let test_mbt_iter_from () =
   let t = Mbt.create () in
-  List.iter (fun k -> ignore (Mbt.put t k k)) [ 10; 20; 30; 40; 50 ];
+  List.iter (fun k -> ignore (Mbt.put t k ~fkey:0 k)) [ 10; 20; 30; 40; 50 ];
   let out = ref [] in
   Mbt.iter_from t 25 (fun k _ ->
       out := k :: !out;
@@ -66,14 +66,14 @@ let test_mbt_iter_from () =
 
 let test_mbt_min_max () =
   let t = Mbt.create () in
-  List.iter (fun k -> ignore (Mbt.put t k (-k))) [ 5; 1; 9; 3 ];
+  List.iter (fun k -> ignore (Mbt.put t k ~fkey:0 (-k))) [ 5; 1; 9; 3 ];
   Alcotest.(check (option (pair int int))) "min" (Some (1, -1)) (Mbt.min_binding t);
   Alcotest.(check (option (pair int int))) "max" (Some (9, -9)) (Mbt.max_binding t)
 
 let test_mbt_comparison_counter () =
   let t = Mbt.create () in
   for i = 0 to 100 do
-    ignore (Mbt.put t i i)
+    ignore (Mbt.put t i ~fkey:0 i)
   done;
   ignore (Mbt.take_comparisons t);
   ignore (Mbt.find t 50);
@@ -93,7 +93,7 @@ let table_of ops =
   let t = Mbt.create () in
   List.iter
     (fun (is_put, k) ->
-      if is_put then ignore (Mbt.put t k (k * 3)) else ignore (Mbt.remove t k))
+      if is_put then ignore (Mbt.put t k ~fkey:0 (k * 3)) else ignore (Mbt.remove t k))
     ops;
   t
 
@@ -132,6 +132,46 @@ let prop_mbt_cursor_matches_model =
       && List.rev !via_iter = expected
       && (not (Mbt.step c))
       && not (Mbt.step c))
+
+(* The filter-key column travels with its key through inserts (slot
+   shifts), replacements, leaf and interior splits and removals: a walk
+   reads back, for every key, the value and filter key of its last put.
+   A tree without the column reads [no_fkey] back for every key. *)
+let prop_mbt_fkey_column_aligned =
+  qtest ~count:300 "filter-key column stays aligned (put, replace, split, remove)"
+    QCheck2.Gen.(
+      list_size (int_range 0 600)
+        (triple bool (int_range 0 150) (int_range (-1000) 1000)))
+    (fun ops ->
+      let t = Mbt.create () and plain = Mbt.create ~fkeys:false () in
+      let model =
+        List.fold_left
+          (fun m (is_put, k, x) ->
+            if is_put then begin
+              ignore (Mbt.put t k ~fkey:x (k + x));
+              ignore (Mbt.put plain k ~fkey:x (k + x));
+              IntMap.add k (k + x, x) m
+            end
+            else begin
+              ignore (Mbt.remove t k);
+              ignore (Mbt.remove plain k);
+              IntMap.remove k m
+            end)
+          IntMap.empty ops
+      in
+      let walk t =
+        let c = Mbt.seek t None in
+        let rec go acc =
+          if Mbt.step c then go ((Mbt.key c, (Mbt.value c, Mbt.fkey c)) :: acc)
+          else List.rev acc
+        in
+        go []
+      in
+      walk t = IntMap.bindings model
+      && walk plain
+         = List.map
+             (fun (k, (v, _)) -> (k, (v, Lsm_btree.Mem_btree.no_fkey)))
+             (IntMap.bindings model))
 
 let prop_mbt_cursor_seek_comparisons =
   qtest ~count:300 "cursor seek = one descent, walking compares nothing"
@@ -237,6 +277,47 @@ let prop_dbt_cursor_matches_find =
           a = b)
         queries)
 
+(* A descent allocates nothing: after warm-up, 10k searches of a 10k-row
+   tree, stateless or through a cursor, allocate no minor words on a miss
+   and at most the returned [Some (pos, row)] (5 words) on a hit. *)
+let test_dbt_search_allocates_nothing () =
+  let env = mk_env () in
+  let t = build env (Array.init 10_000 (fun i -> 2 * i)) in
+  let rs = Random.State.make [| 25 |] in
+  let hits = Array.init 10_000 (fun _ -> 2 * Random.State.int rs 10_000) in
+  let misses = Array.map (fun k -> k + 1) hits in
+  let c = Dbt.Cursor.create t in
+  let sorted a =
+    let a = Array.copy a in
+    Array.sort compare a;
+    a
+  in
+  let words search keys =
+    Array.iter (fun k -> ignore (search k)) keys;
+    let w0 = Gc.minor_words () in
+    for i = 0 to Array.length keys - 1 do
+      ignore (search keys.(i))
+    done;
+    Gc.minor_words () -. w0
+  in
+  List.iter
+    (fun (name, search, order) ->
+      let miss = words search (order misses) in
+      let hit = words search (order hits) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words over 10k misses < 64" name miss)
+        true (miss < 64.0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words over 10k hits <= 5 per hit" name
+           hit)
+        true
+        (hit <= (5.0 *. 10_000.0) +. 64.0))
+    [
+      ("find", Dbt.find env t, Fun.id);
+      ("cursor", Dbt.Cursor.find env c, Fun.id);
+      ("sorted cursor", Dbt.Cursor.find env c, sorted);
+    ]
+
 let test_dbt_cursor_cheaper_for_sorted_batch () =
   let env = mk_env () in
   let t = build env (Array.init 5000 (fun i -> i)) in
@@ -332,12 +413,15 @@ let () =
           Alcotest.test_case "comparison counter" `Quick
             test_mbt_comparison_counter;
           prop_mbt_cursor_matches_model;
+          prop_mbt_fkey_column_aligned;
           prop_mbt_cursor_seek_comparisons;
         ] );
       ( "disk",
         [
           Alcotest.test_case "build pages" `Quick test_dbt_build_pages;
           Alcotest.test_case "find" `Quick test_dbt_find;
+          Alcotest.test_case "search allocates nothing" `Quick
+            test_dbt_search_allocates_nothing;
           Alcotest.test_case "empty" `Quick test_dbt_empty;
           prop_dbt_find_matches_model;
           prop_dbt_cursor_matches_find;

@@ -98,7 +98,7 @@ let prop_mbt_remove_matches_map =
         (fun (k, op) ->
           match op with
           | `Put ->
-              ignore (Mbt.put t k (k * 3));
+              ignore (Mbt.put t k ~fkey:0 (k * 3));
               m := IntMap.add k (k * 3) !m
           | `Remove ->
               let got = Mbt.remove t k in

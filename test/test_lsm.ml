@@ -537,6 +537,196 @@ let prop_scan_matches_heap =
       in
       run (fun _env t spec ~f -> L.scan t spec ~f) = run heap_scan)
 
+type filter_case = {
+  segments : op list list;
+      (** one op list per flush, oldest first (0-3 components); the last
+          stays in memory *)
+  fshards : int;
+  finvalid : (int * int) list;  (** (component, position) bits to set *)
+  fquarantine : int option;
+  views : bool;
+  warm : bool;  (** an unfiltered full scan first (builds a view) *)
+  freconcile : bool;
+  fonly : bool list option;  (** which components to scan; [None] = all *)
+  flo : int option;
+  fhi : int option;
+  finclude_mem : bool;
+  frespect_bitmap : bool;
+  femit_del : bool;
+  filter : int * int;
+}
+
+let filter_case_gen =
+  QCheck2.Gen.(
+    let op =
+      frequency
+        [
+          (8, map2 (fun k v -> Write (k, v)) (int_range 0 40) (int_range 0 99));
+          (3, map (fun k -> Delete k) (int_range 0 40));
+        ]
+    in
+    let* nflush = int_range 0 3 in
+    let* segments = list_repeat (nflush + 1) (list_size (int_range 0 40) op) in
+    let* fshards = oneofl [ 1; 1; 3 ] in
+    let* finvalid =
+      list_size (int_range 0 12) (pair (int_range 0 2) (int_range 0 40))
+    in
+    let* fquarantine = opt (int_range 0 2) in
+    let* views = bool in
+    let* warm = bool in
+    let* freconcile = frequency [ (3, return true); (1, return false) ] in
+    let* fonly = opt (list_repeat 3 bool) in
+    let* flo = opt (int_range 0 40) in
+    let* fhi = opt (int_range 0 40) in
+    let* finclude_mem = frequency [ (4, return true); (1, return false) ] in
+    let* frespect_bitmap = bool in
+    let* femit_del = bool in
+    let* a = int_range (-5) 105 in
+    let* w = int_range 0 60 in
+    return
+      {
+        segments;
+        fshards;
+        finvalid;
+        fquarantine;
+        views;
+        warm;
+        freconcile;
+        fonly;
+        flo;
+        fhi;
+        finclude_mem;
+        frespect_bitmap;
+        femit_del;
+        filter = (a, a + w);
+      })
+
+(* A scan with [filter] emits exactly the rows of the same scan without
+   it once the range test is applied to its [Put] rows — same rows in the
+   same order, same source repairedTS — and charges exactly the same: the
+   same Io_stats counters, degraded probes and simulated clock.  Trees of
+   0-3 components with a range filter (the value itself), 1 or 3 memory
+   shards, random bitmaps and anti-matter, one quarantined component,
+   views on and off (warmed or not), reconciling or not, and [only]
+   subsets, so every scan path runs: the two-way loop, the heap, the view
+   and component-at-a-time. *)
+let prop_filtered_scan_matches_post_filter =
+  qtest ~count:400 "filtered scan = scan then filter (rows, stats, clock)"
+    filter_case_gen (fun fc ->
+      let build () =
+        let env = mk_env () in
+        let t =
+          L.create ~filter_of:Fun.id env
+            (Lsm_tree.Config.make ~bloom:(Some Lsm_tree.Config.default_bloom)
+               ~validity_bitmap:true ~shards:fc.fshards "t")
+        in
+        let ts = ref 0 in
+        let nseg = List.length fc.segments in
+        List.iteri
+          (fun i ops ->
+            List.iter
+              (function
+                | Write (k, v) ->
+                    incr ts;
+                    L.write t ~key:k ~ts:!ts (Entry.Put v)
+                | Delete k ->
+                    incr ts;
+                    L.write t ~key:k ~ts:!ts Entry.Del
+                | Flush | MergeAll -> ())
+              ops;
+            if i < nseg - 1 then L.flush t)
+          fc.segments;
+        let comps = L.components t in
+        List.iter
+          (fun (ci, pos) ->
+            if ci < Array.length comps && pos < L.component_rows comps.(ci) then
+              L.invalidate comps.(ci) pos)
+          fc.finvalid;
+        Array.iteri (fun i c -> L.set_repaired_ts c (7 * (i + 1))) comps;
+        (match fc.fquarantine with
+        | Some i when i < Array.length comps -> L.quarantine t comps.(i)
+        | _ -> ());
+        L.set_sorted_views t fc.views;
+        if fc.warm then L.scan t L.full_scan_spec ~f:(fun _ ~src_repaired:_ -> ());
+        let only =
+          Option.map
+            (fun mask ->
+              List.filteri
+                (fun i _ -> List.nth mask i)
+                (Array.to_list comps))
+            fc.fonly
+        in
+        let spec =
+          {
+            L.full_scan_spec with
+            lo = fc.flo;
+            hi = fc.fhi;
+            reconcile = fc.freconcile;
+            include_mem = fc.finclude_mem;
+            respect_bitmap = fc.frespect_bitmap;
+            emit_del = fc.femit_del;
+            only;
+          }
+        in
+        (env, t, spec)
+      in
+      let a, b = fc.filter in
+      let run ~filtered =
+        let env, t, spec = build () in
+        let out = ref [] in
+        let spec = if filtered then { spec with filter = Some fc.filter } else spec in
+        L.scan t spec ~f:(fun (r : L.row) ~src_repaired ->
+            let keep =
+              filtered
+              || match r.value with Entry.Put v -> a <= v && v <= b | Entry.Del -> true
+            in
+            if keep then out := (r.key, r.ts, r.value, src_repaired) :: !out);
+        ( List.rev !out,
+          Lsm_sim.Io_stats.fields (Lsm_sim.Env.stats env),
+          (Lsm_sim.Env.resil env).Lsm_sim.Env.degraded_probes,
+          Int64.bits_of_float (Lsm_sim.Env.now_us env) )
+      in
+      run ~filtered:true = run ~filtered:false)
+
+(* Every component a tree with range filters builds — by flush or by
+   merge — has each row's filter key beside it, [no_fkey] for
+   anti-matter; a tree without range filters has none. *)
+let test_disk_filter_column () =
+  let env = mk_env () in
+  let t = mk_tree ~filter_of:(fun v -> v * 10) env in
+  let plain = mk_tree env in
+  List.iter
+    (fun t ->
+      L.write t ~key:1 ~ts:1 (Entry.Put 3);
+      L.write t ~key:2 ~ts:2 (Entry.Put 5);
+      L.flush t;
+      L.write t ~key:2 ~ts:3 Entry.Del;
+      L.write t ~key:4 ~ts:4 (Entry.Put 7);
+      L.flush t)
+    [ t; plain ];
+  let column c =
+    Array.to_list (Array.map (fun (r : L.row) -> r.L.key) (L.rows_of c)),
+    Array.to_list (Lazy.force c.L.fkeys)
+  in
+  Alcotest.(check (pair (list int) (list int)))
+    "flushed" ([ 2; 4 ], [ L.no_fkey; 70 ]) (column (L.components t).(0));
+  let merged = L.merge t ~first:0 ~last:1 in
+  Alcotest.(check (pair (list int) (list int)))
+    "merged" ([ 1; 4 ], [ 30; 70 ]) (column merged);
+  Alcotest.(check (list int)) "no filter, no column" []
+    (Array.to_list (Lazy.force (L.components plain).(0).L.fkeys))
+
+let test_filter_needs_range_filters () =
+  let env = mk_env () in
+  let t = mk_tree env in
+  L.write t ~key:1 ~ts:1 (Entry.Put 10);
+  Alcotest.check_raises "no filter_of"
+    (Invalid_argument "Lsm_tree.scan: filter on a tree without range filters")
+    (fun () ->
+      L.scan t
+        { L.full_scan_spec with filter = Some (0, 10) }
+        ~f:(fun _ ~src_repaired:_ -> ()))
+
 (* ------------------------------------------------------------------ *)
 (* The newest-first component probe *)
 
@@ -987,6 +1177,9 @@ let () =
           Alcotest.test_case "memory scan allocates no major block" `Quick
             test_mem_scan_no_major_alloc;
           prop_scan_matches_heap;
+          prop_filtered_scan_matches_post_filter;
+          Alcotest.test_case "filter needs range filters" `Quick
+            test_filter_needs_range_filters;
         ] );
       ("probe", [ prop_probe_matches_loops ]);
       ( "filter",
@@ -996,6 +1189,7 @@ let () =
             test_widen_filter_covers_old_values;
           Alcotest.test_case "merge recompute" `Quick
             test_merge_filter_union_vs_recompute;
+          Alcotest.test_case "disk column" `Quick test_disk_filter_column;
         ] );
       ( "policy",
         [

@@ -275,6 +275,49 @@ let prop_exponential_cost_ceiling =
       let ceiling = (2.0 *. log2 d) +. log2 n +. 6.0 in
       float_of_int !cost <= ceiling)
 
+(* The gallop as recursive local closures, before it became loops that
+   allocate nothing; kept as the oracle of its answers and of the exact
+   comparisons it makes, operand for operand. *)
+let closure_exponential_lower_bound ~cmp ~cost a ~lo ~hi ~start key =
+  let start = if start < lo then lo else if start > hi then hi else start in
+  if start >= hi || (incr cost; cmp a.(start) key >= 0) then
+    let rec back step high =
+      let probe = start - step in
+      if probe <= lo then Search.lower_bound ~cmp ~cost a ~lo ~hi:high key
+      else if (incr cost; cmp a.(probe) key >= 0) then back (step * 2) probe
+      else Search.lower_bound ~cmp ~cost a ~lo:(probe + 1) ~hi:high key
+    in
+    back 1 start
+  else
+    let rec fwd step low =
+      let probe = start + step in
+      if probe >= hi then Search.lower_bound ~cmp ~cost a ~lo:(low + 1) ~hi key
+      else if (incr cost; cmp a.(probe) key < 0) then fwd (step * 2) probe
+      else Search.lower_bound ~cmp ~cost a ~lo:(low + 1) ~hi:probe key
+    in
+    fwd 1 start
+
+let prop_exponential_loops_equal_closures =
+  qtest ~count:500 "exponential gallop loops = closure gallop (answer, comparisons)"
+    QCheck2.Gen.(
+      quad dup_array_gen (int_range (-5) 25) (int_range (-3) 203)
+        (pair (int_range 0 10) (int_range 0 10)))
+    (fun (a, key, start, (dlo, dhi)) ->
+      let n = Array.length a in
+      let lo = min dlo n in
+      let hi = max lo (n - dhi) in
+      let run search =
+        let seen = ref [] and cost = ref 0 in
+        let cmp x y =
+          seen := x :: !seen;
+          compare x y
+        in
+        let i = search ~cmp ~cost a ~lo ~hi ~start key in
+        (i, !cost, !seen)
+      in
+      run Search.exponential_lower_bound
+      = run closure_exponential_lower_bound)
+
 (* ------------------------------------------------------------------ *)
 (* Bitset *)
 
@@ -502,6 +545,7 @@ let () =
           prop_exponential_equals_binary;
           prop_exponential_dups_any_start;
           prop_exponential_cost_ceiling;
+          prop_exponential_loops_equal_closures;
           Alcotest.test_case "exponential cheap nearby" `Quick
             test_exponential_cheap_nearby;
           Alcotest.test_case "binary_find" `Quick test_binary_find;

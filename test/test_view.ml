@@ -95,6 +95,7 @@ let spec_of t (lo, hi, respect_bitmap, emit_del, include_mem, only_mask) =
     include_mem;
     emit_del;
     only;
+    filter = None;
   }
 
 let prop_tree_view_equals_heap =
