@@ -212,8 +212,8 @@ let range_scan_bench name fixture =
 (* The shape of a time-range scan after its range filters pruned all but
    [ncomps] (0 or 1) disk components: a reconciling scan, restricted to
    the remaining component, of 1k memory rows against its 2k rows, with
-   half of the memory keys also on disk.  Memory merges against one
-   component in the scan's two-way loop, not the k-way heap. *)
+   half of the memory keys also on disk: the scan's one merge on two
+   sources. *)
 let time_range_tree ~ncomps =
   let env = quiet_env () in
   let t =
@@ -329,20 +329,20 @@ let sim_time_range_entries () =
     [ (`C0, "c0"); (`C1, "c1"); (`View, "view") ]
 
 (* The simulated-cost series the CI gates on: deterministic (engine cost
-   model only, no host timing), one sample per entry, so a >10% change
-   is a real cost-model or algorithm change, not noise. *)
+   model only, no host timing), one sample per entry, so any change is
+   a real cost-model or algorithm change, not noise. *)
 let sim_range_scan_entries () =
   let e name unit_ v =
     { Lsm_harness.Bench_json.name; unit_; samples = [| v |] }
   in
-  let two_way ncomps =
+  let pruned ncomps =
     let env, t, spec = time_range_tree ~ncomps in
     let before_cmp = (Lsm_sim.Env.stats env).Lsm_sim.Io_stats.comparisons in
     let before_us = Lsm_sim.Env.now_us env in
     L.scan t spec ~f:(fun _ ~src_repaired:_ -> ());
     let cmp = (Lsm_sim.Env.stats env).Lsm_sim.Io_stats.comparisons - before_cmp in
     let us = Lsm_sim.Env.now_us env -. before_us in
-    Printf.printf "sim.range_scan c%d: two-way %7.0fus %7d cmp\n" ncomps us cmp;
+    Printf.printf "sim.range_scan c%d: %7.0fus %7d cmp\n" ncomps us cmp;
     [
       e (Printf.sprintf "sim.range_scan.c%d.sim_us" ncomps) "us/scan" us;
       e
@@ -360,8 +360,8 @@ let sim_range_scan_entries () =
       (Lsm_sim.Env.stats env).Lsm_sim.Io_stats.comparisons - before_cmp,
       Lsm_sim.Env.now_us env -. before_us )
   in
-  let c0 = two_way 0 in
-  let c1 = two_way 1 in
+  let c0 = pruned 0 in
+  let c1 = pruned 1 in
   c0 @ c1
   @ List.concat_map
     (fun ncomps ->

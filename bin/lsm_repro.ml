@@ -19,6 +19,34 @@ let scale_arg =
     & opt (enum scales) Lsm_harness.Scale.small
     & info [ "s"; "scale" ] ~docv:"SCALE" ~doc)
 
+(* An int that must be at least 1; a smaller one is a usage error, which
+   exits 2 like any other bad flag. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ -> Error (`Msg (Printf.sprintf "%s must be >= 1" s))
+    | None -> Error (`Msg ("expected an integer, got " ^ s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+(* Shared by `serve` and `faultsim`. *)
+let maint_workers_arg =
+  let doc =
+    "Modeled maintenance workers (per partition, under $(b,serve)): with \
+     more than one, independent merges overlap deterministically."
+  in
+  Arg.(value & opt pos_int 1 & info [ "maint-workers" ] ~docv:"N" ~doc)
+
+let mem_shards_arg =
+  let doc =
+    "Memory shards per tree.  Under $(b,serve) the budget evicts one full \
+     shard at a time, so sibling shards keep absorbing writes during a \
+     flush; under $(b,faultsim) the drive phase rotates per-shard \
+     flushes, exercising the per-shard flush crash points."
+  in
+  Arg.(value & opt pos_int 1 & info [ "mem-shards" ] ~docv:"N" ~doc)
+
 let list_cmd =
   let run () =
     List.iter
@@ -170,7 +198,7 @@ let serve_cmd =
   let module Driver = Lsm_serve.Driver in
   let partitions_arg =
     let doc = "Number of hash partitions (simulated nodes)." in
-    Arg.(value & opt int 4 & info [ "p"; "partitions" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 4 & info [ "p"; "partitions" ] ~docv:"N" ~doc)
   in
   let rate_arg =
     let doc =
@@ -293,38 +321,12 @@ let serve_cmd =
     let doc = "Timeline window width, in simulated milliseconds." in
     Arg.(value & opt float 100.0 & info [ "window-ms" ] ~docv:"MS" ~doc)
   in
-  let maint_workers_arg =
-    let doc =
-      "Modeled maintenance workers per partition; with more than one, \
-       independent merges overlap deterministically."
-    in
-    Arg.(value & opt int 1 & info [ "maint-workers" ] ~docv:"N" ~doc)
-  in
-  let mem_shards_arg =
-    let doc =
-      "Memory shards per tree: the budget evicts one full shard at a \
-       time, so sibling shards keep absorbing writes during a flush."
-    in
-    Arg.(value & opt int 1 & info [ "mem-shards" ] ~docv:"N" ~doc)
-  in
   let run scale partitions rate sweep duration seed users arrivals chaos
       deadline_us shed_backlog_us retries hedge_us strategy json timeline
       timeline_csv slos window_ms maint_workers mem_shards metrics =
     check_writable json;
     check_writable timeline;
     check_writable timeline_csv;
-    if partitions < 1 then begin
-      Printf.eprintf "--partitions must be >= 1\n";
-      exit 2
-    end;
-    if maint_workers < 1 then begin
-      Printf.eprintf "--maint-workers must be >= 1\n";
-      exit 2
-    end;
-    if mem_shards < 1 then begin
-      Printf.eprintf "--mem-shards must be >= 1\n";
-      exit 2
-    end;
     if sweep && timeline <> None then begin
       Printf.eprintf "--timeline records a single run; drop --sweep\n";
       exit 2
@@ -551,21 +553,7 @@ let faultsim_cmd =
        fsync covers the whole group. 1 (default) = serial, one fsync per \
        commit."
     in
-    Arg.(value & opt int 1 & info [ "group-commit" ] ~docv:"N" ~doc)
-  in
-  let maint_workers_arg =
-    let doc =
-      "Modeled maintenance workers: with more than one, independent merges \
-       overlap deterministically."
-    in
-    Arg.(value & opt int 1 & info [ "maint-workers" ] ~docv:"N" ~doc)
-  in
-  let mem_shards_arg =
-    let doc =
-      "Memory shards per tree: the drive phase rotates per-shard flushes, \
-       exercising the per-shard flush crash points."
-    in
-    Arg.(value & opt int 1 & info [ "mem-shards" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 1 & info [ "group-commit" ] ~docv:"N" ~doc)
   in
   let point_arg =
     let doc =
@@ -584,7 +572,7 @@ let faultsim_cmd =
   in
   let hit_arg =
     let doc = "Which occurrence of --point fails (1-based)." in
-    Arg.(value & opt int 1 & info [ "hit" ] ~docv:"K" ~doc)
+    Arg.(value & opt pos_int 1 & info [ "hit" ] ~docv:"K" ~doc)
   in
   let kind_arg =
     let doc =
@@ -598,30 +586,10 @@ let faultsim_cmd =
     let doc =
       "Consecutive announcements of --point to fail (intermittent fault)."
     in
-    Arg.(value & opt int 1 & info [ "fails" ] ~docv:"K" ~doc)
+    Arg.(value & opt pos_int 1 & info [ "fails" ] ~docv:"K" ~doc)
   in
   let run seed txns points io corrupt intermittent validation group_commit
       maint_workers mem_shards list_points point hit kind fails =
-    if group_commit < 1 then begin
-      Printf.eprintf "--group-commit must be >= 1\n";
-      exit 2
-    end;
-    if maint_workers < 1 then begin
-      Printf.eprintf "--maint-workers must be >= 1\n";
-      exit 2
-    end;
-    if mem_shards < 1 then begin
-      Printf.eprintf "--mem-shards must be >= 1\n";
-      exit 2
-    end;
-    if hit < 1 then begin
-      Printf.eprintf "--hit must be >= 1\n";
-      exit 2
-    end;
-    if fails < 1 then begin
-      Printf.eprintf "--fails must be >= 1\n";
-      exit 2
-    end;
     let cfg =
       {
         Sc.default_config with

@@ -18,8 +18,8 @@
       merge-time floor.
 
     The builder merges *all* primary-index components through the
-    engine's shared k-way cursor ({!Lsm_util.Kmerge} over
-    {!Lsm_tree.Make.component_stream}s), interleaving writer operations
+    engine's shared k-way merge ({!Lsm_tree.Make.merge_components}),
+    reading each row by position, interleaving writer operations
     deterministically between merged rows on the shared simulated clock.
     It then installs the primary component and its primary-key-index
     twin exactly like a scheduled merge ({!Lsm_tree.Make.install}: same
@@ -199,33 +199,16 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
           | None -> true)
       | _ -> D.Prim.component_row_valid c pos
     in
-    let m =
-      Lsm_util.Kmerge.create
-        ~compare:(fun (_, (a : D.Prim.row)) (_, b) ->
-          Lsm_sim.Env.charge_comparisons env 1;
-          Int.compare a.D.Prim.key b.D.Prim.key)
-        (Array.map
-           (fun c ->
-             (* The builder re-checks a row's bit by position: a stream
-                yields the row [valid] last accepted. *)
-             let pos = ref 0 in
-             let next =
-               D.Prim.component_stream prim c ~valid:(fun i ->
-                   row_valid_for_scan c i
-                   &&
-                   (pos := i;
-                    true))
-             in
-             fun () ->
-               match next () with Some row -> Some (!pos, row) | None -> None)
-           pcomps)
-    in
+    let m = D.Prim.merge_components prim ~valid:row_valid_for_scan pcomps in
     let writer_budget = ref 0.0 in
     let last_key = ref min_int in
     let first_row = ref true in
-    while not (Lsm_util.Kmerge.is_empty m) do
-      let pos, row = Lsm_util.Kmerge.pop m in
-      let p = Lsm_util.Kmerge.last_source m in
+    let top = ref (Lsm_util.Kmerge.top m.cm_merge) in
+    while !top >= 0 do
+      let p = !top in
+      let pos = m.cm_heads.(p) in
+      let row = (D.Prim.rows_of pcomps.(p)).(pos) in
+      top := Lsm_util.Kmerge.advance m.cm_merge;
       let k = row.D.Prim.key in
       (* Interleave writers. *)
       writer_budget := !writer_budget +. writer_ops_per_row;

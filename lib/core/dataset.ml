@@ -1281,13 +1281,7 @@ module Make (R : Record.S) = struct
     let comps = Prim.components t.primary in
     if Array.length comps > 0 then begin
       (* K-way scan over all disk components, newest-first priority. *)
-      let m =
-        Lsm_util.Kmerge.create
-          ~compare:(fun (a : Prim.row) b ->
-            Lsm_sim.Env.charge_comparisons t.env 1;
-            Int.compare a.Prim.key b.Prim.key)
-          (Array.map (Prim.component_stream t.primary) comps)
-      in
+      let m = Prim.merge_components t.primary comps in
       (* Group same-pk versions; the newest of a group is current unless
          the memory component holds an even newer one. *)
       let process_group pk (versions : Prim.row list) =
@@ -1327,8 +1321,11 @@ module Make (R : Record.S) = struct
       let flush_group () =
         if !group <> [] then process_group !cur_pk (List.rev !group)
       in
-      while not (Lsm_util.Kmerge.is_empty m) do
-        let row = Lsm_util.Kmerge.pop m in
+      let top = ref (Lsm_util.Kmerge.top m.cm_merge) in
+      while !top >= 0 do
+        let s = !top in
+        let row = (Prim.rows_of comps.(s)).(m.cm_heads.(s)) in
+        top := Lsm_util.Kmerge.advance m.cm_merge;
         let pk = row.Prim.key in
         if pk <> !cur_pk then begin
           flush_group ();
@@ -1599,8 +1596,6 @@ module Make (R : Record.S) = struct
       fallback and the differential-test oracle. *)
   let set_sorted_views t on =
     Array.iter (fun (tr : Lsm_tree.tree) -> tr.set_sorted_views on) t.trees
-
-  let filter_key_fn t = t.filter_key
 
   let set_auto_maintenance t v = t.auto_maintenance <- v
 

@@ -312,6 +312,5 @@ module Make (R : Record.S) : sig
       the fallback. *)
   val set_sorted_views : t -> bool -> unit
 
-  val filter_key_fn : t -> (R.t -> int) option
   val total_disk_bytes : t -> int
 end

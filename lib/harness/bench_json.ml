@@ -160,11 +160,16 @@ type regression = {
     is a cost. *)
 let higher_is_better e = String.equal e.unit_ "x"
 
+(* A [sim.] entry is simulated cost: deterministic and single-sample, so
+   it has no noise for a threshold to absorb. *)
+let exact name = String.starts_with ~prefix:"sim." name
+
 (** [compare_docs ~threshold old_d new_d] matches entries by name and
     flags every one whose candidate p50 is worse than the baseline p50
     by more than [threshold], in the entry's direction, plus every
-    baseline entry the candidate lacks.  Returns
-    [(regressions, compared, only_old, only_new)]. *)
+    [sim.] entry whose p50 moved at all, plus every baseline entry the
+    candidate lacks.  Returns [(regressions, compared, only_old,
+    only_new)]. *)
 let compare_docs ~threshold old_d new_d =
   let tbl = Hashtbl.create 64 in
   List.iter (fun e -> Hashtbl.replace tbl e.name e) old_d.entries;
@@ -182,9 +187,10 @@ let compare_docs ~threshold old_d new_d =
              regress by ratio, so any move off zero is flagged outright. *)
           let base, worse = if higher_is_better o then (nv, ov) else (ov, nv) in
           if
-            Float.is_finite ov && Float.is_finite nv
-            && ((base > 0.0 && worse > base *. (1.0 +. threshold))
-               || (base = 0.0 && worse > 0.0))
+            (exact e.name && not (Float.equal ov nv))
+            || Float.is_finite ov && Float.is_finite nv
+               && ((base > 0.0 && worse > base *. (1.0 +. threshold))
+                  || (base = 0.0 && worse > 0.0))
           then
             regs :=
               { r_name = e.name; r_old = ov; r_new = nv; r_ratio = nv /. ov }
@@ -206,6 +212,9 @@ let pp_regression fmt r =
   if Float.is_nan r.r_new then
     Format.fprintf fmt "%-44s %12.1f -> missing from candidate" r.r_name
       r.r_old
+  else if exact r.r_name then
+    Format.fprintf fmt "%-44s %.17g -> %.17g  (must not move)" r.r_name
+      r.r_old r.r_new
   else
     Format.fprintf fmt "%-44s %12.1f -> %12.1f  (%+.1f%%)" r.r_name r.r_old
       r.r_new ((r.r_ratio -. 1.0) *. 100.0)

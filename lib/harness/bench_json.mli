@@ -50,8 +50,11 @@ val compare_docs :
   regression list * int * string list * string list
 (** [compare_docs ~threshold old new] flags entries whose candidate p50
     is worse than the baseline's by more than [threshold]: higher for a
-    cost, lower for a unit-["x"] speedup.  A baseline entry missing from
-    the candidate is a regression too (with [r_new] nan).  Returns
+    cost, lower for a unit-["x"] speedup.  An entry named [sim.*] is
+    simulated cost, deterministic and single-sample, so any change to
+    its p50, in either direction, is flagged whatever the threshold.  A
+    baseline entry missing from the candidate is a regression too (with
+    [r_new] nan).  Returns
     (regressions, compared count, names only in old, names only in
     new). *)
 

@@ -121,7 +121,7 @@ module Make (K : KEY) (V : VALUE) = struct
     mutable disk : disk_component array;
         (** newest first; every change installs a fresh array, so an
             array once read is a stable snapshot *)
-    mutable view : (row View.t * disk_component array) option;
+    mutable view : (View.t * disk_component array) option;
         (** REMIX-style sorted view over the *current* [disk] array (the
             very array it was built from), built lazily by the first
             full reconciling scan and dropped — atomically, in the same
@@ -227,9 +227,6 @@ module Make (K : KEY) (V : VALUE) = struct
   let disk_size_bytes t =
     Array.fold_left (fun acc c -> acc + component_size_bytes t c) 0 t.disk
 
-  let total_rows t =
-    mem_count t + Array.fold_left (fun acc c -> acc + component_rows c) 0 t.disk
-
   let charge_mem_cmps t =
     Lsm_sim.Env.charge_comparisons t.env
       (Array.fold_left
@@ -267,8 +264,6 @@ module Make (K : KEY) (V : VALUE) = struct
     if not on then invalidate_view t;
     t.views_enabled <- on
 
-  let sorted_views_enabled t = t.views_enabled
-
   (** [view_info t] is [(positions, anchors, run count)] of the current
       view, if one is materialized. *)
   let view_info t =
@@ -291,7 +286,6 @@ module Make (K : KEY) (V : VALUE) = struct
             (fun c ->
               {
                 View.keys = Dbt.keys c.tree;
-                rows = Dbt.rows c.tree;
                 file = Dbt.file c.tree;
                 leaf_of_row = (fun i -> Dbt.leaf_of_row c.tree i);
                 leaf_pages = Dbt.leaf_pages c.tree;
@@ -406,14 +400,11 @@ module Make (K : KEY) (V : VALUE) = struct
           else acc)
         None t.mems
 
-  (* Row order by key, one charged comparison per call: merges order
-     their stream heads with it, and several memory shards sort their
-     concatenation with it. *)
-  let by_key t =
-    let env = t.env in
-    fun a b ->
-      Lsm_sim.Env.charge_comparisons env 1;
-      K.compare a.key b.key
+  (* One charged key comparison: merges order their heads with it, and
+     several memory shards sort their concatenation with it. *)
+  let[@inline] compare_keys t a b =
+    Lsm_sim.Env.charge_comparisons t.env 1;
+    K.compare a b
 
   (* ------------------------------------------------------------------ *)
   (* The newest-first component probe *)
@@ -615,7 +606,7 @@ module Make (K : KEY) (V : VALUE) = struct
               let all =
                 Array.concat (Array.to_list (Array.map shard_rows t.mems))
               in
-              Array.sort (by_key t) all;
+              Array.sort (fun a b -> compare_keys t a.key b.key) all;
               all
             end
           in
@@ -629,39 +620,91 @@ module Make (K : KEY) (V : VALUE) = struct
   (* ------------------------------------------------------------------ *)
   (* Merge *)
 
-  let row_valid c i =
+  let[@inline] row_valid c i =
     match c.bitmap with None -> true | Some b -> not (Lsm_util.Bitset.get b i)
 
   (* [key <= hi], charging the comparison; no bound = no comparison. *)
-  let within_hi t hi key =
+  let[@inline] within_hi t hi key =
     match hi with
     | None -> true
     | Some h ->
         Lsm_sim.Env.charge_comparisons t.env 1;
         K.compare key h <= 0
 
-  (* The next row position of scan [s] over [keys]: [-1] once the rows
-     run out or reach a key past [hi]; positions [valid] rejects are
-     skipped.  Charges the rows it reads (a leaf fetch on a crossing, an
-     entry visit, a hi comparison). *)
-  let rec next_pos t s keys hi valid =
-    let i = Dbt.Scan.next t.env s in
-    if i < 0 then -1
-    else if not (within_hi t hi keys.(i)) then -1
-    else if valid i then i
-    else next_pos t s keys hi valid
+  (* Scans over components, newest first, read by position: source [s]
+     scans [comps.(s)] from [lo] up to [hi], skipping the positions its
+     bitmap marks invalid (with [bitmap]) and those [valid] rejects; its
+     head is row [pos.(s)] ([-1] before the first pull and once
+     exhausted).  The seeks run at creation, in source order. *)
+  type heads = {
+    h_comps : disk_component array;
+    h_scans : row Dbt.Scan.s array;
+    h_keys : K.t array array;
+    h_rows : row array array;
+    h_pos : int array;
+    h_hi : K.t option;
+    h_bitmap : bool;
+    h_valid : (disk_component -> int -> bool) option;
+  }
 
-  (** [component_stream t ?lo ?hi ?valid c] is [c]'s rows as a sorted
-      pull stream: it seeks to the first key >= [lo], ends at the first
-      key past [hi], and skips positions [valid] rejects (default: none).
-      The seek runs now, each pull charges the rows it reads.  Every
-      merge over components reads them through this stream. *)
-  let component_stream t ?lo ?hi ?(valid = fun _ -> true) c =
-    let s = Dbt.Scan.seek t.env c.tree lo in
-    let keys = Dbt.keys c.tree and rows = Dbt.rows c.tree in
-    fun () ->
-      let i = next_pos t s keys hi valid in
-      if i < 0 then None else Some rows.(i)
+  let open_heads t ?lo ?hi ~bitmap ?valid comps =
+    let h_scans = Array.map (fun c -> Dbt.Scan.seek t.env c.tree lo) comps in
+    {
+      h_comps = comps;
+      h_scans;
+      h_keys = Array.map (fun c -> Dbt.keys c.tree) comps;
+      h_rows = Array.map (fun c -> Dbt.rows c.tree) comps;
+      h_pos = Array.make (Array.length comps) (-1);
+      h_hi = hi;
+      h_bitmap = bitmap;
+      h_valid = valid;
+    }
+
+  (* Source [s]'s next row position: [-1] once its rows run out or reach
+     a key past [hi].  Charges the rows it reads (a leaf fetch on a
+     crossing, an entry visit, a hi comparison). *)
+  let[@inline] next_pos t h s =
+    let scan = h.h_scans.(s) and keys = h.h_keys.(s) and c = h.h_comps.(s) in
+    let pos = ref (-2) (* undecided *) in
+    while !pos = -2 do
+      let i = Dbt.Scan.next t.env scan in
+      if i < 0 || not (within_hi t h.h_hi keys.(i)) then pos := -1
+      else if
+        ((not h.h_bitmap) || row_valid c i)
+        && match h.h_valid with None -> true | Some v -> v c i
+      then pos := i
+    done;
+    !pos
+
+  (* Move source [s]'s head to its next row; [false] once exhausted. *)
+  let[@inline] pull_head t h s =
+    let p = next_pos t h s in
+    h.h_pos.(s) <- p;
+    p >= 0
+
+  type component_merge = {
+    cm_merge : Lsm_util.Kmerge.t;
+    cm_heads : int array;
+  }
+
+  (* A k-way merge of [h]'s sources by key, one comparison charged per
+     heap comparison. *)
+  let merge_heads t h =
+    let key s = h.h_keys.(s).(h.h_pos.(s)) in
+    {
+      cm_merge =
+        Lsm_util.Kmerge.create (Array.length h.h_comps)
+          ~compare:(fun a b -> compare_keys t (key a) (key b))
+          ~pull:(pull_head t h);
+      cm_heads = h.h_pos;
+    }
+
+  (** [merge_components t ?valid comps] merges [comps] (newest first) by
+      key, skipping the positions [valid c] rejects (default: none):
+      source [s] is [comps.(s)], its head the row position
+      [cm_heads.(s)].  One comparison is charged per heap comparison. *)
+  let merge_components t ?valid comps =
+    merge_heads t (open_heads t ~bitmap:false ?valid comps)
 
   (** An in-flight incremental merge: the k-way reconciling merge of
       {!merge} broken into explicit steps so a scheduler can interleave
@@ -674,9 +717,14 @@ module Make (K : KEY) (V : VALUE) = struct
       bug. *)
   type merge_job = {
     mj_inputs : disk_component array;
-    mj_merge : row Lsm_util.Kmerge.t;
-    mutable mj_out : row list;  (** merged rows, newest-emitted first *)
-    mutable mj_last_key : K.t option;
+    mj_merge : component_merge;
+    mj_out : row Lsm_util.Vec.t;
+        (** merged rows, in key order, in an array of the inputs' row
+            count: a merge never outputs more rows than it reads, and an
+            array grown by doubling raised the peak heap of ingest *)
+    mutable mj_last : int;
+    mutable mj_last_pos : int;
+        (** source and row position of the row taken last ([-1]: none) *)
     mj_input_bytes : int;
     mj_input_rows : int;
     mj_includes_oldest : bool;
@@ -689,29 +737,29 @@ module Make (K : KEY) (V : VALUE) = struct
   (** [merge_start t ~first ~last] opens an incremental merge of the
       contiguous component range [first..last] (indices into
       {!components}, 0 = newest).  Announces [lsm.merge.begin]. *)
-  let merge_start ?(extra_invalid = fun _ _ -> false) t ~first ~last =
+  let merge_start ?extra_invalid t ~first ~last =
     let comps = t.disk in
     let n = Array.length comps in
     if not (0 <= first && first <= last && last < n) then
       invalid_arg "Lsm_tree.merge: bad range";
     let inputs = Array.sub comps first (last - first + 1) in
     Lsm_sim.Env.fault_point t.env Lsm_merge_begin;
-    let streams =
-      Array.map
-        (fun c ->
-          component_stream t c ~valid:(fun i ->
-              row_valid c i && not (extra_invalid c i)))
-        inputs
+    let input_rows =
+      Array.fold_left (fun acc c -> acc + component_rows c) 0 inputs
     in
     {
       mj_inputs = inputs;
-      mj_merge = Lsm_util.Kmerge.create ~compare:(by_key t) streams;
-      mj_out = [];
-      mj_last_key = None;
+      mj_merge =
+        merge_heads t
+          (open_heads t ~bitmap:true
+             ?valid:(Option.map (fun x c i -> not (x c i)) extra_invalid)
+             inputs);
+      mj_out = Lsm_util.Vec.create ~capacity:input_rows ();
+      mj_last = -1;
+      mj_last_pos = -1;
       mj_input_bytes =
         Array.fold_left (fun acc c -> acc + component_size_bytes t c) 0 inputs;
-      mj_input_rows =
-        Array.fold_left (fun acc c -> acc + component_rows c) 0 inputs;
+      mj_input_rows = input_rows;
       mj_includes_oldest = last = n - 1;
       mj_drop_ts = t.tombstone_drop_ts;
     }
@@ -719,26 +767,33 @@ module Make (K : KEY) (V : VALUE) = struct
   (** [merge_step t j ~rows] advances the merge by up to [rows] output
       decisions; [false] once the input streams are exhausted. *)
   let merge_step t j ~rows =
-    let budget = ref rows in
-    while !budget > 0 && not (Lsm_util.Kmerge.is_empty j.mj_merge) do
-      decr budget;
-      let row = Lsm_util.Kmerge.pop j.mj_merge in
-      let k = row.key in
-      let dup =
-        match j.mj_last_key with
-        | Some lk -> K.compare lk k = 0
-        | None -> false
-      in
-      Lsm_sim.Env.charge_comparisons t.env 1;
-      j.mj_last_key <- Some k;
-      if not dup then
-        if
-          Entry.is_del row.value && j.mj_includes_oldest
-          && row.ts <= j.mj_drop_ts
-        then ()
-        else j.mj_out <- row :: j.mj_out
-    done;
-    not (Lsm_util.Kmerge.is_empty j.mj_merge)
+    let m = j.mj_merge.cm_merge in
+    let key s i = (Dbt.keys j.mj_inputs.(s).tree).(i) in
+    let rec step budget s =
+      if budget = 0 || s < 0 then s >= 0
+      else begin
+        let i = j.mj_merge.cm_heads.(s) in
+        let next = Lsm_util.Kmerge.advance m in
+        (* A source's keys strictly increase: only another source's last
+           row can share [s]'s key. *)
+        let dup =
+          j.mj_last >= 0 && j.mj_last <> s
+          && K.compare (key j.mj_last j.mj_last_pos) (key s i) = 0
+        in
+        Lsm_sim.Env.charge_comparisons t.env 1;
+        j.mj_last <- s;
+        j.mj_last_pos <- i;
+        (if not dup then
+           let row = (Dbt.rows j.mj_inputs.(s).tree).(i) in
+           if
+             not
+               (Entry.is_del row.value && j.mj_includes_oldest
+              && row.ts <= j.mj_drop_ts)
+           then Lsm_util.Vec.push j.mj_out row);
+        step (budget - 1) next
+      end
+    in
+    step rows (Lsm_util.Kmerge.top m)
 
   (** [install t ~inputs rows] replaces [inputs] — a contiguous run of the
       current components, newest first, located by physical identity so
@@ -817,7 +872,7 @@ module Make (K : KEY) (V : VALUE) = struct
       records the merge's amplification and announces
       [lsm.merge.install]. *)
   let merge_finish t j =
-    let rows = Array.of_list (List.rev j.mj_out) in
+    let rows = Lsm_util.Vec.to_array j.mj_out in
     let merged = install t ~inputs:j.mj_inputs rows in
     Lsm_obs.Ampstats.on_merge
       (Lsm_sim.Env.amp t.env)
@@ -1129,46 +1184,78 @@ module Make (K : KEY) (V : VALUE) = struct
       filter = None;
     }
 
-  (* The memory component's in-range rows: a single memtable's cursor at
-     [lo] with the number of in-range rows ahead of it, or several
-     shards' in-range rows, sorted.  Every charge of the slice lands
-     here, before the first row is read: one hi comparison per memtable
-     row the counting walk visits, the seek's comparisons
-     ([charge_mem_cmps]), then one entry visit per in-range row.  A single
-     memtable is read in place through an {!Mbt.seek} cursor; the counting
-     walk runs on a copy of it.  Several shards are sliced and their
-     concatenation sorted, charged: shard key sets are disjoint, so that
+  (* The memory component's in-range bindings, read through one head: a
+     single memtable's cursor with the count of in-range bindings still
+     ahead of it, or several shards' bindings gathered into columns (key,
+     (ts, entry), filter key) with their key order and a position in it.
+     The head is the binding the last successful pull moved to. *)
+  type mem_source =
+    | Mem_cursor of {
+        cur : (int * V.t Entry.t) Mbt.cursor;
+        mutable left : int;
+      }
+    | Mem_sorted of {
+        keys : K.t array;
+        tvs : (int * V.t Entry.t) array;
+        fks : int array;
+        order : int array;
+        mutable at : int;
+      }
+
+  let[@inline] mem_key = function
+    | Mem_cursor m -> Mbt.key m.cur
+    | Mem_sorted m -> m.keys.(m.order.(m.at))
+
+  let[@inline] mem_binding = function
+    | Mem_cursor m -> Mbt.value m.cur
+    | Mem_sorted m -> m.tvs.(m.order.(m.at))
+
+  let[@inline] mem_fkey = function
+    | Mem_cursor m -> Mbt.fkey m.cur
+    | Mem_sorted m -> m.fks.(m.order.(m.at))
+
+  (* Move the head to the next in-range binding: [false] once they run
+     out, or when the binding is past [hi] (charging that comparison; with
+     no [hi], no comparison and no key read).  This and the readers above
+     run per scanned row, so they are inlined. *)
+  let[@inline] mem_pull t hi = function
+    | Mem_cursor m ->
+        m.left > 0
+        &&
+        (m.left <- m.left - 1;
+         if not (Mbt.step m.cur) then
+           invalid_arg "Lsm_tree.scan: memtable changed mid-scan";
+         Option.is_none hi || within_hi t hi (Mbt.key m.cur))
+    | Mem_sorted m ->
+        m.at + 1 < Array.length m.order
+        &&
+        (m.at <- m.at + 1;
+         within_hi t hi m.keys.(m.order.(m.at)))
+
+  (* Open the memory component's in-range bindings for a scan.  Every
+     charge lands here, before the first pull: one hi comparison per
+     memtable binding the counting walk visits, the seeks' comparisons
+     ([charge_mem_cmps]), then one entry visit per in-range binding.  A
+     single memtable is read in place through an {!Mbt.seek} cursor; the
+     counting walk runs on a copy of it.  Several shards are gathered and
+     their key order sorted, charged: shard key sets are disjoint, so that
      reproduces the single-memtable order byte for byte.  Without
-     [include_mem] the slice is an empty cursor and charges nothing.
+     [include_mem] the source is an empty cursor and charges nothing.
 
      Two charge quirks are kept, because fixing them moves the simulated
      gates: with no [lo] the counting walk charges a hi comparison on
-     every memtable row, even on the rows past [hi]; and a reconciling
-     merge charges each memory row a second hi comparison when it pulls
-     it ({!scan}). *)
-  (* Step a memory cursor that has in-range rows left to its next one;
-     [mem_row] also builds the row. *)
-  let mem_step c =
-    if not (Mbt.step c) then
-      invalid_arg "Lsm_tree.scan: memtable changed mid-scan"
-
-  let mem_row c =
-    mem_step c;
-    let ts, value = Mbt.value c in
-    { key = Mbt.key c; ts; value }
-
-  type mem_slice =
-    | Mem_cursor of (int * V.t Entry.t) Mbt.cursor * int
-    | Mem_rows of row array
-
-  let mem_slice t spec =
-    if not spec.include_mem then Mem_cursor (Mbt.seek t.mems.(0).table None, 0)
+     every memtable binding, even on those past [hi]; and a reconciling
+     merge charges each memory binding a second hi comparison when it
+     pulls it ({!scan}). *)
+  let mem_source t spec =
+    if not spec.include_mem then
+      Mem_cursor { cur = Mbt.seek t.mems.(0).table None; left = 0 }
     else begin
-      let seek table =
-        let c = Mbt.seek table spec.lo in
+      let seek m =
+        let c = Mbt.seek m.table spec.lo in
         let n =
           match (spec.lo, spec.hi) with
-          | None, None -> Mbt.length table
+          | None, None -> Mbt.length m.table
           | _ ->
               let w = Mbt.copy c in
               let rec count n =
@@ -1181,50 +1268,52 @@ module Make (K : KEY) (V : VALUE) = struct
         in
         (c, n)
       in
-      let slice, n =
+      let src, n =
         if Array.length t.mems = 1 then begin
-          let c, n = seek t.mems.(0).table in
-          (Mem_cursor (c, n), n)
+          let cur, n = seek t.mems.(0) in
+          (Mem_cursor { cur; left = n }, n)
         end
         else begin
-          let slice m =
-            let c, n = seek m.table in
-            Array.init n (fun _ -> mem_row c)
+          let slices = Array.map seek t.mems in
+          let n = Array.fold_left (fun acc (_, k) -> acc + k) 0 slices in
+          (* One column of the shards' in-range bindings, concatenated in
+             shard order. *)
+          let gather read =
+            let sh = ref 0 and cur = ref (fst slices.(0)) and left = ref 0 in
+            Array.init n (fun _ ->
+                while !left = 0 do
+                  cur := Mbt.copy (fst slices.(!sh));
+                  left := snd slices.(!sh);
+                  incr sh
+                done;
+                decr left;
+                ignore (Mbt.step !cur);
+                read !cur)
           in
-          let all = Array.concat (Array.to_list (Array.map slice t.mems)) in
-          Array.sort (by_key t) all;
-          (Mem_rows all, Array.length all)
+          let keys = gather Mbt.key in
+          let order = Array.init n Fun.id in
+          Array.sort (fun a b -> compare_keys t keys.(a) keys.(b)) order;
+          ( Mem_sorted
+              {
+                keys;
+                tvs = gather Mbt.value;
+                fks = gather Mbt.fkey;
+                order;
+                at = -1;
+              },
+            n )
         end
       in
       charge_mem_cmps t;
       Lsm_sim.Env.charge_entry_visits t.env n;
-      slice
+      src
     end
 
-  let slice_stream = function
-    | Mem_cursor (c, n) ->
-        let left = ref n in
-        fun () ->
-          if !left = 0 then None
-          else begin
-            decr left;
-            Some (mem_row c)
-          end
-    | Mem_rows all -> Seq.to_dispenser (Array.to_seq all)
-
-  (** [mem_stream t spec] is the memory component's in-range rows as a
-      sorted pull stream; the slice's charges land at creation. *)
-  let mem_stream t spec = slice_stream (mem_slice t spec)
-
-  (* Reconciling scan served from the sorted view: one anchor binary
-     search plus bounded per-run gallops to position, then a sequential
-     walk of the selector stream 2-way merged with the memory stream
-     (memory is strictly newer than every disk component, so it wins
-     ties).  Within a disk key group the winner is the first live
-     position — runs are ordered newest-first — which reproduces the heap
-     path's semantics exactly, including "an older valid duplicate wins
-     when the newest is bitmap-invalidated". *)
-  let scan_view t spec ~emit =
+  (* Open the sorted view for a reconciling scan: the component array it
+     orders, and an iterator at the first key group >= [lo] that takes
+     [only] as a run mask and the bitmaps (under [respect_bitmap]) as the
+     validity that picks each group's winner. *)
+  let view_start t spec =
     let comps_a = t.disk in
     let v = ensure_view t comps_a in
     let mask =
@@ -1239,38 +1328,10 @@ module Make (K : KEY) (V : VALUE) = struct
           Some m
     in
     let valid r i = (not spec.respect_bitmap) || row_valid comps_a.(r) i in
-    let it = View.start t.env v ~lo:spec.lo ~hi:spec.hi ~mask ~valid in
-    let mem = mem_stream t spec in
-    let mnext = ref (mem ()) in
-    let r = ref (View.next t.env it) in
-    let continue = ref true in
-    while !continue do
-      match !mnext with
-      | None when !r < 0 -> continue := false
-      | Some m when !r < 0 ->
-          emit m ~src_repaired:0;
-          mnext := mem ()
-      | None ->
-          emit (View.row it !r) ~src_repaired:comps_a.(!r).repaired_ts;
-          r := View.next t.env it
-      | Some m ->
-          let row = View.row it !r in
-          Lsm_sim.Env.charge_comparisons t.env 1;
-          let c = K.compare m.key row.key in
-          if c < 0 then begin
-            emit m ~src_repaired:0;
-            mnext := mem ()
-          end
-          else begin
-            (if c = 0 then begin
-               (* Memory supersedes the whole disk group. *)
-               emit m ~src_repaired:0;
-               mnext := mem ()
-             end
-             else emit row ~src_repaired:comps_a.(!r).repaired_ts);
-            r := View.next t.env it
-          end
-    done;
+    (comps_a, View.start t.env v ~lo:spec.lo ~hi:spec.hi ~mask ~valid)
+
+  (* Report a finished view scan to EXPLAIN and the view stats. *)
+  let view_finish t it =
     Lsm_sim.Env.explain_count t.env "view_scans" 1;
     Lsm_sim.Env.explain_count t.env "view_segments" (View.segments it);
     Lsm_sim.Env.explain_count t.env "view_rows_skipped" (View.skipped it);
@@ -1305,25 +1366,6 @@ module Make (K : KEY) (V : VALUE) = struct
             built == t.disk && List.for_all (fun c -> Array.memq c t.disk) cs
         | None -> false)
 
-  (* An open component scan read by position: its keys, rows and
-     filter-key column, its repairedTS, and the next position. *)
-  type disk_reader = {
-    d_keys : K.t array;
-    d_rows : row array;
-    d_col : int array;
-    d_repaired : int;
-    d_next : unit -> int;
-  }
-
-  let no_component =
-    {
-      d_keys = [||];
-      d_rows = [||];
-      d_col = [||];
-      d_repaired = 0;
-      d_next = (fun () -> -1);
-    }
-
   (** [scan t spec ~f] streams entries to [f row ~src_repaired], where
       [src_repaired] is the [repaired_ts] of the entry's source component
       (0 for the memory component — never repaired).  With [reconcile],
@@ -1332,8 +1374,9 @@ module Make (K : KEY) (V : VALUE) = struct
       only under [emit_del]).  Without it, components are emitted one by
       one, memory first then newest-to-oldest, each in key order.  With
       [filter], a [Put] row reaches [f] only if its filter key is in
-      range; the single-memtable paths below read that key from the
-      filter-key columns and build a memory row only when they emit it. *)
+      range.  Every path reconciles on keys and positions, tests the
+      filter-key columns, and builds a memory row only when it emits
+      it. *)
   let scan t spec ~f =
     let comps_a =
       match spec.only with Some cs -> Array.of_list cs | None -> t.disk
@@ -1348,181 +1391,157 @@ module Make (K : KEY) (V : VALUE) = struct
     let filtered = Option.is_some spec.filter in
     let in_range fk = flo <= fk && fk <= fhi in
     (* Whether a row with filter-key column [fk] and entry [e] is emitted.
-       A column other than [no_fkey] belongs to a [Put], so the column
-       paths below read [e] only when [fk = no_fkey]. *)
-    let keeps fk e =
+       A column other than [no_fkey] belongs to a [Put], so the callers
+       below read [e] only when [fk = no_fkey]. *)
+    let[@inline] keeps fk e =
       match e with Entry.Put _ -> in_range fk | Entry.Del -> spec.emit_del
     in
-    let emit row ~src_repaired =
-      let fk = if filtered then fkey_of t row.value else no_fkey in
-      if keeps fk row.value then f row ~src_repaired
-    in
-    (* Emit the memory binding [key] -> [tv] with column [fk], and row [i]
-       of component [d] (rows, column) testing the columns.  An unfiltered
-       scan reads no column ([no_fkey], an empty [d_col]). *)
-    let mem_fkey c = if filtered then Mbt.fkey c else no_fkey in
-    let emit_mem key tv fk =
+    (* Emit the memory binding [key] -> [tv] with column [fk], the memory
+       head, and row [i] of [rows] with column [col], testing the columns.
+       An unfiltered scan reads no disk column. *)
+    let[@inline] emit_mem key tv fk =
       if (if fk <> no_fkey then in_range fk else keeps fk (snd tv)) then begin
         let ts, value = tv in
         f { key; ts; value } ~src_repaired:0
       end
     in
-    let emit_disk d i =
-      let row = d.d_rows.(i) in
-      let fk = if Array.length d.d_col = 0 then no_fkey else d.d_col.(i) in
+    (* The memory head; a column out of range rejects it unread. *)
+    let[@inline] emit_head ms =
+      let fk = mem_fkey ms in
+      if fk = no_fkey || in_range fk then
+        emit_mem (mem_key ms) (mem_binding ms) fk
+    in
+    let col c = if filtered then Lazy.force c.fkeys else [||] in
+    let[@inline] emit_row rows col i ~src_repaired =
+      let row = rows.(i) in
+      let fk = if Array.length col = 0 then no_fkey else col.(i) in
       if if fk <> no_fkey then in_range fk else keeps fk row.value then
-        f row ~src_repaired:d.d_repaired
+        f row ~src_repaired
     in
-    (* A component's scan from [lo]; [d_next] is its [next_pos] under [hi]
-       and the bitmap. *)
-    let open_component c =
-      let s = Dbt.Scan.seek t.env c.tree spec.lo in
-      let keys = Dbt.keys c.tree in
-      let valid i = (not spec.respect_bitmap) || row_valid c i in
-      {
-        d_keys = keys;
-        d_rows = Dbt.rows c.tree;
-        d_col = (if filtered then Lazy.force c.fkeys else [||]);
-        d_repaired = c.repaired_ts;
-        d_next = (fun () -> next_pos t s keys spec.hi valid);
-      }
-    in
-    if view_usable t spec then scan_view t spec ~emit
-    else if spec.reconcile then begin
-      (* Sources, newest first: memory, then the disk components.  Every
-         charge below lands in the order of the k-way heap merge: the
-         memory slice, each component's seek, each source's first pull,
-         then per output the pull that refills the popped source, the
-         merge comparison that pull causes, and the duplicate-key
-         comparison. *)
-      match mem_slice t spec with
-      | Mem_cursor (c, n) when Array.length comps_a <= 1 ->
-          (* One memtable against at most one component — what a
-             time-range scan reads once range filters have pruned the
-             rest — merges in a two-way loop over cursor positions that
-             makes the heap's comparisons on two sources: while both
-             heads are live, refilling one compares (new head, other
-             head) once, and memory wins ties.  The memory head, if [ml],
-             is the binding [c] last stepped over, with key [mk]; the disk
-             head is position [di] ([-1] = none); [mem_first] orders them
-             while both are live.  A head is emitted after the pull that
-             replaces it, from what was read of it before that pull. *)
-          let left = ref n in
-          (* Pull the next memory head, charging its second hi
-             comparison. *)
-          let mem_next () =
-            !left > 0
-            &&
-            (decr left;
-             mem_step c;
-             Option.is_none spec.hi || within_hi t spec.hi (Mbt.key c))
+    if view_usable t spec then begin
+      (* Served from the sorted view: the selector stream's key-group
+         winners merged with the memory head (memory is strictly newer
+         than every disk component, so it wins ties).  Within a disk key
+         group the winner is the first live position — runs are ordered
+         newest-first — which reproduces the merge's semantics exactly,
+         including "an older valid duplicate wins when the newest is
+         bitmap-invalidated". *)
+      let comps_a, it = view_start t spec in
+      let keys = Array.map (fun c -> Dbt.keys c.tree) comps_a
+      and rows = Array.map (fun c -> Dbt.rows c.tree) comps_a in
+      let ms = mem_source t spec in
+      let ml = ref (mem_pull t None ms) in
+      let r = ref (View.next t.env it) in
+      while !ml || !r >= 0 do
+        if !r < 0 then begin
+          emit_head ms;
+          ml := mem_pull t None ms
+        end
+        else begin
+          let w = !r and i = View.position it in
+          let o =
+            if !ml then compare_keys t (mem_key ms) keys.(w).(i) else 1
           in
-          let d =
-            if Array.length comps_a = 0 then no_component
-            else open_component comps_a.(0)
-          in
-          let dkeys = d.d_keys and dnext = d.d_next in
-          let cmp a b =
-            Lsm_sim.Env.charge_comparisons t.env 1;
-            K.compare a b
-          in
-          (* Whether a head's key differs from the last output key [lk]
-             (always while [first]), charging that comparison. *)
-          let fresh ~lk ~first key = first || cmp lk key <> 0 in
-          let rec merge ml mk di ~mem_first ~lk ~first =
-            if ml && (di < 0 || mem_first) then begin
-              let tv = Mbt.value c and fk = mem_fkey c in
-              let ml = mem_next () in
-              let key = mk in
-              let mk = if ml then Mbt.key c else mk in
-              let mem_first =
-                if ml && di >= 0 then cmp mk dkeys.(di) <= 0 else mem_first
-              in
-              if fresh ~lk ~first key then emit_mem key tv fk;
-              merge ml mk di ~mem_first ~lk:key ~first:false
-            end
-            else if di >= 0 then begin
-              let key = dkeys.(di) in
-              let i = di in
-              let di = dnext () in
-              let mem_first =
-                if ml && di >= 0 then not (cmp dkeys.(di) mk < 0)
-                else mem_first
-              in
-              if fresh ~lk ~first key then emit_disk d i;
-              merge ml mk di ~mem_first ~lk:key ~first:false
-            end
-          in
-          let ml = mem_next () in
-          let di = dnext () in
-          if ml || di >= 0 then
-            let mk = if ml then Mbt.key c else dkeys.(di) in
-            let mem_first =
-              if ml && di >= 0 then not (cmp dkeys.(di) mk < 0) else true
-            in
-            merge ml mk di ~mem_first ~lk:mk ~first:true
-      | slice ->
-          (* Several memory shards, or several disk components: a k-way
-             heap merge of materialised rows. *)
-          (if t.views_enabled && Array.length comps_a >= view_min_components
-           then begin
-             let vs = Lsm_sim.Env.view_stats t.env in
-             vs.Lsm_sim.Env.fallbacks <- vs.Lsm_sim.Env.fallbacks + 1
-           end);
-          let mem = slice_stream slice in
-          let mem_src () =
-            match mem () with
-            | Some r as head when within_hi t spec.hi r.key -> head
-            | _ -> None
-          in
-          let streams =
-            Array.map
-              (fun c ->
-                component_stream t c ?lo:spec.lo ?hi:spec.hi ~valid:(fun i ->
-                    (not spec.respect_bitmap) || row_valid c i))
-              comps_a
-          in
-          let m =
-            Lsm_util.Kmerge.create ~compare:(by_key t)
-              (Array.append [| mem_src |] streams)
-          in
-          let src_repaired () =
-            match Lsm_util.Kmerge.last_source m with
-            | 0 -> 0
-            | p -> comps_a.(p - 1).repaired_ts
-          in
-          let rec drain lk =
-            if not (Lsm_util.Kmerge.is_empty m) then begin
-              let row = Lsm_util.Kmerge.pop m in
-              Lsm_sim.Env.charge_comparisons t.env 1;
-              if K.compare lk row.key <> 0 then
-                emit row ~src_repaired:(src_repaired ());
-              drain row.key
-            end
-          in
-          if not (Lsm_util.Kmerge.is_empty m) then begin
-            let row = Lsm_util.Kmerge.pop m in
-            emit row ~src_repaired:(src_repaired ());
-            drain row.key
+          (* Memory first; on a tie it supersedes the whole disk group. *)
+          if o <= 0 then begin
+            emit_head ms;
+            ml := mem_pull t None ms
+          end;
+          if o >= 0 then begin
+            (if o > 0 then
+               let c = comps_a.(w) in
+               emit_row rows.(w) (col c) i ~src_repaired:c.repaired_ts);
+            r := View.next t.env it
           end
+        end
+      done;
+      view_finish t it
+    end
+    else if spec.reconcile then begin
+      (* Sources, newest first: memory (source 0), then the disk
+         components.  Every charge lands in the order of the k-way heap
+         merge: the memory source, each component's seek, each source's
+         first pull, then per output the pull that refills the top
+         source, the merge comparisons that pull causes, and the
+         duplicate-key comparison.  A head is emitted after the pull that
+         replaces it, from what was read of it before. *)
+      let ms = mem_source t spec in
+      (if t.views_enabled && Array.length comps_a >= view_min_components then
+         let vs = Lsm_sim.Env.view_stats t.env in
+         vs.Lsm_sim.Env.fallbacks <- vs.Lsm_sim.Env.fallbacks + 1);
+      let h =
+        open_heads t ?lo:spec.lo ?hi:spec.hi ~bitmap:spec.respect_bitmap comps_a
+      in
+      let cols = Array.map col comps_a in
+      let[@inline] key s =
+        if s > 0 then h.h_keys.(s - 1).(h.h_pos.(s - 1)) else mem_key ms
+      in
+      let m =
+        Lsm_util.Kmerge.create
+          (Array.length comps_a + 1)
+          ~compare:(fun a b -> compare_keys t (key a) (key b))
+          ~pull:(fun s ->
+            if s = 0 then mem_pull t spec.hi ms else pull_head t h (s - 1))
+      in
+      (* Whether the top's key [k], from source [s], differs from the last
+         output key [lk], from source [last] ([-1]: no output yet).  The
+         comparison is charged after the first output; a source's keys
+         strictly increase, so against its own last output it is not made. *)
+      let[@inline] fresh s k ~last lk =
+        last < 0
+        || begin
+             Lsm_sim.Env.charge_comparisons t.env 1;
+             s = last || K.compare lk k <> 0
+           end
+      in
+      (* [drain s ~last lk] emits the top source [s]'s head after the pull
+         that replaces it, unless it repeats the last output key. *)
+      let rec drain s ~last lk =
+        if s >= 0 then begin
+          let k = key s in
+          if s > 0 then begin
+            let j = s - 1 in
+            let i = h.h_pos.(j) in
+            let next = Lsm_util.Kmerge.advance m in
+            if fresh s k ~last lk then
+              emit_row h.h_rows.(j) cols.(j) i
+                ~src_repaired:comps_a.(j).repaired_ts;
+            drain next ~last:s k
+          end
+          else begin
+            let fk = if filtered then mem_fkey ms else no_fkey in
+            (* A column out of range rejects the binding unread. *)
+            let tv =
+              if fk <> no_fkey && not (in_range fk) then (0, Entry.Del)
+              else mem_binding ms
+            in
+            let next = Lsm_util.Kmerge.advance m in
+            if fresh s k ~last lk then emit_mem k tv fk;
+            drain next ~last:s k
+          end
+        end
+      in
+      let s = Lsm_util.Kmerge.top m in
+      if s >= 0 then drain s ~last:(-1) (key s)
     end
     else begin
       (* Component-at-a-time: bitmaps have already removed stale versions,
          so no cross-component reconciliation is necessary. *)
-      (match mem_slice t spec with
-      | Mem_cursor (c, n) ->
-          for _ = 1 to n do
-            mem_step c;
-            emit_mem (Mbt.key c) (Mbt.value c) (mem_fkey c)
-          done
-      | Mem_rows all -> Array.iter (fun row -> emit row ~src_repaired:0) all);
+      let ms = mem_source t spec in
+      while mem_pull t None ms do
+        emit_head ms
+      done;
       Array.iter
         (fun c ->
-          let d = open_component c in
+          let h =
+            open_heads t ?lo:spec.lo ?hi:spec.hi ~bitmap:spec.respect_bitmap
+              [| c |]
+          in
+          let rows = Dbt.rows c.tree and col = col c in
           let rec drain () =
-            let i = d.d_next () in
+            let i = next_pos t h 0 in
             if i >= 0 then begin
-              emit_disk d i;
+              emit_row rows col i ~src_repaired:c.repaired_ts;
               drain ()
             end
           in

@@ -171,7 +171,6 @@ module Make (K : KEY) (V : VALUE) : sig
   val component_id : disk_component -> int * int
   val component_rows : disk_component -> int
   val disk_size_bytes : t -> int
-  val total_rows : t -> int
 
   val quarantined : disk_component -> bool
 
@@ -365,20 +364,25 @@ module Make (K : KEY) (V : VALUE) : sig
 
   (** {1 Scans} *)
 
-  val component_stream :
+  type component_merge = {
+    cm_merge : Lsm_util.Kmerge.t;
+        (** source [s] is the [s]-th component, newest first *)
+    cm_heads : int array;  (** each source's head: a row position *)
+  }
+
+  val merge_components :
     t ->
-    ?lo:K.t ->
-    ?hi:K.t ->
-    ?valid:(int -> bool) ->
-    disk_component ->
-    unit ->
-    row option
-  (** [component_stream t ?lo ?hi ?valid c] seeks [c] to the first key >=
-      [lo] and returns a pull stream of its rows that ends at the first
-      key past [hi] and skips positions [valid] rejects (default: none),
-      charging the reads as it goes.  [valid] runs last on a row before it
-      is yielded.  Feed such streams, newest first, to {!Lsm_util.Kmerge}
-      for a k-way merge over components. *)
+    ?valid:(disk_component -> int -> bool) ->
+    disk_component array ->
+    component_merge
+  (** [merge_components t ?valid comps] is a k-way merge of [comps]
+      (newest first) by key.  Each component is scanned in order by row
+      position, skipping the positions [valid c] rejects (default: none);
+      its seek runs now, and each pull charges the rows it reads (a leaf
+      fetch on a crossing, an entry visit).  One comparison is charged per
+      heap comparison.  Read the {!Lsm_util.Kmerge.top} source's head row,
+      [(rows_of comps.(s)).(cm_heads.(s))], before
+      {!Lsm_util.Kmerge.advance}: equal keys surface newest first. *)
 
   type scan_spec = {
     lo : K.t option;  (** inclusive *)
@@ -405,13 +409,6 @@ module Make (K : KEY) (V : VALUE) : sig
 
   val full_scan_spec : scan_spec
 
-  val mem_stream : t -> scan_spec -> unit -> row option
-  (** [mem_stream t spec] is the memory component's rows in
-      [spec.lo..spec.hi] as a sorted pull stream (none unless
-      [spec.include_mem]).  Every charge of the slice lands at creation,
-      before the first pull; [t] must not be written while it is read.
-      {!scan} reads memory through it. *)
-
   val scan : t -> scan_spec -> f:(row -> src_repaired:int -> unit) -> unit
   (** Stream entries; [src_repaired] is the source component's repairedTS
       (0 for memory).  Reconciled output is in ascending key order.
@@ -425,31 +422,27 @@ module Make (K : KEY) (V : VALUE) : sig
       the scan's sources, which remains the fallback for: fewer than 2
       disk components; [only]-restricted scans without a fresh view (a
       build there would tax ingest); and views turned off with
-      {!set_sorted_views}, the differential oracle.  Memory against at
-      most one disk component merges in a two-way loop; more components
-      go through {!Lsm_util.Kmerge}, with the same comparisons, charged
-      in the same order.  Non-reconciling scans stream components one by
-      one and never use a view.
+      {!set_sorted_views}, the differential oracle.  That merge is one
+      {!Lsm_util.Kmerge} over the memory head and each component's row
+      position, whatever the number of shards and components.
+      Non-reconciling scans stream components one by one and never use a
+      view.
 
       Every path reads the memory component in place, through a cursor
-      over a single memtable (several shards are sliced and sorted
-      instead, and merge through {!Lsm_util.Kmerge}), so a scan does not
-      copy it; [f] must therefore not write to [t].  Simulated charges
-      match those of a scan that copies the memtable first, in count and
-      order.
+      over a single memtable (several shards are gathered into columns
+      and their key order sorted instead), so a scan does not copy its
+      rows; [f] must therefore not write to [t].  Simulated charges match
+      those of a scan that copies the memtable first, in count and order.
 
-      A [filter] is pushed down: the single-memtable two-way loop and the
-      component-at-a-time scan reconcile on keys and positions, test the
-      filter-key columns, and build a memory row only when they emit it;
-      the view, heap and multi-shard paths test the materialised row. *)
+      A [filter] is pushed down: every path reconciles on keys and
+      positions, tests the filter-key columns, and builds a memory row
+      only when it emits it. *)
 
   (** {1 Sorted views (REMIX)} *)
 
   val set_sorted_views : t -> bool -> unit
   (** Enable (default) or disable sorted-view-backed reconciling scans;
       disabling drops any materialized view. *)
-
-  val sorted_views_enabled : t -> bool
 
   val view_info : t -> (int * int * int) option
   (** [(positions, anchors, runs)] of the materialized view, if any. *)

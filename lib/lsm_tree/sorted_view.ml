@@ -39,18 +39,17 @@
     semantics, the memory component and deletion handling on top. *)
 
 module Make (K : Lsm_util.Intf.ORDERED) = struct
-  (** One run: the key/row arrays of a disk component plus enough leaf
+  (** One run: the key array of a disk component plus enough leaf
       geometry to charge the same page fetches a sequential scan would. *)
-  type 'row run = {
+  type run = {
     keys : K.t array;  (** ascending *)
-    rows : 'row array;
     file : Lsm_sim.Sfile.t;  (** data file holding the rows' leaf pages *)
     leaf_of_row : int -> int;
     leaf_pages : int;
   }
 
-  type 'row t = {
-    runs : 'row run array;
+  type t = {
+    runs : run array;
     n : int;  (** total positions = sum of run lengths *)
     sel : int array;  (** run index of each position *)
     pos : int array;  (** row index within that run *)
@@ -82,46 +81,44 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
     let sel = Array.make n 0 in
     let pos = Array.make n 0 in
     let eq_prev = Lsm_util.Bitset.create n in
-    let run_stream r =
-      let i = ref 0 in
-      fun () ->
-        if !i < Array.length r.keys then begin
-          incr i;
-          Some r.keys.(!i - 1)
-        end
-        else None
-    in
+    (* Run [r]'s head is the index of its current key. *)
+    let heads = Array.make nruns (-1) in
+    let key r = runs.(r).keys.(heads.(r)) in
     let merge =
-      Lsm_util.Kmerge.create
-        ~compare:(fun k1 k2 ->
+      Lsm_util.Kmerge.create nruns
+        ~compare:(fun a b ->
           Lsm_sim.Env.charge_comparisons env 1;
-          K.compare k1 k2)
-        (Array.map run_stream runs)
+          K.compare (key a) (key b))
+        ~pull:(fun r ->
+          heads.(r) <- heads.(r) + 1;
+          heads.(r) < Array.length runs.(r).keys)
     in
     let nanchors = if n = 0 then 0 else ((n - 1) / stride) + 1 in
     let anchor_offs = Array.make (nanchors * nruns) 0 in
     let anchors_rev = ref [] in
-    let consumed = Array.make nruns 0 in
-    let last = ref None in
-    let j = ref 0 in
-    while not (Lsm_util.Kmerge.is_empty merge) do
-      let k = Lsm_util.Kmerge.pop merge in
-      let r = Lsm_util.Kmerge.last_source merge in
-      if !j mod stride = 0 then begin
+    let top = ref (Lsm_util.Kmerge.top merge) in
+    for j = 0 to n - 1 do
+      let r = !top in
+      let i = heads.(r) in
+      top := Lsm_util.Kmerge.advance merge;
+      let k = runs.(r).keys.(i) in
+      if j mod stride = 0 then begin
         anchors_rev := k :: !anchors_rev;
-        Array.blit consumed 0 anchor_offs (!j / stride * nruns) nruns
+        (* Each run's rows ahead of position [j] are those before its
+           head, [r]'s before [i]. *)
+        Array.blit heads 0 anchor_offs (j / stride * nruns) nruns;
+        anchor_offs.((j / stride * nruns) + r) <- i
       end;
-      sel.(!j) <- r;
-      (* A run's rows pop in order, so its count so far is this row's index. *)
-      pos.(!j) <- consumed.(r);
-      consumed.(r) <- consumed.(r) + 1;
-      (match !last with
-      | Some lk ->
-          Lsm_sim.Env.charge_comparisons env 1;
-          if K.compare lk k = 0 then Lsm_util.Bitset.set eq_prev !j
-      | None -> ());
-      last := Some k;
-      incr j
+      sel.(j) <- r;
+      pos.(j) <- i;
+      (* A run's keys strictly increase: only another run's key can
+         equal the previous position's. *)
+      if j > 0 then begin
+        Lsm_sim.Env.charge_comparisons env 1;
+        let r' = sel.(j - 1) in
+        if r' <> r && K.compare runs.(r').keys.(pos.(j - 1)) k = 0 then
+          Lsm_util.Bitset.set eq_prev j
+      end
     done;
     Lsm_sim.Env.charge_entry_visits env n;
     (* Simulated footprint: 2 bytes per position (run selector + group
@@ -169,8 +166,8 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
   (* ------------------------------------------------------------------ *)
   (* Scanning *)
 
-  type 'row iter = {
-    view : 'row t;
+  type iter = {
+    view : t;
     hi : K.t option;  (** inclusive *)
     mask : bool array option;  (** include run [r]?  [None] = all *)
     valid : int -> int -> bool;  (** run -> row index -> live? *)
@@ -291,7 +288,7 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
   (** [next env it] resolves the next key group: the winner is the first
       position of the group that is mask-included and live ([valid]);
       shadowed, masked and invalid positions are skipped without touching
-      their data pages.  Returns the winner's run, whose row {!row} then
+      their data pages.  Returns the winner's run, whose row index {!position}
       reads, or [-1] past [hi] or the end.  Groups whose members are all
       skipped produce nothing and the iterator moves on.  Allocates
       nothing. *)
@@ -347,6 +344,7 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
       end
     end
 
-  (** [row it r] is the row of the winner [next] last returned, [r]. *)
-  let row it r = it.view.runs.(r).rows.(it.win_row)
+  (** [position it] is the row index, in its run, of the winner {!next}
+      last returned. *)
+  let position it = it.win_row
 end

@@ -315,15 +315,11 @@ let collect_resil sys partitions =
    eviction itself is recorded by the router; these are the engine-level
    spans it decomposes into (plus view rebuilds, which also steal
    partition time from foreground requests). *)
-let maintenance_spans =
-  [
-    "dataset.flush";
-    "dataset.merge";
-    "lsm.flush";
-    "lsm.merge";
-    "lsm.view.build";
-    "maint.job";
-  ]
+let maintenance_span = function
+  | "dataset.flush" | "dataset.merge" | "lsm.flush" | "lsm.merge"
+  | "lsm.view.build" | "maint.job" ->
+      true
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Fault plans and what the client sees *)
@@ -453,7 +449,7 @@ let serve ~durable ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
   tl (fun _ ->
       for i = 0 to n - 1 do
         Lsm_sim.Env.set_span_hook (envof i) (fun sp ->
-            if List.mem sp.Lsm_sim.Env.sp_name maintenance_spans then
+            if maintenance_span sp.Lsm_sim.Env.sp_name then
               spanbuf := (i, sp) :: !spanbuf)
       done);
   let hooks =

@@ -74,7 +74,7 @@ type t = {
           in the engine costs one branch.  The hook observes the point
           and may raise {!Injected_fault} to simulate a crash, a transient
           I/O error, or silent corruption at exactly that point. *)
-  mutable retry : Resilience.policy;
+  retry : Resilience.policy;
       (** retry budget for transient faults at the I/O sites *)
   resil : resil_stats;  (** resilience event counters *)
   view : view_stats;  (** sorted-view (REMIX) event counters *)
@@ -296,7 +296,6 @@ let io_penalty t = t.io_penalty
 let resil t = t.resil
 let view_stats t = t.view
 let retry_policy t = t.retry
-let set_retry_policy t p = t.retry <- p
 
 (** [mark_corrupt t ~file ~page] records that [page] of [file] now fails
     its checksum (a [Corrupt] fault flipped payload bytes; the write

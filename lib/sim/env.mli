@@ -94,7 +94,6 @@ type view_stats = {
 
 val view_stats : t -> view_stats
 val retry_policy : t -> Resilience.policy
-val set_retry_policy : t -> Resilience.policy -> unit
 
 val set_io_penalty : t -> float -> unit
 (** [set_io_penalty t f] scales all device I/O time (positioning and

@@ -26,7 +26,6 @@ let append t key =
 (** [close t] ends the intake (builder catch-up phase). *)
 let close t = t.closed <- true
 
-let is_closed t = t.closed
 let length t = t.n
 
 (** [sorted_keys ~cost t] returns the deduplicated, sorted keys, charging

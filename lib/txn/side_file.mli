@@ -11,7 +11,6 @@ val append : t -> int -> bool
     new component directly (Fig. 11b line 8). *)
 
 val close : t -> unit
-val is_closed : t -> bool
 val length : t -> int
 
 val sorted_keys : cost:int ref -> t -> int array

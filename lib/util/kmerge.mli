@@ -1,33 +1,34 @@
-(** K-way merge of sorted pull streams — the one merge behind every
-    reconciling path of the engine that reads two or more disk components
-    (tiering merges, reconciling scans, sorted-view builds, DELI repair,
-    the concurrent builder).  A reconciling scan over memory and at most
-    one disk component merges its two streams inline instead
-    ({!Lsm_tree.Make.scan}), with the comparisons this module would make
-    on two sources. *)
+(** K-way merge of sorted sources — the one merge behind every
+    reconciling path of the engine: tiering merges, reconciling scans,
+    sorted-view builds, DELI repair and the concurrent builder.
 
-type 'a t
+    The merge orders sources, not elements.  The caller owns each
+    source's head (a row position in a disk component, the memtable
+    cursor, an index into a key array) and reads it directly; this
+    module only keeps the live sources in heap order. *)
 
-val create : compare:('a -> 'a -> int) -> (unit -> 'a option) array -> 'a t
-(** [create ~compare sources] merges [sources], each a stream of elements
-    sorted by [compare] ([None] = exhausted), listed newest first.  Pulls
-    every source's first element, in source order.  [compare] runs
-    exactly once per heap comparison, so callers may charge it to a cost
-    model; equal elements pop in source order (newest first).
+type t
 
-    On one or two sources the calls are fixed: pulling a head while the
-    other source's head is live runs [compare new_head other_head] once,
-    and nothing else compares. *)
+val create : compare:(int -> int -> int) -> pull:(int -> bool) -> int -> t
+(** [create ~compare ~pull k] merges sources [0 .. k-1], listed newest
+    first.  [pull s] advances source [s]'s head and returns [false] once
+    the source is exhausted; [compare a b] orders the current heads of
+    live sources [a] and [b].  Pulls every source once, in source order.
+    [compare] runs exactly once per heap comparison, so callers may charge
+    it to a cost model; equal heads surface in source order (newest
+    first).
 
-val is_empty : 'a t -> bool
+    On one or two sources the calls are fixed: a pull that leaves both
+    heads live is followed by one [compare pulled other], and nothing
+    else compares. *)
 
-val pop : 'a t -> 'a
-(** [pop t] removes and returns the head with the smallest (element,
-    source index), then pulls the next element of that source only,
-    before returning: a source is never pulled before its previous head
-    was popped, nor again after it returned [None].  Nothing is allocated.
+val top : t -> int
+(** The live source with the smallest (head, source index), [-1] once
+    every source is exhausted.  Its head is the merge's next element:
+    read it before {!advance}. *)
+
+val advance : t -> int
+(** [advance t] pulls the {!top} source, restores heap order and returns
+    the new {!top}.  A source is pulled only here, when it is the top, and
+    never again once its pull returned [false].  Allocates nothing.
     @raise Invalid_argument if [t] is empty. *)
-
-val last_source : 'a t -> int
-(** The source index of the element the last {!pop} returned ([-1]
-    before the first). *)

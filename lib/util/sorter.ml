@@ -15,14 +15,6 @@ let sort ~cmp ~cost a =
       cmp x y)
     a
 
-(** [sort_list ~cmp ~cost l] sorts a list, adding comparisons to [cost]. *)
-let sort_list ~cmp ~cost l =
-  List.sort
-    (fun x y ->
-      incr cost;
-      cmp x y)
-    l
-
 (** [dedup_sorted ~eq a] returns the distinct elements of a sorted array,
     keeping the first of each run of equal elements.  Used by the
     sort-distinct step of Direct Validation (Fig. 5a). *)

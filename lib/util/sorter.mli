@@ -4,8 +4,6 @@
 val sort : cmp:('a -> 'a -> int) -> cost:int ref -> 'a array -> unit
 (** [sort ~cmp ~cost a] sorts in place, adding comparisons to [cost]. *)
 
-val sort_list : cmp:('a -> 'a -> int) -> cost:int ref -> 'a list -> 'a list
-
 val dedup_sorted : eq:('a -> 'a -> bool) -> 'a array -> 'a array
 (** Distinct elements of a sorted array, keeping the first of each run
     (the sort-distinct step of Direct Validation, Fig. 5a). *)

@@ -1,17 +1,19 @@
 (** A minimal growable array (OCaml 5.1 predates Stdlib.Dynarray).
 
-    The concurrent component builder appends merged rows one at a time
-    while writers concurrently binary-search the prefix built so far, so a
-    contiguous, indexable, growable sequence is exactly what is needed. *)
+    Merges append their output rows one at a time, and the concurrent
+    component builder does too while writers binary-search the prefix
+    built so far, so a contiguous, indexable, growable sequence is exactly
+    what is needed. *)
 
-type 'a t = { mutable data : 'a array; mutable len : int }
+type 'a t = { mutable data : 'a array; mutable len : int; capacity : int }
 
-let create () = { data = [||]; len = 0 }
+let create ?(capacity = 16) () =
+  { data = [||]; len = 0; capacity = max 1 capacity }
 
 let length t = t.len
 
 let push t x =
-  if Array.length t.data = 0 then t.data <- Array.make 16 x
+  if Array.length t.data = 0 then t.data <- Array.make t.capacity x
   else if t.len = Array.length t.data then begin
     let bigger = Array.make (2 * t.len) t.data.(0) in
     Array.blit t.data 0 bigger 0 t.len;

@@ -1,10 +1,13 @@
-(** Minimal growable arrays (OCaml 5.1 predates [Dynarray]); the
-    concurrent component builder appends merged rows while writers
-    binary-search the sorted prefix. *)
+(** Minimal growable arrays (OCaml 5.1 predates [Dynarray]); merges
+    append their output rows, and the concurrent component builder does
+    too while writers binary-search the sorted prefix. *)
 
 type 'a t
 
-val create : unit -> 'a t
+val create : ?capacity:int -> unit -> 'a t
+(** The first push allocates an array of [capacity] elements (default
+    16); a full array doubles. *)
+
 val length : 'a t -> int
 val push : 'a t -> 'a -> unit
 

@@ -32,7 +32,3 @@ let old_time_range ~now ~days ~day_span =
   let width = now * days / day_span in
   (0, max 0 width)
 
-(** [point_keys t ~live n] samples [n] existing primary keys (by index into
-    the live-key table) for batched point-lookup microbenches. *)
-let point_keys t ~count ~of_past ~past =
-  Array.init count (fun _ -> past (Lsm_util.Rng.int t.rng of_past))

@@ -17,6 +17,3 @@ val recent_time_range : now:int -> days:int -> day_span:int -> int * int
 val old_time_range : now:int -> days:int -> day_span:int -> int * int
 (** The "old data" variant: the first [days] worth. *)
 
-val point_keys :
-  t -> count:int -> of_past:int -> past:(int -> int) -> int array
-(** [count] existing primary keys sampled by index into the live table. *)

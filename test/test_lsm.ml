@@ -357,11 +357,86 @@ let test_mem_scan_no_major_alloc () =
     "range scan" (3_001, 0.0)
     (direct_major { L.full_scan_spec with lo = Some 1_000; hi = Some 4_000 })
 
-(* The k-way heap loop every reconciling scan without a sorted view ran
-   before memory against at most one disk component got its own two-way
-   loop; kept as that loop's oracle.  Same streams, same charged
-   comparisons, in the same order. *)
-let heap_scan env t (spec : L.scan_spec) ~f =
+(* The memory component's in-range rows as a sorted pull stream, the way
+   [Lsm_tree] once read them for the heap loop below: from [tables], a
+   replica of the tree's memtables built by the same writes, with every
+   charge of the slice landing at creation — one hi comparison per
+   binding the counting walk visits (every binding when there is no
+   [lo]), the sort of several shards' rows, the seeks' comparisons, then
+   one entry visit per in-range row. *)
+let mem_stream env tables (spec : L.scan_spec) =
+  let charge () = Lsm_sim.Env.charge_comparisons env 1 in
+  if not spec.include_mem then fun () -> None
+  else begin
+    let within_hi k =
+      match spec.hi with
+      | None -> true
+      | Some h ->
+          charge ();
+          k <= h
+    in
+    let slice m =
+      let c = L.Mbt.seek m spec.lo in
+      let n =
+        match (spec.lo, spec.hi) with
+        | None, None -> L.Mbt.length m
+        | _ ->
+            let w = L.Mbt.copy c in
+            let rec count n =
+              if not (L.Mbt.step w) then n
+              else if within_hi (L.Mbt.key w) then count (n + 1)
+              else if Option.is_none spec.lo then count n
+              else n
+            in
+            count 0
+      in
+      Array.init n (fun _ ->
+          ignore (L.Mbt.step c);
+          let ts, value = L.Mbt.value c in
+          { L.key = L.Mbt.key c; ts; value })
+    in
+    let rows = Array.concat (Array.to_list (Array.map slice tables)) in
+    if Array.length tables > 1 then
+      Array.sort
+        (fun (a : L.row) b ->
+          charge ();
+          Int.compare a.key b.key)
+        rows;
+    Lsm_sim.Env.charge_comparisons env
+      (Array.fold_left (fun acc m -> acc + L.Mbt.take_comparisons m) 0 tables);
+    Lsm_sim.Env.charge_entry_visits env (Array.length rows);
+    Seq.to_dispenser (Array.to_seq rows)
+  end
+
+(* One component's row positions in [spec.lo..spec.hi] as a pull stream
+   ([-1] at the end) that skips the positions [valid] rejects: the
+   per-component stream the heap loop below merged.  The seek is charged
+   now, and each pull a leaf fetch on a crossing, an entry visit and a hi
+   comparison per row it reads. *)
+let component_stream env (spec : L.scan_spec) ~valid (c : L.disk_component) =
+  let s = L.Dbt.Scan.seek env c.tree spec.lo in
+  let keys = L.Dbt.keys c.tree in
+  let rec next () =
+    let i = L.Dbt.Scan.next env s in
+    if i < 0 then -1
+    else if
+      match spec.hi with
+      | None -> false
+      | Some h ->
+          Lsm_sim.Env.charge_comparisons env 1;
+          keys.(i) > h
+    then -1
+    else if valid i then i
+    else next ()
+  in
+  next
+
+(* The k-way heap loop over materialised rows that every reconciling scan
+   without a sorted view once ran; kept as the oracle of the one merge
+   loop that replaced it (and of the two-way loop before that).  Same
+   streams, same charged comparisons, in the same order.  [tables]
+   replicates the tree's memtables (see [mem_stream]). *)
+let heap_scan env t tables (spec : L.scan_spec) ~f =
   let charge () = Lsm_sim.Env.charge_comparisons env 1 in
   let comps =
     match spec.only with
@@ -373,7 +448,7 @@ let heap_scan env t (spec : L.scan_spec) ~f =
     | Entry.Put _ -> f row ~src_repaired
     | Entry.Del -> if spec.emit_del then f row ~src_repaired
   in
-  let mem = L.mem_stream t spec in
+  let mem = mem_stream env tables spec in
   let mem_src () =
     match mem () with
     | Some (r : L.row) as head
@@ -389,23 +464,33 @@ let heap_scan env t (spec : L.scan_spec) ~f =
   let streams =
     Array.map
       (fun c ->
-        L.component_stream t ?lo:spec.lo ?hi:spec.hi
-          ~valid:(fun i ->
-            (not spec.respect_bitmap) || L.component_row_valid c i)
-          c)
+        let next =
+          component_stream env spec c ~valid:(fun i ->
+              (not spec.respect_bitmap) || L.component_row_valid c i)
+        in
+        fun () ->
+          let i = next () in
+          if i < 0 then None else Some (L.rows_of c).(i))
       comps_a
   in
+  let sources = Array.append [| mem_src |] streams in
+  let heads = Array.make (Array.length sources) None in
+  let head s = Option.get heads.(s) in
   let m =
-    Lsm_util.Kmerge.create
-      ~compare:(fun (a : L.row) b ->
+    Lsm_util.Kmerge.create (Array.length sources)
+      ~compare:(fun a b ->
         charge ();
-        Int.compare a.key b.key)
-      (Array.append [| mem_src |] streams)
+        Int.compare (head a).L.key (head b).L.key)
+      ~pull:(fun s ->
+        heads.(s) <- sources.(s) ();
+        Option.is_some heads.(s))
   in
   let last_key = ref None in
-  while not (Lsm_util.Kmerge.is_empty m) do
-    let row = Lsm_util.Kmerge.pop m in
-    let p = Lsm_util.Kmerge.last_source m in
+  let top = ref (Lsm_util.Kmerge.top m) in
+  while !top >= 0 do
+    let p = !top in
+    let row = head p in
+    top := Lsm_util.Kmerge.advance m;
     let dup =
       match !last_key with
       | Some lk ->
@@ -468,11 +553,11 @@ let scan_case_gen =
         pick;
       })
 
-(* A reconciling scan without a sorted view — memory and at most one disk
-   component (a one-component tree, or [only] picking one or none of
-   several) through the two-way loop, or all of several through Kmerge —
-   gives the same rows, the same source repairedTS, the same I/O counters
-   and the same simulated clock as the heap loop on an identical tree. *)
+(* A reconciling scan without a sorted view — memory (1 or 3 shards)
+   against a one-component tree, [only] picking one or none of several
+   components, or all of several with views off — gives the same rows,
+   the same source repairedTS, the same I/O counters and the same
+   simulated clock as the heap loop on an identical tree. *)
 let prop_scan_matches_heap =
   qtest ~count:300 "reconciling scan = heap loop (rows, stats, clock)"
     scan_case_gen (fun c ->
@@ -483,17 +568,27 @@ let prop_scan_matches_heap =
             (Lsm_tree.Config.make ~bloom:(Some Lsm_tree.Config.default_bloom)
                ~shards:c.shards "t")
         in
+        (* The heap loop reads this replica of the memtables. *)
+        let fresh () =
+          Array.init c.shards (fun _ -> L.Mbt.create ~fkeys:false ())
+        in
+        let tables = ref (fresh ()) in
         let ts = ref 0 in
+        let write k e =
+          incr ts;
+          L.write t ~key:k ~ts:!ts e;
+          let m = !tables.(L.shard_of t k) in
+          ignore (L.Mbt.put m k ~fkey:L.no_fkey (!ts, e))
+        in
         List.iter
           (function
-            | Write (k, v) ->
-                incr ts;
-                L.write t ~key:k ~ts:!ts (Entry.Put v)
-            | Delete k ->
-                incr ts;
-                L.write t ~key:k ~ts:!ts Entry.Del
-            | Flush | MergeAll -> L.flush t)
+            | Write (k, v) -> write k (Entry.Put v)
+            | Delete k -> write k Entry.Del
+            | Flush | MergeAll ->
+                if not (L.mem_is_empty t) then tables := fresh ();
+                L.flush t)
           c.ops;
+        Array.iter (fun m -> ignore (L.Mbt.take_comparisons m)) !tables;
         let comps = L.components t in
         List.iter
           (fun (ci, pos) ->
@@ -524,18 +619,18 @@ let prop_scan_matches_heap =
             only;
           }
         in
-        (env, t, spec)
+        (env, t, !tables, spec)
       in
       let run scan =
-        let env, t, spec = build () in
+        let env, t, tables, spec = build () in
         let out = ref [] in
-        scan env t spec ~f:(fun (r : L.row) ~src_repaired ->
+        scan env t tables spec ~f:(fun (r : L.row) ~src_repaired ->
             out := (r.key, r.ts, r.value, src_repaired) :: !out);
         ( List.rev !out,
           Lsm_sim.Io_stats.fields (Lsm_sim.Env.stats env),
           Int64.bits_of_float (Lsm_sim.Env.now_us env) )
       in
-      run (fun _env t spec ~f -> L.scan t spec ~f) = run heap_scan)
+      run (fun _env t _tables spec ~f -> L.scan t spec ~f) = run heap_scan)
 
 type filter_case = {
   segments : op list list;
@@ -1145,6 +1240,69 @@ let test_find_position () =
   Alcotest.(check (option int)) "present" (Some 3) (L.find_position t c 6);
   Alcotest.(check (option int)) "absent" None (L.find_position t c 7)
 
+(* Allocation budgets: minor words per emitted row of three reconciling
+   scans, and per input row of a 4-component merge, over generations of
+   2,000 keys each (every other key, one in seven deleted) flushed into
+   components, the last one left in memory.  The merges read rows by
+   position and a scan builds a memory row only when it emits one, so
+   about 2 words per emitted row are that row (a quarter of the output
+   comes from memory); several shards add their gathered columns.  The
+   first scan warms the view.  The ceilings sit just above what the
+   position-reading merge measures; the element merge it replaced
+   allocated 7.1 (heap), 3.5 (view), 11.4 (shards) and 6.9 (merge). *)
+let alloc_tree ?(shards = 1) ~flushes () =
+  let t =
+    L.create (mk_env ())
+      (Lsm_tree.Config.make ~bloom:(Some Lsm_tree.Config.default_bloom)
+         ~shards "t")
+  in
+  let ts = ref 0 in
+  for g = 0 to flushes do
+    for i = 0 to 1_999 do
+      incr ts;
+      L.write t
+        ~key:((2 * i) + (g mod 2))
+        ~ts:!ts
+        (if (i + g) mod 7 = 0 then Entry.Del else Entry.Put !ts)
+    done;
+    if g < flushes then L.flush t
+  done;
+  t
+
+let check_budget name ceiling words =
+  if words > ceiling then
+    Alcotest.failf "%s: %.3f minor words per row, budget %.1f" name words
+      ceiling
+
+let test_scan_alloc_budgets () =
+  let words_per_row t =
+    let n = ref 0 in
+    let f _ ~src_repaired:_ = incr n in
+    L.scan t L.full_scan_spec ~f;
+    n := 0;
+    let w0 = Gc.minor_words () in
+    L.scan t L.full_scan_spec ~f;
+    (Gc.minor_words () -. w0) /. Float.of_int !n
+  in
+  let heap = alloc_tree ~flushes:3 () in
+  L.set_sorted_views heap false;
+  check_budget "memory + 3 components, views off" 2.5 (words_per_row heap);
+  check_budget "memory + 3 components, view" 2.5
+    (words_per_row (alloc_tree ~flushes:3 ()));
+  check_budget "3 memory shards + 1 component" 5.0
+    (words_per_row (alloc_tree ~shards:3 ~flushes:1 ()))
+
+let test_merge_alloc_budget () =
+  let t = alloc_tree ~flushes:3 () in
+  L.flush t;
+  let rows =
+    Array.fold_left (fun a c -> a + L.component_rows c) 0 (L.components t)
+  in
+  let w0 = Gc.minor_words () in
+  ignore (L.merge t ~first:0 ~last:3);
+  check_budget "merge of 4 components" 1.0
+    ((Gc.minor_words () -. w0) /. Float.of_int rows)
+
 let () =
   Alcotest.run "lsm_tree"
     [
@@ -1176,6 +1334,10 @@ let () =
           Alcotest.test_case "subset" `Quick test_scan_only_subset;
           Alcotest.test_case "memory scan allocates no major block" `Quick
             test_mem_scan_no_major_alloc;
+          Alcotest.test_case "reconciling scans: minor words per row" `Quick
+            test_scan_alloc_budgets;
+          Alcotest.test_case "merge: minor words per row" `Quick
+            test_merge_alloc_budget;
           prop_scan_matches_heap;
           prop_filtered_scan_matches_post_filter;
           Alcotest.test_case "filter needs range filters" `Quick

@@ -811,6 +811,28 @@ let test_bench_compare_speedup () =
   check "1.29 -> 2.0 improves" [] 1.29 2.0;
   check "fall to zero regresses" [ "s" ] 1.29 0.0
 
+(* A [sim.] entry is compared exactly: a 1% move either way fails, while
+   a host entry keeps the threshold. *)
+let test_bench_compare_sim_exact () =
+  let doc entries = { B.kind = "micro"; scale = None; entries } in
+  let e name v = { B.name; unit_ = "us"; samples = [| v |] } in
+  let old_d =
+    doc
+      [ e "sim.worse" 100.0; e "sim.better" 100.0; e "sim.same" 100.0;
+        e "host" 100.0 ]
+  in
+  let new_d =
+    doc
+      [ e "sim.worse" 101.0; e "sim.better" 99.0; e "sim.same" 100.0;
+        e "host" 101.0 ]
+  in
+  let regs, compared, _, _ = B.compare_docs ~threshold:0.10 old_d new_d in
+  Alcotest.(check int) "compared" 4 compared;
+  Alcotest.(check (list string))
+    "both sim moves fail, the host move does not"
+    [ "sim.better"; "sim.worse" ]
+    (List.sort compare (List.map (fun r -> r.B.r_name) regs))
+
 let test_bench_of_reports () =
   let r =
     Lsm_harness.Report.make ~id:"figX" ~title:"t"
@@ -1240,6 +1262,8 @@ let () =
             test_bench_compare_missing;
           Alcotest.test_case "compare: speedups improve upward" `Quick
             test_bench_compare_speedup;
+          Alcotest.test_case "compare: sim entries are exact" `Quick
+            test_bench_compare_sim_exact;
           Alcotest.test_case "reports -> entries" `Quick test_bench_of_reports;
         ] );
     ]

@@ -400,35 +400,45 @@ let prop_kmerge =
       let srcs = Array.of_list (List.map (List.sort compare) lists) in
       let k = Array.length srcs in
       let rest = Array.copy srcs in
+      let head = Array.make k (-1) in
       let exhausted = Array.make k false in
       let pulled = ref [] in
       let ok = ref true in
-      let stream s () =
-        (* A pull after [None] breaks the contract. *)
+      let pull s =
+        (* A pull after [false] breaks the contract. *)
         if exhausted.(s) then ok := false;
         pulled := s :: !pulled;
         match rest.(s) with
         | [] ->
             exhausted.(s) <- true;
-            None
+            false
         | x :: tl ->
             rest.(s) <- tl;
-            Some x
+            head.(s) <- x;
+            true
       in
-      let m = Kmerge.create ~compare:Int.compare (Array.init k stream) in
+      let cmp a b =
+        (* Only live heads are compared. *)
+        if exhausted.(a) || exhausted.(b) then ok := false;
+        Int.compare head.(a) head.(b)
+      in
+      let m = Kmerge.create ~compare:cmp ~pull k in
       (* Creation pulls each source's head once, in source order. *)
       if List.rev !pulled <> List.init k Fun.id then ok := false;
-      if Kmerge.last_source m <> -1 then ok := false;
       let out = ref [] in
-      while not (Kmerge.is_empty m) do
+      while Kmerge.top m >= 0 do
         pulled := [];
-        let x = Kmerge.pop m in
-        let s = Kmerge.last_source m in
-        (* Only the popped source refills, before [pop] returns. *)
-        if !pulled <> [ s ] then ok := false;
+        let s = Kmerge.top m in
+        let x = head.(s) in
+        (* Reading the top pulls nothing. *)
+        if !pulled <> [] then ok := false;
+        let next = Kmerge.advance m in
+        (* Only the top source refills, inside [advance], which returns
+           the new top. *)
+        if !pulled <> [ s ] || next <> Kmerge.top m then ok := false;
         out := (x, s) :: !out
       done;
-      (match Kmerge.pop m with
+      (match Kmerge.advance m with
       | _ -> ok := false
       | exception Invalid_argument _ -> ());
       let expected =
@@ -438,12 +448,13 @@ let prop_kmerge =
       in
       !ok && List.rev !out = expected)
 
-(* The two-way merge of [Lsm_tree.scan] (memory against at most one disk
-   component), written against plain streams: after a pull that leaves
-   both heads live, one [compare new_head other_head]; source 0 wins ties.
-   Kmerge on the same one or two sources must pop the same (source,
-   element) sequence and make the same [compare] calls, operand pair for
-   operand pair, or the scan's two paths would charge differently. *)
+(* A two-way merge written against plain streams: after a pull that
+   leaves both heads live, one [compare new_head other_head]; source 0
+   wins ties.  It is the loop a reconciling scan of memory against at most
+   one disk component once ran inline, and the simulated charges of such
+   scans are pinned to it: Kmerge on the same one or two sources must
+   yield the same (source, element) sequence and make the same [compare]
+   calls, operand pair for operand pair. *)
 let two_way ~compare s0 s1 ~emit =
   let h0 = ref (s0 ()) in
   let h1 = ref (s1 ()) in
@@ -504,13 +515,28 @@ let prop_two_way_is_kmerge =
         (List.rev !out, List.rev !calls)
       in
       let via_kmerge ~compare stream emit =
+        let k = Array.length srcs in
+        let next = Array.init k stream in
+        let head = Array.make k (0, 0) in
         let m =
-          Kmerge.create ~compare (Array.init (Array.length srcs) stream)
+          Kmerge.create k
+            ~compare:(fun a b -> compare head.(a) head.(b))
+            ~pull:(fun s ->
+              match next.(s) () with
+              | Some x ->
+                  head.(s) <- x;
+                  true
+              | None -> false)
         in
-        while not (Kmerge.is_empty m) do
-          let x = Kmerge.pop m in
-          emit (Kmerge.last_source m) x
-        done
+        let rec drain s =
+          if s >= 0 then begin
+            let x = head.(s) in
+            let next = Kmerge.advance m in
+            emit s x;
+            drain next
+          end
+        in
+        drain (Kmerge.top m)
       in
       let via_two_way ~compare stream emit =
         two_way ~compare (stream 0) (stream 1) ~emit
