@@ -75,8 +75,8 @@ let test_bloom_blocked =
 
 let disk_tree () =
   let env = quiet_env () in
-  let rows = Array.init 100_000 (fun i -> (i * 2, i)) in
-  (env, Dbt.build env ~key_of:fst ~size_of:(fun _ -> 24) rows)
+  let keys = Array.init 100_000 (fun i -> i * 2) in
+  (env, Dbt.build env ~size_of:(fun _ -> 24) keys)
 
 let test_dbt_find =
   let env, t = disk_tree () in
@@ -140,7 +140,7 @@ let test_lsm_scan =
   Test.make ~name:"lsm.reconciling_scan(10k,4comps)"
     (Staged.stage (fun () ->
          let n = ref 0 in
-         L.scan t L.full_scan_spec ~f:(fun _ ~src_repaired:_ -> incr n)))
+         L.scan t L.full_scan_spec ~f:(fun _ _ _ ~src_repaired:_ -> incr n)))
 
 (* A reconciling scan that reads only the memory component: the shape of
    a time-range scan whose range filters prune every disk component. *)
@@ -156,7 +156,7 @@ let test_lsm_mem_scan =
   Test.make ~name:"lsm.mem_scan(2k)"
     (Staged.stage (fun () ->
          let n = ref 0 in
-         L.scan t L.full_scan_spec ~f:(fun _ ~src_repaired:_ -> incr n)))
+         L.scan t L.full_scan_spec ~f:(fun _ _ _ ~src_repaired:_ -> incr n)))
 
 let test_lsm_merge =
   Test.make ~name:"lsm.merge(2x2.5k)"
@@ -196,7 +196,7 @@ let scan_tree ~views ~ncomps =
   L.set_sorted_views t views;
   (* Warm the cache and, on the view side, build the view: steady-state
      is what both the bechamel and the sim series measure. *)
-  L.scan t L.full_scan_spec ~f:(fun _ ~src_repaired:_ -> ());
+  L.scan t L.full_scan_spec ~f:(fun _ _ _ ~src_repaired:_ -> ());
   (env, t)
 
 let range_fixture_heap = lazy (scan_tree ~views:false ~ncomps:8)
@@ -207,7 +207,7 @@ let range_scan_bench name fixture =
     (Staged.stage (fun () ->
          let _env, t = Lazy.force fixture in
          let n = ref 0 in
-         L.scan t L.full_scan_spec ~f:(fun _ ~src_repaired:_ -> incr n)))
+         L.scan t L.full_scan_spec ~f:(fun _ _ _ ~src_repaired:_ -> incr n)))
 
 (* The shape of a time-range scan after its range filters pruned all but
    [ncomps] (0 or 1) disk components: a reconciling scan, restricted to
@@ -233,7 +233,7 @@ let time_range_tree ~ncomps =
     { L.full_scan_spec with only = Some (Array.to_list (L.components t)) }
   in
   (* Warm the cache: steady state is what both series measure. *)
-  L.scan t spec ~f:(fun _ ~src_repaired:_ -> ());
+  L.scan t spec ~f:(fun _ _ _ ~src_repaired:_ -> ());
   (env, t, spec)
 
 let time_range_fixture = lazy (time_range_tree ~ncomps:1)
@@ -243,7 +243,7 @@ let test_lsm_time_range_scan =
     (Staged.stage (fun () ->
          let _env, t, spec = Lazy.force time_range_fixture in
          let n = ref 0 in
-         L.scan t spec ~f:(fun _ ~src_repaired:_ -> incr n)))
+         L.scan t spec ~f:(fun _ _ _ ~src_repaired:_ -> incr n)))
 
 (* A time-range scan proper: the primary tree has a range filter (each
    value is its own filter key, rising with the timestamp, as
@@ -284,14 +284,14 @@ let filtered_tree shape =
     { L.full_scan_spec with only = Some (Array.to_list (L.components t)) }
   in
   (* Warm the cache and, for [`View], build the view. *)
-  L.scan t L.full_scan_spec ~f:(fun _ ~src_repaired:_ -> ());
+  L.scan t L.full_scan_spec ~f:(fun _ _ _ ~src_repaired:_ -> ());
   (env, t, spec, (!ts / 2, !ts * 5 / 6))
 
 (* The filtered scan every time-range entry runs, [f] on each kept row. *)
 let time_range_scan t spec window ~f =
   L.scan t
     { spec with L.filter = Some window }
-    ~f:(fun r ~src_repaired:_ -> f r)
+    ~f:(fun _ _ v ~src_repaired:_ -> f v)
 
 let filtered_fixture = lazy (filtered_tree `C1)
 
@@ -301,6 +301,106 @@ let test_lsm_filtered_time_range_scan =
          let _env, t, spec, window = Lazy.force filtered_fixture in
          let n = ref 0 in
          time_range_scan t spec window ~f:(fun _ -> incr n)))
+
+(* A tweet-valued primary tree on a heap of about 100 MB: 1M upserts of
+   uniformly random keys below 800k (about 570k live rows), each value a
+   tweet record whose [created_at] is its timestamp and range-filter
+   key, flushed every 25k writes, all 40 components merged into one, then
+   1k more upserts left in memory.  A merge keeps its inputs' entries, so
+   the merged component reads its entries from 40 flushes' worth of heap,
+   as a long-running tree does, not from one contiguous run.  Read by a
+   filtered time-range scan (a window over the middle third of the
+   timestamps, each kept record read) and a batched lookup of 10k sorted
+   random keys (each hit's record read). *)
+module P = D.Prim
+
+let tweet_fixture =
+  lazy
+    (let env = quiet_env () in
+     let t =
+       P.create ~filter_of:Tweet.created_at env
+         (Lsm_tree.Config.make ~bloom:(Some Lsm_tree.Config.default_bloom)
+            "bench")
+     in
+     let rng = Lsm_util.Rng.create 29 in
+     let put ts =
+       let id = Lsm_util.Rng.int rng 800_000 in
+       P.write t ~key:id ~ts
+         (Lsm_tree.Entry.Put
+            {
+              Tweet.id;
+              user_id = Lsm_util.Rng.int rng Tweet.user_id_domain;
+              location = Lsm_util.Rng.int rng Tweet.location_domain;
+              created_at = ts;
+              msg_len = 140;
+            })
+     in
+     let n = 1_000_000 in
+     for ts = 1 to n do
+       put ts;
+       if ts mod 25_000 = 0 then P.flush t
+     done;
+     ignore (P.merge t ~first:0 ~last:(P.component_count t - 1));
+     for ts = n + 1 to n + 1_000 do
+       put ts
+     done;
+     let spec =
+       { P.full_scan_spec with only = Some (Array.to_list (P.components t)) }
+     in
+     let keys = Array.init 10_000 (fun _ -> Lsm_util.Rng.int rng 800_000) in
+     Array.sort Int.compare keys;
+     P.scan t spec ~f:(fun _ _ _ ~src_repaired:_ -> ());
+     (t, spec, (n / 3, n * 2 / 3), P.plain_keys keys))
+
+let test_tweet_time_range_scan =
+  Test.make ~name:"lsm.time_range_scan(tweets, 570k rows, filtered)"
+    (Staged.stage (fun () ->
+         let t, spec, window, _ = Lazy.force tweet_fixture in
+         let n = ref 0 in
+         P.scan t
+           { spec with P.filter = Some window }
+           ~f:(fun _ _ v ~src_repaired:_ ->
+             match v with
+             | Lsm_tree.Entry.Put r -> n := !n + r.Tweet.msg_len
+             | Lsm_tree.Entry.Del -> ())))
+
+let test_tweet_lookup_batch =
+  Test.make ~name:"lsm.lookup_batch(tweets, 570k rows, 10k keys)"
+    (Staged.stage (fun () ->
+         let t, _, _, keys = Lazy.force tweet_fixture in
+         let n = ref 0 in
+         P.lookup_batch t P.default_lookup_opts keys ~emit:(fun _ row ->
+             match row with
+             | Some { P.value = Lsm_tree.Entry.Put r; _ } ->
+                 n := !n + r.Tweet.msg_len
+             | _ -> ())))
+
+(* Words reachable from a flushed 10k-row component with int values, per
+   row: what a disk component keeps on the heap per stored row (its key,
+   timestamp and entry columns, the entries themselves, the Bloom filter
+   and leaf fences).  Deterministic per binary. *)
+let footprint_entries () =
+  let t =
+    L.create (quiet_env ())
+      (Lsm_tree.Config.make ~bloom:(Some Lsm_tree.Config.default_bloom) "bench")
+  in
+  for i = 0 to 9_999 do
+    L.write t ~key:i ~ts:(i + 1) (Lsm_tree.Entry.Put i)
+  done;
+  L.flush t;
+  let c = (L.components t).(0) in
+  let words =
+    Float.of_int (Obj.reachable_words (Obj.repr c))
+    /. Float.of_int (L.component_rows c)
+  in
+  Printf.printf "footprint.component %.3f words per row\n" words;
+  [
+    {
+      Lsm_harness.Bench_json.name = "footprint.component.words_per_row";
+      unit_ = "words/row";
+      samples = [| words |];
+    };
+  ]
 
 (* Simulated cost of one filtered scan per fixture shape: the filter is
    pushed into the scan, which charges exactly what an unfiltered scan
@@ -339,7 +439,7 @@ let sim_range_scan_entries () =
     let env, t, spec = time_range_tree ~ncomps in
     let before_cmp = (Lsm_sim.Env.stats env).Lsm_sim.Io_stats.comparisons in
     let before_us = Lsm_sim.Env.now_us env in
-    L.scan t spec ~f:(fun _ ~src_repaired:_ -> ());
+    L.scan t spec ~f:(fun _ _ _ ~src_repaired:_ -> ());
     let cmp = (Lsm_sim.Env.stats env).Lsm_sim.Io_stats.comparisons - before_cmp in
     let us = Lsm_sim.Env.now_us env -. before_us in
     Printf.printf "sim.range_scan c%d: %7.0fus %7d cmp\n" ncomps us cmp;
@@ -355,7 +455,7 @@ let sim_range_scan_entries () =
     let before_cmp = (Lsm_sim.Env.stats env).Lsm_sim.Io_stats.comparisons in
     let before_us = Lsm_sim.Env.now_us env in
     let rows = ref 0 in
-    L.scan t L.full_scan_spec ~f:(fun _ ~src_repaired:_ -> incr rows);
+    L.scan t L.full_scan_spec ~f:(fun _ _ _ ~src_repaired:_ -> incr rows);
     ( !rows,
       (Lsm_sim.Env.stats env).Lsm_sim.Io_stats.comparisons - before_cmp,
       Lsm_sim.Env.now_us env -. before_us )
@@ -888,6 +988,8 @@ let micro_tests =
       test_lsm_mem_scan;
       test_lsm_time_range_scan;
       test_lsm_filtered_time_range_scan;
+      test_tweet_time_range_scan;
+      test_tweet_lookup_batch;
       range_scan_bench "lsm.range_scan(16k,8comps,heap)" range_fixture_heap;
       range_scan_bench "lsm.range_scan(16k,8comps,view)" range_fixture_view;
       test_lsm_merge;
@@ -909,9 +1011,9 @@ let has_prefix ~prefix name =
   String.length name >= String.length prefix
   && String.sub name 0 (String.length prefix) = prefix
 
-(* The simulated-cost series, each with the prefix all its entry names
-   share, so [--only] runs a series only when some of its entries can
-   match. *)
+(* The deterministic series — simulated costs, and the component
+   footprint — each with the prefix all its entry names share, so
+   [--only] runs a series only when some of its entries can match. *)
 let sim_series =
   [
     ("sim.range_scan.", sim_range_scan_entries);
@@ -924,6 +1026,7 @@ let sim_series =
     ("sim.lookup.", sim_lookup_entries);
     ("sim.validate.", sim_validate_entries);
     ("sim.repair.", sim_repair_entries);
+    ("footprint.", footprint_entries);
   ]
 
 (* [--only PREFIX] keeps the entries whose name, as written to [--json]
@@ -953,6 +1056,12 @@ let run_micro ?(quota = 0.4) ?json_path ?(only = "") () =
   ignore (Lazy.force range_fixture_view);
   ignore (Lazy.force time_range_fixture);
   ignore (Lazy.force filtered_fixture);
+  if
+    List.exists
+      (fun t -> has_prefix ~prefix:"lsm.lookup_batch(tweets" (Test.name t)
+             || has_prefix ~prefix:"lsm.time_range_scan(tweets" (Test.name t))
+      tests
+  then ignore (Lazy.force tweet_fixture);
   (* Deterministic simulated-cost series first — the CI gate reads these. *)
   let sim_entries =
     List.concat_map (fun (_, run) -> run ()) series

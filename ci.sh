@@ -125,6 +125,16 @@ for strategy in validation bitmap; do
   cmp /tmp/chaos_a.json /tmp/chaos_b.json
 done
 
+# --- golden outputs ----------------------------------------------------
+# Every deterministic CLI output above (the faultsim matrices, the chaos
+# and serve documents), plus a traced and explained figure, every
+# experiment and the amplification report, digested one line each.  Any
+# difference from the committed GOLDEN file is a change in simulated
+# behaviour: regenerate the file on purpose (sh golden.sh > GOLDEN) and
+# commit it with the change that moves it.
+sh golden.sh > /tmp/golden_new.txt
+diff GOLDEN /tmp/golden_new.txt
+
 # --- bench checks ------------------------------------------------------
 # One quick microbench run feeds two comparisons against the committed
 # baseline:

@@ -1,11 +1,13 @@
 (** Immutable disk-resident B+-trees, the structure inside every LSM disk
-    component.
+    component: a key index over row positions.
 
-    A tree is bulk-loaded once from a sorted row array and never modified.
-    Rows live in leaf pages laid out contiguously in a phantom file
-    ({!Lsm_sim.Sfile}); leaf boundaries are computed from serialized row
-    sizes against the device page size, so page counts — and therefore all
-    I/O costs — reflect real entry sizes.
+    A tree is bulk-loaded once from a sorted key array and never modified;
+    the rows themselves are the caller's, stored as columns it reads by
+    the positions this tree returns.  Rows live in leaf pages laid out
+    contiguously in a phantom file ({!Lsm_sim.Sfile}); leaf boundaries
+    are computed from each position's serialized row size against the
+    device page size, so page counts — and therefore all I/O costs —
+    reflect real entry sizes.
 
     Interior levels are represented by the per-leaf fence-key array.
     Searching charges key comparisons for the interior descent but no page
@@ -20,10 +22,9 @@
     - [Scan]: sequential leaf-order iteration for range scans and merges. *)
 
 module Make (K : Lsm_util.Intf.ORDERED) = struct
-  type 'row t = {
+  type t = {
     file : Lsm_sim.Sfile.t;
     keys : K.t array;  (** key of each row, ascending (duplicates allowed) *)
-    rows : 'row array;
     leaf_starts : int array;  (** leaf [l] holds rows [starts.(l), starts.(l+1)) *)
     fences : K.t array;  (** first key of each leaf *)
     leaf_pages : int;
@@ -33,12 +34,11 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
             use, so a descent allocates none *)
   }
 
-  let nrows t = Array.length t.rows
-  let is_empty t = Array.length t.rows = 0
+  let nrows t = Array.length t.keys
+  let is_empty t = Array.length t.keys = 0
   let file t = t.file
   let leaf_pages t = t.leaf_pages
   let interior_pages t = t.interior_pages
-  let rows t = t.rows
   let keys t = t.keys
 
   let min_key t = if is_empty t then None else Some t.keys.(0)
@@ -47,18 +47,18 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
   (** [size_bytes env t] is the on-disk footprint. *)
   let size_bytes env t = Lsm_sim.Sfile.size_bytes env t.file
 
-  (** [build env ~key_of ~size_of rows] bulk-loads a tree from rows already
-      sorted by [key_of] (ascending; verified in debug runs by tests).
-      Charges sequential writes for leaf and interior pages. *)
-  let build env ~key_of ~size_of rows =
-    let n = Array.length rows in
+  (** [build env ~size_of keys] bulk-loads a tree over [keys], already
+      sorted ascending (verified in debug runs by tests); [size_of i] is
+      the serialized size of row [i].  The tree keeps [keys] as its key
+      column.  Charges sequential writes for leaf and interior pages. *)
+  let build env ~size_of keys =
+    let n = Array.length keys in
     let page_size = Lsm_sim.Env.page_size env in
-    let keys = Array.map key_of rows in
     (* Cut leaves by accumulated serialized size. *)
     let starts = ref [ 0 ] in
     let acc = ref 0 in
     for i = 0 to n - 1 do
-      let s = size_of rows.(i) in
+      let s = size_of i in
       if !acc > 0 && !acc + s > page_size then begin
         starts := i :: !starts;
         acc := s
@@ -88,7 +88,6 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
     {
       file;
       keys;
-      rows;
       leaf_starts;
       fences;
       leaf_pages = nleaves;
@@ -143,10 +142,11 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
       i
     end
 
-  (** [find env t key] is the first row equal to [key] with its row index,
-      if any — the stateless ("naive") point lookup. *)
+  (** [find env t key] is the position of the first row equal to [key],
+      or [-1] — the stateless ("naive") point lookup.  Allocates
+      nothing. *)
   let find env t key =
-    if is_empty t then None
+    if is_empty t then -1
     else begin
       let l = leaf_for env t key in
       read_leaf env t l;
@@ -160,9 +160,9 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
       let res =
         if i < t.leaf_starts.(l + 1) && K.compare t.keys.(i) key = 0 then begin
           Lsm_sim.Env.charge_entry_visits env 1;
-          Some (i, t.rows.(i))
+          i
         end
-        else None
+        else -1
       in
       Lsm_sim.Env.charge_comparisons env !cost;
       res
@@ -173,13 +173,13 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
       gallops from there with exponential search instead of descending from
       the root, so sorted key batches cost O(log gap) per key. *)
   module Cursor = struct
-    type 'row cur = { tree : 'row t; mutable leaf : int; mutable pos : int }
+    type cur = { tree : t; mutable leaf : int; mutable pos : int }
 
     let create tree = { tree; leaf = 0; pos = 0 }
 
     let find env c key =
       let t = c.tree in
-      if is_empty t then None
+      if is_empty t then -1
       else begin
         let cost = t.cost in
         cost := 0;
@@ -218,9 +218,9 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
         let res =
           if i < t.leaf_starts.(l + 1) && K.compare t.keys.(i) key = 0 then begin
             Lsm_sim.Env.charge_entry_visits env 1;
-            Some (i, t.rows.(i))
+            i
           end
-          else None
+          else -1
         in
         Lsm_sim.Env.charge_comparisons env !cost;
         res
@@ -233,8 +233,8 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
       open one per component — does not degrade to a seek per page.  Each
       returned row is charged one entry visit. *)
   module Scan = struct
-    type 'row s = {
-      tree : 'row t;
+    type s = {
+      tree : t;
       mutable i : int;  (** next row index *)
       mutable leaf : int;  (** leaf of [i], fetched already *)
       mutable prefetched_until : int;  (** last leaf in the RA window *)
@@ -277,8 +277,8 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
     (** [peek_key s] is the key of the next row without consuming it. *)
     let peek_key s = if has_next s then Some s.tree.keys.(s.i) else None
 
-    (** [next env s] consumes the next row and returns its index ([-1]
-        when exhausted); the row is [(rows t).(i)]. *)
+    (** [next env s] consumes the next row and returns its position
+        ([-1] when exhausted). *)
     let next env s =
       if not (has_next s) then -1
       else begin

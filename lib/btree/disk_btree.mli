@@ -1,7 +1,8 @@
-(** Immutable disk-resident B+-trees — the structure inside every LSM disk
-    component.  Bulk-loaded once from a key-sorted row array; leaf pages
-    live in a phantom file so page counts and I/O costs reflect real entry
-    sizes.  Interior levels are fence-key arrays: their descent charges
+(** Immutable disk-resident B+-trees — the key index inside every LSM disk
+    component.  Bulk-loaded once from a sorted key array and a size per
+    row position; the rows themselves are the caller's, stored as columns
+    and read by the positions this index returns.  Leaf pages live in a
+    phantom file so page counts and I/O costs reflect real entry sizes.  Interior levels are fence-key arrays: their descent charges
     comparisons but no page I/O (they are a fraction of a percent of the
     data and pinned in any real cache); interior pages are written — and
     charged — at build time.
@@ -12,55 +13,54 @@
     read-ahead iteration for range scans and merges). *)
 
 module Make (K : Lsm_util.Intf.ORDERED) : sig
-  type 'row t
+  type t
 
-  val build :
-    Lsm_sim.Env.t ->
-    key_of:('row -> K.t) ->
-    size_of:('row -> int) ->
-    'row array ->
-    'row t
-  (** Bulk-load from rows sorted ascending by [key_of] (duplicates
-      allowed); charges sequential writes for leaf and interior pages. *)
+  val build : Lsm_sim.Env.t -> size_of:(int -> int) -> K.t array -> t
+  (** [build env ~size_of keys]: bulk-load from keys sorted ascending
+      (duplicates allowed), [size_of i] being the serialized size of the
+      row at position [i]; charges sequential writes for leaf and interior
+      pages.  The tree keeps [keys] as its key column ({!keys}). *)
 
-  val delete : Lsm_sim.Env.t -> 'row t -> unit
+  val delete : Lsm_sim.Env.t -> t -> unit
   (** Release the underlying file. *)
 
-  val nrows : 'row t -> int
-  val is_empty : 'row t -> bool
-  val file : 'row t -> Lsm_sim.Sfile.t
-  val leaf_pages : 'row t -> int
-  val interior_pages : 'row t -> int
+  val nrows : t -> int
+  val is_empty : t -> bool
+  val file : t -> Lsm_sim.Sfile.t
+  val leaf_pages : t -> int
+  val interior_pages : t -> int
 
-  val rows : 'row t -> 'row array
-  (** The raw sorted rows (no I/O charged; callers walking them outside a
-      scan must charge explicitly). *)
+  val keys : t -> K.t array
+  (** The key of each row position, ascending (no I/O charged; callers
+      reading it outside a search or scan must charge explicitly). *)
 
-  val keys : 'row t -> K.t array
-  val min_key : 'row t -> K.t option
-  val max_key : 'row t -> K.t option
-  val size_bytes : Lsm_sim.Env.t -> 'row t -> int
+  val min_key : t -> K.t option
+  val max_key : t -> K.t option
+  val size_bytes : Lsm_sim.Env.t -> t -> int
 
-  val lower_bound_row : Lsm_sim.Env.t -> 'row t -> K.t -> int
+  val lower_bound_row : Lsm_sim.Env.t -> t -> K.t -> int
   (** Index of the first row with key >= the bound (or [nrows]); charges
       the interior descent and one leaf read. *)
 
-  val leaf_of_row : 'row t -> int -> int
+  val leaf_of_row : t -> int -> int
   (** Leaf index holding a row (no I/O charged; callers fetch the leaf
       themselves).  Lets the sorted-view layer charge exactly the page
       fetches a sequential scan of the same rows would. *)
 
-  val find : Lsm_sim.Env.t -> 'row t -> K.t -> (int * 'row) option
-  (** Stateless point lookup: first row equal to the key, with its index. *)
+  val find : Lsm_sim.Env.t -> t -> K.t -> int
+  (** Stateless point lookup: the position of the first row equal to the
+      key, or [-1].  Allocates nothing, on a hit or a miss. *)
 
   (** Stateful search cursors ("sLookup"): remember the last leaf and row
       position and gallop from there, so sorted key batches cost
       O(log gap) per key. *)
   module Cursor : sig
-    type 'row cur
+    type cur
 
-    val create : 'row t -> 'row cur
-    val find : Lsm_sim.Env.t -> 'row cur -> K.t -> (int * 'row) option
+    val create : t -> cur
+
+    val find : Lsm_sim.Env.t -> cur -> K.t -> int
+    (** As {!val-find}, galloping from the cursor's last position. *)
   end
 
   (** Sequential scans in leaf order, prefetching
@@ -68,16 +68,16 @@ module Make (K : Lsm_util.Intf.ORDERED) : sig
       read-ahead), so many interleaved scan streams do not degrade to a
       seek per page. *)
   module Scan : sig
-    type 'row s
+    type s
 
-    val seek : Lsm_sim.Env.t -> 'row t -> K.t option -> 'row s
+    val seek : Lsm_sim.Env.t -> t -> K.t option -> s
     (** Position at the first row with key >= the bound ([None] = start). *)
 
-    val has_next : 'row s -> bool
-    val peek_key : 'row s -> K.t option
+    val has_next : s -> bool
+    val peek_key : s -> K.t option
 
-    val next : Lsm_sim.Env.t -> 'row s -> int
-    (** Consume the next row and return its index into {!rows} ([-1] when
+    val next : Lsm_sim.Env.t -> s -> int
+    (** Consume the next row and return its position ([-1] when
         exhausted), charging page fetches as leaves are entered and one
         entry visit per row.  Allocates nothing. *)
   end

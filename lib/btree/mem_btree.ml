@@ -249,16 +249,18 @@ struct
     in
     match t.root with None -> None | Some r -> go r
 
+  (* [find]'s descent from a node, at the functor's top level so a
+     lookup allocates no closure for it. *)
+  let rec find_below t key = function
+    | L lf ->
+        let pos = leaf_lower_bound t lf key in
+        if pos < lf.ln && cmp t lf.lk.(pos) key = 0 then Some lf.lv.(pos)
+        else None
+    | I nd -> find_below t key nd.ic.(child_index t nd key)
+
   (** [find t key] returns the value bound to [key], if any. *)
   let find t key =
-    let rec go = function
-      | L lf ->
-          let pos = leaf_lower_bound t lf key in
-          if pos < lf.ln && cmp t lf.lk.(pos) key = 0 then Some lf.lv.(pos)
-          else None
-      | I nd -> go nd.ic.(child_index t nd key)
-    in
-    match t.root with None -> None | Some r -> go r
+    match t.root with None -> None | Some r -> find_below t key r
 
   let mem t key = Option.is_some (find t key)
 
@@ -328,7 +330,8 @@ struct
       f (key c) (value c)
     done
 
-  (** [to_sorted_array t] materializes all bindings in key order (flush). *)
+  (** [to_sorted_array t] materializes all bindings in key order (the
+      tests' model). *)
   let to_sorted_array t =
     let c = seek t None in
     if not (step c) then [||]

@@ -45,7 +45,7 @@ end) : sig
   (** Ascending key order: a walk of [seek t None]. *)
 
   val to_sorted_array : 'v t -> (K.t * 'v) array
-  (** Materialize all bindings in key order (flush). *)
+  (** Materialize all bindings in key order (the tests' model). *)
 
   val iter_from : 'v t -> K.t -> (K.t -> 'v -> bool) -> unit
   (** Bindings with key >= the bound, in order, while the callback returns

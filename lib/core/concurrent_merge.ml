@@ -74,7 +74,10 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
     method_ : method_;
     costs : costs;
     locks : Lsm_txn.Lock_table.t;
-    out : D.Prim.row Lsm_util.Vec.t;  (** new component rows, key-sorted *)
+    out_keys : int Lsm_util.Vec.t;  (** new component's keys, sorted *)
+    out_at : int Lsm_util.Vec.t;
+        (** where each new row comes from: its position in its input
+            component times the input count, plus the input's index *)
     out_marks : (int, unit) Hashtbl.t;  (** positions invalidated in C' *)
     mutable scanned_key : int;  (** C'.ScannedKey; min_int = none *)
     mutable side : Lsm_txn.Side_file.t option;
@@ -90,9 +93,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
   let mark_in_new st pk =
     let cost = ref 0 in
     (match
-       Lsm_util.Vec.binary_search
-         ~cmp:(fun (r : D.Prim.row) k -> Int.compare r.D.Prim.key k)
-         ~cost st.out pk
+       Lsm_util.Vec.binary_search ~cmp:Int.compare ~cost st.out_keys pk
      with
     | Some pos -> Hashtbl.replace st.out_marks pos ()
     | None -> ());
@@ -162,7 +163,8 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
         method_;
         costs;
         locks = Lsm_txn.Lock_table.create ();
-        out = Lsm_util.Vec.create ();
+        out_keys = Lsm_util.Vec.create ();
+        out_at = Lsm_util.Vec.create ();
         out_marks = Hashtbl.create 1024;
         scanned_key = min_int;
         side = None;
@@ -203,13 +205,13 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
     let writer_budget = ref 0.0 in
     let last_key = ref min_int in
     let first_row = ref true in
+    let npcomps = Array.length pcomps in
     let top = ref (Lsm_util.Kmerge.top m.cm_merge) in
     while !top >= 0 do
       let p = !top in
       let pos = m.cm_heads.(p) in
-      let row = (D.Prim.rows_of pcomps.(p)).(pos) in
       top := Lsm_util.Kmerge.advance m.cm_merge;
-      let k = row.D.Prim.key in
+      let k = (D.Prim.Dbt.keys pcomps.(p).D.Prim.tree).(pos) in
       (* Interleave writers. *)
       writer_budget := !writer_budget +. writer_ops_per_row;
       while !writer_budget >= 1.0 do
@@ -241,7 +243,8 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
              Baseline, snapshot for Side-file) *)
         in
         if valid then begin
-          Lsm_util.Vec.push st.out row;
+          Lsm_util.Vec.push st.out_keys k;
+          Lsm_util.Vec.push st.out_at ((pos * npcomps) + p);
           st.scanned_key <- k
         end
       end
@@ -259,22 +262,27 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
     st.building <- false;
     (* --- Install the new components (primary + primary key index) like
        a merge, sharing one bitmap --- *)
-    let rows = Lsm_util.Vec.to_array st.out in
-    let n = Array.length rows in
+    let keys = Lsm_util.Vec.to_array st.out_keys in
+    let n = Array.length keys in
+    let column read =
+      Array.init n (fun o ->
+          let at = Lsm_util.Vec.get st.out_at o in
+          read pcomps.(at mod npcomps) (at / npcomps))
+    in
+    let tss = column (fun c i -> c.D.Prim.tss.(i)) in
+    let vals = column (fun c i -> c.D.Prim.vals.(i)) in
     let bitmap = Lsm_util.Bitset.create n in
     Hashtbl.iter (fun pos () -> Lsm_util.Bitset.set bitmap pos) st.out_marks;
-    ignore (D.Prim.install prim ~inputs:pcomps rows);
-    let krows =
-      Array.map
-        (fun (r : D.Prim.row) ->
-          {
-            D.Pk.key = r.D.Prim.key;
-            ts = r.D.Prim.ts;
-            value = (match r.D.Prim.value with Entry.Put _ -> Entry.Put () | Entry.Del -> Entry.Del);
-          })
-        rows
+    ignore (D.Prim.install prim ~inputs:pcomps ~keys ~tss ~vals);
+    (* The twin shares the key and timestamp columns: no component writes
+       to its columns. *)
+    let kc =
+      D.Pk.install pkt ~inputs:kcomps ~keys ~tss
+        ~vals:
+          (Array.map
+             (function Entry.Put _ -> Entry.Put () | Entry.Del -> Entry.Del)
+             vals)
     in
-    let kc = D.Pk.install pkt ~inputs:kcomps krows in
     kc.D.Pk.bitmap <- Some bitmap;
     D.share_pair_bitmaps d;
     {

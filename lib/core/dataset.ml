@@ -827,8 +827,8 @@ module Make (R : Record.S) = struct
             None
         | None -> (
             match Pk.disk_find pkt pk with
-            | Some (c, pos, row)
-              when Entry.is_put row.Pk.value && Pk.component_row_valid c pos ->
+            | Some (c, pos)
+              when Entry.is_put c.Pk.vals.(pos) && Pk.component_row_valid c pos ->
                 (* The shared bitmap makes the primary component see it. *)
                 Pk.invalidate c pos;
                 Some (c.Pk.seq, pos)
@@ -935,14 +935,13 @@ module Make (R : Record.S) = struct
   let entry_is_valid (vt : Pk.t) ?cursors ~pk ~ts ~threshold () =
     match Pk.mem_find vt pk with
     | Some row -> row.Pk.ts <= ts
-    | None -> (
-        match
+    | None ->
+        let pos =
           Pk.find_newest vt ?cursors
             ~stop:(fun c -> c.Pk.cmax_ts <= threshold)
             pk
-        with
-        | Some (_, _, row) -> row.Pk.ts <= ts
-        | None -> true)
+        in
+        pos < 0 || (Pk.found vt).Pk.tss.(pos) <= ts
 
   (* The validation index for a secondary: its own deleted-key tree under
      the Deleted-key strategy, else the dataset's primary key index. *)
@@ -971,18 +970,16 @@ module Make (R : Record.S) = struct
         in
         let threshold = comp.Sec.repaired_ts in
         if not piggyback then Sec.charge_component_scan sec.tree comp;
-        let rows = Sec.rows_of comp in
         (* Gather still-valid entries as (pk, ts, position). *)
         let items = ref [] in
         let n_items = ref 0 in
         Array.iteri
-          (fun pos (r : Sec.row) ->
+          (fun pos (_, pk) ->
             if Sec.component_row_valid comp pos then begin
-              let _, pk = r.Sec.key in
-              items := (pk, r.Sec.ts, pos) :: !items;
+              items := (pk, comp.Sec.tss.(pos), pos) :: !items;
               incr n_items
             end)
-          rows;
+          (Sec.Dbt.keys comp.Sec.tree);
         let items = Array.of_list !items in
         Lsm_sim.Env.explain_count t.env "repair_items" !n_items;
         let invalidate pos =
@@ -1059,13 +1056,12 @@ module Make (R : Record.S) = struct
                  ||
                  (* Search newest-first from the memoized component; the
                     first hit is the newest entry and decides. *)
-                 match
+                 let hit =
                    Pk.find_newest vt ~cursors ~from:fp ~positive:fp
                      ~stop:(fun c -> not (could_supersede c ts))
                      pk
-                 with
-                 | Some (_, _, row) -> row.Pk.ts > ts
-                 | None -> false
+                 in
+                 hit >= 0 && (Pk.found vt).Pk.tss.(hit) > ts
                in
                if stale then invalidate pos)
              cands
@@ -1087,10 +1083,10 @@ module Make (R : Record.S) = struct
              let newest : (int, int) Hashtbl.t = Hashtbl.create 1024 in
              Pk.scan vt
                { Pk.full_scan_spec with only = Some relevant_comps; emit_del = true }
-               ~f:(fun row ~src_repaired:_ ->
-                 match Hashtbl.find_opt newest row.Pk.key with
-                 | Some ts0 when ts0 >= row.Pk.ts -> ()
-                 | _ -> Hashtbl.replace newest row.Pk.key row.Pk.ts);
+               ~f:(fun key ts _ ~src_repaired:_ ->
+                 match Hashtbl.find_opt newest key with
+                 | Some ts0 when ts0 >= ts -> ()
+                 | _ -> Hashtbl.replace newest key ts);
              Array.iter
                (fun (pk, ts, pos) ->
                  match Hashtbl.find_opt newest pk with
@@ -1181,14 +1177,16 @@ module Make (R : Record.S) = struct
   let rebuild_secondary t s (comp : Sec.disk_component) =
     Lsm_sim.Env.span t.env ~cat:s.sec_name "resilience.rebuild" @@ fun () ->
     repair_component t s comp ~piggyback:false;
-    let rows = Sec.rows_of comp in
-    let live = ref [] in
-    Array.iteri
-      (fun pos r -> if Sec.component_row_valid comp pos then live := r :: !live)
-      rows;
-    let live = Array.of_list (List.rev !live) in
-    Lsm_sim.Env.charge_entry_visits t.env (Array.length live);
-    ignore (Sec.install s.tree ~inputs:[| comp |] live);
+    let live =
+      List.filter (Sec.component_row_valid comp)
+        (List.init (Sec.component_rows comp) Fun.id)
+    in
+    let column col = Array.of_list (List.map (Array.get col) live) in
+    Lsm_sim.Env.charge_entry_visits t.env (List.length live);
+    ignore
+      (Sec.install s.tree ~inputs:[| comp |]
+         ~keys:(column (Sec.Dbt.keys comp.Sec.tree))
+         ~tss:(column comp.Sec.tss) ~vals:(column comp.Sec.vals));
     let r = resil t in
     r.Lsm_sim.Env.rebuilds <- r.Lsm_sim.Env.rebuilds + 1
 
@@ -1324,7 +1322,7 @@ module Make (R : Record.S) = struct
       let top = ref (Lsm_util.Kmerge.top m.cm_merge) in
       while !top >= 0 do
         let s = !top in
-        let row = (Prim.rows_of comps.(s)).(m.cm_heads.(s)) in
+        let row = Prim.row_at comps.(s) m.cm_heads.(s) in
         top := Lsm_util.Kmerge.advance m.cm_merge;
         let pk = row.Prim.key in
         if pk <> !cur_pk then begin
@@ -1371,10 +1369,9 @@ module Make (R : Record.S) = struct
         lo = Some (lo, min_int);
         hi = Some (hi, max_int);
       }
-      ~f:(fun row ~src_repaired ->
-        let sk, pk = row.Sec.key in
+      ~f:(fun (sk, pk) ts _ ~src_repaired ->
         incr n;
-        out := { e_sk = sk; e_pk = pk; e_ts = row.Sec.ts; e_src_repaired = src_repaired } :: !out);
+        out := { e_sk = sk; e_pk = pk; e_ts = ts; e_src_repaired = src_repaired } :: !out);
     Lsm_sim.Env.explain_count t.env "entries_matched" !n;
     List.rev !out
 
@@ -1386,25 +1383,30 @@ module Make (R : Record.S) = struct
     arr
 
   (* Timestamp validation (Fig. 5b): filter out entries superseded in the
-     primary key index (or deleted-key tree). *)
-  let timestamp_validate t sec entries_sorted =
+     primary key index (or deleted-key tree).  The valid entries are moved,
+     in order, to the front of [sorted]; returns their count. *)
+  let timestamp_validate t sec sorted =
     match validation_index t sec with
-    | None -> Array.to_list entries_sorted
+    | None -> Array.length sorted
     | Some vt ->
         Lsm_sim.Env.span t.env ~cat:sec.sec_name "validate.timestamp"
         @@ fun () ->
         let cursors = Pk.cursors vt in
-        let valid =
-          List.filter
-            (fun e ->
+        let n = ref 0 in
+        Array.iter
+          (fun e ->
+            if
               entry_is_valid vt ~cursors ~pk:e.e_pk ~ts:e.e_ts
-                ~threshold:(max e.e_src_repaired e.e_ts) ())
-            (Array.to_list entries_sorted)
-        in
-        Lsm_sim.Env.explain_count t.env "entries_validated" (List.length valid);
+                ~threshold:(max e.e_src_repaired e.e_ts) ()
+            then begin
+              sorted.(!n) <- e;
+              incr n
+            end)
+          sorted;
+        Lsm_sim.Env.explain_count t.env "entries_validated" !n;
         Lsm_sim.Env.explain_count t.env "entries_discarded"
-          (Array.length entries_sorted - List.length valid);
-        valid
+          (Array.length sorted - !n);
+        !n
 
   (* Fetch records for (already sorted) query keys via batched point
      lookups; emission order is fetch order. *)
@@ -1473,10 +1475,9 @@ module Make (R : Record.S) = struct
         let sorted = sort_entries_by_pk t entries in
         let valid = timestamp_validate t s sorted in
         let qkeys =
-          Array.map
-            (fun e ->
+          Array.init valid (fun i ->
+              let e = sorted.(i) in
               { Prim.qkey = e.e_pk; hint_ts = (if lookup.Prim.use_hints then e.e_ts else 0) })
-            (Array.of_list valid)
         in
         fetch_records t ~lookup qkeys
 
@@ -1494,7 +1495,7 @@ module Make (R : Record.S) = struct
     | `Timestamp ->
         let sorted = sort_entries_by_pk t entries in
         let valid = timestamp_validate t s sorted in
-        List.map (fun e -> (e.e_sk, e.e_pk)) valid
+        List.init valid (fun i -> (sorted.(i).e_sk, sorted.(i).e_pk))
 
   (** [full_scan t ~f] streams every live record (reconciled); returns the
       record count.  The fallback plan secondary indexes compete against
@@ -1502,8 +1503,8 @@ module Make (R : Record.S) = struct
   let full_scan t ~f =
     Lsm_sim.Env.span t.env ~cat:"dataset" "query.scan" @@ fun () ->
     let n = ref 0 in
-    Prim.scan t.primary Prim.full_scan_spec ~f:(fun row ~src_repaired:_ ->
-        match row.Prim.value with
+    Prim.scan t.primary Prim.full_scan_spec ~f:(fun _ _ value ~src_repaired:_ ->
+        match value with
         | Entry.Put r ->
             incr n;
             f r
@@ -1568,8 +1569,8 @@ module Make (R : Record.S) = struct
         only = Some only;
         filter = Some (tlo, thi);
       }
-      ~f:(fun row ~src_repaired:_ ->
-        match row.Prim.value with
+      ~f:(fun _ _ value ~src_repaired:_ ->
+        match value with
         | Entry.Put r ->
             incr n;
             f r

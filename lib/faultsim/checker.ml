@@ -127,8 +127,8 @@ let check_pair_alignment acc (st : S.t) =
               if pid <> kid then
                 failf acc "pair comp %d: primary id (%d,%d) vs pk (%d,%d)" i
                   (fst pid) (snd pid) (fst kid) (snd kid);
-              let prows = Array.length (D.Prim.rows_of pc)
-              and krows = Array.length (D.Pk.rows_of kc) in
+              let prows = D.Prim.component_rows pc
+              and krows = D.Pk.component_rows kc in
               if prows <> krows then
                 failf acc "pair comp %d: %d primary rows vs %d pk rows" i
                   prows krows;

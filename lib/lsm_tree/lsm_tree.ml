@@ -73,7 +73,9 @@ module Make (K : KEY) (V : VALUE) = struct
 
   type row = { key : K.t; ts : int; value : V.t Entry.t }
 
-  let row_size r = K.byte_size r.key + 8 + Entry.byte_size V.byte_size r.value
+  (* The serialized size of an entry: key, timestamp, value. *)
+  let entry_size key value =
+    K.byte_size key + 8 + Entry.byte_size V.byte_size value
 
   type mem_component = {
     table : (int * V.t Entry.t) Mbt.t;  (** key -> (ts, entry) *)
@@ -85,7 +87,9 @@ module Make (K : KEY) (V : VALUE) = struct
   }
 
   type disk_component = {
-    tree : row Dbt.t;
+    tree : Dbt.t;  (** the key index; its key column is {!Dbt.keys} *)
+    tss : int array;  (** each row's timestamp, by position *)
+    vals : V.t Entry.t array;  (** each row's entry, by position *)
     bloom : Lsm_bloom.Filter.t option;
     cmin_ts : int;  (** component ID lower bound *)
     cmax_ts : int;  (** component ID upper bound *)
@@ -136,6 +140,12 @@ module Make (K : KEY) (V : VALUE) = struct
             this tree lowers it to the minimum secondary repairedTS, so
             that deletions stay observable until every obsolete secondary
             entry has been repaired. *)
+    mutable found_in : disk_component array;
+    mutable found_at : int;
+        (** the walked array and component index of {!find_newest}'s last
+            hit, so the walk returns a bare position; [found_in] is
+            emptied whenever [disk] changes, so it never keeps a deleted
+            component alive *)
   }
 
   let fresh_mem filter_of =
@@ -160,6 +170,8 @@ module Make (K : KEY) (V : VALUE) = struct
       views_enabled = true;
       next_seq = 0;
       tombstone_drop_ts = max_int;
+      found_in = [||];
+      found_at = -1;
     }
 
   let mem_shards t = Array.length t.mems
@@ -241,11 +253,11 @@ module Make (K : KEY) (V : VALUE) = struct
   let view_min_components = 2
 
   (** [invalidate_view t] drops the sorted view, if any.  Called
-      immediately before *every* assignment of [t.disk] (flush, install,
-      remove_component): the drop and the list mutation are adjacent
-      non-raising stores, so a crash — which in this
-      simulator is an exception at a fault point — can never observe a
-      view describing a component set that no longer exists.  Recovery
+      immediately before *every* assignment of [t.disk] ({!set_disk}, for
+      flush, install and remove_component): the drop and the list
+      mutation are adjacent non-raising stores, so a crash — which in
+      this simulator is an exception at a fault point — can never observe
+      a view describing a component set that no longer exists.  Recovery
       needs no view repair: a rebuilt tree starts with [view = None] and
       the next reconciling scan rebuilds it from the surviving
       components. *)
@@ -257,6 +269,14 @@ module Make (K : KEY) (V : VALUE) = struct
         View.release t.env v;
         let vs = Lsm_sim.Env.view_stats t.env in
         vs.Lsm_sim.Env.invalidations <- vs.Lsm_sim.Env.invalidations + 1
+
+  (* The one way [t.disk] changes: drop the view and forget the last
+     probe hit (whose array may hold components about to be deleted),
+     then install [comps]. *)
+  let set_disk t comps =
+    invalidate_view t;
+    t.found_in <- [||];
+    t.disk <- comps
 
   (** [set_sorted_views t on] toggles the subsystem at runtime (the heap
       merge remains the fallback and the differential-test oracle). *)
@@ -335,13 +355,10 @@ module Make (K : KEY) (V : VALUE) = struct
     let fkey = fkey_of t entry in
     let old = Mbt.put m.table key ~fkey (ts, entry) in
     charge_mem_cmps t;
-    let new_size = K.byte_size key + 8 + Entry.byte_size V.byte_size entry in
     (match old with
-    | Some (_, old_e) ->
-        m.bytes <-
-          m.bytes - (K.byte_size key + 8 + Entry.byte_size V.byte_size old_e)
+    | Some (_, old_e) -> m.bytes <- m.bytes - entry_size key old_e
     | None -> ());
-    m.bytes <- m.bytes + new_size;
+    m.bytes <- m.bytes + entry_size key entry;
     if ts < m.min_ts then m.min_ts <- ts;
     if ts > m.max_ts then m.max_ts <- ts;
     (match (entry, t.filter_of) with
@@ -358,15 +375,12 @@ module Make (K : KEY) (V : VALUE) = struct
   let mem_rollback t ~key ~prior =
     let m = t.mems.(shard_of t key) in
     (match Mbt.remove m.table key with
-    | Some (_, old_e) ->
-        m.bytes <-
-          m.bytes - (K.byte_size key + 8 + Entry.byte_size V.byte_size old_e)
+    | Some (_, old_e) -> m.bytes <- m.bytes - entry_size key old_e
     | None -> ());
     (match prior with
     | Some ((ts : int), entry) ->
         ignore (Mbt.put m.table key ~fkey:(fkey_of t entry) (ts, entry));
-        m.bytes <-
-          m.bytes + K.byte_size key + 8 + Entry.byte_size V.byte_size entry
+        m.bytes <- m.bytes + entry_size key entry
     | None -> ());
     charge_mem_cmps t
 
@@ -437,7 +451,7 @@ module Make (K : KEY) (V : VALUE) = struct
 
   type cursors = {
     snapshot : disk_component array;
-    curs : row Dbt.Cursor.cur array;
+    curs : Dbt.Cursor.cur array;
   }
 
   let cursors t =
@@ -450,41 +464,53 @@ module Make (K : KEY) (V : VALUE) = struct
      Bloom filter unless [positive] (already probed and positive), then a
      descent — with [i]'s cursor when [cursors] holds one, else from the
      root — and on a miss a false positive, when the filter was
-     consulted.  The one place these charges are made. *)
+     consulted.  The one place these charges are made.  The hit's row
+     position, or [-1]. *)
   let probe_at t cursors ~positive i c key =
     if positive || bloom_maybe t c key then begin
-      let hit =
+      let pos =
         match cursors with
         | Some k -> Dbt.Cursor.find t.env k.curs.(i) key
         | None -> Dbt.find t.env c.tree key
       in
-      (match hit with
-      | None when c.bloom <> None && not c.quarantined ->
-          let st = Lsm_sim.Env.stats t.env in
-          st.Lsm_sim.Io_stats.bloom_fps <- st.Lsm_sim.Io_stats.bloom_fps + 1
-      | _ -> ());
-      hit
+      if pos < 0 && c.bloom <> None && not c.quarantined then begin
+        let st = Lsm_sim.Env.stats t.env in
+        st.Lsm_sim.Io_stats.bloom_fps <- st.Lsm_sim.Io_stats.bloom_fps + 1
+      end;
+      pos
     end
-    else None
+    else -1
 
   let rec walk t cursors comps stop positive key i =
-    if i >= Array.length comps then None
+    if i >= Array.length comps then -1
     else
       let c = comps.(i) in
-      if stop c then None
+      if stop c then -1
       else
-        match probe_at t cursors ~positive:(i = positive) i c key with
-        | Some (pos, row) -> Some (i, pos, row)
-        | None -> walk t cursors comps stop positive key (i + 1)
+        let pos = probe_at t cursors ~positive:(i = positive) i c key in
+        if pos >= 0 then begin
+          t.found_in <- comps;
+          t.found_at <- i;
+          pos
+        end
+        else walk t cursors comps stop positive key (i + 1)
 
-  (** [find_newest t ?cursors ?from ?stop ?positive key]: the newest disk
-      entry for [key] as (component index, row position, row), probing
-      components newest to oldest from [from] until [stop] says so or one
-      hits.  With [cursors], the walk reads their snapshot. *)
+  (** [find_newest t ?cursors ?from ?stop ?positive key]: the row position
+      of the newest disk entry for [key] ([-1]: none), probing components
+      newest to oldest from [from] until [stop] says so or one hits; the
+      hit's component is {!found}.  With [cursors], the walk reads their
+      snapshot. *)
   let find_newest t ?cursors ?(from = 0) ?(stop = fun _ -> false)
       ?(positive = -1) key =
     let comps = match cursors with Some k -> k.snapshot | None -> t.disk in
     walk t cursors comps stop positive key from
+
+  (** [found t] is the component of {!find_newest}'s last hit. *)
+  let found t = t.found_in.(t.found_at)
+
+  (** [row_at c i] is the row at position [i] of [c], built from its
+      columns. *)
+  let row_at c i = { key = (Dbt.keys c.tree).(i); ts = c.tss.(i); value = c.vals.(i) }
 
   (** [first_positive t ?eligible key]: the newest [eligible] component
       whose Bloom filter may hold [key], or [-1]. *)
@@ -500,28 +526,35 @@ module Make (K : KEY) (V : VALUE) = struct
   (* ------------------------------------------------------------------ *)
   (* Flush *)
 
-  let build_bloom t rows =
+  let build_bloom t keys =
     match t.config.Config.bloom with
     | None -> None
     | Some { Config.kind; fpr } ->
-        let n = Array.length rows in
+        let n = Array.length keys in
         let f = Lsm_bloom.Filter.create kind ~expected:n ~fpr in
-        Array.iter (fun r -> Lsm_bloom.Filter.add f (K.hash r.key)) rows;
+        Array.iter (fun k -> Lsm_bloom.Filter.add f (K.hash k)) keys;
         Lsm_sim.Env.charge_hashes t.env (2 * n);
         Some f
 
-  let mk_component t rows ~cmin_ts ~cmax_ts ~range_filter ~repaired_ts ~prov =
-    let tree = Dbt.build t.env ~key_of:(fun r -> r.key) ~size_of:row_size rows in
-    let bloom = build_bloom t rows in
+  (* A component over the key-sorted columns [keys], [tss], [vals]; the
+     key index keeps [keys] as its key column. *)
+  let mk_component t ~keys ~tss ~vals ~cmin_ts ~cmax_ts ~range_filter
+      ~repaired_ts ~prov =
+    let tree =
+      Dbt.build t.env ~size_of:(fun i -> entry_size keys.(i) vals.(i)) keys
+    in
+    let bloom = build_bloom t keys in
     let bitmap =
       if t.config.Config.validity_bitmap then
-        Some (Lsm_util.Bitset.create (Array.length rows))
+        Some (Lsm_util.Bitset.create (Array.length keys))
       else None
     in
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
     {
       tree;
+      tss;
+      vals;
       bloom;
       cmin_ts;
       cmax_ts;
@@ -529,7 +562,7 @@ module Make (K : KEY) (V : VALUE) = struct
       fkeys =
         (match t.filter_of with
         | None -> Lazy.from_val [||]
-        | Some _ -> lazy (Array.map (fun r -> fkey_of t r.value) rows));
+        | Some _ -> lazy (Array.map (fkey_of t) vals));
       bitmap;
       repaired_ts;
       quarantined = false;
@@ -537,21 +570,51 @@ module Make (K : KEY) (V : VALUE) = struct
       prov;
     }
 
-  let shard_rows m =
-    Array.map
-      (fun (key, (ts, entry)) -> { key; ts; value = entry })
-      (Mbt.to_sorted_array m.table)
+  (* One column of the bindings ahead of each slice's cursor (a cursor
+     and the count of bindings to read), concatenated in slice order. *)
+  let gather slices n read =
+    let sh = ref 0 and cur = ref (fst slices.(0)) and left = ref 0 in
+    Array.init n (fun _ ->
+        while !left = 0 do
+          cur := Mbt.copy (fst slices.(!sh));
+          left := snd slices.(!sh);
+          incr sh
+        done;
+        decr left;
+        ignore (Mbt.step !cur);
+        read !cur)
 
-  (* Flush pre-sorted rows into a fresh newest component, stamped with
-     one flush origin ([fo_shard]: the flushed shard, [-1] = all).
+  (* The key, timestamp and entry columns of the memory shards [mems], in
+     key order, read straight from the memtables.  Several shards are
+     gathered and their key order sorted, charged: shard key sets are
+     disjoint, so that reproduces a single memtable's order — and the
+     comparisons of sorting its rows — exactly. *)
+  let mem_columns t mems =
+    let slices = Array.map (fun m -> (Mbt.seek m.table None, Mbt.length m.table)) mems in
+    let n = Array.fold_left (fun acc (_, k) -> acc + k) 0 slices in
+    let keys = gather slices n Mbt.key
+    and tss = gather slices n (fun c -> fst (Mbt.value c))
+    and vals = gather slices n (fun c -> snd (Mbt.value c)) in
+    if Array.length mems = 1 then (keys, tss, vals)
+    else begin
+      let order = Array.init n Fun.id in
+      Array.sort (fun a b -> compare_keys t keys.(a) keys.(b)) order;
+      let sorted col = Array.map (fun i -> col.(i)) order in
+      (sorted keys, sorted tss, sorted vals)
+    end
+
+  (* Flush the memory shards [mems] into a fresh newest component, stamped
+     with one flush origin ([fo_shard]: the flushed shard, [-1] = all).
      [points] is the (begin, install) fault-point pair — whole-memory and
      per-shard flushes announce distinct pairs, so the crash harness
      enumerates both windows. *)
-  let flush_shard_rows t rows ~cmin_ts ~cmax_ts ~range_filter ~fo_shard
+  let flush_shards t mems ~cmin_ts ~cmax_ts ~range_filter ~fo_shard
       ~points:(begin_point, install_point) ~reset =
+    let keys, tss, vals = mem_columns t mems in
+    let n = Array.length keys in
     Lsm_sim.Env.span t.env ~cat:(name t) "lsm.flush" @@ fun () ->
     Lsm_sim.Env.fault_point t.env begin_point;
-    Lsm_sim.Env.charge_entry_visits t.env (Array.length rows);
+    Lsm_sim.Env.charge_entry_visits t.env n;
     let prov =
       [
         {
@@ -563,14 +626,14 @@ module Make (K : KEY) (V : VALUE) = struct
       ]
     in
     let c =
-      mk_component t rows ~cmin_ts ~cmax_ts ~range_filter ~repaired_ts:0 ~prov
+      mk_component t ~keys ~tss ~vals ~cmin_ts ~cmax_ts ~range_filter
+        ~repaired_ts:0 ~prov
     in
-    invalidate_view t;
-    t.disk <- Array.append [| c |] t.disk;
+    set_disk t (Array.append [| c |] t.disk);
     reset ();
     Lsm_obs.Ampstats.on_flush
       (Lsm_sim.Env.amp t.env)
-      ~bytes:(component_size_bytes t c) ~rows:(Array.length rows);
+      ~bytes:(component_size_bytes t c) ~rows:n;
     Lsm_sim.Env.fault_point t.env install_point
 
   (** [flush t] turns a non-empty memory component into the newest disk
@@ -590,28 +653,15 @@ module Make (K : KEY) (V : VALUE) = struct
               Some (m.fmin, m.fmax)
             else None
           in
-          flush_shard_rows t (shard_rows m) ~cmin_ts:m.min_ts
+          flush_shards t [| m |] ~cmin_ts:m.min_ts
             ~cmax_ts:m.max_ts ~range_filter ~fo_shard:s
             ~points:(Fault_point.Lsm_flush_shard_begin, Lsm_flush_shard_install)
             ~reset:(fun () -> t.mems.(s) <- fresh_mem t.filter_of)
         end
     | None ->
         if not (mem_is_empty t) then begin
-          let rows =
-            if Array.length t.mems = 1 then shard_rows t.mems.(0)
-            else begin
-              (* Shard key sets are disjoint, so sorting the concatenation
-                 reproduces exactly the rows a single memtable would have
-                 held (differential byte-identity). *)
-              let all =
-                Array.concat (Array.to_list (Array.map shard_rows t.mems))
-              in
-              Array.sort (fun a b -> compare_keys t a.key b.key) all;
-              all
-            end
-          in
           let cmin_ts, cmax_ts = mem_id t in
-          flush_shard_rows t rows ~cmin_ts ~cmax_ts ~range_filter:(mem_filter t)
+          flush_shards t t.mems ~cmin_ts ~cmax_ts ~range_filter:(mem_filter t)
             ~fo_shard:(-1)
             ~points:(Fault_point.Lsm_flush_begin, Lsm_flush_install)
             ~reset:(fun () -> reset_memory t)
@@ -638,9 +688,8 @@ module Make (K : KEY) (V : VALUE) = struct
      exhausted).  The seeks run at creation, in source order. *)
   type heads = {
     h_comps : disk_component array;
-    h_scans : row Dbt.Scan.s array;
+    h_scans : Dbt.Scan.s array;
     h_keys : K.t array array;
-    h_rows : row array array;
     h_pos : int array;
     h_hi : K.t option;
     h_bitmap : bool;
@@ -653,7 +702,6 @@ module Make (K : KEY) (V : VALUE) = struct
       h_comps = comps;
       h_scans;
       h_keys = Array.map (fun c -> Dbt.keys c.tree) comps;
-      h_rows = Array.map (fun c -> Dbt.rows c.tree) comps;
       h_pos = Array.make (Array.length comps) (-1);
       h_hi = hi;
       h_bitmap = bitmap;
@@ -711,17 +759,19 @@ module Make (K : KEY) (V : VALUE) = struct
       several independent merges deterministically on one simulated clock
       (the overlapping-maintenance pipeline).  Between {!merge_start} and
       {!merge_finish} the job only reads its input components and
-      accumulates rows in memory — [t.disk] is untouched, so jobs on
-      *different* trees (or provably disjoint ranges) never conflict.
-      Two concurrent jobs on overlapping ranges of one tree are a caller
-      bug. *)
+      accumulates its output rows' positions — [t.disk] is untouched, so
+      jobs on *different* trees (or provably disjoint ranges) never
+      conflict.  Two concurrent jobs on overlapping ranges of one tree are
+      a caller bug. *)
   type merge_job = {
     mj_inputs : disk_component array;
     mj_merge : component_merge;
-    mj_out : row Lsm_util.Vec.t;
-        (** merged rows, in key order, in an array of the inputs' row
-            count: a merge never outputs more rows than it reads, and an
-            array grown by doubling raised the peak heap of ingest *)
+    mj_out : int Lsm_util.Vec.t;
+        (** the merged rows, in key order, each as one int: its position
+            times the input count plus its source.  In an array of the
+            inputs' row count: a merge never outputs more rows than it
+            reads, and an array grown by doubling raised the peak heap of
+            ingest *)
     mutable mj_last : int;
     mutable mj_last_pos : int;
         (** source and row position of the row taken last ([-1]: none) *)
@@ -768,6 +818,7 @@ module Make (K : KEY) (V : VALUE) = struct
       decisions; [false] once the input streams are exhausted. *)
   let merge_step t j ~rows =
     let m = j.mj_merge.cm_merge in
+    let k = Array.length j.mj_inputs in
     let key s i = (Dbt.keys j.mj_inputs.(s).tree).(i) in
     let rec step budget s =
       if budget = 0 || s < 0 then s >= 0
@@ -784,25 +835,25 @@ module Make (K : KEY) (V : VALUE) = struct
         j.mj_last <- s;
         j.mj_last_pos <- i;
         (if not dup then
-           let row = (Dbt.rows j.mj_inputs.(s).tree).(i) in
+           let c = j.mj_inputs.(s) in
            if
              not
-               (Entry.is_del row.value && j.mj_includes_oldest
-              && row.ts <= j.mj_drop_ts)
-           then Lsm_util.Vec.push j.mj_out row);
+               (Entry.is_del c.vals.(i) && j.mj_includes_oldest
+              && c.tss.(i) <= j.mj_drop_ts)
+           then Lsm_util.Vec.push j.mj_out ((i * k) + s));
         step (budget - 1) next
       end
     in
     step rows (Lsm_util.Kmerge.top m)
 
-  (** [install t ~inputs rows] replaces [inputs] — a contiguous run of the
-      current components, newest first, located by physical identity so
-      components prepended meanwhile (per-shard flushes overlapping a
-      merge) are tolerated — with one component built from the
-      key-sorted [rows].  Its ID range, repairedTS (the inputs' minimum),
-      range filter and flush provenance derive from the inputs exactly as
-      for a merge.  The inputs' files are deleted. *)
-  let install t ~inputs rows =
+  (** [install t ~inputs ~keys ~tss ~vals] replaces [inputs] — a
+      contiguous run of the current components, newest first, located by
+      physical identity so components prepended meanwhile (per-shard
+      flushes overlapping a merge) are tolerated — with one component
+      over the key-sorted columns.  Its ID range, repairedTS (the inputs'
+      minimum), range filter and flush provenance derive from the inputs
+      exactly as for a merge.  The inputs' files are deleted. *)
+  let install t ~inputs ~keys ~tss ~vals =
     let k = Array.length inputs in
     let comps = t.disk in
     let n = Array.length comps in
@@ -833,14 +884,13 @@ module Make (K : KEY) (V : VALUE) = struct
             (* No anti-matter survives a bottom merge: recompute tightly. *)
             let fmin = ref max_int and fmax = ref min_int in
             Array.iter
-              (fun r ->
-                match r.value with
+              (function
                 | Entry.Put v ->
                     let x = f v in
                     if x < !fmin then fmin := x;
                     if x > !fmax then fmax := x
                 | Entry.Del -> ())
-              rows;
+              vals;
             if !fmin <= !fmax then Some (!fmin, !fmax) else None
           end
           else
@@ -855,16 +905,16 @@ module Make (K : KEY) (V : VALUE) = struct
     in
     let prov = List.concat_map (fun c -> c.prov) (Array.to_list inputs) in
     let c =
-      mk_component t rows ~cmin_ts ~cmax_ts ~range_filter ~repaired_ts ~prov
+      mk_component t ~keys ~tss ~vals ~cmin_ts ~cmax_ts ~range_filter
+        ~repaired_ts ~prov
     in
-    invalidate_view t;
-    t.disk <-
-      Array.concat
-        [
-          Array.sub comps 0 first;
-          [| c |];
-          Array.sub comps (last + 1) (n - last - 1);
-        ];
+    set_disk t
+      (Array.concat
+         [
+           Array.sub comps 0 first;
+           [| c |];
+           Array.sub comps (last + 1) (n - last - 1);
+         ]);
     Array.iter (fun c -> Dbt.delete t.env c.tree) inputs;
     c
 
@@ -872,13 +922,26 @@ module Make (K : KEY) (V : VALUE) = struct
       records the merge's amplification and announces
       [lsm.merge.install]. *)
   let merge_finish t j =
-    let rows = Lsm_util.Vec.to_array j.mj_out in
-    let merged = install t ~inputs:j.mj_inputs rows in
+    let inputs = j.mj_inputs and out = j.mj_out in
+    let k = Array.length inputs in
+    let n = Lsm_util.Vec.length out in
+    (* Copy each output row's fields from its input, by position. *)
+    let column read =
+      Array.init n (fun o ->
+          let p = Lsm_util.Vec.get out o in
+          read inputs.(p mod k) (p / k))
+    in
+    let merged =
+      install t ~inputs
+        ~keys:(column (fun c i -> (Dbt.keys c.tree).(i)))
+        ~tss:(column (fun c i -> c.tss.(i)))
+        ~vals:(column (fun c i -> c.vals.(i)))
+    in
     Lsm_obs.Ampstats.on_merge
       (Lsm_sim.Env.amp t.env)
       ~bytes_read:j.mj_input_bytes
       ~bytes_written:(component_size_bytes t merged)
-      ~rows_in:j.mj_input_rows ~rows_out:(Array.length rows);
+      ~rows_in:j.mj_input_rows ~rows_out:n;
     Lsm_sim.Env.fault_point t.env Lsm_merge_install;
     merged
 
@@ -907,10 +970,9 @@ module Make (K : KEY) (V : VALUE) = struct
     let comps = t.disk in
     let n = Array.length comps in
     if not (0 <= at && at < n) then invalid_arg "Lsm_tree.remove_component";
-    invalidate_view t;
-    t.disk <-
-      Array.append (Array.sub comps 0 at)
-        (Array.sub comps (at + 1) (n - at - 1));
+    set_disk t
+      (Array.append (Array.sub comps 0 at)
+         (Array.sub comps (at + 1) (n - at - 1)));
     Dbt.delete t.env comps.(at).tree
 
   (** [pick_merge t policy] applies a merge policy to this tree's own
@@ -1018,6 +1080,15 @@ module Make (K : KEY) (V : VALUE) = struct
 
   let plain_keys keys = Array.map (fun k -> { qkey = k; hint_ts = 0 }) keys
 
+  (* The disk half of {!lookup_one}: a function of its own, so the span's
+     closure there captures one function for it, not each one it calls. *)
+  let lookup_disk t key =
+    let pos = find_newest t key in
+    let probed = if pos >= 0 then t.found_at + 1 else Array.length t.disk in
+    if probed > 0 then Lsm_sim.Env.explain_count t.env "components_probed" probed;
+    if pos >= 0 && row_valid (found t) pos then Some (row_at (found t) pos)
+    else None
+
   (** [lookup_one t key] is the newest entry for [key] across the memory
       component and all disk components ([None] if the key was never
       written or its newest disk entry is bitmap-invalidated).  The
@@ -1032,31 +1103,18 @@ module Make (K : KEY) (V : VALUE) = struct
     | Some r ->
         Lsm_sim.Env.explain_count t.env "mem_hits" 1;
         Some r
-    | None -> (
-        let hit = find_newest t key in
-        let probed =
-          match hit with Some (i, _, _) -> i + 1 | None -> Array.length t.disk
-        in
-        if probed > 0 then
-          Lsm_sim.Env.explain_count t.env "components_probed" probed;
-        match hit with
-        | Some (i, pos, row) when row_valid t.disk.(i) pos -> Some row
-        | _ -> None)
+    | None -> lookup_disk t key
 
   (** [disk_find t key] locates the newest *disk* entry for [key] as
-      (component, row position, row), ignoring the memory component and any
+      (component, row position), ignoring the memory component and any
       validity bitmap (callers inspect validity themselves).  Used by the
       Mutable-bitmap strategy to find the bit to flip (Sec. 5.2). *)
   let disk_find t key =
-    let comps = t.disk in
-    Option.map (fun (i, pos, row) -> (comps.(i), pos, row)) (find_newest t key)
+    let pos = find_newest t key in
+    if pos >= 0 then Some (found t, pos) else None
 
   (** [component_row_valid c i] consults the validity bitmap. *)
   let component_row_valid = row_valid
-
-  (** [rows_of c] is the component's row array (no I/O charged — callers
-      that walk it outside a scan must charge explicitly). *)
-  let rows_of c = Dbt.rows c.tree
 
   (** [charge_component_scan t c] charges the I/O and CPU of a full
       sequential scan of [c] without materializing anything (standalone
@@ -1128,14 +1186,13 @@ module Make (K : KEY) (V : VALUE) = struct
                 Lsm_sim.Env.explain_count t.env "hint_skips" 1
               else begin
                 Lsm_sim.Env.explain_count t.env "components_probed" 1;
-                match probe_at t cursors ~positive:false !ci c qk.qkey with
-                | Some (pos, row) ->
-                    (* A bitmap-invalidated hit resolves the key to absent:
-                       any superseding version is strictly newer and was
-                       already searched. *)
-                    if row_valid c pos then resolve i qk.qkey (Some row)
-                    else resolve i qk.qkey None
-                | None -> ()
+                let pos = probe_at t cursors ~positive:false !ci c qk.qkey in
+                (* A bitmap-invalidated hit resolves the key to absent: any
+                   superseding version is strictly newer and was already
+                   searched. *)
+                if pos >= 0 then
+                  resolve i qk.qkey
+                    (if row_valid c pos then Some (row_at c pos) else None)
               end
             end
           done;
@@ -1276,28 +1333,14 @@ module Make (K : KEY) (V : VALUE) = struct
         else begin
           let slices = Array.map seek t.mems in
           let n = Array.fold_left (fun acc (_, k) -> acc + k) 0 slices in
-          (* One column of the shards' in-range bindings, concatenated in
-             shard order. *)
-          let gather read =
-            let sh = ref 0 and cur = ref (fst slices.(0)) and left = ref 0 in
-            Array.init n (fun _ ->
-                while !left = 0 do
-                  cur := Mbt.copy (fst slices.(!sh));
-                  left := snd slices.(!sh);
-                  incr sh
-                done;
-                decr left;
-                ignore (Mbt.step !cur);
-                read !cur)
-          in
-          let keys = gather Mbt.key in
+          let keys = gather slices n Mbt.key in
           let order = Array.init n Fun.id in
           Array.sort (fun a b -> compare_keys t keys.(a) keys.(b)) order;
           ( Mem_sorted
               {
                 keys;
-                tvs = gather Mbt.value;
-                fks = gather Mbt.fkey;
+                tvs = gather slices n Mbt.value;
+                fks = gather slices n Mbt.fkey;
                 order;
                 at = -1;
               },
@@ -1366,17 +1409,17 @@ module Make (K : KEY) (V : VALUE) = struct
             built == t.disk && List.for_all (fun c -> Array.memq c t.disk) cs
         | None -> false)
 
-  (** [scan t spec ~f] streams entries to [f row ~src_repaired], where
-      [src_repaired] is the [repaired_ts] of the entry's source component
-      (0 for the memory component — never repaired).  With [reconcile],
+  (** [scan t spec ~f] streams entries to [f key ts value ~src_repaired],
+      where [src_repaired] is the [repaired_ts] of the entry's source
+      component (0 for the memory component — never repaired).  With [reconcile],
       output is in ascending key order with newest-wins semantics and
       anti-matter suppressing older entries (anti-matter itself is emitted
       only under [emit_del]).  Without it, components are emitted one by
       one, memory first then newest-to-oldest, each in key order.  With
       [filter], a [Put] row reaches [f] only if its filter key is in
       range.  Every path reconciles on keys and positions, tests the
-      filter-key columns, and builds a memory row only when it emits
-      it. *)
+      filter-key columns, and hands [f] the fields of a row, never a
+      row. *)
   let scan t spec ~f =
     let comps_a =
       match spec.only with Some cs -> Array.of_list cs | None -> t.disk
@@ -1397,12 +1440,13 @@ module Make (K : KEY) (V : VALUE) = struct
       match e with Entry.Put _ -> in_range fk | Entry.Del -> spec.emit_del
     in
     (* Emit the memory binding [key] -> [tv] with column [fk], the memory
-       head, and row [i] of [rows] with column [col], testing the columns.
-       An unfiltered scan reads no disk column. *)
+       head, and row [i] of component [c] (key column [keys], filter-key
+       column [col]), testing the columns.  An unfiltered scan reads no
+       filter-key column. *)
     let[@inline] emit_mem key tv fk =
       if (if fk <> no_fkey then in_range fk else keeps fk (snd tv)) then begin
         let ts, value = tv in
-        f { key; ts; value } ~src_repaired:0
+        f key ts value ~src_repaired:0
       end
     in
     (* The memory head; a column out of range rejects it unread. *)
@@ -1412,11 +1456,10 @@ module Make (K : KEY) (V : VALUE) = struct
         emit_mem (mem_key ms) (mem_binding ms) fk
     in
     let col c = if filtered then Lazy.force c.fkeys else [||] in
-    let[@inline] emit_row rows col i ~src_repaired =
-      let row = rows.(i) in
+    let[@inline] emit_row c keys col i =
       let fk = if Array.length col = 0 then no_fkey else col.(i) in
-      if if fk <> no_fkey then in_range fk else keeps fk row.value then
-        f row ~src_repaired
+      if if fk <> no_fkey then in_range fk else keeps fk c.vals.(i) then
+        f keys.(i) c.tss.(i) c.vals.(i) ~src_repaired:c.repaired_ts
     in
     if view_usable t spec then begin
       (* Served from the sorted view: the selector stream's key-group
@@ -1427,8 +1470,7 @@ module Make (K : KEY) (V : VALUE) = struct
          including "an older valid duplicate wins when the newest is
          bitmap-invalidated". *)
       let comps_a, it = view_start t spec in
-      let keys = Array.map (fun c -> Dbt.keys c.tree) comps_a
-      and rows = Array.map (fun c -> Dbt.rows c.tree) comps_a in
+      let keys = Array.map (fun c -> Dbt.keys c.tree) comps_a in
       let ms = mem_source t spec in
       let ml = ref (mem_pull t None ms) in
       let r = ref (View.next t.env it) in
@@ -1448,9 +1490,10 @@ module Make (K : KEY) (V : VALUE) = struct
             ml := mem_pull t None ms
           end;
           if o >= 0 then begin
-            (if o > 0 then
-               let c = comps_a.(w) in
-               emit_row rows.(w) (col c) i ~src_repaired:c.repaired_ts);
+            if o > 0 then begin
+              let c = comps_a.(w) in
+              emit_row c keys.(w) (col c) i
+            end;
             r := View.next t.env it
           end
         end
@@ -1504,8 +1547,7 @@ module Make (K : KEY) (V : VALUE) = struct
             let i = h.h_pos.(j) in
             let next = Lsm_util.Kmerge.advance m in
             if fresh s k ~last lk then
-              emit_row h.h_rows.(j) cols.(j) i
-                ~src_repaired:comps_a.(j).repaired_ts;
+              emit_row comps_a.(j) h.h_keys.(j) cols.(j) i;
             drain next ~last:s k
           end
           else begin
@@ -1537,11 +1579,11 @@ module Make (K : KEY) (V : VALUE) = struct
             open_heads t ?lo:spec.lo ?hi:spec.hi ~bitmap:spec.respect_bitmap
               [| c |]
           in
-          let rows = Dbt.rows c.tree and col = col c in
+          let keys = Dbt.keys c.tree and col = col c in
           let rec drain () =
             let i = next_pos t h 0 in
             if i >= 0 then begin
-              emit_row rows col i ~src_repaired:c.repaired_ts;
+              emit_row c keys col i;
               drain ()
             end
           in

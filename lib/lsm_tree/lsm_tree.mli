@@ -9,7 +9,12 @@
     The tree knows nothing about maintenance strategies: it offers writes
     into the memory component, flush, merge of a contiguous component
     range, reconciling and per-component scans, and the point-lookup
-    algorithms of Sec. 3.2.  Strategy logic lives in [Lsm_core]. *)
+    algorithms of Sec. 3.2.  Strategy logic lives in [Lsm_core].
+
+    A disk component is a key index ({!Make.Dbt}) plus columns read by
+    the index's row positions: timestamps, entries and, for a tree with
+    range filters, filter keys.  No component stores a row record; a
+    {!Make.row} is built only where an API hands one out. *)
 
 module Entry = Entry
 module Config = Config
@@ -68,19 +73,20 @@ module Make (K : KEY) (V : VALUE) : sig
   module Dbt : module type of Lsm_btree.Disk_btree.Make (K)
 
   type row = { key : K.t; ts : int; value : V.t Entry.t }
-
-  val row_size : row -> int
+  (** One entry, as the lookups and {!row_at} hand it out. *)
 
   type mem_component
 
   type disk_component = {
-    tree : row Dbt.t;
+    tree : Dbt.t;  (** the key index; its key column is [Dbt.keys tree] *)
+    tss : int array;  (** each row's timestamp, by position *)
+    vals : V.t Entry.t array;  (** each row's entry, by position *)
     bloom : Lsm_bloom.Filter.t option;
     cmin_ts : int;  (** component ID lower bound *)
     cmax_ts : int;  (** component ID upper bound *)
     range_filter : (int * int) option;
     fkeys : int array Lazy.t;
-        (** each row's filter key, aligned with the rows ({!no_fkey} for
+        (** each row's filter key, by position ({!no_fkey} for
             anti-matter); empty for a tree without range filters.  Built
             by the first filtered scan that reads the component. *)
     mutable bitmap : Lsm_util.Bitset.t option;  (** 1 = entry invalid *)
@@ -196,8 +202,9 @@ module Make (K : KEY) (V : VALUE) : sig
   (** Merge the contiguous range [first..last] (indices into
       {!components}, 0 = newest): reconciling k-way merge keeping the
       newest entry per key, dropping bitmap-invalidated entries and — on
-      bottom merges, subject to the tombstone barrier — anti-matter.
-      Inputs' files are deleted. *)
+      bottom merges, subject to the tombstone barrier — anti-matter.  The
+      output columns are copied from the inputs' by position.  Inputs'
+      files are deleted. *)
 
   val pick_merge : t -> Merge_policy.t -> (int * int) option
   (** Apply a merge policy to this tree's own components ("each LSM-tree
@@ -229,9 +236,9 @@ module Make (K : KEY) (V : VALUE) : sig
       {!merge} broken into explicit steps so a scheduler can interleave
       several independent merges deterministically on one simulated
       clock.  Between {!merge_start} and {!merge_finish} the job only
-      reads its inputs and accumulates rows in memory; the input
-      components must survive untouched as a contiguous run, which
-      {!merge_finish} verifies by physical identity — so per-shard
+      reads its inputs and accumulates the positions of its output rows;
+      the input components must survive untouched as a contiguous run,
+      which {!merge_finish} verifies by physical identity — so per-shard
       flushes may *prepend* new components while the job is in flight.
       The output is byte-for-byte the output {!merge} would have
       produced — the tombstone barrier is captured at start. *)
@@ -252,21 +259,29 @@ module Make (K : KEY) (V : VALUE) : sig
       streams are exhausted. *)
 
   val merge_finish : t -> merge_job -> disk_component
-  (** {!install} the merged rows in place of the job's inputs, record the
-      merge's amplification, and announce [lsm.merge.install]. *)
+  (** {!install} the merged rows' columns in place of the job's inputs,
+      record the merge's amplification, and announce
+      [lsm.merge.install]. *)
 
-  val install : t -> inputs:disk_component array -> row array -> disk_component
-  (** [install t ~inputs rows] builds one component from the key-sorted
-      [rows] and splices it in place of [inputs], a contiguous newest-first
-      run of the current components located by physical identity
-      (components prepended since the inputs were read are tolerated;
-      anything else raises [Invalid_argument]).  The component's ID range,
-      repairedTS (the inputs' minimum), range filter and flush provenance
-      derive from the inputs as for a merge: a run reaching the oldest
-      component recomputes the filter from [rows], any other run takes
-      the union of the inputs' filters.  The inputs' files are deleted.
-      Merges, the concurrent builder (Sec. 5.3) and secondary rebuilds
-      all install through this. *)
+  val install :
+    t ->
+    inputs:disk_component array ->
+    keys:K.t array ->
+    tss:int array ->
+    vals:V.t Entry.t array ->
+    disk_component
+  (** [install t ~inputs ~keys ~tss ~vals] builds one component over the
+      key-sorted columns (equal lengths; the component keeps the arrays)
+      and splices it in place of [inputs], a contiguous newest-first run
+      of the current components located by physical identity (components
+      prepended since the inputs were read are tolerated; anything else
+      raises [Invalid_argument]).  The component's ID range, repairedTS
+      (the inputs' minimum), range filter and flush provenance derive
+      from the inputs as for a merge: a run reaching the oldest component
+      recomputes the filter from [vals], any other run takes the union of
+      the inputs' filters.  The inputs' files are deleted.  Merges, the
+      concurrent builder (Sec. 5.3) and secondary rebuilds all install
+      through this. *)
 
   val remove_component : t -> at:int -> unit
   (** Remove the component at newest-first index [at], deleting its file.
@@ -286,7 +301,10 @@ module Make (K : KEY) (V : VALUE) : sig
   val set_repaired_ts : disk_component -> int -> unit
   val find_position : t -> disk_component -> K.t -> int option
 
-  val rows_of : disk_component -> row array
+  val row_at : disk_component -> int -> row
+  (** The row at a position, built from the columns (no I/O charged):
+      for the few repair and test callers that read whole rows. *)
+
   val charge_component_scan : t -> disk_component -> unit
   (** Charge the I/O and CPU of a full sequential scan of a component
       without materializing anything (standalone repair). *)
@@ -305,8 +323,7 @@ module Make (K : KEY) (V : VALUE) : sig
       B+-tree with the component's cursor from [cursors], else from the
       root (comparisons, page reads); returns a hit, or on a miss counts
       a [bloom_fps] if the filter was consulted and moves on.  The walk
-      allocates nothing per component (a descent does, inside the
-      B+-tree). *)
+      and the descents allocate nothing. *)
 
   type cursors
   (** Stateful search cursors ("sLookup") over a snapshot of {!components}. *)
@@ -320,10 +337,14 @@ module Make (K : KEY) (V : VALUE) : sig
     ?stop:(disk_component -> bool) ->
     ?positive:int ->
     K.t ->
-    (int * int * row) option
-  (** (component index, row position, row) of the newest disk entry for
-      the key, walking from component [from] (default 0) of {!components}
-      or of [cursors]' snapshot.  Memory and bitmaps are the caller's. *)
+    int
+  (** The row position of the newest disk entry for the key ([-1]: none),
+      walking from component [from] (default 0) of {!components} or of
+      [cursors]' snapshot; the component holding it is {!found}.  Memory
+      and bitmaps are the caller's. *)
+
+  val found : t -> disk_component
+  (** The component of {!find_newest}'s last hit on this tree. *)
 
   val first_positive : t -> ?eligible:(disk_component -> bool) -> K.t -> int
   (** The index of the newest component [eligible] accepts (default: all)
@@ -352,8 +373,8 @@ module Make (K : KEY) (V : VALUE) : sig
   (** Newest entry across memory and disk ([None] if never written or the
       newest disk entry is bitmap-invalidated). *)
 
-  val disk_find : t -> K.t -> (disk_component * int * row) option
-  (** Newest *disk* entry (component, position, row), ignoring memory and
+  val disk_find : t -> K.t -> (disk_component * int) option
+  (** Newest *disk* entry (component, position), ignoring memory and
       bitmaps — the Mutable-bitmap strategy's bit-location search. *)
 
   val lookup_batch :
@@ -380,8 +401,8 @@ module Make (K : KEY) (V : VALUE) : sig
       position, skipping the positions [valid c] rejects (default: none);
       its seek runs now, and each pull charges the rows it reads (a leaf
       fetch on a crossing, an entry visit).  One comparison is charged per
-      heap comparison.  Read the {!Lsm_util.Kmerge.top} source's head row,
-      [(rows_of comps.(s)).(cm_heads.(s))], before
+      heap comparison.  Read the {!Lsm_util.Kmerge.top} source's head,
+      position [cm_heads.(s)] of [comps.(s)]'s columns, before
       {!Lsm_util.Kmerge.advance}: equal keys surface newest first. *)
 
   type scan_spec = {
@@ -409,9 +430,14 @@ module Make (K : KEY) (V : VALUE) : sig
 
   val full_scan_spec : scan_spec
 
-  val scan : t -> scan_spec -> f:(row -> src_repaired:int -> unit) -> unit
-  (** Stream entries; [src_repaired] is the source component's repairedTS
-      (0 for memory).  Reconciled output is in ascending key order.
+  val scan :
+    t ->
+    scan_spec ->
+    f:(K.t -> int -> V.t Entry.t -> src_repaired:int -> unit) ->
+    unit
+  (** Stream entries as [f key ts value ~src_repaired]; [src_repaired] is
+      the source component's repairedTS (0 for memory).  Reconciled output
+      is in ascending key order.
 
       Reconciling scans over >= 2 disk components are served from a
       REMIX-style persistent sorted view ({!Sorted_view}): built lazily by
@@ -435,8 +461,8 @@ module Make (K : KEY) (V : VALUE) : sig
       those of a scan that copies the memtable first, in count and order.
 
       A [filter] is pushed down: every path reconciles on keys and
-      positions, tests the filter-key columns, and builds a memory row
-      only when it emits it. *)
+      positions and tests the filter-key columns.  No path builds a row:
+      [f] receives the emitted entry's fields. *)
 
   (** {1 Sorted views (REMIX)} *)
 

@@ -194,7 +194,7 @@ let test_write_step_per_strategy () =
         (D.Prim.mem_filter (D.primary d));
       let pkt = Option.get (D.pk_index d) in
       (match (D.Pk.disk_find pkt 1, D.Prim.disk_find (D.primary d) 1) with
-      | Some (kc, kpos, _), Some (pc, ppos, _) ->
+      | Some (kc, kpos), Some (pc, ppos) ->
           Alcotest.(check bool)
             (name "pk bit flipped")
             bit_flipped
@@ -704,6 +704,42 @@ let test_mutable_bitmap_cheaper_than_eager () =
     (Printf.sprintf "mutable-bitmap %.0fus < eager %.0fus" mb eager)
     true (mb < eager)
 
+(* Allocation budget of timestamp validation: minor words per secondary
+   entry of an index-only, timestamp-validated query (Fig. 17) over a
+   Validation dataset of 3,000 upserts, half of them updates, flushed
+   and merged into several components with memory left over.  The
+   entries are searched, sorted, validated in place and listed: the
+   search's entry record and list cell, the sorted array, each probe's
+   stop closure, and each valid entry's output pair and list cell make
+   up most of the 30.8 words. *)
+let test_validate_alloc_budget () =
+  let env = mk_env () in
+  let d = mk_dataset ~strategy:Strategy.validation_no_repair env in
+  let stream =
+    Lsm_workload.Streams.upsert_stream ~seed:7 ~update_ratio:0.5
+      ~distribution:`Uniform ()
+  in
+  for _ = 1 to 3_000 do
+    match Lsm_workload.Streams.next stream with
+    | Lsm_workload.Streams.Upsert r -> D.upsert d r
+    | _ -> ()
+  done;
+  let query mode =
+    D.query_secondary_keys d ~sec:"user_id" ~lo:0 ~hi:max_int ~mode ()
+  in
+  let entries = List.length (query `Assume_valid) in
+  ignore (query `Timestamp);
+  let w0 = Gc.minor_words () in
+  let valid = List.length (query `Timestamp) in
+  let words = (Gc.minor_words () -. w0) /. Float.of_int entries in
+  let budget = 33.0 in
+  Printf.printf "%d entries, %d valid: %.3f minor words per entry (budget %.1f)\n"
+    entries valid words budget;
+  Alcotest.(check bool) "some entries discarded" true (valid < entries);
+  if words > budget then
+    Alcotest.failf "%.3f minor words per validated entry, budget %.1f" words
+      budget
+
 let () =
   Alcotest.run "lsm_core"
     [
@@ -758,5 +794,7 @@ let () =
             test_validation_ingests_faster_than_eager;
           Alcotest.test_case "mutable-bitmap faster than eager" `Quick
             test_mutable_bitmap_cheaper_than_eager;
+          Alcotest.test_case "timestamp validation: minor words per entry"
+            `Quick test_validate_alloc_budget;
         ] );
     ]

@@ -88,8 +88,7 @@ let test_build_write_charges () =
   let module Dbt = Lsm_btree.Disk_btree.Make (Lsm_util.Keys.Int_key) in
   Lsm_sim.Env.reset_measurement env;
   let t =
-    Dbt.build env ~key_of:Fun.id ~size_of:(fun _ -> 64)
-      (Array.init 100 (fun i -> i))
+    Dbt.build env ~size_of:(fun _ -> 64) (Array.init 100 (fun i -> i))
   in
   let st = Env.stats env in
   Alcotest.(check int) "writes = leaf + interior pages"

@@ -24,46 +24,39 @@ let mk_env ?(page = 256) () =
 
 let test_dbt_single_row () =
   let env = mk_env () in
-  let t = Dbt.build env ~key_of:fst ~size_of:(fun _ -> 32) [| (5, 50) |] in
+  let t = Dbt.build env ~size_of:(fun _ -> 32) [| 5 |] in
   Alcotest.(check int) "one leaf" 1 (Dbt.leaf_pages t);
-  Alcotest.(check bool) "hit" true (Dbt.find env t 5 <> None);
-  Alcotest.(check bool) "below" true (Dbt.find env t 4 = None);
-  Alcotest.(check bool) "above" true (Dbt.find env t 6 = None);
+  Alcotest.(check int) "hit" 0 (Dbt.find env t 5);
+  Alcotest.(check int) "below" (-1) (Dbt.find env t 4);
+  Alcotest.(check int) "above" (-1) (Dbt.find env t 6);
   Alcotest.(check int) "lb below" 0 (Dbt.lower_bound_row env t 4);
   Alcotest.(check int) "lb above" 1 (Dbt.lower_bound_row env t 6)
 
 let test_dbt_rows_bigger_than_page () =
   (* Rows larger than a page: one row per leaf, no crash. *)
   let env = mk_env ~page:64 () in
-  let rows = Array.init 10 (fun i -> (i, i)) in
-  let t = Dbt.build env ~key_of:fst ~size_of:(fun _ -> 200) rows in
+  let t = Dbt.build env ~size_of:(fun _ -> 200) (Array.init 10 Fun.id) in
   Alcotest.(check int) "one leaf per row" 10 (Dbt.leaf_pages t);
   for i = 0 to 9 do
-    Alcotest.(check bool) "found" true (Dbt.find env t i <> None)
+    Alcotest.(check int) "found" i (Dbt.find env t i)
   done
 
 let test_dbt_cursor_descending () =
   (* Stateful cursors must stay correct when queried backwards. *)
   let env = mk_env () in
   let t =
-    Dbt.build env ~key_of:fst ~size_of:(fun _ -> 32)
-      (Array.init 500 (fun i -> (i * 2, i)))
+    Dbt.build env ~size_of:(fun _ -> 32) (Array.init 500 (fun i -> i * 2))
   in
   let c = Dbt.Cursor.create t in
   let ok = ref true in
   for i = 499 downto 0 do
-    match Dbt.Cursor.find env c (i * 2) with
-    | Some (_, (k, _)) -> if k <> i * 2 then ok := false
-    | None -> ok := false
+    if Dbt.Cursor.find env c (i * 2) <> i then ok := false
   done;
   Alcotest.(check bool) "descending queries" true !ok
 
 let test_dbt_scan_seek_past_end () =
   let env = mk_env () in
-  let t =
-    Dbt.build env ~key_of:fst ~size_of:(fun _ -> 32)
-      (Array.init 10 (fun i -> (i, i)))
-  in
+  let t = Dbt.build env ~size_of:(fun _ -> 32) (Array.init 10 Fun.id) in
   let s = Dbt.Scan.seek env t (Some 100) in
   Alcotest.(check int) "empty scan" (-1) (Dbt.Scan.next env s)
 
@@ -76,9 +69,7 @@ let prop_dbt_lower_bound_row =
     (fun (keys, q) ->
       let env = mk_env () in
       let keys = List.sort_uniq compare keys |> Array.of_list in
-      let t =
-        Dbt.build env ~key_of:Fun.id ~size_of:(fun _ -> 24) keys
-      in
+      let t = Dbt.build env ~size_of:(fun _ -> 24) keys in
       let expect =
         let rec go i = if i < Array.length keys && keys.(i) < q then go (i + 1) else i in
         go 0
@@ -101,8 +92,8 @@ let test_disk_find_ignores_mem () =
   L.flush t;
   L.write t ~key:1 ~ts:2 (Entry.Put 20);
   (match L.disk_find t 1 with
-  | Some (_, _, row) ->
-      Alcotest.(check int) "disk version, not mem" 1 row.L.ts
+  | Some (c, pos) ->
+      Alcotest.(check int) "disk version, not mem" 1 c.L.tss.(pos)
   | None -> Alcotest.fail "disk hit expected");
   Alcotest.(check bool) "mem-only key invisible to disk_find" true
     (L.disk_find t 99 = None)

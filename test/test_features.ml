@@ -123,11 +123,12 @@ let test_scan_emit_del () =
   L.flush t;
   L.write t ~key:1 ~ts:3 Entry.Del;
   let plain = ref [] and with_del = ref [] in
-  L.scan t L.full_scan_spec ~f:(fun r ~src_repaired:_ ->
-      plain := (r.L.key, r.L.value) :: !plain);
+  L.scan t L.full_scan_spec ~f:(fun key _ value ~src_repaired:_ ->
+      plain := (key, value) :: !plain);
   L.scan t
     { L.full_scan_spec with emit_del = true }
-    ~f:(fun r ~src_repaired:_ -> with_del := (r.L.key, r.L.value) :: !with_del);
+    ~f:(fun key _ value ~src_repaired:_ ->
+      with_del := (key, value) :: !with_del);
   Alcotest.(check int) "plain hides deleted" 1 (List.length !plain);
   Alcotest.(check int) "emit_del shows tombstone" 2 (List.length !with_del);
   Alcotest.(check bool) "tombstone present" true
@@ -168,12 +169,10 @@ let test_build_and_replace () =
   let inputs = L.components t in
   L.write t ~key:3 ~ts:3 (Entry.Put 30);
   L.flush t;
-  let rows =
-    [| { L.key = 1; ts = 1; value = Entry.Put 11 };
-       { L.key = 2; ts = 2; value = Entry.Put 20 } |]
-  in
+  let keys = [| 1; 2 |] and tss = [| 1; 2 |] in
+  let vals = [| Entry.Put 11; Entry.Put 20 |] in
   (* The inputs are found by identity behind the component flushed since. *)
-  let c = L.install t ~inputs rows in
+  let c = L.install t ~inputs ~keys ~tss ~vals in
   Alcotest.(check int) "two components" 2 (L.component_count t);
   Alcotest.(check bool) "installed oldest" true ((L.components t).(1) == c);
   Alcotest.(check (pair int int)) "id spans inputs" (1, 2) (L.component_id c);
@@ -183,7 +182,7 @@ let test_build_and_replace () =
   | None -> Alcotest.fail "lost key");
   Alcotest.check_raises "inputs gone"
     (Invalid_argument "Lsm_tree.install: inputs are not a run of the tree")
-    (fun () -> ignore (L.install t ~inputs rows))
+    (fun () -> ignore (L.install t ~inputs ~keys ~tss ~vals))
 
 (* ------------------------------------------------------------------ *)
 (* Flush provenance: prov_run, id_run, durable_frontiers *)
@@ -279,9 +278,9 @@ let prop_frontiers_split_disk_and_memory =
       Array.for_all (fun c -> c.L.prov <> []) (L.components t)
       && Array.for_all
            (fun c ->
-             Array.for_all
-               (fun r -> r.L.ts <= f.(L.shard_of t r.L.key))
-               (L.rows_of c))
+             Array.for_all2
+               (fun key ts -> ts <= f.(L.shard_of t key))
+               (L.Dbt.keys c.L.tree) c.L.tss)
            (L.components t)
       && List.for_all
            (fun k ->

@@ -222,7 +222,9 @@ let prim_dump d =
   Array.to_list
     (Array.map
        (fun c ->
-         (D.Prim.component_id c, c.D.Prim.repaired_ts, D.Prim.rows_of c))
+         ( D.Prim.component_id c,
+           c.D.Prim.repaired_ts,
+           Array.init (D.Prim.component_rows c) (D.Prim.row_at c) ))
        (D.Prim.components (D.primary d)))
 
 let pk_dump d =
@@ -231,14 +233,20 @@ let pk_dump d =
   | Some pk ->
       Array.to_list
         (Array.map
-           (fun c -> (D.Pk.component_id c, c.D.Pk.repaired_ts, D.Pk.rows_of c))
+           (fun c ->
+             ( D.Pk.component_id c,
+               c.D.Pk.repaired_ts,
+               Array.init (D.Pk.component_rows c) (D.Pk.row_at c) ))
            (D.Pk.components pk))
 
 let sec_dump d =
   let s = D.secondary d "user_id" in
   Array.to_list
     (Array.map
-       (fun c -> (D.Sec.component_id c, c.D.Sec.repaired_ts, D.Sec.rows_of c))
+       (fun c ->
+         ( D.Sec.component_id c,
+           c.D.Sec.repaired_ts,
+           Array.init (D.Sec.component_rows c) (D.Sec.row_at c) ))
        (D.Sec.components s.D.tree))
 
 let prop_overlap_equals_serial strategy ops =

@@ -224,9 +224,9 @@ let prop_lsm_matches_model =
                match st with `Put v -> Some (k, v) | `Del -> None)
       in
       let scanned = ref [] in
-      L.scan t L.full_scan_spec ~f:(fun r ~src_repaired:_ ->
-          match r.L.value with
-          | Entry.Put v -> scanned := (r.L.key, v) :: !scanned
+      L.scan t L.full_scan_spec ~f:(fun key _ value ~src_repaired:_ ->
+          match value with
+          | Entry.Put v -> scanned := (key, v) :: !scanned
           | Entry.Del -> ());
       lookups_ok && List.rev !scanned = live)
 
@@ -294,7 +294,7 @@ let test_scan_range_bounds () =
   let out = ref [] in
   L.scan t
     { L.full_scan_spec with lo = Some 25; hi = Some 35 }
-    ~f:(fun r ~src_repaired:_ -> out := r.L.key :: !out);
+    ~f:(fun key _ _ ~src_repaired:_ -> out := key :: !out);
   Alcotest.(check (list int)) "range" [ 25; 26; 27; 28; 29; 30; 31; 32; 33; 34; 35 ]
     (List.rev !out)
 
@@ -311,7 +311,7 @@ let test_scan_non_reconciling_per_component () =
   let out = ref [] in
   L.scan t
     { L.full_scan_spec with reconcile = false }
-    ~f:(fun r ~src_repaired:_ -> out := (r.L.key, r.L.value) :: !out);
+    ~f:(fun key _ value ~src_repaired:_ -> out := (key, value) :: !out);
   (* Memory first (key 1 new), then the disk component (key 2 only). *)
   Alcotest.(check int) "two entries" 2 (List.length !out);
   Alcotest.(check bool) "no stale version" true
@@ -330,7 +330,7 @@ let test_scan_only_subset () =
   let out = ref [] in
   L.scan t
     { L.full_scan_spec with only = Some [ comps.(0) ]; include_mem = false }
-    ~f:(fun r ~src_repaired:_ -> out := r.L.key :: !out);
+    ~f:(fun key _ _ ~src_repaired:_ -> out := key :: !out);
   Alcotest.(check (list int)) "only newest comp" [ 2 ] (List.rev !out)
 
 (* A memory-only reconciling scan reads the memtable in place: it must not
@@ -346,7 +346,7 @@ let test_mem_scan_no_major_alloc () =
     let n = ref 0 in
     Gc.minor ();
     let _, promoted0, major0 = Gc.counters () in
-    L.scan t spec ~f:(fun _ ~src_repaired:_ -> incr n);
+    L.scan t spec ~f:(fun _ _ _ ~src_repaired:_ -> incr n);
     let _, promoted1, major1 = Gc.counters () in
     (!n, major1 -. major0 -. (promoted1 -. promoted0))
   in
@@ -445,8 +445,8 @@ let heap_scan env t tables (spec : L.scan_spec) ~f =
   in
   let emit (row : L.row) ~src_repaired =
     match row.value with
-    | Entry.Put _ -> f row ~src_repaired
-    | Entry.Del -> if spec.emit_del then f row ~src_repaired
+    | Entry.Put _ -> f row.key row.ts row.value ~src_repaired
+    | Entry.Del -> if spec.emit_del then f row.key row.ts row.value ~src_repaired
   in
   let mem = mem_stream env tables spec in
   let mem_src () =
@@ -470,7 +470,7 @@ let heap_scan env t tables (spec : L.scan_spec) ~f =
         in
         fun () ->
           let i = next () in
-          if i < 0 then None else Some (L.rows_of c).(i))
+          if i < 0 then None else Some (L.row_at c i))
       comps_a
   in
   let sources = Array.append [| mem_src |] streams in
@@ -624,8 +624,8 @@ let prop_scan_matches_heap =
       let run scan =
         let env, t, tables, spec = build () in
         let out = ref [] in
-        scan env t tables spec ~f:(fun (r : L.row) ~src_repaired ->
-            out := (r.key, r.ts, r.value, src_repaired) :: !out);
+        scan env t tables spec ~f:(fun key ts value ~src_repaired ->
+            out := (key, ts, value, src_repaired) :: !out);
         ( List.rev !out,
           Lsm_sim.Io_stats.fields (Lsm_sim.Env.stats env),
           Int64.bits_of_float (Lsm_sim.Env.now_us env) )
@@ -742,7 +742,7 @@ let prop_filtered_scan_matches_post_filter =
         | Some i when i < Array.length comps -> L.quarantine t comps.(i)
         | _ -> ());
         L.set_sorted_views t fc.views;
-        if fc.warm then L.scan t L.full_scan_spec ~f:(fun _ ~src_repaired:_ -> ());
+        if fc.warm then L.scan t L.full_scan_spec ~f:(fun _ _ _ ~src_repaired:_ -> ());
         let only =
           Option.map
             (fun mask ->
@@ -770,12 +770,12 @@ let prop_filtered_scan_matches_post_filter =
         let env, t, spec = build () in
         let out = ref [] in
         let spec = if filtered then { spec with filter = Some fc.filter } else spec in
-        L.scan t spec ~f:(fun (r : L.row) ~src_repaired ->
+        L.scan t spec ~f:(fun key ts value ~src_repaired ->
             let keep =
               filtered
-              || match r.value with Entry.Put v -> a <= v && v <= b | Entry.Del -> true
+              || match value with Entry.Put v -> a <= v && v <= b | Entry.Del -> true
             in
-            if keep then out := (r.key, r.ts, r.value, src_repaired) :: !out);
+            if keep then out := (key, ts, value, src_repaired) :: !out);
         ( List.rev !out,
           Lsm_sim.Io_stats.fields (Lsm_sim.Env.stats env),
           (Lsm_sim.Env.resil env).Lsm_sim.Env.degraded_probes,
@@ -800,7 +800,7 @@ let test_disk_filter_column () =
       L.flush t)
     [ t; plain ];
   let column c =
-    Array.to_list (Array.map (fun (r : L.row) -> r.L.key) (L.rows_of c)),
+    Array.to_list (L.Dbt.keys c.L.tree),
     Array.to_list (Lazy.force c.L.fkeys)
   in
   Alcotest.(check (pair (list int) (list int)))
@@ -820,7 +820,7 @@ let test_filter_needs_range_filters () =
     (fun () ->
       L.scan t
         { L.full_scan_spec with filter = Some (0, 10) }
-        ~f:(fun _ ~src_repaired:_ -> ()))
+        ~f:(fun _ _ _ ~src_repaired:_ -> ()))
 
 (* ------------------------------------------------------------------ *)
 (* The newest-first component probe *)
@@ -864,10 +864,10 @@ let oracle_lookup_one env t key =
         | (c : L.disk_component) :: rest ->
             if oracle_probe_bloom env c key then
               match L.Dbt.find env c.L.tree key with
-              | Some (pos, row) -> if L.row_valid c pos then Some row else None
-              | None ->
+              | -1 ->
                   oracle_note_fp env c;
                   go rest
+              | pos -> if L.row_valid c pos then Some (L.row_at c pos) else None
             else go rest
       in
       go (Array.to_list (L.components t))
@@ -889,10 +889,10 @@ let oracle_entry_is_valid env t ?cursors ~key ~ts ~threshold () =
               | None -> L.Dbt.find env c.L.tree key
             in
             match hit with
-            | Some (_, row) -> row.L.ts <= ts
-            | None ->
+            | -1 ->
                 oracle_note_fp env c;
                 go (i + 1)
+            | pos -> c.L.tss.(pos) <= ts
           end
           else go (i + 1)
         end
@@ -918,10 +918,10 @@ let oracle_repair env t cursors ~could_supersede ~key ~ts =
         if not (could_supersede c ts) then false
         else if i = !fp || oracle_probe_bloom env c key then
           match L.Dbt.Cursor.find env cursors.(i) key with
-          | Some (_, row) -> row.L.ts > ts
-          | None ->
+          | -1 ->
               oracle_note_fp env c;
               go (i + 1)
+          | pos -> c.L.tss.(pos) > ts
         else go (i + 1)
       end
     in
@@ -1070,27 +1070,24 @@ let prop_probe_matches_loops =
             in
             match L.mem_find t key with
             | Some row -> row.L.ts <= ts
-            | None -> (
-                match
+            | None ->
+                let pos =
                   L.find_newest t ?cursors key
                     ~stop:(fun c -> c.L.cmax_ts <= threshold)
-                with
-                | Some (_, _, row) -> row.L.ts <= ts
-                | None -> true))
+                in
+                pos < 0 || (L.found t).L.tss.(pos) <= ts)
           ~repair:(fun _env t ~could_supersede ~key ~ts ->
             let fp =
               L.first_positive t key ~eligible:(fun c -> could_supersede c ts)
             in
             if fp < 0 then None
             else
-              Some
-                (match
-                   L.find_newest t ~cursors:(cursors_of t) ~from:fp ~positive:fp
-                     ~stop:(fun c -> not (could_supersede c ts))
-                     key
-                 with
-                | Some (_, _, row) -> row.L.ts > ts
-                | None -> false))
+              let pos =
+                L.find_newest t ~cursors:(cursors_of t) ~from:fp ~positive:fp
+                  ~stop:(fun c -> not (could_supersede c ts))
+                  key
+              in
+              Some (pos >= 0 && (L.found t).L.tss.(pos) > ts))
       in
       oracle = walk)
 
@@ -1244,12 +1241,14 @@ let test_find_position () =
    scans, and per input row of a 4-component merge, over generations of
    2,000 keys each (every other key, one in seven deleted) flushed into
    components, the last one left in memory.  The merges read rows by
-   position and a scan builds a memory row only when it emits one, so
-   about 2 words per emitted row are that row (a quarter of the output
-   comes from memory); several shards add their gathered columns.  The
-   first scan warms the view.  The ceilings sit just above what the
-   position-reading merge measures; the element merge it replaced
-   allocated 7.1 (heap), 3.5 (view), 11.4 (shards) and 6.9 (merge). *)
+   position and a scan hands [f] the fields of each row, building none,
+   so a scan over one memtable allocates next to nothing per row (0.05
+   with views off, 0.03 through the view); several shards add their
+   gathered columns (2.1), and the merge its output columns (0.30).  The
+   first scan warms the view.  The ceilings were set when a scan still
+   built each emitted memory row (2.05, 2.03, 4.10 and 0.29 then); the
+   element merge before that allocated 7.1 (heap), 3.5 (view), 11.4
+   (shards) and 6.9 (merge). *)
 let alloc_tree ?(shards = 1) ~flushes () =
   let t =
     L.create (mk_env ())
@@ -1269,15 +1268,15 @@ let alloc_tree ?(shards = 1) ~flushes () =
   done;
   t
 
-let check_budget name ceiling words =
+let check_budget ?(per = "minor words per row") name ceiling words =
+  Printf.printf "%s: %.3f %s (budget %.1f)\n" name words per ceiling;
   if words > ceiling then
-    Alcotest.failf "%s: %.3f minor words per row, budget %.1f" name words
-      ceiling
+    Alcotest.failf "%s: %.3f %s, budget %.1f" name words per ceiling
 
 let test_scan_alloc_budgets () =
   let words_per_row t =
     let n = ref 0 in
-    let f _ ~src_repaired:_ = incr n in
+    let f _ _ _ ~src_repaired:_ = incr n in
     L.scan t L.full_scan_spec ~f;
     n := 0;
     let w0 = Gc.minor_words () in
@@ -1302,6 +1301,52 @@ let test_merge_alloc_budget () =
   ignore (L.merge t ~first:0 ~last:3);
   check_budget "merge of 4 components" 1.0
     ((Gc.minor_words () -. w0) /. Float.of_int rows)
+
+(* Allocation budgets of the point lookup: minor words per [lookup_one]
+   over 6 disk components of 2,000 keys each (component [g] holds the keys
+   [6i + g]), for hits — each key's one version sits in one component,
+   behind the Bloom negatives of the newer ones — and for misses.  A
+   descent returns a bare position and the walk records its hit in the
+   tree, so a miss allocates only in the span wrapper and the memory
+   probe (14 words), and a hit also the row and option it hands out
+   (20). *)
+let test_lookup_alloc_budget () =
+  let t = mk_tree (mk_env ()) in
+  for g = 0 to 5 do
+    for i = 0 to 1_999 do
+      L.write t ~key:((6 * i) + g) ~ts:((g * 2_000) + i + 1) (Entry.Put i)
+    done;
+    L.flush t
+  done;
+  let words_per_lookup keys =
+    Array.iter (fun k -> ignore (L.lookup_one t k)) keys;
+    let w0 = Gc.minor_words () in
+    Array.iter (fun k -> ignore (L.lookup_one t k)) keys;
+    (Gc.minor_words () -. w0) /. Float.of_int (Array.length keys)
+  in
+  check_budget ~per:"minor words per lookup" "hits over 6 components" 22.0
+    (words_per_lookup (Array.init 12_000 Fun.id));
+  check_budget ~per:"minor words per lookup" "misses over 6 components" 16.0
+    (words_per_lookup (Array.init 12_000 (fun i -> 12_000 + i)))
+
+(* A disk component's footprint: words reachable from a flushed
+   component of 10k rows with int values, per row.  Keys, timestamps and
+   entries are three columns read by position (3 words a row, plus the
+   2-word [Put] block each entry is); the Bloom filter and the leaf
+   fences add a fraction of a word: 5.36 in all.  A stored row record
+   beside the key column costs 3 words a row more (8.36), and fails. *)
+let test_component_footprint () =
+  let t = mk_tree (mk_env ()) in
+  for i = 0 to 9_999 do
+    L.write t ~key:i ~ts:(i + 1) (Entry.Put i)
+  done;
+  L.flush t;
+  let c = (L.components t).(0) in
+  let words =
+    Float.of_int (Obj.reachable_words (Obj.repr c))
+    /. Float.of_int (L.component_rows c)
+  in
+  check_budget ~per:"words per stored row" "10k-row component" 6.5 words
 
 let () =
   Alcotest.run "lsm_tree"
@@ -1338,6 +1383,10 @@ let () =
             test_scan_alloc_budgets;
           Alcotest.test_case "merge: minor words per row" `Quick
             test_merge_alloc_budget;
+          Alcotest.test_case "lookup_one: minor words per lookup" `Quick
+            test_lookup_alloc_budget;
+          Alcotest.test_case "component: words per stored row" `Quick
+            test_component_footprint;
           prop_scan_matches_heap;
           prop_filtered_scan_matches_post_filter;
           Alcotest.test_case "filter needs range filters" `Quick

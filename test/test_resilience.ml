@@ -113,7 +113,7 @@ let test_retry_exhaustion_no_partials () =
   Array.iter
     (fun pc ->
       Alcotest.(check bool) "component non-empty" true
-        (Array.length (D.Prim.rows_of pc) > 0))
+        (D.Prim.component_rows pc > 0))
     (D.Prim.components (D.primary d));
   (* ...and with the fault gone the same flush completes intact. *)
   D.flush_now d;

@@ -73,8 +73,8 @@ let spec_gen =
 
 let collect t spec =
   let acc = ref [] in
-  L.scan t spec ~f:(fun r ~src_repaired ->
-      acc := (r.L.key, r.L.ts, r.L.value, src_repaired) :: !acc);
+  L.scan t spec ~f:(fun key ts value ~src_repaired ->
+      acc := (key, ts, value, src_repaired) :: !acc);
   List.rev !acc
 
 let spec_of t (lo, hi, respect_bitmap, emit_del, include_mem, only_mask) =
@@ -250,11 +250,11 @@ let build_overlapping_tree ncomps rows_per_comp =
 
 let measure_scan env t =
   let rows = ref 0 in
-  ignore (L.scan t L.full_scan_spec ~f:(fun _ ~src_repaired:_ -> incr rows));
+  ignore (L.scan t L.full_scan_spec ~f:(fun _ _ _ ~src_repaired:_ -> incr rows));
   let before_cmp = (Env.stats env).Io.comparisons in
   let before_us = Env.now_us env in
   let n = ref 0 in
-  L.scan t L.full_scan_spec ~f:(fun _ ~src_repaired:_ -> incr n);
+  L.scan t L.full_scan_spec ~f:(fun _ _ _ ~src_repaired:_ -> incr n);
   ( !n,
     (Env.stats env).Io.comparisons - before_cmp,
     Env.now_us env -. before_us )
