@@ -394,11 +394,29 @@ let footprint_entries () =
     /. Float.of_int (L.component_rows c)
   in
   Printf.printf "footprint.component %.3f words per row\n" words;
+  (* The serving driver's request samples: words reachable from a
+     [Samples] store after 20,000 pushes, per sample (five columns of
+     one word each, grown by doubling to 32,768 rows). *)
+  let pushes = 20_000 in
+  let st = Lsm_serve.Samples.create () in
+  for i = 1 to pushes do
+    Lsm_serve.Samples.push st ~cls:(i mod 5) ~phase:(i mod 3)
+      ~arrival_us:(Float.of_int i) ~queue_us:1.0 ~service_us:2.0
+  done;
+  let per_sample =
+    Float.of_int (Obj.reachable_words (Obj.repr st)) /. Float.of_int pushes
+  in
+  Printf.printf "footprint.serve %.3f words per sample\n" per_sample;
   [
     {
       Lsm_harness.Bench_json.name = "footprint.component.words_per_row";
       unit_ = "words/row";
       samples = [| words |];
+    };
+    {
+      Lsm_harness.Bench_json.name = "footprint.serve.words_per_sample";
+      unit_ = "words/sample";
+      samples = [| per_sample |];
     };
   ]
 

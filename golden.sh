@@ -46,6 +46,16 @@ for strategy in validation bitmap; do
   digest "serve chaos $strategy --timeline" "$out/chaos_tl.json"
 done
 
+# A longer chaos run: the short ones above carry about 450 requests,
+# so most class p99s are the class maximum; this one ranks every class
+# the chaos mix draws over at least 1,000 samples.
+"$bin" serve -s tiny --duration 40 --rate 1500 --seed 7 \
+  --strategy validation \
+  --chaos 'crash@p1@t60ms;io@p2@t30ms+30ms!6;slow@p3@t40ms+40ms*8' \
+  --deadline-us 8000 --shed-backlog 30000 --json "$out/chaos_long.json" \
+  > /dev/null
+digest "serve chaos validation --duration 40 --json" "$out/chaos_long.json"
+
 # Clean and sharded serve runs.
 "$bin" serve -s tiny --duration 0.2 --rate 1000 --seed 7 \
   --json "$out/serve.json" > /dev/null

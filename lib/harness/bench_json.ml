@@ -38,13 +38,14 @@ let p99 e = percentile e.samples 99.0
 (* JSON (de)serialization *)
 
 let entry_json e =
+  let ps = Lsm_obs.Stats.percentiles e.samples [| 50.0; 95.0; 99.0 |] in
   J.Obj
     [
       ("name", J.Str e.name);
       ("unit", J.Str e.unit_);
-      ("p50", J.Float (p50 e));
-      ("p95", J.Float (p95 e));
-      ("p99", J.Float (p99 e));
+      ("p50", J.Float ps.(0));
+      ("p95", J.Float ps.(1));
+      ("p99", J.Float ps.(2));
       ("samples", J.List (Array.to_list (Array.map (fun s -> J.Float s) e.samples)));
     ]
 

@@ -239,11 +239,14 @@ module Make (K : KEY) (V : VALUE) = struct
   let disk_size_bytes t =
     Array.fold_left (fun acc c -> acc + component_size_bytes t c) 0 t.disk
 
+  (* A loop, not a fold: a fold's closure would capture [Mbt] and
+     allocate on every write and memory probe. *)
   let charge_mem_cmps t =
-    Lsm_sim.Env.charge_comparisons t.env
-      (Array.fold_left
-         (fun acc m -> acc + Mbt.take_comparisons m.table)
-         0 t.mems)
+    let c = ref 0 in
+    for i = 0 to Array.length t.mems - 1 do
+      c := !c + Mbt.take_comparisons t.mems.(i).table
+    done;
+    Lsm_sim.Env.charge_comparisons t.env !c
 
   (* ------------------------------------------------------------------ *)
   (* Sorted views (REMIX): lifecycle *)

@@ -94,9 +94,12 @@ let record_eviction t i =
    then low shard) and recurse until under budget, or until nothing is
    left to evict: the budget is then smaller than the engine's
    irreducible footprint.  Unsharded, every shard is a whole partition,
-   so this flushes the largest memtable. *)
-let rec drain t =
-  if total t >= t.budget_bytes then begin
+   so this flushes the largest memtable.  [bytes] is the aggregate
+   footprint, which only a flush changes, so it is summed again only
+   after one; returns the aggregate it leaves. *)
+let rec drain t bytes =
+  if bytes < t.budget_bytes then bytes
+  else begin
     let best = ref None in
     Array.iteri
       (fun i p ->
@@ -112,18 +115,18 @@ let rec drain t =
     | Some (_, i, s) ->
         t.parts.(i).flush_shard s;
         record_eviction t i;
-        drain t
-    | None -> ()
+        drain t (total t)
+    | None -> bytes
   end
 
 (** [enforce t] restores the invariant [total t < budget_bytes] by
     evicting across partitions, repeatedly if one eviction is not
     enough.  Flushing happens "within" the triggering write's instant:
     its simulated cost lands on the flushed partition's clock, exactly
-    like a synchronous flush in the single-dataset path. *)
+    like a synchronous flush in the single-dataset path.  A write that
+    evicts nothing sums the partitions' footprints once. *)
 let enforce t =
   let pre = total t in
   if pre > t.peak_pre_bytes then t.peak_pre_bytes <- pre;
-  drain t;
-  let post = total t in
+  let post = drain t pre in
   if post > t.peak_bytes then t.peak_bytes <- post

@@ -33,6 +33,14 @@ let class_name = function
 
 let all_classes = [ Ingest; Point; Multi; Secondary; Scan ]
 
+(* A class's column value in {!Samples}. *)
+let class_index = function
+  | Ingest -> 0
+  | Point -> 1
+  | Multi -> 2
+  | Secondary -> 3
+  | Scan -> 4
+
 type mix = {
   ingest : float;
   point : float;
@@ -231,7 +239,7 @@ let estimate_capacity ?(ops = 1500) ?(durable = false) (cfg : config) =
 (* ------------------------------------------------------------------ *)
 (* The open-loop run *)
 
-type class_stats = {
+type class_stats = Samples.class_stats = {
   cls : string;
   count : int;
   p50_us : float;
@@ -273,31 +281,16 @@ type result = {
   resil : part_resil list;  (** one entry per partition *)
 }
 
-type sample = {
-  s_cls : op_class;
-  arrival_us : float;
-  queue_us : float;
-  service_us : float;
-}
-
-let mean = function
-  | [] -> 0.0
-  | l -> List.fold_left ( +. ) 0.0 l /. Float.of_int (List.length l)
-
-let stats_of name samples =
-  let lat =
-    Array.of_list (List.map (fun s -> s.queue_us +. s.service_us) samples)
-  in
-  let pct p = if Array.length lat = 0 then 0.0 else Lsm_obs.Stats.percentile lat p in
-  {
-    cls = name;
-    count = List.length samples;
-    p50_us = pct 50.0;
-    p95_us = pct 95.0;
-    p99_us = pct 99.0;
-    mean_queue_us = mean (List.map (fun s -> s.queue_us) samples);
-    mean_service_us = mean (List.map (fun s -> s.service_us) samples);
-  }
+(** [class_table samples keep] is one SLO row per op class, then
+    ["all"], over the samples [i] with [keep i]. *)
+let class_table samples keep =
+  List.map
+    (fun c ->
+      let k = class_index c in
+      Samples.table samples (class_name c) (fun i ->
+          keep i && Samples.cls samples i = k))
+    all_classes
+  @ [ Samples.table samples "all" keep ]
 
 let collect_resil sys partitions =
   List.init partitions (fun i ->
@@ -350,6 +343,7 @@ type chaos_obs =
   | O_shed  (** admission control turned the request away *)
 
 let phases = [ "healthy"; "degraded"; "recovering" ]
+let phase_names = Array.of_list phases
 
 type chaos_result = {
   c_base : result;
@@ -614,11 +608,12 @@ let serve ~durable ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
         | _ -> false)
       frts
   in
+  (* The arrival's phase, as an index into [phase_names]. *)
   let phase_of a =
     let any arr = Array.exists (fun t -> a < t) arr in
-    if any down_until || any degraded_until || corrupt_open () then "degraded"
-    else if any recovering_until then "recovering"
-    else "healthy"
+    if any down_until || any degraded_until || corrupt_open () then 1
+    else if any recovering_until then 2
+    else 0
   in
   let drain_breakers () =
     for i = 0 to n - 1 do
@@ -648,7 +643,7 @@ let serve ~durable ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
       cfg.arrivals
   in
   let horizon_us = cfg.duration_s *. 1e6 in
-  let samples = ref [] in
+  let samples = Samples.create () in
   let n_req = ref 0 in
   let successes = ref 0 and partials = ref 0 and shed = ref 0 in
   let bump tbl k =
@@ -662,7 +657,7 @@ let serve ~durable ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
         Timeseries.count ts ~at_us:a "errors" 1;
         Timeseries.count ts ~at_us:a ("error." ^ reason) 1)
   in
-  let phase_tbl = Hashtbl.create 4 in
+  let phase_count = Array.make (Array.length phase_names) 0 in
   let blocked_reason blocked =
     match blocked with (_, `Down) :: _ -> "down" | _ -> "breaker"
   in
@@ -672,7 +667,7 @@ let serve ~durable ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
       fire_faults a !n_req;
       heal_due a;
       let ph = phase_of a in
-      bump phase_tbl ph;
+      phase_count.(ph) <- phase_count.(ph) + 1;
       let s_cls, req = gen_request sys cfg in
       let targets = Rt.targets rt req in
       let backlog i = Float.max 0.0 (free.(i) -. a) in
@@ -857,16 +852,16 @@ let serve ~durable ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
                 incr successes;
                 if partial then incr partials;
                 observe obs;
-                samples :=
-                  ( ph,
-                    { s_cls; arrival_us = a; queue_us; service_us = lat_svc } )
-                  :: !samples;
+                Samples.push samples ~cls:(class_index s_cls) ~phase:ph
+                  ~arrival_us:a ~queue_us ~service_us:lat_svc;
                 tl (fun ts ->
                     let done_us = start +. lat_svc in
                     let lat = queue_us +. lat_svc in
                     Timeseries.observe ts ~at_us:done_us (class_name s_cls) lat;
                     Timeseries.observe ts ~at_us:done_us "all" lat;
-                    Timeseries.observe ts ~at_us:done_us ("phase." ^ ph) lat;
+                    Timeseries.observe ts ~at_us:done_us
+                      ("phase." ^ phase_names.(ph))
+                      lat;
                     if partial then
                       Timeseries.count ts ~at_us:done_us "partials" 1;
                     Timeseries.set_max ts ~at_us:done_us "queue_us" queue_us;
@@ -936,27 +931,11 @@ let serve ~durable ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
       | _ -> ())
     frts;
   drain_breakers ();
-  let samples = List.rev !samples in
-  let class_table ss =
-    List.map
-      (fun c -> stats_of (class_name c) (List.filter (fun s -> s.s_cls = c) ss))
-      all_classes
-    @ [ stats_of "all" ss ]
-  in
-  let all = List.map snd samples in
   let backlog =
     Array.fold_left (fun acc f -> Float.max acc (f -. horizon_us)) 0.0 free
   in
   let backlog_frac = if horizon_us > 0.0 then backlog /. horizon_us else 0.0 in
-  let half = horizon_us /. 2.0 in
-  let mean_queue keep =
-    mean
-      (List.filter_map
-         (fun s -> if keep s.arrival_us then Some s.queue_us else None)
-         all)
-  in
-  let q1 = mean_queue (fun t -> t < half) in
-  let q2 = mean_queue (fun t -> t >= half) in
+  let q1, q2 = Samples.mean_queue_halves samples ~half:(horizon_us /. 2.0) in
   let b = Rt.budget rt in
   let base =
     {
@@ -964,7 +943,7 @@ let serve ~durable ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
       rate_rps = cfg.rate_rps;
       capacity_rps;
       requests = !n_req;
-      classes = class_table all;
+      classes = class_table samples (fun _ -> true);
       backlog_frac;
       queue_growth = (q2 +. 1.0) /. (q1 +. 1.0);
       saturated = backlog_frac > 0.05;
@@ -983,20 +962,10 @@ let serve ~durable ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
            | 0 -> Int.compare v1 v2
            | c -> c)
   in
-  let phase_counts =
-    List.map
-      (fun ph ->
-        (ph, Option.value ~default:0 (Hashtbl.find_opt phase_tbl ph)))
-      phases
-  in
+  let phase_counts = List.mapi (fun k ph -> (ph, phase_count.(k))) phases in
   let phase_classes =
-    List.map
-      (fun phn ->
-        ( phn,
-          class_table
-            (List.filter_map
-               (fun (p, s) -> if String.equal p phn then Some s else None)
-               samples) ))
+    List.mapi
+      (fun k ph -> (ph, class_table samples (fun i -> Samples.phase samples i = k)))
       phases
   in
   let total = !n_req in

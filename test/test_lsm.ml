@@ -1308,8 +1308,9 @@ let test_merge_alloc_budget () =
    behind the Bloom negatives of the newer ones — and for misses.  A
    descent returns a bare position and the walk records its hit in the
    tree, so a miss allocates only in the span wrapper and the memory
-   probe (14 words), and a hit also the row and option it hands out
-   (20). *)
+   probe (9 words), and a hit also the row and option it hands out
+   (15).  Charging the memory probe's comparisons through a fold
+   allocated its closure too (14 and 20). *)
 let test_lookup_alloc_budget () =
   let t = mk_tree (mk_env ()) in
   for g = 0 to 5 do
@@ -1324,10 +1325,35 @@ let test_lookup_alloc_budget () =
     Array.iter (fun k -> ignore (L.lookup_one t k)) keys;
     (Gc.minor_words () -. w0) /. Float.of_int (Array.length keys)
   in
-  check_budget ~per:"minor words per lookup" "hits over 6 components" 22.0
+  check_budget ~per:"minor words per lookup" "hits over 6 components" 15.5
     (words_per_lookup (Array.init 12_000 Fun.id));
-  check_budget ~per:"minor words per lookup" "misses over 6 components" 16.0
+  check_budget ~per:"minor words per lookup" "misses over 6 components" 9.5
     (words_per_lookup (Array.init 12_000 (fun i -> 12_000 + i)))
+
+(* Allocation budget of a memory write: minor words per [write] that
+   replaces a key already in a 3-shard memtable (entries built
+   beforehand): 18, all of it in the memtable's insert and the stored
+   [(ts, entry)] pair, since charging the shards' comparisons allocates
+   nothing.  Charging them through a fold allocated its closure on
+   every write too (23). *)
+let test_write_alloc_budget () =
+  let t =
+    L.create (mk_env ())
+      (Lsm_tree.Config.make ~bloom:(Some Lsm_tree.Config.default_bloom)
+         ~shards:3 "t")
+  in
+  let n = 10_000 in
+  let entries = Array.init n (fun i -> Entry.Put i) in
+  let write_all ts0 =
+    for i = 0 to n - 1 do
+      L.write t ~key:i ~ts:(ts0 + i) entries.(i)
+    done
+  in
+  write_all 1;
+  let w0 = Gc.minor_words () in
+  write_all (n + 1);
+  check_budget ~per:"minor words per write" "same-key write, 3 shards" 19.0
+    ((Gc.minor_words () -. w0) /. Float.of_int n)
 
 (* A disk component's footprint: words reachable from a flushed
    component of 10k rows with int values, per row.  Keys, timestamps and
@@ -1385,6 +1411,8 @@ let () =
             test_merge_alloc_budget;
           Alcotest.test_case "lookup_one: minor words per lookup" `Quick
             test_lookup_alloc_budget;
+          Alcotest.test_case "write: minor words per write" `Quick
+            test_write_alloc_budget;
           Alcotest.test_case "component: words per stored row" `Quick
             test_component_footprint;
           prop_scan_matches_heap;

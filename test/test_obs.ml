@@ -885,6 +885,58 @@ let test_stats_helpers () =
   Alcotest.(check (float 1e-9))
     "alias agrees" (B.percentile noisy 50.0) (St.percentile noisy 50.0)
 
+(* The percentile as it was before [Stats.percentiles]: nan samples
+   filtered through a sequence into a fresh array, sorted with
+   [Float.compare], one sort per rank.  Kept as the oracle. *)
+let old_percentile samples p =
+  let s =
+    Array.of_seq
+      (Seq.filter (fun v -> not (Float.is_nan v)) (Array.to_seq samples))
+  in
+  let n = Array.length s in
+  if n = 0 then Float.nan
+  else begin
+    Array.sort Float.compare s;
+    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
+    s.(max 0 (min (n - 1) (rank - 1)))
+  end
+
+(* Random arrays with nan, duplicates and infinities, including the
+   empty and the all-nan array, against the oracle at every rank the
+   callers ask for and a few edges; [percentiles] answers all of them
+   from one sort, and leaves its input untouched. *)
+let prop_percentiles_match_old =
+  let value =
+    QCheck2.Gen.(
+      frequency
+        [
+          (6, float_bound_inclusive 1e4);
+          (2, map Float.of_int (int_range 0 5));
+          (2, return Float.nan);
+          (1, return Float.infinity);
+        ])
+  in
+  qtest ~count:300 "percentiles = old filter-and-sort percentile"
+    QCheck2.Gen.(
+      oneof
+        [
+          map Array.of_list (list_size (int_range 0 60) value);
+          map (fun n -> Array.make n Float.nan) (int_range 0 5);
+        ])
+    (fun samples ->
+      let ps = [| 0.0; 1.0; 50.0; 95.0; 99.0; 99.9; 100.0 |] in
+      let before = Array.copy samples in
+      let got = St.percentiles samples ps in
+      let untouched =
+        Array.for_all2 (fun a b -> Float.equal a b) before samples
+      in
+      untouched
+      && Array.for_all2
+           (fun p v ->
+             Float.equal v (old_percentile samples p)
+             && Float.equal v (St.percentile samples p))
+           ps got)
+
 (* ------------------------------------------------------------------ *)
 (* Timeseries: windowed collection, the event ring, exports *)
 
@@ -1177,7 +1229,10 @@ let () =
           prop_hist_quantile_bounds;
         ] );
       ( "stats",
-        [ Alcotest.test_case "shared percentile" `Quick test_stats_helpers ] );
+        [
+          Alcotest.test_case "shared percentile" `Quick test_stats_helpers;
+          prop_percentiles_match_old;
+        ] );
       ( "timeseries",
         [
           Alcotest.test_case "windows" `Quick test_timeseries_windows;

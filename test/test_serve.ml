@@ -143,6 +143,104 @@ let test_budget_shard_peak_pre_no_regress () =
   Alcotest.(check bool) "sharded evicts in smaller units" true
     (Budget.evictions b4 > Budget.evictions b1)
 
+(* [enforce] against a reference that sums the footprint before
+   enforcement, before every eviction decision and after enforcement,
+   as the coordinator once did.  Random write traces over 1-3
+   partitions of 1-3 shards each (one shard = the unsharded handle)
+   must evict the same shards in the same order and leave the same
+   peaks and counts; and an [enforce] that evicts nothing reads each
+   partition's footprint exactly once. *)
+let prop_budget_matches_reference =
+  let open QCheck2.Gen in
+  let gen =
+    int_range 1 3 >>= fun parts ->
+    list_repeat parts (int_range 1 3) >>= fun shards ->
+    int_range 10 120 >>= fun budget ->
+    list_size (int_range 1 80)
+      (triple (int_range 0 (parts - 1)) (int_range 0 2) (int_range 1 40))
+    >|= fun writes -> (Array.of_list shards, budget, writes)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"enforce = recompute-every-time reference"
+       gen (fun (shards, budget, writes) ->
+         let nparts = Array.length shards in
+         let state () = Array.map (fun k -> Array.make k 0) shards in
+         (* The coordinator under test. *)
+         let mem = state () and flushed = ref [] and reads = ref 0 in
+         let parts =
+           Array.mapi
+             (fun i k ->
+               let sum () =
+                 incr reads;
+                 Array.fold_left ( + ) 0 mem.(i)
+               in
+               Budget.part ~shards:k ~mem_bytes:sum
+                 ~shard_bytes:(fun s -> mem.(i).(s))
+                 ~flush_shard:(fun s ->
+                   flushed := (i, s) :: !flushed;
+                   mem.(i).(s) <- 0)
+                 ~flush:(fun () ->
+                   flushed := (i, 0) :: !flushed;
+                   Array.fill mem.(i) 0 k 0)
+                 ())
+             shards
+         in
+         let b = Budget.create ~budget_bytes:budget parts in
+         (* The reference. *)
+         let rmem = state () and rflushed = ref [] in
+         let revictions = Array.make nparts 0 in
+         let rpeak = ref 0 and rpeak_pre = ref 0 in
+         let total () =
+           Array.fold_left (Array.fold_left ( + )) 0 rmem
+         in
+         let rec drain () =
+           if total () >= budget then begin
+             let best = ref None in
+             Array.iteri
+               (fun i m ->
+                 Array.iteri
+                   (fun s v ->
+                     if v > 0 then
+                       match !best with
+                       | Some (bv, _, _) when bv >= v -> ()
+                       | _ -> best := Some (v, i, s))
+                   m)
+               rmem;
+             match !best with
+             | Some (_, i, s) ->
+                 rflushed := (i, s) :: !rflushed;
+                 rmem.(i).(s) <- 0;
+                 revictions.(i) <- revictions.(i) + 1;
+                 drain ()
+             | None -> ()
+           end
+         in
+         let one_read_when_idle = ref true in
+         List.iter
+           (fun (i, s, bytes) ->
+             let s = s mod shards.(i) in
+             mem.(i).(s) <- mem.(i).(s) + bytes;
+             rmem.(i).(s) <- rmem.(i).(s) + bytes;
+             let ev0 = Budget.evictions b and r0 = !reads in
+             Budget.enforce b;
+             if Budget.evictions b = ev0 && !reads - r0 <> nparts then
+               one_read_when_idle := false;
+             let pre = total () in
+             if pre > !rpeak_pre then rpeak_pre := pre;
+             drain ();
+             let post = total () in
+             if post > !rpeak then rpeak := post)
+           writes;
+         !one_read_when_idle
+         && !flushed = !rflushed
+         && Budget.peak_bytes b = !rpeak
+         && Budget.peak_pre_bytes b = !rpeak_pre
+         && Budget.evictions b = Array.fold_left ( + ) 0 revictions
+         && List.for_all
+              (fun i -> Budget.evictions_of b i = revictions.(i))
+              (List.init nparts Fun.id)
+         && !flushed <> [] = (Budget.evictions b > 0)))
+
 (* ------------------------------------------------------------------ *)
 (* Arrival processes *)
 
@@ -451,6 +549,189 @@ let check_run_matches_exec_loop strategy () =
     r.Driver.classes
 
 (* ------------------------------------------------------------------ *)
+(* Columnar samples: SLO tables against the list-based oracle *)
+
+module Samples = Lsm_serve.Samples
+
+(* The tables as the driver built them from a list of sample records:
+   one filtered copy per table, latencies mapped into an array, means
+   by left folds, the percentile by nan filter and sort per rank. *)
+type osample = { o_cls : int; o_phase : int; o_arr : float; o_q : float; o_s : float }
+
+let old_percentile samples p =
+  let s =
+    Array.of_seq
+      (Seq.filter (fun v -> not (Float.is_nan v)) (Array.to_seq samples))
+  in
+  let n = Array.length s in
+  if n = 0 then Float.nan
+  else begin
+    Array.sort Float.compare s;
+    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
+    s.(max 0 (min (n - 1) (rank - 1)))
+  end
+
+let old_mean = function
+  | [] -> 0.0
+  | l -> List.fold_left ( +. ) 0.0 l /. Float.of_int (List.length l)
+
+let old_stats_of name samples =
+  let lat = Array.of_list (List.map (fun s -> s.o_q +. s.o_s) samples) in
+  let pct p = if Array.length lat = 0 then 0.0 else old_percentile lat p in
+  {
+    Driver.cls = name;
+    count = List.length samples;
+    p50_us = pct 50.0;
+    p95_us = pct 95.0;
+    p99_us = pct 99.0;
+    mean_queue_us = old_mean (List.map (fun s -> s.o_q) samples);
+    mean_service_us = old_mean (List.map (fun s -> s.o_s) samples);
+  }
+
+let old_class_table ss =
+  List.map
+    (fun c ->
+      let k = Driver.class_index c in
+      old_stats_of (Driver.class_name c) (List.filter (fun s -> s.o_cls = k) ss))
+    Driver.all_classes
+  @ [ old_stats_of "all" ss ]
+
+let old_tables ss =
+  old_class_table ss
+  :: List.mapi
+       (fun k _ -> old_class_table (List.filter (fun s -> s.o_phase = k) ss))
+       Driver.phases
+
+let old_queue_halves ss ~half =
+  let mean keep =
+    old_mean
+      (List.filter_map (fun s -> if keep s.o_arr then Some s.o_q else None) ss)
+  in
+  (mean (fun t -> t < half), mean (fun t -> t >= half))
+
+(* The same tables from the columns, as [Driver.serve] builds them. *)
+let new_tables st =
+  Driver.class_table st (fun _ -> true)
+  :: List.mapi
+       (fun k _ -> Driver.class_table st (fun i -> Samples.phase st i = k))
+       Driver.phases
+
+let store_of ss =
+  let st = Samples.create () in
+  List.iter
+    (fun s ->
+      Samples.push st ~cls:s.o_cls ~phase:s.o_phase ~arrival_us:s.o_arr
+        ~queue_us:s.o_q ~service_us:s.o_s)
+    ss;
+  st
+
+let same_stats (a : Driver.class_stats) (b : Driver.class_stats) =
+  String.equal a.Driver.cls b.Driver.cls
+  && a.Driver.count = b.Driver.count
+  && Float.equal a.Driver.p50_us b.Driver.p50_us
+  && Float.equal a.Driver.p95_us b.Driver.p95_us
+  && Float.equal a.Driver.p99_us b.Driver.p99_us
+  && Float.equal a.Driver.mean_queue_us b.Driver.mean_queue_us
+  && Float.equal a.Driver.mean_service_us b.Driver.mean_service_us
+
+let same_tables ss =
+  let st = store_of ss in
+  let half = 500.0 in
+  List.for_all2 (List.for_all2 same_stats) (new_tables st) (old_tables ss)
+  &&
+  let q1, q2 = Samples.mean_queue_halves st ~half in
+  let o1, o2 = old_queue_halves ss ~half in
+  Float.equal q1 o1 && Float.equal q2 o2
+
+let sample_gen =
+  let open QCheck2.Gen in
+  let time =
+    frequency
+      [ (8, float_bound_inclusive 2000.0); (1, return 0.0); (1, return Float.nan) ]
+  in
+  map
+    (fun ((o_cls, o_phase), (o_arr, o_q, o_s)) ->
+      { o_cls; o_phase; o_arr; o_q; o_s })
+    (pair
+       (pair (int_range 0 4) (int_range 0 2))
+       (triple (float_bound_inclusive 1000.0) time time))
+
+(* Random traces (nan latencies, ties at zero, every phase, classes that
+   draw nothing) plus the edge traces: empty, one sample, all nan. *)
+let prop_samples_match_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"columnar tables = list oracle"
+       QCheck2.Gen.(list_size (int_range 0 300) sample_gen)
+       same_tables)
+
+let test_samples_edges () =
+  let one = { o_cls = 3; o_phase = 1; o_arr = 10.0; o_q = 2.0; o_s = 5.0 } in
+  let nan = { one with o_q = Float.nan } in
+  List.iter
+    (fun (what, ss) ->
+      Alcotest.(check bool) (what ^ " = oracle") true (same_tables ss))
+    [
+      ("empty", []);
+      ("one sample", [ one ]);
+      ("all latencies nan", [ nan; { nan with o_cls = 0 }; nan ]);
+      ("nan beside finite", [ one; nan; { one with o_s = 1.0 } ]);
+    ];
+  let st = store_of [ nan ] in
+  let t = Samples.table st "x" (fun _ -> true) in
+  Alcotest.(check bool) "all-nan selection reads nan" true
+    (t.Driver.count = 1 && Float.is_nan t.Driver.p99_us);
+  let t = Samples.table st "x" (fun _ -> false) in
+  Alcotest.(check bool) "empty selection reads 0" true
+    (t.Driver.count = 0 && t.Driver.p99_us = 0.0 && t.Driver.mean_queue_us = 0.0)
+
+(* Words allocated per sample to build every table of a 20k-sample
+   trace (all classes, all phases, both run halves).  The columns are
+   read in place and the one scratch array costs a word a sample
+   (1.01 in all); the oracle's filtered lists, boxed floats and
+   per-rank sequence copies cost about 1,330. *)
+let test_samples_table_alloc () =
+  let n = 20_000 in
+  let rng = Lsm_util.Rng.create 3 in
+  let ss =
+    List.init n (fun i ->
+        {
+          o_cls = Lsm_util.Rng.int rng 5;
+          o_phase = Lsm_util.Rng.int rng 3;
+          o_arr = Float.of_int i;
+          o_q = Lsm_util.Rng.float rng *. 100.0;
+          o_s = Lsm_util.Rng.float rng *. 1000.0;
+        })
+  in
+  let st = store_of ss in
+  (* Minor and direct major allocation: the scratch array is too large
+     for the minor heap. *)
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let per_sample f =
+    let w0 = allocated () in
+    ignore (Sys.opaque_identity (f ()));
+    (allocated () -. w0) /. Float.of_int n
+  in
+  let half = Float.of_int (n / 2) in
+  let columnar =
+    per_sample (fun () ->
+        (new_tables st, Samples.mean_queue_halves st ~half))
+  in
+  let oracle =
+    per_sample (fun () -> (old_tables ss, old_queue_halves ss ~half))
+  in
+  let ceiling = 1.5 in
+  Printf.printf "tables: %.2f words/sample columnar, %.2f oracle (ceiling %.1f)\n"
+    columnar oracle ceiling;
+  Alcotest.(check bool) "columnar under the ceiling" true (columnar <= ceiling);
+  Alcotest.(check bool) "oracle over the ceiling" true (oracle > ceiling);
+  (* The store has doubled five times past its first 1024 rows. *)
+  Alcotest.(check bool) "grown store = oracle" true
+    (List.for_all2 (List.for_all2 same_stats) (new_tables st) (old_tables ss))
+
+(* ------------------------------------------------------------------ *)
 (* Timelines, burn-rate SLOs, and interference attribution *)
 
 module Timeseries = Lsm_obs.Timeseries
@@ -561,6 +842,7 @@ let () =
             test_budget_shard_cascade;
           Alcotest.test_case "sharded peak_pre does not regress" `Quick
             test_budget_shard_peak_pre_no_regress;
+          prop_budget_matches_reference;
         ] );
       ( "arrivals",
         [
@@ -588,6 +870,13 @@ let () =
             (check_run_matches_exec_loop Lsm_core.Strategy.validation);
           Alcotest.test_case "run matches the exec loop (eager)" `Quick
             (check_run_matches_exec_loop Lsm_core.Strategy.Eager);
+        ] );
+      ( "samples",
+        [
+          prop_samples_match_oracle;
+          Alcotest.test_case "edge traces" `Quick test_samples_edges;
+          Alcotest.test_case "tables: words per sample" `Quick
+            test_samples_table_alloc;
         ] );
       ( "router",
         [
