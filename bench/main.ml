@@ -19,9 +19,9 @@ open Toolkit
 (* ------------------------------------------------------------------ *)
 (* Microbenchmarks *)
 
-module Mbt = Lsm_btree.Mem_btree.Make (Lsm_util.Keys.Int_key)
-module Dbt = Lsm_btree.Disk_btree.Make (Lsm_util.Keys.Int_key)
-module L = Lsm_tree.Make (Lsm_util.Keys.Int_key) (Lsm_util.Keys.Int_value)
+module Mbt = Lsm_btree.Mem_btree
+module Dbt = Lsm_btree.Disk_btree
+module L = Lsm_tree.Make (Lsm_util.Keys.Int_value)
 open Lsm_harness.Setup
 
 let quiet_env () =
@@ -34,18 +34,21 @@ let test_mem_btree_put =
     (Staged.stage (fun () ->
          let t = Mbt.create () in
          for i = 0 to 999 do
-           ignore (Mbt.put t ((i * 7919) land 0xfffff) ~fkey:i i)
+           let k = (i * 7919) land 0xfffff in
+           ignore (Mbt.put t k k ~fkey:i i)
          done))
 
 let test_mem_btree_find =
   let t = Mbt.create () in
   let () =
     for i = 0 to 9_999 do
-      ignore (Mbt.put t ((i * 7919) land 0xfffff) ~fkey:i i)
+      let k = (i * 7919) land 0xfffff in
+      ignore (Mbt.put t k k ~fkey:i i)
     done
   in
+  let k = (4242 * 7919) land 0xfffff in
   Test.make ~name:"mem_btree.find(10k)"
-    (Staged.stage (fun () -> ignore (Mbt.find t ((4242 * 7919) land 0xfffff))))
+    (Staged.stage (fun () -> ignore (Mbt.find t k k)))
 
 let test_bloom_std =
   let f = Lsm_bloom.Bloom.create ~expected:100_000 ~fpr:0.01 in
@@ -76,7 +79,7 @@ let test_bloom_blocked =
 let disk_tree () =
   let env = quiet_env () in
   let keys = Array.init 100_000 (fun i -> i * 2) in
-  (env, Dbt.build env ~size_of:(fun _ -> 24) keys)
+  (env, Dbt.build env ~size_of:(fun _ -> 24) keys [||])
 
 let test_dbt_find =
   let env, t = disk_tree () in
@@ -84,7 +87,7 @@ let test_dbt_find =
   Test.make ~name:"disk_btree.find(100k)"
     (Staged.stage (fun () ->
          i := (!i + 7919) mod 100_000;
-         ignore (Dbt.find env t (!i * 2))))
+         ignore (Dbt.find env t (!i * 2) 0)))
 
 let test_dbt_cursor =
   let env, t = disk_tree () in
@@ -93,7 +96,7 @@ let test_dbt_cursor =
   Test.make ~name:"disk_btree.cursor_find(ascending)"
     (Staged.stage (fun () ->
          i := (!i + 3) mod 100_000;
-         ignore (Dbt.Cursor.find env c (!i * 2))))
+         ignore (Dbt.Cursor.find env c (!i * 2) 0)))
 
 let test_lsm_write =
   Test.make ~name:"lsm.write+flush(1k)"
@@ -105,7 +108,7 @@ let test_lsm_write =
                 "bench")
          in
          for i = 1 to 1000 do
-           L.write t ~key:(i * 17 mod 1009) ~ts:i (Lsm_tree.Entry.Put i)
+           L.write t ~key:(i * 17 mod 1009) ~pk:(i * 17 mod 1009) ~ts:i (Lsm_tree.Entry.Put i)
          done;
          L.flush t))
 
@@ -132,7 +135,7 @@ let test_lsm_scan =
   in
   let () =
     for i = 1 to 10_000 do
-      L.write t ~key:i ~ts:i (Lsm_tree.Entry.Put i);
+      L.write t ~key:i ~pk:i ~ts:i (Lsm_tree.Entry.Put i);
       if i mod 2_500 = 0 then L.flush t
     done;
     L.flush t
@@ -140,7 +143,7 @@ let test_lsm_scan =
   Test.make ~name:"lsm.reconciling_scan(10k,4comps)"
     (Staged.stage (fun () ->
          let n = ref 0 in
-         L.scan t L.full_scan_spec ~f:(fun _ _ _ ~src_repaired:_ -> incr n)))
+         L.scan t L.full_scan_spec ~f:(fun _ _ _ _ ~src_repaired:_ -> incr n)))
 
 (* A reconciling scan that reads only the memory component: the shape of
    a time-range scan whose range filters prune every disk component. *)
@@ -151,12 +154,12 @@ let test_lsm_mem_scan =
       (Lsm_tree.Config.make ~bloom:(Some Lsm_tree.Config.default_bloom) "bench")
   in
   for i = 1 to 2_000 do
-    L.write t ~key:i ~ts:i (Lsm_tree.Entry.Put i)
+    L.write t ~key:i ~pk:i ~ts:i (Lsm_tree.Entry.Put i)
   done;
   Test.make ~name:"lsm.mem_scan(2k)"
     (Staged.stage (fun () ->
          let n = ref 0 in
-         L.scan t L.full_scan_spec ~f:(fun _ _ _ ~src_repaired:_ -> incr n)))
+         L.scan t L.full_scan_spec ~f:(fun _ _ _ _ ~src_repaired:_ -> incr n)))
 
 let test_lsm_merge =
   Test.make ~name:"lsm.merge(2x2.5k)"
@@ -168,7 +171,7 @@ let test_lsm_merge =
                 "bench")
          in
          for i = 1 to 5_000 do
-           L.write t ~key:i ~ts:i (Lsm_tree.Entry.Put i);
+           L.write t ~key:i ~pk:i ~ts:i (Lsm_tree.Entry.Put i);
            if i = 2_500 then L.flush t
          done;
          L.flush t;
@@ -189,14 +192,14 @@ let scan_tree ~views ~ncomps =
       incr ts;
       (* ~50% of keys collide across components, so reconciliation works *)
       let key = ((i * 4) + (c * 2)) mod 4_000 in
-      L.write t ~key ~ts:!ts (Lsm_tree.Entry.Put ((key * 1000) + !ts))
+      L.write t ~key ~pk:key ~ts:!ts (Lsm_tree.Entry.Put ((key * 1000) + !ts))
     done;
     L.flush t
   done;
   L.set_sorted_views t views;
   (* Warm the cache and, on the view side, build the view: steady-state
      is what both the bechamel and the sim series measure. *)
-  L.scan t L.full_scan_spec ~f:(fun _ _ _ ~src_repaired:_ -> ());
+  L.scan t L.full_scan_spec ~f:(fun _ _ _ _ ~src_repaired:_ -> ());
   (env, t)
 
 let range_fixture_heap = lazy (scan_tree ~views:false ~ncomps:8)
@@ -207,7 +210,7 @@ let range_scan_bench name fixture =
     (Staged.stage (fun () ->
          let _env, t = Lazy.force fixture in
          let n = ref 0 in
-         L.scan t L.full_scan_spec ~f:(fun _ _ _ ~src_repaired:_ -> incr n)))
+         L.scan t L.full_scan_spec ~f:(fun _ _ _ _ ~src_repaired:_ -> incr n)))
 
 (* The shape of a time-range scan after its range filters pruned all but
    [ncomps] (0 or 1) disk components: a reconciling scan, restricted to
@@ -222,18 +225,18 @@ let time_range_tree ~ncomps =
   in
   if ncomps = 1 then begin
     for i = 0 to 1_999 do
-      L.write t ~key:(2 * i) ~ts:(i + 1) (Lsm_tree.Entry.Put i)
+      L.write t ~key:(2 * i) ~pk:(2 * i) ~ts:(i + 1) (Lsm_tree.Entry.Put i)
     done;
     L.flush t
   end;
   for i = 0 to 999 do
-    L.write t ~key:(3 * i) ~ts:(10_000 + i) (Lsm_tree.Entry.Put i)
+    L.write t ~key:(3 * i) ~pk:(3 * i) ~ts:(10_000 + i) (Lsm_tree.Entry.Put i)
   done;
   let spec =
     { L.full_scan_spec with only = Some (Array.to_list (L.components t)) }
   in
   (* Warm the cache: steady state is what both series measure. *)
-  L.scan t spec ~f:(fun _ _ _ ~src_repaired:_ -> ());
+  L.scan t spec ~f:(fun _ _ _ _ ~src_repaired:_ -> ());
   (env, t, spec)
 
 let time_range_fixture = lazy (time_range_tree ~ncomps:1)
@@ -243,7 +246,7 @@ let test_lsm_time_range_scan =
     (Staged.stage (fun () ->
          let _env, t, spec = Lazy.force time_range_fixture in
          let n = ref 0 in
-         L.scan t spec ~f:(fun _ _ _ ~src_repaired:_ -> incr n)))
+         L.scan t spec ~f:(fun _ _ _ _ ~src_repaired:_ -> incr n)))
 
 (* A time-range scan proper: the primary tree has a range filter (each
    value is its own filter key, rising with the timestamp, as
@@ -261,7 +264,7 @@ let filtered_tree shape =
   let ts = ref 0 in
   let put key =
     incr ts;
-    L.write t ~key ~ts:!ts (Lsm_tree.Entry.Put !ts)
+    L.write t ~key ~pk:key ~ts:!ts (Lsm_tree.Entry.Put !ts)
   in
   (match shape with
   | `C0 -> ()
@@ -284,14 +287,14 @@ let filtered_tree shape =
     { L.full_scan_spec with only = Some (Array.to_list (L.components t)) }
   in
   (* Warm the cache and, for [`View], build the view. *)
-  L.scan t L.full_scan_spec ~f:(fun _ _ _ ~src_repaired:_ -> ());
+  L.scan t L.full_scan_spec ~f:(fun _ _ _ _ ~src_repaired:_ -> ());
   (env, t, spec, (!ts / 2, !ts * 5 / 6))
 
 (* The filtered scan every time-range entry runs, [f] on each kept row. *)
 let time_range_scan t spec window ~f =
   L.scan t
     { spec with L.filter = Some window }
-    ~f:(fun _ _ v ~src_repaired:_ -> f v)
+    ~f:(fun _ _ _ v ~src_repaired:_ -> f v)
 
 let filtered_fixture = lazy (filtered_tree `C1)
 
@@ -325,7 +328,7 @@ let tweet_fixture =
      let rng = Lsm_util.Rng.create 29 in
      let put ts =
        let id = Lsm_util.Rng.int rng 800_000 in
-       P.write t ~key:id ~ts
+       P.write t ~key:id ~pk:id ~ts
          (Lsm_tree.Entry.Put
             {
               Tweet.id;
@@ -349,7 +352,7 @@ let tweet_fixture =
      in
      let keys = Array.init 10_000 (fun _ -> Lsm_util.Rng.int rng 800_000) in
      Array.sort Int.compare keys;
-     P.scan t spec ~f:(fun _ _ _ ~src_repaired:_ -> ());
+     P.scan t spec ~f:(fun _ _ _ _ ~src_repaired:_ -> ());
      (t, spec, (n / 3, n * 2 / 3), P.plain_keys keys))
 
 let test_tweet_time_range_scan =
@@ -359,7 +362,7 @@ let test_tweet_time_range_scan =
          let n = ref 0 in
          P.scan t
            { spec with P.filter = Some window }
-           ~f:(fun _ _ v ~src_repaired:_ ->
+           ~f:(fun _ _ _ v ~src_repaired:_ ->
              match v with
              | Lsm_tree.Entry.Put r -> n := !n + r.Tweet.msg_len
              | Lsm_tree.Entry.Del -> ())))
@@ -378,22 +381,36 @@ let test_tweet_lookup_batch =
 (* Words reachable from a flushed 10k-row component with int values, per
    row: what a disk component keeps on the heap per stored row (its key,
    timestamp and entry columns, the entries themselves, the Bloom filter
-   and leaf fences).  Deterministic per binary. *)
+   and leaf fences).  The secondary component is a dataset's: unit
+   values, no Bloom filter, 100 distinct secondary keys, and a pk column
+   beside the key column.  Deterministic per binary. *)
 let footprint_entries () =
+  let words_per_row c rows =
+    Float.of_int (Obj.reachable_words (Obj.repr c)) /. Float.of_int rows
+  in
   let t =
     L.create (quiet_env ())
       (Lsm_tree.Config.make ~bloom:(Some Lsm_tree.Config.default_bloom) "bench")
   in
   for i = 0 to 9_999 do
-    L.write t ~key:i ~ts:(i + 1) (Lsm_tree.Entry.Put i)
+    L.write t ~key:i ~pk:i ~ts:(i + 1) (Lsm_tree.Entry.Put i)
   done;
   L.flush t;
   let c = (L.components t).(0) in
-  let words =
-    Float.of_int (Obj.reachable_words (Obj.repr c))
-    /. Float.of_int (L.component_rows c)
-  in
+  let words = words_per_row c (L.component_rows c) in
   Printf.printf "footprint.component %.3f words per row\n" words;
+  let module S = Lsm_tree.Make (Lsm_util.Keys.Unit_value) in
+  let s =
+    S.create ~layout:Lsm_tree.Sk_pk (quiet_env ())
+      (Lsm_tree.Config.make ~bloom:None "bench-sec")
+  in
+  for i = 0 to 9_999 do
+    S.write s ~key:(i mod 100) ~pk:i ~ts:(i + 1) (Lsm_tree.Entry.Put ())
+  done;
+  S.flush s;
+  let sc = (S.components s).(0) in
+  let sec_words = words_per_row sc (S.component_rows sc) in
+  Printf.printf "footprint.secondary_component %.3f words per row\n" sec_words;
   (* The serving driver's request samples: words reachable from a
      [Samples] store after 20,000 pushes, per sample (five columns of
      one word each, grown by doubling to 32,768 rows). *)
@@ -412,6 +429,11 @@ let footprint_entries () =
       Lsm_harness.Bench_json.name = "footprint.component.words_per_row";
       unit_ = "words/row";
       samples = [| words |];
+    };
+    {
+      Lsm_harness.Bench_json.name = "footprint.secondary_component.words_per_row";
+      unit_ = "words/row";
+      samples = [| sec_words |];
     };
     {
       Lsm_harness.Bench_json.name = "footprint.serve.words_per_sample";
@@ -457,7 +479,7 @@ let sim_range_scan_entries () =
     let env, t, spec = time_range_tree ~ncomps in
     let before_cmp = (Lsm_sim.Env.stats env).Lsm_sim.Io_stats.comparisons in
     let before_us = Lsm_sim.Env.now_us env in
-    L.scan t spec ~f:(fun _ _ _ ~src_repaired:_ -> ());
+    L.scan t spec ~f:(fun _ _ _ _ ~src_repaired:_ -> ());
     let cmp = (Lsm_sim.Env.stats env).Lsm_sim.Io_stats.comparisons - before_cmp in
     let us = Lsm_sim.Env.now_us env -. before_us in
     Printf.printf "sim.range_scan c%d: %7.0fus %7d cmp\n" ncomps us cmp;
@@ -473,7 +495,7 @@ let sim_range_scan_entries () =
     let before_cmp = (Lsm_sim.Env.stats env).Lsm_sim.Io_stats.comparisons in
     let before_us = Lsm_sim.Env.now_us env in
     let rows = ref 0 in
-    L.scan t L.full_scan_spec ~f:(fun _ _ _ ~src_repaired:_ -> incr rows);
+    L.scan t L.full_scan_spec ~f:(fun _ _ _ _ ~src_repaired:_ -> incr rows);
     ( !rows,
       (Lsm_sim.Env.stats env).Lsm_sim.Io_stats.comparisons - before_cmp,
       Lsm_sim.Env.now_us env -. before_us )
@@ -788,7 +810,7 @@ let sim_lookup_entries () =
     for c = 0 to 5 do
       for i = 0 to 3_999 do
         incr ts;
-        L.write t ~key:((i * 6) + (c * 5)) ~ts:!ts (Lsm_tree.Entry.Put !ts)
+        L.write t ~key:((i * 6) + (c * 5)) ~pk:((i * 6) + (c * 5)) ~ts:!ts (Lsm_tree.Entry.Put !ts)
       done;
       L.flush t
     done;

@@ -136,7 +136,7 @@ sh golden.sh > /tmp/golden_new.txt
 diff GOLDEN /tmp/golden_new.txt
 
 # --- bench checks ------------------------------------------------------
-# One quick microbench run feeds two comparisons against the committed
+# One quick microbench run feeds three comparisons against the committed
 # baseline:
 #   1. GATE: every sim.* series is pure simulated cost (deterministic,
 #      single-sample), so compare checks it exactly, whatever the
@@ -144,13 +144,18 @@ diff GOLDEN /tmp/golden_new.txt
 #      algorithmic or cost-model change and fails CI (move a baseline
 #      on purpose by committing the new value), and so does a baseline
 #      sim.* entry the new run no longer produces.
-#   2. Advisory: host timings on CI machines are too noisy to gate on,
+#   2. GATE: every footprint.* series (heap words per stored row or
+#      sample) is deterministic per binary, so any growth fails CI; a
+#      change that shrinks one commits the new value.
+#   3. Advisory: host timings on CI machines are too noisy to gate on,
 #      so regressions in the full set only print.
 if [ -f BENCH_micro.json ]; then
   dune exec bench/main.exe -- micro --quota 0.05 --json /tmp/bench_new.json \
     > /dev/null 2>&1
   dune exec bench/main.exe -- compare BENCH_micro.json /tmp/bench_new.json \
     --threshold 0.10 --only sim.
+  dune exec bench/main.exe -- compare BENCH_micro.json /tmp/bench_new.json \
+    --threshold 0 --only footprint.
   (
     set +e
     echo "### advisory bench compare (not a gate; failures do not fail CI)"

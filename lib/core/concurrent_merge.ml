@@ -93,7 +93,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
   let mark_in_new st pk =
     let cost = ref 0 in
     (match
-       Lsm_util.Vec.binary_search ~cmp:Int.compare ~cost st.out_keys pk
+       Lsm_util.Vec.binary_search ~cost st.out_keys pk
      with
     | Some pos -> Hashtbl.replace st.out_marks pos ()
     | None -> ());
@@ -199,7 +199,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
           match Hashtbl.find_opt st.snapshots c.D.Prim.seq with
           | Some snap -> not (Lsm_util.Bitset.get snap pos)
           | None -> true)
-      | _ -> D.Prim.component_row_valid c pos
+      | _ -> D.Prim.row_valid c pos
     in
     let m = D.Prim.merge_components prim ~valid:row_valid_for_scan pcomps in
     let writer_budget = ref 0.0 in
@@ -211,7 +211,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
       let p = !top in
       let pos = m.cm_heads.(p) in
       top := Lsm_util.Kmerge.advance m.cm_merge;
-      let k = (D.Prim.Dbt.keys pcomps.(p).D.Prim.tree).(pos) in
+      let k = (Lsm_btree.Disk_btree.keys pcomps.(p).D.Prim.tree).(pos) in
       (* Interleave writers. *)
       writer_budget := !writer_budget +. writer_ops_per_row;
       while !writer_budget >= 1.0 do
@@ -233,7 +233,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
               | `Granted -> ()
               | `Conflict -> failwith "builder lock conflict (protocol bug)");
               charge st costs.lock_us;
-              let v = D.Prim.component_row_valid pcomps.(p) pos in
+              let v = D.Prim.row_valid pcomps.(p) pos in
               charge st costs.bit_check_us;
               Lsm_txn.Lock_table.release st.locks ~owner:0 ~key:k;
               charge st costs.lock_us;
@@ -273,11 +273,11 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
     let vals = column (fun c i -> c.D.Prim.vals.(i)) in
     let bitmap = Lsm_util.Bitset.create n in
     Hashtbl.iter (fun pos () -> Lsm_util.Bitset.set bitmap pos) st.out_marks;
-    ignore (D.Prim.install prim ~inputs:pcomps ~keys ~tss ~vals);
+    ignore (D.Prim.install prim ~inputs:pcomps ~keys ~pks:[||] ~tss ~vals);
     (* The twin shares the key and timestamp columns: no component writes
        to its columns. *)
     let kc =
-      D.Pk.install pkt ~inputs:kcomps ~keys ~tss
+      D.Pk.install pkt ~inputs:kcomps ~keys ~pks:[||] ~tss
         ~vals:
           (Array.map
              (function Entry.Put _ -> Entry.Put () | Entry.Del -> Entry.Del)

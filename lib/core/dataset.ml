@@ -27,16 +27,9 @@ type maint_stats = {
 }
 
 module Make (R : Record.S) = struct
-  module Rv = struct
-    type t = R.t
-
-    let byte_size = R.byte_size
-    let pp = R.pp
-  end
-
-  module Prim = Lsm_tree.Make (Lsm_util.Keys.Int_key) (Rv)
-  module Pk = Lsm_tree.Make (Lsm_util.Keys.Int_key) (Lsm_util.Keys.Unit_value)
-  module Sec = Lsm_tree.Make (Lsm_util.Keys.Int_pair_key) (Lsm_util.Keys.Unit_value)
+  module Prim = Lsm_tree.Make (R)
+  module Pk = Lsm_tree.Make (Lsm_util.Keys.Unit_value)
+  module Sec = Pk (* secondary trees: [Sk_pk]-layout [Pk] trees *)
 
   type sec_index = {
     sec_name : string;
@@ -135,7 +128,7 @@ module Make (R : Record.S) = struct
         sec_name = s.Record.sec_name;
         extract_all = s.Record.extract_all;
         tree =
-          Sec.create env
+          Sec.create ~layout:Lsm_tree.Sk_pk env
             (Lsm_tree.Config.make ~bloom:None ~validity_bitmap:false ~shards
                ("sec:" ^ s.Record.sec_name));
         del_tree =
@@ -780,34 +773,34 @@ module Make (R : Record.S) = struct
         List.iter
           (fun sko ->
             if not (List.mem sko new_keys) then
-              Sec.write s.tree ~key:(sko, R.primary_key old_r) ~ts Entry.Del)
+              Sec.write s.tree ~key:sko ~pk:(R.primary_key old_r) ~ts Entry.Del)
           (s.extract_all old_r))
       t.secondaries
 
   let write_new_record t r ~ts =
     let pk = R.primary_key r in
-    Prim.write t.primary ~key:pk ~ts (Entry.Put r);
+    Prim.write t.primary ~key:pk ~pk ~ts (Entry.Put r);
     (match t.pk_index with
-    | Some pkt -> Pk.write pkt ~key:pk ~ts (Entry.Put ())
+    | Some pkt -> Pk.write pkt ~key:pk ~pk ~ts (Entry.Put ())
     | None -> ());
     Array.iter
       (fun s ->
         List.iter
-          (fun sk -> Sec.write s.tree ~key:(sk, pk) ~ts (Entry.Put ()))
+          (fun sk -> Sec.write s.tree ~key:sk ~pk ~ts (Entry.Put ()))
           (s.extract_all r))
       t.secondaries
 
   let write_delete t pk ~ts =
-    Prim.write t.primary ~key:pk ~ts Entry.Del;
+    Prim.write t.primary ~key:pk ~pk ~ts Entry.Del;
     match t.pk_index with
-    | Some pkt -> Pk.write pkt ~key:pk ~ts Entry.Del
+    | Some pkt -> Pk.write pkt ~key:pk ~pk ~ts Entry.Del
     | None -> ()
 
   (* The memory-component optimization (Sec. 4.2): deleting/upserting must
      search the primary memory component anyway to place the new entry; if
      the old record happens to live there, clean up secondaries for free. *)
   let mem_cleanup_opportunity t pk ~new_r ~ts =
-    match Prim.mem_find t.primary pk with
+    match Prim.mem_find t.primary pk pk with
     | Some { Prim.value = Entry.Put old_r; _ } ->
         cleanup_secondaries t ~old_r ~new_r ~ts
     | _ -> ()
@@ -820,7 +813,7 @@ module Make (R : Record.S) = struct
     match t.pk_index with
     | None -> invalid_arg "Mutable-bitmap strategy requires the primary key index"
     | Some pkt -> (
-        match Pk.mem_find pkt pk with
+        match Pk.mem_find pkt pk pk with
         | Some _ ->
             (* Newest version is in memory: the same-key write replaces it;
                no bitmap involved. *)
@@ -828,7 +821,7 @@ module Make (R : Record.S) = struct
         | None -> (
             match Pk.disk_find pkt pk with
             | Some (c, pos)
-              when Entry.is_put c.Pk.vals.(pos) && Pk.component_row_valid c pos ->
+              when Entry.is_put c.Pk.vals.(pos) && Pk.row_valid c pos ->
                 (* The shared bitmap makes the primary component see it. *)
                 Pk.invalidate c pos;
                 Some (c.Pk.seq, pos)
@@ -881,7 +874,7 @@ module Make (R : Record.S) = struct
         | Some { Prim.value = Entry.Put old_r; _ } ->
             cleanup_secondaries t ~old_r ~new_r ~ts;
             Option.iter
-              (fun fk -> Prim.widen_filter t.primary pk (fk old_r))
+              (fun fk -> Prim.widen_filter t.primary pk pk (fk old_r))
               t.filter_key;
             true
         | _ -> false)
@@ -896,7 +889,7 @@ module Make (R : Record.S) = struct
         Array.iter
           (fun s ->
             Option.iter
-              (fun d -> Pk.write d ~key:pk ~ts (Entry.Put ()))
+              (fun d -> Pk.write d ~key:pk ~pk ~ts (Entry.Put ()))
               s.del_tree)
           t.secondaries;
         true
@@ -933,7 +926,7 @@ module Make (R : Record.S) = struct
      maxTS <= threshold are pruned; [threshold] is at least the entry's own
      timestamp and its source component's repairedTS. *)
   let entry_is_valid (vt : Pk.t) ?cursors ~pk ~ts ~threshold () =
-    match Pk.mem_find vt pk with
+    match Pk.mem_find vt pk pk with
     | Some row -> row.Pk.ts <= ts
     | None ->
         let pos =
@@ -974,12 +967,12 @@ module Make (R : Record.S) = struct
         let items = ref [] in
         let n_items = ref 0 in
         Array.iteri
-          (fun pos (_, pk) ->
-            if Sec.component_row_valid comp pos then begin
+          (fun pos pk ->
+            if Sec.row_valid comp pos then begin
               items := (pk, comp.Sec.tss.(pos), pos) :: !items;
               incr n_items
             end)
-          (Sec.Dbt.keys comp.Sec.tree);
+          (Lsm_btree.Disk_btree.pks comp.Sec.tree);
         let items = Array.of_list !items in
         Lsm_sim.Env.explain_count t.env "repair_items" !n_items;
         let invalidate pos =
@@ -1032,7 +1025,7 @@ module Make (R : Record.S) = struct
            let cands = ref [] in
            Array.iter
              (fun (pk, ts, pos) ->
-               match Pk.mem_find vt pk with
+               match Pk.mem_find vt pk pk with
                | Some row ->
                    if row.Pk.ts > ts then cands := (pk, ts, pos, -1) :: !cands
                | None ->
@@ -1083,7 +1076,7 @@ module Make (R : Record.S) = struct
              let newest : (int, int) Hashtbl.t = Hashtbl.create 1024 in
              Pk.scan vt
                { Pk.full_scan_spec with only = Some relevant_comps; emit_del = true }
-               ~f:(fun key ts _ ~src_repaired:_ ->
+               ~f:(fun key _ ts _ ~src_repaired:_ ->
                  match Hashtbl.find_opt newest key with
                  | Some ts0 when ts0 >= ts -> ()
                  | _ -> Hashtbl.replace newest key ts);
@@ -1178,14 +1171,15 @@ module Make (R : Record.S) = struct
     Lsm_sim.Env.span t.env ~cat:s.sec_name "resilience.rebuild" @@ fun () ->
     repair_component t s comp ~piggyback:false;
     let live =
-      List.filter (Sec.component_row_valid comp)
+      List.filter (Sec.row_valid comp)
         (List.init (Sec.component_rows comp) Fun.id)
     in
     let column col = Array.of_list (List.map (Array.get col) live) in
     Lsm_sim.Env.charge_entry_visits t.env (List.length live);
     ignore
       (Sec.install s.tree ~inputs:[| comp |]
-         ~keys:(column (Sec.Dbt.keys comp.Sec.tree))
+         ~keys:(column (Lsm_btree.Disk_btree.keys comp.Sec.tree))
+         ~pks:(column (Lsm_btree.Disk_btree.pks comp.Sec.tree))
          ~tss:(column comp.Sec.tss) ~vals:(column comp.Sec.vals));
     let r = resil t in
     r.Lsm_sim.Env.rebuilds <- r.Lsm_sim.Env.rebuilds + 1
@@ -1283,7 +1277,7 @@ module Make (R : Record.S) = struct
       (* Group same-pk versions; the newest of a group is current unless
          the memory component holds an even newer one. *)
       let process_group pk (versions : Prim.row list) =
-        let newest_mem = Prim.mem_find t.primary pk in
+        let newest_mem = Prim.mem_find t.primary pk pk in
         let current =
           match (newest_mem, versions) with
           | Some m, _ -> m
@@ -1307,7 +1301,7 @@ module Make (R : Record.S) = struct
                     List.iter
                       (fun sko ->
                         if not (List.mem sko cur_keys) then
-                          Sec.write s.tree ~key:(sko, pk) ~ts:(next_ts t)
+                          Sec.write s.tree ~key:sko ~pk ~ts:(next_ts t)
                             Entry.Del)
                       (s.extract_all old_r))
                   t.secondaries
@@ -1364,12 +1358,8 @@ module Make (R : Record.S) = struct
     let out = ref [] in
     let n = ref 0 in
     Sec.scan sec.tree
-      {
-        Sec.full_scan_spec with
-        lo = Some (lo, min_int);
-        hi = Some (hi, max_int);
-      }
-      ~f:(fun (sk, pk) ts _ ~src_repaired ->
+      { Sec.full_scan_spec with lo = Some lo; hi = Some hi }
+      ~f:(fun sk pk ts _ ~src_repaired ->
         incr n;
         out := { e_sk = sk; e_pk = pk; e_ts = ts; e_src_repaired = src_repaired } :: !out);
     Lsm_sim.Env.explain_count t.env "entries_matched" !n;
@@ -1503,7 +1493,7 @@ module Make (R : Record.S) = struct
   let full_scan t ~f =
     Lsm_sim.Env.span t.env ~cat:"dataset" "query.scan" @@ fun () ->
     let n = ref 0 in
-    Prim.scan t.primary Prim.full_scan_spec ~f:(fun _ _ value ~src_repaired:_ ->
+    Prim.scan t.primary Prim.full_scan_spec ~f:(fun _ _ _ value ~src_repaired:_ ->
         match value with
         | Entry.Put r ->
             incr n;
@@ -1569,7 +1559,7 @@ module Make (R : Record.S) = struct
         only = Some only;
         filter = Some (tlo, thi);
       }
-      ~f:(fun _ _ value ~src_repaired:_ ->
+      ~f:(fun _ _ _ value ~src_repaired:_ ->
         match value with
         | Entry.Put r ->
             incr n;

@@ -24,25 +24,14 @@ type maint_stats = {
 }
 
 module Make (R : Record.S) : sig
-  (** The record type as an LSM value. *)
-  module Rv : sig
-    type t = R.t
-
-    val byte_size : t -> int
-    val pp : Format.formatter -> t -> unit
-  end
-
   (** The three index families (Fig. 1): records by primary key, primary
-      keys alone, and (secondary key, primary key) composites. *)
-  module Prim : module type of Lsm_tree.Make (Lsm_util.Keys.Int_key) (Rv)
+      keys alone, and (secondary key, primary key) composites.  The last
+      two store unit values, so they share one tree instance: a secondary
+      tree is an [Sk_pk]-layout {!Pk} tree. *)
+  module Prim : module type of Lsm_tree.Make (R)
 
-  module Pk :
-      module type of Lsm_tree.Make (Lsm_util.Keys.Int_key)
-                       (Lsm_util.Keys.Unit_value)
-
-  module Sec :
-      module type of Lsm_tree.Make (Lsm_util.Keys.Int_pair_key)
-                       (Lsm_util.Keys.Unit_value)
+  module Pk : module type of Lsm_tree.Make (Lsm_util.Keys.Unit_value)
+  module Sec = Pk
 
   type sec_index = {
     sec_name : string;

@@ -101,12 +101,12 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
      everything an abort needs. *)
 
   let capture_prim t pk =
-    match D.Prim.mem_find (D.primary t.d) pk with
+    match D.Prim.mem_find (D.primary t.d) pk pk with
     | Some r -> Some (r.D.Prim.ts, r.D.Prim.value)
     | None -> None
 
   let capture_pk t pk =
-    match D.Pk.mem_find (pk_index t) pk with
+    match D.Pk.mem_find (pk_index t) pk pk with
     | Some r -> Some (r.D.Pk.ts, r.D.Pk.value)
     | None -> None
 
@@ -119,7 +119,7 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
             List.map
               (fun sk ->
                 let prior =
-                  match D.Sec.mem_find s.D.tree (sk, pk) with
+                  match D.Sec.mem_find s.D.tree sk pk with
                   | Some row -> Some (row.D.Sec.ts, row.D.Sec.value)
                   | None -> None
                 in
@@ -188,12 +188,12 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
         let pk =
           match u.redo.op with Op_upsert r -> R.primary_key r | Op_delete pk -> pk
         in
-        D.Prim.mem_rollback (D.primary d) ~key:pk ~prior:u.prior_prim;
-        D.Pk.mem_rollback pkt ~key:pk ~prior:u.prior_pk;
+        D.Prim.mem_rollback (D.primary d) ~key:pk ~pk ~prior:u.prior_prim;
+        D.Pk.mem_rollback pkt ~key:pk ~pk ~prior:u.prior_pk;
         List.iter
           (fun (name, sk, prior) ->
             let s = D.secondary d name in
-            D.Sec.mem_rollback s.D.tree ~key:(sk, pk) ~prior)
+            D.Sec.mem_rollback s.D.tree ~key:sk ~pk ~prior)
           u.prior_sec;
         (match u.redo.update with
         | Some (comp_seq, pos) ->
@@ -421,23 +421,23 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
           match op with
           | Op_upsert r ->
               let pk = R.primary_key r in
-              if ts > prim_f.(D.Prim.shard_of (D.primary d) pk) then
-                D.Prim.write (D.primary d) ~key:pk ~ts (Entry.Put r);
-              if ts > pk_f.(D.Pk.shard_of pkt pk) then
-                D.Pk.write pkt ~key:pk ~ts (Entry.Put ());
+              if ts > prim_f.(D.Prim.shard_of (D.primary d) pk pk) then
+                D.Prim.write (D.primary d) ~key:pk ~pk ~ts (Entry.Put r);
+              if ts > pk_f.(D.Pk.shard_of pkt pk pk) then
+                D.Pk.write pkt ~key:pk ~pk ~ts (Entry.Put ());
               Array.iter
                 (fun (s, f) ->
                   List.iter
                     (fun sk ->
-                      if ts > f.(D.Sec.shard_of s.D.tree (sk, pk)) then
-                        D.Sec.write s.D.tree ~key:(sk, pk) ~ts (Entry.Put ()))
+                      if ts > f.(D.Sec.shard_of s.D.tree sk pk) then
+                        D.Sec.write s.D.tree ~key:sk ~pk ~ts (Entry.Put ()))
                     (s.D.extract_all r))
                 sec_f
           | Op_delete pk ->
-              if ts > prim_f.(D.Prim.shard_of (D.primary d) pk) then
-                D.Prim.write (D.primary d) ~key:pk ~ts Entry.Del;
-              if ts > pk_f.(D.Pk.shard_of pkt pk) then
-                D.Pk.write pkt ~key:pk ~ts Entry.Del
+              if ts > prim_f.(D.Prim.shard_of (D.primary d) pk pk) then
+                D.Prim.write (D.primary d) ~key:pk ~pk ~ts Entry.Del;
+              if ts > pk_f.(D.Pk.shard_of pkt pk pk) then
+                D.Pk.write pkt ~key:pk ~pk ~ts Entry.Del
         end)
       (Wal.records_after t.wal ~lsn:0)
 end

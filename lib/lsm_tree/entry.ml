@@ -17,7 +17,3 @@ let map f = function Put v -> Put (f v) | Del -> Del
 (** [byte_size size_of e]: anti-matter entries store only the key, which
     the containing row accounts for separately. *)
 let byte_size size_of = function Put v -> size_of v | Del -> 0
-
-let pp pp_v fmt = function
-  | Put v -> Fmt.pf fmt "+%a" pp_v v
-  | Del -> Fmt.string fmt "(anti-matter)"

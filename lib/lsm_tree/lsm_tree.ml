@@ -1,11 +1,9 @@
 (** A generic LSM-tree over the simulated storage substrate.
 
-    One [Make (K) (V)] instance backs each index of a dataset: the primary
-    index (key = primary key, value = record), the primary key index
-    (key = primary key, value = unit), and secondary indexes (key =
-    (secondary key, primary key), value = unit).  Entries are timestamped;
-    component IDs are (minTS, maxTS) ranges over entry timestamps, as in
-    Fig. 1 of the paper.
+    Keys are ints.  A tree names a row by its primary key, or, in a
+    secondary index, by (secondary key, primary key), the pk kept in a
+    second int column ({!layout}).  Entries are timestamped; component IDs
+    are (minTS, maxTS) ranges over entry timestamps, as in Fig. 1.
 
     The tree itself knows nothing about maintenance strategies: it offers
     writes into the memory component, flush, merge of a contiguous
@@ -16,6 +14,17 @@ module Entry = Entry
 module Config = Config
 module Merge_policy = Merge_policy
 module Fault_point = Lsm_sim.Fault_point
+module Mbt = Lsm_btree.Mem_btree
+module Dbt = Lsm_btree.Disk_btree
+
+(* The pk of position [i] of the key columns [keys] and [pks]: its key
+   when [pks] is empty. *)
+let[@inline] pk_in keys pks i =
+  if Array.length pks = 0 then keys.(i) else pks.(i)
+
+(** How a tree names its rows; see the module header. *)
+type layout = Pk | Sk_pk
+
 
 (** Provenance of a disk component w.r.t. memory-shard flushes: which
     flush operation(s) produced its rows.  Lives outside the functor so
@@ -45,9 +54,9 @@ type component_summary = {
   cs_repaired_ts : int;
 }
 
-(** A tree with its key and value types erased: the operations a dataset
-    runs on every one of its trees alike, closed over one [Make]
-    instance's tree by [Make.erase].  Lives outside the functor so the
+(** A tree with its value type erased: the operations a dataset runs on
+    every one of its trees alike, closed over one [Make] instance's tree
+    by [Make.erase].  Lives outside the functor so the
     differently-typed trees of one dataset fit in one array. *)
 type tree = {
   name : string;
@@ -62,23 +71,13 @@ type tree = {
   summaries : unit -> component_summary list;
 }
 
-module type KEY = Lsm_util.Intf.ORDERED
+module type VALUE = sig type t val byte_size : t -> int end
 
-module type VALUE = Lsm_util.Intf.SIZED
-
-module Make (K : KEY) (V : VALUE) = struct
-  module Mbt = Lsm_btree.Mem_btree.Make (K)
-  module Dbt = Lsm_btree.Disk_btree.Make (K)
-  module View = Sorted_view.Make (K)
-
-  type row = { key : K.t; ts : int; value : V.t Entry.t }
-
-  (* The serialized size of an entry: key, timestamp, value. *)
-  let entry_size key value =
-    K.byte_size key + 8 + Entry.byte_size V.byte_size value
+module Make (V : VALUE) = struct
+  type row = { key : int; ts : int; value : V.t Entry.t }
 
   type mem_component = {
-    table : (int * V.t Entry.t) Mbt.t;  (** key -> (ts, entry) *)
+    table : (int * V.t Entry.t) Mbt.t;  (** (key, pk) -> (ts, entry) *)
     mutable bytes : int;
     mutable min_ts : int;  (** max_int when empty *)
     mutable max_ts : int;  (** -1 when empty *)
@@ -87,7 +86,9 @@ module Make (K : KEY) (V : VALUE) = struct
   }
 
   type disk_component = {
-    tree : Dbt.t;  (** the key index; its key column is {!Dbt.keys} *)
+    tree : Dbt.t;
+        (** the key index; its key columns are {!Dbt.keys} and
+            {!Dbt.pks} *)
     tss : int array;  (** each row's timestamp, by position *)
     vals : V.t Entry.t array;  (** each row's entry, by position *)
     bloom : Lsm_bloom.Filter.t option;
@@ -117,6 +118,7 @@ module Make (K : KEY) (V : VALUE) = struct
   type t = {
     env : Lsm_sim.Env.t;
     config : Config.t;
+    pk_col : bool;  (** the [Sk_pk] layout: rows carry a pk column *)
     filter_of : (V.t -> int) option;
         (** extracts the range-filter key from a value; [None] = no filter *)
     mems : mem_component array;
@@ -125,7 +127,7 @@ module Make (K : KEY) (V : VALUE) = struct
     mutable disk : disk_component array;
         (** newest first; every change installs a fresh array, so an
             array once read is a stable snapshot *)
-    mutable view : (View.t * disk_component array) option;
+    mutable view : (Sorted_view.t * disk_component array) option;
         (** REMIX-style sorted view over the *current* [disk] array (the
             very array it was built from), built lazily by the first
             full reconciling scan and dropped — atomically, in the same
@@ -148,9 +150,9 @@ module Make (K : KEY) (V : VALUE) = struct
             component alive *)
   }
 
-  let fresh_mem filter_of =
+  let fresh_mem ~pk_col filter_of =
     {
-      table = Mbt.create ~fkeys:(filter_of <> None) ();
+      table = Mbt.create ~fkeys:(filter_of <> None) ~pks:pk_col ();
       bytes = 0;
       min_ts = max_int;
       max_ts = -1;
@@ -158,13 +160,16 @@ module Make (K : KEY) (V : VALUE) = struct
       fmax = min_int;
     }
 
-  let create ?filter_of env config =
+  let create ?filter_of ?(layout = Pk) env config =
+    let pk_col = layout = Sk_pk in
     {
       env;
       config;
+      pk_col;
       filter_of;
       mems =
-        Array.init (max 1 config.Config.shards) (fun _ -> fresh_mem filter_of);
+        Array.init (max 1 config.Config.shards) (fun _ ->
+            fresh_mem ~pk_col filter_of);
       disk = [||];
       view = None;
       views_enabled = true;
@@ -176,12 +181,23 @@ module Make (K : KEY) (V : VALUE) = struct
 
   let mem_shards t = Array.length t.mems
 
-  (** [shard_of t key] is the memory shard [key] routes to.  The hash is
-      re-mixed so shard routing stays independent of any outer
-      partition-by-key routing that used [K.hash] directly. *)
-  let shard_of t key =
+  (** [row_hash t key pk] is the row's Bloom and shard-routing hash. *)
+  let[@inline] row_hash t key pk =
+    if t.pk_col then Lsm_bloom.Hashing.mix64 (Lsm_bloom.Hashing.mix64 key lxor pk)
+    else Lsm_bloom.Hashing.mix64 key
+
+  (** [shard_of t key pk] is the memory shard the row routes to.  The
+      hash is re-mixed so shard routing stays independent of any outer
+      partition-by-key routing that used the row hash directly. *)
+  let shard_of t key pk =
     let n = Array.length t.mems in
-    if n = 1 then 0 else Lsm_bloom.Hashing.mix64 (K.hash key) land max_int mod n
+    if n = 1 then 0
+    else Lsm_bloom.Hashing.mix64 (row_hash t key pk) land max_int mod n
+
+  (* The serialized size of an entry: key (16 bytes with its pk),
+     timestamp, value. *)
+  let entry_size t value =
+    (if t.pk_col then 16 else 8) + 8 + Entry.byte_size V.byte_size value
 
   (** [set_tombstone_drop_ts t ts]: see the field documentation. *)
   let set_tombstone_drop_ts t ts = t.tombstone_drop_ts <- ts
@@ -269,7 +285,7 @@ module Make (K : KEY) (V : VALUE) = struct
     | None -> ()
     | Some (v, _) ->
         t.view <- None;
-        View.release t.env v;
+        Sorted_view.release t.env v;
         let vs = Lsm_sim.Env.view_stats t.env in
         vs.Lsm_sim.Env.invalidations <- vs.Lsm_sim.Env.invalidations + 1
 
@@ -292,7 +308,8 @@ module Make (K : KEY) (V : VALUE) = struct
   let view_info t =
     match t.view with
     | None -> None
-    | Some (v, _) -> Some (View.positions v, View.anchor_count v, View.run_count v)
+    | Some (v, _) ->
+        Some (Sorted_view.(positions v, anchor_count v, run_count v))
 
   (* Build (or reuse) the view covering exactly [comps_a] = the current
      disk list.  The build is charged through [Env] (merge comparisons +
@@ -304,19 +321,8 @@ module Make (K : KEY) (V : VALUE) = struct
     | _ ->
         invalidate_view t;
         Lsm_sim.Env.span t.env ~cat:(name t) "lsm.view.build" @@ fun () ->
-        let runs =
-          Array.map
-            (fun c ->
-              {
-                View.keys = Dbt.keys c.tree;
-                file = Dbt.file c.tree;
-                leaf_of_row = (fun i -> Dbt.leaf_of_row c.tree i);
-                leaf_pages = Dbt.leaf_pages c.tree;
-              })
-            comps_a
-        in
-        let v = View.build t.env runs in
-        Lsm_sim.Env.explain_count t.env "view_build_rows" (View.positions v);
+        let v = Sorted_view.build t.env (Array.map (fun c -> c.tree) comps_a) in
+        Lsm_sim.Env.explain_count t.env "view_build_rows" (Sorted_view.positions v);
         t.view <- Some (v, comps_a);
         v
 
@@ -336,65 +342,70 @@ module Make (K : KEY) (V : VALUE) = struct
     | Entry.Del -> no_fkey
 
 
-  (** [widen_filter t key fkey] widens the range filter of the memory
-      shard owning [key] to cover [fkey].  The Eager strategy calls this
+  (** [widen_filter t key pk fkey] widens the range filter of the memory
+      shard owning the row to cover [fkey].  The Eager strategy calls this
       with the *old* record's filter key on upserts and deletes so that
       queries do not erroneously prune the memory component (Sec. 3.1);
       Validation and Mutable-bitmap deliberately do not (Secs. 4.2,
-      5.2).  [key] routes the widening to the shard that received the
+      5.2).  The row routes the widening to the shard that received the
       same-key write, so a per-shard flush carries its filter. *)
-  let widen_filter t key fkey =
+  let widen_filter t key pk fkey =
     if t.filter_of <> None then begin
-      let m = t.mems.(shard_of t key) in
+      let m = t.mems.(shard_of t key pk) in
       if fkey < m.fmin then m.fmin <- fkey;
       if fkey > m.fmax then m.fmax <- fkey
     end
 
-  (** [write t ~key ~ts entry] adds an entry to the memory component.  A
-      same-key write replaces the previous in-memory entry (newest wins
-      within a component).  [Put] values widen the range filter. *)
-  let write t ~key ~ts entry =
-    let m = t.mems.(shard_of t key) in
+  (** [write t ~key ~pk ~ts entry] adds an entry for the row (key, pk)
+      to the memory component.  A same-row write replaces the previous
+      in-memory entry (newest wins within a component).  [Put] values
+      widen the range filter. *)
+  let write t ~key ~pk ~ts entry =
+    let m = t.mems.(shard_of t key pk) in
     let fkey = fkey_of t entry in
-    let old = Mbt.put m.table key ~fkey (ts, entry) in
+    let old = Mbt.put m.table key pk ~fkey (ts, entry) in
     charge_mem_cmps t;
     (match old with
-    | Some (_, old_e) -> m.bytes <- m.bytes - entry_size key old_e
+    | Some (_, old_e) -> m.bytes <- m.bytes - entry_size t old_e
     | None -> ());
-    m.bytes <- m.bytes + entry_size key entry;
+    m.bytes <- m.bytes + entry_size t entry;
     if ts < m.min_ts then m.min_ts <- ts;
     if ts > m.max_ts then m.max_ts <- ts;
     (match (entry, t.filter_of) with
-    | Entry.Put _, Some _ -> widen_filter t key fkey
+    | Entry.Put _, Some _ -> widen_filter t key pk fkey
     | _ -> ());
     Lsm_sim.Env.charge_entry_visits t.env 1
 
-  (** [mem_rollback t ~key ~prior] undoes a memory-component write as part
-      of transaction rollback (Sec. 2.2: in-memory changes are rolled back
-      by applying inverse operations): the current entry for [key] is
-      removed and [prior] — the binding that the aborted write replaced,
-      if any — is restored.  Byte accounting follows; the component ID and
-      filter bounds remain conservatively widened, which is safe. *)
-  let mem_rollback t ~key ~prior =
-    let m = t.mems.(shard_of t key) in
-    (match Mbt.remove m.table key with
-    | Some (_, old_e) -> m.bytes <- m.bytes - entry_size key old_e
+  (** [mem_rollback t ~key ~pk ~prior] undoes a memory-component write
+      as part of transaction rollback (Sec. 2.2: in-memory changes are
+      rolled back by applying inverse operations): the current entry for
+      the row is removed and [prior] — the binding that the aborted write
+      replaced, if any — is restored.  Byte accounting follows; the
+      component ID and filter bounds remain conservatively widened, which
+      is safe. *)
+  let mem_rollback t ~key ~pk ~prior =
+    let m = t.mems.(shard_of t key pk) in
+    (match Mbt.remove m.table key pk with
+    | Some (_, old_e) -> m.bytes <- m.bytes - entry_size t old_e
     | None -> ());
     (match prior with
     | Some ((ts : int), entry) ->
-        ignore (Mbt.put m.table key ~fkey:(fkey_of t entry) (ts, entry));
-        m.bytes <- m.bytes + entry_size key entry
+        ignore (Mbt.put m.table key pk ~fkey:(fkey_of t entry) (ts, entry));
+        m.bytes <- m.bytes + entry_size t entry
     | None -> ());
     charge_mem_cmps t
 
   (** [reset_memory t] discards the memory component (crash simulation:
       under no-steal/no-force, everything unflushed is volatile). *)
   let reset_memory t =
-    Array.iteri (fun i _ -> t.mems.(i) <- fresh_mem t.filter_of) t.mems
+    Array.iteri
+      (fun i _ -> t.mems.(i) <- fresh_mem ~pk_col:t.pk_col t.filter_of)
+      t.mems
 
-  (** [mem_find t key] searches only the memory component. *)
-  let mem_find t key =
-    let r = Mbt.find t.mems.(shard_of t key).table key in
+  (** [mem_find t key pk] searches only the memory component for the row
+      (key, pk). *)
+  let mem_find t key pk =
+    let r = Mbt.find t.mems.(shard_of t key pk).table key pk in
     charge_mem_cmps t;
     match r with
     | None -> None
@@ -417,11 +428,24 @@ module Make (K : KEY) (V : VALUE) = struct
           else acc)
         None t.mems
 
-  (* One charged key comparison: merges order their heads with it, and
-     several memory shards sort their concatenation with it. *)
-  let[@inline] compare_keys t a b =
+  (* The rows (k1, p1) and (k2, p2), compared inline: by key, then (in
+     a tree with a pk column) by pk. *)
+  let[@inline] cmp_rows t (k1 : int) (p1 : int) k2 p2 =
+    if k1 < k2 then -1
+    else if k1 > k2 then 1
+    else if t.pk_col then compare p1 p2
+    else 0
+
+  (* One charged row comparison: several memory shards sort their
+     concatenation with it, and a view-served scan orders the memory head
+     against the view's with it. *)
+  let[@inline] compare_rows t k1 p1 k2 p2 =
     Lsm_sim.Env.charge_comparisons t.env 1;
-    K.compare a b
+    cmp_rows t k1 p1 k2 p2
+
+  (* The probe family names a row by its key, which must be its pk. *)
+  let check_pk_keyed t what =
+    if t.pk_col then invalid_arg ("Lsm_tree." ^ what ^ ": needs a Pk-layout tree")
 
   (* ------------------------------------------------------------------ *)
   (* The newest-first component probe *)
@@ -446,7 +470,7 @@ module Make (K : KEY) (V : VALUE) = struct
         Lsm_sim.Env.charge_hashes t.env (Lsm_bloom.Filter.hashes_per_probe f);
         Lsm_sim.Env.charge_cache_lines t.env
           (Lsm_bloom.Filter.cache_lines_per_probe f);
-        let maybe = Lsm_bloom.Filter.contains f (K.hash key) in
+        let maybe = Lsm_bloom.Filter.contains f (row_hash t key key) in
         if not maybe then
           st.Lsm_sim.Io_stats.bloom_negatives <-
             st.Lsm_sim.Io_stats.bloom_negatives + 1;
@@ -473,8 +497,8 @@ module Make (K : KEY) (V : VALUE) = struct
     if positive || bloom_maybe t c key then begin
       let pos =
         match cursors with
-        | Some k -> Dbt.Cursor.find t.env k.curs.(i) key
-        | None -> Dbt.find t.env c.tree key
+        | Some k -> Dbt.Cursor.find t.env k.curs.(i) key key
+        | None -> Dbt.find t.env c.tree key key
       in
       if pos < 0 && c.bloom <> None && not c.quarantined then begin
         let st = Lsm_sim.Env.stats t.env in
@@ -505,6 +529,7 @@ module Make (K : KEY) (V : VALUE) = struct
       snapshot. *)
   let find_newest t ?cursors ?(from = 0) ?(stop = fun _ -> false)
       ?(positive = -1) key =
+    check_pk_keyed t "find_newest";
     let comps = match cursors with Some k -> k.snapshot | None -> t.disk in
     walk t cursors comps stop positive key from
 
@@ -518,6 +543,7 @@ module Make (K : KEY) (V : VALUE) = struct
   (** [first_positive t ?eligible key]: the newest [eligible] component
       whose Bloom filter may hold [key], or [-1]. *)
   let first_positive t ?(eligible = fun _ -> true) key =
+    check_pk_keyed t "first_positive";
     let rec go i =
       if i >= Array.length t.disk then -1
       else
@@ -529,24 +555,27 @@ module Make (K : KEY) (V : VALUE) = struct
   (* ------------------------------------------------------------------ *)
   (* Flush *)
 
-  let build_bloom t keys =
+  let build_bloom t keys pks =
     match t.config.Config.bloom with
     | None -> None
     | Some { Config.kind; fpr } ->
         let n = Array.length keys in
         let f = Lsm_bloom.Filter.create kind ~expected:n ~fpr in
-        Array.iter (fun k -> Lsm_bloom.Filter.add f (K.hash k)) keys;
+        for i = 0 to n - 1 do
+          Lsm_bloom.Filter.add f
+            (row_hash t keys.(i) (pk_in keys pks i))
+        done;
         Lsm_sim.Env.charge_hashes t.env (2 * n);
         Some f
 
-  (* A component over the key-sorted columns [keys], [tss], [vals]; the
-     key index keeps [keys] as its key column. *)
-  let mk_component t ~keys ~tss ~vals ~cmin_ts ~cmax_ts ~range_filter
+  (* A component over the row-sorted columns [keys], [pks], [tss],
+     [vals]; the key index keeps [keys] and [pks] as its key columns. *)
+  let mk_component t ~keys ~pks ~tss ~vals ~cmin_ts ~cmax_ts ~range_filter
       ~repaired_ts ~prov =
     let tree =
-      Dbt.build t.env ~size_of:(fun i -> entry_size keys.(i) vals.(i)) keys
+      Dbt.build t.env ~size_of:(fun i -> entry_size t vals.(i)) keys pks
     in
-    let bloom = build_bloom t keys in
+    let bloom = build_bloom t keys pks in
     let bitmap =
       if t.config.Config.validity_bitmap then
         Some (Lsm_util.Bitset.create (Array.length keys))
@@ -587,23 +616,30 @@ module Make (K : KEY) (V : VALUE) = struct
         ignore (Mbt.step !cur);
         read !cur)
 
-  (* The key, timestamp and entry columns of the memory shards [mems], in
-     key order, read straight from the memtables.  Several shards are
-     gathered and their key order sorted, charged: shard key sets are
-     disjoint, so that reproduces a single memtable's order — and the
-     comparisons of sorting its rows — exactly. *)
+  (* The key, pk ([||] in a [Pk] tree), timestamp and entry columns of
+     the memory shards [mems], in row order, read straight from the
+     memtables.  Several shards are gathered and their row order sorted,
+     charged: shard row sets are disjoint, so that reproduces a single
+     memtable's order — and the comparisons of sorting its rows —
+     exactly. *)
   let mem_columns t mems =
-    let slices = Array.map (fun m -> (Mbt.seek m.table None, Mbt.length m.table)) mems in
+    let slices = Array.map (fun m -> (Mbt.seek m.table None 0, Mbt.length m.table)) mems in
     let n = Array.fold_left (fun acc (_, k) -> acc + k) 0 slices in
     let keys = gather slices n Mbt.key
+    and pks = if t.pk_col then gather slices n Mbt.pk else [||]
     and tss = gather slices n (fun c -> fst (Mbt.value c))
     and vals = gather slices n (fun c -> snd (Mbt.value c)) in
-    if Array.length mems = 1 then (keys, tss, vals)
+    if Array.length mems = 1 then (keys, pks, tss, vals)
     else begin
       let order = Array.init n Fun.id in
-      Array.sort (fun a b -> compare_keys t keys.(a) keys.(b)) order;
-      let sorted col = Array.map (fun i -> col.(i)) order in
-      (sorted keys, sorted tss, sorted vals)
+      Array.sort
+        (fun a b ->
+          compare_rows t keys.(a) (pk_in keys pks a) keys.(b) (pk_in keys pks b))
+        order;
+      let sorted col =
+        if Array.length col = 0 then col else Array.map (fun i -> col.(i)) order
+      in
+      (sorted keys, sorted pks, sorted tss, sorted vals)
     end
 
   (* Flush the memory shards [mems] into a fresh newest component, stamped
@@ -613,7 +649,7 @@ module Make (K : KEY) (V : VALUE) = struct
      enumerates both windows. *)
   let flush_shards t mems ~cmin_ts ~cmax_ts ~range_filter ~fo_shard
       ~points:(begin_point, install_point) ~reset =
-    let keys, tss, vals = mem_columns t mems in
+    let keys, pks, tss, vals = mem_columns t mems in
     let n = Array.length keys in
     Lsm_sim.Env.span t.env ~cat:(name t) "lsm.flush" @@ fun () ->
     Lsm_sim.Env.fault_point t.env begin_point;
@@ -629,7 +665,7 @@ module Make (K : KEY) (V : VALUE) = struct
       ]
     in
     let c =
-      mk_component t ~keys ~tss ~vals ~cmin_ts ~cmax_ts ~range_filter
+      mk_component t ~keys ~pks ~tss ~vals ~cmin_ts ~cmax_ts ~range_filter
         ~repaired_ts:0 ~prov
     in
     set_disk t (Array.append [| c |] t.disk);
@@ -659,7 +695,7 @@ module Make (K : KEY) (V : VALUE) = struct
           flush_shards t [| m |] ~cmin_ts:m.min_ts
             ~cmax_ts:m.max_ts ~range_filter ~fo_shard:s
             ~points:(Fault_point.Lsm_flush_shard_begin, Lsm_flush_shard_install)
-            ~reset:(fun () -> t.mems.(s) <- fresh_mem t.filter_of)
+            ~reset:(fun () -> t.mems.(s) <- fresh_mem ~pk_col:t.pk_col t.filter_of)
         end
     | None ->
         if not (mem_is_empty t) then begin
@@ -676,13 +712,51 @@ module Make (K : KEY) (V : VALUE) = struct
   let[@inline] row_valid c i =
     match c.bitmap with None -> true | Some b -> not (Lsm_util.Bitset.get b i)
 
-  (* [key <= hi], charging the comparison; no bound = no comparison. *)
-  let[@inline] within_hi t hi key =
+  (* The row (key, pk) <= (hi, hi_pk), charging the comparison; no bound
+     = no comparison. *)
+  let[@inline] within_hi t hi hi_pk key pk =
     match hi with
     | None -> true
     | Some h ->
         Lsm_sim.Env.charge_comparisons t.env 1;
-        K.compare key h <= 0
+        cmp_rows t key pk h hi_pk <= 0
+
+  type scan_spec = {
+    lo : int option;  (** inclusive, with [lo_pk] *)
+    lo_pk : int;
+    hi : int option;  (** inclusive, with [hi_pk] *)
+    hi_pk : int;
+    reconcile : bool;
+        (** newest-wins semantics across components; [false] scans each
+            component independently (Mutable-bitmap strategy, Sec. 6.4.2) *)
+    respect_bitmap : bool;
+    include_mem : bool;
+    emit_del : bool;
+        (** also emit anti-matter entries that win reconciliation (needed
+            by validation logic that must see deletions; default: queries
+            only see live data) *)
+    only : disk_component list option;
+        (** restrict to these disk components (newest-first); [None] = all.
+            Callers use this for range-filter pruning. *)
+    filter : (int * int) option;
+        (** emit only [Put] rows whose filter key lies in [\[a, b\]]
+            (anti-matter follows [emit_del]); every row is still read,
+            reconciled and charged.  Needs a tree with range filters. *)
+  }
+
+  let full_scan_spec =
+    {
+      lo = None;
+      lo_pk = min_int;
+      hi = None;
+      hi_pk = max_int;
+      reconcile = true;
+      respect_bitmap = true;
+      include_mem = true;
+      emit_del = false;
+      only = None;
+      filter = None;
+    }
 
   (* Scans over components, newest first, read by position: source [s]
      scans [comps.(s)] from [lo] up to [hi], skipping the positions its
@@ -692,34 +766,43 @@ module Make (K : KEY) (V : VALUE) = struct
   type heads = {
     h_comps : disk_component array;
     h_scans : Dbt.Scan.s array;
-    h_keys : K.t array array;
+    h_keys : int array array;  (** each source's key columns *)
+    h_pks : int array array;
     h_pos : int array;
-    h_hi : K.t option;
+    h_spec : scan_spec;  (** its [hi] and [hi_pk] bound the rows *)
     h_bitmap : bool;
     h_valid : (disk_component -> int -> bool) option;
   }
 
-  let open_heads t ?lo ?hi ~bitmap ?valid comps =
-    let h_scans = Array.map (fun c -> Dbt.Scan.seek t.env c.tree lo) comps in
+  (* Scans of the rows [spec] bounds. *)
+  let open_heads t spec ~bitmap ?valid comps =
+    let h_scans =
+      Array.map (fun c -> Dbt.Scan.seek t.env c.tree spec.lo spec.lo_pk) comps
+    in
     {
       h_comps = comps;
       h_scans;
       h_keys = Array.map (fun c -> Dbt.keys c.tree) comps;
+      h_pks = Array.map (fun c -> Dbt.pks c.tree) comps;
       h_pos = Array.make (Array.length comps) (-1);
-      h_hi = hi;
+      h_spec = spec;
       h_bitmap = bitmap;
       h_valid = valid;
     }
 
   (* Source [s]'s next row position: [-1] once its rows run out or reach
-     a key past [hi].  Charges the rows it reads (a leaf fetch on a
+     a row past [hi].  Charges the rows it reads (a leaf fetch on a
      crossing, an entry visit, a hi comparison). *)
   let[@inline] next_pos t h s =
-    let scan = h.h_scans.(s) and keys = h.h_keys.(s) and c = h.h_comps.(s) in
+    let scan = h.h_scans.(s) and c = h.h_comps.(s) in
+    let keys = h.h_keys.(s) and pks = h.h_pks.(s) in
     let pos = ref (-2) (* undecided *) in
     while !pos = -2 do
       let i = Dbt.Scan.next t.env scan in
-      if i < 0 || not (within_hi t h.h_hi keys.(i)) then pos := -1
+      if
+        i < 0
+        || not (within_hi t h.h_spec.hi h.h_spec.hi_pk keys.(i) (pk_in keys pks i))
+      then pos := -1
       else if
         ((not h.h_bitmap) || row_valid c i)
         && match h.h_valid with None -> true | Some v -> v c i
@@ -738,14 +821,19 @@ module Make (K : KEY) (V : VALUE) = struct
     cm_heads : int array;
   }
 
-  (* A k-way merge of [h]'s sources by key, one comparison charged per
+  (* A k-way merge of [h]'s sources by row, one comparison charged per
      heap comparison. *)
   let merge_heads t h =
     let key s = h.h_keys.(s).(h.h_pos.(s)) in
+    let pk s = pk_in h.h_keys.(s) h.h_pks.(s) h.h_pos.(s) in
     {
       cm_merge =
         Lsm_util.Kmerge.create (Array.length h.h_comps)
-          ~compare:(fun a b -> compare_keys t (key a) (key b))
+          ~compare:(fun a b ->
+            Lsm_sim.Env.charge_comparisons t.env 1;
+            (* the pks are read only on a key tie *)
+            let c = compare (key a : int) (key b) in
+            if c <> 0 || not t.pk_col then c else compare (pk a : int) (pk b))
           ~pull:(pull_head t h);
       cm_heads = h.h_pos;
     }
@@ -755,7 +843,7 @@ module Make (K : KEY) (V : VALUE) = struct
       source [s] is [comps.(s)], its head the row position
       [cm_heads.(s)].  One comparison is charged per heap comparison. *)
   let merge_components t ?valid comps =
-    merge_heads t (open_heads t ~bitmap:false ?valid comps)
+    merge_heads t (open_heads t full_scan_spec ~bitmap:false ?valid comps)
 
   (** An in-flight incremental merge: the k-way reconciling merge of
       {!merge} broken into explicit steps so a scheduler can interleave
@@ -804,7 +892,7 @@ module Make (K : KEY) (V : VALUE) = struct
       mj_inputs = inputs;
       mj_merge =
         merge_heads t
-          (open_heads t ~bitmap:true
+          (open_heads t full_scan_spec ~bitmap:true
              ?valid:(Option.map (fun x c i -> not (x c i)) extra_invalid)
              inputs);
       mj_out = Lsm_util.Vec.create ~capacity:input_rows ();
@@ -822,17 +910,20 @@ module Make (K : KEY) (V : VALUE) = struct
   let merge_step t j ~rows =
     let m = j.mj_merge.cm_merge in
     let k = Array.length j.mj_inputs in
-    let key s i = (Dbt.keys j.mj_inputs.(s).tree).(i) in
+    let keys = Array.map (fun c -> Dbt.keys c.tree) j.mj_inputs in
+    let pks = Array.map (fun c -> Dbt.pks c.tree) j.mj_inputs in
+    let key s i = keys.(s).(i) and pk s i = pk_in keys.(s) pks.(s) i in
     let rec step budget s =
       if budget = 0 || s < 0 then s >= 0
       else begin
         let i = j.mj_merge.cm_heads.(s) in
         let next = Lsm_util.Kmerge.advance m in
-        (* A source's keys strictly increase: only another source's last
-           row can share [s]'s key. *)
+        (* A source's rows strictly increase: only another source's last
+           row can equal [s]'s. *)
         let dup =
           j.mj_last >= 0 && j.mj_last <> s
-          && K.compare (key j.mj_last j.mj_last_pos) (key s i) = 0
+          && key j.mj_last j.mj_last_pos = key s i
+          && ((not t.pk_col) || pk j.mj_last j.mj_last_pos = pk s i)
         in
         Lsm_sim.Env.charge_comparisons t.env 1;
         j.mj_last <- s;
@@ -849,14 +940,17 @@ module Make (K : KEY) (V : VALUE) = struct
     in
     step rows (Lsm_util.Kmerge.top m)
 
-  (** [install t ~inputs ~keys ~tss ~vals] replaces [inputs] — a
+  (** [install t ~inputs ~keys ~pks ~tss ~vals] replaces [inputs] — a
       contiguous run of the current components, newest first, located by
       physical identity so components prepended meanwhile (per-shard
       flushes overlapping a merge) are tolerated — with one component
-      over the key-sorted columns.  Its ID range, repairedTS (the inputs'
-      minimum), range filter and flush provenance derive from the inputs
-      exactly as for a merge.  The inputs' files are deleted. *)
-  let install t ~inputs ~keys ~tss ~vals =
+      over the row-sorted columns ([pks]: [[||]] in a [Pk] tree).  Its ID
+      range, repairedTS (the inputs' minimum), range filter and flush
+      provenance derive from the inputs exactly as for a merge.  The
+      inputs' files are deleted. *)
+  let install t ~inputs ~keys ~pks ~tss ~vals =
+    if Array.length pks <> (if t.pk_col then Array.length keys else 0) then
+      invalid_arg "Lsm_tree.install: pk column does not match the layout";
     let k = Array.length inputs in
     let comps = t.disk in
     let n = Array.length comps in
@@ -908,7 +1002,7 @@ module Make (K : KEY) (V : VALUE) = struct
     in
     let prov = List.concat_map (fun c -> c.prov) (Array.to_list inputs) in
     let c =
-      mk_component t ~keys ~tss ~vals ~cmin_ts ~cmax_ts ~range_filter
+      mk_component t ~keys ~pks ~tss ~vals ~cmin_ts ~cmax_ts ~range_filter
         ~repaired_ts ~prov
     in
     set_disk t
@@ -937,6 +1031,7 @@ module Make (K : KEY) (V : VALUE) = struct
     let merged =
       install t ~inputs
         ~keys:(column (fun c i -> (Dbt.keys c.tree).(i)))
+        ~pks:(if t.pk_col then column (fun c i -> (Dbt.pks c.tree).(i)) else [||])
         ~tss:(column (fun c i -> c.tss.(i)))
         ~vals:(column (fun c i -> c.vals.(i)))
     in
@@ -1079,7 +1174,7 @@ module Make (K : KEY) (V : VALUE) = struct
       that produced it (0 = no hint).  With [use_hints], components whose
       maxTS is below the hint cannot hold the sought version and are
       skipped before their Bloom filter is even probed. *)
-  type query_key = { qkey : K.t; hint_ts : int }
+  type query_key = { qkey : int; hint_ts : int }
 
   let plain_keys keys = Array.map (fun k -> { qkey = k; hint_ts = 0 }) keys
 
@@ -1101,8 +1196,9 @@ module Make (K : KEY) (V : VALUE) = struct
       entry was deleted or superseded, and any superseding version is
       strictly newer, hence already searched. *)
   let lookup_one t key =
+    check_pk_keyed t "lookup_one";
     Lsm_sim.Env.span t.env ~cat:(name t) "lsm.lookup" @@ fun () ->
-    match mem_find t key with
+    match mem_find t key key with
     | Some r ->
         Lsm_sim.Env.explain_count t.env "mem_hits" 1;
         Some r
@@ -1115,9 +1211,6 @@ module Make (K : KEY) (V : VALUE) = struct
   let disk_find t key =
     let pos = find_newest t key in
     if pos >= 0 then Some (found t, pos) else None
-
-  (** [component_row_valid c i] consults the validity bitmap. *)
-  let component_row_valid = row_valid
 
   (** [charge_component_scan t c] charges the I/O and CPU of a full
       sequential scan of [c] without materializing anything (standalone
@@ -1134,6 +1227,7 @@ module Make (K : KEY) (V : VALUE) = struct
       batch), which for the batched algorithm is *not* global key order —
       the trade-off Fig. 12d measures. *)
   let lookup_batch t opts qkeys ~emit =
+    check_pk_keyed t "lookup_batch";
     let nq = Array.length qkeys in
     if nq > 0 then
       Lsm_sim.Env.span t.env ~cat:(name t)
@@ -1151,9 +1245,7 @@ module Make (K : KEY) (V : VALUE) = struct
       let per_batch =
         if not opts.batched then 1
         else begin
-          let key_bytes =
-            K.byte_size qkeys.(0).qkey + 16 (* ts + found slot *)
-          in
+          let key_bytes = 8 + 16 (* pk, ts + found slot *) in
           max 1 (opts.batch_bytes / key_bytes)
         end
       in
@@ -1170,7 +1262,8 @@ module Make (K : KEY) (V : VALUE) = struct
         in
         (* Memory component first. *)
         for i = 0 to bn - 1 do
-          match mem_find t qkeys.(!start + i).qkey with
+          let key = qkeys.(!start + i).qkey in
+          match mem_find t key key with
           | Some r ->
               Lsm_sim.Env.explain_count t.env "mem_hits" 1;
               resolve i qkeys.(!start + i).qkey (Some r)
@@ -1211,51 +1304,19 @@ module Make (K : KEY) (V : VALUE) = struct
   (* ------------------------------------------------------------------ *)
   (* Scans *)
 
-  type scan_spec = {
-    lo : K.t option;  (** inclusive *)
-    hi : K.t option;  (** inclusive *)
-    reconcile : bool;
-        (** newest-wins semantics across components; [false] scans each
-            component independently (Mutable-bitmap strategy, Sec. 6.4.2) *)
-    respect_bitmap : bool;
-    include_mem : bool;
-    emit_del : bool;
-        (** also emit anti-matter entries that win reconciliation (needed
-            by validation logic that must see deletions; default: queries
-            only see live data) *)
-    only : disk_component list option;
-        (** restrict to these disk components (newest-first); [None] = all.
-            Callers use this for range-filter pruning. *)
-    filter : (int * int) option;
-        (** emit only [Put] rows whose filter key lies in [\[a, b\]]
-            (anti-matter follows [emit_del]); every row is still read,
-            reconciled and charged.  Needs a tree with range filters. *)
-  }
-
-  let full_scan_spec =
-    {
-      lo = None;
-      hi = None;
-      reconcile = true;
-      respect_bitmap = true;
-      include_mem = true;
-      emit_del = false;
-      only = None;
-      filter = None;
-    }
-
   (* The memory component's in-range bindings, read through one head: a
      single memtable's cursor with the count of in-range bindings still
      ahead of it, or several shards' bindings gathered into columns (key,
-     (ts, entry), filter key) with their key order and a position in it.
-     The head is the binding the last successful pull moved to. *)
+     pk, (ts, entry), filter key) with their row order and a position in
+     it.  The head is the binding the last successful pull moved to. *)
   type mem_source =
     | Mem_cursor of {
         cur : (int * V.t Entry.t) Mbt.cursor;
         mutable left : int;
       }
     | Mem_sorted of {
-        keys : K.t array;
+        keys : int array;
+        pks : int array;
         tvs : (int * V.t Entry.t) array;
         fks : int array;
         order : int array;
@@ -1265,6 +1326,10 @@ module Make (K : KEY) (V : VALUE) = struct
   let[@inline] mem_key = function
     | Mem_cursor m -> Mbt.key m.cur
     | Mem_sorted m -> m.keys.(m.order.(m.at))
+
+  let[@inline] mem_pk = function
+    | Mem_cursor m -> Mbt.pk m.cur
+    | Mem_sorted m -> m.pks.(m.order.(m.at))
 
   let[@inline] mem_binding = function
     | Mem_cursor m -> Mbt.value m.cur
@@ -1278,19 +1343,21 @@ module Make (K : KEY) (V : VALUE) = struct
      out, or when the binding is past [hi] (charging that comparison; with
      no [hi], no comparison and no key read).  This and the readers above
      run per scanned row, so they are inlined. *)
-  let[@inline] mem_pull t hi = function
+  let[@inline] mem_pull t hi hi_pk = function
     | Mem_cursor m ->
         m.left > 0
         &&
         (m.left <- m.left - 1;
          if not (Mbt.step m.cur) then
            invalid_arg "Lsm_tree.scan: memtable changed mid-scan";
-         Option.is_none hi || within_hi t hi (Mbt.key m.cur))
+         Option.is_none hi
+         || within_hi t hi hi_pk (Mbt.key m.cur) (Mbt.pk m.cur))
     | Mem_sorted m ->
         m.at + 1 < Array.length m.order
         &&
         (m.at <- m.at + 1;
-         within_hi t hi m.keys.(m.order.(m.at)))
+         let o = m.order.(m.at) in
+         within_hi t hi hi_pk m.keys.(o) m.pks.(o))
 
   (* Open the memory component's in-range bindings for a scan.  Every
      charge lands here, before the first pull: one hi comparison per
@@ -1298,7 +1365,7 @@ module Make (K : KEY) (V : VALUE) = struct
      ([charge_mem_cmps]), then one entry visit per in-range binding.  A
      single memtable is read in place through an {!Mbt.seek} cursor; the
      counting walk runs on a copy of it.  Several shards are gathered and
-     their key order sorted, charged: shard key sets are disjoint, so that
+     their row order sorted, charged: shard row sets are disjoint, so that
      reproduces the single-memtable order byte for byte.  Without
      [include_mem] the source is an empty cursor and charges nothing.
 
@@ -1309,10 +1376,10 @@ module Make (K : KEY) (V : VALUE) = struct
      pulls it ({!scan}). *)
   let mem_source t spec =
     if not spec.include_mem then
-      Mem_cursor { cur = Mbt.seek t.mems.(0).table None; left = 0 }
+      Mem_cursor { cur = Mbt.seek t.mems.(0).table None 0; left = 0 }
     else begin
       let seek m =
-        let c = Mbt.seek m.table spec.lo in
+        let c = Mbt.seek m.table spec.lo spec.lo_pk in
         let n =
           match (spec.lo, spec.hi) with
           | None, None -> Mbt.length m.table
@@ -1320,7 +1387,8 @@ module Make (K : KEY) (V : VALUE) = struct
               let w = Mbt.copy c in
               let rec count n =
                 if not (Mbt.step w) then n
-                else if within_hi t spec.hi (Mbt.key w) then count (n + 1)
+                else if within_hi t spec.hi spec.hi_pk (Mbt.key w) (Mbt.pk w)
+                then count (n + 1)
                 else if Option.is_none spec.lo then count n
                 else n
               in
@@ -1337,11 +1405,15 @@ module Make (K : KEY) (V : VALUE) = struct
           let slices = Array.map seek t.mems in
           let n = Array.fold_left (fun acc (_, k) -> acc + k) 0 slices in
           let keys = gather slices n Mbt.key in
+          let pks = if t.pk_col then gather slices n Mbt.pk else keys in
           let order = Array.init n Fun.id in
-          Array.sort (fun a b -> compare_keys t keys.(a) keys.(b)) order;
+          Array.sort
+            (fun a b -> compare_rows t keys.(a) pks.(a) keys.(b) pks.(b))
+            order;
           ( Mem_sorted
               {
                 keys;
+                pks;
                 tvs = gather slices n Mbt.value;
                 fks = gather slices n Mbt.fkey;
                 order;
@@ -1374,18 +1446,20 @@ module Make (K : KEY) (V : VALUE) = struct
           Some m
     in
     let valid r i = (not spec.respect_bitmap) || row_valid comps_a.(r) i in
-    (comps_a, View.start t.env v ~lo:spec.lo ~hi:spec.hi ~mask ~valid)
+    ( comps_a,
+      Sorted_view.start t.env v ~lo:spec.lo ~lo_pk:spec.lo_pk ~hi:spec.hi
+        ~hi_pk:spec.hi_pk ~mask ~valid )
 
   (* Report a finished view scan to EXPLAIN and the view stats. *)
   let view_finish t it =
     Lsm_sim.Env.explain_count t.env "view_scans" 1;
-    Lsm_sim.Env.explain_count t.env "view_segments" (View.segments it);
-    Lsm_sim.Env.explain_count t.env "view_rows_skipped" (View.skipped it);
+    Lsm_sim.Env.explain_count t.env "view_segments" (Sorted_view.segments it);
+    Lsm_sim.Env.explain_count t.env "view_rows_skipped" (Sorted_view.skipped it);
     let vs = Lsm_sim.Env.view_stats t.env in
-    vs.Lsm_sim.Env.segments <- vs.Lsm_sim.Env.segments + View.segments it;
+    vs.Lsm_sim.Env.segments <- vs.Lsm_sim.Env.segments + Sorted_view.segments it;
     vs.Lsm_sim.Env.rows_skipped <-
-      vs.Lsm_sim.Env.rows_skipped + View.skipped it;
-    vs.Lsm_sim.Env.rows_emitted <- vs.Lsm_sim.Env.rows_emitted + View.emitted it
+      vs.Lsm_sim.Env.rows_skipped + Sorted_view.skipped it;
+    vs.Lsm_sim.Env.rows_emitted <- vs.Lsm_sim.Env.rows_emitted + Sorted_view.emitted it
 
   (* A reconciling scan prefers the sorted view.  The cases that merge
      the scan's sources instead (so that stays a runtime path, not only a
@@ -1412,17 +1486,17 @@ module Make (K : KEY) (V : VALUE) = struct
             built == t.disk && List.for_all (fun c -> Array.memq c t.disk) cs
         | None -> false)
 
-  (** [scan t spec ~f] streams entries to [f key ts value ~src_repaired],
-      where [src_repaired] is the [repaired_ts] of the entry's source
-      component (0 for the memory component — never repaired).  With [reconcile],
-      output is in ascending key order with newest-wins semantics and
-      anti-matter suppressing older entries (anti-matter itself is emitted
-      only under [emit_del]).  Without it, components are emitted one by
-      one, memory first then newest-to-oldest, each in key order.  With
-      [filter], a [Put] row reaches [f] only if its filter key is in
-      range.  Every path reconciles on keys and positions, tests the
-      filter-key columns, and hands [f] the fields of a row, never a
-      row. *)
+  (** [scan t spec ~f] streams entries to [f key pk ts value ~src_repaired]
+      ([pk] is the key in a [Pk] tree), where [src_repaired] is the
+      [repaired_ts] of the entry's source component (0 for the memory
+      component — never repaired).  With [reconcile], output is in
+      ascending row order with newest-wins semantics and anti-matter
+      suppressing older entries (anti-matter itself is emitted only under
+      [emit_del]).  Without it, components are emitted one by one, memory
+      first then newest-to-oldest, each in row order.  With [filter], a
+      [Put] row reaches [f] only if its filter key is in range.  Every
+      path reconciles on keys and positions, tests the filter-key columns,
+      and hands [f] the fields of a row, never a row. *)
   let scan t spec ~f =
     let comps_a =
       match spec.only with Some cs -> Array.of_list cs | None -> t.disk
@@ -1442,27 +1516,28 @@ module Make (K : KEY) (V : VALUE) = struct
     let[@inline] keeps fk e =
       match e with Entry.Put _ -> in_range fk | Entry.Del -> spec.emit_del
     in
-    (* Emit the memory binding [key] -> [tv] with column [fk], the memory
-       head, and row [i] of component [c] (key column [keys], filter-key
-       column [col]), testing the columns.  An unfiltered scan reads no
-       filter-key column. *)
-    let[@inline] emit_mem key tv fk =
+    (* Emit the memory binding (key, pk) -> [tv] with column [fk], the
+       memory head, and row [i] of component [c] (key columns [keys] and
+       [pks], filter-key column [col]), testing the columns.  An
+       unfiltered scan reads no filter-key column. *)
+    let[@inline] emit_mem key pk tv fk =
       if (if fk <> no_fkey then in_range fk else keeps fk (snd tv)) then begin
         let ts, value = tv in
-        f key ts value ~src_repaired:0
+        f key pk ts value ~src_repaired:0
       end
     in
     (* The memory head; a column out of range rejects it unread. *)
     let[@inline] emit_head ms =
       let fk = mem_fkey ms in
       if fk = no_fkey || in_range fk then
-        emit_mem (mem_key ms) (mem_binding ms) fk
+        emit_mem (mem_key ms) (mem_pk ms) (mem_binding ms) fk
     in
     let col c = if filtered then Lazy.force c.fkeys else [||] in
-    let[@inline] emit_row c keys col i =
+    let[@inline] emit_row c keys pks col i =
       let fk = if Array.length col = 0 then no_fkey else col.(i) in
       if if fk <> no_fkey then in_range fk else keeps fk c.vals.(i) then
-        f keys.(i) c.tss.(i) c.vals.(i) ~src_repaired:c.repaired_ts
+        f keys.(i) (pk_in keys pks i) c.tss.(i) c.vals.(i)
+          ~src_repaired:c.repaired_ts
     in
     if view_usable t spec then begin
       (* Served from the sorted view: the selector stream's key-group
@@ -1474,30 +1549,34 @@ module Make (K : KEY) (V : VALUE) = struct
          bitmap-invalidated". *)
       let comps_a, it = view_start t spec in
       let keys = Array.map (fun c -> Dbt.keys c.tree) comps_a in
+      let pks = Array.map (fun c -> Dbt.pks c.tree) comps_a in
       let ms = mem_source t spec in
-      let ml = ref (mem_pull t None ms) in
-      let r = ref (View.next t.env it) in
+      let ml = ref (mem_pull t None 0 ms) in
+      let r = ref (Sorted_view.next t.env it) in
       while !ml || !r >= 0 do
         if !r < 0 then begin
           emit_head ms;
-          ml := mem_pull t None ms
+          ml := mem_pull t None 0 ms
         end
         else begin
-          let w = !r and i = View.position it in
+          let w = !r and i = Sorted_view.position it in
           let o =
-            if !ml then compare_keys t (mem_key ms) keys.(w).(i) else 1
+            if !ml then
+              compare_rows t (mem_key ms) (mem_pk ms) keys.(w).(i)
+                (pk_in keys.(w) pks.(w) i)
+            else 1
           in
           (* Memory first; on a tie it supersedes the whole disk group. *)
           if o <= 0 then begin
             emit_head ms;
-            ml := mem_pull t None ms
+            ml := mem_pull t None 0 ms
           end;
           if o >= 0 then begin
             if o > 0 then begin
               let c = comps_a.(w) in
-              emit_row c keys.(w) (col c) i
+              emit_row c keys.(w) pks.(w) (col c) i
             end;
-            r := View.next t.env it
+            r := Sorted_view.next t.env it
           end
         end
       done;
@@ -1509,49 +1588,58 @@ module Make (K : KEY) (V : VALUE) = struct
          merge: the memory source, each component's seek, each source's
          first pull, then per output the pull that refills the top
          source, the merge comparisons that pull causes, and the
-         duplicate-key comparison.  A head is emitted after the pull that
+         duplicate-row comparison.  A head is emitted after the pull that
          replaces it, from what was read of it before. *)
       let ms = mem_source t spec in
       (if t.views_enabled && Array.length comps_a >= view_min_components then
          let vs = Lsm_sim.Env.view_stats t.env in
          vs.Lsm_sim.Env.fallbacks <- vs.Lsm_sim.Env.fallbacks + 1);
-      let h =
-        open_heads t ?lo:spec.lo ?hi:spec.hi ~bitmap:spec.respect_bitmap comps_a
-      in
+      let h = open_heads t spec ~bitmap:spec.respect_bitmap comps_a in
       let cols = Array.map col comps_a in
       let[@inline] key s =
         if s > 0 then h.h_keys.(s - 1).(h.h_pos.(s - 1)) else mem_key ms
       in
+      let[@inline] pk s =
+        if s > 0 then pk_in h.h_keys.(s - 1) h.h_pks.(s - 1) h.h_pos.(s - 1)
+        else mem_pk ms
+      in
       let m =
         Lsm_util.Kmerge.create
           (Array.length comps_a + 1)
-          ~compare:(fun a b -> compare_keys t (key a) (key b))
+          ~compare:(fun a b ->
+            Lsm_sim.Env.charge_comparisons t.env 1;
+            (* the pks are read only on a key tie *)
+            let c = compare (key a : int) (key b) in
+            if c <> 0 || not t.pk_col then c else compare (pk a : int) (pk b))
           ~pull:(fun s ->
-            if s = 0 then mem_pull t spec.hi ms else pull_head t h (s - 1))
+            if s = 0 then mem_pull t spec.hi spec.hi_pk ms
+            else pull_head t h (s - 1))
       in
-      (* Whether the top's key [k], from source [s], differs from the last
-         output key [lk], from source [last] ([-1]: no output yet).  The
-         comparison is charged after the first output; a source's keys
-         strictly increase, so against its own last output it is not made. *)
-      let[@inline] fresh s k ~last lk =
+      (* Whether the top's row (k, p), from source [s], differs from the
+         last output row (lk, lp), from source [last] ([-1]: no output
+         yet).  The comparison is charged after the first output; a
+         source's rows strictly increase, so against its own last output
+         it is not made. *)
+      let[@inline] fresh s k p ~last lk lp =
         last < 0
         || begin
              Lsm_sim.Env.charge_comparisons t.env 1;
-             s = last || K.compare lk k <> 0
+             s = last || cmp_rows t lk lp k p <> 0
            end
       in
-      (* [drain s ~last lk] emits the top source [s]'s head after the pull
-         that replaces it, unless it repeats the last output key. *)
-      let rec drain s ~last lk =
+      (* [drain s ~last lk lp] emits the top source [s]'s head after the
+         pull that replaces it, unless it repeats the last output row. *)
+      let rec drain s ~last lk lp =
         if s >= 0 then begin
           let k = key s in
+          let p = if t.pk_col then pk s else k in
           if s > 0 then begin
             let j = s - 1 in
             let i = h.h_pos.(j) in
             let next = Lsm_util.Kmerge.advance m in
-            if fresh s k ~last lk then
-              emit_row comps_a.(j) h.h_keys.(j) cols.(j) i;
-            drain next ~last:s k
+            if fresh s k p ~last lk lp then
+              emit_row comps_a.(j) h.h_keys.(j) h.h_pks.(j) cols.(j) i;
+            drain next ~last:s k p
           end
           else begin
             let fk = if filtered then mem_fkey ms else no_fkey in
@@ -1561,32 +1649,29 @@ module Make (K : KEY) (V : VALUE) = struct
               else mem_binding ms
             in
             let next = Lsm_util.Kmerge.advance m in
-            if fresh s k ~last lk then emit_mem k tv fk;
-            drain next ~last:s k
+            if fresh s k p ~last lk lp then emit_mem k p tv fk;
+            drain next ~last:s k p
           end
         end
       in
       let s = Lsm_util.Kmerge.top m in
-      if s >= 0 then drain s ~last:(-1) (key s)
+      if s >= 0 then drain s ~last:(-1) (key s) (pk s)
     end
     else begin
       (* Component-at-a-time: bitmaps have already removed stale versions,
          so no cross-component reconciliation is necessary. *)
       let ms = mem_source t spec in
-      while mem_pull t None ms do
+      while mem_pull t None 0 ms do
         emit_head ms
       done;
       Array.iter
         (fun c ->
-          let h =
-            open_heads t ?lo:spec.lo ?hi:spec.hi ~bitmap:spec.respect_bitmap
-              [| c |]
-          in
-          let keys = Dbt.keys c.tree and col = col c in
+          let h = open_heads t spec ~bitmap:spec.respect_bitmap [| c |] in
+          let keys = Dbt.keys c.tree and pks = Dbt.pks c.tree and col = col c in
           let rec drain () =
             let i = next_pos t h 0 in
             if i >= 0 then begin
-              emit_row c keys col i;
+              emit_row c keys pks col i;
               drain ()
             end
           in
@@ -1614,20 +1699,6 @@ module Make (K : KEY) (V : VALUE) = struct
     match c.bitmap with Some b -> Lsm_util.Bitset.clear b pos | None -> ()
 
   let set_repaired_ts c ts = c.repaired_ts <- ts
-
-  (** [find_position t c key] locates [key]'s row index within component
-      [c], charging the lookup (used by Mutable-bitmap deletes to find the
-      bit to set). *)
-  let find_position t c key =
-    if Dbt.is_empty c.tree then None
-    else begin
-      let i = Dbt.lower_bound_row t.env c.tree key in
-      if i < Dbt.nrows c.tree then begin
-        Lsm_sim.Env.charge_comparisons t.env 1;
-        if K.compare (Dbt.keys c.tree).(i) key = 0 then Some i else None
-      end
-      else None
-    end
 
   (* ------------------------------------------------------------------ *)
   (* Type erasure *)

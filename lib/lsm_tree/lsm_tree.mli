@@ -1,24 +1,32 @@
 (** A generic LSM-tree over the simulated storage substrate.
 
-    One [Make (K) (V)] instance backs each index of a dataset: the primary
-    index (key = primary key, value = record), the primary key index
-    (key = primary key, value = unit), and secondary indexes (key =
-    (secondary key, primary key), value = unit).  Entries are timestamped;
-    component IDs are (minTS, maxTS) ranges over entry timestamps (Fig. 1).
+    Keys are ints, compared inline.  One [Make (V)] instance serves the
+    indexes of a value type: the primary index (value = record), and the
+    primary key, deleted-key and secondary indexes (value = unit), whose
+    {!layout} sets how a row is named.  Entries are timestamped;
+    component IDs are (minTS, maxTS) ranges over entry timestamps
+    (Fig. 1).
 
     The tree knows nothing about maintenance strategies: it offers writes
     into the memory component, flush, merge of a contiguous component
     range, reconciling and per-component scans, and the point-lookup
     algorithms of Sec. 3.2.  Strategy logic lives in [Lsm_core].
 
-    A disk component is a key index ({!Make.Dbt}) plus columns read by
-    the index's row positions: timestamps, entries and, for a tree with
-    range filters, filter keys.  No component stores a row record; a
-    {!Make.row} is built only where an API hands one out. *)
+    A disk component is a key index ({!Lsm_btree.Disk_btree}) plus columns
+    read by the index's row positions: timestamps, entries and, for a
+    tree with range filters, filter keys.  No component stores a row
+    record; a {!Make.row} is built only where an API hands one out. *)
 
 module Entry = Entry
 module Config = Config
 module Merge_policy = Merge_policy
+
+(** How a tree names a row.  [Pk]: by its key, the primary key.  [Sk_pk]:
+    by (key, pk), ordered by key then pk, the pk kept in a second int
+    column — a secondary index (Sec. 3).  It fixes the key's size (8 or
+    16 bytes) and the row hash: [mix64 key], or [mix64 (mix64 key lxor
+    pk)] ([Lsm_bloom.Hashing.mix64]). *)
+type layout = Pk | Sk_pk
 
 (** Provenance of a disk component w.r.t. memory-shard flushes.  Lives
     outside the functor so origins of components from different [Make]
@@ -45,11 +53,10 @@ type component_summary = {
   cs_repaired_ts : int;
 }
 
-(** A tree with its key and value types erased, built by {!Make.erase}:
-    the operations a dataset runs on all of its trees alike (its primary,
-    primary key, secondary and deleted-key trees instantiate [Make] at
-    different types).  A field named after a [Make] function applies it
-    to the erased tree. *)
+(** A tree with its value type erased, built by {!Make.erase}: the
+    operations a dataset runs on all of its trees alike (its primary tree
+    instantiates [Make] at the record type, the others at unit).  A field
+    named after a [Make] function applies it to the erased tree. *)
 type tree = {
   name : string;
   mem_bytes : unit -> int;
@@ -65,20 +72,19 @@ type tree = {
   summaries : unit -> component_summary list;  (** newest first *)
 }
 
-module type KEY = Lsm_util.Intf.ORDERED
-module type VALUE = Lsm_util.Intf.SIZED
+(** Values stored in a tree; only their serialized size matters to it. *)
+module type VALUE = sig type t val byte_size : t -> int end
 
-module Make (K : KEY) (V : VALUE) : sig
-  module Mbt : module type of Lsm_btree.Mem_btree.Make (K)
-  module Dbt : module type of Lsm_btree.Disk_btree.Make (K)
-
-  type row = { key : K.t; ts : int; value : V.t Entry.t }
+module Make (V : VALUE) : sig
+  type row = { key : int; ts : int; value : V.t Entry.t }
   (** One entry, as the lookups and {!row_at} hand it out. *)
 
   type mem_component
 
   type disk_component = {
-    tree : Dbt.t;  (** the key index; its key column is [Dbt.keys tree] *)
+    tree : Lsm_btree.Disk_btree.t;
+        (** the key index; its key columns are [Disk_btree.keys tree] and
+            [Disk_btree.pks tree] (empty in a [Pk] tree) *)
     tss : int array;  (** each row's timestamp, by position *)
     vals : V.t Entry.t array;  (** each row's entry, by position *)
     bloom : Lsm_bloom.Filter.t option;
@@ -104,11 +110,14 @@ module Make (K : KEY) (V : VALUE) : sig
 
   type t
 
-  val create : ?filter_of:(V.t -> int) -> Lsm_sim.Env.t -> Config.t -> t
+  val create :
+    ?filter_of:(V.t -> int) -> ?layout:layout -> Lsm_sim.Env.t -> Config.t -> t
   (** [filter_of] extracts the range-filter key from a value; absent = no
       component range filters.  With it, every row's filter key is also
       kept in a column beside its key — in the memory leaves, and in each
-      disk component's [fkeys] once a filtered scan has read it. *)
+      disk component's [fkeys] once a filtered scan has read it.
+      [layout] defaults to [Pk].  Calls below that name a row take its key
+      and pk as ints; in a [Pk] tree pass the pk as both. *)
 
   val no_fkey : int
   (** The filter-key column's entry for anti-matter ([min_int]), and for
@@ -135,8 +144,12 @@ module Make (K : KEY) (V : VALUE) : sig
   (** Number of memory shards ([Config.shards]; 1 = classic single
       memtable). *)
 
-  val shard_of : t -> K.t -> int
-  (** The memory shard a key routes to (0 when unsharded). *)
+  val row_hash : t -> int -> int -> int
+  (** [row_hash t key pk]: the row's Bloom hash, per {!layout}. *)
+
+  val shard_of : t -> int -> int -> int
+  (** [shard_of t key pk]: the memory shard the row routes to (0 when
+      unsharded), [mix64 (row_hash t key pk) land max_int mod shards]. *)
 
   val mem_shard_bytes : t -> int -> int
   (** In-memory bytes of one shard. *)
@@ -148,23 +161,26 @@ module Make (K : KEY) (V : VALUE) : sig
   val mem_filter : t -> (int * int) option
   (** Current memory range-filter bounds (union over shards), if any. *)
 
-  val widen_filter : t -> K.t -> int -> unit
-  (** [widen_filter t key fkey] widens the filter of the shard owning
-      [key] to cover [fkey] — the Eager strategy calls this with *old*
+  val widen_filter : t -> int -> int -> int -> unit
+  (** [widen_filter t key pk fkey] widens the filter of the shard owning
+      the row to cover [fkey] — the Eager strategy calls this with *old*
       records' filter keys (Sec. 3.1). *)
 
-  val write : t -> key:K.t -> ts:int -> V.t Entry.t -> unit
-  (** Add an entry; a same-key write replaces the in-memory entry (newest
-      wins within a component).  [Put] values widen the filter. *)
+  val write : t -> key:int -> pk:int -> ts:int -> V.t Entry.t -> unit
+  (** Add an entry for the row (key, pk); a same-row write replaces the
+      in-memory entry (newest wins within a component).  [Put] values
+      widen the filter. *)
 
-  val mem_rollback : t -> key:K.t -> prior:(int * V.t Entry.t) option -> unit
+  val mem_rollback :
+    t -> key:int -> pk:int -> prior:(int * V.t Entry.t) option -> unit
   (** Undo a memory write (transaction rollback): remove the current entry
       and restore the replaced binding, if any. *)
 
   val reset_memory : t -> unit
   (** Discard the memory component (crash simulation). *)
 
-  val mem_find : t -> K.t -> row option
+  val mem_find : t -> int -> int -> row option
+  (** [mem_find t key pk]: the row's memory entry, if any. *)
 
   (** {1 Components} *)
 
@@ -266,12 +282,14 @@ module Make (K : KEY) (V : VALUE) : sig
   val install :
     t ->
     inputs:disk_component array ->
-    keys:K.t array ->
+    keys:int array ->
+    pks:int array ->
     tss:int array ->
     vals:V.t Entry.t array ->
     disk_component
-  (** [install t ~inputs ~keys ~tss ~vals] builds one component over the
-      key-sorted columns (equal lengths; the component keeps the arrays)
+  (** [install t ~inputs ~keys ~pks ~tss ~vals] builds one component over
+      the row-sorted columns (equal lengths, except [pks], which is [[||]]
+      in a [Pk] tree; the component keeps the arrays)
       and splices it in place of [inputs], a contiguous newest-first run
       of the current components located by physical identity (components
       prepended since the inputs were read are tolerated; anything else
@@ -292,14 +310,12 @@ module Make (K : KEY) (V : VALUE) : sig
   (** {1 Bitmaps and repair bookkeeping} *)
 
   val row_valid : disk_component -> int -> bool
-  val component_row_valid : disk_component -> int -> bool
   val ensure_bitmap : disk_component -> Lsm_util.Bitset.t
   val invalidate : disk_component -> int -> unit
   val revalidate : disk_component -> int -> unit
   (** Flip a bit back (transaction aborts only, Sec. 5.2). *)
 
   val set_repaired_ts : disk_component -> int -> unit
-  val find_position : t -> disk_component -> K.t -> int option
 
   val row_at : disk_component -> int -> row
   (** The row at a position, built from the columns (no I/O charged):
@@ -323,7 +339,8 @@ module Make (K : KEY) (V : VALUE) : sig
       B+-tree with the component's cursor from [cursors], else from the
       root (comparisons, page reads); returns a hit, or on a miss counts
       a [bloom_fps] if the filter was consulted and moves on.  The walk
-      and the descents allocate nothing. *)
+      and the descents allocate nothing.  It and the point lookups below
+      take a key alone: on an [Sk_pk] tree they raise [Invalid_argument]. *)
 
   type cursors
   (** Stateful search cursors ("sLookup") over a snapshot of {!components}. *)
@@ -336,7 +353,7 @@ module Make (K : KEY) (V : VALUE) : sig
     ?from:int ->
     ?stop:(disk_component -> bool) ->
     ?positive:int ->
-    K.t ->
+    int ->
     int
   (** The row position of the newest disk entry for the key ([-1]: none),
       walking from component [from] (default 0) of {!components} or of
@@ -346,7 +363,7 @@ module Make (K : KEY) (V : VALUE) : sig
   val found : t -> disk_component
   (** The component of {!find_newest}'s last hit on this tree. *)
 
-  val first_positive : t -> ?eligible:(disk_component -> bool) -> K.t -> int
+  val first_positive : t -> ?eligible:(disk_component -> bool) -> int -> int
   (** The index of the newest component [eligible] accepts (default: all)
       whose Bloom filter, probed as {!find_newest} does, may hold the
       key; [-1] if none. *)
@@ -362,23 +379,23 @@ module Make (K : KEY) (V : VALUE) : sig
 
   val default_lookup_opts : lookup_opts
 
-  type query_key = { qkey : K.t; hint_ts : int }
+  type query_key = { qkey : int; hint_ts : int }
   (** [hint_ts] is the timestamp of the secondary-index entry that
       produced the key (0 = no hint); with [use_hints], components whose
       maxTS is below it are skipped before their Bloom filter is probed. *)
 
-  val plain_keys : K.t array -> query_key array
+  val plain_keys : int array -> query_key array
 
-  val lookup_one : t -> K.t -> row option
+  val lookup_one : t -> int -> row option
   (** Newest entry across memory and disk ([None] if never written or the
       newest disk entry is bitmap-invalidated). *)
 
-  val disk_find : t -> K.t -> (disk_component * int) option
+  val disk_find : t -> int -> (disk_component * int) option
   (** Newest *disk* entry (component, position), ignoring memory and
       bitmaps — the Mutable-bitmap strategy's bit-location search. *)
 
   val lookup_batch :
-    t -> lookup_opts -> query_key array -> emit:(K.t -> row option -> unit) -> unit
+    t -> lookup_opts -> query_key array -> emit:(int -> row option -> unit) -> unit
   (** Resolve many point lookups; [qkeys] sorted ascending.  [emit] fires
       exactly once per key, in fetch order (which for the batched
       algorithm is not global key order — the Fig. 12d trade-off). *)
@@ -397,17 +414,19 @@ module Make (K : KEY) (V : VALUE) : sig
     disk_component array ->
     component_merge
   (** [merge_components t ?valid comps] is a k-way merge of [comps]
-      (newest first) by key.  Each component is scanned in order by row
+      (newest first) by row.  Each component is scanned in order by row
       position, skipping the positions [valid c] rejects (default: none);
       its seek runs now, and each pull charges the rows it reads (a leaf
       fetch on a crossing, an entry visit).  One comparison is charged per
       heap comparison.  Read the {!Lsm_util.Kmerge.top} source's head,
       position [cm_heads.(s)] of [comps.(s)]'s columns, before
-      {!Lsm_util.Kmerge.advance}: equal keys surface newest first. *)
+      {!Lsm_util.Kmerge.advance}: equal rows surface newest first. *)
 
   type scan_spec = {
-    lo : K.t option;  (** inclusive *)
-    hi : K.t option;  (** inclusive *)
+    lo : int option;  (** inclusive, with [lo_pk] in an [Sk_pk] tree *)
+    lo_pk : int;  (** [min_int] in {!full_scan_spec}: all of key [lo] *)
+    hi : int option;  (** inclusive, with [hi_pk] in an [Sk_pk] tree *)
+    hi_pk : int;  (** [max_int] in {!full_scan_spec} *)
     reconcile : bool;
         (** newest-wins across components; [false] scans components
             independently (Mutable-bitmap strategy, Sec. 6.4.2) *)
@@ -433,11 +452,11 @@ module Make (K : KEY) (V : VALUE) : sig
   val scan :
     t ->
     scan_spec ->
-    f:(K.t -> int -> V.t Entry.t -> src_repaired:int -> unit) ->
+    f:(int -> int -> int -> V.t Entry.t -> src_repaired:int -> unit) ->
     unit
-  (** Stream entries as [f key ts value ~src_repaired]; [src_repaired] is
-      the source component's repairedTS (0 for memory).  Reconciled output
-      is in ascending key order.
+  (** Stream entries as [f key pk ts value ~src_repaired] ([pk = key] in a
+      [Pk] tree); [src_repaired] is the source component's repairedTS (0
+      for memory).  Reconciled output is in ascending row order.
 
       Reconciling scans over >= 2 disk components are served from a
       REMIX-style persistent sorted view ({!Sorted_view}): built lazily by

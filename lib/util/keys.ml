@@ -1,53 +1,17 @@
-(** Ready-made key/value instances of {!Intf.ORDERED} and {!Intf.SIZED}. *)
-
-(* The mixer is duplicated from Lsm_bloom.Hashing to keep lsm_util
-   dependency-free; both are the SplitMix64 finalizer. *)
-let mix64 (x : int) : int =
-  let open Int64 in
-  let z = of_int x in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  to_int (logxor z (shift_right_logical z 31))
-
-(** 64-bit integer keys (the paper's primary keys are random 64-bit
-    integers; OCaml's native int carries 63 bits of them). *)
-module Int_key : Intf.ORDERED with type t = int = struct
-  type t = int
-
-  let compare (a : int) b = compare a b
-  let hash = mix64
-  let byte_size _ = 8
-  let pp = Format.pp_print_int
-end
-
-(** Composite (secondary key, primary key) keys: secondary indexes use the
-    primary key as a tie-breaker so that duplicate secondary keys remain
-    distinct index entries (Sec. 3). *)
-module Int_pair_key : Intf.ORDERED with type t = int * int = struct
-  type t = int * int
-
-  let compare (a1, b1) (a2, b2) =
-    let c = compare (a1 : int) a2 in
-    if c <> 0 then c else compare (b1 : int) b2
-
-  let hash (a, b) = mix64 (mix64 a lxor b)
-  let byte_size _ = 16
-  let pp fmt (a, b) = Format.fprintf fmt "(%d,%d)" a b
-end
+(** Ready-made index values (a value type with its serialized size).
+    Index keys are plain ints: see [Lsm_tree]. *)
 
 (** Unit values, for key-only indexes (the primary key index and secondary
     indexes store no value beyond the key and timestamp). *)
-module Unit_value : Intf.SIZED with type t = unit = struct
+module Unit_value = struct
   type t = unit
 
   let byte_size () = 0
-  let pp fmt () = Format.pp_print_string fmt "()"
 end
 
 (** Integer values, occasionally useful in tests and examples. *)
-module Int_value : Intf.SIZED with type t = int = struct
+module Int_value = struct
   type t = int
 
   let byte_size _ = 8
-  let pp = Format.pp_print_int
 end

@@ -1,17 +1,7 @@
-(** Ready-made key/value instances of {!Intf.ORDERED} and {!Intf.SIZED}. *)
-
-val mix64 : int -> int
-(** The SplitMix64 finalizer (duplicated from [Lsm_bloom.Hashing] to keep
-    this library dependency-free). *)
-
-(** 63-bit integer keys (the paper's 64-bit primary keys). *)
-module Int_key : Intf.ORDERED with type t = int
-
-(** Composite (secondary key, primary key) keys: the primary key breaks
-    ties so duplicate secondary keys remain distinct entries (Sec. 3). *)
-module Int_pair_key : Intf.ORDERED with type t = int * int
+(** Ready-made index values (a value type with its serialized size).
+    Index keys are plain ints: see [Lsm_tree]. *)
 
 (** Unit values, for key-only indexes. *)
-module Unit_value : Intf.SIZED with type t = unit
+module Unit_value : sig type t = unit val byte_size : t -> int end
 
-module Int_value : Intf.SIZED with type t = int
+module Int_value : sig type t = int val byte_size : t -> int end

@@ -28,15 +28,15 @@ let get t i =
 
 let to_array t = Array.sub t.data 0 t.len
 
-(** [binary_search ~cmp ~cost t key] finds the index of an element equal
-    to [key] in the (sorted) contents, if present. *)
-let binary_search ~cmp ~cost t key =
-  let i = Search.lower_bound ~cmp ~cost t.data ~lo:0 ~hi:t.len key in
+(** [binary_search ~cost t key] finds the index of an element equal to
+    [key] in the (sorted) contents, if present. *)
+let binary_search ~cost t key =
+  let i = Search.lower_bound ~cost t.data [||] ~lo:0 ~hi:t.len key 0 in
   if
     i < t.len
     &&
     (incr cost;
-     cmp t.data.(i) key = 0)
+     t.data.(i) = key)
   then Some i
   else None
 

@@ -16,9 +16,8 @@ val get : 'a t -> int -> 'a
 
 val to_array : 'a t -> 'a array
 
-val binary_search :
-  cmp:('a -> 'b -> int) -> cost:int ref -> 'a t -> 'b -> int option
-(** [binary_search ~cmp ~cost t key]: index of an element equal to [key]
-    in the (sorted) contents, counting comparisons into [cost]. *)
+val binary_search : cost:int ref -> int t -> int -> int option
+(** [binary_search ~cost t key]: index of an element equal to [key] in
+    the (sorted) contents, counting comparisons into [cost]. *)
 
 val iter : 'a t -> ('a -> unit) -> unit

@@ -163,7 +163,7 @@ let test_set_eager_writes () =
   D.set_eager_writes d true;
   Alcotest.(check int) "switching on again does not" after_first (repairs ());
   D.upsert d (tw ~user:4 1);
-  match D.Sec.mem_find (D.secondary d "user_id").D.tree (3, 1) with
+  match D.Sec.mem_find (D.secondary d "user_id").D.tree 3 1 with
   | Some row ->
       Alcotest.(check bool) "anti-matter" false
         (Lsm_core.Dataset.Entry.is_put row.D.Sec.value);

@@ -1,8 +1,8 @@
 (* Tests for Lsm_btree: the mutable in-memory B+-tree and the immutable
    disk B+-tree (stateless find, stateful cursor, scans). *)
 
-module Mbt = Lsm_btree.Mem_btree.Make (Lsm_util.Keys.Int_key)
-module Dbt = Lsm_btree.Disk_btree.Make (Lsm_util.Keys.Int_key)
+module Mbt = Lsm_btree.Mem_btree
+module Dbt = Lsm_btree.Disk_btree
 module IntMap = Map.Make (Int)
 
 let qtest ?(count = 200) name gen prop =
@@ -15,28 +15,32 @@ let test_mbt_empty () =
   let t = Mbt.create () in
   Alcotest.(check int) "len" 0 (Mbt.length t);
   Alcotest.(check bool) "empty" true (Mbt.is_empty t);
-  Alcotest.(check (option int)) "find" None (Mbt.find t 5);
-  Alcotest.(check (option (pair int int))) "min" None (Mbt.min_binding t)
+  Alcotest.(check (option int)) "find" None (Mbt.find t 5 5);
+  Alcotest.(check int) "no bindings" 0 (Array.length (Mbt.to_sorted_array t))
 
 let test_mbt_put_find () =
   let t = Mbt.create () in
-  Alcotest.(check (option int)) "fresh" None (Mbt.put t 1 ~fkey:0 10);
-  Alcotest.(check (option int)) "replace" (Some 10) (Mbt.put t 1 ~fkey:0 11);
-  Alcotest.(check (option int)) "find" (Some 11) (Mbt.find t 1);
+  Alcotest.(check (option int)) "fresh" None (Mbt.put t 1 1 ~fkey:0 10);
+  Alcotest.(check (option int)) "replace" (Some 10) (Mbt.put t 1 1 ~fkey:0 11);
+  Alcotest.(check (option int)) "find" (Some 11) (Mbt.find t 1 1);
   Alcotest.(check int) "len" 1 (Mbt.length t)
 
 let test_mbt_many_sorted_iteration () =
   let t = Mbt.create () in
   let rng = Lsm_util.Rng.create 1 in
   let keys = Array.init 2000 (fun _ -> Lsm_util.Rng.int rng 1_000_000) in
-  Array.iter (fun k -> ignore (Mbt.put t k ~fkey:0 (k * 2))) keys;
+  Array.iter (fun k -> ignore (Mbt.put t k k ~fkey:0 (k * 2))) keys;
   let sorted = List.sort_uniq compare (Array.to_list keys) in
   Alcotest.(check int) "distinct count" (List.length sorted) (Mbt.length t);
-  let out = ref [] in
-  Mbt.iter t (fun k v ->
-      Alcotest.(check int) "value" (k * 2) v;
-      out := k :: !out);
-  Alcotest.(check (list int)) "in order" sorted (List.rev !out)
+  let out =
+    Array.to_list
+      (Array.map
+         (fun (k, _, v) ->
+           Alcotest.(check int) "value" (k * 2) v;
+           k)
+         (Mbt.to_sorted_array t))
+  in
+  Alcotest.(check (list int)) "in order" sorted out
 
 let prop_mbt_matches_map =
   qtest ~count:100 "mem btree = Map model"
@@ -46,37 +50,23 @@ let prop_mbt_matches_map =
       let m = ref IntMap.empty in
       List.iter
         (fun (k, v) ->
-          let prev = Mbt.put t k ~fkey:0 v in
+          let prev = Mbt.put t k k ~fkey:0 v in
           let mprev = IntMap.find_opt k !m in
           m := IntMap.add k v !m;
           assert (prev = mprev))
         ops;
       IntMap.cardinal !m = Mbt.length t
-      && IntMap.for_all (fun k v -> Mbt.find t k = Some v) !m
-      && Mbt.to_sorted_array t = Array.of_list (IntMap.bindings !m))
-
-let test_mbt_iter_from () =
-  let t = Mbt.create () in
-  List.iter (fun k -> ignore (Mbt.put t k ~fkey:0 k)) [ 10; 20; 30; 40; 50 ];
-  let out = ref [] in
-  Mbt.iter_from t 25 (fun k _ ->
-      out := k :: !out;
-      k < 40);
-  Alcotest.(check (list int)) "from 25 to 40" [ 30; 40 ] (List.rev !out)
-
-let test_mbt_min_max () =
-  let t = Mbt.create () in
-  List.iter (fun k -> ignore (Mbt.put t k ~fkey:0 (-k))) [ 5; 1; 9; 3 ];
-  Alcotest.(check (option (pair int int))) "min" (Some (1, -1)) (Mbt.min_binding t);
-  Alcotest.(check (option (pair int int))) "max" (Some (9, -9)) (Mbt.max_binding t)
+      && IntMap.for_all (fun k v -> Mbt.find t k k = Some v) !m
+      && Mbt.to_sorted_array t
+         = Array.of_list (List.map (fun (k, v) -> (k, k, v)) (IntMap.bindings !m)))
 
 let test_mbt_comparison_counter () =
   let t = Mbt.create () in
   for i = 0 to 100 do
-    ignore (Mbt.put t i ~fkey:0 i)
+    ignore (Mbt.put t i i ~fkey:0 i)
   done;
   ignore (Mbt.take_comparisons t);
-  ignore (Mbt.find t 50);
+  ignore (Mbt.find t 50 50);
   let c = Mbt.take_comparisons t in
   Alcotest.(check bool) "counted some" true (c > 0);
   Alcotest.(check int) "drained" 0 (Mbt.take_comparisons t)
@@ -93,7 +83,7 @@ let table_of ops =
   let t = Mbt.create () in
   List.iter
     (fun (is_put, k) ->
-      if is_put then ignore (Mbt.put t k ~fkey:0 (k * 3)) else ignore (Mbt.remove t k))
+      if is_put then ignore (Mbt.put t k k ~fkey:0 (k * 3)) else ignore (Mbt.remove t k k))
     ops;
   t
 
@@ -118,18 +108,18 @@ let prop_mbt_cursor_matches_model =
           (fun (k, _) -> match lo with None -> true | Some l -> k >= l)
           (IntMap.bindings model)
       in
-      let c = Mbt.seek t lo in
+      let c = Mbt.seek t lo 0 in
       let from_copy = drain_cursor (Mbt.copy c) in
       let got = drain_cursor c in
-      let via_iter = ref [] in
-      (match lo with
-      | Some key ->
-          Mbt.iter_from t key (fun k v ->
-              via_iter := (k, v) :: !via_iter;
-              true)
-      | None -> Mbt.iter t (fun k v -> via_iter := (k, v) :: !via_iter));
+      let via_array =
+        List.filter_map
+          (fun (k, _, v) ->
+            if match lo with None -> true | Some l -> k >= l then Some (k, v)
+            else None)
+          (Array.to_list (Mbt.to_sorted_array t))
+      in
       from_copy = expected && got = expected
-      && List.rev !via_iter = expected
+      && via_array = expected
       && (not (Mbt.step c))
       && not (Mbt.step c))
 
@@ -148,19 +138,19 @@ let prop_mbt_fkey_column_aligned =
         List.fold_left
           (fun m (is_put, k, x) ->
             if is_put then begin
-              ignore (Mbt.put t k ~fkey:x (k + x));
-              ignore (Mbt.put plain k ~fkey:x (k + x));
+              ignore (Mbt.put t k k ~fkey:x (k + x));
+              ignore (Mbt.put plain k k ~fkey:x (k + x));
               IntMap.add k (k + x, x) m
             end
             else begin
-              ignore (Mbt.remove t k);
-              ignore (Mbt.remove plain k);
+              ignore (Mbt.remove t k k);
+              ignore (Mbt.remove plain k k);
               IntMap.remove k m
             end)
           IntMap.empty ops
       in
       let walk t =
-        let c = Mbt.seek t None in
+        let c = Mbt.seek t None 0 in
         let rec go acc =
           if Mbt.step c then go ((Mbt.key c, (Mbt.value c, Mbt.fkey c)) :: acc)
           else List.rev acc
@@ -178,7 +168,7 @@ let prop_mbt_cursor_seek_comparisons =
     gen_table_and_lo (fun (ops, lo) ->
       let t = table_of ops in
       ignore (Mbt.take_comparisons t);
-      let c = Mbt.seek t lo in
+      let c = Mbt.seek t lo 0 in
       let seek_cmps = Mbt.take_comparisons t in
       ignore (drain_cursor c);
       let walk_cmps = Mbt.take_comparisons t in
@@ -187,7 +177,7 @@ let prop_mbt_cursor_seek_comparisons =
         | None -> seek_cmps = 0
         | Some key ->
             (* [find] descends the same way, then may check equality. *)
-            ignore (Mbt.find t key);
+            ignore (Mbt.find t key key);
             let d = Mbt.take_comparisons t - seek_cmps in
             d = 0 || d = 1
       in
@@ -205,7 +195,7 @@ let mk_env () =
   Lsm_sim.Env.create ~cache_bytes:(256 * 16) device
 
 (* Rows are 32 bytes each -> 8 rows per 256B page. *)
-let build env keys = Dbt.build env ~size_of:(fun _ -> 32) keys
+let build env keys = Dbt.build env ~size_of:(fun _ -> 32) keys [||]
 
 let test_dbt_build_pages () =
   let env = mk_env () in
@@ -213,25 +203,25 @@ let test_dbt_build_pages () =
   Alcotest.(check int) "rows" 100 (Dbt.nrows t);
   (* 100 rows * 32B / 256B = 12.5 -> 13 leaves *)
   Alcotest.(check int) "leaf pages" 13 (Dbt.leaf_pages t);
-  Alcotest.(check (option int)) "min" (Some 0) (Dbt.min_key t);
-  Alcotest.(check (option int)) "max" (Some 198) (Dbt.max_key t)
+  Alcotest.(check int) "min" 0 (Dbt.keys t).(0);
+  Alcotest.(check int) "max" 198 (Dbt.keys t).(99)
 
 let test_dbt_find () =
   let env = mk_env () in
   let t = build env (Array.init 100 (fun i -> i * 2)) in
-  let pos = Dbt.find env t 42 in
+  let pos = Dbt.find env t 42 0 in
   Alcotest.(check int) "pos" 21 pos;
   Alcotest.(check int) "key" 42 (Dbt.keys t).(pos);
-  Alcotest.(check int) "miss odd" (-1) (Dbt.find env t 43);
-  Alcotest.(check int) "miss below" (-1) (Dbt.find env t (-1));
-  Alcotest.(check int) "miss above" (-1) (Dbt.find env t 1000)
+  Alcotest.(check int) "miss odd" (-1) (Dbt.find env t 43 0);
+  Alcotest.(check int) "miss below" (-1) (Dbt.find env t (-1) 0);
+  Alcotest.(check int) "miss above" (-1) (Dbt.find env t 1000 0)
 
 let test_dbt_empty () =
   let env = mk_env () in
   let t = build env [||] in
-  Alcotest.(check int) "empty find" (-1) (Dbt.find env t 1);
+  Alcotest.(check int) "empty find" (-1) (Dbt.find env t 1 0);
   Alcotest.(check int) "no pages" 0 (Dbt.leaf_pages t);
-  let s = Dbt.Scan.seek env t None in
+  let s = Dbt.Scan.seek env t None 0 in
   Alcotest.(check int) "no next" (-1) (Dbt.Scan.next env s)
 
 let prop_dbt_find_matches_model =
@@ -250,7 +240,7 @@ let prop_dbt_find_matches_model =
       List.for_all
         (fun q ->
           let expect = Option.value (IntMap.find_opt q model) ~default:(-1) in
-          Dbt.find env t q = expect)
+          Dbt.find env t q 0 = expect)
         queries)
 
 let prop_dbt_cursor_matches_find =
@@ -266,7 +256,7 @@ let prop_dbt_cursor_matches_find =
       let c = Dbt.Cursor.create t in
       List.for_all
         (fun q ->
-          Dbt.find env t q = Dbt.Cursor.find env c q)
+          Dbt.find env t q 0 = Dbt.Cursor.find env c q 0)
         queries)
 
 (* A descent allocates nothing: after warm-up, 10k searches of a 10k-row
@@ -303,9 +293,9 @@ let test_dbt_search_allocates_nothing () =
         (Printf.sprintf "%s: %.0f minor words over 10k hits < 64" name hit)
         true (hit < 64.0))
     [
-      ("find", Dbt.find env t, Fun.id);
-      ("cursor", Dbt.Cursor.find env c, Fun.id);
-      ("sorted cursor", Dbt.Cursor.find env c, sorted);
+      ("find", (fun k -> Dbt.find env t k 0), Fun.id);
+      ("cursor", (fun k -> Dbt.Cursor.find env c k 0), Fun.id);
+      ("sorted cursor", (fun k -> Dbt.Cursor.find env c k 0), sorted);
     ]
 
 let test_dbt_cursor_cheaper_for_sorted_batch () =
@@ -313,19 +303,19 @@ let test_dbt_cursor_cheaper_for_sorted_batch () =
   let t = build env (Array.init 5000 (fun i -> i)) in
   (* Warm everything so only CPU differs. *)
   for i = 0 to 4999 do
-    ignore (Dbt.find env t i)
+    ignore (Dbt.find env t i 0)
   done;
   let st = Lsm_sim.Env.stats env in
   let before = st.Lsm_sim.Io_stats.comparisons in
   for i = 1000 to 1999 do
-    ignore (Dbt.find env t i)
+    ignore (Dbt.find env t i 0)
   done;
   let stateless = st.Lsm_sim.Io_stats.comparisons - before in
   let c = Dbt.Cursor.create t in
-  ignore (Dbt.Cursor.find env c 999);
+  ignore (Dbt.Cursor.find env c 999 0);
   let before = st.Lsm_sim.Io_stats.comparisons in
   for i = 1000 to 1999 do
-    ignore (Dbt.Cursor.find env c i)
+    ignore (Dbt.Cursor.find env c i 0)
   done;
   let stateful = st.Lsm_sim.Io_stats.comparisons - before in
   Alcotest.(check bool)
@@ -336,7 +326,7 @@ let test_dbt_cursor_cheaper_for_sorted_batch () =
 let test_dbt_scan_full_and_range () =
   let env = mk_env () in
   let t = build env (Array.init 100 (fun i -> i * 3)) in
-  let s = Dbt.Scan.seek env t None in
+  let s = Dbt.Scan.seek env t None 0 in
   let n = ref 0 and last = ref (-1) in
   let rec drain () =
     let i = Dbt.Scan.next env s in
@@ -352,11 +342,11 @@ let test_dbt_scan_full_and_range () =
   drain ();
   Alcotest.(check int) "all rows" 100 !n;
   (* Seek into the middle. *)
-  let s = Dbt.Scan.seek env t (Some 50) in
+  let s = Dbt.Scan.seek env t (Some 50) 0 in
   (match Dbt.Scan.next env s with
   | -1 -> Alcotest.fail "expected rows"
   | i -> Alcotest.(check int) "first >= 50" 51 (Dbt.keys t).(i));
-  Alcotest.(check (option int)) "peek" (Some 54) (Dbt.Scan.peek_key s)
+  Alcotest.(check int) "next" 54 (Dbt.keys t).(Dbt.Scan.next env s)
 
 let test_dbt_scan_sequential_io () =
   let env = mk_env () in
@@ -364,7 +354,7 @@ let test_dbt_scan_sequential_io () =
   (* Evict everything (cache is 16 pages; tree is 100 leaves). *)
   Lsm_sim.Buffer_cache.clear (Lsm_sim.Env.cache env);
   Lsm_sim.Env.reset_measurement env;
-  let s = Dbt.Scan.seek env t None in
+  let s = Dbt.Scan.seek env t None 0 in
   let rec drain () =
     if Dbt.Scan.next env s >= 0 then drain ()
   in
@@ -377,9 +367,9 @@ let test_dbt_duplicate_keys () =
   (* Duplicate keys are allowed (secondary index rows before dedup);
      [find] returns the first. *)
   let env = mk_env () in
-  let t = Dbt.build env ~size_of:(fun _ -> 32) [| 1; 2; 2; 3 |] in
-  Alcotest.(check int) "first dup pos" 1 (Dbt.find env t 2);
-  Alcotest.(check int) "lower_bound" 1 (Dbt.lower_bound_row env t 2)
+  let t = Dbt.build env ~size_of:(fun _ -> 32) [| 1; 2; 2; 3 |] [||] in
+  Alcotest.(check int) "first dup pos" 1 (Dbt.find env t 2 0);
+  Alcotest.(check int) "lower_bound" 1 (Dbt.lower_bound_row env t 2 0)
 
 let () =
   Alcotest.run "lsm_btree"
@@ -391,8 +381,6 @@ let () =
           Alcotest.test_case "sorted iteration" `Quick
             test_mbt_many_sorted_iteration;
           prop_mbt_matches_map;
-          Alcotest.test_case "iter_from" `Quick test_mbt_iter_from;
-          Alcotest.test_case "min/max" `Quick test_mbt_min_max;
           Alcotest.test_case "comparison counter" `Quick
             test_mbt_comparison_counter;
           prop_mbt_cursor_matches_model;

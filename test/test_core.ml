@@ -175,7 +175,9 @@ let test_write_step_per_strategy () =
       D.upsert d (tw ~user:5 ~loc:7 ~at:2015 1);
       D.flush_now d;
       D.upsert d (tw ~user:6 ~loc:7 ~at:2018 1);
-      let sec_mem name key = D.Sec.mem_find (D.secondary d name).D.tree key in
+      let sec_mem name (sk, pk) =
+        D.Sec.mem_find (D.secondary d name).D.tree sk pk
+      in
       let is_del = function
         | Some row -> not (Lsm_core.Dataset.Entry.is_put row.D.Sec.value)
         | None -> false
@@ -198,11 +200,11 @@ let test_write_step_per_strategy () =
           Alcotest.(check bool)
             (name "pk bit flipped")
             bit_flipped
-            (not (D.Pk.component_row_valid kc kpos));
+            (not (D.Pk.row_valid kc kpos));
           Alcotest.(check bool)
             (name "primary sees the bit")
             bit_flipped
-            (not (D.Prim.component_row_valid pc ppos))
+            (not (D.Prim.row_valid pc ppos))
       | _ -> Alcotest.fail (name "old version not on disk"));
       Array.iter
         (fun s ->
@@ -210,7 +212,7 @@ let test_write_step_per_strategy () =
             (name ("del tree of " ^ s.D.sec_name))
             del_keyed
             (match s.D.del_tree with
-            | Some dt -> D.Pk.mem_find dt 1 <> None
+            | Some dt -> D.Pk.mem_find dt 1 1 <> None
             | None -> false))
         (D.secondaries d);
       let deletes = (D.stats d).D.n_deletes in
@@ -218,7 +220,7 @@ let test_write_step_per_strategy () =
       Alcotest.(check bool)
         (name "pk tombstone for an absent key")
         blind_delete
-        (D.Pk.mem_find pkt 42 <> None);
+        (D.Pk.mem_find pkt 42 42 <> None);
       Alcotest.(check int)
         (name "n_deletes")
         (deletes + if blind_delete then 1 else 0)

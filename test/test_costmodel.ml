@@ -85,10 +85,10 @@ let prop_bigger_cache_never_slower =
 
 let test_build_write_charges () =
   let env = Env.create ~cache_bytes:(64 * 512) device in
-  let module Dbt = Lsm_btree.Disk_btree.Make (Lsm_util.Keys.Int_key) in
+  let module Dbt = Lsm_btree.Disk_btree in
   Lsm_sim.Env.reset_measurement env;
   let t =
-    Dbt.build env ~size_of:(fun _ -> 64) (Array.init 100 (fun i -> i))
+    Dbt.build env ~size_of:(fun _ -> 64) (Array.init 100 (fun i -> i)) [||]
   in
   let st = Env.stats env in
   Alcotest.(check int) "writes = leaf + interior pages"

@@ -2,8 +2,8 @@
    paths (pID hints, disk_find, filterless trees), and dataset corner
    cases (delete-then-reinsert, missing filter key, stats counters). *)
 
-module Dbt = Lsm_btree.Disk_btree.Make (Lsm_util.Keys.Int_key)
-module L = Lsm_tree.Make (Lsm_util.Keys.Int_key) (Lsm_util.Keys.Int_value)
+module Dbt = Lsm_btree.Disk_btree
+module L = Lsm_tree.Make (Lsm_util.Keys.Int_value)
 module Entry = Lsm_tree.Entry
 module D = Lsm_core.Dataset.Make (Lsm_workload.Tweet.Record)
 module Strategy = Lsm_core.Strategy
@@ -24,40 +24,40 @@ let mk_env ?(page = 256) () =
 
 let test_dbt_single_row () =
   let env = mk_env () in
-  let t = Dbt.build env ~size_of:(fun _ -> 32) [| 5 |] in
+  let t = Dbt.build env ~size_of:(fun _ -> 32) [| 5 |] [||] in
   Alcotest.(check int) "one leaf" 1 (Dbt.leaf_pages t);
-  Alcotest.(check int) "hit" 0 (Dbt.find env t 5);
-  Alcotest.(check int) "below" (-1) (Dbt.find env t 4);
-  Alcotest.(check int) "above" (-1) (Dbt.find env t 6);
-  Alcotest.(check int) "lb below" 0 (Dbt.lower_bound_row env t 4);
-  Alcotest.(check int) "lb above" 1 (Dbt.lower_bound_row env t 6)
+  Alcotest.(check int) "hit" 0 (Dbt.find env t 5 0);
+  Alcotest.(check int) "below" (-1) (Dbt.find env t 4 0);
+  Alcotest.(check int) "above" (-1) (Dbt.find env t 6 0);
+  Alcotest.(check int) "lb below" 0 (Dbt.lower_bound_row env t 4 0);
+  Alcotest.(check int) "lb above" 1 (Dbt.lower_bound_row env t 6 0)
 
 let test_dbt_rows_bigger_than_page () =
   (* Rows larger than a page: one row per leaf, no crash. *)
   let env = mk_env ~page:64 () in
-  let t = Dbt.build env ~size_of:(fun _ -> 200) (Array.init 10 Fun.id) in
+  let t = Dbt.build env ~size_of:(fun _ -> 200) (Array.init 10 Fun.id) [||] in
   Alcotest.(check int) "one leaf per row" 10 (Dbt.leaf_pages t);
   for i = 0 to 9 do
-    Alcotest.(check int) "found" i (Dbt.find env t i)
+    Alcotest.(check int) "found" i (Dbt.find env t i 0)
   done
 
 let test_dbt_cursor_descending () =
   (* Stateful cursors must stay correct when queried backwards. *)
   let env = mk_env () in
   let t =
-    Dbt.build env ~size_of:(fun _ -> 32) (Array.init 500 (fun i -> i * 2))
+    Dbt.build env ~size_of:(fun _ -> 32) (Array.init 500 (fun i -> i * 2)) [||]
   in
   let c = Dbt.Cursor.create t in
   let ok = ref true in
   for i = 499 downto 0 do
-    if Dbt.Cursor.find env c (i * 2) <> i then ok := false
+    if Dbt.Cursor.find env c (i * 2) 0 <> i then ok := false
   done;
   Alcotest.(check bool) "descending queries" true !ok
 
 let test_dbt_scan_seek_past_end () =
   let env = mk_env () in
-  let t = Dbt.build env ~size_of:(fun _ -> 32) (Array.init 10 Fun.id) in
-  let s = Dbt.Scan.seek env t (Some 100) in
+  let t = Dbt.build env ~size_of:(fun _ -> 32) (Array.init 10 Fun.id) [||] in
+  let s = Dbt.Scan.seek env t (Some 100) 0 in
   Alcotest.(check int) "empty scan" (-1) (Dbt.Scan.next env s)
 
 let prop_dbt_lower_bound_row =
@@ -69,12 +69,12 @@ let prop_dbt_lower_bound_row =
     (fun (keys, q) ->
       let env = mk_env () in
       let keys = List.sort_uniq compare keys |> Array.of_list in
-      let t = Dbt.build env ~size_of:(fun _ -> 24) keys in
+      let t = Dbt.build env ~size_of:(fun _ -> 24) keys [||] in
       let expect =
         let rec go i = if i < Array.length keys && keys.(i) < q then go (i + 1) else i in
         go 0
       in
-      Dbt.lower_bound_row env t q = expect)
+      Dbt.lower_bound_row env t q 0 = expect)
 
 (* ------------------------------------------------------------------ *)
 (* LSM lookup paths *)
@@ -88,9 +88,9 @@ let mk_tree ?(bloom = true) env =
 let test_disk_find_ignores_mem () =
   let env = mk_env () in
   let t = mk_tree env in
-  L.write t ~key:1 ~ts:1 (Entry.Put 10);
+  L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 10);
   L.flush t;
-  L.write t ~key:1 ~ts:2 (Entry.Put 20);
+  L.write t ~key:1 ~pk:1 ~ts:2 (Entry.Put 20);
   (match L.disk_find t 1 with
   | Some (c, pos) ->
       Alcotest.(check int) "disk version, not mem" 1 c.L.tss.(pos)
@@ -102,7 +102,7 @@ let test_filterless_tree_no_probes () =
   let env = mk_env () in
   let t = mk_tree ~bloom:false env in
   for i = 1 to 50 do
-    L.write t ~key:i ~ts:i (Entry.Put i)
+    L.write t ~key:i ~pk:i ~ts:i (Entry.Put i)
   done;
   L.flush t;
   Lsm_sim.Env.reset_measurement env;
@@ -125,7 +125,7 @@ let prop_hints_preserve_results =
       List.iteri
         (fun i (k, v) ->
           incr ts;
-          L.write t ~key:k ~ts:!ts (Entry.Put v);
+          L.write t ~key:k ~pk:k ~ts:!ts (Entry.Put v);
           Hashtbl.replace newest k !ts;
           if i mod 17 = 0 then L.flush t)
         writes;
@@ -158,11 +158,11 @@ let test_hints_skip_components () =
   let env = mk_env () in
   let t = mk_tree env in
   for i = 1 to 20 do
-    L.write t ~key:i ~ts:i (Entry.Put i)
+    L.write t ~key:i ~pk:i ~ts:i (Entry.Put i)
   done;
   L.flush t;
   for i = 21 to 40 do
-    L.write t ~key:i ~ts:i (Entry.Put i)
+    L.write t ~key:i ~pk:i ~ts:i (Entry.Put i)
   done;
   L.flush t;
   let st = Lsm_sim.Env.stats env in

@@ -4,8 +4,8 @@
    provenance queries, and memory-write rollback. *)
 
 module Vec = Lsm_util.Vec
-module Mbt = Lsm_btree.Mem_btree.Make (Lsm_util.Keys.Int_key)
-module L = Lsm_tree.Make (Lsm_util.Keys.Int_key) (Lsm_util.Keys.Int_value)
+module Mbt = Lsm_btree.Mem_btree
+module L = Lsm_tree.Make (Lsm_util.Keys.Int_value)
 module Entry = Lsm_tree.Entry
 module IntMap = Map.Make (Int)
 
@@ -45,9 +45,9 @@ let test_vec_binary_search () =
   done;
   let cost = ref 0 in
   Alcotest.(check (option int)) "hit" (Some 7)
-    (Vec.binary_search ~cmp:compare ~cost v 21);
+    (Vec.binary_search ~cost v 21);
   Alcotest.(check (option int)) "miss" None
-    (Vec.binary_search ~cmp:compare ~cost v 22)
+    (Vec.binary_search ~cost v 22)
 
 let prop_vec_matches_list =
   qtest "vec = list model"
@@ -98,19 +98,18 @@ let prop_mbt_remove_matches_map =
         (fun (k, op) ->
           match op with
           | `Put ->
-              ignore (Mbt.put t k ~fkey:0 (k * 3));
+              ignore (Mbt.put t k k ~fkey:0 (k * 3));
               m := IntMap.add k (k * 3) !m
           | `Remove ->
-              let got = Mbt.remove t k in
+              let got = Mbt.remove t k k in
               let want = IntMap.find_opt k !m in
               m := IntMap.remove k !m;
               assert (got = want))
         ops;
       Mbt.length t = IntMap.cardinal !m
-      && IntMap.for_all (fun k v -> Mbt.find t k = Some v) !m
-      && Mbt.to_sorted_array t = Array.of_list (IntMap.bindings !m)
-      && Mbt.min_binding t = IntMap.min_binding_opt !m
-      && Mbt.max_binding t = IntMap.max_binding_opt !m)
+      && IntMap.for_all (fun k v -> Mbt.find t k k = Some v) !m
+      && Mbt.to_sorted_array t
+         = Array.of_list (List.map (fun (k, v) -> (k, k, v)) (IntMap.bindings !m)))
 
 (* ------------------------------------------------------------------ *)
 (* emit_del scans *)
@@ -118,16 +117,16 @@ let prop_mbt_remove_matches_map =
 let test_scan_emit_del () =
   let env = mk_env () in
   let t = mk_tree env in
-  L.write t ~key:1 ~ts:1 (Entry.Put 10);
-  L.write t ~key:2 ~ts:2 (Entry.Put 20);
+  L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 10);
+  L.write t ~key:2 ~pk:2 ~ts:2 (Entry.Put 20);
   L.flush t;
-  L.write t ~key:1 ~ts:3 Entry.Del;
+  L.write t ~key:1 ~pk:1 ~ts:3 Entry.Del;
   let plain = ref [] and with_del = ref [] in
-  L.scan t L.full_scan_spec ~f:(fun key _ value ~src_repaired:_ ->
+  L.scan t L.full_scan_spec ~f:(fun key _ _ value ~src_repaired:_ ->
       plain := (key, value) :: !plain);
   L.scan t
     { L.full_scan_spec with emit_del = true }
-    ~f:(fun key _ value ~src_repaired:_ ->
+    ~f:(fun key _ _ value ~src_repaired:_ ->
       with_del := (key, value) :: !with_del);
   Alcotest.(check int) "plain hides deleted" 1 (List.length !plain);
   Alcotest.(check int) "emit_del shows tombstone" 2 (List.length !with_del);
@@ -140,9 +139,9 @@ let test_scan_emit_del () =
 let test_tombstone_barrier () =
   let env = mk_env () in
   let t = mk_tree env in
-  L.write t ~key:1 ~ts:1 (Entry.Put 10);
+  L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 10);
   L.flush t;
-  L.write t ~key:1 ~ts:2 Entry.Del;
+  L.write t ~key:1 ~pk:1 ~ts:2 Entry.Del;
   L.flush t;
   (* Barrier below the tombstone's ts: the bottom merge must keep it. *)
   L.set_tombstone_drop_ts t 1;
@@ -151,7 +150,7 @@ let test_tombstone_barrier () =
   (* Raise the barrier; the next bottom merge may drop it... but a single
      component cannot merge alone, so add another and re-merge. *)
   L.set_tombstone_drop_ts t max_int;
-  L.write t ~key:2 ~ts:3 (Entry.Put 20);
+  L.write t ~key:2 ~pk:2 ~ts:3 (Entry.Put 20);
   L.flush t;
   let c2 = L.merge t ~first:0 ~last:1 in
   Alcotest.(check int) "tombstone dropped once safe" 1 (L.component_rows c2)
@@ -162,17 +161,17 @@ let test_tombstone_barrier () =
 let test_build_and_replace () =
   let env = mk_env () in
   let t = mk_tree env in
-  L.write t ~key:1 ~ts:1 (Entry.Put 10);
+  L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 10);
   L.flush t;
-  L.write t ~key:2 ~ts:2 (Entry.Put 20);
+  L.write t ~key:2 ~pk:2 ~ts:2 (Entry.Put 20);
   L.flush t;
   let inputs = L.components t in
-  L.write t ~key:3 ~ts:3 (Entry.Put 30);
+  L.write t ~key:3 ~pk:3 ~ts:3 (Entry.Put 30);
   L.flush t;
   let keys = [| 1; 2 |] and tss = [| 1; 2 |] in
   let vals = [| Entry.Put 11; Entry.Put 20 |] in
   (* The inputs are found by identity behind the component flushed since. *)
-  let c = L.install t ~inputs ~keys ~tss ~vals in
+  let c = L.install t ~inputs ~keys ~pks:[||] ~tss ~vals in
   Alcotest.(check int) "two components" 2 (L.component_count t);
   Alcotest.(check bool) "installed oldest" true ((L.components t).(1) == c);
   Alcotest.(check (pair int int)) "id spans inputs" (1, 2) (L.component_id c);
@@ -182,7 +181,7 @@ let test_build_and_replace () =
   | None -> Alcotest.fail "lost key");
   Alcotest.check_raises "inputs gone"
     (Invalid_argument "Lsm_tree.install: inputs are not a run of the tree")
-    (fun () -> ignore (L.install t ~inputs ~keys ~tss ~vals))
+    (fun () -> ignore (L.install t ~inputs ~keys ~pks:[||] ~tss ~vals))
 
 (* ------------------------------------------------------------------ *)
 (* Flush provenance: prov_run, id_run, durable_frontiers *)
@@ -192,7 +191,7 @@ let mk_sharded_tree env shards =
 
 (* The first key at or above [from] that routes to shard [s]. *)
 let rec key_in t s ~from =
-  if L.shard_of t from = s then from else key_in t s ~from:(from + 1)
+  if L.shard_of t from from = s then from else key_in t s ~from:(from + 1)
 
 let test_provenance_queries () =
   let env = mk_env () in
@@ -203,11 +202,11 @@ let test_provenance_queries () =
   (* Shard 0 holds ts 1 and 3, shard 1 holds ts 2: flushing shard 0
      first gives x = (1,3), which nests the later shard-1 component
      y = (2,2) in its ID range. *)
-  L.write t ~key:a ~ts:1 (Entry.Put 1);
-  L.write t ~key:b ~ts:2 (Entry.Put 2);
-  L.write t ~key:a' ~ts:3 (Entry.Put 3);
+  L.write t ~key:a ~pk:a ~ts:1 (Entry.Put 1);
+  L.write t ~key:b ~pk:b ~ts:2 (Entry.Put 2);
+  L.write t ~key:a' ~pk:a' ~ts:3 (Entry.Put 3);
   L.flush ~shard:0 t;
-  L.write t ~key:a'' ~ts:4 (Entry.Put 4);
+  L.write t ~key:a'' ~pk:a'' ~ts:4 (Entry.Put 4);
   L.flush ~shard:1 t;
   L.flush ~shard:0 t;
   let c = L.components t in
@@ -239,7 +238,7 @@ let test_provenance_queries () =
   Alcotest.check run "merged component matches itself" (Some (0, 0))
     (L.prov_run t (z.L.prov @ y.L.prov));
   (* A whole-memory flush covers every shard. *)
-  L.write t ~key:b ~ts:5 (Entry.Put 5);
+  L.write t ~key:b ~pk:b ~ts:5 (Entry.Put 5);
   L.flush t;
   Alcotest.(check (array int)) "whole flush covers all" [| 5; 5 |]
     (L.durable_frontiers t)
@@ -265,7 +264,7 @@ let prop_frontiers_split_disk_and_memory =
         (function
           | Write k ->
               incr ts;
-              L.write t ~key:k ~ts:!ts (Entry.Put k)
+              L.write t ~key:k ~pk:k ~ts:!ts (Entry.Put k)
           | Flush -> L.flush t
           | Flush_shard s -> L.flush ~shard:(s mod shards) t
           | Merge (a, b) ->
@@ -279,13 +278,13 @@ let prop_frontiers_split_disk_and_memory =
       && Array.for_all
            (fun c ->
              Array.for_all2
-               (fun key ts -> ts <= f.(L.shard_of t key))
-               (L.Dbt.keys c.L.tree) c.L.tss)
+               (fun key ts -> ts <= f.(L.shard_of t key key))
+               (Lsm_btree.Disk_btree.keys c.L.tree) c.L.tss)
            (L.components t)
       && List.for_all
            (fun k ->
-             match L.mem_find t k with
-             | Some r -> r.L.ts > f.(L.shard_of t k)
+             match L.mem_find t k k with
+             | Some r -> r.L.ts > f.(L.shard_of t k k)
              | None -> true)
            (List.init 41 Fun.id))
 
@@ -295,11 +294,11 @@ let prop_frontiers_split_disk_and_memory =
 let test_mem_rollback () =
   let env = mk_env () in
   let t = mk_tree env in
-  L.write t ~key:1 ~ts:1 (Entry.Put 10);
+  L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 10);
   let bytes1 = L.mem_bytes t in
-  L.write t ~key:1 ~ts:2 (Entry.Put 99);
+  L.write t ~key:1 ~pk:1 ~ts:2 (Entry.Put 99);
   (* Roll the second write back, restoring the first binding. *)
-  L.mem_rollback t ~key:1 ~prior:(Some (1, Entry.Put 10));
+  L.mem_rollback t ~key:1 ~pk:1 ~prior:(Some (1, Entry.Put 10));
   (match L.lookup_one t 1 with
   | Some r ->
       Alcotest.(check bool) "restored value" true (r.L.value = Entry.Put 10);
@@ -307,16 +306,16 @@ let test_mem_rollback () =
   | None -> Alcotest.fail "binding lost");
   Alcotest.(check int) "bytes restored" bytes1 (L.mem_bytes t);
   (* Roll back a fresh insert (no prior): the key disappears. *)
-  L.write t ~key:7 ~ts:3 (Entry.Put 70);
-  L.mem_rollback t ~key:7 ~prior:None;
+  L.write t ~key:7 ~pk:7 ~ts:3 (Entry.Put 70);
+  L.mem_rollback t ~key:7 ~pk:7 ~prior:None;
   Alcotest.(check bool) "insert rolled back" true (L.lookup_one t 7 = None)
 
 let test_reset_memory () =
   let env = mk_env () in
   let t = mk_tree env in
-  L.write t ~key:1 ~ts:1 (Entry.Put 10);
+  L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 10);
   L.flush t;
-  L.write t ~key:2 ~ts:2 (Entry.Put 20);
+  L.write t ~key:2 ~pk:2 ~ts:2 (Entry.Put 20);
   L.reset_memory t;
   Alcotest.(check int) "mem empty" 0 (L.mem_count t);
   Alcotest.(check bool) "disk survives" true (L.lookup_one t 1 <> None);

@@ -1,7 +1,7 @@
 (* Tests for Lsm_tree: the generic LSM tree (writes, flush, merge,
    point-lookup algorithms, reconciling scans, bitmaps, merge policies). *)
 
-module L = Lsm_tree.Make (Lsm_util.Keys.Int_key) (Lsm_util.Keys.Int_value)
+module L = Lsm_tree.Make (Lsm_util.Keys.Int_value)
 module Entry = Lsm_tree.Entry
 module Mp = Lsm_tree.Merge_policy
 module IntMap = Map.Make (Int)
@@ -21,6 +21,13 @@ let mk_tree ?(bloom = Some Lsm_tree.Config.default_bloom) ?(bitmap = false)
   L.create ?filter_of env
     (Lsm_tree.Config.make ~bloom ~validity_bitmap:bitmap "t")
 
+module U = Lsm_tree.Make (Lsm_util.Keys.Unit_value)
+
+(* A dataset's secondary tree: unit values, no Bloom filter. *)
+let mk_sec_tree ?(shards = 1) env =
+  U.create ~layout:Lsm_tree.Sk_pk env
+    (Lsm_tree.Config.make ~bloom:None ~shards "sec")
+
 let entry_testable =
   Alcotest.testable
     (fun fmt -> function
@@ -34,8 +41,8 @@ let entry_testable =
 let test_write_and_mem_lookup () =
   let env = mk_env () in
   let t = mk_tree env in
-  L.write t ~key:1 ~ts:1 (Entry.Put 10);
-  L.write t ~key:2 ~ts:2 (Entry.Put 20);
+  L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 10);
+  L.write t ~key:2 ~pk:2 ~ts:2 (Entry.Put 20);
   (match L.lookup_one t 1 with
   | Some r -> Alcotest.check entry_testable "mem hit" (Entry.Put 10) r.L.value
   | None -> Alcotest.fail "expected");
@@ -45,8 +52,8 @@ let test_write_and_mem_lookup () =
 let test_same_key_replaces_in_mem () =
   let env = mk_env () in
   let t = mk_tree env in
-  L.write t ~key:1 ~ts:1 (Entry.Put 10);
-  L.write t ~key:1 ~ts:5 (Entry.Put 11);
+  L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 10);
+  L.write t ~key:1 ~pk:1 ~ts:5 (Entry.Put 11);
   Alcotest.(check int) "one entry" 1 (L.mem_count t);
   (match L.lookup_one t 1 with
   | Some r ->
@@ -59,7 +66,7 @@ let test_flush_creates_component () =
   let env = mk_env () in
   let t = mk_tree env in
   for i = 1 to 50 do
-    L.write t ~key:i ~ts:i (Entry.Put (i * 10))
+    L.write t ~key:i ~pk:i ~ts:i (Entry.Put (i * 10))
   done;
   L.flush t;
   Alcotest.(check int) "one component" 1 (L.component_count t);
@@ -80,9 +87,9 @@ let test_flush_empty_noop () =
 let test_newest_component_wins () =
   let env = mk_env () in
   let t = mk_tree env in
-  L.write t ~key:1 ~ts:1 (Entry.Put 10);
+  L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 10);
   L.flush t;
-  L.write t ~key:1 ~ts:2 (Entry.Put 20);
+  L.write t ~key:1 ~pk:1 ~ts:2 (Entry.Put 20);
   L.flush t;
   (match L.lookup_one t 1 with
   | Some r -> Alcotest.check entry_testable "newest" (Entry.Put 20) r.L.value
@@ -92,9 +99,9 @@ let test_newest_component_wins () =
 let test_anti_matter_lookup () =
   let env = mk_env () in
   let t = mk_tree env in
-  L.write t ~key:1 ~ts:1 (Entry.Put 10);
+  L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 10);
   L.flush t;
-  L.write t ~key:1 ~ts:2 Entry.Del;
+  L.write t ~key:1 ~pk:1 ~ts:2 Entry.Del;
   (match L.lookup_one t 1 with
   | Some r -> Alcotest.check entry_testable "del visible" Entry.Del r.L.value
   | None -> Alcotest.fail "anti-matter should be returned, not skipped")
@@ -105,11 +112,11 @@ let test_anti_matter_lookup () =
 let test_merge_reconciles () =
   let env = mk_env () in
   let t = mk_tree env in
-  L.write t ~key:1 ~ts:1 (Entry.Put 10);
-  L.write t ~key:2 ~ts:2 (Entry.Put 20);
+  L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 10);
+  L.write t ~key:2 ~pk:2 ~ts:2 (Entry.Put 20);
   L.flush t;
-  L.write t ~key:1 ~ts:3 (Entry.Put 11);
-  L.write t ~key:3 ~ts:4 (Entry.Put 30);
+  L.write t ~key:1 ~pk:1 ~ts:3 (Entry.Put 11);
+  L.write t ~key:3 ~pk:3 ~ts:4 (Entry.Put 30);
   L.flush t;
   let c = L.merge t ~first:0 ~last:1 in
   Alcotest.(check int) "one component" 1 (L.component_count t);
@@ -122,10 +129,10 @@ let test_merge_reconciles () =
 let test_merge_drops_del_at_bottom () =
   let env = mk_env () in
   let t = mk_tree env in
-  L.write t ~key:1 ~ts:1 (Entry.Put 10);
-  L.write t ~key:2 ~ts:2 (Entry.Put 20);
+  L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 10);
+  L.write t ~key:2 ~pk:2 ~ts:2 (Entry.Put 20);
   L.flush t;
-  L.write t ~key:1 ~ts:3 Entry.Del;
+  L.write t ~key:1 ~pk:1 ~ts:3 Entry.Del;
   L.flush t;
   let c = L.merge t ~first:0 ~last:1 in
   Alcotest.(check int) "tombstone gone" 1 (L.component_rows c);
@@ -134,11 +141,11 @@ let test_merge_drops_del_at_bottom () =
 let test_merge_keeps_del_above_bottom () =
   let env = mk_env () in
   let t = mk_tree env in
-  L.write t ~key:1 ~ts:1 (Entry.Put 10);
+  L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 10);
   L.flush t;
-  L.write t ~key:1 ~ts:2 Entry.Del;
+  L.write t ~key:1 ~pk:1 ~ts:2 Entry.Del;
   L.flush t;
-  L.write t ~key:2 ~ts:3 (Entry.Put 20);
+  L.write t ~key:2 ~pk:2 ~ts:3 (Entry.Put 20);
   L.flush t;
   (* Merge the two NEWEST components; the oldest still holds Put 1, so the
      anti-matter must survive. *)
@@ -151,12 +158,12 @@ let test_merge_keeps_del_above_bottom () =
 let test_merge_respects_bitmap () =
   let env = mk_env () in
   let t = mk_tree env in
-  L.write t ~key:1 ~ts:1 (Entry.Put 10);
-  L.write t ~key:2 ~ts:2 (Entry.Put 20);
+  L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 10);
+  L.write t ~key:2 ~pk:2 ~ts:2 (Entry.Put 20);
   L.flush t;
   let c0 = (L.components t).(0) in
   L.invalidate c0 0 (* key 1 *);
-  L.write t ~key:3 ~ts:3 (Entry.Put 30);
+  L.write t ~key:3 ~pk:3 ~ts:3 (Entry.Put 30);
   L.flush t;
   let merged = L.merge t ~first:0 ~last:1 in
   Alcotest.(check int) "invalidated dropped" 2 (L.component_rows merged);
@@ -195,10 +202,10 @@ let prop_lsm_matches_model =
             (match op with
             | Write (k, v) ->
                 incr ts;
-                L.write t ~key:k ~ts:!ts (Entry.Put v)
+                L.write t ~key:k ~pk:k ~ts:!ts (Entry.Put v)
             | Delete k ->
                 incr ts;
-                L.write t ~key:k ~ts:!ts Entry.Del
+                L.write t ~key:k ~pk:k ~ts:!ts Entry.Del
             | Flush -> L.flush t
             | MergeAll ->
                 if L.component_count t >= 2 then
@@ -224,7 +231,7 @@ let prop_lsm_matches_model =
                match st with `Put v -> Some (k, v) | `Del -> None)
       in
       let scanned = ref [] in
-      L.scan t L.full_scan_spec ~f:(fun key _ value ~src_repaired:_ ->
+      L.scan t L.full_scan_spec ~f:(fun key _ _ value ~src_repaired:_ ->
           match value with
           | Entry.Put v -> scanned := (key, v) :: !scanned
           | Entry.Del -> ());
@@ -245,10 +252,10 @@ let prop_batched_lookup_matches_naive =
           match op with
           | Write (k, v) ->
               incr ts;
-              L.write t ~key:k ~ts:!ts (Entry.Put v)
+              L.write t ~key:k ~pk:k ~ts:!ts (Entry.Put v)
           | Delete k ->
               incr ts;
-              L.write t ~key:k ~ts:!ts Entry.Del
+              L.write t ~key:k ~pk:k ~ts:!ts Entry.Del
           | Flush -> L.flush t
           | MergeAll ->
               if L.component_count t >= 2 then
@@ -285,33 +292,33 @@ let test_scan_range_bounds () =
   let env = mk_env () in
   let t = mk_tree env in
   for i = 1 to 30 do
-    L.write t ~key:i ~ts:i (Entry.Put i)
+    L.write t ~key:i ~pk:i ~ts:i (Entry.Put i)
   done;
   L.flush t;
   for i = 31 to 40 do
-    L.write t ~key:i ~ts:i (Entry.Put i)
+    L.write t ~key:i ~pk:i ~ts:i (Entry.Put i)
   done;
   let out = ref [] in
   L.scan t
     { L.full_scan_spec with lo = Some 25; hi = Some 35 }
-    ~f:(fun key _ _ ~src_repaired:_ -> out := key :: !out);
+    ~f:(fun key _ _ _ ~src_repaired:_ -> out := key :: !out);
   Alcotest.(check (list int)) "range" [ 25; 26; 27; 28; 29; 30; 31; 32; 33; 34; 35 ]
     (List.rev !out)
 
 let test_scan_non_reconciling_per_component () =
   let env = mk_env () in
   let t = mk_tree ~bitmap:true env in
-  L.write t ~key:1 ~ts:1 (Entry.Put 10);
-  L.write t ~key:2 ~ts:2 (Entry.Put 20);
+  L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 10);
+  L.write t ~key:2 ~pk:2 ~ts:2 (Entry.Put 20);
   L.flush t;
   (* Mark key 1 invalid in the old component, then upsert it anew. *)
   let c0 = (L.components t).(0) in
   L.invalidate c0 0;
-  L.write t ~key:1 ~ts:3 (Entry.Put 11);
+  L.write t ~key:1 ~pk:1 ~ts:3 (Entry.Put 11);
   let out = ref [] in
   L.scan t
     { L.full_scan_spec with reconcile = false }
-    ~f:(fun key _ value ~src_repaired:_ -> out := (key, value) :: !out);
+    ~f:(fun key _ _ value ~src_repaired:_ -> out := (key, value) :: !out);
   (* Memory first (key 1 new), then the disk component (key 2 only). *)
   Alcotest.(check int) "two entries" 2 (List.length !out);
   Alcotest.(check bool) "no stale version" true
@@ -322,15 +329,15 @@ let test_scan_non_reconciling_per_component () =
 let test_scan_only_subset () =
   let env = mk_env () in
   let t = mk_tree env in
-  L.write t ~key:1 ~ts:1 (Entry.Put 10);
+  L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 10);
   L.flush t;
-  L.write t ~key:2 ~ts:2 (Entry.Put 20);
+  L.write t ~key:2 ~pk:2 ~ts:2 (Entry.Put 20);
   L.flush t;
   let comps = L.components t in
   let out = ref [] in
   L.scan t
     { L.full_scan_spec with only = Some [ comps.(0) ]; include_mem = false }
-    ~f:(fun key _ _ ~src_repaired:_ -> out := key :: !out);
+    ~f:(fun key _ _ _ ~src_repaired:_ -> out := key :: !out);
   Alcotest.(check (list int)) "only newest comp" [ 2 ] (List.rev !out)
 
 (* A memory-only reconciling scan reads the memtable in place: it must not
@@ -340,13 +347,13 @@ let test_mem_scan_no_major_alloc () =
   let env = mk_env () in
   let t = mk_tree env in
   for i = 1 to 5_000 do
-    L.write t ~key:i ~ts:i (Entry.Put i)
+    L.write t ~key:i ~pk:i ~ts:i (Entry.Put i)
   done;
   let direct_major spec =
     let n = ref 0 in
     Gc.minor ();
     let _, promoted0, major0 = Gc.counters () in
-    L.scan t spec ~f:(fun _ _ _ ~src_repaired:_ -> incr n);
+    L.scan t spec ~f:(fun _ _ _ _ ~src_repaired:_ -> incr n);
     let _, promoted1, major1 = Gc.counters () in
     (!n, major1 -. major0 -. (promoted1 -. promoted0))
   in
@@ -376,24 +383,24 @@ let mem_stream env tables (spec : L.scan_spec) =
           k <= h
     in
     let slice m =
-      let c = L.Mbt.seek m spec.lo in
+      let c = Lsm_btree.Mem_btree.seek m spec.lo 0 in
       let n =
         match (spec.lo, spec.hi) with
-        | None, None -> L.Mbt.length m
+        | None, None -> Lsm_btree.Mem_btree.length m
         | _ ->
-            let w = L.Mbt.copy c in
+            let w = Lsm_btree.Mem_btree.copy c in
             let rec count n =
-              if not (L.Mbt.step w) then n
-              else if within_hi (L.Mbt.key w) then count (n + 1)
+              if not (Lsm_btree.Mem_btree.step w) then n
+              else if within_hi (Lsm_btree.Mem_btree.key w) then count (n + 1)
               else if Option.is_none spec.lo then count n
               else n
             in
             count 0
       in
       Array.init n (fun _ ->
-          ignore (L.Mbt.step c);
-          let ts, value = L.Mbt.value c in
-          { L.key = L.Mbt.key c; ts; value })
+          ignore (Lsm_btree.Mem_btree.step c);
+          let ts, value = Lsm_btree.Mem_btree.value c in
+          { L.key = Lsm_btree.Mem_btree.key c; ts; value })
     in
     let rows = Array.concat (Array.to_list (Array.map slice tables)) in
     if Array.length tables > 1 then
@@ -403,7 +410,7 @@ let mem_stream env tables (spec : L.scan_spec) =
           Int.compare a.key b.key)
         rows;
     Lsm_sim.Env.charge_comparisons env
-      (Array.fold_left (fun acc m -> acc + L.Mbt.take_comparisons m) 0 tables);
+      (Array.fold_left (fun acc m -> acc + Lsm_btree.Mem_btree.take_comparisons m) 0 tables);
     Lsm_sim.Env.charge_entry_visits env (Array.length rows);
     Seq.to_dispenser (Array.to_seq rows)
   end
@@ -414,10 +421,10 @@ let mem_stream env tables (spec : L.scan_spec) =
    now, and each pull a leaf fetch on a crossing, an entry visit and a hi
    comparison per row it reads. *)
 let component_stream env (spec : L.scan_spec) ~valid (c : L.disk_component) =
-  let s = L.Dbt.Scan.seek env c.tree spec.lo in
-  let keys = L.Dbt.keys c.tree in
+  let s = Lsm_btree.Disk_btree.Scan.seek env c.tree spec.lo 0 in
+  let keys = Lsm_btree.Disk_btree.keys c.tree in
   let rec next () =
-    let i = L.Dbt.Scan.next env s in
+    let i = Lsm_btree.Disk_btree.Scan.next env s in
     if i < 0 then -1
     else if
       match spec.hi with
@@ -445,8 +452,9 @@ let heap_scan env t tables (spec : L.scan_spec) ~f =
   in
   let emit (row : L.row) ~src_repaired =
     match row.value with
-    | Entry.Put _ -> f row.key row.ts row.value ~src_repaired
-    | Entry.Del -> if spec.emit_del then f row.key row.ts row.value ~src_repaired
+    | Entry.Put _ -> f row.key row.key row.ts row.value ~src_repaired
+    | Entry.Del ->
+        if spec.emit_del then f row.key row.key row.ts row.value ~src_repaired
   in
   let mem = mem_stream env tables spec in
   let mem_src () =
@@ -466,7 +474,7 @@ let heap_scan env t tables (spec : L.scan_spec) ~f =
       (fun c ->
         let next =
           component_stream env spec c ~valid:(fun i ->
-              (not spec.respect_bitmap) || L.component_row_valid c i)
+              (not spec.respect_bitmap) || L.row_valid c i)
         in
         fun () ->
           let i = next () in
@@ -570,15 +578,15 @@ let prop_scan_matches_heap =
         in
         (* The heap loop reads this replica of the memtables. *)
         let fresh () =
-          Array.init c.shards (fun _ -> L.Mbt.create ~fkeys:false ())
+          Array.init c.shards (fun _ -> Lsm_btree.Mem_btree.create ~fkeys:false ())
         in
         let tables = ref (fresh ()) in
         let ts = ref 0 in
         let write k e =
           incr ts;
-          L.write t ~key:k ~ts:!ts e;
-          let m = !tables.(L.shard_of t k) in
-          ignore (L.Mbt.put m k ~fkey:L.no_fkey (!ts, e))
+          L.write t ~key:k ~pk:k ~ts:!ts e;
+          let m = !tables.(L.shard_of t k k) in
+          ignore (Lsm_btree.Mem_btree.put m k k ~fkey:L.no_fkey (!ts, e))
         in
         List.iter
           (function
@@ -588,7 +596,7 @@ let prop_scan_matches_heap =
                 if not (L.mem_is_empty t) then tables := fresh ();
                 L.flush t)
           c.ops;
-        Array.iter (fun m -> ignore (L.Mbt.take_comparisons m)) !tables;
+        Array.iter (fun m -> ignore (Lsm_btree.Mem_btree.take_comparisons m)) !tables;
         let comps = L.components t in
         List.iter
           (fun (ci, pos) ->
@@ -624,7 +632,7 @@ let prop_scan_matches_heap =
       let run scan =
         let env, t, tables, spec = build () in
         let out = ref [] in
-        scan env t tables spec ~f:(fun key ts value ~src_repaired ->
+        scan env t tables spec ~f:(fun key _ ts value ~src_repaired ->
             out := (key, ts, value, src_repaired) :: !out);
         ( List.rev !out,
           Lsm_sim.Io_stats.fields (Lsm_sim.Env.stats env),
@@ -723,10 +731,10 @@ let prop_filtered_scan_matches_post_filter =
               (function
                 | Write (k, v) ->
                     incr ts;
-                    L.write t ~key:k ~ts:!ts (Entry.Put v)
+                    L.write t ~key:k ~pk:k ~ts:!ts (Entry.Put v)
                 | Delete k ->
                     incr ts;
-                    L.write t ~key:k ~ts:!ts Entry.Del
+                    L.write t ~key:k ~pk:k ~ts:!ts Entry.Del
                 | Flush | MergeAll -> ())
               ops;
             if i < nseg - 1 then L.flush t)
@@ -742,7 +750,7 @@ let prop_filtered_scan_matches_post_filter =
         | Some i when i < Array.length comps -> L.quarantine t comps.(i)
         | _ -> ());
         L.set_sorted_views t fc.views;
-        if fc.warm then L.scan t L.full_scan_spec ~f:(fun _ _ _ ~src_repaired:_ -> ());
+        if fc.warm then L.scan t L.full_scan_spec ~f:(fun _ _ _ _ ~src_repaired:_ -> ());
         let only =
           Option.map
             (fun mask ->
@@ -770,7 +778,7 @@ let prop_filtered_scan_matches_post_filter =
         let env, t, spec = build () in
         let out = ref [] in
         let spec = if filtered then { spec with filter = Some fc.filter } else spec in
-        L.scan t spec ~f:(fun key ts value ~src_repaired ->
+        L.scan t spec ~f:(fun key _ ts value ~src_repaired ->
             let keep =
               filtered
               || match value with Entry.Put v -> a <= v && v <= b | Entry.Del -> true
@@ -792,15 +800,15 @@ let test_disk_filter_column () =
   let plain = mk_tree env in
   List.iter
     (fun t ->
-      L.write t ~key:1 ~ts:1 (Entry.Put 3);
-      L.write t ~key:2 ~ts:2 (Entry.Put 5);
+      L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 3);
+      L.write t ~key:2 ~pk:2 ~ts:2 (Entry.Put 5);
       L.flush t;
-      L.write t ~key:2 ~ts:3 Entry.Del;
-      L.write t ~key:4 ~ts:4 (Entry.Put 7);
+      L.write t ~key:2 ~pk:2 ~ts:3 Entry.Del;
+      L.write t ~key:4 ~pk:4 ~ts:4 (Entry.Put 7);
       L.flush t)
     [ t; plain ];
   let column c =
-    Array.to_list (L.Dbt.keys c.L.tree),
+    Array.to_list (Lsm_btree.Disk_btree.keys c.L.tree),
     Array.to_list (Lazy.force c.L.fkeys)
   in
   Alcotest.(check (pair (list int) (list int)))
@@ -814,13 +822,13 @@ let test_disk_filter_column () =
 let test_filter_needs_range_filters () =
   let env = mk_env () in
   let t = mk_tree env in
-  L.write t ~key:1 ~ts:1 (Entry.Put 10);
+  L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 10);
   Alcotest.check_raises "no filter_of"
     (Invalid_argument "Lsm_tree.scan: filter on a tree without range filters")
     (fun () ->
       L.scan t
         { L.full_scan_spec with filter = Some (0, 10) }
-        ~f:(fun _ _ _ ~src_repaired:_ -> ()))
+        ~f:(fun _ _ _ _ ~src_repaired:_ -> ()))
 
 (* ------------------------------------------------------------------ *)
 (* The newest-first component probe *)
@@ -842,7 +850,7 @@ let oracle_probe_bloom env (c : L.disk_component) key =
       Lsm_sim.Env.charge_cache_lines env
         (Lsm_bloom.Filter.cache_lines_per_probe f);
       let maybe =
-        Lsm_bloom.Filter.contains f (Lsm_util.Keys.Int_key.hash key)
+        Lsm_bloom.Filter.contains f (Lsm_bloom.Hashing.mix64 key)
       in
       if not maybe then
         st.Lsm_sim.Io_stats.bloom_negatives <-
@@ -856,14 +864,14 @@ let oracle_note_fp env (c : L.disk_component) =
   end
 
 let oracle_lookup_one env t key =
-  match L.mem_find t key with
+  match L.mem_find t key key with
   | Some r -> Some r
   | None ->
       let rec go = function
         | [] -> None
         | (c : L.disk_component) :: rest ->
             if oracle_probe_bloom env c key then
-              match L.Dbt.find env c.L.tree key with
+              match Lsm_btree.Disk_btree.find env c.L.tree key 0 with
               | -1 ->
                   oracle_note_fp env c;
                   go rest
@@ -873,7 +881,7 @@ let oracle_lookup_one env t key =
       go (Array.to_list (L.components t))
 
 let oracle_entry_is_valid env t ?cursors ~key ~ts ~threshold () =
-  match L.mem_find t key with
+  match L.mem_find t key key with
   | Some row -> row.L.ts <= ts
   | None ->
       let comps = L.components t in
@@ -885,8 +893,8 @@ let oracle_entry_is_valid env t ?cursors ~key ~ts ~threshold () =
           else if oracle_probe_bloom env c key then begin
             let hit =
               match cursors with
-              | Some cs -> L.Dbt.Cursor.find env cs.(i) key
-              | None -> L.Dbt.find env c.L.tree key
+              | Some cs -> Lsm_btree.Disk_btree.Cursor.find env cs.(i) key 0
+              | None -> Lsm_btree.Disk_btree.find env c.L.tree key 0
             in
             match hit with
             | -1 ->
@@ -917,7 +925,7 @@ let oracle_repair env t cursors ~could_supersede ~key ~ts =
         let c = comps.(i) in
         if not (could_supersede c ts) then false
         else if i = !fp || oracle_probe_bloom env c key then
-          match L.Dbt.Cursor.find env cursors.(i) key with
+          match Lsm_btree.Disk_btree.Cursor.find env cursors.(i) key 0 with
           | -1 ->
               oracle_note_fp env c;
               go (i + 1)
@@ -986,7 +994,7 @@ let prop_probe_matches_loops =
             List.iter
               (fun (k, v) ->
                 incr ts;
-                L.write t ~key:k ~ts:!ts
+                L.write t ~key:k ~pk:k ~ts:!ts
                   (match v with Some v -> Entry.Put v | None -> Entry.Del))
               writes;
             if b < n - 1 then L.flush t)
@@ -1037,7 +1045,7 @@ let prop_probe_matches_loops =
           | None ->
               let cs =
                 Array.map
-                  (fun c -> L.Dbt.Cursor.create c.L.tree)
+                  (fun c -> Lsm_btree.Disk_btree.Cursor.create c.L.tree)
                   (L.components t)
               in
               cursors := Some cs;
@@ -1068,7 +1076,7 @@ let prop_probe_matches_loops =
             let cursors =
               if pc.use_cursors then Some (cursors_of t) else None
             in
-            match L.mem_find t key with
+            match L.mem_find t key key with
             | Some row -> row.L.ts <= ts
             | None ->
                 let pos =
@@ -1097,8 +1105,8 @@ let prop_probe_matches_loops =
 let test_range_filter_from_puts () =
   let env = mk_env () in
   let t = mk_tree ~filter_of:(fun v -> v) env in
-  L.write t ~key:1 ~ts:1 (Entry.Put 2015);
-  L.write t ~key:2 ~ts:2 (Entry.Put 2016);
+  L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 2015);
+  L.write t ~key:2 ~pk:2 ~ts:2 (Entry.Put 2016);
   L.flush t;
   let c = (L.components t).(0) in
   Alcotest.(check (option (pair int int))) "filter" (Some (2015, 2016))
@@ -1109,8 +1117,8 @@ let test_widen_filter_covers_old_values () =
      on upsert (the running example of Figs. 2-3). *)
   let env = mk_env () in
   let t = mk_tree ~filter_of:(fun v -> v) env in
-  L.write t ~key:101 ~ts:1 (Entry.Put 2018);
-  L.widen_filter t 101 2015;
+  L.write t ~key:101 ~pk:101 ~ts:1 (Entry.Put 2018);
+  L.widen_filter t 101 101 2015;
   L.flush t;
   let c = (L.components t).(0) in
   Alcotest.(check (option (pair int int))) "widened" (Some (2015, 2018))
@@ -1119,9 +1127,9 @@ let test_widen_filter_covers_old_values () =
 let test_merge_filter_union_vs_recompute () =
   let env = mk_env () in
   let t = mk_tree ~filter_of:(fun v -> v) env in
-  L.write t ~key:1 ~ts:1 (Entry.Put 100);
+  L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 100);
   L.flush t;
-  L.write t ~key:1 ~ts:2 (Entry.Put 900);
+  L.write t ~key:1 ~pk:1 ~ts:2 (Entry.Put 900);
   L.flush t;
   (* Bottom merge: old value 100 disappears; the filter is recomputed
      tightly from surviving entries. *)
@@ -1187,14 +1195,14 @@ let test_pick_merge_applies_policy () =
   let t = mk_tree env in
   let policy = Mp.tiering ~size_ratio:1.2 () in
   for i = 1 to 20 do
-    L.write t ~key:i ~ts:i (Entry.Put i)
+    L.write t ~key:i ~pk:i ~ts:i (Entry.Put i)
   done;
   L.flush t;
   Alcotest.(check (option (pair int int)))
     "one component: nothing due" None (L.pick_merge t policy);
   (* A newer component at least 1.2x the older one triggers tiering. *)
   for i = 21 to 60 do
-    L.write t ~key:i ~ts:i (Entry.Put i)
+    L.write t ~key:i ~pk:i ~ts:i (Entry.Put i)
   done;
   L.flush t;
   let first, last =
@@ -1216,26 +1224,15 @@ let test_pick_merge_applies_policy () =
 let test_repaired_ts_propagates_min () =
   let env = mk_env () in
   let t = mk_tree env in
-  L.write t ~key:1 ~ts:1 (Entry.Put 1);
+  L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 1);
   L.flush t;
-  L.write t ~key:2 ~ts:2 (Entry.Put 2);
+  L.write t ~key:2 ~pk:2 ~ts:2 (Entry.Put 2);
   L.flush t;
   let comps = L.components t in
   L.set_repaired_ts comps.(0) 10;
   L.set_repaired_ts comps.(1) 4;
   let merged = L.merge t ~first:0 ~last:1 in
   Alcotest.(check int) "min of inputs" 4 merged.L.repaired_ts
-
-let test_find_position () =
-  let env = mk_env () in
-  let t = mk_tree env in
-  for i = 0 to 9 do
-    L.write t ~key:(i * 2) ~ts:(i + 1) (Entry.Put i)
-  done;
-  L.flush t;
-  let c = (L.components t).(0) in
-  Alcotest.(check (option int)) "present" (Some 3) (L.find_position t c 6);
-  Alcotest.(check (option int)) "absent" None (L.find_position t c 7)
 
 (* Allocation budgets: minor words per emitted row of three reconciling
    scans, and per input row of a 4-component merge, over generations of
@@ -1260,7 +1257,7 @@ let alloc_tree ?(shards = 1) ~flushes () =
     for i = 0 to 1_999 do
       incr ts;
       L.write t
-        ~key:((2 * i) + (g mod 2))
+        ~key:((2 * i) + (g mod 2)) ~pk:((2 * i) + (g mod 2))
         ~ts:!ts
         (if (i + g) mod 7 = 0 then Entry.Del else Entry.Put !ts)
     done;
@@ -1276,7 +1273,7 @@ let check_budget ?(per = "minor words per row") name ceiling words =
 let test_scan_alloc_budgets () =
   let words_per_row t =
     let n = ref 0 in
-    let f _ _ _ ~src_repaired:_ = incr n in
+    let f _ _ _ _ ~src_repaired:_ = incr n in
     L.scan t L.full_scan_spec ~f;
     n := 0;
     let w0 = Gc.minor_words () in
@@ -1315,7 +1312,7 @@ let test_lookup_alloc_budget () =
   let t = mk_tree (mk_env ()) in
   for g = 0 to 5 do
     for i = 0 to 1_999 do
-      L.write t ~key:((6 * i) + g) ~ts:((g * 2_000) + i + 1) (Entry.Put i)
+      L.write t ~key:((6 * i) + g) ~pk:((6 * i) + g) ~ts:((g * 2_000) + i + 1) (Entry.Put i)
     done;
     L.flush t
   done;
@@ -1332,10 +1329,10 @@ let test_lookup_alloc_budget () =
 
 (* Allocation budget of a memory write: minor words per [write] that
    replaces a key already in a 3-shard memtable (entries built
-   beforehand): 18, all of it in the memtable's insert and the stored
+   beforehand): 13, all of it in the memtable's insert and the stored
    [(ts, entry)] pair, since charging the shards' comparisons allocates
    nothing.  Charging them through a fold allocated its closure on
-   every write too (23). *)
+   every write too (23), and hashing the row through a key module (18). *)
 let test_write_alloc_budget () =
   let t =
     L.create (mk_env ())
@@ -1346,13 +1343,27 @@ let test_write_alloc_budget () =
   let entries = Array.init n (fun i -> Entry.Put i) in
   let write_all ts0 =
     for i = 0 to n - 1 do
-      L.write t ~key:i ~ts:(ts0 + i) entries.(i)
+      L.write t ~key:i ~pk:i ~ts:(ts0 + i) entries.(i)
     done
   in
   write_all 1;
   let w0 = Gc.minor_words () in
   write_all (n + 1);
-  check_budget ~per:"minor words per write" "same-key write, 3 shards" 19.0
+  check_budget ~per:"minor words per write" "same-key write, 3 shards" 14.0
+    ((Gc.minor_words () -. w0) /. Float.of_int n);
+  (* A secondary row is named by two ints, not by a boxed (sk, pk) pair
+     hashed through a key module: 13.25 words, where the pair cost 21.2. *)
+  let s = mk_sec_tree ~shards:3 (mk_env ()) in
+  let write_sec ts0 =
+    for i = 0 to n - 1 do
+      U.write s ~key:(i mod 100) ~pk:i ~ts:(ts0 + i) (Entry.Put ())
+    done
+  in
+  write_sec 1;
+  let w0 = Gc.minor_words () in
+  write_sec (n + 1);
+  check_budget ~per:"minor words per write" "same-row secondary write, 3 shards"
+    14.0
     ((Gc.minor_words () -. w0) /. Float.of_int n)
 
 (* A disk component's footprint: words reachable from a flushed
@@ -1364,7 +1375,7 @@ let test_write_alloc_budget () =
 let test_component_footprint () =
   let t = mk_tree (mk_env ()) in
   for i = 0 to 9_999 do
-    L.write t ~key:i ~ts:(i + 1) (Entry.Put i)
+    L.write t ~key:i ~pk:i ~ts:(i + 1) (Entry.Put i)
   done;
   L.flush t;
   let c = (L.components t).(0) in
@@ -1372,7 +1383,206 @@ let test_component_footprint () =
     Float.of_int (Obj.reachable_words (Obj.repr c))
     /. Float.of_int (L.component_rows c)
   in
-  check_budget ~per:"words per stored row" "10k-row component" 6.5 words
+  check_budget ~per:"words per stored row" "10k-row component" 6.5 words;
+  (* A dataset's secondary component, 10k rows over 100 secondary keys:
+     key, pk, timestamp and entry columns, one word a row each (the
+     [Put ()] entry is shared), plus the leaf fences: 4.01.  Keys stored
+     as boxed (sk, pk) pairs cost 3 words a row instead of the pk
+     column's 1 (6.01), and fail.  On 4 KB pages, as in the bench's
+     [footprint.secondary_component]. *)
+  let s =
+    mk_sec_tree
+      (Lsm_sim.Env.create ~cache_bytes:(4 * 1024 * 1024)
+         Lsm_harness.Scale.hdd_device)
+  in
+  for i = 0 to 9_999 do
+    U.write s ~key:(i mod 100) ~pk:i ~ts:(i + 1) (Entry.Put ())
+  done;
+  U.flush s;
+  let c = (U.components s).(0) in
+  check_budget ~per:"words per stored row" "10k-row secondary component" 4.2
+    (Float.of_int (Obj.reachable_words (Obj.repr c))
+    /. Float.of_int (U.component_rows c))
+
+(* ------------------------------------------------------------------ *)
+(* The (secondary key, primary key) layout *)
+
+(* The row hash and the shard index are pinned to their formulas on a few
+   fixed rows: [mix64 key] when the key is the pk, [mix64 (mix64 sk lxor
+   pk)] for a secondary row, and the shard [mix64 hash land max_int mod
+   shards].  Bloom filters, shard routing and the per-shard recovery
+   frontiers of existing datasets all depend on them. *)
+let test_row_hash_pinned () =
+  let mix = Lsm_bloom.Hashing.mix64 in
+  let pk_tree =
+    L.create (mk_env ()) (Lsm_tree.Config.make ~bloom:None ~shards:4 "pk")
+  in
+  let sec_tree = mk_sec_tree ~shards:4 (mk_env ()) in
+  List.iter
+    (fun (k, p) ->
+      let name what = Printf.sprintf "%s (%d, %d)" what k p in
+      Alcotest.(check int) (name "pk hash") (mix k) (L.row_hash pk_tree k k);
+      Alcotest.(check int) (name "pk shard")
+        (mix (mix k) land max_int mod 4)
+        (L.shard_of pk_tree k k);
+      Alcotest.(check int) (name "sec hash")
+        (mix (mix k lxor p))
+        (U.row_hash sec_tree k p);
+      Alcotest.(check int) (name "sec shard")
+        (mix (mix (mix k lxor p)) land max_int mod 4)
+        (U.shard_of sec_tree k p))
+    [ (0, 0); (1, 2); (42, 7); (-5, 1_000_003); (max_int, min_int) ];
+  (* The filters of a flushed component hold the same hashes. *)
+  let bloomed layout =
+    U.create ~layout (mk_env ())
+      (Lsm_tree.Config.make ~bloom:(Some Lsm_tree.Config.default_bloom) "b")
+  in
+  let t = bloomed Lsm_tree.Sk_pk and p = bloomed Lsm_tree.Pk in
+  for i = 0 to 99 do
+    U.write t ~key:(i mod 7) ~pk:i ~ts:(i + 1) (Entry.Put ());
+    U.write p ~key:i ~pk:i ~ts:(i + 1) (Entry.Put ())
+  done;
+  U.flush t;
+  U.flush p;
+  let filter tree = Option.get (U.components tree).(0).U.bloom in
+  for i = 0 to 99 do
+    Alcotest.(check bool) "sec row in its filter" true
+      (Lsm_bloom.Filter.contains (filter t) (mix (mix (i mod 7) lxor i)));
+    Alcotest.(check bool) "pk row in its filter" true
+      (Lsm_bloom.Filter.contains (filter p) (mix i))
+  done
+
+type sec_op =
+  | S_put of int * int * int
+  | S_del of int * int
+  | S_abort of int * int * int  (** a write rolled back at once *)
+  | S_flush
+  | S_flush_shard of int
+  | S_merge
+
+type sec_case = {
+  sops : sec_op list;
+  sshards : int;
+  bounds : (int * int) * (int * int);  (** (lo, lo_pk), (hi, hi_pk) *)
+  open_pks : bool;  (** scan with [full_scan_spec]'s pk bounds *)
+}
+
+let sec_case_gen =
+  QCheck2.Gen.(
+    let sk = int_range 0 3 and pk = int_range 0 25 in
+    let* sops =
+      list_size (int_range 0 150)
+        (frequency
+           [
+             (8, map3 (fun s p v -> S_put (s, p, v)) sk pk (int_range 0 99));
+             (3, map2 (fun s p -> S_del (s, p)) sk pk);
+             (2, map3 (fun s p v -> S_abort (s, p, v)) sk pk (int_range 0 99));
+             (1, return S_flush);
+             (1, map (fun s -> S_flush_shard s) (int_range 0 2));
+             (1, return S_merge);
+           ])
+    in
+    let* sshards = oneofl [ 1; 3 ] in
+    let* lo = pair (int_range (-1) 4) pk and* hi = pair (int_range (-1) 4) pk in
+    let* open_pks = bool in
+    return { sops; sshards; bounds = (lo, hi); open_pks })
+
+module PairMap = Map.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+(* A secondary-layout tree against a map keyed by (sk, pk), where few
+   distinct secondary keys make ties on the key the common case: after a
+   trace of writes, anti-matter, rolled-back writes, whole and per-shard
+   flushes and full merges, every memory entry is found by [mem_find], and
+   reconciling scans bounded by (sk, pk) return the model's live rows in
+   (sk, pk) order, through the sorted view and through the merge. *)
+let prop_secondary_layout_matches_model =
+  qtest ~count:300 "secondary layout = (sk, pk) map model (mem_find, scans)"
+    sec_case_gen (fun c ->
+      let t =
+        L.create ~layout:Lsm_tree.Sk_pk (mk_env ())
+          (Lsm_tree.Config.make ~bloom:None ~shards:c.sshards "sec")
+      in
+      let model = ref PairMap.empty and mem = ref PairMap.empty in
+      let ts = ref 0 in
+      let write sk pk e =
+        incr ts;
+        L.write t ~key:sk ~pk ~ts:!ts e;
+        model := PairMap.add (sk, pk) e !model;
+        mem := PairMap.add (sk, pk) e !mem
+      in
+      List.iter
+        (function
+          | S_put (sk, pk, v) -> write sk pk (Entry.Put v)
+          | S_del (sk, pk) -> write sk pk Entry.Del
+          | S_abort (sk, pk, v) ->
+              let prior =
+                Option.map (fun (r : L.row) -> (r.ts, r.value)) (L.mem_find t sk pk)
+              in
+              incr ts;
+              L.write t ~key:sk ~pk ~ts:!ts (Entry.Put (v + 100));
+              L.mem_rollback t ~key:sk ~pk ~prior
+          | S_flush ->
+              L.flush t;
+              mem := PairMap.empty
+          | S_flush_shard s ->
+              let s = s mod L.mem_shards t in
+              L.flush ~shard:s t;
+              mem := PairMap.filter (fun (sk, pk) _ -> L.shard_of t sk pk <> s) !mem
+          | S_merge ->
+              let n = L.component_count t in
+              if n >= 2 then ignore (L.merge t ~first:0 ~last:(n - 1)))
+        c.sops;
+      let mem_ok =
+        PairMap.for_all
+          (fun (sk, pk) e ->
+            match L.mem_find t sk pk with
+            | Some r -> r.L.value = e
+            | None -> false)
+          !mem
+        && PairMap.for_all
+             (fun (sk, pk) _ -> PairMap.mem (sk, pk) !mem || L.mem_find t sk pk = None)
+             !model
+      in
+      let (lo, lo_pk), (hi, hi_pk) = c.bounds in
+      let lo_pk, hi_pk = if c.open_pks then (min_int, max_int) else (lo_pk, hi_pk) in
+      let expected =
+        PairMap.bindings !model
+        |> List.filter_map (fun ((sk, pk), e) ->
+               if
+                 compare (lo, lo_pk) (sk, pk) <= 0
+                 && compare (sk, pk) (hi, hi_pk) <= 0
+               then match e with Entry.Put v -> Some (sk, pk, v) | Entry.Del -> None
+               else None)
+      in
+      let scan () =
+        let out = ref [] in
+        L.scan t
+          { L.full_scan_spec with lo = Some lo; lo_pk; hi = Some hi; hi_pk }
+          ~f:(fun sk pk _ e ~src_repaired:_ ->
+            out := (sk, pk, (match e with Entry.Put v -> v | Entry.Del -> -1)) :: !out);
+        List.rev !out
+      in
+      let unbounded () =
+        let out = ref [] in
+        L.scan t L.full_scan_spec ~f:(fun sk pk _ e ~src_repaired:_ ->
+            out := (sk, pk, (match e with Entry.Put v -> v | Entry.Del -> -1)) :: !out);
+        List.rev !out
+      in
+      let all_live =
+        List.filter_map
+          (fun ((sk, pk), e) ->
+            match e with Entry.Put v -> Some (sk, pk, v) | Entry.Del -> None)
+          (PairMap.bindings !model)
+      in
+      let via_view = scan () and all_via_view = unbounded () in
+      L.set_sorted_views t false;
+      let via_merge = scan () and all_via_merge = unbounded () in
+      mem_ok && via_view = expected && via_merge = expected
+      && all_via_view = all_live && all_via_merge = all_live)
 
 let () =
   Alcotest.run "lsm_tree"
@@ -1421,6 +1631,12 @@ let () =
             test_filter_needs_range_filters;
         ] );
       ("probe", [ prop_probe_matches_loops ]);
+      ( "layout",
+        [
+          Alcotest.test_case "row hash and shard pinned" `Quick
+            test_row_hash_pinned;
+          prop_secondary_layout_matches_model;
+        ] );
       ( "filter",
         [
           Alcotest.test_case "from puts" `Quick test_range_filter_from_puts;
@@ -1441,6 +1657,5 @@ let () =
       ( "repair",
         [
           Alcotest.test_case "repairedTS min" `Quick test_repaired_ts_propagates_min;
-          Alcotest.test_case "find_position" `Quick test_find_position;
         ] );
     ]

@@ -160,7 +160,7 @@ let sorted_array_gen =
 let check_lower_bound a key =
   let cost = ref 0 in
   let i =
-    Search.lower_bound ~cmp:compare ~cost a ~lo:0 ~hi:(Array.length a) key
+    Search.lower_bound ~cost a [||] ~lo:0 ~hi:(Array.length a) key 0
   in
   let ok_left = Array.for_all (fun _ -> true) a in
   ignore ok_left;
@@ -181,7 +181,7 @@ let prop_upper_bound =
     (fun (a, key) ->
       let cost = ref 0 in
       let i =
-        Search.upper_bound ~cmp:compare ~cost a ~lo:0 ~hi:(Array.length a) key
+        Search.upper_bound ~cost a [||] ~lo:0 ~hi:(Array.length a) key 0
       in
       (i = Array.length a || a.(i) > key) && (i = 0 || a.(i - 1) <= key))
 
@@ -191,10 +191,10 @@ let prop_exponential_equals_binary =
     (fun (a, key, start) ->
       let n = Array.length a in
       let c1 = ref 0 and c2 = ref 0 in
-      let i1 = Search.lower_bound ~cmp:compare ~cost:c1 a ~lo:0 ~hi:n key in
+      let i1 = Search.lower_bound ~cost:c1 a [||] ~lo:0 ~hi:n key 0 in
       let i2 =
-        Search.exponential_lower_bound ~cmp:compare ~cost:c2 a ~lo:0 ~hi:n
-          ~start:(min start n) key
+        Search.exponential_lower_bound ~cost:c2 a [||] ~lo:0 ~hi:n
+          ~start:(min start n) key 0
       in
       i1 = i2)
 
@@ -204,29 +204,18 @@ let test_exponential_cheap_nearby () =
   let a = Array.init 100_000 (fun i -> i * 2) in
   let c_exp = ref 0 and c_bin = ref 0 in
   let i =
-    Search.exponential_lower_bound ~cmp:compare ~cost:c_exp a ~lo:0
-      ~hi:(Array.length a) ~start:50_000 (100_006)
+    Search.exponential_lower_bound ~cost:c_exp a [||] ~lo:0
+      ~hi:(Array.length a) ~start:50_000 100_006 0
   in
   Alcotest.(check int) "found" 50_003 i;
   let j =
-    Search.lower_bound ~cmp:compare ~cost:c_bin a ~lo:0 ~hi:(Array.length a)
-      100_006
+    Search.lower_bound ~cost:c_bin a [||] ~lo:0 ~hi:(Array.length a) 100_006 0
   in
   Alcotest.(check int) "same index" i j;
   Alcotest.(check bool)
     (Printf.sprintf "cheaper (%d < %d)" !c_exp !c_bin)
     true
     (!c_exp < !c_bin)
-
-let test_binary_find () =
-  let a = [| 2; 4; 6; 8 |] in
-  let cost = ref 0 in
-  Alcotest.(check (option int))
-    "hit" (Some 2)
-    (Search.binary_find ~cmp:compare ~cost a 6);
-  Alcotest.(check (option int))
-    "miss" None
-    (Search.binary_find ~cmp:compare ~cost a 5)
 
 (* Duplicate-heavy arrays (domain 0..20 over up to 200 elements) stress
    the gallop's handling of equal runs, and a raw start in [-3, n+3]
@@ -244,10 +233,10 @@ let prop_exponential_dups_any_start =
     (fun (a, key, start) ->
       let n = Array.length a in
       let c1 = ref 0 and c2 = ref 0 in
-      let i1 = Search.lower_bound ~cmp:compare ~cost:c1 a ~lo:0 ~hi:n key in
+      let i1 = Search.lower_bound ~cost:c1 a [||] ~lo:0 ~hi:n key 0 in
       let i2 =
-        Search.exponential_lower_bound ~cmp:compare ~cost:c2 a ~lo:0 ~hi:n
-          ~start key
+        Search.exponential_lower_bound ~cost:c2 a [||] ~lo:0 ~hi:n ~start key
+          0
       in
       i1 = i2)
 
@@ -266,8 +255,7 @@ let prop_exponential_cost_ceiling =
       let n = Array.length a in
       let cost = ref 0 in
       let i =
-        Search.exponential_lower_bound ~cmp:compare ~cost a ~lo:0 ~hi:n
-          ~start key
+        Search.exponential_lower_bound ~cost a [||] ~lo:0 ~hi:n ~start key 0
       in
       let s = max 0 (min n start) in
       let d = abs (i - s) in
@@ -276,47 +264,60 @@ let prop_exponential_cost_ceiling =
       float_of_int !cost <= ceiling)
 
 (* The gallop as recursive local closures, before it became loops that
-   allocate nothing; kept as the oracle of its answers and of the exact
-   comparisons it makes, operand for operand. *)
-let closure_exponential_lower_bound ~cmp ~cost a ~lo ~hi ~start key =
+   allocate nothing; kept as the oracle of its answers and of the number
+   of comparisons it makes.  It runs over (key, pk) columns: positions
+   with equal keys are ordered by pk, as in a secondary index. *)
+let closure_exponential_lower_bound ~cost keys pks ~lo ~hi ~start key pk =
+  let cmp i = Search.compare_at keys pks i key pk in
   let start = if start < lo then lo else if start > hi then hi else start in
-  if start >= hi || (incr cost; cmp a.(start) key >= 0) then
+  if start >= hi || (incr cost; cmp start >= 0) then
     let rec back step high =
       let probe = start - step in
-      if probe <= lo then Search.lower_bound ~cmp ~cost a ~lo ~hi:high key
-      else if (incr cost; cmp a.(probe) key >= 0) then back (step * 2) probe
-      else Search.lower_bound ~cmp ~cost a ~lo:(probe + 1) ~hi:high key
+      if probe <= lo then Search.lower_bound ~cost keys pks ~lo ~hi:high key pk
+      else if (incr cost; cmp probe >= 0) then back (step * 2) probe
+      else Search.lower_bound ~cost keys pks ~lo:(probe + 1) ~hi:high key pk
     in
     back 1 start
   else
     let rec fwd step low =
       let probe = start + step in
-      if probe >= hi then Search.lower_bound ~cmp ~cost a ~lo:(low + 1) ~hi key
-      else if (incr cost; cmp a.(probe) key < 0) then fwd (step * 2) probe
-      else Search.lower_bound ~cmp ~cost a ~lo:(low + 1) ~hi:probe key
+      if probe >= hi then Search.lower_bound ~cost keys pks ~lo:(low + 1) ~hi key pk
+      else if (incr cost; cmp probe < 0) then fwd (step * 2) probe
+      else Search.lower_bound ~cost keys pks ~lo:(low + 1) ~hi:probe key pk
     in
     fwd 1 start
+
+(* Sorted (key, pk) columns with few distinct keys, so ties on the key
+   are common and the pk decides. *)
+let pair_columns_gen =
+  QCheck2.Gen.(
+    map
+      (fun l ->
+        let a = Array.of_list (List.sort compare l) in
+        (Array.map fst a, Array.map snd a))
+      (list_size (int_range 0 200) (pair (int_range 0 20) (int_range 0 5))))
 
 let prop_exponential_loops_equal_closures =
   qtest ~count:500 "exponential gallop loops = closure gallop (answer, comparisons)"
     QCheck2.Gen.(
-      quad dup_array_gen (int_range (-5) 25) (int_range (-3) 203)
-        (pair (int_range 0 10) (int_range 0 10)))
-    (fun (a, key, start, (dlo, dhi)) ->
-      let n = Array.length a in
+      quad pair_columns_gen
+        (pair (int_range (-5) 25) (int_range (-1) 6))
+        (int_range (-3) 203)
+        (triple bool (int_range 0 10) (int_range 0 10)))
+    (fun ((keys, pks), (key, pk), start, (tie_break, dlo, dhi)) ->
+      let pks = if tie_break then pks else [||] in
+      let n = Array.length keys in
       let lo = min dlo n in
       let hi = max lo (n - dhi) in
       let run search =
-        let seen = ref [] and cost = ref 0 in
-        let cmp x y =
-          seen := x :: !seen;
-          compare x y
-        in
-        let i = search ~cmp ~cost a ~lo ~hi ~start key in
-        (i, !cost, !seen)
+        let cost = ref 0 in
+        let i = search ~cost keys pks ~lo ~hi ~start key pk in
+        (i, !cost)
       in
-      run Search.exponential_lower_bound
-      = run closure_exponential_lower_bound)
+      let ((i, _) as loops) = run Search.exponential_lower_bound in
+      loops = run closure_exponential_lower_bound
+      && (i = hi || Search.compare_at keys pks i key pk >= 0)
+      && (i = lo || Search.compare_at keys pks (i - 1) key pk < 0))
 
 (* ------------------------------------------------------------------ *)
 (* Bitset *)
@@ -574,7 +575,6 @@ let () =
           prop_exponential_loops_equal_closures;
           Alcotest.test_case "exponential cheap nearby" `Quick
             test_exponential_cheap_nearby;
-          Alcotest.test_case "binary_find" `Quick test_binary_find;
         ] );
       ( "bitset",
         [

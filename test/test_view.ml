@@ -7,7 +7,7 @@
    exercise: the view scan must cost at most half the heap scan (in
    charged comparisons and simulated time) at 8 components. *)
 
-module L = Lsm_tree.Make (Lsm_util.Keys.Int_key) (Lsm_util.Keys.Int_value)
+module L = Lsm_tree.Make (Lsm_util.Keys.Int_value)
 module Entry = Lsm_tree.Entry
 module Env = Lsm_sim.Env
 module Io = Lsm_sim.Io_stats
@@ -45,8 +45,8 @@ let apply_ops t ops =
     (fun op ->
       incr ts;
       match op with
-      | Put k -> L.write t ~key:k ~ts:!ts (Entry.Put (k * 1000 + !ts))
-      | Del k -> L.write t ~key:k ~ts:!ts Entry.Del
+      | Put k -> L.write t ~key:k ~pk:k ~ts:!ts (Entry.Put (k * 1000 + !ts))
+      | Del k -> L.write t ~key:k ~pk:k ~ts:!ts Entry.Del
       | Flush -> L.flush t)
     ops
 
@@ -73,7 +73,7 @@ let spec_gen =
 
 let collect t spec =
   let acc = ref [] in
-  L.scan t spec ~f:(fun key ts value ~src_repaired ->
+  L.scan t spec ~f:(fun key _ ts value ~src_repaired ->
       acc := (key, ts, value, src_repaired) :: !acc);
   List.rev !acc
 
@@ -89,7 +89,9 @@ let spec_of t (lo, hi, respect_bitmap, emit_del, include_mem, only_mask) =
   in
   {
     L.lo;
+    lo_pk = min_int;
     hi = (match (lo, hi) with Some l, Some h when h < l -> Some l | _ -> hi);
+    hi_pk = max_int;
     reconcile = true;
     respect_bitmap;
     include_mem;
@@ -242,7 +244,7 @@ let build_overlapping_tree ncomps rows_per_comp =
       incr ts;
       (* ~50% of keys collide with other components' keys *)
       let key = ((i * 4) + (c * 2)) mod (rows_per_comp * 2) in
-      L.write t ~key ~ts:!ts (Entry.Put ((key * 1000) + !ts))
+      L.write t ~key ~pk:key ~ts:!ts (Entry.Put ((key * 1000) + !ts))
     done;
     L.flush t
   done;
@@ -250,11 +252,11 @@ let build_overlapping_tree ncomps rows_per_comp =
 
 let measure_scan env t =
   let rows = ref 0 in
-  ignore (L.scan t L.full_scan_spec ~f:(fun _ _ _ ~src_repaired:_ -> incr rows));
+  ignore (L.scan t L.full_scan_spec ~f:(fun _ _ _ _ ~src_repaired:_ -> incr rows));
   let before_cmp = (Env.stats env).Io.comparisons in
   let before_us = Env.now_us env in
   let n = ref 0 in
-  L.scan t L.full_scan_spec ~f:(fun _ _ _ ~src_repaired:_ -> incr n);
+  L.scan t L.full_scan_spec ~f:(fun _ _ _ _ ~src_repaired:_ -> incr n);
   ( !n,
     (Env.stats env).Io.comparisons - before_cmp,
     Env.now_us env -. before_us )
@@ -284,7 +286,7 @@ let test_view_lifecycle () =
   | Some (_, _, runs) -> Alcotest.(check int) "covers 3 runs" 3 runs
   | None -> Alcotest.fail "scan should have built a view");
   (* A component-list change invalidates; the next scan rebuilds. *)
-  L.write t ~key:1 ~ts:99_999 (Entry.Put 1);
+  L.write t ~key:1 ~pk:1 ~ts:99_999 (Entry.Put 1);
   L.flush t;
   Alcotest.(check bool) "flush invalidates" true (L.view_info t = None);
   ignore (collect t L.full_scan_spec);
