@@ -378,6 +378,8 @@ let test_tweet_lookup_batch =
                  n := !n + r.Tweet.msg_len
              | _ -> ())))
 
+module Txn = Lsm_core.Txn_dataset.Make (Lsm_workload.Tweet.Record) (D)
+
 (* Words reachable from a flushed 10k-row component with int values, per
    row: what a disk component keeps on the heap per stored row (its key,
    timestamp and entry columns, the entries themselves, the Bloom filter
@@ -424,6 +426,27 @@ let footprint_entries () =
     Float.of_int (Obj.reachable_words (Obj.repr st)) /. Float.of_int pushes
   in
   Printf.printf "footprint.serve %.3f words per sample\n" per_sample;
+  (* A transactional dataset's log after 20,000 auto-commit upserts with
+     a flush every 1,000, per transaction: each flush truncates what it
+     made durable, so the log keeps its record columns (sized to the
+     tail between flushes) and one state byte per transaction.  The
+     environment it charges belongs to the dataset and is not counted. *)
+  let txns = 20_000 in
+  let env = quiet_env () in
+  let t =
+    Txn.create
+      (dataset ~strategy:Strategy.mutable_bitmap env Lsm_harness.Scale.tiny)
+  in
+  let gen = Tweet.create_gen ~seed:21 () in
+  for i = 1 to txns do
+    Txn.upsert_auto t (Tweet.with_id gen (i mod 5_000));
+    if i mod 1_000 = 0 then Txn.flush t
+  done;
+  let wal_words =
+    Obj.reachable_words (Obj.repr (Txn.wal t)) - Obj.reachable_words (Obj.repr env)
+  in
+  let per_txn = Float.of_int wal_words /. Float.of_int txns in
+  Printf.printf "footprint.wal %.3f words per txn\n" per_txn;
   [
     {
       Lsm_harness.Bench_json.name = "footprint.component.words_per_row";
@@ -439,6 +462,11 @@ let footprint_entries () =
       Lsm_harness.Bench_json.name = "footprint.serve.words_per_sample";
       unit_ = "words/sample";
       samples = [| per_sample |];
+    };
+    {
+      Lsm_harness.Bench_json.name = "footprint.wal.words_per_txn";
+      unit_ = "words/txn";
+      samples = [| per_txn |];
     };
   ]
 
@@ -618,8 +646,6 @@ let sim_serve_chaos_entries () =
    WAL sync cost per committed transaction falls strictly below the
    serial baseline from batch 4 up (one group fsync covers the whole
    batch; the serial WAL charges one per commit). *)
-module Txn = Lsm_core.Txn_dataset.Make (Lsm_workload.Tweet.Record) (D)
-
 let sim_group_commit_entries () =
   let measure batch =
     let env = quiet_env () in

@@ -19,11 +19,13 @@
       ever needed.
 
     The WAL is the one log: each operation appends one {!redo} record
-    (the op, its timestamp, its update bit) and recovery replays
-    [Wal.records_after], memory redo from LSN 0 and bitmap redo from
-    [Wal.checkpoint_lsn].  Only the undo information — the memory
-    bindings an operation replaced — lives on the transaction handle, so
-    it is dropped with the handle when the transaction ends.
+    (the op, its timestamp, its update bit) and recovery replays it with
+    [Wal.iter_after], memory redo over every retained record and bitmap
+    redo after [Wal.checkpoint_lsn].  Each checkpoint anchor truncates
+    the log below the durable cut (see [truncate_log]), so the log in
+    memory is the undurable tail.  Only the undo information — the
+    memory bindings an operation replaced — lives on the transaction
+    handle, so it is dropped with the handle when the transaction ends.
 
     Crashes need not land between operations: a crash may interrupt a
     multi-tree flush or a correlated merge halfway (see [lib/faultsim]).
@@ -236,6 +238,29 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
              | None -> Lsm_util.Bitset.create (D.Pk.component_rows c) ))
          (D.Pk.components (pk_index t)))
 
+  (* Drop the log records no recovery can replay.  The anchor is
+     quiescent, synced and pair-aligned, so the cut — the lowest
+     [durable_floor] over every shard of every tree that recovery redoes
+     into — bounds each committed write the memory components no longer
+     hold: memory redo gates on [ts > frontier] and skips every record at
+     or below the cut, and bitmap redo starts after the checkpoint LSN
+     that [Wal.truncate] also respects.  A later orphan rollback drops
+     only a component flushed after this anchor, so it lowers that
+     shard's frontier to no less than its value here, which covers every
+     truncated write that shard took. *)
+  let truncate_log t =
+    let d = t.d in
+    let now = D.now_ts d in
+    let cut =
+      Array.fold_left
+        (fun cut s -> min cut (D.Sec.durable_floor s.D.tree ~now))
+        (min
+           (D.Prim.durable_floor (D.primary d) ~now)
+           (D.Pk.durable_floor (pk_index t) ~now))
+        (D.secondaries d)
+    in
+    Wal.truncate t.wal ~settled:(fun r -> r.ts <= cut)
+
   (* A checkpoint has two durable effects: the bitmap-page snapshot and
      the checkpoint LSN.  The snapshot must become durable *first*: a
      crash in between then leaves (new snapshot, old LSN), and replaying
@@ -249,7 +274,8 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
     t.checkpoint_bitmaps <- snapshot_bitmaps t;
     Lsm_sim.Env.fault_point (D.env t.d) Txn_ckpt_mid;
     Wal.checkpoint t.wal;
-    Lsm_sim.Env.fault_point (D.env t.d) Txn_ckpt_end
+    Lsm_sim.Env.fault_point (D.env t.d) Txn_ckpt_end;
+    truncate_log t
 
   (** [flush t] makes all memory components durable (and runs merges);
       redo for operations up to this point is no longer needed.  Requires
@@ -384,22 +410,20 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
        demotion happened in {!crash}; the durability check also guards a
        recover driven without the crash entry point).  A discarded torn
        record needs no explicit filtering: it is gone from the log. *)
-    let committed (l : redo Wal.record) = Wal.txn_durable t.wal ~txn:l.Wal.txn in
+    let committed txn = Wal.txn_durable t.wal ~txn in
     let d = t.d in
     let pkt = pk_index t in
     (* 1. Bitmap redo: "a log record is replayed on the bitmaps only when
        its update bit is 1".  Runs first, onto the surviving pre-crash
        components, so a redone merge below sees fully recovered bits. *)
-    List.iter
-      (fun (l : redo Wal.record) ->
-        if committed l then
-          match l.Wal.payload.update with
+    Wal.iter_after t.wal ~lsn:(Wal.checkpoint_lsn t.wal) (fun ~txn l ->
+        if committed txn then
+          match l.update with
           | Some (comp_seq, pos) ->
               Array.iter
                 (fun c -> if c.D.Pk.seq = comp_seq then D.Pk.invalidate c pos)
                 (D.Pk.components pkt)
-          | None -> ())
-      (Wal.records_after t.wal ~lsn:(Wal.checkpoint_lsn t.wal));
+          | None -> ());
     (* 2. Structural realignment of the correlated primary pair. *)
     realign_primary_pair t;
     (* 3. Memory redo, per (tree, shard), over the whole log oldest first.
@@ -414,10 +438,8 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
         (fun s -> (s, D.Sec.durable_frontiers s.D.tree))
         (D.secondaries d)
     in
-    List.iter
-      (fun (l : redo Wal.record) ->
-        if committed l then begin
-          let { op; ts; _ } = l.Wal.payload in
+    Wal.iter_after t.wal ~lsn:0 (fun ~txn { op; ts; _ } ->
+        if committed txn then
           match op with
           | Op_upsert r ->
               let pk = R.primary_key r in
@@ -437,7 +459,5 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
               if ts > prim_f.(D.Prim.shard_of (D.primary d) pk pk) then
                 D.Prim.write (D.primary d) ~key:pk ~pk ~ts Entry.Del;
               if ts > pk_f.(D.Pk.shard_of pkt pk pk) then
-                D.Pk.write pkt ~key:pk ~pk ~ts Entry.Del
-        end)
-      (Wal.records_after t.wal ~lsn:0)
+                D.Pk.write pkt ~key:pk ~pk ~ts Entry.Del)
 end

@@ -16,6 +16,8 @@
       correctness is verified by the query checks that run first);
     - repair sanity: repairedTS never regresses across a standalone
       repair pass;
+    - log sanity: the WAL passes [Wal.check], and a drive that completed
+      (its last step a full flush) retains no record;
     - accounting sanity: I/O and resilience counters non-negative,
       write amplification finite.
 
@@ -200,6 +202,19 @@ let check_healed acc (st : S.t) =
   end
 
 (* ------------------------------------------------------------------ *)
+(* The log: structure after recovery, and truncation after the final
+   flush of a completed drive *)
+
+let check_wal acc (st : S.t) =
+  let wal = S.T.wal st.S.t in
+  (match Lsm_txn.Wal.check wal with Ok () -> () | Error e -> failf acc "%s" e);
+  match st.S.outcome with
+  | S.Completed ->
+      let n = Lsm_txn.Wal.retained wal in
+      if n <> 0 then failf acc "wal: %d records retained after the final flush" n
+  | S.Crashed _ -> ()
+
+(* ------------------------------------------------------------------ *)
 (* Accounting sanity *)
 
 let check_accounting acc (st : S.t) =
@@ -240,6 +255,7 @@ let check_accounting acc (st : S.t) =
     any armed fault hook first ({!Scenario.run} does). *)
 let check (st : S.t) =
   let acc = ref [] in
+  check_wal acc st;
   check_points acc st;
   check_counts acc st;
   check_secondary acc st;

@@ -1152,6 +1152,14 @@ module Make (V : VALUE) = struct
       t.disk;
     f
 
+  let durable_floor t ~now =
+    let f = durable_frontiers t in
+    let floor = ref now in
+    Array.iteri
+      (fun s m -> if not (Mbt.is_empty m.table) then floor := min !floor f.(s))
+      t.mems;
+    !floor
+
   (* ------------------------------------------------------------------ *)
   (* Point lookups (Sec. 3.2) *)
 

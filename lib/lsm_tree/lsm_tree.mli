@@ -247,6 +247,13 @@ module Make (V : VALUE) : sig
       write routed to shard [s] reached disk iff its timestamp is at or
       below element [s]. *)
 
+  val durable_floor : t -> now:int -> int
+  (** The lowest {!durable_frontiers} element over the shards that hold
+      data in memory, and [now] when none does.  Given that [now] is at
+      or above every timestamp handed out, no write to the tree at or
+      below the floor is in memory: each either reached disk under its
+      shard's frontier or was rolled back. *)
+
   (** {1 Incremental merges (overlapping maintenance)}
 
       {!merge} broken into explicit steps so a scheduler can interleave

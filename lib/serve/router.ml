@@ -289,8 +289,11 @@ module Make (R : Lsm_core.Record.S) = struct
     require_durable t "recover_partition";
     T.recover t.txns.(i)
 
-  (** [wal_length t i] is the record count of partition [i]'s WAL
-      (durable routers only): recovery's log-scan cost scales with it. *)
+  (** [wal_length t i] is the number of records ever appended to
+      partition [i]'s WAL, less torn discards (durable routers only): the
+      log's length on media, which the modeled recovery log scan reads.
+      Truncation below the durable frontier shrinks only what memory
+      retains ([Wal.retained]), not this count. *)
   let wal_length t i =
     require_durable t "wal_length";
     Lsm_txn.Wal.length (T.wal t.txns.(i))

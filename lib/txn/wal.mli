@@ -3,7 +3,14 @@
     validity bit in a disk component (and which one).  Aborts unset the
     bits a transaction flipped; recovery replays committed
     post-checkpoint records.  The log is generic in its payload: the
-    storage owner decides what one redo record holds. *)
+    storage owner decides what one redo record holds.
+
+    Memory holds the undurable tail, not the run: the owner calls
+    {!truncate} at each quiescent anchor, which drops the oldest records
+    at or below the checkpoint LSN whose writes every tree already holds
+    on disk.  {!length} counts every record appended (less torn
+    discards), the log's size on media; {!retained} counts the records
+    still in memory.  Transaction states cost one byte per transaction. *)
 
 type 'a record = { lsn : int; txn : int; payload : 'a }
 
@@ -41,6 +48,8 @@ val commit : 'a t -> txn:int -> unit
 
 val abort : 'a t -> txn:int -> unit
 val txn_state : 'a t -> txn:int -> txn_state option
+(** [None] for an id never begun.  Exact for every id of the run:
+    truncation drops records, never transaction states. *)
 
 (** {1 Group commit (batched durability)}
 
@@ -84,7 +93,7 @@ val crash : 'a t -> int list
     (truncate-at-first-bad-record) before replaying. *)
 
 val tear_tail : 'a t -> unit
-(** Mark the newest record as torn (no-op on an empty log). *)
+(** Mark the newest record as torn (no-op when none is retained). *)
 
 val torn_tail : 'a t -> int option
 (** LSN of the torn trailing record, if any. *)
@@ -99,7 +108,25 @@ val checkpoint : 'a t -> unit
 
 val checkpoint_lsn : 'a t -> int
 
-val records_after : 'a t -> lsn:int -> 'a record list
-(** Records with LSN > [lsn], oldest first — the replay stream. *)
+val truncate : 'a t -> settled:('a -> bool) -> unit
+(** [truncate t ~settled] drops the oldest retained records while each
+    has LSN <= {!checkpoint_lsn} (bitmap redo starts after it) and
+    [settled] holds for its payload.  The owner passes a [settled] that
+    is true only of records no recovery can replay again — their writes
+    are at or below every durable frontier they would be gated on.
+    Records are dropped oldest first, so the cut is a prefix. *)
+
+val iter_after : 'a t -> lsn:int -> (txn:int -> 'a -> unit) -> unit
+(** [iter_after t ~lsn f] calls [f ~txn payload] on every retained record
+    with LSN > [lsn], oldest first — the replay stream. *)
 
 val length : 'a t -> int
+(** Records ever appended, less torn discards: the log's length on
+    media, which truncation does not shorten. *)
+
+val retained : 'a t -> int
+(** Records held in memory: {!length} less what {!truncate} dropped. *)
+
+val check : 'a t -> (unit, string) result
+(** Structural check: retained LSNs strictly increase, none sits at or
+    below the last truncation cut, and [retained <= length]. *)

@@ -55,6 +55,11 @@ let wal_env () =
     (Lsm_sim.Device.custom ~name:"wal" ~page_size:1024 ~seek_us:1000.0
        ~read_us_per_page:100.0 ~write_us_per_page:100.0)
 
+let payloads_after w ~lsn =
+  let acc = ref [] in
+  Wal.iter_after w ~lsn (fun ~txn:_ p -> acc := p :: !acc);
+  List.rev !acc
+
 let test_wal_basic () =
   let w = Wal.create (wal_env ()) in
   let t1 = Wal.begin_txn w in
@@ -66,11 +71,11 @@ let test_wal_basic () =
   Alcotest.(check int) "2 records" 2 (Wal.length w);
   Alcotest.(check (list string)) "replay stream, oldest first"
     [ "upsert 5"; "delete 6" ]
-    (List.map (fun r -> r.Wal.payload) (Wal.records_after w ~lsn:0));
+    (payloads_after w ~lsn:0);
   Wal.checkpoint w;
   Alcotest.(check int) "checkpoint at the last LSN" l2 (Wal.checkpoint_lsn w);
   Alcotest.(check int) "nothing after ckpt" 0
-    (List.length (Wal.records_after w ~lsn:(Wal.checkpoint_lsn w)))
+    (List.length (payloads_after w ~lsn:(Wal.checkpoint_lsn w)))
 
 (* Tearing is only meaningful mid-write: an empty log has no tail, and a
    discard with a stale marker (record already gone) is a no-op. *)
@@ -91,6 +96,176 @@ let test_torn_tail_edge_cases () =
   Alcotest.(check int) "record gone" 0 (Wal.length w);
   Alcotest.(check bool) "second discard no-op" true
     (Wal.discard_torn_tail w = None)
+
+(* The record columns and the state bytes against the list and hash
+   tables they replaced: random appends, checkpoints, truncations at a
+   random settled threshold, torn-tail discards, and transactions begun,
+   committed, aborted, synced and crashed under group commit.  After every
+   step the replay streams, [length], [retained], every transaction's
+   state and durability, and the open group must agree. *)
+
+type lop =
+  | LLog
+  | LCkpt
+  | LTrunc of int
+  | LTear
+  | LBegin
+  | LCommit of int
+  | LAbort of int
+  | LSync
+  | LCrash
+
+let lop_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (10, return LLog);
+        (2, return LCkpt);
+        (3, map (fun k -> LTrunc k) (int_range 0 12));
+        (1, return LTear);
+        (4, return LBegin);
+        (4, map (fun i -> LCommit i) (int_range 0 40));
+        (2, map (fun i -> LAbort i) (int_range 0 40));
+        (1, return LSync);
+        (1, return LCrash);
+      ])
+
+type log_model = {
+  mutable recs : (int * int * int) list;  (** (lsn, txn, payload), oldest first *)
+  mutable next_lsn : int;
+  mutable appended : int;
+  mutable ckpt : int;
+  mutable txns : int;
+  states : (int, Wal.txn_state) Hashtbl.t;
+  durable : (int, unit) Hashtbl.t;
+  mutable group : int list;  (** newest first *)
+}
+
+let prop_wal_columns_match_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"columns = list model"
+       QCheck2.Gen.(pair (int_range 1 4) (list_size (int_range 1 400) lop_gen))
+       (fun (batch, ops) ->
+         let w = Wal.create (wal_env ()) in
+         Wal.set_group_commit w ~batch;
+         let m =
+           {
+             recs = [];
+             next_lsn = 1;
+             appended = 0;
+             ckpt = 0;
+             txns = 0;
+             states = Hashtbl.create 16;
+             durable = Hashtbl.create 16;
+             group = [];
+           }
+         in
+         let seal () =
+           List.iter (fun id -> Hashtbl.replace m.durable id ()) m.group;
+           m.group <- []
+         in
+         let pick i = if m.txns = 0 then 1 else 1 + (i mod m.txns) in
+         let step = function
+           | LLog ->
+               let txn = max 1 m.txns in
+               let p = m.appended in
+               let lsn = Wal.log w ~txn p in
+               if lsn <> m.next_lsn then QCheck2.Test.fail_report "lsn";
+               m.recs <- m.recs @ [ (lsn, txn, p) ];
+               m.next_lsn <- lsn + 1;
+               m.appended <- m.appended + 1
+           | LCkpt ->
+               Wal.checkpoint w;
+               m.ckpt <- m.next_lsn - 1
+           | LTrunc k ->
+               let limit = m.appended - k in
+               Wal.truncate w ~settled:(fun p -> p <= limit);
+               let rec drop = function
+                 | (lsn, _, p) :: rest when lsn <= m.ckpt && p <= limit -> drop rest
+                 | l -> l
+               in
+               m.recs <- drop m.recs
+           | LTear ->
+               Wal.tear_tail w;
+               ignore (Wal.discard_torn_tail w);
+               (match List.rev m.recs with
+               | _ :: rest ->
+                   m.recs <- List.rev rest;
+                   m.appended <- m.appended - 1
+               | [] -> ())
+           | LBegin ->
+               let id = Wal.begin_txn w in
+               m.txns <- m.txns + 1;
+               if id <> m.txns then QCheck2.Test.fail_report "txn id";
+               Hashtbl.replace m.states id Wal.Active
+           | LCommit i ->
+               let id = pick i in
+               Wal.commit w ~txn:id;
+               Hashtbl.replace m.states id Wal.Committed;
+               m.group <- id :: m.group;
+               if List.length m.group >= batch then seal ()
+           | LAbort i ->
+               let id = pick i in
+               Wal.abort w ~txn:id;
+               Hashtbl.replace m.states id Wal.Aborted
+           | LSync ->
+               Wal.sync w;
+               seal ()
+           | LCrash ->
+               ignore (Wal.crash w);
+               List.iter (fun id -> Hashtbl.replace m.states id Wal.Aborted) m.group;
+               m.group <- []
+         in
+         let stream ~lsn =
+           let acc = ref [] in
+           Wal.iter_after w ~lsn (fun ~txn p -> acc := (txn, p) :: !acc);
+           List.rev !acc
+         in
+         let model_stream ~lsn =
+           List.filter_map
+             (fun (l, txn, p) -> if l > lsn then Some (txn, p) else None)
+             m.recs
+         in
+         List.for_all
+           (fun op ->
+             step op;
+             stream ~lsn:0 = model_stream ~lsn:0
+             && stream ~lsn:m.ckpt = model_stream ~lsn:m.ckpt
+             && Wal.length w = m.appended
+             && Wal.retained w = List.length m.recs
+             && Wal.check w = Ok ()
+             && Wal.pending_group w = List.rev m.group
+             && List.for_all
+                  (fun id ->
+                    Wal.txn_state w ~txn:id = Hashtbl.find_opt m.states id
+                    && Wal.txn_durable w ~txn:id
+                       = (Hashtbl.find_opt m.states id = Some Wal.Committed
+                         && Hashtbl.mem m.durable id))
+                  (List.init (m.txns + 3) (fun i -> i - 1)))
+           ops))
+
+(* A transaction's state and durability take one byte: 65,536
+   transactions grow the log by at most 8,192 words plus the column's
+   header.  No record is logged, and the environment the log charges is
+   not counted. *)
+let test_wal_state_bytes () =
+  let env = wal_env () in
+  let w = Wal.create env in
+  let words () =
+    Obj.reachable_words (Obj.repr w) - Obj.reachable_words (Obj.repr env)
+  in
+  let before = words () in
+  let n = 65_536 in
+  for i = 1 to n do
+    let id = Wal.begin_txn w in
+    if i mod 3 = 0 then Wal.abort w ~txn:id else Wal.commit w ~txn:id
+  done;
+  Alcotest.(check bool) "last txn durable" true (Wal.txn_durable w ~txn:n);
+  let grown = words () - before in
+  let word_bytes = Sys.word_size / 8 in
+  if grown * word_bytes > n + (4 * word_bytes) then
+    Alcotest.failf "%d transactions grew the log by %d words (over 1 byte each)"
+      n grown
 
 (* ------------------------------------------------------------------ *)
 (* Side-file *)
@@ -331,6 +506,9 @@ let () =
           Alcotest.test_case "basic" `Quick test_wal_basic;
           Alcotest.test_case "torn tail edge cases" `Quick
             test_torn_tail_edge_cases;
+          prop_wal_columns_match_model;
+          Alcotest.test_case "state: one byte per txn" `Quick
+            test_wal_state_bytes;
         ] );
       ("side-file", [ Alcotest.test_case "basic" `Quick test_side_file ]);
       ( "concurrent-merge",
