@@ -35,7 +35,7 @@ let test_mem_btree_put =
          let t = Mbt.create () in
          for i = 0 to 999 do
            let k = (i * 7919) land 0xfffff in
-           ignore (Mbt.put t k k ~fkey:i i)
+           ignore (Mbt.put t k k ~ts:i ~fkey:i i)
          done))
 
 let test_mem_btree_find =
@@ -43,7 +43,7 @@ let test_mem_btree_find =
   let () =
     for i = 0 to 9_999 do
       let k = (i * 7919) land 0xfffff in
-      ignore (Mbt.put t k k ~fkey:i i)
+      ignore (Mbt.put t k k ~ts:i ~fkey:i i)
     done
   in
   let k = (4242 * 7919) land 0xfffff in
@@ -362,30 +362,28 @@ let test_tweet_time_range_scan =
          let n = ref 0 in
          P.scan t
            { spec with P.filter = Some window }
-           ~f:(fun _ _ _ v ~src_repaired:_ ->
-             match v with
-             | Lsm_tree.Entry.Put r -> n := !n + r.Tweet.msg_len
-             | Lsm_tree.Entry.Del -> ())))
+           ~f:(fun _ _ _ r ~src_repaired:_ -> n := !n + r.Tweet.msg_len)))
 
 let test_tweet_lookup_batch =
   Test.make ~name:"lsm.lookup_batch(tweets, 570k rows, 10k keys)"
     (Staged.stage (fun () ->
          let t, _, _, keys = Lazy.force tweet_fixture in
          let n = ref 0 in
-         P.lookup_batch t P.default_lookup_opts keys ~emit:(fun _ row ->
-             match row with
-             | Some { P.value = Lsm_tree.Entry.Put r; _ } ->
-                 n := !n + r.Tweet.msg_len
-             | _ -> ())))
+         P.lookup_batch t P.default_lookup_opts keys ~emit:(fun _ v ->
+             Option.iter (fun r -> n := !n + r.Tweet.msg_len) v)))
 
 module Txn = Lsm_core.Txn_dataset.Make (Lsm_workload.Tweet.Record) (D)
 
 (* Words reachable from a flushed 10k-row component with int values, per
    row: what a disk component keeps on the heap per stored row (its key,
-   timestamp and entry columns, the entries themselves, the Bloom filter
-   and leaf fences).  The secondary component is a dataset's: unit
-   values, no Bloom filter, 100 distinct secondary keys, and a pk column
-   beside the key column.  Deterministic per binary. *)
+   timestamp and value columns, the Bloom filter and leaf fences; no
+   anti-matter, so no bit column).  The secondary component is a
+   dataset's: unit values (one slot for the whole component), no Bloom
+   filter, 100 distinct secondary keys, and a pk column beside the key
+   column.  The memtable is a tree's memory component after 10k writes of
+   distinct keys in scrambled order, per binding: leaf key, timestamp and
+   entry columns with their slack, and the [Put] block each write
+   stored.  Deterministic per binary. *)
 let footprint_entries () =
   let words_per_row c rows =
     Float.of_int (Obj.reachable_words (Obj.repr c)) /. Float.of_int rows
@@ -413,6 +411,20 @@ let footprint_entries () =
   let sc = (S.components s).(0) in
   let sec_words = words_per_row sc (S.component_rows sc) in
   Printf.printf "footprint.secondary_component %.3f words per row\n" sec_words;
+  let bindings = 10_000 in
+  let env = quiet_env () in
+  let cfg = Lsm_tree.Config.make ~bloom:(Some Lsm_tree.Config.default_bloom) "bench" in
+  let empty = L.create env cfg and m = L.create env cfg in
+  for i = 0 to bindings - 1 do
+    let k = i * 7_919 mod 10_007 in
+    L.write m ~key:k ~pk:k ~ts:(i + 1) (Lsm_tree.Entry.Put i)
+  done;
+  let mem_words =
+    Float.of_int
+      (Obj.reachable_words (Obj.repr m) - Obj.reachable_words (Obj.repr empty))
+    /. Float.of_int bindings
+  in
+  Printf.printf "footprint.memtable %.3f words per binding\n" mem_words;
   (* The serving driver's request samples: words reachable from a
      [Samples] store after 20,000 pushes, per sample (five columns of
      one word each, grown by doubling to 32,768 rows). *)
@@ -457,6 +469,11 @@ let footprint_entries () =
       Lsm_harness.Bench_json.name = "footprint.secondary_component.words_per_row";
       unit_ = "words/row";
       samples = [| sec_words |];
+    };
+    {
+      Lsm_harness.Bench_json.name = "footprint.memtable.words_per_binding";
+      unit_ = "words/binding";
+      samples = [| mem_words |];
     };
     {
       Lsm_harness.Bench_json.name = "footprint.serve.words_per_sample";

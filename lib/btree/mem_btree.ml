@@ -15,6 +15,10 @@
     key, so an ordered walk can test a range predicate without touching
     the value (the LSM layer stores a row's range-filter key there).
 
+    Each binding also carries an int timestamp in a leaf column beside its
+    key, so a leaf slot holds the value exactly as it was written (the LSM
+    layer's entry) and no binding is a boxed (timestamp, value) pair.
+
     Key comparisons are counted per tree; the LSM layer drains the counter
     into the simulated clock after each operation. *)
 
@@ -30,6 +34,7 @@ type 'v leaf = {
   lp : int array;
       (* each binding's pk, aligned with [lk]; empty in a tree without
          the column *)
+  lt : int array;  (* each binding's timestamp, aligned with [lk] *)
   lv : 'v array;
   lf : int array;
       (* each binding's filter key, aligned with [lk]; empty in a tree
@@ -52,12 +57,13 @@ type 'v t = {
   mutable first : 'v leaf option;  (* leftmost leaf, for iteration *)
   mutable count : int;
   mutable cmps : int;
+  mutable found_ts : int;  (* the timestamp of [find]'s last hit *)
   fkeys : bool;  (* leaves carry the filter-key column *)
   pks : bool;  (* nodes carry the pk column *)
 }
 
 let create ?(fkeys = true) ?(pks = false) () =
-  { root = None; first = None; count = 0; cmps = 0; fkeys; pks }
+  { root = None; first = None; count = 0; cmps = 0; found_ts = 0; fkeys; pks }
 
 let length t = t.count
 let is_empty t = t.count = 0
@@ -100,10 +106,11 @@ let child_index t (nd : 'v internal) key pk =
 (* An int column of [node_cap] slots, or none. *)
 let column present x = if present then Array.make node_cap x else [||]
 
-let mk_leaf t key pk fkey value =
+let mk_leaf t key pk ts fkey value =
   {
     lk = Array.make node_cap key;
     lp = column t.pks pk;
+    lt = Array.make node_cap ts;
     lv = Array.make node_cap value;
     lf = column t.fkeys fkey;
     ln = 1;
@@ -145,6 +152,7 @@ let split_child parent idx =
         {
           lk = upper lf.lk mid n;
           lp = upper lf.lp mid n;
+          lt = upper lf.lt mid n;
           lv = Array.make node_cap lf.lv.(0);
           lf = upper lf.lf mid n;
           ln = n;
@@ -179,13 +187,52 @@ let node_full = function
   | L lf -> lf.ln = node_cap
   | I nd -> nd.inn = node_cap
 
-(** [put t key pk ~fkey value] inserts or replaces the binding of
-    (key, pk) with [value] and filter key [fkey]; returns the previous
-    value, if any.  Without the pk column [pk] is ignored. *)
-let put t key pk ~fkey value =
+(* [put]'s descent from a node, splitting full children on the way
+   down; at top level so a write allocates no closure for it. *)
+let rec put_below t key pk ts fkey value = function
+  | L lf ->
+      let pos = leaf_lower_bound t lf key pk in
+      if pos < lf.ln && cmp t lf.lk lf.lp pos key pk = 0 then begin
+        let old = lf.lv.(pos) in
+        lf.lv.(pos) <- value;
+        lf.lt.(pos) <- ts;
+        if Array.length lf.lf > 0 then lf.lf.(pos) <- fkey;
+        Some old
+      end
+      else begin
+        open_slot lf.lk pos lf.ln;
+        open_slot lf.lp pos lf.ln;
+        open_slot lf.lt pos lf.ln;
+        open_slot lf.lf pos lf.ln;
+        Array.blit lf.lv pos lf.lv (pos + 1) (lf.ln - pos);
+        lf.lk.(pos) <- key;
+        if Array.length lf.lp > 0 then lf.lp.(pos) <- pk;
+        lf.lt.(pos) <- ts;
+        lf.lv.(pos) <- value;
+        if Array.length lf.lf > 0 then lf.lf.(pos) <- fkey;
+        lf.ln <- lf.ln + 1;
+        t.count <- t.count + 1;
+        None
+      end
+  | I nd ->
+      let idx = child_index t nd key pk in
+      let idx =
+        if node_full nd.ic.(idx) then begin
+          split_child nd idx;
+          (* Re-decide between the two halves. *)
+          if cmp t nd.ik nd.ip idx key pk <= 0 then idx + 1 else idx
+        end
+        else idx
+      in
+      put_below t key pk ts fkey value nd.ic.(idx)
+
+(** [put t key pk ~ts ~fkey value] inserts or replaces the binding of
+    (key, pk) with [value], timestamp [ts] and filter key [fkey]; returns
+    the previous value, if any.  Without the pk column [pk] is ignored. *)
+let put t key pk ~ts ~fkey value =
   match t.root with
   | None ->
-      let lf = mk_leaf t key pk fkey value in
+      let lf = mk_leaf t key pk ts fkey value in
       t.root <- Some (L lf);
       t.first <- Some lf;
       t.count <- 1;
@@ -209,41 +256,7 @@ let put t key pk ~fkey value =
         end
         else root
       in
-      let rec go = function
-        | L lf ->
-            let pos = leaf_lower_bound t lf key pk in
-            if pos < lf.ln && cmp t lf.lk lf.lp pos key pk = 0 then begin
-              let old = lf.lv.(pos) in
-              lf.lv.(pos) <- value;
-              if Array.length lf.lf > 0 then lf.lf.(pos) <- fkey;
-              Some old
-            end
-            else begin
-              open_slot lf.lk pos lf.ln;
-              open_slot lf.lp pos lf.ln;
-              open_slot lf.lf pos lf.ln;
-              Array.blit lf.lv pos lf.lv (pos + 1) (lf.ln - pos);
-              lf.lk.(pos) <- key;
-              if Array.length lf.lp > 0 then lf.lp.(pos) <- pk;
-              lf.lv.(pos) <- value;
-              if Array.length lf.lf > 0 then lf.lf.(pos) <- fkey;
-              lf.ln <- lf.ln + 1;
-              t.count <- t.count + 1;
-              None
-            end
-        | I nd ->
-            let idx = child_index t nd key pk in
-            if node_full nd.ic.(idx) then begin
-              split_child nd idx;
-              (* Re-decide between the two halves. *)
-              let idx =
-                if cmp t nd.ik nd.ip idx key pk <= 0 then idx + 1 else idx
-              in
-              go nd.ic.(idx)
-            end
-            else go nd.ic.(idx)
-      in
-      go root
+      put_below t key pk ts fkey value root
 
 (* Close the slot [pos] of a column present in the node, shifting the
    live slots after it one to the left. *)
@@ -265,6 +278,7 @@ let remove t key pk =
           let old = lf.lv.(pos) in
           close_slot lf.lk pos lf.ln;
           close_slot lf.lp pos lf.ln;
+          close_slot lf.lt pos lf.ln;
           close_slot lf.lf pos lf.ln;
           Array.blit lf.lv (pos + 1) lf.lv pos (lf.ln - 1 - pos);
           lf.ln <- lf.ln - 1;
@@ -281,13 +295,19 @@ let remove t key pk =
 let rec find_below t key pk = function
   | L lf ->
       let pos = leaf_lower_bound t lf key pk in
-      if pos < lf.ln && cmp t lf.lk lf.lp pos key pk = 0 then Some lf.lv.(pos)
+      if pos < lf.ln && cmp t lf.lk lf.lp pos key pk = 0 then begin
+        t.found_ts <- lf.lt.(pos);
+        Some lf.lv.(pos)
+      end
       else None
   | I nd -> find_below t key pk nd.ic.(child_index t nd key pk)
 
-(** [find t key pk] returns the value bound to (key, pk), if any. *)
+(** [find t key pk] returns the value bound to (key, pk), if any; its
+    timestamp is then {!found_ts}. *)
 let find t key pk =
   match t.root with None -> None | Some r -> find_below t key pk r
+
+let found_ts t = t.found_ts
 
 (* A pull cursor: the next binding is slot [ci] of leaf [cl], or the
    first live slot after it along the leaf links ([None] = exhausted). *)
@@ -339,6 +359,11 @@ let pk c =
       if Array.length lf.lp > 0 then lf.lp.(c.ci - 1) else lf.lk.(c.ci - 1)
   | _ -> invalid_arg "Mem_btree.pk: no binding stepped over"
 
+let ts c =
+  match c.cl with
+  | Some lf when c.ci > 0 -> lf.lt.(c.ci - 1)
+  | _ -> invalid_arg "Mem_btree.ts: no binding stepped over"
+
 let value c =
   match c.cl with
   | Some lf when c.ci > 0 -> lf.lv.(c.ci - 1)
@@ -353,10 +378,10 @@ let fkey c =
 (** [copy c] is an independent cursor at [c]'s position. *)
 let copy c = { cl = c.cl; ci = c.ci }
 
-(** [to_sorted_array t] materializes all bindings as (key, pk, value) in
-    order (the tests' model). *)
+(** [to_sorted_array t] materializes all bindings as (key, pk, ts, value)
+    in order (the tests' model). *)
 let to_sorted_array t =
   let c = seek t None 0 in
   Array.init t.count (fun _ ->
       ignore (step c);
-      (key c, pk c, value c))
+      (key c, pk c, ts c, value c))

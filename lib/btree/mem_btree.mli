@@ -9,9 +9,11 @@
     (secondary key, primary key), kept as a second int column beside the
     keys.  Without it a binding is named by its key alone, which is its
     pk: every [pk] argument is then ignored and {!pk} reads the key.
-    Each binding also carries an int filter key, kept in a leaf column
-    aligned with the keys, so a cursor walk can test a range predicate on
-    it without reading the value.
+    Each binding also carries an int timestamp and an int filter key,
+    kept in leaf columns aligned with the keys: a leaf slot holds the
+    value as it was written, with no (timestamp, value) pair around it,
+    and a cursor walk can test a range predicate on the filter key
+    without reading the value.
 
     Key comparisons are counted per tree (a (key, pk) comparison counts
     one); the LSM layer drains the counter into the simulated clock after
@@ -34,18 +36,23 @@ val is_empty : 'v t -> bool
 val take_comparisons : 'v t -> int
 (** Return and reset the comparison counter. *)
 
-val put : 'v t -> int -> int -> fkey:int -> 'v -> 'v option
-(** [put t key pk ~fkey v] inserts or replaces the value and filter key
-    bound to (key, pk); returns the previous value, if any. *)
+val put : 'v t -> int -> int -> ts:int -> fkey:int -> 'v -> 'v option
+(** [put t key pk ~ts ~fkey v] inserts or replaces the value, timestamp
+    and filter key bound to (key, pk); returns the previous value, if
+    any. *)
 
 val remove : 'v t -> int -> int -> 'v option
 (** Remove a binding (transaction rollback only).  Leaves may underflow;
     search correctness is unaffected. *)
 
 val find : 'v t -> int -> int -> 'v option
+(** [find t key pk]: the value bound to (key, pk), if any. *)
 
-val to_sorted_array : 'v t -> (int * int * 'v) array
-(** All bindings as (key, pk, value), in order (the tests' model). *)
+val found_ts : 'v t -> int
+(** The timestamp of {!find}'s last hit on this tree. *)
+
+val to_sorted_array : 'v t -> (int * int * int * 'v) array
+(** All bindings as (key, pk, ts, value), in order (the tests' model). *)
 
 type 'v cursor
 (** A pull cursor over the bindings in ascending order.  It reads the
@@ -66,10 +73,11 @@ val step : 'v cursor -> bool
 
 val key : 'v cursor -> int
 val pk : 'v cursor -> int
+val ts : 'v cursor -> int
 val value : 'v cursor -> 'v
 val fkey : 'v cursor -> int
 (** The binding the last successful {!step} moved past: its key, pk
-    (its key, without the pk column), value and filter key.
+    (its key, without the pk column), timestamp, value and filter key.
     @raise Invalid_argument before the first. *)
 
 val copy : 'v cursor -> 'v cursor

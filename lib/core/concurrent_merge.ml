@@ -26,8 +26,6 @@
     ID range, repairedTS, range filter and flush provenance), sharing one
     bitmap, so later lockstep merges keep the pair aligned. *)
 
-module Entry = Lsm_tree.Entry
-
 module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
   type method_ = Baseline | Lock | Side_file
 
@@ -270,18 +268,22 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
           read pcomps.(at mod npcomps) (at / npcomps))
     in
     let tss = column (fun c i -> c.D.Prim.tss.(i)) in
-    let vals = column (fun c i -> c.D.Prim.vals.(i)) in
+    let b = D.Prim.columns n in
+    for o = 0 to n - 1 do
+      let at = Lsm_util.Vec.get st.out_at o in
+      D.Prim.copy_row b o pcomps.(at mod npcomps) (at / npcomps)
+    done;
+    let vals, dels = D.Prim.built b in
     let bitmap = Lsm_util.Bitset.create n in
     Hashtbl.iter (fun pos () -> Lsm_util.Bitset.set bitmap pos) st.out_marks;
-    ignore (D.Prim.install prim ~inputs:pcomps ~keys ~pks:[||] ~tss ~vals);
-    (* The twin shares the key and timestamp columns: no component writes
-       to its columns. *)
+    ignore (D.Prim.install prim ~inputs:pcomps ~keys ~pks:[||] ~tss ~vals ~dels);
+    (* The twin shares the key, timestamp and anti-matter columns (no
+       component writes to its columns); its unit values need one slot,
+       and none without a [Put] row. *)
     let kc =
       D.Pk.install pkt ~inputs:kcomps ~keys ~pks:[||] ~tss
-        ~vals:
-          (Array.map
-             (function Entry.Put _ -> Entry.Put () | Entry.Del -> Entry.Del)
-             vals)
+        ~vals:(if Array.length vals = 0 then [||] else [| () |])
+        ~dels
     in
     kc.D.Pk.bitmap <- Some bitmap;
     D.share_pair_bitmaps d;

@@ -801,8 +801,7 @@ module Make (R : Record.S) = struct
      the old record happens to live there, clean up secondaries for free. *)
   let mem_cleanup_opportunity t pk ~new_r ~ts =
     match Prim.mem_find t.primary pk pk with
-    | Some { Prim.value = Entry.Put old_r; _ } ->
-        cleanup_secondaries t ~old_r ~new_r ~ts
+    | Some (Entry.Put old_r) -> cleanup_secondaries t ~old_r ~new_r ~ts
     | _ -> ()
 
   (* Mutable-bitmap strategy: mark the old version of [pk] (if on disk)
@@ -820,8 +819,8 @@ module Make (R : Record.S) = struct
             None
         | None -> (
             match Pk.disk_find pkt pk with
-            | Some (c, pos)
-              when Entry.is_put c.Pk.vals.(pos) && Pk.row_valid c pos ->
+            | Some (c, pos) when (not (Pk.is_del c pos)) && Pk.row_valid c pos
+              ->
                 (* The shared bitmap makes the primary component see it. *)
                 Pk.invalidate c pos;
                 Some (c.Pk.seq, pos)
@@ -832,14 +831,8 @@ module Make (R : Record.S) = struct
       measures), else the primary index. *)
   let key_exists t pk =
     match t.pk_index with
-    | Some pkt -> (
-        match Pk.lookup_one pkt pk with
-        | Some row -> Entry.is_put row.Pk.value
-        | None -> false)
-    | None -> (
-        match Prim.lookup_one t.primary pk with
-        | Some row -> Entry.is_put row.Prim.value
-        | None -> false)
+    | Some pkt -> Option.is_some (Pk.lookup_one pkt pk)
+    | None -> Option.is_some (Prim.lookup_one t.primary pk)
 
   (** [insert t r] ingests a new record; duplicates (by primary key) are
       rejected.  All strategies insert identically (Sec. 4.2). *)
@@ -871,13 +864,13 @@ module Make (R : Record.S) = struct
         (* Point lookup for the old record; anti-matter its secondary
            entries; widen memory filters to cover its filter key. *)
         match Prim.lookup_one t.primary pk with
-        | Some { Prim.value = Entry.Put old_r; _ } ->
+        | Some old_r ->
             cleanup_secondaries t ~old_r ~new_r ~ts;
             Option.iter
               (fun fk -> Prim.widen_filter t.primary pk pk (fk old_r))
               t.filter_key;
             true
-        | _ -> false)
+        | None -> false)
     | Strategy.Mutable_bitmap ->
         ignore (mark_old_deleted t pk);
         mem_cleanup_opportunity t pk ~new_r ~ts;
@@ -924,14 +917,18 @@ module Make (R : Record.S) = struct
   (* Is a (pk, ts) pair still current according to validation index [vt]
      (the primary key index, or a deleted-key tree)?  Components with
      maxTS <= threshold are pruned; [threshold] is at least the entry's own
-     timestamp and its source component's repairedTS. *)
+     timestamp and its source component's repairedTS.  Each is pruned on
+     its own rather than ending the walk: per-shard flushes can leave a
+     component newer in the list than one with a higher maxTS, which may
+     still hold the superseding entry.  A pruned component costs
+     nothing. *)
   let entry_is_valid (vt : Pk.t) ?cursors ~pk ~ts ~threshold () =
     match Pk.mem_find vt pk pk with
-    | Some row -> row.Pk.ts <= ts
+    | Some _ -> Pk.mem_ts vt <= ts
     | None ->
         let pos =
           Pk.find_newest vt ?cursors
-            ~stop:(fun c -> c.Pk.cmax_ts <= threshold)
+            ~skip:(fun c -> c.Pk.cmax_ts <= threshold)
             pk
         in
         pos < 0 || (Pk.found vt).Pk.tss.(pos) <= ts
@@ -1026,8 +1023,8 @@ module Make (R : Record.S) = struct
            Array.iter
              (fun (pk, ts, pos) ->
                match Pk.mem_find vt pk pk with
-               | Some row ->
-                   if row.Pk.ts > ts then cands := (pk, ts, pos, -1) :: !cands
+               | Some _ ->
+                   if Pk.mem_ts vt > ts then cands := (pk, ts, pos, -1) :: !cands
                | None ->
                    let fp =
                      Pk.first_positive vt pk
@@ -1051,7 +1048,7 @@ module Make (R : Record.S) = struct
                     first hit is the newest entry and decides. *)
                  let hit =
                    Pk.find_newest vt ~cursors ~from:fp ~positive:fp
-                     ~stop:(fun c -> not (could_supersede c ts))
+                     ~skip:(fun c -> not (could_supersede c ts))
                      pk
                  in
                  hit >= 0 && (Pk.found vt).Pk.tss.(hit) > ts
@@ -1074,12 +1071,14 @@ module Make (R : Record.S) = struct
            if Array.length items > recent_rows then begin
              (* Merge-scan join: both sides sorted by pk. *)
              let newest : (int, int) Hashtbl.t = Hashtbl.create 1024 in
-             Pk.scan vt
-               { Pk.full_scan_spec with only = Some relevant_comps; emit_del = true }
-               ~f:(fun key _ ts _ ~src_repaired:_ ->
-                 match Hashtbl.find_opt newest key with
-                 | Some ts0 when ts0 >= ts -> ()
-                 | _ -> Hashtbl.replace newest key ts);
+             let note key _ ts ~src_repaired:_ =
+               match Hashtbl.find_opt newest key with
+               | Some ts0 when ts0 >= ts -> ()
+               | _ -> Hashtbl.replace newest key ts
+             in
+             Pk.scan ~on_del:note vt
+               { Pk.full_scan_spec with only = Some relevant_comps }
+               ~f:(fun key pk ts () -> note key pk ts);
              Array.iter
                (fun (pk, ts, pos) ->
                  match Hashtbl.find_opt newest pk with
@@ -1171,16 +1170,21 @@ module Make (R : Record.S) = struct
     Lsm_sim.Env.span t.env ~cat:s.sec_name "resilience.rebuild" @@ fun () ->
     repair_component t s comp ~piggyback:false;
     let live =
-      List.filter (Sec.row_valid comp)
-        (List.init (Sec.component_rows comp) Fun.id)
+      Array.of_list
+        (List.filter (Sec.row_valid comp)
+           (List.init (Sec.component_rows comp) Fun.id))
     in
-    let column col = Array.of_list (List.map (Array.get col) live) in
-    Lsm_sim.Env.charge_entry_visits t.env (List.length live);
+    let n = Array.length live in
+    let column col = Array.map (Array.get col) live in
+    let b = Sec.columns n in
+    Array.iteri (fun o i -> Sec.copy_row b o comp i) live;
+    let vals, dels = Sec.built b in
+    Lsm_sim.Env.charge_entry_visits t.env n;
     ignore
       (Sec.install s.tree ~inputs:[| comp |]
          ~keys:(column (Lsm_btree.Disk_btree.keys comp.Sec.tree))
          ~pks:(column (Lsm_btree.Disk_btree.pks comp.Sec.tree))
-         ~tss:(column comp.Sec.tss) ~vals:(column comp.Sec.vals));
+         ~tss:(column comp.Sec.tss) ~vals ~dels);
     let r = resil t in
     r.Lsm_sim.Env.rebuilds <- r.Lsm_sim.Env.rebuilds + 1
 
@@ -1274,29 +1278,25 @@ module Make (R : Record.S) = struct
     if Array.length comps > 0 then begin
       (* K-way scan over all disk components, newest-first priority. *)
       let m = Prim.merge_components t.primary comps in
-      (* Group same-pk versions; the newest of a group is current unless
-         the memory component holds an even newer one. *)
-      let process_group pk (versions : Prim.row list) =
-        let newest_mem = Prim.mem_find t.primary pk pk in
-        let current =
-          match (newest_mem, versions) with
-          | Some m, _ -> m
-          | None, v :: _ -> v
+      (* Group same-pk versions, newest first, each as its record ([None]:
+         anti-matter); the newest of a group is current unless the memory
+         component holds an even newer one. *)
+      let process_group pk (versions : R.t option list) =
+        let current, obsolete =
+          match (Prim.mem_find t.primary pk pk, versions) with
+          | Some e, _ -> (Entry.value e, versions)
+          | None, v :: older -> (v, older)
           | None, [] -> assert false
         in
-        let obsolete =
-          match newest_mem with Some _ -> versions | None -> List.tl versions
-        in
         List.iter
-          (fun (v : Prim.row) ->
-            match v.Prim.value with
-            | Entry.Put old_r ->
+          (function
+            | Some old_r ->
                 Array.iter
                   (fun s ->
                     let cur_keys =
-                      match current.Prim.value with
-                      | Entry.Put cur_r -> s.extract_all cur_r
-                      | Entry.Del -> []
+                      match current with
+                      | Some cur_r -> s.extract_all cur_r
+                      | None -> []
                     in
                     List.iter
                       (fun sko ->
@@ -1305,7 +1305,7 @@ module Make (R : Record.S) = struct
                             Entry.Del)
                       (s.extract_all old_r))
                   t.secondaries
-            | Entry.Del -> ())
+            | None -> ())
           obsolete
       in
       let cur_pk = ref min_int in
@@ -1315,16 +1315,16 @@ module Make (R : Record.S) = struct
       in
       let top = ref (Lsm_util.Kmerge.top m.cm_merge) in
       while !top >= 0 do
-        let s = !top in
-        let row = Prim.row_at comps.(s) m.cm_heads.(s) in
+        let c = comps.(!top) and i = m.cm_heads.(!top) in
+        let pk = (Lsm_btree.Disk_btree.keys c.Prim.tree).(i) in
+        let v = if Prim.is_del c i then None else Some (Prim.value_at c i) in
         top := Lsm_util.Kmerge.advance m.cm_merge;
-        let pk = row.Prim.key in
         if pk <> !cur_pk then begin
           flush_group ();
           cur_pk := pk;
-          group := [ row ]
+          group := [ v ]
         end
-        else group := row :: !group
+        else group := v :: !group
       done;
       flush_group ();
       if with_merge && Array.length comps >= 2 then begin
@@ -1402,10 +1402,8 @@ module Make (R : Record.S) = struct
      lookups; emission order is fetch order. *)
   let fetch_records t ?(lookup = Prim.default_lookup_opts) qkeys =
     let out = ref [] in
-    Prim.lookup_batch t.primary lookup qkeys ~emit:(fun _ row ->
-        match row with
-        | Some { Prim.value = Entry.Put r; _ } -> out := r :: !out
-        | _ -> ());
+    Prim.lookup_batch t.primary lookup qkeys ~emit:(fun _ v ->
+        Option.iter (fun r -> out := r :: !out) v);
     List.rev !out
 
   (** [query_secondary t ~sec ~lo ~hi ~mode ?lookup ()] returns the records
@@ -1493,12 +1491,9 @@ module Make (R : Record.S) = struct
   let full_scan t ~f =
     Lsm_sim.Env.span t.env ~cat:"dataset" "query.scan" @@ fun () ->
     let n = ref 0 in
-    Prim.scan t.primary Prim.full_scan_spec ~f:(fun _ _ _ value ~src_repaired:_ ->
-        match value with
-        | Entry.Put r ->
-            incr n;
-            f r
-        | Entry.Del -> ());
+    Prim.scan t.primary Prim.full_scan_spec ~f:(fun _ _ _ r ~src_repaired:_ ->
+        incr n;
+        f r);
     Lsm_sim.Env.explain_count t.env "rows_emitted" !n;
     !n
 
@@ -1559,20 +1554,15 @@ module Make (R : Record.S) = struct
         only = Some only;
         filter = Some (tlo, thi);
       }
-      ~f:(fun _ _ _ value ~src_repaired:_ ->
-        match value with
-        | Entry.Put r ->
-            incr n;
-            f r
-        | Entry.Del -> ());
+      ~f:(fun _ _ _ r ~src_repaired:_ ->
+        incr n;
+        f r);
     !n
 
   (** [point_query t pk] is a primary-key point query. *)
   let point_query t pk =
     Lsm_sim.Env.span t.env ~cat:"dataset" "query.point" @@ fun () ->
-    match Prim.lookup_one t.primary pk with
-    | Some { Prim.value = Entry.Put r; _ } -> Some r
-    | _ -> None
+    Prim.lookup_one t.primary pk
 
   (* ------------------------------------------------------------------ *)
   (* Introspection for tests and benches *)

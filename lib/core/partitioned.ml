@@ -68,12 +68,7 @@ module Make (R : Record.S) = struct
       let lookup =
         match lookup with Some l -> l | None -> D.Prim.default_lookup_opts
       in
-      D.Prim.lookup_batch (D.primary d) lookup (D.Prim.plain_keys arr)
-        ~emit:(fun pk row ->
-          emit pk
-            (match row with
-            | Some { D.Prim.value = Lsm_tree.Entry.Put r; _ } -> Some r
-            | _ -> None))
+      D.Prim.lookup_batch (D.primary d) lookup (D.Prim.plain_keys arr) ~emit
     end
 
   (** [point_query_batch t pks ~emit] resolves many primary-key point

@@ -103,14 +103,12 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
      everything an abort needs. *)
 
   let capture_prim t pk =
-    match D.Prim.mem_find (D.primary t.d) pk pk with
-    | Some r -> Some (r.D.Prim.ts, r.D.Prim.value)
-    | None -> None
+    let p = D.primary t.d in
+    Option.map (fun e -> (D.Prim.mem_ts p, e)) (D.Prim.mem_find p pk pk)
 
   let capture_pk t pk =
-    match D.Pk.mem_find (pk_index t) pk pk with
-    | Some r -> Some (r.D.Pk.ts, r.D.Pk.value)
-    | None -> None
+    let p = pk_index t in
+    Option.map (fun e -> (D.Pk.mem_ts p, e)) (D.Pk.mem_find p pk pk)
 
   let capture_sec t pk r_opt =
     match r_opt with
@@ -121,9 +119,9 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
             List.map
               (fun sk ->
                 let prior =
-                  match D.Sec.mem_find s.D.tree sk pk with
-                  | Some row -> Some (row.D.Sec.ts, row.D.Sec.value)
-                  | None -> None
+                  Option.map
+                    (fun e -> (D.Sec.mem_ts s.D.tree, e))
+                    (D.Sec.mem_find s.D.tree sk pk)
                 in
                 (s.D.sec_name, sk, prior))
               (s.D.extract_all r))

@@ -12,8 +12,6 @@ let is_del = function Del -> true | Put _ -> false
 
 let value = function Put v -> Some v | Del -> None
 
-let map f = function Put v -> Put (f v) | Del -> Del
-
 (** [byte_size size_of e]: anti-matter entries store only the key, which
     the containing row accounts for separately. *)
 let byte_size size_of = function Put v -> size_of v | Del -> 0

@@ -22,6 +22,17 @@ module Dbt = Lsm_btree.Disk_btree
 let[@inline] pk_in keys pks i =
   if Array.length pks = 0 then keys.(i) else pks.(i)
 
+(* Whether row [i] is anti-matter in the bit column [dels]: bit [i land 7]
+   of byte [i lsr 3], and none at all when [dels] is empty. *)
+let[@inline] del_in dels i =
+  Bytes.length dels > 0
+  && Bytes.get_uint8 dels (i lsr 3) land (1 lsl (i land 7)) <> 0
+
+(* The value of [Put] row [i] in the value column [vals], which holds one
+   slot per row, or a single slot for all of them. *)
+let[@inline] value_in vals i =
+  if Array.length vals = 1 then vals.(0) else vals.(i)
+
 (** How a tree names its rows; see the module header. *)
 type layout = Pk | Sk_pk
 
@@ -74,10 +85,12 @@ type tree = {
 module type VALUE = sig type t val byte_size : t -> int end
 
 module Make (V : VALUE) = struct
-  type row = { key : int; ts : int; value : V.t Entry.t }
+  type row = { key : int; ts : int; value : V.t option }
 
   type mem_component = {
-    table : (int * V.t Entry.t) Mbt.t;  (** (key, pk) -> (ts, entry) *)
+    table : V.t Entry.t Mbt.t;
+        (** (key, pk) -> the entry as written, its timestamp in the
+            leaves' timestamp column *)
     mutable bytes : int;
     mutable min_ts : int;  (** max_int when empty *)
     mutable max_ts : int;  (** -1 when empty *)
@@ -90,7 +103,15 @@ module Make (V : VALUE) = struct
         (** the key index; its key columns are {!Dbt.keys} and
             {!Dbt.pks} *)
     tss : int array;  (** each row's timestamp, by position *)
-    vals : V.t Entry.t array;  (** each row's entry, by position *)
+    vals : V.t array;
+        (** the [Put] rows' values, by position (read through
+            {!value_at}): one slot per row, an anti-matter row's slot
+            holding another row's value; a single slot when every [Put]
+            value is physically the same (always so for [unit]); empty
+            without a [Put] row *)
+    dels : Bytes.t;
+        (** the anti-matter bits, by position (bit [i land 7] of byte
+            [i lsr 3]); empty when no row is anti-matter *)
     bloom : Lsm_bloom.Filter.t option;
     cmin_ts : int;  (** component ID lower bound *)
     cmax_ts : int;  (** component ID upper bound *)
@@ -148,6 +169,7 @@ module Make (V : VALUE) = struct
             hit, so the walk returns a bare position; [found_in] is
             emptied whenever [disk] changes, so it never keeps a deleted
             component alive *)
+    mutable mem_ts : int;  (** the timestamp of {!mem_find}'s last hit *)
   }
 
   let fresh_mem ~pk_col filter_of =
@@ -177,6 +199,7 @@ module Make (V : VALUE) = struct
       tombstone_drop_ts = max_int;
       found_in = [||];
       found_at = -1;
+      mem_ts = 0;
     }
 
   let mem_shards t = Array.length t.mems
@@ -198,6 +221,12 @@ module Make (V : VALUE) = struct
      timestamp, value. *)
   let entry_size t value =
     (if t.pk_col then 16 else 8) + 8 + Entry.byte_size V.byte_size value
+
+  (* [entry_size] of row [i] of the columns [vals] and [dels]. *)
+  let entry_size_at t vals dels i =
+    (if t.pk_col then 16 else 8)
+    + 8
+    + if del_in dels i then 0 else V.byte_size (value_in vals i)
 
   (** [set_tombstone_drop_ts t ts]: see the field documentation. *)
   let set_tombstone_drop_ts t ts = t.tombstone_drop_ts <- ts
@@ -363,10 +392,10 @@ module Make (V : VALUE) = struct
   let write t ~key ~pk ~ts entry =
     let m = t.mems.(shard_of t key pk) in
     let fkey = fkey_of t entry in
-    let old = Mbt.put m.table key pk ~fkey (ts, entry) in
+    let old = Mbt.put m.table key pk ~ts ~fkey entry in
     charge_mem_cmps t;
     (match old with
-    | Some (_, old_e) -> m.bytes <- m.bytes - entry_size t old_e
+    | Some old_e -> m.bytes <- m.bytes - entry_size t old_e
     | None -> ());
     m.bytes <- m.bytes + entry_size t entry;
     if ts < m.min_ts then m.min_ts <- ts;
@@ -386,11 +415,11 @@ module Make (V : VALUE) = struct
   let mem_rollback t ~key ~pk ~prior =
     let m = t.mems.(shard_of t key pk) in
     (match Mbt.remove m.table key pk with
-    | Some (_, old_e) -> m.bytes <- m.bytes - entry_size t old_e
+    | Some old_e -> m.bytes <- m.bytes - entry_size t old_e
     | None -> ());
     (match prior with
-    | Some ((ts : int), entry) ->
-        ignore (Mbt.put m.table key pk ~fkey:(fkey_of t entry) (ts, entry));
+    | Some (ts, entry) ->
+        ignore (Mbt.put m.table key pk ~ts ~fkey:(fkey_of t entry) entry);
         m.bytes <- m.bytes + entry_size t entry
     | None -> ());
     charge_mem_cmps t
@@ -403,15 +432,18 @@ module Make (V : VALUE) = struct
       t.mems
 
   (** [mem_find t key pk] searches only the memory component for the row
-      (key, pk). *)
+      (key, pk): its entry, if any, with the timestamp then {!mem_ts}. *)
   let mem_find t key pk =
-    let r = Mbt.find t.mems.(shard_of t key pk).table key pk in
+    let table = t.mems.(shard_of t key pk).table in
+    let r = Mbt.find table key pk in
     charge_mem_cmps t;
-    match r with
-    | None -> None
-    | Some (ts, entry) ->
-        Lsm_sim.Env.charge_entry_visits t.env 1;
-        Some { key; ts; value = entry }
+    if Option.is_some r then begin
+      t.mem_ts <- Mbt.found_ts table;
+      Lsm_sim.Env.charge_entry_visits t.env 1
+    end;
+    r
+
+  let mem_ts t = t.mem_ts
 
   (** [mem_filter t] is the memory component's current range-filter
       bounds (the union over shards), if the tree has a filter and the
@@ -508,11 +540,11 @@ module Make (V : VALUE) = struct
     end
     else -1
 
-  let rec walk t cursors comps stop positive key i =
+  let rec walk t cursors comps skip positive key i =
     if i >= Array.length comps then -1
     else
       let c = comps.(i) in
-      if stop c then -1
+      if skip c then walk t cursors comps skip positive key (i + 1)
       else
         let pos = probe_at t cursors ~positive:(i = positive) i c key in
         if pos >= 0 then begin
@@ -520,25 +552,37 @@ module Make (V : VALUE) = struct
           t.found_at <- i;
           pos
         end
-        else walk t cursors comps stop positive key (i + 1)
+        else walk t cursors comps skip positive key (i + 1)
 
-  (** [find_newest t ?cursors ?from ?stop ?positive key]: the row position
-      of the newest disk entry for [key] ([-1]: none), probing components
-      newest to oldest from [from] until [stop] says so or one hits; the
+  (** [find_newest t ?cursors ?from ?skip ?positive key]: the row
+      position of the newest disk entry for [key] ([-1]: none), probing
+      components newest to oldest from [from], passing over those [skip]
+      accepts unprobed, until one hits; the
       hit's component is {!found}.  With [cursors], the walk reads their
       snapshot. *)
-  let find_newest t ?cursors ?(from = 0) ?(stop = fun _ -> false)
+  let find_newest t ?cursors ?(from = 0) ?(skip = fun _ -> false)
       ?(positive = -1) key =
     check_pk_keyed t "find_newest";
     let comps = match cursors with Some k -> k.snapshot | None -> t.disk in
-    walk t cursors comps stop positive key from
+    walk t cursors comps skip positive key from
 
   (** [found t] is the component of {!find_newest}'s last hit. *)
   let found t = t.found_in.(t.found_at)
 
+  (** [is_del c i]: whether row [i] of [c] is anti-matter. *)
+  let is_del c i = del_in c.dels i
+
+  (** [value_at c i] is the value of [Put] row [i] of [c]. *)
+  let value_at c i = value_in c.vals i
+
   (** [row_at c i] is the row at position [i] of [c], built from its
       columns. *)
-  let row_at c i = { key = (Dbt.keys c.tree).(i); ts = c.tss.(i); value = c.vals.(i) }
+  let row_at c i =
+    {
+      key = (Dbt.keys c.tree).(i);
+      ts = c.tss.(i);
+      value = (if is_del c i then None else Some (value_at c i));
+    }
 
   (** [first_positive t ?eligible key]: the newest [eligible] component
       whose Bloom filter may hold [key], or [-1]. *)
@@ -568,12 +612,61 @@ module Make (V : VALUE) = struct
         Lsm_sim.Env.charge_hashes t.env (2 * n);
         Some f
 
+  (* A component's value and anti-matter columns under construction,
+     row by row in any order: [c_vals] is empty until the first [Put]
+     row, then that row's value alone while every [Put] value is
+     physically the same, then one slot per row, the slots of anti-matter
+     rows keeping the first [Put] row's value. *)
+  type columns = {
+    c_rows : int;
+    mutable c_vals : V.t array;
+    mutable c_dels : Bytes.t;
+  }
+
+  let columns n = { c_rows = n; c_vals = [||]; c_dels = Bytes.empty }
+
+  let set_put b o v =
+    let vs = b.c_vals in
+    if Array.length vs = 0 then b.c_vals <- [| v |]
+    else if Array.length vs < b.c_rows then begin
+      if vs.(0) != v then begin
+        let a = Array.make b.c_rows vs.(0) in
+        a.(o) <- v;
+        b.c_vals <- a
+      end
+    end
+    else vs.(o) <- v
+
+  let set_del b o =
+    if Bytes.length b.c_dels = 0 then
+      b.c_dels <- Bytes.make ((b.c_rows + 7) / 8) '\000';
+    Bytes.set_uint8 b.c_dels (o lsr 3)
+      (Bytes.get_uint8 b.c_dels (o lsr 3) lor (1 lsl (o land 7)))
+
+  let copy_row b o c i =
+    if is_del c i then set_del b o else set_put b o (value_at c i)
+
+  let built b = (b.c_vals, b.c_dels)
+
+  (* The filter-key column of [n] rows: [f] of each [Put] row's value,
+     [no_fkey] for anti-matter.  A function of the columns alone, so the
+     lazy column of a component keeps nothing else alive. *)
+  let fkey_column f vals dels n =
+    Array.init n (fun i -> if del_in dels i then no_fkey else f (value_in vals i))
+
   (* A component over the row-sorted columns [keys], [pks], [tss],
-     [vals]; the key index keeps [keys] and [pks] as its key columns. *)
-  let mk_component t ~keys ~pks ~tss ~vals ~cmin_ts ~cmax_ts ~range_filter
-      ~repaired_ts ~prov =
+     [vals], [dels]; the key index keeps [keys] and [pks] as its key
+     columns. *)
+  let mk_component t ~keys ~pks ~tss ~vals ~dels ~cmin_ts ~cmax_ts
+      ~range_filter ~repaired_ts ~prov =
+    let n = Array.length keys in
+    if
+      not
+        ((Array.length vals <= 1 || Array.length vals = n)
+        && (Bytes.length dels = 0 || Bytes.length dels = (n + 7) / 8))
+    then invalid_arg "Lsm_tree: value or anti-matter column of the wrong length";
     let tree =
-      Dbt.build t.env ~size_of:(fun i -> entry_size t vals.(i)) keys pks
+      Dbt.build t.env ~size_of:(fun i -> entry_size_at t vals dels i) keys pks
     in
     let bloom = build_bloom t keys pks in
     let bitmap =
@@ -587,6 +680,7 @@ module Make (V : VALUE) = struct
       tree;
       tss;
       vals;
+      dels;
       bloom;
       cmin_ts;
       cmax_ts;
@@ -594,7 +688,7 @@ module Make (V : VALUE) = struct
       fkeys =
         (match t.filter_of with
         | None -> Lazy.from_val [||]
-        | Some _ -> lazy (Array.map (fkey_of t) vals));
+        | Some f -> lazy (fkey_column f vals dels n));
       bitmap;
       repaired_ts;
       quarantined = false;
@@ -616,31 +710,49 @@ module Make (V : VALUE) = struct
         ignore (Mbt.step !cur);
         read !cur)
 
-  (* The key, pk ([||] in a [Pk] tree), timestamp and entry columns of
-     the memory shards [mems], in row order, read straight from the
-     memtables.  Several shards are gathered and their row order sorted,
-     charged: shard row sets are disjoint, so that reproduces a single
-     memtable's order — and the comparisons of sorting its rows —
-     exactly. *)
+  (* The key, pk ([||] in a [Pk] tree), timestamp, value and anti-matter
+     columns of the memory shards [mems], in row order, read straight
+     from the memtables.  Several shards are gathered and their row order
+     sorted, charged: shard row sets are disjoint, so that reproduces a
+     single memtable's order — and the comparisons of sorting its rows —
+     exactly.  The value and anti-matter columns are then written by
+     sorted position from one more walk over the bindings. *)
   let mem_columns t mems =
     let slices = Array.map (fun m -> (Mbt.seek m.table None 0, Mbt.length m.table)) mems in
     let n = Array.fold_left (fun acc (_, k) -> acc + k) 0 slices in
     let keys = gather slices n Mbt.key
     and pks = if t.pk_col then gather slices n Mbt.pk else [||]
-    and tss = gather slices n (fun c -> fst (Mbt.value c))
-    and vals = gather slices n (fun c -> snd (Mbt.value c)) in
-    if Array.length mems = 1 then (keys, pks, tss, vals)
-    else begin
-      let order = Array.init n Fun.id in
-      Array.sort
-        (fun a b ->
-          compare_rows t keys.(a) (pk_in keys pks a) keys.(b) (pk_in keys pks b))
-        order;
-      let sorted col =
-        if Array.length col = 0 then col else Array.map (fun i -> col.(i)) order
-      in
-      (sorted keys, sorted pks, sorted tss, sorted vals)
-    end
+    and tss = gather slices n Mbt.ts in
+    let keys, pks, tss, rank =
+      if Array.length mems = 1 then (keys, pks, tss, [||])
+      else begin
+        let order = Array.init n Fun.id in
+        Array.sort
+          (fun a b ->
+            compare_rows t keys.(a) (pk_in keys pks a) keys.(b) (pk_in keys pks b))
+          order;
+        let sorted col =
+          if Array.length col = 0 then col else Array.map (fun i -> col.(i)) order
+        in
+        let rank = Array.make n 0 in
+        Array.iteri (fun r g -> rank.(g) <- r) order;
+        (sorted keys, sorted pks, sorted tss, rank)
+      end
+    in
+    let b = columns n and g = ref 0 in
+    Array.iter
+      (fun (c, k) ->
+        let c = Mbt.copy c in
+        for _ = 1 to k do
+          ignore (Mbt.step c);
+          let o = if Array.length rank = 0 then !g else rank.(!g) in
+          (match Mbt.value c with
+          | Entry.Put v -> set_put b o v
+          | Entry.Del -> set_del b o);
+          incr g
+        done)
+      slices;
+    (keys, pks, tss, b.c_vals, b.c_dels)
 
   (* Flush the memory shards [mems] into a fresh newest component, stamped
      with one flush origin ([fo_shard]: the flushed shard, [-1] = all).
@@ -649,7 +761,7 @@ module Make (V : VALUE) = struct
      enumerates both windows. *)
   let flush_shards t mems ~cmin_ts ~cmax_ts ~range_filter ~fo_shard
       ~points:(begin_point, install_point) ~reset =
-    let keys, pks, tss, vals = mem_columns t mems in
+    let keys, pks, tss, vals, dels = mem_columns t mems in
     let n = Array.length keys in
     Lsm_sim.Env.span t.env ~cat:(name t) "lsm.flush" @@ fun () ->
     Lsm_sim.Env.fault_point t.env begin_point;
@@ -665,8 +777,8 @@ module Make (V : VALUE) = struct
       ]
     in
     let c =
-      mk_component t ~keys ~pks ~tss ~vals ~cmin_ts ~cmax_ts ~range_filter
-        ~repaired_ts:0 ~prov
+      mk_component t ~keys ~pks ~tss ~vals ~dels ~cmin_ts ~cmax_ts
+        ~range_filter ~repaired_ts:0 ~prov
     in
     set_disk t (Array.append [| c |] t.disk);
     reset ();
@@ -731,16 +843,12 @@ module Make (V : VALUE) = struct
             component independently (Mutable-bitmap strategy, Sec. 6.4.2) *)
     respect_bitmap : bool;
     include_mem : bool;
-    emit_del : bool;
-        (** also emit anti-matter entries that win reconciliation (needed
-            by validation logic that must see deletions; default: queries
-            only see live data) *)
     only : disk_component list option;
         (** restrict to these disk components (newest-first); [None] = all.
             Callers use this for range-filter pruning. *)
     filter : (int * int) option;
         (** emit only [Put] rows whose filter key lies in [\[a, b\]]
-            (anti-matter follows [emit_del]); every row is still read,
+            (anti-matter is not filtered); every row is still read,
             reconciled and charged.  Needs a tree with range filters. *)
   }
 
@@ -753,7 +861,6 @@ module Make (V : VALUE) = struct
       reconcile = true;
       respect_bitmap = true;
       include_mem = true;
-      emit_del = false;
       only = None;
       filter = None;
     }
@@ -932,7 +1039,7 @@ module Make (V : VALUE) = struct
            let c = j.mj_inputs.(s) in
            if
              not
-               (Entry.is_del c.vals.(i) && j.mj_includes_oldest
+               (is_del c i && j.mj_includes_oldest
               && c.tss.(i) <= j.mj_drop_ts)
            then Lsm_util.Vec.push j.mj_out ((i * k) + s));
         step (budget - 1) next
@@ -940,15 +1047,16 @@ module Make (V : VALUE) = struct
     in
     step rows (Lsm_util.Kmerge.top m)
 
-  (** [install t ~inputs ~keys ~pks ~tss ~vals] replaces [inputs] — a
-      contiguous run of the current components, newest first, located by
-      physical identity so components prepended meanwhile (per-shard
+  (** [install t ~inputs ~keys ~pks ~tss ~vals ~dels] replaces [inputs]
+      — a contiguous run of the current components, newest first, located
+      by physical identity so components prepended meanwhile (per-shard
       flushes overlapping a merge) are tolerated — with one component
-      over the row-sorted columns ([pks]: [[||]] in a [Pk] tree).  Its ID
-      range, repairedTS (the inputs' minimum), range filter and flush
-      provenance derive from the inputs exactly as for a merge.  The
-      inputs' files are deleted. *)
-  let install t ~inputs ~keys ~pks ~tss ~vals =
+      over the row-sorted columns ([pks]: [[||]] in a [Pk] tree; [vals]
+      and [dels] as {!columns} builds them).  Its ID range, repairedTS
+      (the inputs' minimum), range filter and flush provenance derive
+      from the inputs exactly as for a merge.  The inputs' files are
+      deleted. *)
+  let install t ~inputs ~keys ~pks ~tss ~vals ~dels =
     if Array.length pks <> (if t.pk_col then Array.length keys else 0) then
       invalid_arg "Lsm_tree.install: pk column does not match the layout";
     let k = Array.length inputs in
@@ -980,14 +1088,13 @@ module Make (V : VALUE) = struct
           if last = n - 1 then begin
             (* No anti-matter survives a bottom merge: recompute tightly. *)
             let fmin = ref max_int and fmax = ref min_int in
-            Array.iter
-              (function
-                | Entry.Put v ->
-                    let x = f v in
-                    if x < !fmin then fmin := x;
-                    if x > !fmax then fmax := x
-                | Entry.Del -> ())
-              vals;
+            for i = 0 to Array.length keys - 1 do
+              if not (del_in dels i) then begin
+                let x = f (value_in vals i) in
+                if x < !fmin then fmin := x;
+                if x > !fmax then fmax := x
+              end
+            done;
             if !fmin <= !fmax then Some (!fmin, !fmax) else None
           end
           else
@@ -1002,8 +1109,8 @@ module Make (V : VALUE) = struct
     in
     let prov = List.concat_map (fun c -> c.prov) (Array.to_list inputs) in
     let c =
-      mk_component t ~keys ~pks ~tss ~vals ~cmin_ts ~cmax_ts ~range_filter
-        ~repaired_ts ~prov
+      mk_component t ~keys ~pks ~tss ~vals ~dels ~cmin_ts ~cmax_ts
+        ~range_filter ~repaired_ts ~prov
     in
     set_disk t
       (Array.concat
@@ -1028,12 +1135,17 @@ module Make (V : VALUE) = struct
           let p = Lsm_util.Vec.get out o in
           read inputs.(p mod k) (p / k))
     in
+    let b = columns n in
+    for o = 0 to n - 1 do
+      let p = Lsm_util.Vec.get out o in
+      copy_row b o inputs.(p mod k) (p / k)
+    done;
     let merged =
       install t ~inputs
         ~keys:(column (fun c i -> (Dbt.keys c.tree).(i)))
         ~pks:(if t.pk_col then column (fun c i -> (Dbt.pks c.tree).(i)) else [||])
         ~tss:(column (fun c i -> c.tss.(i)))
-        ~vals:(column (fun c i -> c.vals.(i)))
+        ~vals:b.c_vals ~dels:b.c_dels
     in
     Lsm_obs.Ampstats.on_merge
       (Lsm_sim.Env.amp t.env)
@@ -1192,12 +1304,14 @@ module Make (V : VALUE) = struct
     let pos = find_newest t key in
     let probed = if pos >= 0 then t.found_at + 1 else Array.length t.disk in
     if probed > 0 then Lsm_sim.Env.explain_count t.env "components_probed" probed;
-    if pos >= 0 && row_valid (found t) pos then Some (row_at (found t) pos)
+    if pos >= 0 && row_valid (found t) pos && not (is_del (found t) pos) then
+      Some (value_at (found t) pos)
     else None
 
-  (** [lookup_one t key] is the newest entry for [key] across the memory
-      component and all disk components ([None] if the key was never
-      written or its newest disk entry is bitmap-invalidated).  The
+  (** [lookup_one t key] is the value of the newest entry for [key] across
+      the memory component and all disk components, when that entry is a
+      [Put] ([None] if the key was never written, its newest entry is
+      anti-matter, or its newest disk entry is bitmap-invalidated).  The
       single-key path used by ingestion-time point lookups.
 
       A bitmap-invalidated hit terminates the search: the bit means the
@@ -1207,9 +1321,9 @@ module Make (V : VALUE) = struct
     check_pk_keyed t "lookup_one";
     Lsm_sim.Env.span t.env ~cat:(name t) "lsm.lookup" @@ fun () ->
     match mem_find t key key with
-    | Some r ->
+    | Some e ->
         Lsm_sim.Env.explain_count t.env "mem_hits" 1;
-        Some r
+        Entry.value e
     | None -> lookup_disk t key
 
   (** [disk_find t key] locates the newest *disk* entry for [key] as
@@ -1229,8 +1343,9 @@ module Make (V : VALUE) = struct
     Lsm_sim.Env.charge_entry_visits t.env (Dbt.nrows c.tree)
 
   (** [lookup_batch t opts qkeys ~emit] resolves many point lookups.
-      [qkeys] must be sorted ascending by key.  [emit key row_opt] is
-      called exactly once per query key; emission order is the fetch order
+      [qkeys] must be sorted ascending by key.  [emit key v] is called
+      exactly once per query key, with what {!lookup_one} would return;
+      emission order is the fetch order
       (memory hits, then per-component hits newest-to-oldest within each
       batch), which for the batched algorithm is *not* global key order —
       the trade-off Fig. 12d measures. *)
@@ -1263,18 +1378,18 @@ module Make (V : VALUE) = struct
         let bn = stop - !start in
         let resolved = Array.make bn false in
         let remaining = ref bn in
-        let resolve i key row_opt =
+        let resolve i key v =
           resolved.(i) <- true;
           decr remaining;
-          emit key row_opt
+          emit key v
         in
         (* Memory component first. *)
         for i = 0 to bn - 1 do
           let key = qkeys.(!start + i).qkey in
           match mem_find t key key with
-          | Some r ->
+          | Some e ->
               Lsm_sim.Env.explain_count t.env "mem_hits" 1;
-              resolve i qkeys.(!start + i).qkey (Some r)
+              resolve i qkeys.(!start + i).qkey (Entry.value e)
           | None -> ()
         done;
         (* Components newest to oldest; each component visited once per
@@ -1296,7 +1411,9 @@ module Make (V : VALUE) = struct
                    searched. *)
                 if pos >= 0 then
                   resolve i qk.qkey
-                    (if row_valid c pos then Some (row_at c pos) else None)
+                    (if row_valid c pos && not (is_del c pos) then
+                       Some (value_at c pos)
+                     else None)
               end
             end
           done;
@@ -1315,17 +1432,19 @@ module Make (V : VALUE) = struct
   (* The memory component's in-range bindings, read through one head: a
      single memtable's cursor with the count of in-range bindings still
      ahead of it, or several shards' bindings gathered into columns (key,
-     pk, (ts, entry), filter key) with their row order and a position in
-     it.  The head is the binding the last successful pull moved to. *)
+     pk, timestamp, entry, filter key) with their row order and a
+     position in it.  The head is the binding the last successful pull
+     moved to. *)
   type mem_source =
     | Mem_cursor of {
-        cur : (int * V.t Entry.t) Mbt.cursor;
+        cur : V.t Entry.t Mbt.cursor;
         mutable left : int;
       }
     | Mem_sorted of {
         keys : int array;
         pks : int array;
-        tvs : (int * V.t Entry.t) array;
+        tss : int array;
+        es : V.t Entry.t array;
         fks : int array;
         order : int array;
         mutable at : int;
@@ -1339,9 +1458,13 @@ module Make (V : VALUE) = struct
     | Mem_cursor m -> Mbt.pk m.cur
     | Mem_sorted m -> m.pks.(m.order.(m.at))
 
-  let[@inline] mem_binding = function
+  let[@inline] mem_ts_of = function
+    | Mem_cursor m -> Mbt.ts m.cur
+    | Mem_sorted m -> m.tss.(m.order.(m.at))
+
+  let[@inline] mem_entry = function
     | Mem_cursor m -> Mbt.value m.cur
-    | Mem_sorted m -> m.tvs.(m.order.(m.at))
+    | Mem_sorted m -> m.es.(m.order.(m.at))
 
   let[@inline] mem_fkey = function
     | Mem_cursor m -> Mbt.fkey m.cur
@@ -1422,7 +1545,8 @@ module Make (V : VALUE) = struct
               {
                 keys;
                 pks;
-                tvs = gather slices n Mbt.value;
+                tss = gather slices n Mbt.ts;
+                es = gather slices n Mbt.value;
                 fks = gather slices n Mbt.fkey;
                 order;
                 at = -1;
@@ -1494,18 +1618,20 @@ module Make (V : VALUE) = struct
             built == t.disk && List.for_all (fun c -> Array.memq c t.disk) cs
         | None -> false)
 
-  (** [scan t spec ~f] streams entries to [f key pk ts value ~src_repaired]
-      ([pk] is the key in a [Pk] tree), where [src_repaired] is the
-      [repaired_ts] of the entry's source component (0 for the memory
-      component — never repaired).  With [reconcile], output is in
+  (** [scan ?on_del t spec ~f] streams the [Put] rows to
+      [f key pk ts value ~src_repaired] ([pk] is the key in a [Pk] tree),
+      where [src_repaired] is the [repaired_ts] of the row's source
+      component (0 for the memory component — never repaired), and the
+      anti-matter rows to [on_del key pk ts ~src_repaired] (default: none
+      — queries only see live data).  With [reconcile], output is in
       ascending row order with newest-wins semantics and anti-matter
-      suppressing older entries (anti-matter itself is emitted only under
-      [emit_del]).  Without it, components are emitted one by one, memory
-      first then newest-to-oldest, each in row order.  With [filter], a
-      [Put] row reaches [f] only if its filter key is in range.  Every
-      path reconciles on keys and positions, tests the filter-key columns,
-      and hands [f] the fields of a row, never a row. *)
-  let scan t spec ~f =
+      suppressing older entries.  Without it, components are emitted one
+      by one, memory first then newest-to-oldest, each in row order.
+      With [filter], a [Put] row reaches [f] only if its filter key is in
+      range.  Every path reconciles on keys and positions, tests the
+      filter-key and anti-matter columns, and hands [f] the fields of a
+      row, never a row or an entry. *)
+  let scan ?on_del t spec ~f =
     let comps_a =
       match spec.only with Some cs -> Array.of_list cs | None -> t.disk
     in
@@ -1518,33 +1644,33 @@ module Make (V : VALUE) = struct
     in
     let filtered = Option.is_some spec.filter in
     let in_range fk = flo <= fk && fk <= fhi in
-    (* Whether a row with filter-key column [fk] and entry [e] is emitted.
-       A column other than [no_fkey] belongs to a [Put], so the callers
-       below read [e] only when [fk = no_fkey]. *)
-    let[@inline] keeps fk e =
-      match e with Entry.Put _ -> in_range fk | Entry.Del -> spec.emit_del
+    let[@inline] emit_del key pk ts src =
+      match on_del with Some g -> g key pk ts ~src_repaired:src | None -> ()
     in
-    (* Emit the memory binding (key, pk) -> [tv] with column [fk], the
-       memory head, and row [i] of component [c] (key columns [keys] and
-       [pks], filter-key column [col]), testing the columns.  An
-       unfiltered scan reads no filter-key column. *)
-    let[@inline] emit_mem key pk tv fk =
-      if (if fk <> no_fkey then in_range fk else keeps fk (snd tv)) then begin
-        let ts, value = tv in
-        f key pk ts value ~src_repaired:0
-      end
+    (* Emit the memory binding (key, pk) at [ts] with entry [e] and
+       filter-key column [fk]: a column other than [no_fkey] belongs to a
+       [Put]. *)
+    let[@inline] emit_mem key pk ts e fk =
+      match e with
+      | Entry.Put v -> if in_range fk then f key pk ts v ~src_repaired:0
+      | Entry.Del -> emit_del key pk ts 0
     in
     (* The memory head; a column out of range rejects it unread. *)
     let[@inline] emit_head ms =
       let fk = mem_fkey ms in
       if fk = no_fkey || in_range fk then
-        emit_mem (mem_key ms) (mem_pk ms) (mem_binding ms) fk
+        emit_mem (mem_key ms) (mem_pk ms) (mem_ts_of ms) (mem_entry ms) fk
     in
     let col c = if filtered then Lazy.force c.fkeys else [||] in
+    (* Emit row [i] of component [c] (key columns [keys] and [pks],
+       filter-key column [col]), testing the columns.  An unfiltered scan
+       reads no filter-key column. *)
     let[@inline] emit_row c keys pks col i =
       let fk = if Array.length col = 0 then no_fkey else col.(i) in
-      if if fk <> no_fkey then in_range fk else keeps fk c.vals.(i) then
-        f keys.(i) (pk_in keys pks i) c.tss.(i) c.vals.(i)
+      if fk = no_fkey && is_del c i then
+        emit_del keys.(i) (pk_in keys pks i) c.tss.(i) c.repaired_ts
+      else if in_range fk then
+        f keys.(i) (pk_in keys pks i) c.tss.(i) (value_at c i)
           ~src_repaired:c.repaired_ts
     in
     if view_usable t spec then begin
@@ -1652,12 +1778,10 @@ module Make (V : VALUE) = struct
           else begin
             let fk = if filtered then mem_fkey ms else no_fkey in
             (* A column out of range rejects the binding unread. *)
-            let tv =
-              if fk <> no_fkey && not (in_range fk) then (0, Entry.Del)
-              else mem_binding ms
-            in
+            let ts = mem_ts_of ms and e = mem_entry ms in
             let next = Lsm_util.Kmerge.advance m in
-            if fresh s k p ~last lk lp then emit_mem k p tv fk;
+            if fresh s k p ~last lk lp && (fk = no_fkey || in_range fk) then
+              emit_mem k p ts e fk;
             drain next ~last:s k p
           end
         end

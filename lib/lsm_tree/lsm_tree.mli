@@ -13,9 +13,12 @@
     algorithms of Sec. 3.2.  Strategy logic lives in [Lsm_core].
 
     A disk component is a key index ({!Lsm_btree.Disk_btree}) plus columns
-    read by the index's row positions: timestamps, entries and, for a
-    tree with range filters, filter keys.  No component stores a row
-    record; a {!Make.row} is built only where an API hands one out. *)
+    read by the index's row positions: timestamps, values, anti-matter
+    bits and, for a tree with range filters, filter keys.  No component
+    stores a row record or an {!Entry.t}: an anti-matter row is a set bit
+    and a [Put] row's value sits unboxed in the value column.  Entries
+    are what a write and a rollback take; reads hand out the fields of a
+    row, and a {!Make.row} is built only by {!Make.row_at}. *)
 
 module Entry = Entry
 module Config = Config
@@ -76,8 +79,9 @@ type tree = {
 module type VALUE = sig type t val byte_size : t -> int end
 
 module Make (V : VALUE) : sig
-  type row = { key : int; ts : int; value : V.t Entry.t }
-  (** One entry, as the lookups and {!row_at} hand it out. *)
+  type row = { key : int; ts : int; value : V.t option }
+  (** One disk row, as {!row_at} hands it out ([value = None]:
+      anti-matter). *)
 
   type mem_component
 
@@ -86,7 +90,16 @@ module Make (V : VALUE) : sig
         (** the key index; its key columns are [Disk_btree.keys tree] and
             [Disk_btree.pks tree] (empty in a [Pk] tree) *)
     tss : int array;  (** each row's timestamp, by position *)
-    vals : V.t Entry.t array;  (** each row's entry, by position *)
+    vals : V.t array;
+        (** the [Put] rows' values, by position — read them through
+            {!value_at}.  One slot per row, where an anti-matter row's
+            slot holds another row's value of the same component; a
+            single slot when every [Put] value is physically the same
+            (always so for [unit]: the pk index and secondaries keep no
+            per-row value); empty when no row is a [Put]. *)
+    dels : Bytes.t;
+        (** the anti-matter bits, by position ({!is_del}); empty when no
+            row is anti-matter *)
     bloom : Lsm_bloom.Filter.t option;
     cmin_ts : int;  (** component ID lower bound *)
     cmax_ts : int;  (** component ID upper bound *)
@@ -94,7 +107,8 @@ module Make (V : VALUE) : sig
     fkeys : int array Lazy.t;
         (** each row's filter key, by position ({!no_fkey} for
             anti-matter); empty for a tree without range filters.  Built
-            by the first filtered scan that reads the component. *)
+            by the first filtered scan that reads the component, from
+            [vals] and [dels] alone. *)
     mutable bitmap : Lsm_util.Bitset.t option;  (** 1 = entry invalid *)
     mutable repaired_ts : int;
         (** entries are valid w.r.t. primary-key-index entries with
@@ -174,13 +188,17 @@ module Make (V : VALUE) : sig
   val mem_rollback :
     t -> key:int -> pk:int -> prior:(int * V.t Entry.t) option -> unit
   (** Undo a memory write (transaction rollback): remove the current entry
-      and restore the replaced binding, if any. *)
+      and restore the replaced binding (timestamp, entry), if any. *)
 
   val reset_memory : t -> unit
   (** Discard the memory component (crash simulation). *)
 
-  val mem_find : t -> int -> int -> row option
-  (** [mem_find t key pk]: the row's memory entry, if any. *)
+  val mem_find : t -> int -> int -> V.t Entry.t option
+  (** [mem_find t key pk]: the row's memory entry as written, if any;
+      its timestamp is then {!mem_ts}. *)
+
+  val mem_ts : t -> int
+  (** The timestamp of {!mem_find}'s last hit on this tree. *)
 
   (** {1 Components} *)
 
@@ -286,24 +304,50 @@ module Make (V : VALUE) : sig
       record the merge's amplification, and announce
       [lsm.merge.install]. *)
 
+  (** {2 Value and anti-matter columns}
+
+      A component's [vals] and [dels], built row by row: in any order, by
+      output position, from a value or another component's row, without
+      an entry in between. *)
+
+  type columns
+
+  val columns : int -> columns
+  (** The columns of that many rows, none set yet. *)
+
+  val set_put : columns -> int -> V.t -> unit
+  (** Row [o] is a [Put] of the value. *)
+
+  val set_del : columns -> int -> unit
+  (** Row [o] is anti-matter. *)
+
+  val copy_row : columns -> int -> disk_component -> int -> unit
+  (** [copy_row b o c i]: row [o] is what row [i] of [c] is. *)
+
+  val built : columns -> V.t array * Bytes.t
+  (** The [vals] and [dels] columns, once every row is set. *)
+
   val install :
     t ->
     inputs:disk_component array ->
     keys:int array ->
     pks:int array ->
     tss:int array ->
-    vals:V.t Entry.t array ->
+    vals:V.t array ->
+    dels:Bytes.t ->
     disk_component
-  (** [install t ~inputs ~keys ~pks ~tss ~vals] builds one component over
-      the row-sorted columns (equal lengths, except [pks], which is [[||]]
-      in a [Pk] tree; the component keeps the arrays)
+  (** [install t ~inputs ~keys ~pks ~tss ~vals ~dels] builds one component
+      over the row-sorted columns (equal lengths, except [pks], which is
+      [[||]] in a [Pk] tree, and [vals] and [dels], laid out as in
+      {!disk_component} — {!built} makes them; the component keeps the
+      arrays)
       and splices it in place of [inputs], a contiguous newest-first run
       of the current components located by physical identity (components
       prepended since the inputs were read are tolerated; anything else
       raises [Invalid_argument]).  The component's ID range, repairedTS
       (the inputs' minimum), range filter and flush provenance derive
       from the inputs as for a merge: a run reaching the oldest component
-      recomputes the filter from [vals], any other run takes the union of
+      recomputes the filter from its [Put] rows, any other run takes the union of
       the inputs' filters.  The inputs' files are deleted.  Merges, the
       concurrent builder (Sec. 5.3) and secondary rebuilds all install
       through this. *)
@@ -324,9 +368,16 @@ module Make (V : VALUE) : sig
 
   val set_repaired_ts : disk_component -> int -> unit
 
+  val is_del : disk_component -> int -> bool
+  (** Whether the row at a position is anti-matter. *)
+
+  val value_at : disk_component -> int -> V.t
+  (** The value of the [Put] row at a position (for an anti-matter row,
+      another row's). *)
+
   val row_at : disk_component -> int -> row
   (** The row at a position, built from the columns (no I/O charged):
-      for the few repair and test callers that read whole rows. *)
+      for tests that compare whole components. *)
 
   val charge_component_scan : t -> disk_component -> unit
   (** Charge the I/O and CPU of a full sequential scan of a component
@@ -338,7 +389,8 @@ module Make (V : VALUE) : sig
       (Sec. 4.4) all ask: what is the newest disk entry for a key, in the
       components newer than some bound?  {!find_newest} is the one walk
       that answers it.  Newest to oldest, for each component it runs
-      [stop] ([true] ends the walk with no hit); unless the component is
+      [skip] ([true] passes the component over, unprobed and uncharged);
+      unless the component is
       [positive], probes its Bloom filter — one [bloom_probes], hashes,
       cache lines, and on a negative a [bloom_negatives] and the next
       component (a filterless component is a free "maybe"; a quarantined
@@ -358,14 +410,16 @@ module Make (V : VALUE) : sig
     t ->
     ?cursors:cursors ->
     ?from:int ->
-    ?stop:(disk_component -> bool) ->
+    ?skip:(disk_component -> bool) ->
     ?positive:int ->
     int ->
     int
   (** The row position of the newest disk entry for the key ([-1]: none),
       walking from component [from] (default 0) of {!components} or of
       [cursors]' snapshot; the component holding it is {!found}.  Memory
-      and bitmaps are the caller's. *)
+      and bitmaps are the caller's.  Callers prune with [skip], not by
+      ending the walk: per-shard flushes can place a component behind one
+      with a lower maxTS. *)
 
   val found : t -> disk_component
   (** The component of {!find_newest}'s last hit on this tree. *)
@@ -393,19 +447,22 @@ module Make (V : VALUE) : sig
 
   val plain_keys : int array -> query_key array
 
-  val lookup_one : t -> int -> row option
-  (** Newest entry across memory and disk ([None] if never written or the
-      newest disk entry is bitmap-invalidated). *)
+  val lookup_one : t -> int -> V.t option
+  (** The value of the newest entry across memory and disk, when it is a
+      [Put]: [None] if the key was never written, its newest entry is
+      anti-matter, or its newest disk entry is bitmap-invalidated.  A hit
+      allocates the option and no row. *)
 
   val disk_find : t -> int -> (disk_component * int) option
   (** Newest *disk* entry (component, position), ignoring memory and
       bitmaps — the Mutable-bitmap strategy's bit-location search. *)
 
   val lookup_batch :
-    t -> lookup_opts -> query_key array -> emit:(int -> row option -> unit) -> unit
-  (** Resolve many point lookups; [qkeys] sorted ascending.  [emit] fires
-      exactly once per key, in fetch order (which for the batched
-      algorithm is not global key order — the Fig. 12d trade-off). *)
+    t -> lookup_opts -> query_key array -> emit:(int -> V.t option -> unit) -> unit
+  (** Resolve many point lookups; [qkeys] sorted ascending.  [emit key v]
+      fires exactly once per key, with {!lookup_one}'s answer, in fetch
+      order (which for the batched algorithm is not global key order —
+      the Fig. 12d trade-off). *)
 
   (** {1 Scans} *)
 
@@ -439,15 +496,13 @@ module Make (V : VALUE) : sig
             independently (Mutable-bitmap strategy, Sec. 6.4.2) *)
     respect_bitmap : bool;
     include_mem : bool;
-    emit_del : bool;
-        (** also emit anti-matter entries that win reconciliation *)
     only : disk_component list option;
         (** restrict to these components (newest-first); [None] = all —
             used for range-filter pruning *)
     filter : (int * int) option;
         (** [Some (a, b)]: emit only the [Put] rows whose filter key
             ([filter_of] of the value) lies in [\[a, b\]]; anti-matter
-            follows [emit_del].  Output is exactly that of the scan without
+            is not filtered.  Output is exactly that of the scan without
             [filter] with the test applied afterwards — every row is still
             read, reconciled, bitmap-checked and charged, so the simulated
             cost does not change.  Raises [Invalid_argument] on a tree
@@ -457,13 +512,17 @@ module Make (V : VALUE) : sig
   val full_scan_spec : scan_spec
 
   val scan :
+    ?on_del:(int -> int -> int -> src_repaired:int -> unit) ->
     t ->
     scan_spec ->
-    f:(int -> int -> int -> V.t Entry.t -> src_repaired:int -> unit) ->
+    f:(int -> int -> int -> V.t -> src_repaired:int -> unit) ->
     unit
-  (** Stream entries as [f key pk ts value ~src_repaired] ([pk = key] in a
-      [Pk] tree); [src_repaired] is the source component's repairedTS (0
-      for memory).  Reconciled output is in ascending row order.
+  (** Stream the [Put] rows as [f key pk ts value ~src_repaired] ([pk =
+      key] in a [Pk] tree), and the anti-matter rows, if [on_del] is
+      given, as [on_del key pk ts ~src_repaired]; [src_repaired] is the
+      source component's repairedTS (0 for memory).  Reconciled output is
+      in ascending row order, anti-matter included only where it wins
+      reconciliation.
 
       Reconciling scans over >= 2 disk components are served from a
       REMIX-style persistent sorted view ({!Sorted_view}): built lazily by
@@ -487,8 +546,9 @@ module Make (V : VALUE) : sig
       those of a scan that copies the memtable first, in count and order.
 
       A [filter] is pushed down: every path reconciles on keys and
-      positions and tests the filter-key columns.  No path builds a row:
-      [f] receives the emitted entry's fields. *)
+      positions and tests the filter-key and anti-matter columns.  No
+      path builds a row or an entry: [f] receives the emitted row's
+      fields, the value read by position. *)
 
   (** {1 Sorted views (REMIX)} *)
 

@@ -164,10 +164,10 @@ let test_set_eager_writes () =
   Alcotest.(check int) "switching on again does not" after_first (repairs ());
   D.upsert d (tw ~user:4 1);
   match D.Sec.mem_find (D.secondary d "user_id").D.tree 3 1 with
-  | Some row ->
-      Alcotest.(check bool) "anti-matter" false
-        (Lsm_core.Dataset.Entry.is_put row.D.Sec.value);
-      Alcotest.(check int) "at the upsert's timestamp" (D.now_ts d) row.D.Sec.ts
+  | Some e ->
+      let s = (D.secondary d "user_id").D.tree in
+      Alcotest.(check bool) "anti-matter" false (Lsm_core.Dataset.Entry.is_put e);
+      Alcotest.(check int) "at the upsert's timestamp" (D.now_ts d) (D.Sec.mem_ts s)
   | None -> Alcotest.fail "no anti-matter for the on-disk version"
 
 let () =

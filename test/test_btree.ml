@@ -20,23 +20,25 @@ let test_mbt_empty () =
 
 let test_mbt_put_find () =
   let t = Mbt.create () in
-  Alcotest.(check (option int)) "fresh" None (Mbt.put t 1 1 ~fkey:0 10);
-  Alcotest.(check (option int)) "replace" (Some 10) (Mbt.put t 1 1 ~fkey:0 11);
+  Alcotest.(check (option int)) "fresh" None (Mbt.put t 1 1 ~ts:5 ~fkey:0 10);
+  Alcotest.(check (option int)) "replace" (Some 10) (Mbt.put t 1 1 ~ts:6 ~fkey:0 11);
   Alcotest.(check (option int)) "find" (Some 11) (Mbt.find t 1 1);
+  Alcotest.(check int) "found ts" 6 (Mbt.found_ts t);
   Alcotest.(check int) "len" 1 (Mbt.length t)
 
 let test_mbt_many_sorted_iteration () =
   let t = Mbt.create () in
   let rng = Lsm_util.Rng.create 1 in
   let keys = Array.init 2000 (fun _ -> Lsm_util.Rng.int rng 1_000_000) in
-  Array.iter (fun k -> ignore (Mbt.put t k k ~fkey:0 (k * 2))) keys;
+  Array.iter (fun k -> ignore (Mbt.put t k k ~ts:(k + 1) ~fkey:0 (k * 2))) keys;
   let sorted = List.sort_uniq compare (Array.to_list keys) in
   Alcotest.(check int) "distinct count" (List.length sorted) (Mbt.length t);
   let out =
     Array.to_list
       (Array.map
-         (fun (k, _, v) ->
+         (fun (k, _, ts, v) ->
            Alcotest.(check int) "value" (k * 2) v;
+           Alcotest.(check int) "ts" (k + 1) ts;
            k)
          (Mbt.to_sorted_array t))
   in
@@ -48,22 +50,25 @@ let prop_mbt_matches_map =
     (fun ops ->
       let t = Mbt.create () in
       let m = ref IntMap.empty in
-      List.iter
-        (fun (k, v) ->
-          let prev = Mbt.put t k k ~fkey:0 v in
-          let mprev = IntMap.find_opt k !m in
-          m := IntMap.add k v !m;
+      List.iteri
+        (fun ts (k, v) ->
+          let prev = Mbt.put t k k ~ts ~fkey:0 v in
+          let mprev = Option.map snd (IntMap.find_opt k !m) in
+          m := IntMap.add k (ts, v) !m;
           assert (prev = mprev))
         ops;
       IntMap.cardinal !m = Mbt.length t
-      && IntMap.for_all (fun k v -> Mbt.find t k k = Some v) !m
+      && IntMap.for_all
+           (fun k (ts, v) -> Mbt.find t k k = Some v && Mbt.found_ts t = ts)
+           !m
       && Mbt.to_sorted_array t
-         = Array.of_list (List.map (fun (k, v) -> (k, k, v)) (IntMap.bindings !m)))
+         = Array.of_list
+             (List.map (fun (k, (ts, v)) -> (k, k, ts, v)) (IntMap.bindings !m)))
 
 let test_mbt_comparison_counter () =
   let t = Mbt.create () in
   for i = 0 to 100 do
-    ignore (Mbt.put t i i ~fkey:0 i)
+    ignore (Mbt.put t i i ~ts:i ~fkey:0 i)
   done;
   ignore (Mbt.take_comparisons t);
   ignore (Mbt.find t 50 50);
@@ -83,13 +88,18 @@ let table_of ops =
   let t = Mbt.create () in
   List.iter
     (fun (is_put, k) ->
-      if is_put then ignore (Mbt.put t k k ~fkey:0 (k * 3)) else ignore (Mbt.remove t k k))
+      if is_put then ignore (Mbt.put t k k ~ts:(k * 5) ~fkey:0 (k * 3))
+      else ignore (Mbt.remove t k k))
     ops;
   t
 
 let drain_cursor c =
   let rec go acc =
-    if Mbt.step c then go ((Mbt.key c, Mbt.value c) :: acc) else List.rev acc
+    if Mbt.step c then begin
+      assert (Mbt.ts c = Mbt.key c * 5);
+      go ((Mbt.key c, Mbt.value c) :: acc)
+    end
+    else List.rev acc
   in
   go []
 
@@ -113,7 +123,7 @@ let prop_mbt_cursor_matches_model =
       let got = drain_cursor c in
       let via_array =
         List.filter_map
-          (fun (k, _, v) ->
+          (fun (k, _, _, v) ->
             if match lo with None -> true | Some l -> k >= l then Some (k, v)
             else None)
           (Array.to_list (Mbt.to_sorted_array t))
@@ -138,8 +148,8 @@ let prop_mbt_fkey_column_aligned =
         List.fold_left
           (fun m (is_put, k, x) ->
             if is_put then begin
-              ignore (Mbt.put t k k ~fkey:x (k + x));
-              ignore (Mbt.put plain k k ~fkey:x (k + x));
+              ignore (Mbt.put t k k ~ts:x ~fkey:x (k + x));
+              ignore (Mbt.put plain k k ~ts:x ~fkey:x (k + x));
               IntMap.add k (k + x, x) m
             end
             else begin

@@ -146,8 +146,7 @@ let prop_hints_preserve_results =
         L.lookup_batch t
           { L.default_lookup_opts with use_hints }
           qks
-          ~emit:(fun k row ->
-            Hashtbl.replace out k (Option.map (fun r -> r.L.value) row));
+          ~emit:(fun k v -> Hashtbl.replace out k v);
         out
       in
       let a = collect true qk_hints and b = collect false qk_plain in

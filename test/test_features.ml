@@ -98,7 +98,7 @@ let prop_mbt_remove_matches_map =
         (fun (k, op) ->
           match op with
           | `Put ->
-              ignore (Mbt.put t k k ~fkey:0 (k * 3));
+              ignore (Mbt.put t k k ~ts:(k * 5) ~fkey:0 (k * 3));
               m := IntMap.add k (k * 3) !m
           | `Remove ->
               let got = Mbt.remove t k k in
@@ -109,12 +109,13 @@ let prop_mbt_remove_matches_map =
       Mbt.length t = IntMap.cardinal !m
       && IntMap.for_all (fun k v -> Mbt.find t k k = Some v) !m
       && Mbt.to_sorted_array t
-         = Array.of_list (List.map (fun (k, v) -> (k, k, v)) (IntMap.bindings !m)))
+         = Array.of_list
+             (List.map (fun (k, v) -> (k, k, k * 5, v)) (IntMap.bindings !m)))
 
 (* ------------------------------------------------------------------ *)
-(* emit_del scans *)
+(* on_del scans *)
 
-let test_scan_emit_del () =
+let test_scan_on_del () =
   let env = mk_env () in
   let t = mk_tree env in
   L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 10);
@@ -123,13 +124,13 @@ let test_scan_emit_del () =
   L.write t ~key:1 ~pk:1 ~ts:3 Entry.Del;
   let plain = ref [] and with_del = ref [] in
   L.scan t L.full_scan_spec ~f:(fun key _ _ value ~src_repaired:_ ->
-      plain := (key, value) :: !plain);
-  L.scan t
-    { L.full_scan_spec with emit_del = true }
+      plain := (key, Entry.Put value) :: !plain);
+  L.scan t L.full_scan_spec
+    ~on_del:(fun key _ _ ~src_repaired:_ -> with_del := (key, Entry.Del) :: !with_del)
     ~f:(fun key _ _ value ~src_repaired:_ ->
-      with_del := (key, value) :: !with_del);
+      with_del := (key, Entry.Put value) :: !with_del);
   Alcotest.(check int) "plain hides deleted" 1 (List.length !plain);
-  Alcotest.(check int) "emit_del shows tombstone" 2 (List.length !with_del);
+  Alcotest.(check int) "on_del shows tombstone" 2 (List.length !with_del);
   Alcotest.(check bool) "tombstone present" true
     (List.mem (1, Entry.Del) !with_del)
 
@@ -169,19 +170,17 @@ let test_build_and_replace () =
   L.write t ~key:3 ~pk:3 ~ts:3 (Entry.Put 30);
   L.flush t;
   let keys = [| 1; 2 |] and tss = [| 1; 2 |] in
-  let vals = [| Entry.Put 11; Entry.Put 20 |] in
+  let vals = [| 11; 20 |] and dels = Bytes.empty in
   (* The inputs are found by identity behind the component flushed since. *)
-  let c = L.install t ~inputs ~keys ~pks:[||] ~tss ~vals in
+  let c = L.install t ~inputs ~keys ~pks:[||] ~tss ~vals ~dels in
   Alcotest.(check int) "two components" 2 (L.component_count t);
   Alcotest.(check bool) "installed oldest" true ((L.components t).(1) == c);
   Alcotest.(check (pair int int)) "id spans inputs" (1, 2) (L.component_id c);
   Alcotest.(check int) "provenance of both flushes" 2 (List.length c.L.prov);
-  (match L.lookup_one t 1 with
-  | Some r -> Alcotest.(check bool) "replacement visible" true (r.L.value = Entry.Put 11)
-  | None -> Alcotest.fail "lost key");
+  Alcotest.(check (option int)) "replacement visible" (Some 11) (L.lookup_one t 1);
   Alcotest.check_raises "inputs gone"
     (Invalid_argument "Lsm_tree.install: inputs are not a run of the tree")
-    (fun () -> ignore (L.install t ~inputs ~keys ~pks:[||] ~tss ~vals))
+    (fun () -> ignore (L.install t ~inputs ~keys ~pks:[||] ~tss ~vals ~dels))
 
 (* ------------------------------------------------------------------ *)
 (* Flush provenance: prov_run, id_run, durable_frontiers *)
@@ -284,7 +283,7 @@ let prop_frontiers_split_disk_and_memory =
       && List.for_all
            (fun k ->
              match L.mem_find t k k with
-             | Some r -> r.L.ts > f.(L.shard_of t k k)
+             | Some _ -> L.mem_ts t > f.(L.shard_of t k k)
              | None -> true)
            (List.init 41 Fun.id))
 
@@ -299,10 +298,10 @@ let test_mem_rollback () =
   L.write t ~key:1 ~pk:1 ~ts:2 (Entry.Put 99);
   (* Roll the second write back, restoring the first binding. *)
   L.mem_rollback t ~key:1 ~pk:1 ~prior:(Some (1, Entry.Put 10));
-  (match L.lookup_one t 1 with
-  | Some r ->
-      Alcotest.(check bool) "restored value" true (r.L.value = Entry.Put 10);
-      Alcotest.(check int) "restored ts" 1 r.L.ts
+  (match L.mem_find t 1 1 with
+  | Some e ->
+      Alcotest.(check bool) "restored value" true (e = Entry.Put 10);
+      Alcotest.(check int) "restored ts" 1 (L.mem_ts t)
   | None -> Alcotest.fail "binding lost");
   Alcotest.(check int) "bytes restored" bytes1 (L.mem_bytes t);
   (* Roll back a fresh insert (no prior): the key disappears. *)
@@ -336,7 +335,7 @@ let () =
           Alcotest.test_case "spills" `Quick test_spill_sort_spills;
         ] );
       ("mbt-remove", [ prop_mbt_remove_matches_map ]);
-      ("scan", [ Alcotest.test_case "emit_del" `Quick test_scan_emit_del ]);
+      ("scan", [ Alcotest.test_case "on_del" `Quick test_scan_on_del ]);
       ( "tombstones",
         [ Alcotest.test_case "drop barrier" `Quick test_tombstone_barrier ] );
       ( "components",

@@ -28,12 +28,15 @@ let mk_sec_tree ?(shards = 1) env =
   U.create ~layout:Lsm_tree.Sk_pk env
     (Lsm_tree.Config.make ~bloom:None ~shards "sec")
 
-let entry_testable =
-  Alcotest.testable
-    (fun fmt -> function
-      | Entry.Put v -> Fmt.pf fmt "Put %d" v
-      | Entry.Del -> Fmt.string fmt "Del")
-    ( = )
+(* [L.scan] with each row handed over as an entry: [Put] rows always,
+   anti-matter only with [emit_del]. *)
+let scan_entries ?(emit_del = false) t spec ~f =
+  L.scan t spec
+    ?on_del:
+      (if emit_del then
+         Some (fun key pk ts ~src_repaired -> f key pk ts Entry.Del ~src_repaired)
+       else None)
+    ~f:(fun key pk ts v ~src_repaired -> f key pk ts (Entry.Put v) ~src_repaired)
 
 (* ------------------------------------------------------------------ *)
 (* Basic write / flush / lookup *)
@@ -43,9 +46,7 @@ let test_write_and_mem_lookup () =
   let t = mk_tree env in
   L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 10);
   L.write t ~key:2 ~pk:2 ~ts:2 (Entry.Put 20);
-  (match L.lookup_one t 1 with
-  | Some r -> Alcotest.check entry_testable "mem hit" (Entry.Put 10) r.L.value
-  | None -> Alcotest.fail "expected");
+  Alcotest.(check (option int)) "mem hit" (Some 10) (L.lookup_one t 1);
   Alcotest.(check int) "mem count" 2 (L.mem_count t);
   Alcotest.(check bool) "bytes accounted" true (L.mem_bytes t = 2 * (8 + 8 + 8))
 
@@ -55,11 +56,9 @@ let test_same_key_replaces_in_mem () =
   L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 10);
   L.write t ~key:1 ~pk:1 ~ts:5 (Entry.Put 11);
   Alcotest.(check int) "one entry" 1 (L.mem_count t);
-  (match L.lookup_one t 1 with
-  | Some r ->
-      Alcotest.check entry_testable "newest" (Entry.Put 11) r.L.value;
-      Alcotest.(check int) "ts" 5 r.L.ts
-  | None -> Alcotest.fail "expected");
+  Alcotest.(check (option int)) "newest" (Some 11) (L.lookup_one t 1);
+  Alcotest.(check bool) "mem entry" true (L.mem_find t 1 1 = Some (Entry.Put 11));
+  Alcotest.(check int) "ts" 5 (L.mem_ts t);
   Alcotest.(check (pair int int)) "mem id" (1, 5) (L.mem_id t)
 
 let test_flush_creates_component () =
@@ -73,9 +72,7 @@ let test_flush_creates_component () =
   Alcotest.(check int) "mem drained" 0 (L.mem_count t);
   let c = (L.components t).(0) in
   Alcotest.(check (pair int int)) "component id" (1, 50) (L.component_id c);
-  (match L.lookup_one t 25 with
-  | Some r -> Alcotest.check entry_testable "disk hit" (Entry.Put 250) r.L.value
-  | None -> Alcotest.fail "expected disk hit");
+  Alcotest.(check (option int)) "disk hit" (Some 250) (L.lookup_one t 25);
   Alcotest.(check bool) "miss" true (L.lookup_one t 51 = None)
 
 let test_flush_empty_noop () =
@@ -91,9 +88,7 @@ let test_newest_component_wins () =
   L.flush t;
   L.write t ~key:1 ~pk:1 ~ts:2 (Entry.Put 20);
   L.flush t;
-  (match L.lookup_one t 1 with
-  | Some r -> Alcotest.check entry_testable "newest" (Entry.Put 20) r.L.value
-  | None -> Alcotest.fail "expected");
+  Alcotest.(check (option int)) "newest" (Some 20) (L.lookup_one t 1);
   Alcotest.(check int) "two components" 2 (L.component_count t)
 
 let test_anti_matter_lookup () =
@@ -102,9 +97,10 @@ let test_anti_matter_lookup () =
   L.write t ~key:1 ~pk:1 ~ts:1 (Entry.Put 10);
   L.flush t;
   L.write t ~key:1 ~pk:1 ~ts:2 Entry.Del;
-  (match L.lookup_one t 1 with
-  | Some r -> Alcotest.check entry_testable "del visible" Entry.Del r.L.value
-  | None -> Alcotest.fail "anti-matter should be returned, not skipped")
+  (* The anti-matter in memory answers; the older [Put] is not reached. *)
+  Alcotest.(check (option int)) "del hides the older put" None (L.lookup_one t 1);
+  L.flush t;
+  Alcotest.(check (option int)) "from disk too" None (L.lookup_one t 1)
 
 (* ------------------------------------------------------------------ *)
 (* Merge *)
@@ -122,9 +118,7 @@ let test_merge_reconciles () =
   Alcotest.(check int) "one component" 1 (L.component_count t);
   Alcotest.(check int) "3 distinct keys" 3 (L.component_rows c);
   Alcotest.(check (pair int int)) "merged id" (1, 4) (L.component_id c);
-  match L.lookup_one t 1 with
-  | Some r -> Alcotest.check entry_testable "newest kept" (Entry.Put 11) r.L.value
-  | None -> Alcotest.fail "expected"
+  Alcotest.(check (option int)) "newest kept" (Some 11) (L.lookup_one t 1)
 
 let test_merge_drops_del_at_bottom () =
   let env = mk_env () in
@@ -151,9 +145,10 @@ let test_merge_keeps_del_above_bottom () =
      anti-matter must survive. *)
   ignore (L.merge t ~first:0 ~last:1);
   Alcotest.(check int) "two components" 2 (L.component_count t);
-  match L.lookup_one t 1 with
-  | Some r -> Alcotest.check entry_testable "del preserved" Entry.Del r.L.value
-  | None -> Alcotest.fail "anti-matter must survive non-bottom merge"
+  let newest = (L.components t).(0) in
+  Alcotest.(check bool) "del preserved" true
+    ((L.row_at newest 0).L.value = None && L.is_del newest 0);
+  Alcotest.(check (option int)) "and hides the older put" None (L.lookup_one t 1)
 
 let test_merge_respects_bitmap () =
   let env = mk_env () in
@@ -218,10 +213,9 @@ let prop_lsm_matches_model =
         IntMap.for_all
           (fun k st ->
             match (st, L.lookup_one t k) with
-            | `Put v, Some r -> r.L.value = Entry.Put v
-            | `Del, Some r -> r.L.value = Entry.Del
-            | `Del, None -> true (* tombstone physically dropped *)
-            | `Put _, None -> false)
+            | `Put v, Some v' -> v = v'
+            | `Del, None -> true
+            | `Del, Some _ | `Put _, None -> false)
           model
       in
       (* Reconciling scan agrees with live model bindings. *)
@@ -231,10 +225,8 @@ let prop_lsm_matches_model =
                match st with `Put v -> Some (k, v) | `Del -> None)
       in
       let scanned = ref [] in
-      L.scan t L.full_scan_spec ~f:(fun key _ _ value ~src_repaired:_ ->
-          match value with
-          | Entry.Put v -> scanned := (key, v) :: !scanned
-          | Entry.Del -> ());
+      L.scan t L.full_scan_spec ~f:(fun key _ _ v ~src_repaired:_ ->
+          scanned := (key, v) :: !scanned);
       lookups_ok && List.rev !scanned = live)
 
 let prop_batched_lookup_matches_naive =
@@ -267,14 +259,12 @@ let prop_batched_lookup_matches_naive =
       let naive = Hashtbl.create 16 in
       Array.iter
         (fun { L.qkey; _ } ->
-          Hashtbl.replace naive qkey
-            (Option.map (fun r -> r.L.value) (L.lookup_one t qkey)))
+          Hashtbl.replace naive qkey (L.lookup_one t qkey))
         qkeys;
       let all_match = ref true in
       List.iter
         (fun opts ->
-          L.lookup_batch t opts qkeys ~emit:(fun k row ->
-              let got = Option.map (fun r -> r.L.value) row in
+          L.lookup_batch t opts qkeys ~emit:(fun k got ->
               (* lookup_one resolves a bitmap-invalid hit to None too. *)
               if Hashtbl.find naive k <> got then all_match := false))
         [
@@ -316,7 +306,7 @@ let test_scan_non_reconciling_per_component () =
   L.invalidate c0 0;
   L.write t ~key:1 ~pk:1 ~ts:3 (Entry.Put 11);
   let out = ref [] in
-  L.scan t
+  scan_entries t
     { L.full_scan_spec with reconcile = false }
     ~f:(fun key _ _ value ~src_repaired:_ -> out := (key, value) :: !out);
   (* Memory first (key 1 new), then the disk component (key 2 only). *)
@@ -371,6 +361,15 @@ let test_mem_scan_no_major_alloc () =
    binding the counting walk visits (every binding when there is no
    [lo]), the sort of several shards' rows, the seeks' comparisons, then
    one entry visit per in-range row. *)
+type trow = { key : int; ts : int; e : int Entry.t }
+
+let trow_of_row (r : L.row) =
+  {
+    key = r.L.key;
+    ts = r.L.ts;
+    e = (match r.L.value with Some v -> Entry.Put v | None -> Entry.Del);
+  }
+
 let mem_stream env tables (spec : L.scan_spec) =
   let charge () = Lsm_sim.Env.charge_comparisons env 1 in
   if not spec.include_mem then fun () -> None
@@ -399,13 +398,16 @@ let mem_stream env tables (spec : L.scan_spec) =
       in
       Array.init n (fun _ ->
           ignore (Lsm_btree.Mem_btree.step c);
-          let ts, value = Lsm_btree.Mem_btree.value c in
-          { L.key = Lsm_btree.Mem_btree.key c; ts; value })
+          {
+            key = Lsm_btree.Mem_btree.key c;
+            ts = Lsm_btree.Mem_btree.ts c;
+            e = Lsm_btree.Mem_btree.value c;
+          })
     in
     let rows = Array.concat (Array.to_list (Array.map slice tables)) in
     if Array.length tables > 1 then
       Array.sort
-        (fun (a : L.row) b ->
+        (fun (a : trow) b ->
           charge ();
           Int.compare a.key b.key)
         rows;
@@ -443,23 +445,22 @@ let component_stream env (spec : L.scan_spec) ~valid (c : L.disk_component) =
    loop that replaced it (and of the two-way loop before that).  Same
    streams, same charged comparisons, in the same order.  [tables]
    replicates the tree's memtables (see [mem_stream]). *)
-let heap_scan env t tables (spec : L.scan_spec) ~f =
+let heap_scan ~emit_del env t tables (spec : L.scan_spec) ~f =
   let charge () = Lsm_sim.Env.charge_comparisons env 1 in
   let comps =
     match spec.only with
     | Some cs -> cs
     | None -> Array.to_list (L.components t)
   in
-  let emit (row : L.row) ~src_repaired =
-    match row.value with
-    | Entry.Put _ -> f row.key row.key row.ts row.value ~src_repaired
-    | Entry.Del ->
-        if spec.emit_del then f row.key row.key row.ts row.value ~src_repaired
+  let emit (row : trow) ~src_repaired =
+    match row.e with
+    | Entry.Put _ -> f row.key row.key row.ts row.e ~src_repaired
+    | Entry.Del -> if emit_del then f row.key row.key row.ts row.e ~src_repaired
   in
   let mem = mem_stream env tables spec in
   let mem_src () =
     match mem () with
-    | Some (r : L.row) as head
+    | Some (r : trow) as head
       when match spec.hi with
            | None -> true
            | Some h ->
@@ -478,7 +479,7 @@ let heap_scan env t tables (spec : L.scan_spec) ~f =
         in
         fun () ->
           let i = next () in
-          if i < 0 then None else Some (L.row_at c i))
+          if i < 0 then None else Some (trow_of_row (L.row_at c i)))
       comps_a
   in
   let sources = Array.append [| mem_src |] streams in
@@ -488,7 +489,7 @@ let heap_scan env t tables (spec : L.scan_spec) ~f =
     Lsm_util.Kmerge.create (Array.length sources)
       ~compare:(fun a b ->
         charge ();
-        Int.compare (head a).L.key (head b).L.key)
+        Int.compare (head a).key (head b).key)
       ~pull:(fun s ->
         heads.(s) <- sources.(s) ();
         Option.is_some heads.(s))
@@ -586,7 +587,7 @@ let prop_scan_matches_heap =
           incr ts;
           L.write t ~key:k ~pk:k ~ts:!ts e;
           let m = !tables.(L.shard_of t k k) in
-          ignore (Lsm_btree.Mem_btree.put m k k ~fkey:L.no_fkey (!ts, e))
+          ignore (Lsm_btree.Mem_btree.put m k k ~ts:!ts ~fkey:L.no_fkey e)
         in
         List.iter
           (function
@@ -623,7 +624,6 @@ let prop_scan_matches_heap =
             hi = c.hi;
             include_mem = c.include_mem;
             respect_bitmap = c.respect_bitmap;
-            emit_del = c.emit_del;
             only;
           }
         in
@@ -638,7 +638,9 @@ let prop_scan_matches_heap =
           Lsm_sim.Io_stats.fields (Lsm_sim.Env.stats env),
           Int64.bits_of_float (Lsm_sim.Env.now_us env) )
       in
-      run (fun _env t _tables spec ~f -> L.scan t spec ~f) = run heap_scan)
+      let emit_del = c.emit_del in
+      run (fun _env t _tables spec ~f -> scan_entries ~emit_del t spec ~f)
+      = run (heap_scan ~emit_del))
 
 type filter_case = {
   segments : op list list;
@@ -767,7 +769,6 @@ let prop_filtered_scan_matches_post_filter =
             reconcile = fc.freconcile;
             include_mem = fc.finclude_mem;
             respect_bitmap = fc.frespect_bitmap;
-            emit_del = fc.femit_del;
             only;
           }
         in
@@ -778,7 +779,8 @@ let prop_filtered_scan_matches_post_filter =
         let env, t, spec = build () in
         let out = ref [] in
         let spec = if filtered then { spec with filter = Some fc.filter } else spec in
-        L.scan t spec ~f:(fun key _ ts value ~src_repaired ->
+        scan_entries ~emit_del:fc.femit_del t spec
+          ~f:(fun key _ ts value ~src_repaired ->
             let keep =
               filtered
               || match value with Entry.Put v -> a <= v && v <= b | Entry.Del -> true
@@ -865,7 +867,7 @@ let oracle_note_fp env (c : L.disk_component) =
 
 let oracle_lookup_one env t key =
   match L.mem_find t key key with
-  | Some r -> Some r
+  | Some e -> Entry.value e
   | None ->
       let rec go = function
         | [] -> None
@@ -875,14 +877,15 @@ let oracle_lookup_one env t key =
               | -1 ->
                   oracle_note_fp env c;
                   go rest
-              | pos -> if L.row_valid c pos then Some (L.row_at c pos) else None
+              | pos ->
+                  if L.row_valid c pos then (L.row_at c pos).L.value else None
             else go rest
       in
       go (Array.to_list (L.components t))
 
 let oracle_entry_is_valid env t ?cursors ~key ~ts ~threshold () =
   match L.mem_find t key key with
-  | Some row -> row.L.ts <= ts
+  | Some _ -> L.mem_ts t <= ts
   | None ->
       let comps = L.components t in
       let rec go i =
@@ -976,7 +979,10 @@ let probe_case_gen =
    Io_stats counters (probes, negatives, false positives, comparisons,
    pages read, ...), the same degraded probes and the same clock.  Trees
    of 0-5 components, with and without Bloom filters, random invalid
-   bits, one quarantined component, stateless or stateful descents. *)
+   bits, one quarantined component, stateless or stateful descents.  The
+   loops end at the first component their bound prunes, the walk passes
+   over every pruned one: without memory shards maxTS falls along the
+   components, so the two read and charge the same. *)
 let prop_probe_matches_loops =
   qtest ~count:300
     "newest-first probe = per-caller loops (answers, stats, clock)"
@@ -1020,12 +1026,7 @@ let prop_probe_matches_loops =
           List.map
             (fun (key, ts, threshold) ->
               let threshold = max threshold ts in
-              let row =
-                Option.map
-                  (fun (r : L.row) -> (r.L.ts, r.L.value))
-                  (lookup_one env t key)
-              in
-              ( row,
+              ( lookup_one env t key,
                 entry_is_valid env t ~key ~ts ~threshold,
                 repair env t
                   ~could_supersede:(could_supersede threshold)
@@ -1077,11 +1078,11 @@ let prop_probe_matches_loops =
               if pc.use_cursors then Some (cursors_of t) else None
             in
             match L.mem_find t key key with
-            | Some row -> row.L.ts <= ts
+            | Some _ -> L.mem_ts t <= ts
             | None ->
                 let pos =
                   L.find_newest t ?cursors key
-                    ~stop:(fun c -> c.L.cmax_ts <= threshold)
+                    ~skip:(fun c -> c.L.cmax_ts <= threshold)
                 in
                 pos < 0 || (L.found t).L.tss.(pos) <= ts)
           ~repair:(fun _env t ~could_supersede ~key ~ts ->
@@ -1092,7 +1093,7 @@ let prop_probe_matches_loops =
             else
               let pos =
                 L.find_newest t ~cursors:(cursors_of t) ~from:fp ~positive:fp
-                  ~stop:(fun c -> not (could_supersede c ts))
+                  ~skip:(fun c -> not (could_supersede c ts))
                   key
               in
               Some (pos >= 0 && (L.found t).L.tss.(pos) > ts))
@@ -1305,9 +1306,10 @@ let test_merge_alloc_budget () =
    behind the Bloom negatives of the newer ones — and for misses.  A
    descent returns a bare position and the walk records its hit in the
    tree, so a miss allocates only in the span wrapper and the memory
-   probe (9 words), and a hit also the row and option it hands out
-   (15).  Charging the memory probe's comparisons through a fold
-   allocated its closure too (14 and 20). *)
+   probe (9 words), and a hit also the option of the value it reads by
+   position (11).  Handing out a row record and its option cost 15, and
+   charging the memory probe's comparisons through a fold allocated its
+   closure too (14 and 20). *)
 let test_lookup_alloc_budget () =
   let t = mk_tree (mk_env ()) in
   for g = 0 to 5 do
@@ -1322,17 +1324,19 @@ let test_lookup_alloc_budget () =
     Array.iter (fun k -> ignore (L.lookup_one t k)) keys;
     (Gc.minor_words () -. w0) /. Float.of_int (Array.length keys)
   in
-  check_budget ~per:"minor words per lookup" "hits over 6 components" 15.5
+  check_budget ~per:"minor words per lookup" "hits over 6 components" 11.5
     (words_per_lookup (Array.init 12_000 Fun.id));
   check_budget ~per:"minor words per lookup" "misses over 6 components" 9.5
     (words_per_lookup (Array.init 12_000 (fun i -> 12_000 + i)))
 
 (* Allocation budget of a memory write: minor words per [write] that
    replaces a key already in a 3-shard memtable (entries built
-   beforehand): 13, all of it in the memtable's insert and the stored
-   [(ts, entry)] pair, since charging the shards' comparisons allocates
-   nothing.  Charging them through a fold allocated its closure on
-   every write too (23), and hashing the row through a key module (18). *)
+   beforehand): 2, the option of the replaced entry.  The memtable keeps
+   the timestamp in a leaf column and descends without a closure;
+   storing a [(ts, entry)] pair and descending through a closure cost
+   13, charging the shards' comparisons through a fold allocated its
+   closure on every write too (23), and hashing the row through a key
+   module (18). *)
 let test_write_alloc_budget () =
   let t =
     L.create (mk_env ())
@@ -1349,10 +1353,11 @@ let test_write_alloc_budget () =
   write_all 1;
   let w0 = Gc.minor_words () in
   write_all (n + 1);
-  check_budget ~per:"minor words per write" "same-key write, 3 shards" 14.0
+  check_budget ~per:"minor words per write" "same-key write, 3 shards" 2.5
     ((Gc.minor_words () -. w0) /. Float.of_int n);
   (* A secondary row is named by two ints, not by a boxed (sk, pk) pair
-     hashed through a key module: 13.25 words, where the pair cost 21.2. *)
+     hashed through a key module: 2.32 words (13.32 with the stored pair
+     and the closure), where the boxed row cost 21.2. *)
   let s = mk_sec_tree ~shards:3 (mk_env ()) in
   let write_sec ts0 =
     for i = 0 to n - 1 do
@@ -1363,15 +1368,16 @@ let test_write_alloc_budget () =
   let w0 = Gc.minor_words () in
   write_sec (n + 1);
   check_budget ~per:"minor words per write" "same-row secondary write, 3 shards"
-    14.0
+    2.5
     ((Gc.minor_words () -. w0) /. Float.of_int n)
 
 (* A disk component's footprint: words reachable from a flushed
    component of 10k rows with int values, per row.  Keys, timestamps and
-   entries are three columns read by position (3 words a row, plus the
-   2-word [Put] block each entry is); the Bloom filter and the leaf
-   fences add a fraction of a word: 5.36 in all.  A stored row record
-   beside the key column costs 3 words a row more (8.36), and fails. *)
+   values are three columns read by position (3 words a row; without
+   anti-matter the bit column is empty); the Bloom filter and the leaf
+   fences add a fraction of a word: 3.36 in all.  An entry column of
+   2-word [Put] blocks costs 2 words a row more (5.36), and fails; a
+   stored row record beside it 3 more (8.36). *)
 let test_component_footprint () =
   let t = mk_tree (mk_env ()) in
   for i = 0 to 9_999 do
@@ -1383,12 +1389,13 @@ let test_component_footprint () =
     Float.of_int (Obj.reachable_words (Obj.repr c))
     /. Float.of_int (L.component_rows c)
   in
-  check_budget ~per:"words per stored row" "10k-row component" 6.5 words;
+  check_budget ~per:"words per stored row" "10k-row component" 3.6 words;
   (* A dataset's secondary component, 10k rows over 100 secondary keys:
-     key, pk, timestamp and entry columns, one word a row each (the
-     [Put ()] entry is shared), plus the leaf fences: 4.01.  Keys stored
-     as boxed (sk, pk) pairs cost 3 words a row instead of the pk
-     column's 1 (6.01), and fail.  On 4 KB pages, as in the bench's
+     key, pk and timestamp columns, one word a row each, plus the leaf
+     fences: 3.01.  Its unit values are one slot in all; a value column
+     of one word a row costs 4.01, and fails, and keys stored as boxed
+     (sk, pk) pairs cost 3 words a row instead of the pk column's 1
+     (6.01).  On 4 KB pages, as in the bench's
      [footprint.secondary_component]. *)
   let s =
     mk_sec_tree
@@ -1400,7 +1407,7 @@ let test_component_footprint () =
   done;
   U.flush s;
   let c = (U.components s).(0) in
-  check_budget ~per:"words per stored row" "10k-row secondary component" 4.2
+  check_budget ~per:"words per stored row" "10k-row secondary component" 3.2
     (Float.of_int (Obj.reachable_words (Obj.repr c))
     /. Float.of_int (U.component_rows c))
 
@@ -1520,7 +1527,7 @@ let prop_secondary_layout_matches_model =
           | S_del (sk, pk) -> write sk pk Entry.Del
           | S_abort (sk, pk, v) ->
               let prior =
-                Option.map (fun (r : L.row) -> (r.ts, r.value)) (L.mem_find t sk pk)
+                Option.map (fun e -> (L.mem_ts t, e)) (L.mem_find t sk pk)
               in
               incr ts;
               L.write t ~key:sk ~pk ~ts:!ts (Entry.Put (v + 100));
@@ -1539,9 +1546,7 @@ let prop_secondary_layout_matches_model =
       let mem_ok =
         PairMap.for_all
           (fun (sk, pk) e ->
-            match L.mem_find t sk pk with
-            | Some r -> r.L.value = e
-            | None -> false)
+            L.mem_find t sk pk = Some e)
           !mem
         && PairMap.for_all
              (fun (sk, pk) _ -> PairMap.mem (sk, pk) !mem || L.mem_find t sk pk = None)
@@ -1562,14 +1567,13 @@ let prop_secondary_layout_matches_model =
         let out = ref [] in
         L.scan t
           { L.full_scan_spec with lo = Some lo; lo_pk; hi = Some hi; hi_pk }
-          ~f:(fun sk pk _ e ~src_repaired:_ ->
-            out := (sk, pk, (match e with Entry.Put v -> v | Entry.Del -> -1)) :: !out);
+          ~f:(fun sk pk _ v ~src_repaired:_ -> out := (sk, pk, v) :: !out);
         List.rev !out
       in
       let unbounded () =
         let out = ref [] in
-        L.scan t L.full_scan_spec ~f:(fun sk pk _ e ~src_repaired:_ ->
-            out := (sk, pk, (match e with Entry.Put v -> v | Entry.Del -> -1)) :: !out);
+        L.scan t L.full_scan_spec ~f:(fun sk pk _ v ~src_repaired:_ ->
+            out := (sk, pk, v) :: !out);
         List.rev !out
       in
       let all_live =
@@ -1583,6 +1587,541 @@ let prop_secondary_layout_matches_model =
       let via_merge = scan () and all_via_merge = unbounded () in
       mem_ok && via_view = expected && via_merge = expected
       && all_via_view = all_live && all_via_merge = all_live)
+
+(* ------------------------------------------------------------------ *)
+(* Values read by position = an entry-array model *)
+
+(* Every disk component keeps its values unboxed and its anti-matter as a
+   bit; the model below keeps, for every component, the entry array it
+   stands for, computed from the writes alone.  Traces of random [Put] and
+   [Del] writes run against an int-valued [Pk] tree with range filters,
+   a unit-valued [Pk] twin written in lockstep, and a unit-valued [Sk_pk]
+   tree, with whole and per-shard flushes (1-3 shards), merges, installs
+   of runs the model reconciles, one-component rebuilds of the valid rows
+   (the secondary rebuild's copy), invalid bits, all-anti-matter
+   components, and the concurrent builder's twin (the int tree's run
+   merged by [merge_components], the unit twin installed over the same
+   key, timestamp and anti-matter columns).  After each trace every read
+   path answers as the model does: [row_at], [is_del] and [value_at] per
+   position, the column layout, [mem_find], [lookup_one], [lookup_batch],
+   reconciling scans with and without bitmaps, views on and off, with
+   [on_del], a filtered scan, and [merge_components]. *)
+
+type dop =
+  | D_put of int * int * int  (** key, pk, value *)
+  | D_del of int * int
+  | D_flush
+  | D_flush_shard of int
+  | D_merge of int * int
+  | D_invalid of int * int  (** component, position *)
+  | D_install of int * int
+  | D_rebuild of int
+  | D_all_del of int list  (** flush, anti-matter for the keys, flush *)
+  | D_twin
+
+(* The columns the twin's install shares with the int tree's. *)
+type twin_cols = { tw_keys : int array; tw_tss : int array; tw_dels : Bytes.t; tw_put : bool }
+
+module Values_model (V : sig
+  include Lsm_tree.VALUE
+
+  val of_int : int -> t
+  val equal : t -> t -> bool
+end) =
+struct
+  module T = Lsm_tree.Make (V)
+
+  (* The model of a component: an entry per position. *)
+  type rc = { rk : int array; rp : int array; rt : int array; re : V.t Entry.t array }
+
+  type st = {
+    t : T.t;
+    pk_col : bool;
+    mem : (int * int, int * V.t Entry.t) Hashtbl.t;
+    mutable refs : (T.disk_component * rc) list;
+  }
+
+  let create ?filter_of ~layout ~shards () =
+    let t =
+      T.create ?filter_of ~layout (mk_env ())
+        (Lsm_tree.Config.make ~bloom:(Some Lsm_tree.Config.default_bloom)
+           ~shards "diff")
+    in
+    { t; pk_col = layout = Lsm_tree.Sk_pk; mem = Hashtbl.create 16; refs = [] }
+
+  let rc_of st c = List.assq c st.refs
+
+  let pk_of c i =
+    let ks = Lsm_btree.Disk_btree.keys c.T.tree
+    and ps = Lsm_btree.Disk_btree.pks c.T.tree in
+    if Array.length ps = 0 then ks.(i) else ps.(i)
+  let comps st = T.components st.t
+  let rows rc = Array.length rc.rk
+
+  let rc_of_list l =
+    let a = Array.of_list l in
+    {
+      rk = Array.map (fun (k, _, _, _) -> k) a;
+      rp = Array.map (fun (_, p, _, _) -> p) a;
+      rt = Array.map (fun (_, _, ts, _) -> ts) a;
+      re = Array.map (fun (_, _, _, e) -> e) a;
+    }
+
+  let write st k p ts e =
+    T.write st.t ~key:k ~pk:p ~ts e;
+    Hashtbl.replace st.mem (k, p) (ts, e)
+
+  (* A flush's model: the flushed bindings in row order. *)
+  let flush ?shard st =
+    let take (k, p) =
+      match shard with None -> true | Some s -> T.shard_of st.t k p = s
+    in
+    let bs =
+      Hashtbl.fold
+        (fun kp (ts, e) acc -> if take kp then (kp, ts, e) :: acc else acc)
+        st.mem []
+      |> List.sort compare
+    in
+    T.flush ?shard st.t;
+    if bs <> [] then begin
+      List.iter (fun (kp, _, _) -> Hashtbl.remove st.mem kp) bs;
+      let rc = rc_of_list (List.map (fun ((k, p), ts, e) -> (k, p, ts, e)) bs) in
+      st.refs <- ((comps st).(0), rc) :: st.refs
+    end
+
+  (* The run [a..b]'s rows reconciled: per row, the newest valid version;
+     with [bottom], anti-matter dropped. *)
+  let reconcile st a b ~bottom =
+    let cs = Array.sub (comps st) a (b - a + 1) in
+    let seen = Hashtbl.create 16 and out = ref [] in
+    Array.iter
+      (fun c ->
+        let rc = rc_of st c in
+        for i = 0 to rows rc - 1 do
+          let kp = (rc.rk.(i), rc.rp.(i)) in
+          if T.row_valid c i && not (Hashtbl.mem seen kp) then begin
+            Hashtbl.replace seen kp ();
+            if not (bottom && Entry.is_del rc.re.(i)) then
+              out := (rc.rk.(i), rc.rp.(i), rc.rt.(i), rc.re.(i)) :: !out
+          end
+        done)
+      cs;
+    (cs, rc_of_list (List.sort compare !out))
+
+  let merge st a b =
+    let n = Array.length (comps st) in
+    let _, rc = reconcile st a b ~bottom:(b = n - 1) in
+    let c = T.merge st.t ~first:a ~last:b in
+    st.refs <- (c, rc) :: st.refs
+
+  (* Install [rc] over [inputs], its value and anti-matter columns set
+     row by row from the model's entries. *)
+  let install_rc st inputs rc =
+    let b = T.columns (rows rc) in
+    Array.iteri
+      (fun o e ->
+        match e with Entry.Put v -> T.set_put b o v | Entry.Del -> T.set_del b o)
+      rc.re;
+    let vals, dels = T.built b in
+    let c =
+      T.install st.t ~inputs ~keys:(Array.copy rc.rk)
+        ~pks:(if st.pk_col then Array.copy rc.rp else [||])
+        ~tss:(Array.copy rc.rt) ~vals ~dels
+    in
+    st.refs <- (c, rc) :: st.refs
+
+  let install st a b =
+    let inputs, rc = reconcile st a b ~bottom:false in
+    install_rc st inputs rc
+
+  (* The secondary rebuild's copy: a component's valid rows, by position. *)
+  let rebuild st i =
+    let c = (comps st).(i) in
+    let rc = rc_of st c in
+    let live = List.filter (T.row_valid c) (List.init (rows rc) Fun.id) in
+    let live = Array.of_list live in
+    let b = T.columns (Array.length live) in
+    Array.iteri (fun o i -> T.copy_row b o c i) live;
+    let vals, dels = T.built b in
+    let sub col = Array.map (Array.get col) live in
+    let c' =
+      T.install st.t ~inputs:[| c |] ~keys:(sub rc.rk)
+        ~pks:(if st.pk_col then sub rc.rp else [||])
+        ~tss:(sub rc.rt) ~vals ~dels
+    in
+    st.refs <-
+      (c', { rk = sub rc.rk; rp = sub rc.rp; rt = sub rc.rt; re = sub rc.re })
+      :: st.refs
+
+  (* The concurrent builder's merge: every component through
+     [merge_components] (valid rows only, newest of equal rows first),
+     each output row copied by position. *)
+  let twin st =
+    let cs = comps st in
+    let m = T.merge_components st.t ~valid:T.row_valid cs in
+    let out = ref [] and last = ref None in
+    let top = ref (Lsm_util.Kmerge.top m.T.cm_merge) in
+    while !top >= 0 do
+      let s = !top and i = m.T.cm_heads.(!top) in
+      top := Lsm_util.Kmerge.advance m.T.cm_merge;
+      let k = (Lsm_btree.Disk_btree.keys cs.(s).T.tree).(i) in
+      if !last <> Some k then out := (s, i) :: !out;
+      last := Some k
+    done;
+    let out = Array.of_list (List.rev !out) in
+    let n = Array.length out in
+    let b = T.columns n in
+    Array.iteri (fun o (s, i) -> T.copy_row b o cs.(s) i) out;
+    let vals, dels = T.built b in
+    let keys = Array.map (fun (s, i) -> (Lsm_btree.Disk_btree.keys cs.(s).T.tree).(i)) out in
+    let tss = Array.map (fun (s, i) -> cs.(s).T.tss.(i)) out in
+    let _, rc = reconcile st 0 (Array.length cs - 1) ~bottom:false in
+    let c = T.install st.t ~inputs:cs ~keys ~pks:[||] ~tss ~vals ~dels in
+    st.refs <- (c, rc) :: st.refs;
+    { tw_keys = keys; tw_tss = tss; tw_dels = dels; tw_put = Array.length vals > 0 }
+
+  (* The twin's install over the columns of the int tree's. *)
+  let twin_install st tw ~value =
+    let cs = comps st in
+    let _, rc = reconcile st 0 (Array.length cs - 1) ~bottom:false in
+    let c =
+      T.install st.t ~inputs:cs ~keys:tw.tw_keys ~pks:[||] ~tss:tw.tw_tss
+        ~vals:(if tw.tw_put then [| value |] else [||])
+        ~dels:tw.tw_dels
+    in
+    st.refs <- (c, rc) :: st.refs;
+    c
+
+  let apply st ts ?twin_cols op =
+    let ncomps = Array.length (comps st) in
+    match op with
+    | D_put (k, p, v) ->
+        incr ts;
+        write st k (if st.pk_col then p else k) !ts (Entry.Put (V.of_int v))
+    | D_del (k, p) ->
+        incr ts;
+        write st k (if st.pk_col then p else k) !ts Entry.Del
+    | D_flush -> flush st
+    | D_flush_shard s -> flush ~shard:(s mod T.mem_shards st.t) st
+    | D_merge (a, b) when ncomps > 0 ->
+        let a = a mod ncomps and b = b mod ncomps in
+        merge st (min a b) (max a b)
+    | D_invalid (c, pos) when ncomps > 0 ->
+        let c = (comps st).(c mod ncomps) in
+        let n = T.component_rows c in
+        if n > 0 then T.invalidate c (pos mod n)
+    | D_install (a, b) when ncomps > 0 ->
+        let a = a mod ncomps and b = b mod ncomps in
+        install st (min a b) (max a b)
+    | D_rebuild i when ncomps > 0 -> rebuild st (i mod ncomps)
+    | D_all_del ks ->
+        flush st;
+        List.iter
+          (fun k ->
+            incr ts;
+            write st k k !ts Entry.Del)
+          ks;
+        flush st
+    | D_twin when ncomps > 0 -> (
+        match twin_cols with
+        | Some f -> f st
+        | None -> ())
+    | D_merge _ | D_invalid _ | D_install _ | D_rebuild _ | D_twin -> ()
+
+  (* ---- the model's answers ---- *)
+
+  let expect_lookup st k =
+    match Hashtbl.find_opt st.mem (k, k) with
+    | Some (_, e) -> Entry.value e
+    | None ->
+        let rec go = function
+          | [] -> None
+          | c :: rest -> (
+              let rc = rc_of st c in
+              match Array.find_index (fun x -> x = k) rc.rk with
+              | None -> go rest
+              | Some i -> if T.row_valid c i then Entry.value rc.re.(i) else None)
+        in
+        go (Array.to_list (comps st))
+
+  (* Reconciled rows as (key, pk, ts, value or [None] for anti-matter,
+     source repairedTS). *)
+  let expect_scan st ~respect =
+    let kps = Hashtbl.create 16 in
+    Hashtbl.iter (fun kp _ -> Hashtbl.replace kps kp ()) st.mem;
+    Array.iter
+      (fun c ->
+        let rc = rc_of st c in
+        Array.iteri (fun i k -> Hashtbl.replace kps (k, rc.rp.(i)) ()) rc.rk)
+      (comps st);
+    Hashtbl.fold (fun kp () acc -> kp :: acc) kps []
+    |> List.sort compare
+    |> List.filter_map (fun (k, p) ->
+           match Hashtbl.find_opt st.mem (k, p) with
+           | Some (ts, e) -> Some (k, p, ts, Entry.value e, 0)
+           | None ->
+               List.find_map
+                 (fun c ->
+                   let rc = rc_of st c in
+                   let rec find i =
+                     if i >= rows rc then None
+                     else if
+                       rc.rk.(i) = k && rc.rp.(i) = p
+                       && ((not respect) || T.row_valid c i)
+                     then
+                       Some (k, p, rc.rt.(i), Entry.value rc.re.(i), c.T.repaired_ts)
+                     else find (i + 1)
+                   in
+                   find 0)
+                 (Array.to_list (comps st)))
+
+  (* ---- the tree's answers ---- *)
+
+  let fail fmt = QCheck2.Test.fail_reportf fmt
+
+  let check_components st =
+    Array.iteri
+      (fun ci c ->
+        let rc = rc_of st c in
+        let n = rows rc in
+        if T.component_rows c <> n then fail "component %d: %d rows, model %d" ci (T.component_rows c) n;
+        let nput = Array.fold_left (fun a e -> if Entry.is_put e then a + 1 else a) 0 rc.re in
+        let lv = Array.length c.T.vals in
+        (* The layout: no [Put], no value column; one slot for physically
+           equal values; no anti-matter, no bit column. *)
+        if nput = 0 && lv <> 0 then fail "component %d: value column without a put" ci;
+        if nput > 0 && not (lv = 1 || lv = n) then fail "component %d: %d value slots for %d rows" ci lv n;
+        if (nput = n) <> (Bytes.length c.T.dels = 0) then fail "component %d: bit column vs anti-matter" ci;
+        let puts = List.filter_map Entry.value (Array.to_list rc.re) in
+        (match puts with
+        | v :: rest when List.for_all (fun w -> w == v) rest && lv <> 1 ->
+            fail "component %d: uniform values kept per row" ci
+        | _ -> ());
+        for i = 0 to n - 1 do
+          let r = T.row_at c i in
+          if r.T.key <> rc.rk.(i) || r.T.ts <> rc.rt.(i) then fail "component %d row %d: key or ts" ci i;
+          if pk_of c i <> rc.rp.(i) then fail "component %d row %d: pk" ci i;
+          (match (rc.re.(i), r.T.value) with
+          | Entry.Put v, Some w when V.equal v w && V.equal v (T.value_at c i) && not (T.is_del c i) -> ()
+          | Entry.Del, None when T.is_del c i ->
+              (* The slot holds another row's value of this component. *)
+              if lv = n && not (List.exists (fun v -> v == c.T.vals.(i)) puts) then
+                fail "component %d row %d: anti-matter slot holds a foreign value" ci i
+          | _ -> fail "component %d row %d: entry differs from the model" ci i)
+        done)
+      (comps st)
+
+  let check_mem st =
+    Hashtbl.iter
+      (fun (k, p) (ts, e) ->
+        match T.mem_find st.t k p with
+        | Some e' when e' = e && T.mem_ts st.t = ts -> ()
+        | _ -> fail "mem_find (%d, %d)" k p)
+      st.mem
+
+  let scan_rows ?filter ~views ~respect st =
+    T.set_sorted_views st.t views;
+    let out = ref [] in
+    T.scan st.t
+      { T.full_scan_spec with respect_bitmap = respect; filter }
+      ~on_del:(fun k p ts ~src_repaired -> out := (k, p, ts, None, src_repaired) :: !out)
+      ~f:(fun k p ts v ~src_repaired -> out := (k, p, ts, Some v, src_repaired) :: !out);
+    T.set_sorted_views st.t true;
+    List.rev !out
+
+  let same_rows a b =
+    List.length a = List.length b
+    && List.for_all2
+         (fun (k, p, ts, v, s) (k', p', ts', v', s') ->
+           k = k' && p = p' && ts = ts' && s = s'
+           && Option.equal V.equal v v')
+         a b
+
+  let check_reads ?filter st ~keys =
+    check_mem st;
+    check_components st;
+    List.iter
+      (fun respect ->
+        let want = expect_scan st ~respect in
+        List.iter
+          (fun views ->
+            if not (same_rows (scan_rows ~views ~respect st) want) then
+              fail "scan (views %b, bitmaps %b)" views respect)
+          [ false; true ])
+      [ true; false ];
+    (match filter with
+    | Some (a, b, fkey) ->
+        let want =
+          List.filter
+            (fun (_, _, _, v, _) ->
+              match v with None -> true | Some v -> a <= fkey v && fkey v <= b)
+            (expect_scan st ~respect:true)
+        in
+        List.iter
+          (fun views ->
+            if not (same_rows (scan_rows ~filter:(a, b) ~views ~respect:true st) want)
+            then fail "filtered scan [%d, %d] (views %b)" a b views)
+          [ false; true ]
+    | None -> ());
+    (* merge_components: every row of every component, in row order,
+       equal rows newest first. *)
+    let cs = comps st in
+    let want =
+      List.concat
+        (List.mapi
+           (fun s c ->
+             let rc = rc_of st c in
+             List.init (rows rc) (fun i ->
+                 ((rc.rk.(i), rc.rp.(i), s), (rc.rt.(i), Entry.is_del rc.re.(i)))))
+           (Array.to_list cs))
+      |> List.sort compare
+    in
+    let m = T.merge_components st.t cs in
+    let got = ref [] in
+    let top = ref (Lsm_util.Kmerge.top m.T.cm_merge) in
+    while !top >= 0 do
+      let s = !top and i = m.T.cm_heads.(!top) in
+      top := Lsm_util.Kmerge.advance m.T.cm_merge;
+      let c = cs.(s) in
+      got :=
+        (((Lsm_btree.Disk_btree.keys c.T.tree).(i), pk_of c i, s), (c.T.tss.(i), T.is_del c i))
+        :: !got
+    done;
+    if List.rev !got <> want then fail "merge_components";
+    if not st.pk_col then begin
+      let expected = List.map (fun k -> (k, expect_lookup st k)) keys in
+      List.iter
+        (fun (k, v) ->
+          if not (Option.equal V.equal (T.lookup_one st.t k) v) then fail "lookup_one %d" k)
+        expected;
+      List.iter
+        (fun opts ->
+          T.lookup_batch st.t opts (T.plain_keys (Array.of_list keys)) ~emit:(fun k v ->
+              if not (Option.equal V.equal v (List.assoc k expected)) then
+                fail "lookup_batch %d" k))
+        [
+          T.default_lookup_opts;
+          { T.default_lookup_opts with batched = false; stateful = false };
+          { T.default_lookup_opts with batch_bytes = 100 };
+        ]
+    end;
+    true
+end
+
+module Int_model = Values_model (struct
+  include Lsm_util.Keys.Int_value
+
+  let of_int v = v mod 4
+  let equal = Int.equal
+end)
+
+module Unit_model = Values_model (struct
+  include Lsm_util.Keys.Unit_value
+
+  let of_int _ = ()
+  let equal () () = true
+end)
+
+let dop_gen =
+  QCheck2.Gen.(
+    let key = int_range 0 12 and pk = int_range 0 8 in
+    frequency
+      [
+        (10, map3 (fun k p v -> D_put (k, p, v)) key pk (int_range 0 7));
+        (4, map2 (fun k p -> D_del (k, p)) key pk);
+        (2, return D_flush);
+        (1, map (fun s -> D_flush_shard s) (int_range 0 2));
+        (1, map2 (fun a b -> D_merge (a, b)) (int_range 0 5) (int_range 0 5));
+        (2, map2 (fun c p -> D_invalid (c, p)) (int_range 0 5) (int_range 0 12));
+        (1, map2 (fun a b -> D_install (a, b)) (int_range 0 5) (int_range 0 5));
+        (1, map (fun i -> D_rebuild i) (int_range 0 5));
+        (1, map (fun ks -> D_all_del ks) (list_size (int_range 1 4) key));
+        (1, return D_twin);
+      ])
+
+let prop_values_match_entry_model =
+  qtest ~count:250 "values by position = entry-array model (every read path)"
+    QCheck2.Gen.(
+      triple (list_size (int_range 0 120) dop_gen) (int_range 1 3)
+        (pair (int_range 0 4) (int_range 0 3)))
+    (fun (ops, shards, (a, w)) ->
+      let i = Int_model.create ~filter_of:Fun.id ~layout:Lsm_tree.Pk ~shards () in
+      let u = Unit_model.create ~layout:Lsm_tree.Pk ~shards () in
+      let s = Unit_model.create ~layout:Lsm_tree.Sk_pk ~shards () in
+      let ti = ref 0 and tu = ref 0 and tsk = ref 0 in
+      List.iter
+        (fun op ->
+          let tw = ref None in
+          Int_model.apply i ti op
+            ~twin_cols:(fun st -> tw := Some (Int_model.twin st));
+          Unit_model.apply u tu op ~twin_cols:(fun st ->
+              match !tw with
+              | Some cols ->
+                  let c = Unit_model.twin_install st cols ~value:() in
+                  let ic = (Int_model.comps i).(0) in
+                  (* The twin shares the int tree's key, timestamp and
+                     anti-matter columns. *)
+                  if
+                    not
+                      (Lsm_btree.Disk_btree.keys c.Unit_model.T.tree
+                       == Lsm_btree.Disk_btree.keys ic.Int_model.T.tree
+                      && c.Unit_model.T.tss == ic.Int_model.T.tss
+                      && c.Unit_model.T.dels == ic.Int_model.T.dels)
+                  then QCheck2.Test.fail_report "twin does not share the columns"
+              | None -> ());
+          Unit_model.apply s tsk op)
+        ops;
+      let keys = List.init 14 Fun.id in
+      Int_model.check_reads i ~keys ~filter:(a, a + w, Fun.id)
+      && Unit_model.check_reads u ~keys
+      && Unit_model.check_reads s ~keys)
+
+(* The lazy filter-key column of a range-filtered component is built from
+   the component's own value and anti-matter columns: before the first
+   filtered scan forces it, a flushed, merged or installed component
+   reaches nothing beyond its columns, its Bloom filter and a few words
+   of record, thunk and provenance.  A thunk that kept the entries the
+   component was built from reached a second value column, 3 words a row
+   here. *)
+let test_fkeys_keep_no_second_column () =
+  let t = mk_tree ~filter_of:Fun.id (mk_env ()) in
+  let gen g =
+    for i = 0 to 4_999 do
+      L.write t ~key:((2 * i) + g) ~pk:((2 * i) + g) ~ts:((g * 5_000) + i + 1)
+        (if i mod 9 = 0 then Entry.Del else Entry.Put (i + 1_000))
+    done;
+    L.flush t
+  in
+  let check name c =
+    let own =
+      Obj.reachable_words
+        (Obj.repr (c.L.tree, c.L.tss, c.L.vals, c.L.dels, c.L.bloom, c.L.prov))
+    in
+    let all = Obj.reachable_words (Obj.repr c) in
+    Printf.printf "%s: %d words beyond the columns\n" name (all - own);
+    Alcotest.(check bool) (name ^ ": column not built yet") false (Lazy.is_val c.L.fkeys);
+    if all - own > 64 then
+      Alcotest.failf "%s: %d words beyond the columns (ceiling 64)" name (all - own);
+    ignore (Lazy.force c.L.fkeys);
+    Alcotest.(check bool) (name ^ ": the forced column is the filter keys") true
+      (Obj.reachable_words (Obj.repr c) - all >= L.component_rows c - 16)
+  in
+  gen 0;
+  check "flushed" (L.components t).(0);
+  gen 1;
+  check "merged" (L.merge t ~first:0 ~last:1);
+  gen 0;
+  let c = (L.components t).(0) in
+  let n = L.component_rows c in
+  let b = L.columns n in
+  for i = 0 to n - 1 do
+    L.copy_row b i c i
+  done;
+  let vals, dels = L.built b in
+  check "installed"
+    (L.install t ~inputs:[| c |]
+       ~keys:(Array.copy (Lsm_btree.Disk_btree.keys c.L.tree))
+       ~pks:[||] ~tss:(Array.copy c.L.tss) ~vals ~dels)
 
 let () =
   Alcotest.run "lsm_tree"
@@ -1645,7 +2184,10 @@ let () =
           Alcotest.test_case "merge recompute" `Quick
             test_merge_filter_union_vs_recompute;
           Alcotest.test_case "disk column" `Quick test_disk_filter_column;
+          Alcotest.test_case "lazy column keeps no second value column" `Quick
+            test_fkeys_keep_no_second_column;
         ] );
+      ("values", [ prop_values_match_entry_model ]);
       ( "policy",
         [
           Alcotest.test_case "tiering trigger" `Quick test_tiering_policy_trigger;

@@ -393,7 +393,18 @@ let test_cm_components_after () =
   Alcotest.(check int) "primary merged to 1" 1
     (D.Prim.component_count (D.primary d));
   match D.pk_index d with
-  | Some pk -> Alcotest.(check int) "pk merged to 1" 1 (D.Pk.component_count pk)
+  | Some pk ->
+      Alcotest.(check int) "pk merged to 1" 1 (D.Pk.component_count pk);
+      (* The twin shares the primary's key, timestamp and anti-matter
+         columns, and keeps its unit values in one slot. *)
+      let pc = (D.Prim.components (D.primary d)).(0)
+      and kc = (D.Pk.components pk).(0) in
+      Alcotest.(check bool) "twin shares the columns" true
+        (Lsm_btree.Disk_btree.keys kc.D.Pk.tree
+         == Lsm_btree.Disk_btree.keys pc.D.Prim.tree
+        && kc.D.Pk.tss == pc.D.Prim.tss
+        && kc.D.Pk.dels == pc.D.Prim.dels);
+      Alcotest.(check int) "one unit slot" 1 (Array.length kc.D.Pk.vals)
   | None -> Alcotest.fail "pk index"
 
 (* The builder installs like a scheduled merge — flush provenance

@@ -71,10 +71,17 @@ let spec_gen =
       (triple (pair key_opt key_opt) (pair bool bool)
          (pair bool (opt (list_size (int_range 0 6) bool)))))
 
-let collect t spec =
+(* The rows a scan emits, as (key, ts, value, src_repaired), [None] for
+   anti-matter, which it reports only with [emit_del]. *)
+let collect ?(emit_del = false) t spec =
   let acc = ref [] in
-  L.scan t spec ~f:(fun key _ ts value ~src_repaired ->
-      acc := (key, ts, value, src_repaired) :: !acc);
+  let on_del key _ ts ~src_repaired =
+    acc := (key, ts, None, src_repaired) :: !acc
+  in
+  L.scan t spec
+    ?on_del:(if emit_del then Some on_del else None)
+    ~f:(fun key _ ts value ~src_repaired ->
+      acc := (key, ts, Some value, src_repaired) :: !acc);
   List.rev !acc
 
 let spec_of t (lo, hi, respect_bitmap, emit_del, include_mem, only_mask) =
@@ -95,10 +102,10 @@ let spec_of t (lo, hi, respect_bitmap, emit_del, include_mem, only_mask) =
     reconcile = true;
     respect_bitmap;
     include_mem;
-    emit_del;
     only;
     filter = None;
-  }
+  },
+  emit_del
 
 let prop_tree_view_equals_heap =
   qtest ~count:200 "tree scan: view == heap (random specs, bitmaps)"
@@ -108,14 +115,14 @@ let prop_tree_view_equals_heap =
       let t = mk_tree (mk_env ()) in
       apply_ops t ops;
       sprinkle_invalid t seed;
-      let spec = spec_of t rawspec in
+      let spec, emit_del = spec_of t rawspec in
       L.set_sorted_views t false;
-      let want = collect t spec in
+      let want = collect ~emit_del t spec in
       L.set_sorted_views t true;
       (* Unrestricted warm-up scan so [only]-restricted specs can also be
          served from a fresh view rather than always falling back. *)
       ignore (collect t L.full_scan_spec);
-      let got = collect t spec in
+      let got = collect ~emit_del t spec in
       if got <> want then
         QCheck2.Test.fail_reportf
           "view scan diverged (%d vs %d rows, %d comps)" (List.length got)
